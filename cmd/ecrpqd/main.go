@@ -99,6 +99,11 @@ type config struct {
 	cacheBytes   int64
 	drainTimeout time.Duration
 
+	// Connection timeouts of the listener; zero means the default. Not
+	// flags: they protect the daemon from peers, they do not tune it.
+	readHeaderTimeout time.Duration
+	idleTimeout       time.Duration
+
 	load         string
 	loadDuration time.Duration
 	loadClients  int
@@ -196,7 +201,7 @@ func run(ctx context.Context, cfg config, ready chan<- string, errw io.Writer) e
 		ready <- ln.Addr().String()
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv, cfg)
 	served := make(chan error, 1)
 	go func() { served <- hs.Serve(ln) }()
 
@@ -226,6 +231,37 @@ func run(ctx context.Context, cfg config, ready chan<- string, errw io.Writer) e
 	}
 	fmt.Fprintln(errw, "ecrpqd: drained")
 	return nil
+}
+
+// Connection timeouts: how long a peer may take to send a request's
+// headers, how long a keep-alive connection may sit idle, and how long
+// past the longest admissible evaluation a response may take to write.
+const (
+	defaultReadHeaderTimeout = 5 * time.Second
+	defaultIdleTimeout       = 2 * time.Minute
+	responseWriteSlack       = 10 * time.Second
+)
+
+// newHTTPServer bounds every connection of the daemon: without
+// timeouts a peer that opens a connection and stalls — mid-header, idle
+// on keep-alive, or not reading its response — holds a goroutine and a
+// descriptor for as long as it likes. A request is read, evaluated and
+// answered within the server's maximum request deadline plus slack for
+// writing the response; net/http closes the connection past that.
+func newHTTPServer(srv *server.Server, cfg config) *http.Server {
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: cfg.readHeaderTimeout,
+		IdleTimeout:       cfg.idleTimeout,
+		WriteTimeout:      srv.MaxTimeout() + responseWriteSlack,
+	}
+	if hs.ReadHeaderTimeout <= 0 {
+		hs.ReadHeaderTimeout = defaultReadHeaderTimeout
+	}
+	if hs.IdleTimeout <= 0 {
+		hs.IdleTimeout = defaultIdleTimeout
+	}
+	return hs
 }
 
 // openStore builds the daemon's store: a durable OpenDir store when

@@ -2,7 +2,9 @@ package main
 
 import (
 	"context"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -10,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/leakcheck"
+	"repro/internal/server"
 )
 
 // TestDaemonLifecycle boots the daemon on an ephemeral port, serves a
@@ -200,3 +204,88 @@ func TestDaemonBadGraphFile(t *testing.T) {
 	}
 }
 
+// TestSlowHeaderConnectionClosed: a peer that opens a connection, sends
+// part of a request line and stalls must be cut off by the listener's
+// header timeout — it used to hold a goroutine and a descriptor for as
+// long as it liked — while a peer that sends its request promptly on the
+// same daemon is served.
+func TestSlowHeaderConnectionClosed(t *testing.T) {
+	leakcheck.Check(t)
+	cfg := config{
+		addr:              "127.0.0.1:0",
+		sigma:             "ab",
+		queries:           []string{"aplus=Ans(x,y) <- (x,p,y), a+(p)"},
+		cacheBytes:        1 << 20,
+		drainTimeout:      5 * time.Second,
+		readHeaderTimeout: 150 * time.Millisecond,
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, cfg, ready, io.Discard) }()
+	t.Cleanup(func() {
+		http.DefaultClient.CloseIdleConnections()
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("drain failed: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Error("daemon did not drain")
+		}
+	})
+	var addr string
+	select {
+	case addr = <-ready:
+	case err := <-done:
+		t.Fatalf("daemon exited before ready: %v", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("daemon never became ready")
+	}
+
+	slow, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	if _, err := slow.Write([]byte("GET /query/aplus HTTP/1.1\r\nHost: x\r\nX-Stall")); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + addr + "/query/aplus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("prompt request beside the stalled one: status %d", resp.StatusCode)
+	}
+
+	// The stalled connection must reach EOF (or a reset) on its own, well
+	// inside the read deadline below; anything the server says first (a
+	// 408) is read past.
+	slow.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	if _, err := io.Copy(io.Discard, slow); err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("stalled connection still open %v after a %v header timeout", time.Since(start), cfg.readHeaderTimeout)
+		}
+	}
+}
+
+// TestHTTPServerTimeouts: every timeout is set, and the write timeout
+// follows the configured maximum request deadline.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := server.New(server.Config{DB: graph.NewDB(), MaxTimeout: 7 * time.Second})
+	hs := newHTTPServer(srv, config{})
+	if hs.ReadHeaderTimeout != defaultReadHeaderTimeout || hs.IdleTimeout != defaultIdleTimeout {
+		t.Fatalf("defaults: ReadHeaderTimeout %v, IdleTimeout %v", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+	if want := 7*time.Second + responseWriteSlack; hs.WriteTimeout != want {
+		t.Fatalf("WriteTimeout = %v, want %v (max request deadline + slack)", hs.WriteTimeout, want)
+	}
+	if hs = newHTTPServer(server.New(server.Config{DB: graph.NewDB()}), config{}); hs.WriteTimeout != 30*time.Second+responseWriteSlack {
+		t.Fatalf("WriteTimeout with the default clamp = %v", hs.WriteTimeout)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -185,6 +184,9 @@ type Result struct {
 	// re-evaluate only the assignments a delta can affect. Nil when the
 	// evaluation did not capture (head paths, streaming, overflow).
 	inc *incMemo
+
+	// fp memoizes Fingerprint for evaluator-built results (nil otherwise).
+	fp *fpMemo
 }
 
 // Bool reports the boolean result (nonempty output).
@@ -195,17 +197,63 @@ func (r *Result) Bool() bool { return len(r.Answers) > 0 }
 // equal Fingerprints carry byte-identical answers (modulo hash
 // collisions), which is how the cache tests prove that a cache hit
 // returns exactly what the underlying evaluation would have.
+//
+// A Result produced by the evaluator hashes its answers on the first
+// call only and remembers the value: results are immutable once
+// returned, and a cached one is fingerprinted on every response that
+// serves it. Concurrent callers are safe. A Result built as a struct
+// literal carries no memo and hashes on every call.
 func (r *Result) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	m := r.fp
+	if m == nil {
+		return fingerprintAnswers(r.Answers)
+	}
+	m.once.Do(func() {
+		m.sum, m.n, m.first = fingerprintAnswers(r.Answers), len(r.Answers), firstAnswer(r.Answers)
+	})
+	if m.n != len(r.Answers) || m.first != firstAnswer(r.Answers) {
+		// A by-value copy whose Answers were re-sliced or replaced shares
+		// the memo cell but not the answers it describes.
+		return fingerprintAnswers(r.Answers)
+	}
+	return m.sum
+}
+
+// fpMemo is the fingerprint memo cell of one answer set. It sits behind
+// a pointer so that Results sharing Answers (restamp, by-value copies)
+// share the memo, and so that copying a Result copies no lock.
+type fpMemo struct {
+	once  sync.Once
+	sum   uint64
+	n     int // len and first element of the Answers the sum describes
+	first *Answer
+}
+
+func firstAnswer(a []Answer) *Answer {
+	if len(a) == 0 {
+		return nil
+	}
+	return &a[0]
+}
+
+// fingerprintAnswers is 64-bit FNV-1a over the little-endian bytes of
+// the answer set's words (counts, nodes, labels), one word at a time:
+// the value hash/fnv yields for the same byte stream, without the
+// hash.Hash interface call per word.
+func fingerprintAnswers(answers []Answer) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	wr := func(x uint64) {
 		for i := 0; i < 8; i++ {
-			buf[i] = byte(x >> (8 * i))
+			h = (h ^ x&0xff) * prime64
+			x >>= 8
 		}
-		h.Write(buf[:])
 	}
-	wr(uint64(len(r.Answers)))
-	for _, a := range r.Answers {
+	wr(uint64(len(answers)))
+	for _, a := range answers {
 		wr(uint64(len(a.Nodes)))
 		for _, v := range a.Nodes {
 			wr(uint64(v))
@@ -221,7 +269,7 @@ func (r *Result) Fingerprint() uint64 {
 			}
 		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // answerOverhead approximates the fixed per-answer footprint (the
@@ -492,6 +540,28 @@ type row struct {
 type varRelation struct {
 	vars []NodeVar
 	rows []row
+
+	// slab backs the node tuples of rows added through addRow: tuples are
+	// carved from chunks instead of being allocated one by one. A full
+	// chunk is left to the rows that point into it.
+	slab []graph.Node
+}
+
+// Slab chunks double from rowSlabMin rows up to rowSlabMax rows, so a
+// small relation wastes a few tuples and a large one at most a chunk.
+const (
+	rowSlabMin = 4
+	rowSlabMax = 1024
+)
+
+// addRow appends a row, copying its node tuple into the slab.
+func (r *varRelation) addRow(nodes []graph.Node, paths map[PathVar]graph.Path) {
+	if len(r.slab)+len(nodes) > cap(r.slab) {
+		r.slab = make([]graph.Node, 0, max(rowSlabMin*len(nodes), min(2*cap(r.slab), rowSlabMax*len(nodes))))
+	}
+	at := len(r.slab)
+	r.slab = append(r.slab, nodes...)
+	r.rows = append(r.rows, row{nodes: r.slab[at:len(r.slab):len(r.slab)], paths: paths})
 }
 
 // acceptCheck is one Y-endpoint consistency obligation: the path on
@@ -537,7 +607,7 @@ type componentEngine struct {
 	// witnesses) the raw edge labels of the move that discovered the
 	// state — in class mode parentSym is a class tuple and cannot name
 	// the traversed labels.
-	prodTab     *intern.Table
+	states      tupleSet
 	curs        []graph.Node
 	joints      []int32
 	parentState []int32
@@ -545,7 +615,6 @@ type componentEngine struct {
 	parentLabs  []rune
 
 	// Scratch buffers.
-	tupBuf   []int
 	nodesBuf []graph.Node
 	keyBuf   []int
 	chainBuf []int32
@@ -583,16 +652,13 @@ type componentEngine struct {
 // engines can be compiled into a Program ahead of any graph.
 func newComponentEngine(c *component, keepPaths map[PathVar]bool) *componentEngine {
 	allVars, xvars := c.nodeVars()
-	cnt := len(c.vars)
 	e := &componentEngine{
 		prodCore: newProdCore(nil, c),
 		rowTab:   intern.NewTable(0),
 		vr:       &varRelation{vars: allVars},
 		allVars:  allVars,
 		xvars:    xvars,
-		prodTab:  intern.NewTable(0),
 
-		tupBuf:   make([]int, 0, cnt+1),
 		nodesBuf: make([]graph.Node, len(allVars)),
 		keyBuf:   make([]int, len(allVars)),
 		tmpl:     make([]graph.Node, len(allVars)),
@@ -698,16 +764,15 @@ func (e *componentEngine) bfs(ctx context.Context, assign map[NodeVar]graph.Node
 	return e.bfsSeq(ctx, assign, bud)
 }
 
-// bfsSeq is the sequential product BFS: a single head cursor scanning
-// e.joints in discovery order. Cancellation of ctx is checked
-// periodically inside the state loop so a deadline aborts a
-// long-running product promptly.
-func (e *componentEngine) bfsSeq(ctx context.Context, assign map[NodeVar]graph.Node, bud *stateBudget) error {
-	cnt := e.cnt
-	// The state arrays reset before the start-tuple consistency check so
-	// that an inconsistent (empty) assignment leaves them empty — the
-	// memo capture reads them after bfs returns.
-	e.prodTab.Reset()
+// beginRun prepares one product-BFS run from the start tuple given by
+// assign: empty state arrays and membership set under the run's key
+// layout, the accept template, and the start state as id 0. It returns
+// false — with the state arrays left empty, which the memo capture reads
+// after bfs returns — when a repeated path variable's atoms disagree on
+// the start node.
+func (e *componentEngine) beginRun(assign map[NodeVar]graph.Node) bool {
+	e.planStates()
+	e.states.reset(e.statesPacked)
 	e.curs = e.curs[:0]
 	e.joints = e.joints[:0]
 	e.parentState = e.parentState[:0]
@@ -716,7 +781,7 @@ func (e *componentEngine) bfsSeq(ctx context.Context, assign map[NodeVar]graph.N
 
 	start, ok := e.startTuple(assign)
 	if !ok {
-		return nil // inconsistent start for repeated path var
+		return false
 	}
 	// Accept template: X variables fixed by assign, the rest open (-1).
 	for i := range e.tmpl {
@@ -725,31 +790,37 @@ func (e *componentEngine) bfsSeq(ctx context.Context, assign map[NodeVar]graph.N
 	for v, n := range assign {
 		e.tmpl[varPos(e.allVars, v)] = n
 	}
-
-	addState := func(jointID int, nodes []graph.Node, parent, sym int32) (int, bool) {
-		tup := e.tupBuf[:0]
-		tup = append(tup, jointID)
-		for _, n := range nodes {
-			tup = append(tup, int(n))
-		}
-		e.tupBuf = tup
-		id, added := e.prodTab.Intern(tup)
-		if !added {
-			return id, false
-		}
-		e.curs = append(e.curs, nodes...)
-		e.joints = append(e.joints, int32(jointID))
-		e.parentState = append(e.parentState, parent)
-		e.parentSym = append(e.parentSym, sym)
-		return id, true
+	// No move discovered the start state: its recorded labels are ⊥.
+	for i := range e.symLabs {
+		e.symLabs[i] = regex.Bot
 	}
-	addState(e.runner.StartID(), start, -1, -1)
+	e.internState(&e.states, e.runner.StartID(), start)
+	e.pushState(e.runner.StartID(), start, -1, -1)
+	return true
+}
+
+// pushState appends a freshly interned product state to the state
+// arrays, with the raw labels of the discovering move (in e.symLabs)
+// when the query outputs witnesses.
+func (e *componentEngine) pushState(jointID int, nodes []graph.Node, parent, sym int32) {
+	e.curs = append(e.curs, nodes...)
+	e.joints = append(e.joints, int32(jointID))
+	e.parentState = append(e.parentState, parent)
+	e.parentSym = append(e.parentSym, sym)
 	if len(e.keptCoords) > 0 {
-		for i := 0; i < cnt; i++ {
-			e.parentLabs = append(e.parentLabs, regex.Bot)
-		}
+		e.parentLabs = append(e.parentLabs, e.symLabs[:e.cnt]...)
 	}
+}
 
+// bfsSeq is the sequential product BFS: a single head cursor scanning
+// e.joints in discovery order. Cancellation of ctx is checked
+// periodically inside the state loop so a deadline aborts a
+// long-running product promptly.
+func (e *componentEngine) bfsSeq(ctx context.Context, assign map[NodeVar]graph.Node, bud *stateBudget) error {
+	cnt := e.cnt
+	if !e.beginRun(assign) {
+		return nil // inconsistent start for repeated path var
+	}
 	var head int
 	var cur []graph.Node
 	snap := e.snap
@@ -761,12 +832,10 @@ func (e *componentEngine) bfsSeq(ctx context.Context, assign map[NodeVar]graph.N
 			if !ok {
 				return nil
 			}
-			if _, added := addState(js, e.next, int32(head), int32(symID)); !added {
+			if _, added := e.internState(&e.states, js, e.next); !added {
 				return nil
 			}
-			if len(e.keptCoords) > 0 {
-				e.parentLabs = append(e.parentLabs, e.symLabs[:cnt]...)
-			}
+			e.pushState(js, e.next, int32(head), int32(symID))
 			if !bud.spend() {
 				return ErrBudget
 			}
@@ -905,7 +974,7 @@ func (e *componentEngine) applyRow(nodes []graph.Node, paths map[PathVar]graph.P
 		}
 		return nil
 	}
-	e.vr.rows = append(e.vr.rows, row{nodes: append([]graph.Node(nil), nodes...), paths: paths})
+	e.vr.addRow(nodes, paths)
 	return nil
 }
 

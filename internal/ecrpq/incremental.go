@@ -456,10 +456,11 @@ func (p *Program) Advance(ctx context.Context, prev *Result, s *graph.Snapshot, 
 	return res, AdvanceIncremental, nil
 }
 
-// restamp shallow-copies prev onto the new snapshot: answers and memo
-// are shared (both immutable), only the snapshot pointer moves.
+// restamp shallow-copies prev onto the new snapshot: answers, memo and
+// fingerprint cell are shared (all describe the immutable answers), only
+// the snapshot pointer moves.
 func restamp(prev *Result, s *graph.Snapshot) *Result {
-	return &Result{Query: prev.Query, Snap: s, Answers: prev.Answers, inc: prev.inc}
+	return &Result{Query: prev.Query, Snap: s, Answers: prev.Answers, inc: prev.inc, fp: prev.fp}
 }
 
 // labelRangesIntersectLive merge-scans the delta's label ranges against

@@ -216,6 +216,7 @@ func projectRelation(r *varRelation, keep map[NodeVar]bool, keepPaths map[PathVa
 	out := &varRelation{vars: cols}
 	seen := intern.NewTable(len(r.rows))
 	buf := make([]int, 0, len(cols))
+	nodes := make([]graph.Node, len(cols))
 	for _, rr := range r.rows {
 		buf = gather(rr.nodes, pos, buf)
 		paths := filterPaths(rr.paths, keepPaths)
@@ -224,11 +225,10 @@ func projectRelation(r *varRelation, keep map[NodeVar]bool, keepPaths map[PathVa
 			mergeShorterPaths(&out.rows[idx], paths)
 			continue
 		}
-		nodes := make([]graph.Node, len(cols))
 		for i, p := range pos {
 			nodes[i] = rr.nodes[p]
 		}
-		out.rows = append(out.rows, row{nodes: nodes, paths: paths})
+		out.addRow(nodes, paths)
 	}
 	return out
 }
@@ -262,6 +262,7 @@ func projectJoin(ctx context.Context, parent, child *varRelation, keep map[NodeV
 	out := &varRelation{vars: cols}
 	seen := intern.NewTable(len(parent.rows))
 	keyBuf := make([]int, len(cols))
+	nodes := make([]graph.Node, len(cols))
 	for ri, rp := range parent.rows {
 		if ri&1023 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -295,11 +296,10 @@ func projectJoin(ctx context.Context, parent, child *varRelation, keep map[NodeV
 				mergeShorterPaths(&out.rows[idx], paths)
 				continue
 			}
-			nodes := make([]graph.Node, len(cols))
 			for i, x := range keyBuf {
 				nodes[i] = graph.Node(x)
 			}
-			out.rows = append(out.rows, row{nodes: nodes, paths: paths})
+			out.addRow(nodes, paths)
 		}
 	}
 	return out, nil
@@ -540,7 +540,7 @@ func backtrackJoin(ctx context.Context, rels []*varRelation, keep map[NodeVar]bo
 			mergeShorterPaths(&out.rows[idx], paths)
 			return true
 		}
-		out.rows = append(out.rows, row{nodes: append([]graph.Node(nil), nodes...), paths: paths})
+		out.addRow(nodes, paths)
 		return !boolean
 	})
 	if err != nil {

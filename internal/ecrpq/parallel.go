@@ -3,12 +3,12 @@ package ecrpq
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/faultinject"
 	"repro/internal/graph"
-	"repro/internal/intern"
 	"repro/internal/regex"
 	"repro/internal/relations"
 )
@@ -170,21 +170,18 @@ func shardOf(joint int32, nodes []graph.Node) uint32 {
 // executions like the runner memos, dropped by Program.put when
 // oversized.
 type parState struct {
-	group     *relations.RunnerGroup
-	shards    []*intern.Table
-	lanes     []*bfsLane
-	dedupBufs [][]int
-	sharded   bool // this run has switched membership to the shard tables
+	group   *relations.RunnerGroup
+	shards  []tupleSet
+	lanes   []*bfsLane
+	sharded bool // this run has switched membership to the shard tables
 }
 
 func (e *componentEngine) ensurePar() *parState {
 	if e.par == nil {
-		p := &parState{group: relations.NewRunnerGroup(e.runner)}
-		p.shards = make([]*intern.Table, parShards)
-		for i := range p.shards {
-			p.shards[i] = intern.NewTable(0)
+		e.par = &parState{
+			group:  relations.NewRunnerGroup(e.runner),
+			shards: make([]tupleSet, parShards),
 		}
-		e.par = p
 	}
 	return e.par
 }
@@ -192,8 +189,8 @@ func (e *componentEngine) ensurePar() *parState {
 // oversized reports whether the retained parallel state exceeds the
 // pooled-scratch budget (Program.put drops it then).
 func (p *parState) oversized() bool {
-	for _, t := range p.shards {
-		if t.Cap() > maxPooledScratch {
+	for i := range p.shards {
+		if p.shards[i].oversized() {
 			return true
 		}
 	}
@@ -224,7 +221,7 @@ func (p *parState) ensureLanes(e *componentEngine, n int) {
 			symRunes: make([]rune, cnt),
 			symLabs:  make([]rune, cnt),
 			next:     make([]graph.Node, cnt),
-			symTab:   intern.NewTable(0),
+			syms:     newSymSet(cnt),
 			nodesBuf: make([]graph.Node, len(e.allVars)),
 			out:      make([]laneBox, parShards),
 		}
@@ -268,11 +265,11 @@ type bfsLane struct {
 	moveCur  []graph.Node
 	curGID   int32
 
-	// Local symbol interning: lane-local dense ids via symTab, mapped to
+	// Local symbol interning: lane-local dense ids via syms, mapped to
 	// the shared (master) ids via symMap. The master table and runner
 	// stay the single authority so sequential and parallel phases of the
 	// same engine agree on every id.
-	symTab *intern.Table
+	syms   tupleSet
 	symMap []int32
 
 	// Graph-effective live sets, memoized per joint state per snapshot
@@ -312,7 +309,7 @@ func (ln *bfsLane) beginLevel() {
 // shared id. The hot path is the lane-local table; first sight of a
 // symbol registers it with the master under the group lock.
 func (ln *bfsLane) symID() int {
-	id, fresh := ln.symTab.Intern(ln.symInts)
+	id, fresh := ln.e.internSym(&ln.syms, ln.symInts)
 	if fresh {
 		var shared int
 		ln.view.Do(func(*relations.JointRunner) {
@@ -508,38 +505,8 @@ func (ln *bfsLane) reconstruct(state int) map[PathVar]graph.Path {
 func (e *componentEngine) bfsParallel(ctx context.Context, assign map[NodeVar]graph.Node, bud *stateBudget) error {
 	par := e.ensurePar()
 	par.sharded = false
-	e.prodTab.Reset()
-	e.curs = e.curs[:0]
-	e.joints = e.joints[:0]
-	e.parentState = e.parentState[:0]
-	e.parentSym = e.parentSym[:0]
-	e.parentLabs = e.parentLabs[:0]
-
-	start, ok := e.startTuple(assign)
-	if !ok {
+	if !e.beginRun(assign) {
 		return nil // inconsistent start for repeated path var
-	}
-	for i := range e.tmpl {
-		e.tmpl[i] = -1
-	}
-	for v, n := range assign {
-		e.tmpl[varPos(e.allVars, v)] = n
-	}
-	tup := e.tupBuf[:0]
-	tup = append(tup, e.runner.StartID())
-	for _, n := range start {
-		tup = append(tup, int(n))
-	}
-	e.tupBuf = tup
-	e.prodTab.Intern(tup)
-	e.curs = append(e.curs, start...)
-	e.joints = append(e.joints, int32(e.runner.StartID()))
-	e.parentState = append(e.parentState, -1)
-	e.parentSym = append(e.parentSym, -1)
-	if len(e.keptCoords) > 0 {
-		for i := 0; i < e.cnt; i++ {
-			e.parentLabs = append(e.parentLabs, regex.Bot)
-		}
 	}
 
 	spent := 0
@@ -585,24 +552,19 @@ func (e *componentEngine) degradeToSeq(ctx context.Context, assign map[NodeVar]g
 	return e.bfsSeq(ctx, assign, bud)
 }
 
-// activateShards switches this run's membership from prodTab to the
+// activateShards switches this run's membership from e.states to the
 // shard tables, re-interning every state discovered so far. Runs once
 // per BFS run, and only for runs that actually grow a large frontier —
 // small products never touch the shard tables at all.
 func (e *componentEngine) activateShards() {
 	par := e.par
-	for _, t := range par.shards {
-		t.Reset()
+	for i := range par.shards {
+		par.shards[i].reset(e.statesPacked)
 	}
 	cnt := e.cnt
-	for gid := 0; gid < len(e.joints); gid++ {
-		tup := e.tupBuf[:0]
-		tup = append(tup, int(e.joints[gid]))
-		for _, n := range e.curs[gid*cnt : gid*cnt+cnt] {
-			tup = append(tup, int(n))
-		}
-		e.tupBuf = tup
-		par.shards[shardOf(e.joints[gid], e.curs[gid*cnt:gid*cnt+cnt])].Intern(tup)
+	for gid, joint := range e.joints {
+		nodes := e.curs[gid*cnt : gid*cnt+cnt]
+		e.internState(&par.shards[shardOf(joint, nodes)], int(joint), nodes)
 	}
 	par.sharded = true
 }
@@ -646,7 +608,7 @@ func (e *componentEngine) levelInline(ctx context.Context, lo, hi int, bud *stat
 
 // expandInline is the sequential move recursion of levelInline,
 // interning fresh states into whichever membership structure the run is
-// using (prodTab before the shard switch, the shard tables after).
+// using (e.states before the shard switch, the shard tables after).
 func (e *componentEngine) expandInline(i, head, joint int, snap *graph.Snapshot, par *parState, bud *stateBudget, spent *int) error {
 	cnt := e.cnt
 	if i == cnt {
@@ -655,28 +617,14 @@ func (e *componentEngine) expandInline(i, head, joint int, snap *graph.Snapshot,
 		if !ok {
 			return nil
 		}
-		tup := e.tupBuf[:0]
-		tup = append(tup, js)
-		for _, n := range e.next {
-			tup = append(tup, int(n))
-		}
-		e.tupBuf = tup
-		var added bool
+		set := &e.states
 		if par.sharded {
-			_, added = par.shards[shardOf(int32(js), e.next)].Intern(tup)
-		} else {
-			_, added = e.prodTab.Intern(tup)
+			set = &par.shards[shardOf(int32(js), e.next)]
 		}
-		if !added {
+		if _, added := e.internState(set, js, e.next); !added {
 			return nil
 		}
-		e.curs = append(e.curs, e.next...)
-		e.joints = append(e.joints, int32(js))
-		e.parentState = append(e.parentState, int32(head))
-		e.parentSym = append(e.parentSym, int32(symID))
-		if len(e.keptCoords) > 0 {
-			e.parentLabs = append(e.parentLabs, e.symLabs[:cnt]...)
-		}
+		e.pushState(js, e.next, int32(head), int32(symID))
 		if !bud.spend() {
 			return ErrBudget
 		}
@@ -781,49 +729,32 @@ func (e *componentEngine) levelParallel(ctx context.Context, lo, hi int, bud *st
 		total += len(ln.where)
 	}
 	cnt := e.cnt
-	dedupShard := func(s int, tup []int) []int {
-		tab := par.shards[s]
+	dedupShard := func(s int) {
+		set := &par.shards[s]
 		for _, ln := range lanes {
 			box := &ln.out[s]
-			for i := range box.joints {
-				tup = tup[:0]
-				tup = append(tup, int(box.joints[i]))
-				for _, n := range box.nodes[i*cnt : i*cnt+cnt] {
-					tup = append(tup, int(n))
-				}
-				_, added := tab.Intern(tup)
-				box.fresh[i] = added
+			for i, joint := range box.joints {
+				_, box.fresh[i] = e.internState(set, int(joint), box.nodes[i*cnt:i*cnt+cnt])
 			}
 		}
-		return tup
 	}
 	if total >= parDedupMin && L > 1 {
-		G := L
-		if G > parShards {
-			G = parShards
-		}
-		for len(par.dedupBufs) < G {
-			par.dedupBufs = append(par.dedupBufs, make([]int, 0, cnt+1))
-		}
+		G := min(L, parShards)
 		var dwg sync.WaitGroup
 		for g := 0; g < G; g++ {
 			dwg.Add(1)
 			go func(g int) {
 				defer dwg.Done()
-				tup := par.dedupBufs[g]
 				for s := g; s < parShards; s += G {
-					tup = dedupShard(s, tup)
+					dedupShard(s)
 				}
-				par.dedupBufs[g] = tup
 			}(g)
 		}
 		dwg.Wait()
 	} else {
-		buf := e.tupBuf[:0]
 		for s := 0; s < parShards; s++ {
-			buf = dedupShard(s, buf)
+			dedupShard(s)
 		}
-		e.tupBuf = buf
 	}
 
 	// Phase 4: merge fresh states into the global arrays in emission
@@ -943,7 +874,13 @@ func (e *componentEngine) evalAssignFanout(ctx context.Context, bind map[NodeVar
 			return nil, true, results[ci].err
 		}
 	}
-	// No chunk failed ⇒ every chunk ran (stop is only set on error).
+	// No chunk failed ⇒ every chunk ran (stop is only set on error). The
+	// chunks' row counts bound the merged relation's.
+	nRows := 0
+	for ci := range results {
+		nRows += len(results[ci].vr.rows)
+	}
+	e.vr.rows = slices.Grow(e.vr.rows, nRows)
 	for ci := range results {
 		r := &results[ci]
 		for _, rw := range r.vr.rows {

@@ -1,6 +1,8 @@
 package ecrpq
 
 import (
+	"math/bits"
+
 	"repro/internal/graph"
 	"repro/internal/intern"
 	"repro/internal/regex"
@@ -24,7 +26,14 @@ type prodCore struct {
 	cnt  int
 
 	runner *relations.JointRunner
-	symTab *intern.Table // label tuples → dense symbol ids (== runner ids)
+	syms   tupleSet // label tuples → dense symbol ids (== runner ids)
+
+	// Packed product-state key layout of the current BFS run, chosen by
+	// planStates: the joint id in the top jointBits, then cnt node fields
+	// of nodeBits each. statesPacked is false when the run's states do
+	// not fit one word and its membership sets start on the generic table.
+	nodeBits, jointBits uint
+	statesPacked        bool
 
 	// part is the component's label-space partition when its atoms carry
 	// character classes (nil otherwise — the legacy per-label mode). In
@@ -80,7 +89,7 @@ func newProdCore(snap *graph.Snapshot, c *component) prodCore {
 		c:        c,
 		cnt:      cnt,
 		runner:   relations.NewJointRunner(c.joint),
-		symTab:   intern.NewTable(0),
+		syms:     newSymSet(cnt),
 		part:     c.part,
 		moveRuns: make([][]int32, cnt),
 		botOK:    make([]bool, cnt),
@@ -91,10 +100,154 @@ func newProdCore(snap *graph.Snapshot, c *component) prodCore {
 	}
 }
 
+// tupleSet is one dense-id membership structure of the product BFS — the
+// product states of a run, one shard of them, or the tuple symbols of an
+// engine or lane. It holds exactly one representation at a time: the
+// single-word intern.Packed while every tuple fits the key layout, the
+// generic intern.Table from the first tuple that does not (spill moves
+// the members over in id order, so ids survive the switch). All access
+// goes through prodCore.internState and prodCore.internSym, which own
+// the two key layouts.
+type tupleSet struct {
+	packed *intern.Packed
+	table  *intern.Table
+	buf    []int // generic-path tuple scratch of internState
+}
+
+// reset empties the set for reuse on the given representation, dropping
+// the other one so a pooled engine never retains both.
+func (s *tupleSet) reset(packed bool) {
+	switch {
+	case packed && s.packed != nil:
+		s.packed.Reset()
+	case packed:
+		s.packed, s.table = intern.NewPacked(0), nil
+	case s.table != nil:
+		s.table.Reset()
+	default:
+		s.packed, s.table = nil, intern.NewTable(0)
+	}
+}
+
+// oversized reports whether the set's retained storage exceeds the
+// pooled-scratch budget (Program.put drops it then); a packed slot is
+// two words of it.
+func (s *tupleSet) oversized() bool {
+	if s.packed != nil {
+		return 2*s.packed.Cap() > maxPooledScratch
+	}
+	return s.table != nil && s.table.Cap() > maxPooledScratch
+}
+
+// spill moves a packed set onto the generic table, decoding each key
+// back into its tuple — an optional head field above n fields of width
+// bits — and re-interning in id order, which reproduces the ids.
+func (s *tupleSet) spill(n int, width uint, head bool) {
+	keys := s.packed.AppendKeys(nil)
+	s.packed, s.table = nil, intern.NewTable(len(keys))
+	size := n
+	if head {
+		size++
+	}
+	tup := make([]int, size)
+	fields := tup[size-n:]
+	for _, k := range keys {
+		for i := n - 1; i >= 0; i-- {
+			fields[i] = int(k & (1<<width - 1))
+			k >>= width
+		}
+		if head {
+			tup[0] = int(k)
+		}
+		s.table.Intern(tup)
+	}
+}
+
+// symBits is the width of one component of a packed tuple symbol: a
+// Unicode label, a class rune or ⊥ fits 21 bits, so components of up to
+// three tapes pack into one word.
+const symBits = 21
+
+// packedKeyBits is the width of a packed key, and minJointBits the least
+// room a product-state key keeps for the joint id: graphs too large to
+// leave it start on the generic table instead of spilling a few states
+// into every run. Vars, not consts, so tests can force the generic
+// representation and mid-run spills on small inputs.
+var (
+	packedKeyBits = 64
+	minJointBits  = 8
+)
+
+// newSymSet returns an empty symbol set for cnt-tape symbols. Symbol
+// sets live as long as their engine (ids stay aligned with the runner),
+// so the representation is picked once, from the tape count.
+func newSymSet(cnt int) tupleSet {
+	var s tupleSet
+	s.reset(cnt*symBits <= packedKeyBits)
+	return s
+}
+
+// internSym interns a cnt-tuple symbol into set (the engine's shared
+// table or a lane's local one), packing it into one word while every
+// component fits symBits.
+func (pc *prodCore) internSym(set *tupleSet, tup []int) (id int, added bool) {
+	if set.packed != nil {
+		var key, over uint64
+		for _, x := range tup {
+			key = key<<symBits | uint64(x)
+			over |= uint64(x) >> symBits
+		}
+		if over == 0 {
+			return set.packed.Intern(key)
+		}
+		set.spill(pc.cnt, symBits, false)
+	}
+	return set.table.Intern(tup)
+}
+
+// planStates fixes the product-state key layout for one BFS run from
+// what the input shows: node fields as wide as the snapshot's node count
+// needs, the joint id in whatever remains — packed only when that leaves
+// room for the joint states the runner already has (and minJointBits at
+// least). Joint states discovered mid-run that outgrow the field spill
+// the affected set; later runs then start generic.
+func (pc *prodCore) planStates() {
+	pc.nodeBits = uint(bits.Len(uint(max(pc.snap.NumNodes()-1, 1))))
+	need := max(minJointBits, bits.Len(uint(pc.runner.NumStates())))
+	pc.statesPacked = pc.cnt*int(pc.nodeBits)+need <= packedKeyBits
+	if pc.statesPacked {
+		pc.jointBits = uint(packedKeyBits) - uint(pc.cnt)*pc.nodeBits
+	}
+}
+
+// internState interns the product state (joint, nodes…) into set — the
+// run's state table or one of its shards, reset with pc.statesPacked —
+// under the layout planStates chose. It only reads the layout, so shard
+// sets may be driven from concurrent goroutines.
+func (pc *prodCore) internState(set *tupleSet, joint int, nodes []graph.Node) (id int, added bool) {
+	if set.packed != nil {
+		key, over := uint64(joint), uint64(joint)>>pc.jointBits
+		for _, n := range nodes {
+			key = key<<pc.nodeBits | uint64(n)
+			over |= uint64(n) >> pc.nodeBits
+		}
+		if over == 0 {
+			return set.packed.Intern(key)
+		}
+		set.spill(pc.cnt, pc.nodeBits, true)
+	}
+	tup := append(set.buf[:0], joint)
+	for _, n := range nodes {
+		tup = append(tup, int(n))
+	}
+	set.buf = tup
+	return set.table.Intern(tup)
+}
+
 // symID interns the tuple symbol currently in symInts, registering it
-// with the joint runner on first sight. symTab and the runner assign
-// dense ids in the same insertion order, so the returned id is valid
-// for runner.Step/SymRunes/SymString.
+// with the joint runner on first sight. The symbol set and the runner
+// assign dense ids in the same insertion order, so the returned id is
+// valid for runner.Step/SymRunes/SymString.
 func (pc *prodCore) symID() int { return pc.symIDOf(pc.symInts) }
 
 // symIDOf is symID over an explicit tuple — the form the parallel BFS
@@ -102,7 +255,7 @@ func (pc *prodCore) symID() int { return pc.symIDOf(pc.symInts) }
 // discover, keeping the master table and the runner the single id
 // authority for sequential and parallel phases alike.
 func (pc *prodCore) symIDOf(tup []int) int {
-	id, fresh := pc.symTab.Intern(tup)
+	id, fresh := pc.internSym(&pc.syms, tup)
 	if fresh {
 		for k, x := range tup {
 			pc.symRunes[k] = rune(x)

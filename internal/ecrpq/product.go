@@ -3,7 +3,6 @@ package ecrpq
 import (
 	"repro/internal/automata"
 	"repro/internal/graph"
-	"repro/internal/intern"
 )
 
 // ProductNFA builds the full m-tape product automaton of the query over
@@ -82,20 +81,16 @@ type productBuilder struct {
 	bud *stateBudget
 
 	// Per-copy product-state interning: (jointID, nodes...).
-	prodTab *intern.Table
-	nfaIDs  []int32 // product state id → NFA state id
-	curs    []graph.Node
-	joints  []int32
-
-	tupBuf []int
+	states tupleSet
+	nfaIDs []int32 // product state id → NFA state id
+	curs   []graph.Node
+	joints []int32
 }
 
 func newProductBuilder(s *graph.Snapshot, c *component, bud *stateBudget, noPrune bool) *productBuilder {
 	pb := &productBuilder{
 		prodCore: newProdCore(s, c),
 		bud:      bud,
-		prodTab:  intern.NewTable(0),
-		tupBuf:   make([]int, 0, len(c.vars)+1),
 	}
 	pb.noPrune = noPrune
 	return pb
@@ -106,13 +101,7 @@ func newProductBuilder(s *graph.Snapshot, c *component, bud *stateBudget, noPrun
 // product id, whether it was new, and ErrBudget when the fresh state
 // exceeds the builder's budget.
 func (pb *productBuilder) stateOf(jointID int, nodes []graph.Node, addNFA func(jointID int, cur []graph.Node) int32) (int, bool, error) {
-	tup := pb.tupBuf[:0]
-	tup = append(tup, jointID)
-	for _, n := range nodes {
-		tup = append(tup, int(n))
-	}
-	pb.tupBuf = tup
-	id, added := pb.prodTab.Intern(tup)
+	id, added := pb.internState(&pb.states, jointID, nodes)
 	if !added {
 		return id, false, nil
 	}
@@ -127,7 +116,8 @@ func (pb *productBuilder) stateOf(jointID int, nodes []graph.Node, addNFA func(j
 
 // resetCopy clears the per-copy product-state tables.
 func (pb *productBuilder) resetCopy() {
-	pb.prodTab.Reset()
+	pb.planStates()
+	pb.states.reset(pb.statesPacked)
 	pb.nfaIDs = pb.nfaIDs[:0]
 	pb.curs = pb.curs[:0]
 	pb.joints = pb.joints[:0]

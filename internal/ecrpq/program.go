@@ -320,8 +320,8 @@ func (p *Program) put(i int, e *componentEngine) {
 	if cap(e.parentState) > maxPooledScratch {
 		e.curs, e.joints, e.parentState, e.parentSym, e.parentLabs = nil, nil, nil, nil, nil
 	}
-	if e.prodTab.Cap() > maxPooledScratch {
-		e.prodTab = intern.NewTable(0)
+	if e.states.oversized() {
+		e.states = tupleSet{}
 	}
 	if e.rowTab.Cap() > maxPooledScratch {
 		e.rowTab = intern.NewTable(0)
@@ -501,7 +501,7 @@ func (p *Program) assemble(ctx context.Context, s *graph.Snapshot, rels []*varRe
 	if err != nil {
 		return nil, qerr.Classify(err)
 	}
-	res := &Result{Query: q, Snap: s}
+	res := &Result{Query: q, Snap: s, fp: new(fpMemo)}
 	headPos := make([]int, len(q.HeadNodes))
 	for i, z := range q.HeadNodes {
 		headPos[i] = varPos(joined.vars, z)

@@ -17,6 +17,8 @@ type Table struct {
 	hashes []uint64 // hash per id, kept for cheap rehashing
 	slots  []int32  // open-addressed index; slot holds id+1, 0 = empty
 	mask   uint64
+
+	resetWork int // slots Reset has written, cumulative; read by the O(used) regression test
 }
 
 // NewTable returns an empty table. sizeHint is a capacity hint for the
@@ -144,14 +146,29 @@ func (t *Table) Lookup(tup []int) (id int, ok bool) {
 // for the table's memory footprint.
 func (t *Table) Cap() int { return cap(t.data) }
 
-// Reset empties the table, retaining allocated capacity.
+// Reset empties the table, retaining allocated capacity, in time
+// proportional to the entries in use rather than to the capacity one
+// earlier large run left behind: a sparsely filled index is emptied by
+// walking each id's probe chain to its own slot (the slots hold distinct
+// values, so the walk cannot stop early on a slot already cleared), a
+// densely filled one by clearing it whole.
 func (t *Table) Reset() {
+	if n := len(t.hashes); 8*n >= len(t.slots) {
+		clear(t.slots)
+		t.resetWork += len(t.slots)
+	} else {
+		for id, h := range t.hashes {
+			i := h & t.mask
+			for t.slots[i] != int32(id+1) {
+				i = (i + 1) & t.mask
+			}
+			t.slots[i] = 0
+		}
+		t.resetWork += n
+	}
 	t.data = t.data[:0]
 	if len(t.offs) > 0 {
 		t.offs = t.offs[:1]
 	}
 	t.hashes = t.hashes[:0]
-	for i := range t.slots {
-		t.slots[i] = 0
-	}
 }

@@ -267,6 +267,11 @@ func (s *Server) lookup(name string) (*prepared, bool) {
 // for the in-flight requests.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
+// MaxTimeout is the longest deadline a request can obtain (the
+// configured clamp, defaulted): what a listener needs to bound how long
+// one request may hold its connection.
+func (s *Server) MaxTimeout() time.Duration { return s.cfg.MaxTimeout }
+
 // Draining reports whether BeginDrain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
