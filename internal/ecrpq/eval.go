@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -54,9 +56,12 @@ type Options struct {
 	// with the graph's label runs), falling back to exhaustive
 	// enumeration of every out-edge plus the ⊥ stay-move at every
 	// coordinate; the runner's dead-subset elimination remains active.
+	// It also disables the start-domain propagation pass (domains.go):
+	// every unbound start variable sweeps every node again instead of
+	// the nodes reachable from the bound variables upstream of it.
 	// Answers and witnesses are identical either way; only the cost
-	// changes. It exists as the ablation baseline for benchmarks and
-	// the pruned==unpruned property tests.
+	// changes. It is the oracle configuration: the ablation baseline for
+	// benchmarks and the pruned==unpruned property tests.
 	NoPrune bool
 	// NoClasses disables the label-class compilation of components whose
 	// relation atoms carry character classes ([a-z], [^x], .): every
@@ -452,54 +457,68 @@ func decompose(q *Query, monolithic, noClasses bool) ([]*component, error) {
 		}
 	}
 	for _, root := range roots {
-		vars := groups[root]
-		c := &component{vars: vars, varIdx: map[PathVar]int{}, atomsOf: make([][]PathAtom, len(vars))}
-		for i, v := range vars {
-			c.varIdx[v] = i
-		}
-		for _, a := range q.PathAtoms {
-			if i, ok := c.varIdx[a.Pi]; ok {
-				c.atomsOf[i] = append(c.atomsOf[i], a)
-			}
-		}
-		var atoms []relations.Atom
-		for _, ra := range q.RelAtoms {
-			if _, ok := c.varIdx[ra.Args[0]]; !ok {
-				continue
-			}
-			pos := make([]int, len(ra.Args))
-			for i, v := range ra.Args {
-				pos[i] = c.varIdx[v]
-			}
-			atoms = append(atoms, relations.Atom{Rel: ra.Rel, Pos: pos})
-		}
-		// Live-label analysis runs over the ORIGINAL atoms (class-bearing
-		// ASTs included, via their label ranges) — the class-compiled
-		// atoms below transition on class runes, not labels.
-		c.liveRanges, c.liveUniversal = componentLiveRanges(atoms, len(vars))
-		if relations.HasClassAtoms(atoms) {
-			if noClasses {
-				expanded, err := relations.ExpandClassAtoms(atoms)
-				if err != nil {
-					return nil, err
-				}
-				atoms = expanded
-			} else {
-				part, compiled, err := relations.CompileClassAtoms(atoms)
-				if err != nil {
-					return nil, err
-				}
-				c.part, atoms = part, compiled
-			}
-		}
-		j, err := relations.NewJoint(len(vars), atoms)
+		c, err := newComponent(q.PathAtoms, q.RelAtoms, groups[root], noClasses)
 		if err != nil {
 			return nil, err
 		}
-		c.joint = j
 		comps = append(comps, c)
 	}
 	return comps, nil
+}
+
+// newComponent compiles the component over the path variables vars: the
+// path atoms binding them and the relation atoms whose arguments all lie
+// among them, joined into one relation automaton. decompose calls it
+// with a connected component of the relation hypergraph (closed under
+// relation atoms by construction); the start-domain pass calls it with a
+// single path variable, which keeps that variable's own language atoms
+// and drops every relation it shares with another tape.
+func newComponent(pathAtoms []PathAtom, relAtoms []RelAtom, vars []PathVar, noClasses bool) (*component, error) {
+	c := &component{vars: vars, varIdx: map[PathVar]int{}, atomsOf: make([][]PathAtom, len(vars))}
+	for i, v := range vars {
+		c.varIdx[v] = i
+	}
+	for _, a := range pathAtoms {
+		if i, ok := c.varIdx[a.Pi]; ok {
+			c.atomsOf[i] = append(c.atomsOf[i], a)
+		}
+	}
+	var atoms []relations.Atom
+	for _, ra := range relAtoms {
+		if slices.ContainsFunc(ra.Args, func(v PathVar) bool { _, ok := c.varIdx[v]; return !ok }) {
+			continue
+		}
+		pos := make([]int, len(ra.Args))
+		for i, v := range ra.Args {
+			pos[i] = c.varIdx[v]
+		}
+		atoms = append(atoms, relations.Atom{Rel: ra.Rel, Pos: pos})
+	}
+	// Live-label analysis runs over the ORIGINAL atoms (class-bearing
+	// ASTs included, via their label ranges) — the class-compiled
+	// atoms below transition on class runes, not labels.
+	c.liveRanges, c.liveUniversal = componentLiveRanges(atoms, len(vars))
+	if relations.HasClassAtoms(atoms) {
+		if noClasses {
+			expanded, err := relations.ExpandClassAtoms(atoms)
+			if err != nil {
+				return nil, err
+			}
+			atoms = expanded
+		} else {
+			part, compiled, err := relations.CompileClassAtoms(atoms)
+			if err != nil {
+				return nil, err
+			}
+			c.part, atoms = part, compiled
+		}
+	}
+	j, err := relations.NewJoint(len(vars), atoms)
+	if err != nil {
+		return nil, err
+	}
+	c.joint = j
+	return c, nil
 }
 
 // nodeVarsOf returns the distinct node variables of the component in
@@ -635,13 +654,17 @@ type componentEngine struct {
 	// set by reset from the per-call options; par holds the lanes, shard
 	// tables and outboxes of the frontier-synchronous BFS, built lazily
 	// on the first parallel run and retained across executions like the
-	// runner memos. allNodes is the shared 0..NumNodes-1 candidate slice
-	// of the start-assignment enumeration. fanTake/fanPut, installed by
-	// Program.take, let the assignment fan-out borrow sibling engines of
-	// the same component pool.
+	// runner memos. space is the execution's start-assignment space, set
+	// by reset from the bindings, the start-domain lists in doms and
+	// allNodes, the shared 0..NumNodes-1 candidate slice of an unconfined
+	// variable. fanTake/fanPut, installed by Program.take, let the
+	// assignment fan-out borrow sibling engines of the same component
+	// pool.
 	workers  int
 	opts     Options
 	par      *parState
+	doms     map[NodeVar][]graph.Node
+	space    startSpace
 	allNodes []graph.Node
 	fanTake  func() *componentEngine
 	fanPut   func(*componentEngine)
@@ -688,10 +711,16 @@ func newComponentEngine(c *component, keepPaths map[PathVar]bool) *componentEngi
 // memos) and symbol table persist — and the graph-effective live memo
 // survives as long as consecutive executions pin the same snapshot
 // (same DB, unchanged epoch).
-func (e *componentEngine) reset(s *graph.Snapshot, opts Options) {
+//
+// doms carries the candidate lists of the start-domain pass (nil when
+// nothing propagated); with the bindings they fix the execution's start
+// space: a bound start variable has its one node, a confined one its
+// list, any other every node of the snapshot.
+func (e *componentEngine) reset(s *graph.Snapshot, opts Options, doms map[NodeVar][]graph.Node) {
 	e.snap = s
 	e.noPrune = opts.NoPrune
 	e.opts = opts
+	e.doms = doms
 	e.workers = effectiveBFSWorkers(opts.BFSWorkers)
 	e.vr = &varRelation{vars: e.allVars}
 	e.rowTab.Reset()
@@ -702,53 +731,54 @@ func (e *componentEngine) reset(s *graph.Snapshot, opts Options) {
 			e.bindVal[i] = -1
 		}
 	}
+	e.space.vars, e.space.lists = e.xvars, e.space.lists[:0]
+	for _, v := range e.xvars {
+		var list []graph.Node
+		if i := varPos(e.allVars, v); e.bindVal[i] >= 0 {
+			list = e.bindVal[i : i+1 : i+1]
+		} else if dom, ok := doms[v]; ok {
+			list = dom
+		} else {
+			list = e.allNodesSlice()
+		}
+		e.space.lists = append(e.space.lists, list)
+	}
 }
 
-// evalComponent runs the product BFS for one component, for every start
-// assignment consistent with bind, drawing on the shared state budget.
-// It returns the component's relation (empty when the engine's sink
-// consumed the rows instead).
-func evalComponent(ctx context.Context, e *componentEngine, bind map[NodeVar]graph.Node, bud *stateBudget) (*varRelation, error) {
-	xvars := e.xvars
-	// One shared all-nodes slice per engine: the closure used to build a
-	// fresh []graph.Node for every unbound variable at every enumeration
-	// step, which dominated allocation on assignment-heavy components.
-	candidates := func(v NodeVar) []graph.Node {
-		if n, ok := bind[v]; ok {
-			return []graph.Node{n}
-		}
-		return e.allNodesSlice()
-	}
-	if vr, done, err := e.evalAssignFanout(ctx, bind, bud); done {
+// evalComponent runs the product BFS for one component, for every
+// assignment of its start space (see reset), drawing on the shared state
+// budget. It returns the component's relation (empty when the engine's
+// sink consumed the rows instead).
+func evalComponent(ctx context.Context, e *componentEngine, bud *stateBudget) (*varRelation, error) {
+	if vr, done, err := e.evalAssignFanout(ctx, bud); done {
 		return vr, err
 	}
-
-	assign := make(map[NodeVar]graph.Node, len(xvars))
-	var enumerate func(i int) error
-	enumerate = func(i int) error {
-		if i == len(xvars) {
-			if e.memoCap != nil {
-				e.capRowTab.Reset()
-			}
-			if err := e.bfs(ctx, assign, bud); err != nil {
-				return err
-			}
-			e.endCapAssign()
-			return nil
-		}
-		for _, n := range candidates(xvars[i]) {
-			assign[xvars[i]] = n
-			if err := enumerate(i + 1); err != nil {
-				return err
-			}
-		}
-		delete(assign, xvars[i])
-		return nil
-	}
-	if err := enumerate(0); err != nil {
+	if err := e.runAssignRange(ctx, 0, math.MaxUint64, bud); err != nil {
 		return nil, err
 	}
 	return e.vr, nil
+}
+
+// runAssignRange runs the product BFS for the start assignments with
+// dense indices [lo, hi), sealing one memo segment per assignment when
+// the engine captures.
+func (e *componentEngine) runAssignRange(ctx context.Context, lo, hi uint64, bud *stateBudget) error {
+	return e.space.forRange(lo, hi, func(_ uint64, assign map[NodeVar]graph.Node) error {
+		return e.runAssign(ctx, assign, bud)
+	})
+}
+
+// runAssign is one start assignment: its product BFS and, when the
+// engine captures, its memo segment.
+func (e *componentEngine) runAssign(ctx context.Context, assign map[NodeVar]graph.Node, bud *stateBudget) error {
+	if e.memoCap != nil {
+		e.capRowTab.Reset()
+	}
+	if err := e.bfs(ctx, assign, bud); err != nil {
+		return err
+	}
+	e.endCapAssign()
+	return nil
 }
 
 // bfs explores the product of G⊥^c with the component's joint relation

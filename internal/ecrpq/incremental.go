@@ -3,6 +3,8 @@ package ecrpq
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/faultinject"
@@ -115,14 +117,19 @@ type incMemo struct {
 }
 
 // compMemo records one component's execution per start assignment, in
-// the deterministic enumeration order of evalComponent: the sorted
+// the enumeration order of the start space it ran over: the sorted
 // distinct nodes of every reached product state (empty for assignments
 // whose BFS never left the start state — the start tuple is re-derived
 // from the assignment instead) and the accepted rows, flat with stride
-// stride. Both arrays are immutable once sealed; replay shares their
-// backing storage across generations.
+// stride. lists are that space's candidate lists, one per X variable,
+// nil standing for every node of the graph (incMemo.nodes of them): the
+// delta pass finds an assignment's segment by its node tuple, because a
+// confined variable's list can grow between epochs. Everything is
+// immutable once sealed; replay shares the backing storage across
+// generations.
 type compMemo struct {
 	stride   int
+	lists    [][]graph.Node
 	touchOff []int32
 	touched  []graph.Node
 	rowOff   []int32
@@ -146,6 +153,9 @@ func (m *incMemo) sizeBytes() int64 {
 			continue
 		}
 		size += answerOverhead
+		for _, l := range cm.lists {
+			size += 24 + int64(len(l))*8
+		}
 		size += int64(len(cm.touched)+len(cm.rows)) * 8
 		size += int64(len(cm.touchOff)+len(cm.rowOff)) * 4
 	}
@@ -154,8 +164,17 @@ func (m *incMemo) sizeBytes() int64 {
 
 // startCapture arms the engine's memo capture for one execution.
 func (e *componentEngine) startCapture() {
+	lists := make([][]graph.Node, len(e.xvars))
+	for i, v := range e.xvars {
+		if n, bound := e.opts.Bind[v]; bound {
+			lists[i] = []graph.Node{n}
+		} else {
+			lists[i] = e.doms[v] // nil when unconfined: every node
+		}
+	}
 	e.memoCap = &compMemo{
 		stride:   len(e.allVars),
+		lists:    lists,
 		touchOff: make([]int32, 1, 64),
 		rowOff:   make([]int32, 1, 64),
 	}
@@ -177,15 +196,8 @@ func (e *componentEngine) endCapAssign() {
 		base := len(m.touched)
 		m.touched = append(m.touched, e.curs[:len(e.joints)*e.cnt]...)
 		seg := m.touched[base:]
-		sort.Slice(seg, func(a, b int) bool { return seg[a] < seg[b] })
-		w := base
-		for i := base; i < len(m.touched); i++ {
-			if w == base || m.touched[i] != m.touched[w-1] {
-				m.touched[w] = m.touched[i]
-				w++
-			}
-		}
-		m.touched = m.touched[:w]
+		slices.Sort(seg)
+		m.touched = m.touched[:base+len(slices.Compact(seg))]
 	}
 	m.touchOff = append(m.touchOff, int32(len(m.touched)))
 	m.rowOff = append(m.rowOff, int32(len(m.rows)))
@@ -229,35 +241,33 @@ func (e *componentEngine) replayAssign(old *compMemo, idx int) {
 // should make it unreachable); the caller falls back to full eval.
 var errMemoStale = errors.New("ecrpq: incremental memo out of step")
 
-// forEachAssignment enumerates the component's start assignments in
-// exactly the order evalComponent does — bound variables fixed, unbound
-// X variables sweeping 0..NumNodes-1 — handing each full assignment and
-// its dense index to f.
-func (e *componentEngine) forEachAssignment(bind map[NodeVar]graph.Node, f func(idx int, assign map[NodeVar]graph.Node) error) error {
-	xvars := e.xvars
-	assign := make(map[NodeVar]graph.Node, len(xvars))
-	idx := 0
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(xvars) {
-			err := f(idx, assign)
-			idx++
-			return err
-		}
-		if n, ok := bind[xvars[i]]; ok {
-			assign[xvars[i]] = n
-			return rec(i + 1)
-		}
-		nn := e.snap.NumNodes()
-		for v := 0; v < nn; v++ {
-			assign[xvars[i]] = graph.Node(v)
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
+// memoSpace rebuilds the start space old was enumerated over, or false
+// when the memo does not fit this component.
+func (e *componentEngine) memoSpace(old *compMemo) (*startSpace, bool) {
+	if len(old.lists) != len(e.xvars) {
+		return nil, false
 	}
-	return rec(0)
+	sp := &startSpace{vars: e.xvars, lists: make([][]graph.Node, len(old.lists))}
+	for i, l := range old.lists {
+		if l == nil {
+			l = e.allNodesSlice()
+		}
+		sp.lists[i] = l
+	}
+	return sp, sp.size() == uint64(old.nAssign())
+}
+
+// sortedSubset reports whether every element of the sorted slice a
+// occurs in the sorted slice b.
+func sortedSubset(a, b []graph.Node) bool {
+	for _, x := range a {
+		i, ok := slices.BinarySearch(b, x)
+		if !ok {
+			return false
+		}
+		b = b[i+1:]
+	}
+	return true
 }
 
 // deltaSources returns the bitmap of source endpoints of the since-
@@ -279,12 +289,13 @@ func deltaSources(since []graph.DeltaEdge, c *component, numNodes int) []uint64 
 	return bits
 }
 
-// affectedAssignments computes which start assignments a relevant delta
-// can affect: those whose recorded reached-node set — or, for start-
-// only assignments, whose start tuple — contains a delta source. An
-// unaffected assignment's closure cannot see any new edge, so its rows
-// are exactly reproduced by replay.
-func (e *componentEngine) affectedAssignments(old *compMemo, src []uint64, bind map[NodeVar]graph.Node) ([]uint64, int, error) {
+// affectedAssignments computes which of the memo's start assignments a
+// relevant delta can affect: those whose recorded reached-node set — or,
+// for start-only assignments, whose start tuple — contains a delta
+// source. An unaffected assignment's closure cannot see any new edge, so
+// its rows are exactly reproduced by replay. oldSpace is the space the
+// memo was enumerated over (memoSpace).
+func (e *componentEngine) affectedAssignments(old *compMemo, oldSpace *startSpace, src []uint64) ([]uint64, int) {
 	nA := old.nAssign()
 	bits := make([]uint64, (nA+63)/64)
 	count := 0
@@ -298,54 +309,34 @@ func (e *componentEngine) affectedAssignments(old *compMemo, src []uint64, bind 
 			}
 		}
 	}
-	err := e.forEachAssignment(bind, func(idx int, assign map[NodeVar]graph.Node) error {
-		if idx >= nA {
-			return errMemoStale
-		}
-		if bits[idx>>6]&(1<<(uint(idx)&63)) != 0 {
-			return nil
-		}
+	// forRange only fails when its callback does.
+	_ = oldSpace.forRange(0, uint64(nA), func(idx uint64, assign map[NodeVar]graph.Node) error {
 		if old.touchOff[idx] != old.touchOff[idx+1] {
 			return nil // reached set recorded and already checked
 		}
-		if start, ok := e.startTuple(assign); ok {
-			for _, nd := range start {
-				if hit(nd) {
-					bits[idx>>6] |= 1 << (uint(idx) & 63)
-					count++
-					break
-				}
-			}
+		if start, ok := e.startTuple(assign); ok && slices.ContainsFunc(start, hit) {
+			bits[idx>>6] |= 1 << (idx & 63)
+			count++
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return bits, count, nil
+	return bits, count
 }
 
 // advanceComponent rebuilds one component's relation at the new
-// snapshot: affected assignments re-run the product BFS (capturing a
-// fresh memo segment), unaffected ones replay their recorded rows. A
-// nil affected bitmap replays everything.
-func advanceComponent(ctx context.Context, e *componentEngine, old *compMemo, aff []uint64, bind map[NodeVar]graph.Node, bud *stateBudget) (*varRelation, error) {
-	err := e.forEachAssignment(bind, func(idx int, assign map[NodeVar]graph.Node) error {
-		if idx >= old.nAssign() {
-			return errMemoStale
-		}
-		if aff != nil && aff[idx>>6]&(1<<(uint(idx)&63)) != 0 {
-			if e.memoCap != nil {
-				e.capRowTab.Reset()
-			}
-			if err := e.bfs(ctx, assign, bud); err != nil {
-				return err
-			}
-			e.endCapAssign()
+// snapshot by walking the new start space: an assignment the memo holds
+// (found by node tuple in oldSpace) and the delta leaves alone replays
+// its recorded rows; one the delta affects, or one a grown candidate
+// list introduces, runs the product BFS and captures a fresh segment. A
+// nil affected bitmap means no since-edge is relevant to the component.
+func advanceComponent(ctx context.Context, e *componentEngine, old *compMemo, oldSpace *startSpace, aff []uint64, bud *stateBudget) (*varRelation, error) {
+	err := e.space.forRange(0, math.MaxUint64, func(_ uint64, assign map[NodeVar]graph.Node) error {
+		idx, held := oldSpace.indexOf(assign)
+		if held && (aff == nil || aff[idx>>6]&(1<<(idx&63)) == 0) {
+			e.replayAssign(old, int(idx))
 			return nil
 		}
-		e.replayAssign(old, idx)
-		return nil
+		return e.runAssign(ctx, assign, bud)
 	})
 	if err != nil {
 		return nil, err
@@ -481,12 +472,15 @@ func labelRangesIntersectLive(lr []graph.LabelRange, live []regex.Range) bool {
 	return false
 }
 
-// advanceIncremental runs the semi-naive delta pass: per component,
-// find the start assignments whose recorded closure (or start tuple)
-// contains the source of a relevant since-edge, re-run only those, and
-// replay the rest; then re-join and re-project as usual. When no
-// assignment anywhere is affected the previous result is re-stamped
-// outright — the relevant edges landed at nodes no evaluation reaches.
+// advanceIncremental runs the semi-naive delta pass. The start-domain
+// pass runs again at the new snapshot — edges are only ever added, so a
+// confined variable's list can only have grown — and then, per
+// component, the start assignments whose recorded closure (or start
+// tuple) contains the source of a relevant since-edge, and those a grown
+// list introduces, re-run; the rest replay; then the usual re-join and
+// re-projection. When no list grew and no assignment anywhere is
+// affected the previous result is re-stamped outright — the relevant
+// edges landed at nodes no evaluation reaches.
 func (p *Program) advanceIncremental(ctx context.Context, prev *Result, s *graph.Snapshot, opts Options, since []graph.DeltaEdge) (*Result, error) {
 	m := prev.inc
 	n := len(p.comps)
@@ -499,33 +493,45 @@ func (p *Program) advanceIncremental(ctx context.Context, prev *Result, s *graph
 			p.put(i, e)
 		}
 	}()
+	bud := newStateBudget(opts.MaxProductStates)
+	doms, err := p.startDomains(ctx, s, opts, bud)
+	if err != nil {
+		return nil, err
+	}
 	aff := make([][]uint64, n)
-	total := 0
+	olds := make([]*startSpace, n)
+	changed := false
 	for i, c := range p.comps {
 		e := engines[i]
-		e.reset(s, opts)
+		e.reset(s, opts, doms)
+		old, ok := e.memoSpace(m.comps[i])
+		if !ok {
+			return nil, errMemoStale
+		}
+		olds[i] = old
+		for j, l := range m.comps[i].lists {
+			if l != nil && !sortedSubset(e.space.lists[j], l) {
+				changed = true // a list grew: new assignments to run
+			}
+		}
 		src := deltaSources(since, c, s.NumNodes())
 		if src == nil {
-			continue // no relevant since-edge: every assignment replays
+			continue // no relevant since-edge: every held assignment replays
 		}
-		bits, cnt, err := e.affectedAssignments(m.comps[i], src, opts.Bind)
-		if err != nil {
-			return nil, err
-		}
+		bits, cnt := e.affectedAssignments(m.comps[i], old, src)
 		aff[i] = bits
-		total += cnt
+		changed = changed || cnt > 0
 	}
-	if total == 0 {
+	if !changed {
 		return restamp(prev, s), nil
 	}
-	bud := newStateBudget(opts.MaxProductStates)
 	rels := make([]*varRelation, n)
 	memos := make([]*compMemo, n)
 	memoOK := true
 	for i := range p.comps {
 		e := engines[i]
 		e.startCapture()
-		vr, err := advanceComponent(ctx, e, m.comps[i], aff[i], opts.Bind, bud)
+		vr, err := advanceComponent(ctx, e, m.comps[i], olds[i], aff[i], bud)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package ecrpq
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -109,13 +110,25 @@ func TestAdvanceRevalidatesDisjointDelta(t *testing.T) {
 // from-scratch result — same rows, same Fingerprint — and the chain of
 // advanced results must keep seeding further advances.
 func TestAdvanceIncrementalMatchesScratch(t *testing.T) {
-	queries := []string{
-		"Ans(x,y) <- (x,p,y), a+(p)",
-		"Ans(x,y) <- (x,p1,z), (z,p2,y), eq(p1,p2)",
-		"Ans(x,z) <- (x,p1,y), (y,p2,z), a+(p1), (a|b)+(p2)",
+	x0 := map[NodeVar]graph.Node{"x": 0}
+	cases := []struct {
+		src  string
+		bind map[NodeVar]graph.Node
+	}{
+		{"Ans(x,y) <- (x,p,y), a+(p)", nil},
+		{"Ans(x,y) <- (x,p1,z), (z,p2,y), eq(p1,p2)", nil},
+		{"Ans(x,z) <- (x,p1,y), (y,p2,z), a+(p1), (a|b)+(p2)", nil},
+		// x bound: z sweeps post[a+](x) only, and the storm's a-edges grow
+		// that set from epoch to epoch — as two components, then as one.
+		{"Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)", x0},
+		{"Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)", x0},
 	}
-	for _, src := range queries {
-		t.Run(src, func(t *testing.T) {
+	for _, tc := range cases {
+		name := tc.src
+		if tc.bind != nil {
+			name += fmt.Sprintf(" bind %v", tc.bind)
+		}
+		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			g := graph.NewDB()
 			const nNodes = 24
@@ -125,16 +138,21 @@ func TestAdvanceIncrementalMatchesScratch(t *testing.T) {
 			for i := 0; i < 60; i++ {
 				g.AddEdge(graph.Node(rng.Intn(nNodes)), rune('a'+rng.Intn(2)), graph.Node(rng.Intn(nNodes)))
 			}
-			p, err := CompileProgram(MustParse(src, envABCD()), false)
+			p, err := CompileProgram(MustParse(tc.src, envABCD()), false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ctx := context.Background()
-			prev, err := p.EvalSnapshotMemo(ctx, g.Snapshot(), Options{})
+			opts := Options{Bind: tc.bind}
+			oracle := opts
+			if tc.bind != nil {
+				oracle.NoPrune = true // the start-domain pass is off
+			}
+			prev, err := p.EvalSnapshotMemo(ctx, g.Snapshot(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var reval, incr, full int
+			var reval, incr, full, grew int
 			for round := 0; round < 40; round++ {
 				// A storm: mostly edges over the full alphabet (c,d are
 				// dead for every query above), occasionally a node add to
@@ -148,18 +166,18 @@ func TestAdvanceIncrementalMatchesScratch(t *testing.T) {
 					g.AddEdge(graph.Node(rng.Intn(g.NumNodes())), rune('a'+rng.Intn(4)), graph.Node(rng.Intn(g.NumNodes())))
 				}
 				s := g.Snapshot()
-				res, kind, err := p.Advance(ctx, prev, s, Options{})
+				res, kind, err := p.Advance(ctx, prev, s, opts)
 				if err != nil {
 					t.Fatalf("round %d: Advance: %v", round, err)
 				}
-				scratch, err := p.EvalSnapshot(ctx, s, Options{})
+				scratch, err := p.EvalSnapshot(ctx, s, oracle)
 				if err != nil {
 					t.Fatal(err)
 				}
 				switch kind {
 				case AdvanceNone:
 					full++
-					res, err = p.EvalSnapshotMemo(ctx, s, Options{})
+					res, err = p.EvalSnapshotMemo(ctx, s, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -167,6 +185,9 @@ func TestAdvanceIncrementalMatchesScratch(t *testing.T) {
 					reval++
 				case AdvanceIncremental:
 					incr++
+					if memoCandidates(res.inc) > memoCandidates(prev.inc) {
+						grew++
+					}
 				}
 				if res.Fingerprint() != scratch.Fingerprint() {
 					t.Fatalf("round %d: %v fingerprint %x != scratch %x (answers %d vs %d)",
@@ -180,7 +201,133 @@ func TestAdvanceIncrementalMatchesScratch(t *testing.T) {
 			if reval == 0 || incr == 0 || full == 0 {
 				t.Fatalf("storm did not exercise all paths: %d revalidated, %d incremental, %d full", reval, incr, full)
 			}
+			if tc.bind != nil && grew == 0 {
+				t.Fatal("no delta pass ever grew a start domain")
+			}
 		})
+	}
+}
+
+// memoCandidates counts the start candidates a memo's confined and bound
+// variables were enumerated over.
+func memoCandidates(m *incMemo) int {
+	n := 0
+	for _, cm := range m.comps {
+		for _, l := range cm.lists {
+			n += len(l)
+		}
+	}
+	return n
+}
+
+// TestMemoSizeCountsCandidateLists: the cache's byte budget must see the
+// candidate lists a memo retains.
+func TestMemoSizeCountsCandidateLists(t *testing.T) {
+	cm := &compMemo{stride: 2, touchOff: []int32{0}, rowOff: []int32{0}}
+	bare := (&incMemo{comps: []*compMemo{cm}}).sizeBytes()
+	cm.lists = [][]graph.Node{{7}, {1, 2, 3, 4, 5}, nil}
+	if got, want := (&incMemo{comps: []*compMemo{cm}}).sizeBytes(), bare+3*24+6*8; got != want {
+		t.Fatalf("memo with lists of 1, 5 and every node: %d bytes, want %d", got, want)
+	}
+}
+
+// TestAdvanceGrowingStartDomain scripts the writes that matter to a
+// bound two-atom query, whose second atom starts from post[a+](x) only:
+// a dead label, a live label where no assignment reaches, an a-edge
+// upstream of z that adds a candidate, a b-edge inside a candidate's
+// closure, and a faulted delta pass. Every step is held to a from-scratch
+// NoPrune evaluation.
+func TestAdvanceGrowingStartDomain(t *testing.T) {
+	for _, src := range []string{
+		"Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)",
+		"Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)",
+	} {
+		for _, w := range parWorkerCounts {
+			t.Run(fmt.Sprintf("%s W=%d", src, w), func(t *testing.T) {
+				g := graph.NewDB()
+				g.AddNodes(24)
+				// v0 -a-> v1 -a-> v2, b-tails below v1 and v2; v6 -b-> v7 is
+				// out of reach until an a-edge leads to v6. The d-edges keep
+				// a one-edge delta under the delta-ratio guard.
+				for _, e := range [][3]int{{0, 'a', 1}, {1, 'a', 2}, {1, 'b', 3}, {2, 'b', 4}, {4, 'b', 5}, {6, 'b', 7}} {
+					g.AddEdge(graph.Node(e[0]), rune(e[1]), graph.Node(e[2]))
+				}
+				for i := 10; i < 23; i++ {
+					g.AddEdge(graph.Node(i), 'd', graph.Node(i+1))
+				}
+				p, err := CompileProgram(MustParse(src, envABCD()), false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := context.Background()
+				opts := Options{Bind: map[NodeVar]graph.Node{"x": 0}, BFSWorkers: w}
+				prev, err := p.EvalSnapshotMemo(ctx, g.Snapshot(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := memoCandidates(prev.inc); got != 3 {
+					t.Fatalf("initial memo enumerates %d candidates, want 3: x = v0 and z ∈ {v1, v2}", got)
+				}
+				step := func(name string, from graph.Node, label rune, to graph.Node, want AdvanceKind) *Result {
+					t.Helper()
+					g.AddEdge(from, label, to)
+					s := g.Snapshot()
+					res, kind, err := p.Advance(ctx, prev, s, opts)
+					if err != nil || kind != want {
+						t.Fatalf("%s: advance = %v, %v; want %v", name, kind, err, want)
+					}
+					if kind == AdvanceNone {
+						if res, err = p.EvalSnapshotMemo(ctx, s, opts); err != nil {
+							t.Fatalf("%s: fallback: %v", name, err)
+						}
+					}
+					scratch, err := p.EvalSnapshot(ctx, s, Options{Bind: opts.Bind, NoPrune: true, BFSWorkers: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResult(t, name, res, scratch)
+					return res
+				}
+
+				res := step("dead label", 8, 'c', 9, AdvanceRevalidated)
+				if res.inc != prev.inc {
+					t.Fatal("revalidation did not carry the memo over")
+				}
+				prev = res
+
+				// v8 is no candidate for z, so no assignment starts there: the
+				// delta pass finds nothing to re-run and re-stamps.
+				res = step("live label out of reach", 8, 'b', 9, AdvanceIncremental)
+				if res.inc != prev.inc || len(res.Answers) != len(prev.Answers) {
+					t.Fatal("an out-of-reach write did not take the restamp shortcut")
+				}
+				prev = res
+
+				res = step("new candidate upstream of z", 2, 'a', 6, AdvanceIncremental)
+				if got, was := memoCandidates(res.inc), memoCandidates(prev.inc); got != was+1 {
+					t.Fatalf("memo enumerates %d candidates after v6 became reachable, %d before", got, was)
+				}
+				prev = res
+
+				before := len(prev.Answers)
+				prev = step("write in a candidate's closure", 5, 'b', 9, AdvanceIncremental)
+				if src == "Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)" && len(prev.Answers) != before+1 {
+					t.Fatalf("%d answers after v5 -b-> v9, %d before", len(prev.Answers), before)
+				}
+
+				faultinject.Set(func(pt faultinject.Point, _ uint64) error {
+					if pt == faultinject.DeltaBFS {
+						return faultinject.ErrForced
+					}
+					return nil
+				})
+				prev = step("faulted delta pass", 7, 'b', 8, AdvanceNone)
+				faultinject.Clear()
+
+				// The fallback's memo seeds the next advance like any other.
+				step("advance after the fallback", 9, 'b', 10, AdvanceIncremental)
+			})
+		}
 	}
 }
 

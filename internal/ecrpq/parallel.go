@@ -802,27 +802,13 @@ type fanChunk struct {
 // (first-wins rows, per-variable shortest witnesses, memo segments in
 // assignment order). done=false means the caller should run the
 // sequential enumeration instead.
-func (e *componentEngine) evalAssignFanout(ctx context.Context, bind map[NodeVar]graph.Node, bud *stateBudget) (*varRelation, bool, error) {
-	if e.workers <= 1 || e.sink != nil || e.fanTake == nil || len(e.xvars) == 0 {
+func (e *componentEngine) evalAssignFanout(ctx context.Context, bud *stateBudget) (*varRelation, bool, error) {
+	if e.workers <= 1 || e.sink != nil || e.fanTake == nil {
 		return nil, false, nil
 	}
-	lists := make([][]graph.Node, len(e.xvars))
-	total := uint64(1)
-	for i, v := range e.xvars {
-		if n, ok := bind[v]; ok {
-			lists[i] = []graph.Node{n}
-		} else {
-			lists[i] = e.allNodesSlice()
-		}
-		if len(lists[i]) == 0 {
-			return nil, false, nil // empty graph: sequential path handles
-		}
-		if total > (1<<62)/uint64(len(lists[i])) {
-			return nil, false, nil // assignment space overflows; unreachable in practice
-		}
-		total *= uint64(len(lists[i]))
-	}
-	if total < uint64(fanoutFactor*e.workers) {
+	// An empty or overflowing space goes to the sequential enumeration.
+	total := e.space.size()
+	if total < uint64(fanoutFactor*e.workers) || total > 1<<62 {
 		return nil, false, nil
 	}
 	parFanoutsCtr.Add(1)
@@ -855,11 +841,11 @@ func (e *componentEngine) evalAssignFanout(ctx context.Context, bind map[NodeVar
 				}
 				lo := ci * total / nCh
 				hi := (ci + 1) * total / nCh
-				sib.reset(e.snap, seqOpts)
+				sib.reset(e.snap, seqOpts, e.doms)
 				if capture {
 					sib.startCapture()
 				}
-				err := sib.runAssignRange(ctx, lists, lo, hi, bud)
+				err := sib.runAssignRange(ctx, lo, hi, bud)
 				results[ci] = fanChunk{vr: sib.vr, memo: sib.memoCap, memoFail: sib.memoFailed, err: err, ran: true}
 				if err != nil {
 					stop.Store(true)
@@ -924,34 +910,4 @@ func (e *componentEngine) evalAssignFanout(ctx context.Context, bind map[NodeVar
 		}
 	}
 	return e.vr, true, nil
-}
-
-// runAssignRange runs the product BFS for the dense assignment indices
-// [lo, hi), decoding each index in the mixed-radix order of the
-// sequential enumeration (first X variable most significant).
-func (e *componentEngine) runAssignRange(ctx context.Context, lists [][]graph.Node, lo, hi uint64, bud *stateBudget) error {
-	k := len(e.xvars)
-	suf := make([]uint64, k)
-	p := uint64(1)
-	for i := k - 1; i >= 0; i-- {
-		suf[i] = p
-		p *= uint64(len(lists[i]))
-	}
-	assign := make(map[NodeVar]graph.Node, k)
-	for idx := lo; idx < hi; idx++ {
-		rem := idx
-		for i := 0; i < k; i++ {
-			d := rem / suf[i]
-			rem %= suf[i]
-			assign[e.xvars[i]] = lists[i][d]
-		}
-		if e.memoCap != nil {
-			e.capRowTab.Reset()
-		}
-		if err := e.bfs(ctx, assign, bud); err != nil {
-			return err
-		}
-		e.endCapAssign()
-	}
-	return nil
 }

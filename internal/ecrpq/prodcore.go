@@ -1,6 +1,7 @@
 package ecrpq
 
 import (
+	"cmp"
 	"math/bits"
 
 	"repro/internal/graph"
@@ -97,6 +98,21 @@ func newProdCore(snap *graph.Snapshot, c *component) prodCore {
 		symLabs:  make([]rune, cnt),
 		symRunes: make([]rune, cnt),
 		next:     make([]graph.Node, cnt),
+	}
+}
+
+// release unpins the snapshot of a core going back to a pool. The
+// graph-effective live memo (effLive, keyed on effSnap) is retained for
+// the unchanged-epoch serving case — the next execution against the same
+// snapshot reuses it wholesale — but only while the snapshot is small:
+// past maxPooledScratch edges a stale memo would pin an O(m) snapshot in
+// an idle pooled engine, so it is dropped (recomputing liveFor is
+// negligible next to any BFS at that scale).
+func (pc *prodCore) release() {
+	pc.snap = nil
+	if pc.effSnap != nil && pc.effSnap.NumEdges() > maxPooledScratch {
+		pc.effSnap = nil
+		pc.effLive = pc.effLive[:0]
 	}
 }
 
@@ -320,15 +336,15 @@ func effectiveLive(src []relations.LiveSet, alpha []rune) []relations.LiveSet {
 			eff[i] = ls
 			continue
 		}
-		inter := intersectSortedRunes(ls.Labels, alpha)
+		inter := intersectSorted(ls.Labels, alpha)
 		eff[i] = relations.LiveSet{All: len(inter) == len(alpha), Bot: ls.Bot, Labels: inter}
 	}
 	return eff
 }
 
-// intersectSortedRunes intersects two sorted rune slices.
-func intersectSortedRunes(a, b []rune) []rune {
-	out := make([]rune, 0, min(len(a), len(b)))
+// intersectSorted intersects two sorted slices into a fresh one.
+func intersectSorted[T cmp.Ordered](a, b []T) []T {
+	out := make([]T, 0, min(len(a), len(b)))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

@@ -3,6 +3,7 @@ package ecrpq
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -66,18 +67,45 @@ type Program struct {
 	liveUniversal bool
 	incCapable    bool
 
-	pools []enginePool
+	pools []idlePool[componentEngine]
+
+	// prop lists the path atoms the start-domain pass can fire, in atom
+	// order (see domains.go); their one-tape engines are built lazily.
+	prop []*propAtom
 }
 
-// enginePool holds idle engines for one component.
-type enginePool struct {
+// idlePool holds the idle engines of one component (or of one atom of
+// the start-domain pass).
+type idlePool[E any] struct {
 	mu   sync.Mutex
-	free []*componentEngine
+	free []*E
 }
 
-// maxPooledEngines bounds idle engines kept per component; beyond it
-// engines returned from bursts of concurrency are dropped.
+// maxPooledEngines bounds idle engines kept per pool; beyond it engines
+// returned from bursts of concurrency are dropped.
 const maxPooledEngines = 8
+
+// take pops an idle engine, or returns nil when there is none.
+func (pool *idlePool[E]) take() *E {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	n := len(pool.free)
+	if n == 0 {
+		return nil
+	}
+	e := pool.free[n-1]
+	pool.free[n-1] = nil
+	pool.free = pool.free[:n-1]
+	return e
+}
+
+func (pool *idlePool[E]) put(e *E) {
+	pool.mu.Lock()
+	if len(pool.free) < maxPooledEngines {
+		pool.free = append(pool.free, e)
+	}
+	pool.mu.Unlock()
+}
 
 // CompileProgram compiles q into an executable Program. With monolithic
 // set the component decomposition is disabled and the full m-tape
@@ -121,7 +149,8 @@ func compileProgram(q *Query, monolithic, noClasses bool) (*Program, error) {
 		allowRep:   q.AllowRepeatedPathVars,
 		comps:      comps,
 		keepPaths:  keepPaths,
-		pools:      make([]enginePool, len(comps)),
+		pools:      make([]idlePool[componentEngine], len(comps)),
+		prop:       propagationAtoms(q.PathAtoms),
 	}
 	p.relAtoms = make([]RelAtom, len(q.RelAtoms))
 	for i, ra := range q.RelAtoms {
@@ -134,7 +163,7 @@ func compileProgram(q *Query, monolithic, noClasses bool) (*Program, error) {
 	for i, c := range comps {
 		e := newComponentEngine(c, keepPaths)
 		varSets[i] = e.allVars
-		p.pools[i].free = append(p.pools[i].free, e)
+		p.pools[i].put(e)
 	}
 	p.jp = planJoin(varSets)
 	p.incCapable = len(q.HeadPaths) == 0
@@ -205,13 +234,26 @@ type ComponentInfo struct {
 	// with "|⊥" appended when the ⊥ stay-move is admissible there. It is
 	// a compile-time picture of the query's selectivity.
 	LiveStart []string
+	// Propagation lists, in firing order, the start-domain rules that
+	// confine this component's start variables: "z ⊆ post[a+](x) when x
+	// is bound or confined" says an evaluation that binds x (or confines
+	// it through an earlier rule) runs the component's product BFS from
+	// the nodes x reaches under a+ only, not from every node. Empty when
+	// no path atom ends at one of the component's start variables.
+	Propagation []string
 }
 
 // Components describes the compiled component decomposition.
 func (p *Program) Components() []ComponentInfo {
 	out := make([]ComponentInfo, len(p.comps))
 	for i, c := range p.comps {
-		all, _ := c.nodeVars()
+		all, xvars := c.nodeVars()
+		var rules []string
+		for _, pa := range p.prop {
+			if slices.Contains(xvars, pa.atom.Y) {
+				rules = append(rules, pa.explain(p.relAtoms))
+			}
+		}
 		e := p.take(i)
 		live := e.runner.Live(e.runner.StartID())
 		starts := make([]string, len(live))
@@ -220,9 +262,10 @@ func (p *Program) Components() []ComponentInfo {
 		}
 		p.put(i, e)
 		out[i] = ComponentInfo{
-			PathVars:  append([]PathVar(nil), c.vars...),
-			NodeVars:  append([]NodeVar(nil), all...),
-			LiveStart: starts,
+			PathVars:    append([]PathVar(nil), c.vars...),
+			NodeVars:    append([]NodeVar(nil), all...),
+			LiveStart:   starts,
+			Propagation: rules,
 		}
 	}
 	return out
@@ -263,16 +306,8 @@ func renderLiveSet(ls relations.LiveSet, part *regex.Partition) string {
 // engine's start-assignment fan-out borrow sibling engines of the same
 // component pool (parallel.go); they are cleared again by put.
 func (p *Program) take(i int) *componentEngine {
-	pool := &p.pools[i]
-	pool.mu.Lock()
-	var e *componentEngine
-	if n := len(pool.free); n > 0 {
-		e = pool.free[n-1]
-		pool.free[n-1] = nil
-		pool.free = pool.free[:n-1]
-		pool.mu.Unlock()
-	} else {
-		pool.mu.Unlock()
+	e := p.pools[i].take()
+	if e == nil {
 		e = newComponentEngine(p.comps[i], p.keepPaths)
 	}
 	e.fanTake = func() *componentEngine { return p.take(i) }
@@ -304,6 +339,8 @@ func (p *Program) put(i int, e *componentEngine) {
 	e.fanTake = nil
 	e.fanPut = nil
 	e.opts = Options{}
+	e.doms = nil
+	clear(e.space.lists)
 	if e.par != nil && e.par.oversized() {
 		e.par = nil
 	}
@@ -312,10 +349,6 @@ func (p *Program) put(i int, e *componentEngine) {
 	}
 	if e.capRowTab != nil && e.capRowTab.Cap() > maxPooledScratch {
 		e.capRowTab = intern.NewTable(0)
-	}
-	if e.effSnap != nil && e.effSnap.NumEdges() > maxPooledScratch {
-		e.effSnap = nil
-		e.effLive = e.effLive[:0]
 	}
 	if cap(e.parentState) > maxPooledScratch {
 		e.curs, e.joints, e.parentState, e.parentSym, e.parentLabs = nil, nil, nil, nil, nil
@@ -326,12 +359,7 @@ func (p *Program) put(i int, e *componentEngine) {
 	if e.rowTab.Cap() > maxPooledScratch {
 		e.rowTab = intern.NewTable(0)
 	}
-	pool := &p.pools[i]
-	pool.mu.Lock()
-	if len(pool.free) < maxPooledEngines {
-		pool.free = append(pool.free, e)
-	}
-	pool.mu.Unlock()
+	p.pools[i].put(e)
 }
 
 // evalComponents evaluates every component of the program over the
@@ -359,6 +387,10 @@ func (p *Program) evalComponents(ctx context.Context, s *graph.Snapshot, opts Op
 			p.put(i, e)
 		}
 	}()
+	doms, err := p.startDomains(ctx, s, opts, bud)
+	if err != nil {
+		return nil, nil, err
+	}
 	rels := make([]*varRelation, n)
 	var memos []*compMemo
 	memoOK := capture
@@ -367,11 +399,11 @@ func (p *Program) evalComponents(ctx context.Context, s *graph.Snapshot, opts Op
 	}
 	if n == 1 {
 		e := engines[0]
-		e.reset(s, opts)
+		e.reset(s, opts, doms)
 		if capture {
 			e.startCapture()
 		}
-		vr, err := evalComponent(ctx, e, opts.Bind, bud)
+		vr, err := evalComponent(ctx, e, bud)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -405,11 +437,11 @@ func (p *Program) evalComponents(ctx context.Context, s *graph.Snapshot, opts Op
 				return
 			}
 			e := engines[i]
-			e.reset(s, opts)
+			e.reset(s, opts, doms)
 			if capture {
 				e.startCapture()
 			}
-			vr, err := evalComponent(cctx, e, opts.Bind, bud)
+			vr, err := evalComponent(cctx, e, bud)
 			if err != nil {
 				errOnce.Do(func() { firstErr = err; cancel() })
 				return

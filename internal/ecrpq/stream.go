@@ -151,11 +151,15 @@ func (s *answerSink) row(nodes []graph.Node, paths map[PathVar]graph.Path) error
 func (p *Program) streamSingle(ctx context.Context, s *graph.Snapshot, opts StreamOptions, sink *answerSink) error {
 	e := p.take(0)
 	defer p.put(0, e)
-	e.reset(s, opts.Options)
+	bud := newStateBudget(opts.MaxProductStates)
+	doms, err := p.startDomains(ctx, s, opts.Options, bud)
+	if err != nil {
+		return err
+	}
+	e.reset(s, opts.Options, doms)
 	sink.bindCols(e.allVars)
 	e.sink = sink.row
-	bud := newStateBudget(opts.MaxProductStates)
-	_, err := evalComponent(ctx, e, opts.Bind, bud)
+	_, err = evalComponent(ctx, e, bud)
 	return err
 }
 

@@ -31,3 +31,36 @@ func TestExplainShowsLiveLabels(t *testing.T) {
 		t.Fatalf("Explain missing live sets:\n%s", out2)
 	}
 }
+
+// TestExplainShowsStartDomains pins the start-domain rules of Explain: a
+// rule per path atom that ends at a start variable, under the component
+// whose enumeration it confines, naming the atom's own language — and
+// none for a query where no atom feeds another.
+func TestExplainShowsStartDomains(t *testing.T) {
+	env := ecrpq.Env{Sigma: []rune("ab")}
+	for _, tc := range []struct {
+		text  string
+		rules []string
+	}{
+		{"Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)",
+			[]string{"  component 1: paths(p2) nodes(z, y) live(p2:b)\n    start domain: z ⊆ post[a+](x) when x is bound or confined\n"}},
+		{"Ans(x,y) <- (x,p1,z), (z,p2,w), (w,p3,y), (a|b)*a(p1), el(p1,p3)",
+			[]string{"start domain: w ⊆ post[Σ*](z) when z is bound or confined", "start domain: z ⊆ post[(a|b)*a](x) when x is bound or confined"}},
+		{"Ans(x,y) <- (x,p,y), a+(p)", nil},
+		{"Ans(y,z) <- (x,p1,y), (x,p2,z), a+(p1), b+(p2)", nil},
+	} {
+		p, err := Compile(ecrpq.MustParse(tc.text, env), env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := p.Explain()
+		for _, rule := range tc.rules {
+			if !strings.Contains(out, rule) {
+				t.Errorf("%s: Explain missing %q:\n%s", tc.text, rule, out)
+			}
+		}
+		if len(tc.rules) == 0 && strings.Contains(out, "start domain") {
+			t.Errorf("%s: Explain prints a start-domain rule for a query with none:\n%s", tc.text, out)
+		}
+	}
+}

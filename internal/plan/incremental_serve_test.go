@@ -88,6 +88,57 @@ func TestServeKindsThroughCache(t *testing.T) {
 	}
 }
 
+// TestServeKindsBoundChain is the same walk for a bound two-atom query,
+// whose second atom starts from post[a+](x) only: a write where no start
+// assignment reaches and a write that adds a start candidate must both
+// be served by the delta pass, byte-identical to an evaluation with the
+// start-domain pass off.
+func TestServeKindsBoundChain(t *testing.T) {
+	q := ecrpq.MustParse("Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)", env())
+	p, err := Compile(q, env())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// v0 -a-> v1 -a-> v2 -b-> v3 -b-> v4, then a tail out of x's reach.
+	g := stringGraph("aabbabbabb")
+	c := qcache.New(1 << 20)
+	ctx := context.Background()
+	opts := ecrpq.Options{Bind: map[ecrpq.NodeVar]graph.Node{"x": 0}}
+	oracle := opts
+	oracle.NoPrune = true
+
+	serve := func(step string, want qcache.Stats) int {
+		t.Helper()
+		s := g.Snapshot()
+		res, _, err := p.EvalSnapshotCached(ctx, s, opts, c)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		ref, err := p.EvalSnapshot(ctx, s, oracle)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", step, err)
+		}
+		if res.Fingerprint() != ref.Fingerprint() {
+			t.Fatalf("%s: served fingerprint %x != NoPrune scratch %x", step, res.Fingerprint(), ref.Fingerprint())
+		}
+		if st := c.Stats(); st.Revalidated != want.Revalidated || st.Incremental != want.Incremental {
+			t.Fatalf("%s: %d revalidated, %d incremental; want %d, %d",
+				step, st.Revalidated, st.Incremental, want.Revalidated, want.Incremental)
+		}
+		return len(res.Answers)
+	}
+
+	n0 := serve("initial compute", qcache.Stats{})
+	g.AddEdge(8, 'b', 6) // live label, but z never takes v8: re-stamped by the delta pass
+	if n := serve("write out of reach", qcache.Stats{Incremental: 1}); n != n0 {
+		t.Fatalf("%d answers after an out-of-reach write, %d before", n, n0)
+	}
+	g.AddEdge(1, 'a', 5) // v5 joins post[a+](v0), and v5 -b-> v6 -b-> v7 follow
+	if n := serve("new start candidate", qcache.Stats{Incremental: 2}); n != n0+2 {
+		t.Fatalf("%d answers after v5 became a candidate, want %d", n, n0+2)
+	}
+}
+
 // TestConcurrentRevalidationRace hammers EvalSnapshotCached from many
 // goroutines while a writer advances the store with label-disjoint 'b'
 // edges, so every epoch-stale serve takes the revalidation path

@@ -244,8 +244,9 @@ func (p *Plan) Acyclic() bool { return p.prog.JoinAcyclic() }
 
 // Explain renders a human-readable description of the compiled plan:
 // the component decomposition, each component's start-state live labels
-// (the selectivity the label-directed product BFS exploits), and the
-// join strategy.
+// (the selectivity the label-directed product BFS exploits), the static
+// start-domain propagation rules that confine its start variables when
+// an evaluation binds a variable upstream, and the join strategy.
 func (p *Plan) Explain() string {
 	var b strings.Builder
 	comps := p.prog.Components()
@@ -277,6 +278,9 @@ func (p *Plan) Explain() string {
 			fmt.Fprintf(&b, "%s:%s", v, c.LiveStart[j])
 		}
 		b.WriteString(")\n")
+		for _, rule := range c.Propagation {
+			fmt.Fprintf(&b, "    start domain: %s\n", rule)
+		}
 	}
 	if p.prog.JoinAcyclic() {
 		b.WriteString("  join: acyclic hypergraph — Yannakakis semijoins (Theorem 6.5)\n")
