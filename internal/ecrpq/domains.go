@@ -124,12 +124,11 @@ type domainEngine struct {
 	head    int
 	bud     *stateBudget
 	charged int
-	stepF   func() error // d.step, bound once
 }
 
 func newDomainEngine(c *component) *domainEngine {
 	d := &domainEngine{prodCore: newProdCore(nil, c)}
-	d.stepF = d.step
+	d.emit = d.step
 	return d
 }
 
@@ -143,7 +142,8 @@ func (d *domainEngine) push(joint int) bool {
 	return true
 }
 
-// step takes the move forEachMove left in the core's scratch.
+// step is the pass's emit function: it takes the move forEachMove left
+// in the kernel's scratch.
 func (d *domainEngine) step() error {
 	js, ok := d.runner.Step(int(d.joints[d.head]), d.symID())
 	if !ok || !d.push(js) {
@@ -191,7 +191,7 @@ func (d *domainEngine) post(ctx context.Context, s *graph.Snapshot, src []graph.
 		// On one tape the ⊥ stay-move reaches no new node, and acceptance
 		// was read above.
 		d.botOK[0] = false
-		if err := d.forEachMove(cur, d.stepF); err != nil {
+		if err := d.forEachMove(cur); err != nil {
 			return nil, d.charged, err
 		}
 	}

@@ -85,9 +85,10 @@ type Options struct {
 	NoAdvance bool
 	// BFSWorkers sets the worker count of the frontier-synchronous
 	// parallel product BFS and of the start-assignment fan-out. Zero
-	// uses GOMAXPROCS; 1 forces the exact sequential engine (the
-	// ablation baseline). Answers, witness paths and Result.Fingerprint
-	// are byte-identical at every worker count — only the cost changes.
+	// uses GOMAXPROCS; 1 runs every BFS level inline on the calling
+	// goroutine (the ablation baseline). Answers, witness paths and
+	// Result.Fingerprint are byte-identical at every worker count — only
+	// the cost changes.
 	BFSWorkers int
 }
 
@@ -144,8 +145,8 @@ func newStateBudget(max int) *stateBudget {
 func (b *stateBudget) spend() bool { return b.left.Add(-1) >= 0 }
 
 // refund returns n states to the pool: the parallel BFS refunds
-// everything it charged before degrading to the sequential engine, so
-// the rerun re-spends the same states exactly once.
+// everything it charged before degrading to one lane, so the rerun
+// re-spends the same states exactly once.
 func (b *stateBudget) refund(n int) {
 	if n > 0 {
 		b.left.Add(int64(n))
@@ -633,6 +634,15 @@ type componentEngine struct {
 	parentSym   []int32
 	parentLabs  []rune
 
+	// The run in progress, read by the intern-now emitter: the state
+	// being expanded, the budget the run charges, how many states it has
+	// charged (a faulted multi-lane run refunds them), and whether
+	// membership has moved from states to the shard tables of par.
+	head    int
+	bud     *stateBudget
+	spent   int
+	sharded bool
+
 	// Scratch buffers.
 	nodesBuf []graph.Node
 	keyBuf   []int
@@ -652,14 +662,14 @@ type componentEngine struct {
 
 	// Parallel execution state (see parallel.go). workers and opts are
 	// set by reset from the per-call options; par holds the lanes, shard
-	// tables and outboxes of the frontier-synchronous BFS, built lazily
-	// on the first parallel run and retained across executions like the
-	// runner memos. space is the execution's start-assignment space, set
-	// by reset from the bindings, the start-domain lists in doms and
-	// allNodes, the shared 0..NumNodes-1 candidate slice of an unconfined
-	// variable. fanTake/fanPut, installed by Program.take, let the
-	// assignment fan-out borrow sibling engines of the same component
-	// pool.
+	// tables and outboxes of the multi-lane levels, built lazily on the
+	// first level wide enough to need them (never at one worker) and
+	// retained across executions like the runner memos. space is the
+	// execution's start-assignment space, set by reset from the bindings,
+	// the start-domain lists in doms and allNodes, the shared
+	// 0..NumNodes-1 candidate slice of an unconfined variable.
+	// fanTake/fanPut, installed by Program.take, let the assignment
+	// fan-out borrow sibling engines of the same component pool.
 	workers  int
 	opts     Options
 	par      *parState
@@ -687,6 +697,7 @@ func newComponentEngine(c *component, keepPaths map[PathVar]bool) *componentEngi
 		tmpl:     make([]graph.Node, len(allVars)),
 		bindVal:  make([]graph.Node, len(allVars)),
 	}
+	e.emit = e.emitIntern
 	slot := map[NodeVar]int{}
 	for i, v := range allVars {
 		slot[v] = i
@@ -745,6 +756,25 @@ func (e *componentEngine) reset(s *graph.Snapshot, opts Options, doms map[NodeVa
 	}
 }
 
+// allNodesSlice returns the engine's shared 0..NumNodes-1 slice, the
+// candidate list of every unbound start variable (rebuilt only when the
+// snapshot's node count changes).
+func (e *componentEngine) allNodesSlice() []graph.Node {
+	e.allNodes = nodeRange(e.allNodes, e.snap.NumNodes())
+	return e.allNodes
+}
+
+// release unpins the snapshot from the engine's kernel and from every
+// lane's, for an engine going back to its pool.
+func (e *componentEngine) release() {
+	e.prodCore.release()
+	if e.par != nil {
+		for _, ln := range e.par.lanes {
+			ln.release()
+		}
+	}
+}
+
 // evalComponent runs the product BFS for one component, for every
 // assignment of its start space (see reset), drawing on the shared state
 // budget. It returns the component's relation (empty when the engine's
@@ -774,24 +804,11 @@ func (e *componentEngine) runAssign(ctx context.Context, assign map[NodeVar]grap
 	if e.memoCap != nil {
 		e.capRowTab.Reset()
 	}
-	if err := e.bfs(ctx, assign, bud); err != nil {
+	if err := e.bfs(ctx, assign, bud, e.workers); err != nil {
 		return err
 	}
 	e.endCapAssign()
 	return nil
-}
-
-// bfs explores the product of G⊥^c with the component's joint relation
-// automaton from the start tuple given by assign, collecting accepting
-// bindings into e.vr (or handing them to e.sink). With one worker it is
-// the sequential single-cursor scan; with more it dispatches to the
-// frontier-synchronous parallel traversal (parallel.go), which produces
-// byte-identical results.
-func (e *componentEngine) bfs(ctx context.Context, assign map[NodeVar]graph.Node, bud *stateBudget) error {
-	if e.workers > 1 {
-		return e.bfsParallel(ctx, assign, bud)
-	}
-	return e.bfsSeq(ctx, assign, bud)
 }
 
 // beginRun prepares one product-BFS run from the start tuple given by
@@ -842,67 +859,57 @@ func (e *componentEngine) pushState(jointID int, nodes []graph.Node, parent, sym
 	}
 }
 
-// bfsSeq is the sequential product BFS: a single head cursor scanning
-// e.joints in discovery order. Cancellation of ctx is checked
-// periodically inside the state loop so a deadline aborts a
-// long-running product promptly.
-func (e *componentEngine) bfsSeq(ctx context.Context, assign map[NodeVar]graph.Node, bud *stateBudget) error {
-	cnt := e.cnt
+// bfs explores the product of G⊥^c with the component's joint relation
+// automaton from the start tuple given by assign, level by level,
+// collecting accepting bindings into e.vr (or handing them to e.sink).
+// It is the one driver of every evaluation. A level narrower than
+// parFrontierMin — every level when lanes is 1 — runs inline on this
+// goroutine; a wider one fans out over up to lanes workers
+// (levelParallel in parallel.go), with byte-identical results. A
+// one-lane run builds no parallel state, counts nothing towards the
+// parallel counters and consults no ParallelBFS fault point; it is what
+// a multi-lane run hit by such a fault degrades to.
+func (e *componentEngine) bfs(ctx context.Context, assign map[NodeVar]graph.Node, bud *stateBudget, lanes int) error {
 	if !e.beginRun(assign) {
 		return nil // inconsistent start for repeated path var
 	}
-	var head int
-	var cur []graph.Node
-	snap := e.snap
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == cnt {
-			symID := e.symID()
-			js, ok := e.runner.Step(int(e.joints[head]), symID)
-			if !ok {
-				return nil
-			}
-			if _, added := e.internState(&e.states, js, e.next); !added {
-				return nil
-			}
-			e.pushState(js, e.next, int32(head), int32(symID))
-			if !bud.spend() {
-				return ErrBudget
-			}
-			return nil
+	e.bud, e.spent, e.sharded = bud, 0, false
+	counted := false
+	for lo, hi := 0, 1; lo < hi; lo, hi = hi, len(e.joints) {
+		if lanes > 1 && faultinject.Inject(faultinject.ParallelBFS) != nil {
+			return e.degradeToSeq(ctx, assign)
 		}
-		// Per-coordinate moves planned by prepareMoves: the ⊥ stay-move
-		// when the runner admits it, then the admissible edge runs (each
-		// (start, end, sym) triple resolves to one contiguous base or
-		// delta slice; sym ≥ 0 is the run's fixed class rune, -1 means
-		// step by each edge's own label).
-		if e.botOK[i] {
-			e.symInts[i] = int(regex.Bot)
-			e.symLabs[i] = regex.Bot
-			e.next[i] = cur[i]
-			if err := rec(i + 1); err != nil {
-				return err
+		var err error
+		if lanes == 1 || hi-lo < parFrontierMin {
+			err = e.levelInline(ctx, lo, hi)
+		} else {
+			if !e.sharded {
+				e.activateShards()
 			}
-		}
-		rr := e.moveRuns[i]
-		for k := 0; k+2 < len(rr); k += 3 {
-			fixed := rr[k+2]
-			for _, ed := range snap.EdgeRange(rr[k], rr[k+1]) {
-				if fixed >= 0 {
-					e.symInts[i] = int(fixed)
-				} else {
-					e.symInts[i] = int(ed.Label)
-				}
-				e.symLabs[i] = ed.Label
-				e.next[i] = ed.To
-				if err := rec(i + 1); err != nil {
-					return err
-				}
+			if !counted {
+				counted = true
+				parRunsCtr.Add(1)
 			}
+			err = e.levelParallel(ctx, lo, hi, lanes)
 		}
-		return nil
+		if _, isFault := err.(parFaultError); isFault {
+			return e.degradeToSeq(ctx, assign)
+		}
+		if err != nil {
+			return err
+		}
 	}
-	for head = 0; head < len(e.joints); head++ {
+	return nil
+}
+
+// levelInline processes the frontier [lo, hi) on the owner goroutine:
+// a head cursor in discovery order, accepts interleaved, successors
+// interned at once by emitIntern. Cancellation of ctx is checked every
+// 256 states of the run, not of the level, so a run of narrow levels
+// pays one check per 256 states like a single scan would.
+func (e *componentEngine) levelInline(ctx context.Context, lo, hi int) error {
+	cnt := e.cnt
+	for head := lo; head < hi; head++ {
 		if head&255 == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -913,7 +920,7 @@ func (e *componentEngine) bfsSeq(ctx context.Context, assign map[NodeVar]graph.N
 				return err
 			}
 		}
-		cur = e.curs[head*cnt : head*cnt+cnt]
+		cur := e.curs[head*cnt : head*cnt+cnt]
 		joint := int(e.joints[head])
 		if e.runner.Accepting(joint) {
 			if err := e.accept(head, cur); err != nil {
@@ -928,10 +935,36 @@ func (e *componentEngine) bfsSeq(ctx context.Context, assign map[NodeVar]graph.N
 		if !e.prepareMoves(joint, cur) {
 			continue
 		}
-		if err := rec(0); err != nil {
+		e.head = head
+		if err := e.forEachMove(cur); err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// emitIntern is the evaluator's emit function for inline levels: step
+// the runner by the enumerated move, intern the successor into whichever
+// membership structure the run is using (e.states before the shard
+// switch, the shard tables after), append it and charge the budget.
+func (e *componentEngine) emitIntern() error {
+	symID := e.symID()
+	js, ok := e.runner.Step(int(e.joints[e.head]), symID)
+	if !ok {
+		return nil
+	}
+	set := &e.states
+	if e.sharded {
+		set = &e.par.shards[shardOf(int32(js), e.next)]
+	}
+	if _, added := e.internState(set, js, e.next); !added {
+		return nil
+	}
+	e.pushState(js, e.next, int32(e.head), int32(symID))
+	if !e.bud.spend() {
+		return ErrBudget
+	}
+	e.spent++
 	return nil
 }
 
@@ -944,8 +977,7 @@ func (e *componentEngine) accept(state int, cur []graph.Node) error {
 	if !ok {
 		return nil
 	}
-	paths := e.reconstruct(state)
-	return e.applyRow(nodes, paths)
+	return e.applyRow(nodes, e.reconstruct(state, &e.chainBuf))
 }
 
 // checkAccept validates an accepting product state's node tuple against
@@ -996,12 +1028,7 @@ func (e *componentEngine) applyRow(nodes []graph.Node, paths map[PathVar]graph.P
 		return e.sink(nodes, paths)
 	}
 	if !added {
-		// Keep shortest witnesses.
-		for pv, p := range paths {
-			if old, ok := e.vr.rows[idx].paths[pv]; !ok || p.Len() < old.Len() {
-				e.vr.rows[idx].paths[pv] = p
-			}
-		}
+		mergeShorterPaths(&e.vr.rows[idx], paths)
 		return nil
 	}
 	e.vr.addRow(nodes, paths)
@@ -1011,16 +1038,18 @@ func (e *componentEngine) applyRow(nodes []graph.Node, paths map[PathVar]graph.P
 // reconstruct walks the BFS tree back to the start and extracts the
 // witness paths of the kept path variables, stripping ⊥ stay-moves (the
 // stripping operation ρ̄s(j) of Section 5). Components whose witnesses
-// the query never outputs skip the walk entirely.
-func (e *componentEngine) reconstruct(state int) map[PathVar]graph.Path {
+// the query never outputs skip the walk entirely. It only reads the
+// state arrays, so parallel lanes call it concurrently during a level
+// (they are frozen then), each with its own chain scratch.
+func (e *componentEngine) reconstruct(state int, chainBuf *[]int32) map[PathVar]graph.Path {
 	if len(e.keptCoords) == 0 {
 		return nil
 	}
-	chain := e.chainBuf[:0]
+	chain := (*chainBuf)[:0]
 	for cur := int32(state); cur >= 0; cur = e.parentState[cur] {
 		chain = append(chain, cur)
 	}
-	e.chainBuf = chain
+	*chainBuf = chain
 	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
 		chain[i], chain[j] = chain[j], chain[i]
 	}

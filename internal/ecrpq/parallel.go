@@ -9,25 +9,25 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/graph"
-	"repro/internal/regex"
 	"repro/internal/relations"
 )
 
-// This file is the frontier-synchronous parallel product BFS: the
-// level-order traversal of eval.go's sequential engine, sharded across
-// W workers with byte-identical results.
+// This file is the multi-lane half of the product BFS: the levels of
+// componentEngine.bfs (eval.go) that are wide enough to be sharded
+// across W workers, with results byte-identical to running them inline.
 //
 // Layout. The global state arrays (curs, joints, parentState,
-// parentSym) stay exactly as in the sequential engine — dense global
-// ids in discovery order, which is what witness reconstruction and the
-// memo capture read. What shards is the membership test: parShards
-// intern tables, one per hash class of the (joint, nodes...) tuple, so
-// dedup of a level's candidates runs without a global lock. Workers
-// never consult membership during expansion at all — they emit every
-// candidate into per-(worker, shard) outboxes and membership is decided
-// at the barrier.
+// parentSym) are the driver's — dense global ids in discovery order,
+// which is what witness reconstruction and the memo capture read. What
+// shards is the membership test: parShards intern tables, one per hash
+// class of the (joint, nodes...) tuple, so dedup of a level's candidates
+// runs without a global lock. Workers never consult membership during
+// expansion at all — each lane runs the one move kernel (prodcore.go)
+// over its own scratch with the lane-outbox emitter, which files every
+// candidate into per-(worker, shard) outboxes; membership is decided at
+// the barrier.
 //
-// A level runs in four phases:
+// A multi-lane level runs in four phases:
 //
 //  1. Expand (parallel): each lane scans a contiguous slice of the
 //     frontier [lo, hi), records accept candidates (checked tuple +
@@ -35,32 +35,31 @@ import (
 //     outboxes, tagging each with its emission order.
 //  2. Accepts (sequential): lane-order application of the accept
 //     records. Lane k's slice precedes lane k+1's, and within a lane
-//     records are in scan order, so rows apply in exactly the order the
-//     sequential head cursor would have produced.
+//     records are in scan order, so rows apply in exactly the order an
+//     inline head cursor would have produced.
 //  3. Dedup (parallel over shards): shard s interns its candidates —
 //     lanes in order, within a lane in emission order, which is exactly
 //     ascending global sequence order restricted to the shard — and
 //     marks the first occurrence of each tuple fresh.
 //  4. Merge (sequential): lanes in order, candidates in emission order;
 //     fresh ones append to the global arrays and spend budget. This is
-//     the same first-discovery order the sequential engine's immediate
+//     the same first-discovery order the inline level's immediate
 //     interning produces, so state ids, parent pointers and budget
 //     charges are identical.
 //
 // Determinism. Answers, witness paths and Result.Fingerprint are
-// byte-identical to the sequential engine at any worker count: level
-// order preserves BFS level structure, phase 4 reproduces sequential
-// discovery order exactly, and phase 2 reproduces sequential accept
-// order exactly (all accepts of level L precede all of level L+1 in
-// both engines). The one scheduling-dependent quantity is which worker
-// first forces a master memo in the shared joint runner — that can
-// permute *internal* joint-state ids across runs, which nothing
-// observable depends on (see relations.RunnerGroup).
+// byte-identical at any worker count: level order preserves BFS level
+// structure, phase 4 reproduces inline discovery order exactly, and
+// phase 2 reproduces inline accept order exactly (all accepts of level L
+// precede all of level L+1 either way). The one scheduling-dependent
+// quantity is which worker first forces a master memo in the shared
+// joint runner — that can permute *internal* joint-state ids across
+// runs, which nothing observable depends on (see relations.RunnerGroup).
 //
-// Small frontiers skip the machinery: below parFrontierMin the level is
-// processed inline by the owner goroutine with the sequential code path
-// (same membership tables), so narrow products pay nothing for the
-// parallel capability.
+// Small frontiers skip the machinery: below parFrontierMin the driver
+// runs the level inline (interning into the same membership tables), so
+// narrow products pay nothing for the parallel capability, and at one
+// worker none of this file's state is ever built.
 
 // maxBFSWorkers caps Options.BFSWorkers.
 const maxBFSWorkers = 64
@@ -72,7 +71,7 @@ const parShards = 32
 const parShardMask = parShards - 1
 
 // parFrontierMin is the frontier size below which a level is processed
-// inline (sequential code path); parMinSlice is the minimum frontier
+// inline; parMinSlice is the minimum frontier
 // slice worth a lane of its own. Vars, not consts, so tests can force
 // multi-lane processing on small graphs.
 var (
@@ -104,15 +103,15 @@ var (
 
 // BFSParallelStats reports cumulative parallel-BFS activity: runs that
 // used multi-lane expansion, multi-lane levels processed, runs degraded
-// to the sequential engine by an injected worker fault, and component
+// to one lane by an injected worker fault, and component
 // evaluations that fanned start assignments over the worker pool.
 func BFSParallelStats() (runs, levels, fallbacks, fanouts uint64) {
 	return parRunsCtr.Load(), parLevelsCtr.Load(), parFallbacksCtr.Load(), parFanoutsCtr.Load()
 }
 
 // effectiveBFSWorkers resolves Options.BFSWorkers: 0 means GOMAXPROCS,
-// anything below 1 clamps to the sequential engine, and the cap bounds
-// per-engine lane state.
+// anything below 1 clamps to one lane, and the cap bounds per-engine
+// lane state.
 func effectiveBFSWorkers(w int) int {
 	if w == 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -127,26 +126,12 @@ func effectiveBFSWorkers(w int) int {
 }
 
 // parFaultError wraps an error injected at the ParallelBFS fault point;
-// bfsParallel recognizes it and degrades to the sequential engine
-// instead of failing the evaluation.
+// the driver recognizes it and degrades to one lane instead of failing
+// the evaluation.
 type parFaultError struct{ err error }
 
 func (e parFaultError) Error() string { return "ecrpq: parallel worker fault: " + e.err.Error() }
 func (e parFaultError) Unwrap() error { return e.err }
-
-// allNodesSlice returns the engine's shared 0..NumNodes-1 slice, the
-// candidate list of every unbound start variable (rebuilt only when the
-// snapshot's node count changes).
-func (e *componentEngine) allNodesSlice() []graph.Node {
-	n := e.snap.NumNodes()
-	if len(e.allNodes) != n {
-		e.allNodes = e.allNodes[:0]
-		for i := 0; i < n; i++ {
-			e.allNodes = append(e.allNodes, graph.Node(i))
-		}
-	}
-	return e.allNodes
-}
 
 // shardOf hashes a product-state tuple (joint id + node tuple) to its
 // membership shard. FNV-1a over the components; the exact function is
@@ -166,14 +151,13 @@ func shardOf(joint int32, nodes []graph.Node) uint32 {
 
 // parState is the reusable parallel machinery of one engine: the shared
 // runner group, per-shard membership tables, lanes (one per worker)
-// and dedup scratch. Built on the first parallel run, retained across
-// executions like the runner memos, dropped by Program.put when
+// and dedup scratch. Built on the first multi-lane level, retained
+// across executions like the runner memos, dropped by Program.put when
 // oversized.
 type parState struct {
-	group   *relations.RunnerGroup
-	shards  []tupleSet
-	lanes   []*bfsLane
-	sharded bool // this run has switched membership to the shard tables
+	group  *relations.RunnerGroup
+	shards []tupleSet
+	lanes  []*bfsLane
 }
 
 func (e *componentEngine) ensurePar() *parState {
@@ -208,23 +192,19 @@ func (p *parState) oversized() bool {
 }
 
 // ensureLanes grows the lane set to n workers, each with its own runner
-// view and move-plan scratch.
+// view and move kernel.
 func (p *parState) ensureLanes(e *componentEngine, n int) {
 	for len(p.lanes) < n {
-		cnt := e.cnt
+		view := p.group.View()
 		ln := &bfsLane{
-			e:        e,
-			view:     p.group.View(),
-			moveRuns: make([][]int32, cnt),
-			botOK:    make([]bool, cnt),
-			symInts:  make([]int, cnt),
-			symRunes: make([]rune, cnt),
-			symLabs:  make([]rune, cnt),
-			next:     make([]graph.Node, cnt),
-			syms:     newSymSet(cnt),
-			nodesBuf: make([]graph.Node, len(e.allVars)),
-			out:      make([]laneBox, parShards),
+			moveKernel: newMoveKernel(nil, e.cnt, e.part, view),
+			e:          e,
+			view:       view,
+			syms:       newSymSet(e.cnt),
+			nodesBuf:   make([]graph.Node, len(e.allVars)),
+			out:        make([]laneBox, parShards),
 		}
+		ln.emit = ln.emitOutbox
 		p.lanes = append(p.lanes, ln)
 	}
 }
@@ -248,34 +228,21 @@ type acceptRec struct {
 	paths map[PathVar]graph.Path
 }
 
-// bfsLane is one worker of the parallel BFS: a private runner view,
-// private move-plan scratch mirroring prodCore's, a private symbol
+// bfsLane is one worker of a multi-lane level: its own move kernel
+// reading live sets through a private runner view, a private symbol
 // intern table mapped to shared ids, and the level outputs.
 type bfsLane struct {
+	moveKernel
 	e    *componentEngine
 	view *relations.RunnerView
-
-	// Move planning scratch (same shape as prodCore's).
-	moveRuns [][]int32
-	botOK    []bool
-	symInts  []int
-	symRunes []rune
-	symLabs  []rune
-	next     []graph.Node
-	moveCur  []graph.Node
-	curGID   int32
+	head int // global id of the state being expanded
 
 	// Local symbol interning: lane-local dense ids via syms, mapped to
 	// the shared (master) ids via symMap. The master table and runner
-	// stay the single authority so sequential and parallel phases of the
+	// stay the single authority so inline and multi-lane levels of the
 	// same engine agree on every id.
 	syms   tupleSet
 	symMap []int32
-
-	// Graph-effective live sets, memoized per joint state per snapshot
-	// (the lane-local analogue of prodCore.effLive).
-	effLive [][]relations.LiveSet
-	effSnap *graph.Snapshot
 
 	// Accept scratch.
 	nodesBuf []graph.Node
@@ -289,8 +256,10 @@ type bfsLane struct {
 	err     error
 }
 
-// beginLevel resets the lane's level outputs.
+// beginLevel pins the level's snapshot and pruning mode on the lane's
+// kernel and resets the lane's level outputs.
 func (ln *bfsLane) beginLevel() {
+	ln.snap, ln.noPrune = ln.e.snap, ln.e.noPrune
 	for i := range ln.out {
 		b := &ln.out[i]
 		b.nodes = b.nodes[:0]
@@ -320,64 +289,6 @@ func (ln *bfsLane) symID() int {
 	return int(ln.symMap[id])
 }
 
-// liveFor is the lane-local analogue of prodCore.liveFor: the runner's
-// live sets for jointID intersected with the snapshot's alphabet,
-// memoized per joint state for the lifetime of the pinned snapshot.
-func (ln *bfsLane) liveFor(jointID int) []relations.LiveSet {
-	if ln.e.snap != ln.effSnap {
-		ln.effLive = ln.effLive[:0]
-		ln.effSnap = ln.e.snap
-	}
-	for len(ln.effLive) <= jointID {
-		ln.effLive = append(ln.effLive, nil)
-	}
-	if eff := ln.effLive[jointID]; eff != nil {
-		return eff
-	}
-	var eff []relations.LiveSet
-	if ln.e.part != nil {
-		// Class mode: live sets hold class runes, not snapshot labels —
-		// intersecting with the snapshot alphabet would be wrong.
-		eff = ln.view.Live(jointID)
-	} else {
-		eff = effectiveLive(ln.view.Live(jointID), ln.e.snap.Alphabet())
-	}
-	ln.effLive[jointID] = eff
-	return eff
-}
-
-// prepareMoves is prodCore.prepareMoves on lane-local scratch.
-func (ln *bfsLane) prepareMoves(jointID int, cur []graph.Node) bool {
-	e := ln.e
-	if e.noPrune {
-		for i, v := range cur {
-			if e.part != nil {
-				ln.moveRuns[i] = appendClassRuns(e.snap, e.part, v, nil, ln.moveRuns[i][:0])
-			} else {
-				ln.moveRuns[i] = appendAllRuns(e.snap, v, ln.moveRuns[i][:0])
-			}
-			ln.botOK[i] = true
-		}
-		return true
-	}
-	live := ln.liveFor(jointID)
-	for i, v := range cur {
-		ls := live[i]
-		var rr []int32
-		if e.part != nil {
-			rr = planClassCoordMoves(e.snap, e.part, ls, v, ln.moveRuns[i][:0])
-		} else {
-			rr = planCoordMoves(e.snap, ls, v, ln.moveRuns[i][:0])
-		}
-		ln.moveRuns[i] = rr
-		ln.botOK[i] = ls.Bot
-		if len(rr) == 0 && !ls.Bot {
-			return false
-		}
-	}
-	return true
-}
-
 // expand scans the frontier slice [lo, hi): accept records for
 // accepting states, successor candidates into the outboxes. Runs
 // concurrently with the other lanes; everything it reads from the
@@ -405,151 +316,54 @@ func (ln *bfsLane) expand(ctx context.Context, lo, hi int) {
 		joint := int(e.joints[gid])
 		if ln.view.Accepting(joint) {
 			if nodes, ok := e.checkAccept(cur, ln.nodesBuf); ok {
-				rec := acceptRec{nodes: append([]graph.Node(nil), nodes...)}
-				if len(e.keptCoords) > 0 {
-					rec.paths = ln.reconstruct(gid)
-				}
-				ln.accepts = append(ln.accepts, rec)
+				ln.accepts = append(ln.accepts, acceptRec{
+					nodes: append([]graph.Node(nil), nodes...),
+					paths: e.reconstruct(gid, &ln.chainBuf),
+				})
 			}
 		}
 		if !ln.prepareMoves(joint, cur) {
 			continue
 		}
-		ln.curGID = int32(gid)
-		ln.moveCur = cur
-		ln.enumMoves(0, joint)
+		ln.head = gid
+		ln.forEachMove(cur) // emitOutbox never fails
 	}
 }
 
-// enumMoves enumerates the move combinations planned by prepareMoves
-// (the lane-local mirror of prodCore.enumMoves), emitting each stepped
-// candidate to its shard outbox.
-func (ln *bfsLane) enumMoves(i, joint int) {
-	e := ln.e
-	if i == e.cnt {
-		symID := ln.symID()
-		js, ok := ln.view.Step(joint, symID)
-		if !ok {
-			return
-		}
-		s := shardOf(int32(js), ln.next)
-		box := &ln.out[s]
-		box.nodes = append(box.nodes, ln.next...)
-		box.joints = append(box.joints, int32(js))
-		box.parents = append(box.parents, ln.curGID)
-		box.syms = append(box.syms, int32(symID))
-		if len(e.keptCoords) > 0 {
-			box.labs = append(box.labs, ln.symLabs[:e.cnt]...)
-		}
-		box.fresh = append(box.fresh, false)
-		ln.where = append(ln.where, int64(s)<<32|int64(len(box.joints)-1))
-		return
+// emitOutbox is a lane's emit function: step the lane's view by the
+// enumerated move and file the successor candidate in its shard's
+// outbox; membership is decided later, at the barrier.
+func (ln *bfsLane) emitOutbox() error {
+	symID := ln.symID()
+	js, ok := ln.view.Step(int(ln.e.joints[ln.head]), symID)
+	if !ok {
+		return nil
 	}
-	if ln.botOK[i] {
-		ln.symInts[i] = int(regex.Bot)
-		ln.symLabs[i] = regex.Bot
-		ln.next[i] = ln.moveCur[i]
-		ln.enumMoves(i+1, joint)
+	s := shardOf(int32(js), ln.next)
+	box := &ln.out[s]
+	box.nodes = append(box.nodes, ln.next...)
+	box.joints = append(box.joints, int32(js))
+	box.parents = append(box.parents, int32(ln.head))
+	box.syms = append(box.syms, int32(symID))
+	if len(ln.e.keptCoords) > 0 {
+		box.labs = append(box.labs, ln.symLabs...)
 	}
-	rr := ln.moveRuns[i]
-	for k := 0; k+2 < len(rr); k += 3 {
-		fixed := rr[k+2]
-		for _, ed := range ln.e.snap.EdgeRange(rr[k], rr[k+1]) {
-			if fixed >= 0 {
-				ln.symInts[i] = int(fixed)
-			} else {
-				ln.symInts[i] = int(ed.Label)
-			}
-			ln.symLabs[i] = ed.Label
-			ln.next[i] = ed.To
-			ln.enumMoves(i+1, joint)
-		}
-	}
-}
-
-// reconstruct is componentEngine.reconstruct on lane-local scratch,
-// reading the frozen global arrays through the lane's runner view.
-func (ln *bfsLane) reconstruct(state int) map[PathVar]graph.Path {
-	e := ln.e
-	chain := ln.chainBuf[:0]
-	for cur := int32(state); cur >= 0; cur = e.parentState[cur] {
-		chain = append(chain, cur)
-	}
-	ln.chainBuf = chain
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	cnt := e.cnt
-	out := make(map[PathVar]graph.Path, len(e.keptCoords))
-	for k, i := range e.keptCoords {
-		p := graph.Path{Nodes: []graph.Node{e.curs[int(chain[0])*cnt+i]}}
-		for step := 1; step < len(chain); step++ {
-			id := int(chain[step])
-			a := e.parentLabs[id*cnt+i]
-			if a == regex.Bot {
-				continue
-			}
-			p.Nodes = append(p.Nodes, e.curs[id*cnt+i])
-			p.Labels = append(p.Labels, a)
-		}
-		out[e.keptVars[k]] = p
-	}
-	return out
-}
-
-// bfsParallel is the frontier-synchronous parallel product BFS (see the
-// file comment for the phase structure and determinism argument). An
-// injected ParallelBFS fault degrades to bfsSeq after refunding the
-// budget charged so far — rerunning is idempotent because row interning
-// and shortest-witness refinement are.
-func (e *componentEngine) bfsParallel(ctx context.Context, assign map[NodeVar]graph.Node, bud *stateBudget) error {
-	par := e.ensurePar()
-	par.sharded = false
-	if !e.beginRun(assign) {
-		return nil // inconsistent start for repeated path var
-	}
-
-	spent := 0
-	counted := false
-	lo, hi := 0, 1
-	for lo < hi {
-		if fault := faultinject.Inject(faultinject.ParallelBFS); fault != nil {
-			return e.degradeToSeq(ctx, assign, bud, spent)
-		}
-		var err error
-		if hi-lo < parFrontierMin {
-			err = e.levelInline(ctx, lo, hi, bud, &spent)
-		} else {
-			if !par.sharded {
-				e.activateShards()
-			}
-			if !counted {
-				counted = true
-				parRunsCtr.Add(1)
-			}
-			err = e.levelParallel(ctx, lo, hi, bud, &spent)
-		}
-		if err != nil {
-			if _, isFault := err.(parFaultError); isFault {
-				return e.degradeToSeq(ctx, assign, bud, spent)
-			}
-			return err
-		}
-		lo, hi = hi, len(e.joints)
-	}
+	box.fresh = append(box.fresh, false)
+	ln.where = append(ln.where, int64(s)<<32|int64(len(box.joints)-1))
 	return nil
 }
 
-// degradeToSeq abandons a faulted parallel traversal: refund the budget
-// it charged and rerun the sequential engine from scratch. Rows already
-// applied re-apply idempotently (dedup first-wins plus monotone witness
-// refinement over identical accept sequences), the per-assignment
-// capture table keeps its entries so memo rows do not duplicate, and
-// the memo's reached-node segment is sealed only after the rerun.
-func (e *componentEngine) degradeToSeq(ctx context.Context, assign map[NodeVar]graph.Node, bud *stateBudget, spent int) error {
+// degradeToSeq abandons a faulted multi-lane traversal: refund the
+// budget it charged and rerun the driver from scratch at one lane. Rows
+// already applied re-apply idempotently (dedup first-wins plus monotone
+// witness refinement over identical accept sequences), the
+// per-assignment capture table keeps its entries so memo rows do not
+// duplicate, and the memo's reached-node segment is sealed only after
+// the rerun.
+func (e *componentEngine) degradeToSeq(ctx context.Context, assign map[NodeVar]graph.Node) error {
 	parFallbacksCtr.Add(1)
-	bud.refund(spent)
-	return e.bfsSeq(ctx, assign, bud)
+	e.bud.refund(e.spent)
+	return e.bfs(ctx, assign, e.bud, 1)
 }
 
 // activateShards switches this run's membership from e.states to the
@@ -557,7 +371,7 @@ func (e *componentEngine) degradeToSeq(ctx context.Context, assign map[NodeVar]g
 // per BFS run, and only for runs that actually grow a large frontier —
 // small products never touch the shard tables at all.
 func (e *componentEngine) activateShards() {
-	par := e.par
+	par := e.ensurePar()
 	for i := range par.shards {
 		par.shards[i].reset(e.statesPacked)
 	}
@@ -566,104 +380,15 @@ func (e *componentEngine) activateShards() {
 		nodes := e.curs[gid*cnt : gid*cnt+cnt]
 		e.internState(&par.shards[shardOf(joint, nodes)], int(joint), nodes)
 	}
-	par.sharded = true
-}
-
-// levelInline processes the frontier [lo, hi) on the owner goroutine
-// with the sequential code path (immediate membership interning,
-// interleaved accepts) — the semantics are identical to batched
-// processing, and small levels skip all batching overhead.
-func (e *componentEngine) levelInline(ctx context.Context, lo, hi int, bud *stateBudget, spent *int) error {
-	cnt := e.cnt
-	par := e.par
-	snap := e.snap
-	for head := lo; head < hi; head++ {
-		if (head-lo)&255 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := faultinject.Inject(faultinject.BFSStep); err != nil {
-				return err
-			}
-		}
-		cur := e.curs[head*cnt : head*cnt+cnt]
-		joint := int(e.joints[head])
-		if e.runner.Accepting(joint) {
-			if err := e.accept(head, cur); err != nil {
-				return err
-			}
-		}
-		if !e.prepareMoves(joint, cur) {
-			continue
-		}
-		e.moveCur = cur
-		err := e.expandInline(0, head, joint, snap, par, bud, spent)
-		e.moveCur = nil
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// expandInline is the sequential move recursion of levelInline,
-// interning fresh states into whichever membership structure the run is
-// using (e.states before the shard switch, the shard tables after).
-func (e *componentEngine) expandInline(i, head, joint int, snap *graph.Snapshot, par *parState, bud *stateBudget, spent *int) error {
-	cnt := e.cnt
-	if i == cnt {
-		symID := e.symID()
-		js, ok := e.runner.Step(joint, symID)
-		if !ok {
-			return nil
-		}
-		set := &e.states
-		if par.sharded {
-			set = &par.shards[shardOf(int32(js), e.next)]
-		}
-		if _, added := e.internState(set, js, e.next); !added {
-			return nil
-		}
-		e.pushState(js, e.next, int32(head), int32(symID))
-		if !bud.spend() {
-			return ErrBudget
-		}
-		*spent++
-		return nil
-	}
-	if e.botOK[i] {
-		e.symInts[i] = int(regex.Bot)
-		e.symLabs[i] = regex.Bot
-		e.next[i] = e.moveCur[i]
-		if err := e.expandInline(i+1, head, joint, snap, par, bud, spent); err != nil {
-			return err
-		}
-	}
-	rr := e.moveRuns[i]
-	for k := 0; k+2 < len(rr); k += 3 {
-		fixed := rr[k+2]
-		for _, ed := range snap.EdgeRange(rr[k], rr[k+1]) {
-			if fixed >= 0 {
-				e.symInts[i] = int(fixed)
-			} else {
-				e.symInts[i] = int(ed.Label)
-			}
-			e.symLabs[i] = ed.Label
-			e.next[i] = ed.To
-			if err := e.expandInline(i+1, head, joint, snap, par, bud, spent); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	e.sharded = true
 }
 
 // levelParallel processes the frontier [lo, hi) with the four-phase
 // parallel pipeline described in the file comment.
-func (e *componentEngine) levelParallel(ctx context.Context, lo, hi int, bud *stateBudget, spent *int) error {
+func (e *componentEngine) levelParallel(ctx context.Context, lo, hi, workers int) error {
 	par := e.par
 	n := hi - lo
-	L := e.workers
+	L := workers
 	if maxL := (n + parMinSlice - 1) / parMinSlice; L > maxL {
 		L = maxL
 	}
@@ -710,8 +435,8 @@ func (e *componentEngine) levelParallel(ctx context.Context, lo, hi int, bud *st
 		return fault
 	}
 
-	// Phase 2: apply accepts in lane order — identical to the order the
-	// sequential head cursor visits the same states.
+	// Phase 2: apply accepts in lane order — identical to the order an
+	// inline head cursor visits the same states.
 	for _, ln := range lanes {
 		for i := range ln.accepts {
 			if err := e.applyRow(ln.accepts[i].nodes, ln.accepts[i].paths); err != nil {
@@ -723,7 +448,7 @@ func (e *componentEngine) levelParallel(ctx context.Context, lo, hi int, bud *st
 	// Phase 3: dedup, independently per shard. Lanes in order, within a
 	// lane in emission order = ascending global sequence order within
 	// the shard, so the first occurrence marked fresh is the same
-	// candidate sequential immediate-interning would have admitted.
+	// candidate inline immediate-interning would have admitted.
 	total := 0
 	for _, ln := range lanes {
 		total += len(ln.where)
@@ -758,8 +483,8 @@ func (e *componentEngine) levelParallel(ctx context.Context, lo, hi int, bud *st
 	}
 
 	// Phase 4: merge fresh states into the global arrays in emission
-	// (= sequential discovery) order, charging the budget per state
-	// exactly as the sequential engine does.
+	// (= inline discovery) order, charging the budget per state exactly
+	// as an inline level does.
 	for _, ln := range lanes {
 		for _, w := range ln.where {
 			s, i := int(w>>32), int(uint32(w))
@@ -774,10 +499,10 @@ func (e *componentEngine) levelParallel(ctx context.Context, lo, hi int, bud *st
 			if len(e.keptCoords) > 0 {
 				e.parentLabs = append(e.parentLabs, box.labs[i*cnt:i*cnt+cnt]...)
 			}
-			if !bud.spend() {
+			if !e.bud.spend() {
 				return ErrBudget
 			}
-			*spent++
+			e.spent++
 		}
 	}
 	return nil
@@ -796,8 +521,8 @@ type fanChunk struct {
 // pool when there are enough of them to dominate the inner BFS
 // parallelism: the dense assignment index space splits into fixed
 // contiguous chunks claimed dynamically by workers, each worker borrows
-// a sibling engine from the component pool and runs its chunk with the
-// sequential BFS, and the chunk results merge in chunk-index order —
+// a sibling engine from the component pool and runs its chunk at one
+// lane, and the chunk results merge in chunk-index order —
 // reproducing exactly the fold the sequential enumeration computes
 // (first-wins rows, per-variable shortest witnesses, memo segments in
 // assignment order). done=false means the caller should run the
@@ -873,15 +598,10 @@ func (e *componentEngine) evalAssignFanout(ctx context.Context, bud *stateBudget
 			for j, nd := range rw.nodes {
 				e.keyBuf[j] = int(nd)
 			}
-			idx, added := e.rowTab.Intern(e.keyBuf)
-			if added {
+			if idx, added := e.rowTab.Intern(e.keyBuf); added {
 				e.vr.rows = append(e.vr.rows, rw)
-				continue
-			}
-			for pv, p := range rw.paths {
-				if old, ok := e.vr.rows[idx].paths[pv]; !ok || p.Len() < old.Len() {
-					e.vr.rows[idx].paths[pv] = p
-				}
+			} else {
+				mergeShorterPaths(&e.vr.rows[idx], rw.paths)
 			}
 		}
 		if !capture {

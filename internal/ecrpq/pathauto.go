@@ -105,95 +105,24 @@ func BuildPathAutomatonSnapshot(q *Query, s *graph.Snapshot, headNodes []graph.N
 	globalStart := full.AddState()
 	full.SetStart(globalStart)
 
-	_, xvars := c.nodeVars()
-	candidates := func(v NodeVar) []graph.Node {
-		if n, ok := bind[v]; ok {
-			return []graph.Node{n}
-		}
-		out := make([]graph.Node, s.NumNodes())
-		for i := range out {
-			out[i] = graph.Node(i)
-		}
-		return out
-	}
-
-	pb := newProductBuilder(s, c, newStateBudget(opts.MaxProductStates), opts.NoPrune)
-	assign := map[NodeVar]graph.Node{}
-	var enumerate func(i int) error
-	enumerate = func(i int) error {
-		if i == len(xvars) {
-			return pb.buildRepBFS(full, globalStart, assign, bind)
-		}
-		for _, n := range candidates(xvars[i]) {
-			assign[xvars[i]] = n
-			if err := enumerate(i + 1); err != nil {
-				return err
-			}
-		}
-		delete(assign, xvars[i])
-		return nil
-	}
-	if err := enumerate(0); err != nil {
+	// The representation automaton of each product run: globalStart
+	// --N(v̄₀)--> s(p₀), and s(p) --L(ā)--> mid --N(v̄')--> s(p') for
+	// each product transition.
+	pb := newProductBuilder(s, c, opts, bind, full)
+	err = pb.build(
+		func(start []graph.Node, s0 int) { full.AddTransition(globalStart, NodeSym(start), s0) },
+		func(from, to int) {
+			mid := full.AddState()
+			full.AddTransition(from, LetterSym(pb.symLabs), mid)
+			full.AddTransition(mid, NodeSym(pb.next), to)
+		})
+	if err != nil {
 		return nil, err
 	}
 
 	// Project the m-tape representation onto the head coordinates.
 	proj := projectRep(full, m, headIdx)
 	return &PathAutomaton{A: automata.Trim(proj), K: len(q.HeadPaths), Snap: s}, nil
-}
-
-// buildRepBFS adds to full the representation automaton of the product
-// run for one start assignment: globalStart --N(v̄₀)--> s(p₀), and
-// s(p) --L(ā)--> mid --N(v̄')--> s(p') for each product transition; s(p)
-// accepting iff the joint state accepts and the Y-consistency conditions
-// hold (the "Q-compatible" filter of Section 5). The product states are
-// explored via the same dense interned BFS as the evaluator.
-func (pb *productBuilder) buildRepBFS(full *automata.NFA[string], globalStart int, assign, bind map[NodeVar]graph.Node) error {
-	start, ok := pb.startTuple(assign)
-	if !ok {
-		return nil
-	}
-	pb.resetCopy()
-	addNFA := func(jointID int, cur []graph.Node) int32 {
-		id := full.AddState()
-		full.SetFinal(id, acceptingState(pb.c, pb.runner.Accepting(jointID), cur, assign, bind))
-		return int32(id)
-	}
-	s0, _, err := pb.stateOf(pb.runner.StartID(), start, addNFA)
-	if err != nil {
-		return err
-	}
-	full.AddTransition(globalStart, NodeSym(start), int(pb.nfaIDs[s0]))
-
-	cnt := pb.cnt
-	var from, joint int
-	step := func() error {
-		sid := pb.symID()
-		js, ok := pb.runner.Step(joint, sid)
-		if !ok {
-			return nil
-		}
-		to, _, err := pb.stateOf(js, pb.next, addNFA)
-		if err != nil {
-			return err
-		}
-		mid := full.AddState()
-		full.AddTransition(from, "L:"+string(pb.symLabs[:cnt]), mid)
-		full.AddTransition(mid, NodeSym(pb.next), int(pb.nfaIDs[to]))
-		return nil
-	}
-	for head := 0; head < len(pb.joints); head++ {
-		cur := pb.curs[head*cnt : head*cnt+cnt]
-		from = int(pb.nfaIDs[head])
-		joint = int(pb.joints[head])
-		if !pb.prepareMoves(joint, cur) {
-			continue
-		}
-		if err := pb.forEachMove(cur, step); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // projectRep maps an m-tape representation automaton onto the head

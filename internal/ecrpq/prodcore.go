@@ -22,9 +22,9 @@ import (
 // for its whole lifetime and memos keyed on the snapshot stay valid
 // exactly as long as the epoch does.
 type prodCore struct {
-	snap *graph.Snapshot
-	c    *component
-	cnt  int
+	moveKernel
+
+	c *component
 
 	runner *relations.JointRunner
 	syms   tupleSet // label tuples → dense symbol ids (== runner ids)
@@ -35,6 +35,27 @@ type prodCore struct {
 	// not fit one word and its membership sets start on the generic table.
 	nodeBits, jointBits uint
 	statesPacked        bool
+
+	symRunes []rune // symIDOf's scratch for runner.AddSym
+}
+
+// liveSource is where a kernel reads the live label sets of a joint
+// state: the engine's master JointRunner, or a parallel lane's
+// RunnerView of it.
+type liveSource interface {
+	Live(jointID int) []relations.LiveSet
+}
+
+// moveKernel is the one move planner and enumerator of the product BFS:
+// for a product state it plans the admissible moves per coordinate
+// (prepareMoves) and enumerates their combinations in the contract order
+// (forEachMove), handing each to emit. Every driver embeds one — through
+// prodCore the evaluator, the automaton builders and the start-domain
+// pass, and each parallel lane its own — and differs only in the emit
+// function it binds (once, at construction) and in the live source.
+type moveKernel struct {
+	snap *graph.Snapshot
+	cnt  int
 
 	// part is the component's label-space partition when its atoms carry
 	// character classes (nil otherwise — the legacy per-label mode). In
@@ -50,6 +71,8 @@ type prodCore struct {
 	// enumeration, not the whole analysis. Answers are identical.
 	noPrune bool
 
+	live liveSource
+
 	// Move plan for the product state currently being expanded, filled
 	// by prepareMoves: per coordinate, (start, end, sym) triples — a
 	// virtual edge range into the snapshot's segments (resolved by
@@ -61,23 +84,37 @@ type prodCore struct {
 	botOK    []bool
 
 	// effLive memoizes, per joint state id, the graph-effective live
-	// sets: the runner's live labels intersected with the snapshot's
+	// sets: the source's live labels intersected with the snapshot's
 	// alphabet, collapsed to the All fast path when they cover it — so a
 	// permissive (full-alphabet) regex pays nothing per state. Valid for
-	// effSnap only (one epoch of one DB); reset clears it when the
+	// effSnap only (one epoch of one DB); liveFor clears it when the
 	// snapshot changes.
 	effLive [][]relations.LiveSet
 	effSnap *graph.Snapshot
 
-	// Scratch: the move enumeration fills symInts/next coordinate by
-	// coordinate; moveCur and moveF hold the enumeration's inputs so the
-	// recursion is a method, not a per-state closure.
-	symInts  []int
-	symLabs  []rune // raw graph labels of the current move (class mode: ≠ symInts)
-	symRunes []rune
-	next     []graph.Node
-	moveCur  []graph.Node
-	moveF    func() error
+	// The move being enumerated, filled coordinate by coordinate: runner
+	// symbol, raw graph labels (class mode: ≠ symInts) and target nodes.
+	// moveCur holds the enumeration's input so the recursion is a method,
+	// not a per-state closure; emit takes each complete move.
+	symInts []int
+	symLabs []rune
+	next    []graph.Node
+	moveCur []graph.Node
+	emit    func() error
+}
+
+func newMoveKernel(snap *graph.Snapshot, cnt int, part *regex.Partition, live liveSource) moveKernel {
+	return moveKernel{
+		snap:     snap,
+		cnt:      cnt,
+		part:     part,
+		live:     live,
+		moveRuns: make([][]int32, cnt),
+		botOK:    make([]bool, cnt),
+		symInts:  make([]int, cnt),
+		symLabs:  make([]rune, cnt),
+		next:     make([]graph.Node, cnt),
+	}
 }
 
 // newProdCore builds the shared product machinery. snap may be nil when
@@ -85,34 +122,28 @@ type prodCore struct {
 // installs the snapshot before each execution).
 func newProdCore(snap *graph.Snapshot, c *component) prodCore {
 	cnt := len(c.vars)
+	runner := relations.NewJointRunner(c.joint)
 	return prodCore{
-		snap:     snap,
-		c:        c,
-		cnt:      cnt,
-		runner:   relations.NewJointRunner(c.joint),
-		syms:     newSymSet(cnt),
-		part:     c.part,
-		moveRuns: make([][]int32, cnt),
-		botOK:    make([]bool, cnt),
-		symInts:  make([]int, cnt),
-		symLabs:  make([]rune, cnt),
-		symRunes: make([]rune, cnt),
-		next:     make([]graph.Node, cnt),
+		moveKernel: newMoveKernel(snap, cnt, c.part, runner),
+		c:          c,
+		runner:     runner,
+		syms:       newSymSet(cnt),
+		symRunes:   make([]rune, cnt),
 	}
 }
 
-// release unpins the snapshot of a core going back to a pool. The
+// release unpins the snapshot of a kernel going back to a pool. The
 // graph-effective live memo (effLive, keyed on effSnap) is retained for
 // the unchanged-epoch serving case — the next execution against the same
 // snapshot reuses it wholesale — but only while the snapshot is small:
 // past maxPooledScratch edges a stale memo would pin an O(m) snapshot in
 // an idle pooled engine, so it is dropped (recomputing liveFor is
 // negligible next to any BFS at that scale).
-func (pc *prodCore) release() {
-	pc.snap = nil
-	if pc.effSnap != nil && pc.effSnap.NumEdges() > maxPooledScratch {
-		pc.effSnap = nil
-		pc.effLive = pc.effLive[:0]
+func (k *moveKernel) release() {
+	k.snap = nil
+	if k.effSnap != nil && k.effSnap.NumEdges() > maxPooledScratch {
+		k.effSnap = nil
+		k.effLive = k.effLive[:0]
 	}
 }
 
@@ -301,34 +332,31 @@ func (pc *prodCore) startTuple(assign map[NodeVar]graph.Node) ([]graph.Node, boo
 // liveFor returns the graph-effective live sets of jointID, memoized
 // per joint state for the lifetime of the pinned snapshot (i.e. one
 // epoch): an unchanged-epoch re-evaluation reuses the memo wholesale.
-func (pc *prodCore) liveFor(jointID int) []relations.LiveSet {
-	if pc.snap != pc.effSnap {
-		pc.effLive = pc.effLive[:0]
-		pc.effSnap = pc.snap
+func (k *moveKernel) liveFor(jointID int) []relations.LiveSet {
+	if k.snap != k.effSnap {
+		k.effLive = k.effLive[:0]
+		k.effSnap = k.snap
 	}
-	for len(pc.effLive) <= jointID {
-		pc.effLive = append(pc.effLive, nil)
+	for len(k.effLive) <= jointID {
+		k.effLive = append(k.effLive, nil)
 	}
-	if eff := pc.effLive[jointID]; eff != nil {
+	if eff := k.effLive[jointID]; eff != nil {
 		return eff
 	}
-	var eff []relations.LiveSet
-	if pc.part != nil {
-		// Class mode: the runner's live labels are class runes, not graph
-		// labels, so the snapshot-alphabet intersection does not apply —
-		// the move plan translates runs to classes instead.
-		eff = pc.runner.Live(jointID)
-	} else {
-		eff = effectiveLive(pc.runner.Live(jointID), pc.snap.Alphabet())
+	eff := k.live.Live(jointID)
+	if k.part == nil {
+		// Legacy mode only: in class mode the live labels are class
+		// runes, not graph labels, so the snapshot-alphabet intersection
+		// does not apply — the move plan translates runs to classes.
+		eff = effectiveLive(eff, k.snap.Alphabet())
 	}
-	pc.effLive[jointID] = eff
+	k.effLive[jointID] = eff
 	return eff
 }
 
 // effectiveLive intersects the runner's live sets with the snapshot's
 // alphabet, collapsing to the All fast path when a set covers it — the
-// transform behind liveFor, shared with the parallel BFS lanes (which
-// keep their own memo over their runner view).
+// transform behind liveFor.
 func effectiveLive(src []relations.LiveSet, alpha []rune) []relations.LiveSet {
 	eff := make([]relations.LiveSet, len(src))
 	for i, ls := range src {
@@ -409,29 +437,29 @@ func appendLiveRuns(rr []int32, runs []graph.LabelRun, lab []rune) []int32 {
 // consulted — plus the ⊥ stay-move where the runner admits it. It
 // returns false when some coordinate has no move at all — the state is
 // dead and the caller skips its expansion entirely.
-func (pc *prodCore) prepareMoves(jointID int, cur []graph.Node) bool {
-	if pc.noPrune {
+func (k *moveKernel) prepareMoves(jointID int, cur []graph.Node) bool {
+	if k.noPrune {
 		for i, v := range cur {
-			if pc.part != nil {
-				pc.moveRuns[i] = appendClassRuns(pc.snap, pc.part, v, nil, pc.moveRuns[i][:0])
+			if k.part != nil {
+				k.moveRuns[i] = appendClassRuns(k.snap, k.part, v, nil, k.moveRuns[i][:0])
 			} else {
-				pc.moveRuns[i] = appendAllRuns(pc.snap, v, pc.moveRuns[i][:0])
+				k.moveRuns[i] = appendAllRuns(k.snap, v, k.moveRuns[i][:0])
 			}
-			pc.botOK[i] = true
+			k.botOK[i] = true
 		}
 		return true
 	}
-	live := pc.liveFor(jointID)
+	live := k.liveFor(jointID)
 	for i, v := range cur {
 		ls := live[i]
 		var rr []int32
-		if pc.part != nil {
-			rr = planClassCoordMoves(pc.snap, pc.part, ls, v, pc.moveRuns[i][:0])
+		if k.part != nil {
+			rr = planClassCoordMoves(k.snap, k.part, ls, v, k.moveRuns[i][:0])
 		} else {
-			rr = planCoordMoves(pc.snap, ls, v, pc.moveRuns[i][:0])
+			rr = planCoordMoves(k.snap, ls, v, k.moveRuns[i][:0])
 		}
-		pc.moveRuns[i] = rr
-		pc.botOK[i] = ls.Bot
+		k.moveRuns[i] = rr
+		k.botOK[i] = ls.Bot
 		if len(rr) == 0 && !ls.Bot {
 			return false
 		}
@@ -493,90 +521,62 @@ func appendClassRuns(snap *graph.Snapshot, part *regex.Partition, v graph.Node, 
 
 // planCoordMoves selects one coordinate's admissible edge runs: the
 // node's label runs intersected with the live set ls, appended to rr as
-// (start, end, -1) triples. Shared by the sequential engine and the
-// parallel BFS lanes (pure over the snapshot; rr is the caller's
-// scratch).
+// (start, end, -1) triples, base segment before delta. Pure over the
+// snapshot; rr is the caller's scratch.
 func planCoordMoves(snap *graph.Snapshot, ls relations.LiveSet, v graph.Node, rr []int32) []int32 {
 	switch {
 	case ls.All:
 		rr = appendAllRuns(snap, v, rr)
 	case len(ls.Labels) > 0:
-		// Base segment, selected inline (the compacted common case
-		// pays nothing beyond the PR 3 loop): for each of the node's
-		// label runs (few — one per distinct out-label), binary-search
-		// the shrinking tail of the sorted live set, coalescing
-		// adjacent selected runs (they abut in the edge array).
-		lab := ls.Labels
-		li := 0
-		for _, run := range snap.BaseRuns(v) {
-			lo, hi := li, len(lab)
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if lab[mid] < run.Label {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			li = lo
-			if li == len(lab) {
-				break
-			}
-			if lab[li] == run.Label {
-				if n := len(rr); n > 0 && rr[n-2] == run.Start {
-					rr[n-2] = run.End
-				} else {
-					rr = append(rr, run.Start, run.End, -1)
-				}
-				li++
-				if li == len(lab) {
-					break
-				}
-			}
-		}
+		rr = appendLiveRuns(rr, snap.BaseRuns(v), ls.Labels)
 		if dr := snap.DeltaRuns(v); len(dr) != 0 {
-			rr = appendLiveRuns(rr, dr, lab)
+			rr = appendLiveRuns(rr, dr, ls.Labels)
 		}
 	}
 	return rr
 }
 
 // forEachMove enumerates the move combinations planned by the last
-// prepareMoves, leaving each combination in pc.symInts/pc.next and
-// invoking f; a non-nil error from f stops the enumeration. cur must be
-// the node tuple passed to prepareMoves (the ⊥ stay-move keeps the
-// coordinate's node).
-func (pc *prodCore) forEachMove(cur []graph.Node, f func() error) error {
-	pc.moveCur, pc.moveF = cur, f
-	err := pc.enumMoves(0)
-	pc.moveCur, pc.moveF = nil, nil
+// prepareMoves, leaving each combination in symInts/symLabs/next and
+// calling emit; a non-nil error from emit stops the enumeration. cur
+// must be the node tuple passed to prepareMoves (the ⊥ stay-move keeps
+// the coordinate's node). The order is the determinism contract of every
+// driver: per coordinate ⊥ first, then the planned runs in order (base
+// segment before delta), coordinates nested first-outermost.
+func (k *moveKernel) forEachMove(cur []graph.Node) error {
+	k.moveCur = cur
+	err := k.enumMoves(0)
+	k.moveCur = nil
 	return err
 }
 
-func (pc *prodCore) enumMoves(i int) error {
-	if i == pc.cnt {
-		return pc.moveF()
+func (k *moveKernel) enumMoves(i int) error {
+	if i == k.cnt {
+		return k.emit()
 	}
-	if pc.botOK[i] {
-		pc.symInts[i] = int(regex.Bot)
-		pc.symLabs[i] = regex.Bot
-		pc.next[i] = pc.moveCur[i]
-		if err := pc.enumMoves(i + 1); err != nil {
+	if k.botOK[i] {
+		k.symInts[i] = int(regex.Bot)
+		k.symLabs[i] = regex.Bot
+		k.next[i] = k.moveCur[i]
+		if err := k.enumMoves(i + 1); err != nil {
 			return err
 		}
 	}
-	rr := pc.moveRuns[i]
-	for k := 0; k+2 < len(rr); k += 3 {
-		fixed := rr[k+2]
-		for _, ed := range pc.snap.EdgeRange(rr[k], rr[k+1]) {
+	// Each (start, end, sym) triple resolves to one contiguous base or
+	// delta slice; sym ≥ 0 is the run's fixed class rune, -1 means step
+	// by each edge's own label.
+	rr := k.moveRuns[i]
+	for j := 0; j+2 < len(rr); j += 3 {
+		fixed := rr[j+2]
+		for _, ed := range k.snap.EdgeRange(rr[j], rr[j+1]) {
 			if fixed >= 0 {
-				pc.symInts[i] = int(fixed)
+				k.symInts[i] = int(fixed)
 			} else {
-				pc.symInts[i] = int(ed.Label)
+				k.symInts[i] = int(ed.Label)
 			}
-			pc.symLabs[i] = ed.Label
-			pc.next[i] = ed.To
-			if err := pc.enumMoves(i + 1); err != nil {
+			k.symLabs[i] = ed.Label
+			k.next[i] = ed.To
+			if err := k.enumMoves(i + 1); err != nil {
 				return err
 			}
 		}

@@ -1,6 +1,8 @@
 package ecrpq
 
 import (
+	"math"
+
 	"repro/internal/automata"
 	"repro/internal/graph"
 )
@@ -37,138 +39,148 @@ func ProductNFASnapshot(q *Query, s *graph.Snapshot, opts Options) (*automata.NF
 	}
 	c := comps[0]
 	out := automata.NewNFA[string]()
-	_, xvars := c.nodeVars()
-	bind := opts.Bind
-	candidates := func(v NodeVar) []graph.Node {
-		if n, ok := bind[v]; ok {
-			return []graph.Node{n}
-		}
-		all := make([]graph.Node, s.NumNodes())
-		for i := range all {
-			all[i] = graph.Node(i)
-		}
-		return all
-	}
-	pb := newProductBuilder(s, c, newStateBudget(opts.MaxProductStates), opts.NoPrune)
-	assign := map[NodeVar]graph.Node{}
-	var enumerate func(i int) error
-	enumerate = func(i int) error {
-		if i == len(xvars) {
-			return pb.addProductCopy(out, assign, bind)
-		}
-		for _, n := range candidates(xvars[i]) {
-			assign[xvars[i]] = n
-			if err := enumerate(i + 1); err != nil {
-				return err
-			}
-		}
-		delete(assign, xvars[i])
-		return nil
-	}
-	if err := enumerate(0); err != nil {
+	pb := newProductBuilder(s, c, opts, opts.Bind, out)
+	err = pb.build(
+		func(_ []graph.Node, s0 int) { out.SetStart(s0) },
+		func(from, to int) { out.AddTransition(from, string(pb.symLabs), to) })
+	if err != nil {
 		return nil, nil, err
 	}
 	return automata.Trim(out), c.vars, nil
 }
 
-// productBuilder shares the dense joint runner, symbol interning and
-// pinned graph snapshot (prodCore) across the per-start-assignment
-// product copies of ProductNFA and BuildPathAutomaton, and enforces the
-// product state budget across all copies.
+// productBuilder is the product-BFS driver of the explicit-automaton
+// constructions (ProductNFA and the answer automaton of Proposition
+// 5.2): one copy of the product per start assignment, every product
+// state an NFA state of out, with the dense joint runner, symbol
+// interning and pinned snapshot (prodCore) shared across the copies and
+// one product-state budget enforced over all of them. Expansion is
+// label-directed exactly like the evaluator's BFS (the same move
+// kernel); the pruned transitions all lead to states that cannot reach
+// acceptance, so the accepted language is unchanged. The constructions
+// differ only in the two hooks build takes.
 type productBuilder struct {
 	prodCore
 
-	bud *stateBudget
+	bud  *stateBudget
+	out  *automata.NFA[string]
+	bind map[NodeVar]graph.Node
 
-	// Per-copy product-state interning: (jointID, nodes...).
+	// start wires a copy's initial NFA state s0 (at node tuple nodes)
+	// into out; edge adds the transitions of one product move between
+	// NFA states, reading its labels from symLabs and its target nodes
+	// from next.
+	start func(nodes []graph.Node, s0 int)
+	edge  func(from, to int)
+
+	// The copy in progress: its start assignment, product-state
+	// interning (jointID, nodes...) and the state being expanded.
+	assign map[NodeVar]graph.Node
 	states tupleSet
 	nfaIDs []int32 // product state id → NFA state id
 	curs   []graph.Node
 	joints []int32
+	head   int
 }
 
-func newProductBuilder(s *graph.Snapshot, c *component, bud *stateBudget, noPrune bool) *productBuilder {
+func newProductBuilder(s *graph.Snapshot, c *component, opts Options, bind map[NodeVar]graph.Node, out *automata.NFA[string]) *productBuilder {
 	pb := &productBuilder{
 		prodCore: newProdCore(s, c),
-		bud:      bud,
+		bud:      newStateBudget(opts.MaxProductStates),
+		out:      out,
+		bind:     bind,
 	}
-	pb.noPrune = noPrune
+	pb.noPrune = opts.NoPrune
+	pb.emit = pb.step
 	return pb
 }
 
+// build adds one product copy per start assignment: a start variable in
+// bind has its bound node, any other every node of the snapshot.
+func (pb *productBuilder) build(start func(nodes []graph.Node, s0 int), edge func(from, to int)) error {
+	pb.start, pb.edge = start, edge
+	_, xvars := pb.c.nodeVars()
+	space := startSpace{vars: xvars}
+	var all []graph.Node
+	for _, v := range xvars {
+		if n, ok := pb.bind[v]; ok {
+			space.lists = append(space.lists, []graph.Node{n})
+			continue
+		}
+		if all == nil {
+			all = nodeRange(nil, pb.snap.NumNodes())
+		}
+		space.lists = append(space.lists, all)
+	}
+	return space.forRange(0, math.MaxUint64, func(_ uint64, assign map[NodeVar]graph.Node) error {
+		return pb.addCopy(assign)
+	})
+}
+
 // stateOf interns the product state (jointID, nodes) for the current
-// copy, adding an NFA state via addNFA on first sight. It returns the
-// product id, whether it was new, and ErrBudget when the fresh state
-// exceeds the builder's budget.
-func (pb *productBuilder) stateOf(jointID int, nodes []graph.Node, addNFA func(jointID int, cur []graph.Node) int32) (int, bool, error) {
+// copy and returns its NFA state, added on first sight — accepting iff
+// the joint state accepts and the Y-consistency conditions hold (the
+// "Q-compatible" filter of Section 5). It fails with ErrBudget when a
+// fresh state exceeds the builder's budget.
+func (pb *productBuilder) stateOf(jointID int, nodes []graph.Node) (int, error) {
 	id, added := pb.internState(&pb.states, jointID, nodes)
 	if !added {
-		return id, false, nil
+		return int(pb.nfaIDs[id]), nil
 	}
 	if !pb.bud.spend() {
-		return 0, false, ErrBudget
+		return 0, ErrBudget
 	}
 	pb.curs = append(pb.curs, nodes...)
 	pb.joints = append(pb.joints, int32(jointID))
-	pb.nfaIDs = append(pb.nfaIDs, addNFA(jointID, nodes))
-	return id, true, nil
+	nfa := pb.out.AddState()
+	pb.out.SetFinal(nfa, acceptingState(pb.c, pb.runner.Accepting(jointID), nodes, pb.assign, pb.bind))
+	pb.nfaIDs = append(pb.nfaIDs, int32(nfa))
+	return nfa, nil
 }
 
-// resetCopy clears the per-copy product-state tables.
-func (pb *productBuilder) resetCopy() {
+// addCopy explores the product from one start assignment, adding its
+// states and transitions to out.
+func (pb *productBuilder) addCopy(assign map[NodeVar]graph.Node) error {
+	start, ok := pb.startTuple(assign)
+	if !ok {
+		return nil
+	}
+	pb.assign = assign
 	pb.planStates()
 	pb.states.reset(pb.statesPacked)
 	pb.nfaIDs = pb.nfaIDs[:0]
 	pb.curs = pb.curs[:0]
 	pb.joints = pb.joints[:0]
-}
-
-// addProductCopy adds one start-assignment copy of the product to out.
-// Expansion is label-directed exactly like the evaluator's BFS (see
-// prodCore.prepareMoves); the pruned transitions all lead to states that
-// cannot reach acceptance, so the accepted language is unchanged.
-func (pb *productBuilder) addProductCopy(out *automata.NFA[string], assign, bind map[NodeVar]graph.Node) error {
-	start, ok := pb.startTuple(assign)
-	if !ok {
-		return nil
-	}
-	pb.resetCopy()
-	addNFA := func(jointID int, cur []graph.Node) int32 {
-		id := out.AddState()
-		out.SetFinal(id, acceptingState(pb.c, pb.runner.Accepting(jointID), cur, assign, bind))
-		return int32(id)
-	}
-	s0, _, err := pb.stateOf(pb.runner.StartID(), start, addNFA)
+	s0, err := pb.stateOf(pb.runner.StartID(), start)
 	if err != nil {
 		return err
 	}
-	out.SetStart(int(pb.nfaIDs[s0]))
+	pb.start(start, s0)
 	cnt := pb.cnt
-	var from, joint int
-	step := func() error {
-		sid := pb.symID()
-		js, ok := pb.runner.Step(joint, sid)
-		if !ok {
-			return nil
-		}
-		to, _, err := pb.stateOf(js, pb.next, addNFA)
-		if err != nil {
-			return err
-		}
-		out.AddTransition(from, string(pb.symLabs[:cnt]), int(pb.nfaIDs[to]))
-		return nil
-	}
-	for head := 0; head < len(pb.joints); head++ {
-		cur := pb.curs[head*cnt : head*cnt+cnt]
-		from = int(pb.nfaIDs[head])
-		joint = int(pb.joints[head])
-		if !pb.prepareMoves(joint, cur) {
+	for pb.head = 0; pb.head < len(pb.joints); pb.head++ {
+		cur := pb.curs[pb.head*cnt : pb.head*cnt+cnt]
+		if !pb.prepareMoves(int(pb.joints[pb.head]), cur) {
 			continue
 		}
-		if err := pb.forEachMove(cur, step); err != nil {
+		if err := pb.forEachMove(cur); err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// step is the builders' emit function: step the runner by the
+// enumerated move and add the NFA edge to the successor's state.
+func (pb *productBuilder) step() error {
+	js, ok := pb.runner.Step(int(pb.joints[pb.head]), pb.symID())
+	if !ok {
+		return nil
+	}
+	to, err := pb.stateOf(js, pb.next)
+	if err != nil {
+		return err
+	}
+	pb.edge(int(pb.nfaIDs[pb.head]), to)
 	return nil
 }
 

@@ -323,15 +323,11 @@ const maxPooledScratch = 1 << 16
 // put returns an engine to component i's pool after an execution. The
 // engine must not pin a possibly huge graph snapshot, the last result
 // relation, or peak-sized BFS scratch, so everything sized by the last
-// execution is dropped first. The graph-effective live memo (effLive,
-// keyed on effSnap) is retained for the unchanged-epoch serving case —
-// the next execution against the same snapshot reuses it wholesale —
-// but only while the snapshot is small: past maxPooledScratch edges a
-// stale memo would pin an O(m) snapshot in an idle pooled engine, so
-// it is dropped (recomputing liveFor is negligible next to any BFS at
-// that scale).
+// execution is dropped first; release applies the snapshot half of that
+// rule (see moveKernel.release) to the engine's kernel and every lane's.
 func (p *Program) put(i int, e *componentEngine) {
-	e.snap = nil
+	e.release()
+	e.bud = nil
 	e.vr = nil
 	e.sink = nil
 	e.memoCap = nil

@@ -101,3 +101,15 @@ func (sp *startSpace) indexOf(assign map[NodeVar]graph.Node) (uint64, bool) {
 	}
 	return idx, true
 }
+
+// nodeRange returns the nodes 0..n-1 — the candidate list of an
+// unconfined start variable — reusing buf when it already holds them.
+func nodeRange(buf []graph.Node, n int) []graph.Node {
+	if len(buf) != n {
+		buf = buf[:0]
+		for i := 0; i < n; i++ {
+			buf = append(buf, graph.Node(i))
+		}
+	}
+	return buf
+}
