@@ -132,6 +132,18 @@ func (n *NFA[S]) NumTransitions() int {
 	return c
 }
 
+// EachSymbol calls f for every (state, symbol) pair with a transition,
+// in unspecified order: each symbol used on transitions is visited at
+// least once (once per state that uses it). Callers that only need to see
+// every symbol use it in place of Alphabet, which materialises the set.
+func (n *NFA[S]) EachSymbol(f func(a S)) {
+	for q := range n.trans {
+		for a := range n.trans[q] {
+			f(a)
+		}
+	}
+}
+
 // Alphabet returns the set of symbols used on transitions, deduplicated,
 // in unspecified order.
 func (n *NFA[S]) Alphabet() []S {

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/graph"
-	"repro/internal/intern"
 	"repro/internal/qerr"
 	"repro/internal/regex"
 	"repro/internal/relations"
@@ -160,6 +159,11 @@ const defaultMaxProductStates = 4_000_000
 // variables (in HeadPaths order). When the query can return infinitely
 // many paths for the same node tuple, Paths holds one shortest witness;
 // use Result.PathAutomaton for the full regular set (Proposition 5.2).
+//
+// Nodes and Paths are read-only views: the answers of one Result share
+// one backing array each. The views are capacity-limited, so an append
+// copies instead of overwriting the next answer, but writing an element
+// in place changes the Result every holder sees (a cached one included).
 type Answer struct {
 	Nodes []graph.Node
 	Paths []graph.Path
@@ -362,19 +366,6 @@ func sharedProgram(q *Query, monolithic, noClasses bool) (*Program, error) {
 	return p, nil
 }
 
-// lessNodes orders node tuples lexicographically.
-func lessNodes(a, b []graph.Node) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
 // varPos returns the index of v in vars, or -1.
 func varPos(vars []NodeVar, v NodeVar) int {
 	for i, w := range vars {
@@ -546,44 +537,6 @@ func (c *component) nodeVars() (all []NodeVar, xvars []NodeVar) {
 	return all, xvars
 }
 
-// row is one component answer: a binding of the component's node
-// variables — columnar, aligned to the owning varRelation's vars — plus
-// one shortest witness path per path variable.
-type row struct {
-	nodes []graph.Node
-	paths map[PathVar]graph.Path
-}
-
-// varRelation is a relation over node variables: the result of one
-// component, input to the relational join. Rows are columnar: row i's
-// value for vars[j] is rows[i].nodes[j].
-type varRelation struct {
-	vars []NodeVar
-	rows []row
-
-	// slab backs the node tuples of rows added through addRow: tuples are
-	// carved from chunks instead of being allocated one by one. A full
-	// chunk is left to the rows that point into it.
-	slab []graph.Node
-}
-
-// Slab chunks double from rowSlabMin rows up to rowSlabMax rows, so a
-// small relation wastes a few tuples and a large one at most a chunk.
-const (
-	rowSlabMin = 4
-	rowSlabMax = 1024
-)
-
-// addRow appends a row, copying its node tuple into the slab.
-func (r *varRelation) addRow(nodes []graph.Node, paths map[PathVar]graph.Path) {
-	if len(r.slab)+len(nodes) > cap(r.slab) {
-		r.slab = make([]graph.Node, 0, max(rowSlabMin*len(nodes), min(2*cap(r.slab), rowSlabMax*len(nodes))))
-	}
-	at := len(r.slab)
-	r.slab = append(r.slab, nodes...)
-	r.rows = append(r.rows, row{nodes: r.slab[at:len(r.slab):len(r.slab)], paths: paths})
-}
-
 // acceptCheck is one Y-endpoint consistency obligation: the path on
 // coordinate coord must end at the node bound to variable slot yi.
 type acceptCheck struct {
@@ -599,15 +552,21 @@ type acceptCheck struct {
 type componentEngine struct {
 	prodCore
 
-	rowTab *intern.Table // row dedup on the allVars node tuple
-	vr     *varRelation
+	// vr is the relation under construction (columns allVars, witness
+	// columns keptVars) and rows its dedup on the node tuple. Two start
+	// assignments differ on an X variable and every X variable is a
+	// column, so a duplicate can only come from the assignment being run:
+	// rows appended wholesale — a fan-out chunk's, a replayed memo
+	// segment's — are never entered in the set.
+	vr   *varRelation
+	rows rowSet
 
-	// sink, when set, receives each fresh deduplicated row instead of
-	// accumulating it in vr — the hook the streaming executor uses for
-	// single-component queries. The nodes slice and paths map are only
-	// valid for the duration of the call; sinks must copy. Returning
-	// errStopStream aborts the BFS cleanly.
-	sink func(nodes []graph.Node, paths map[PathVar]graph.Path) error
+	// sink, when set, receives each fresh deduplicated row (witnesses in
+	// keptVars order) and vr keeps node tuples only, as the dedup's store
+	// — the hook the streaming executor uses for single-component
+	// queries. Both slices are only valid for the duration of the call;
+	// sinks must copy. Returning errStopStream aborts the BFS cleanly.
+	sink func(nodes []graph.Node, paths []graph.Path) error
 
 	// Accept plan, fixed per component.
 	allVars []NodeVar
@@ -645,19 +604,17 @@ type componentEngine struct {
 
 	// Scratch buffers.
 	nodesBuf []graph.Node
-	keyBuf   []int
+	pathBuf  []graph.Path
 	chainBuf []int32
 	tmpl     []graph.Node // accept template for the current start assignment
 
 	// memoCap, when non-nil, collects the incremental-evaluation memo
 	// of the execution: per start assignment, the nodes of every reached
-	// product state and the accepted rows (deduplicated per assignment
-	// via capRowTab — the shared rowTab dedups across assignments and
-	// would under-record). endCapAssign seals one assignment; past
-	// memoMaxEntries the capture is abandoned (memoFailed) so a huge
-	// result never pins a second copy of itself.
+	// product state and the accepted rows (each once: the rows a run adds
+	// to vr are exactly its assignment's). endCapAssign seals one
+	// assignment; past memoMaxEntries the capture is abandoned
+	// (memoFailed) so a huge result never pins a second copy of itself.
 	memoCap    *compMemo
-	capRowTab  *intern.Table
 	memoFailed bool
 
 	// Parallel execution state (see parallel.go). workers and opts are
@@ -687,13 +644,10 @@ func newComponentEngine(c *component, keepPaths map[PathVar]bool) *componentEngi
 	allVars, xvars := c.nodeVars()
 	e := &componentEngine{
 		prodCore: newProdCore(nil, c),
-		rowTab:   intern.NewTable(0),
-		vr:       &varRelation{vars: allVars},
 		allVars:  allVars,
 		xvars:    xvars,
 
 		nodesBuf: make([]graph.Node, len(allVars)),
-		keyBuf:   make([]int, len(allVars)),
 		tmpl:     make([]graph.Node, len(allVars)),
 		bindVal:  make([]graph.Node, len(allVars)),
 	}
@@ -733,8 +687,8 @@ func (e *componentEngine) reset(s *graph.Snapshot, opts Options, doms map[NodeVa
 	e.opts = opts
 	e.doms = doms
 	e.workers = effectiveBFSWorkers(opts.BFSWorkers)
-	e.vr = &varRelation{vars: e.allVars}
-	e.rowTab.Reset()
+	e.vr = &varRelation{vars: e.allVars, pvars: e.keptVars}
+	e.rows.reset()
 	for i, v := range e.allVars {
 		if n, ok := opts.Bind[v]; ok {
 			e.bindVal[i] = n
@@ -777,8 +731,8 @@ func (e *componentEngine) release() {
 
 // evalComponent runs the product BFS for one component, for every
 // assignment of its start space (see reset), drawing on the shared state
-// budget. It returns the component's relation (empty when the engine's
-// sink consumed the rows instead).
+// budget. It returns the component's relation (under a sink, which has
+// consumed the rows, only the node tuples the dedup kept).
 func evalComponent(ctx context.Context, e *componentEngine, bud *stateBudget) (*varRelation, error) {
 	if vr, done, err := e.evalAssignFanout(ctx, bud); done {
 		return vr, err
@@ -801,9 +755,6 @@ func (e *componentEngine) runAssignRange(ctx context.Context, lo, hi uint64, bud
 // runAssign is one start assignment: its product BFS and, when the
 // engine captures, its memo segment.
 func (e *componentEngine) runAssign(ctx context.Context, assign map[NodeVar]graph.Node, bud *stateBudget) error {
-	if e.memoCap != nil {
-		e.capRowTab.Reset()
-	}
 	if err := e.bfs(ctx, assign, bud, e.workers); err != nil {
 		return err
 	}
@@ -977,7 +928,8 @@ func (e *componentEngine) accept(state int, cur []graph.Node) error {
 	if !ok {
 		return nil
 	}
-	return e.applyRow(nodes, e.reconstruct(state, &e.chainBuf))
+	e.pathBuf = e.reconstruct(state, &e.chainBuf, e.pathBuf[:0])
+	return e.applyRow(nodes, e.pathBuf)
 }
 
 // checkAccept validates an accepting product state's node tuple against
@@ -1002,48 +954,40 @@ func (e *componentEngine) checkAccept(cur []graph.Node, buf []graph.Node) ([]gra
 	return buf, true
 }
 
-// applyRow records one checked row: memo capture, dedup on the node
-// tuple (first discovery wins, later duplicates refine witnesses to the
-// shortest), sink or relation append. Single-threaded: the parallel BFS
+// applyRow records one checked row: dedup on the node tuple (first
+// discovery wins, later duplicates refine witnesses to the shortest),
+// memo capture of a fresh row, sink or relation append. paths are the
+// row's witnesses in keptVars order. Single-threaded: the parallel BFS
 // calls it only at the level barrier, in deterministic sequential order.
-func (e *componentEngine) applyRow(nodes []graph.Node, paths map[PathVar]graph.Path) error {
-	for i, n := range nodes {
-		e.keyBuf[i] = int(n)
+func (e *componentEngine) applyRow(nodes []graph.Node, paths []graph.Path) error {
+	id, added := e.rows.intern(e.vr, nodes)
+	if added && e.memoCap != nil {
+		e.memoCap.rows = append(e.memoCap.rows, nodes...)
 	}
-	if e.memoCap != nil {
-		// Memo capture records the accepted rows of this assignment,
-		// deduplicated within the assignment only — replay re-interns
-		// them into the global row table.
-		if _, fresh := e.capRowTab.Intern(e.keyBuf); fresh {
-			e.memoCap.rows = append(e.memoCap.rows, nodes...)
+	switch {
+	case e.sink != nil:
+		// Streaming keeps the first witness per row; duplicates carry no
+		// new node tuple and are dropped.
+		if added {
+			return e.sink(nodes, paths)
 		}
+	case added:
+		e.vr.paths = append(e.vr.paths, paths...)
+	default:
+		e.vr.mergeShorter(id, paths)
 	}
-	idx, added := e.rowTab.Intern(e.keyBuf)
-	if e.sink != nil {
-		if !added {
-			// Streaming keeps the first witness per row; duplicates carry
-			// no new node tuple and are dropped.
-			return nil
-		}
-		return e.sink(nodes, paths)
-	}
-	if !added {
-		mergeShorterPaths(&e.vr.rows[idx], paths)
-		return nil
-	}
-	e.vr.addRow(nodes, paths)
 	return nil
 }
 
-// reconstruct walks the BFS tree back to the start and extracts the
-// witness paths of the kept path variables, stripping ⊥ stay-moves (the
-// stripping operation ρ̄s(j) of Section 5). Components whose witnesses
-// the query never outputs skip the walk entirely. It only reads the
-// state arrays, so parallel lanes call it concurrently during a level
-// (they are frozen then), each with its own chain scratch.
-func (e *componentEngine) reconstruct(state int, chainBuf *[]int32) map[PathVar]graph.Path {
+// reconstruct walks the BFS tree back to the start and appends to dst the
+// witness paths of the kept path variables (in keptVars order), stripping
+// ⊥ stay-moves (the stripping operation ρ̄s(j) of Section 5). Components
+// whose witnesses the query never outputs skip the walk entirely. It only
+// reads the state arrays, so parallel lanes call it concurrently during a
+// level (they are frozen then), each with its own chain scratch.
+func (e *componentEngine) reconstruct(state int, chainBuf *[]int32, dst []graph.Path) []graph.Path {
 	if len(e.keptCoords) == 0 {
-		return nil
+		return dst
 	}
 	chain := (*chainBuf)[:0]
 	for cur := int32(state); cur >= 0; cur = e.parentState[cur] {
@@ -1054,8 +998,7 @@ func (e *componentEngine) reconstruct(state int, chainBuf *[]int32) map[PathVar]
 		chain[i], chain[j] = chain[j], chain[i]
 	}
 	cnt := e.cnt
-	out := make(map[PathVar]graph.Path, len(e.keptCoords))
-	for k, i := range e.keptCoords {
+	for _, i := range e.keptCoords {
 		p := graph.Path{Nodes: []graph.Node{e.curs[int(chain[0])*cnt+i]}}
 		for step := 1; step < len(chain); step++ {
 			id := int(chain[step])
@@ -1066,7 +1009,7 @@ func (e *componentEngine) reconstruct(state int, chainBuf *[]int32) map[PathVar]
 			p.Nodes = append(p.Nodes, e.curs[id*cnt+i])
 			p.Labels = append(p.Labels, a)
 		}
-		out[e.keptVars[k]] = p
+		dst = append(dst, p)
 	}
-	return out
+	return dst
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/graph"
-	"repro/internal/intern"
 	"repro/internal/qerr"
 	"repro/internal/regex"
 	"repro/internal/relations"
@@ -77,12 +76,16 @@ func componentLiveRanges(atoms []relations.Atom, cnt int) (live []regex.Range, u
 					}
 					scratch = append(scratch, rs...)
 				} else {
-					for _, sym := range at.Rel.A.Alphabet() {
-						rs := []rune(sym)
-						if i < len(rs) {
-							scratch = append(scratch, regex.Range{Lo: rs[i], Hi: rs[i]})
+					at.Rel.A.EachSymbol(func(sym relations.TupleSym) {
+						k := 0
+						for _, r := range sym {
+							if k == i {
+								scratch = append(scratch, regex.Range{Lo: r, Hi: r})
+								break
+							}
+							k++
 						}
-					}
+					})
 					scratch = regex.NormalizeRanges(scratch)
 				}
 				if !constrained {
@@ -179,9 +182,6 @@ func (e *componentEngine) startCapture() {
 		rowOff:   make([]int32, 1, 64),
 	}
 	e.memoFailed = false
-	if e.capRowTab == nil {
-		e.capRowTab = intern.NewTable(0)
-	}
 }
 
 // endCapAssign seals the current assignment's memo segment after its
@@ -207,21 +207,14 @@ func (e *componentEngine) endCapAssign() {
 	}
 }
 
-// replayAssign re-emits an unaffected assignment from the old memo:
-// rows re-intern into the global row table (sharing the old memo's
-// backing array — it is immutable) and the memo segments copy forward.
+// replayAssign re-emits an unaffected assignment from the old memo: its
+// rows (distinct, and no other assignment's) append to the relation in
+// one copy, and the memo segments copy forward. Only programs without
+// head path variables capture, so the rows carry no witnesses.
 func (e *componentEngine) replayAssign(old *compMemo, idx int) {
-	stride := old.stride
 	seg := old.rows[old.rowOff[idx]:old.rowOff[idx+1]]
-	for o := 0; o+stride <= len(seg); o += stride {
-		nodes := seg[o : o+stride : o+stride]
-		for j, nd := range nodes {
-			e.keyBuf[j] = int(nd)
-		}
-		if _, added := e.rowTab.Intern(e.keyBuf); added {
-			e.vr.rows = append(e.vr.rows, row{nodes: nodes})
-		}
-	}
+	e.vr.nodes = append(e.vr.nodes, seg...)
+	e.vr.n += len(seg) / old.stride
 	m := e.memoCap
 	if m == nil {
 		return

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/intern"
 )
 
 // joinPlan is the compile-time half of the join layer: the GYO
@@ -23,10 +22,9 @@ func planJoin(varSets [][]NodeVar) joinPlan {
 	return joinPlan{acyclic: acyclic, elims: elims}
 }
 
-// joinAll joins the component relations on their shared node variables,
-// keeping only the columns in keep (the query's output variables) plus
-// whatever is needed to perform the join. keepPaths lists the path
-// variables whose witnesses must survive.
+// joinAll joins the component relations on their shared node variables
+// and projects onto keep (the query's head node variables); witness
+// columns ride along, shortest path per row.
 //
 // Under JoinAuto it runs the full Yannakakis algorithm when the
 // hypergraph of variable sets is α-acyclic (GYO-reducible): semijoin
@@ -34,12 +32,14 @@ func planJoin(varSets [][]NodeVar) joinPlan {
 // columns — the PTIME combined-complexity algorithm behind Theorem 6.5.
 // Crucially the projected joins keep intermediate results polynomial;
 // materializing full assignments would be exponential in the query even
-// for chains.
+// for chains. The reduction ends in one root (gyoOrder), and that root,
+// projected, is the joined relation; only cyclic hypergraphs and
+// JoinBacktrack go through the backtracking enumeration.
 //
-// Rows are columnar ([]graph.Node aligned to the relation's vars); hash
-// indexes are interned node tuples (package intern), never strings.
-// Cancellation of ctx is honored inside the enumeration loops.
-func joinAll(ctx context.Context, rels []*varRelation, jp joinPlan, mode JoinMode, keep []NodeVar, keepPaths []PathVar) (*varRelation, error) {
+// The result is distinct on its columns and may alias an input relation
+// (a projection that drops nothing copies nothing). Cancellation of ctx
+// is honored inside the enumeration loops.
+func joinAll(ctx context.Context, rels []*varRelation, jp joinPlan, mode JoinMode, keep []NodeVar) (*varRelation, error) {
 	if len(rels) == 0 {
 		return &varRelation{}, nil
 	}
@@ -47,37 +47,34 @@ func joinAll(ctx context.Context, rels []*varRelation, jp joinPlan, mode JoinMod
 	for _, v := range keep {
 		keepSet[v] = true
 	}
-	pathSet := map[PathVar]bool{}
-	for _, v := range keepPaths {
-		pathSet[v] = true
-	}
-	final, err := reduceJoin(ctx, rels, jp, mode, keepSet, pathSet)
+	final, reduced, err := reduceJoin(ctx, rels, jp, mode, keepSet)
 	if err != nil {
 		return nil, err
 	}
-	return backtrackJoin(ctx, final, keepSet, pathSet)
+	if reduced {
+		return final[0], nil
+	}
+	return backtrackJoin(ctx, final, keepSet)
 }
 
 // reduceJoin runs everything up to the final enumeration: for the
-// Yannakakis strategy the semijoin phases and the projected bottom-up
-// joins, leaving only the per-tree roots (which share no variables); for
-// the backtracking strategy the relations pass through unchanged. The
-// returned relations feed backtrackJoin or the streaming joinEnum.
-func reduceJoin(ctx context.Context, rels []*varRelation, jp joinPlan, mode JoinMode, keep map[NodeVar]bool, keepPaths map[PathVar]bool) ([]*varRelation, error) {
-	switch mode {
-	case JoinYannakakis:
-		if !jp.acyclic {
-			return nil, fmt.Errorf("ecrpq: JoinYannakakis requested but the join hypergraph is cyclic")
-		}
-		return yannakakisReduce(ctx, rels, jp.elims, keep, keepPaths)
-	case JoinAuto:
-		if jp.acyclic {
-			return yannakakisReduce(ctx, rels, jp.elims, keep, keepPaths)
-		}
-		return rels, nil
-	default: // JoinBacktrack
-		return rels, nil
+// Yannakakis strategy (reduced = true) the semijoin phases and the
+// projected bottom-up joins, leaving the one root, distinct on its kept
+// columns; for the backtracking strategy the relations pass through
+// unchanged. The returned relations may alias the inputs; callers only
+// read them.
+func reduceJoin(ctx context.Context, rels []*varRelation, jp joinPlan, mode JoinMode, keep map[NodeVar]bool) (final []*varRelation, reduced bool, err error) {
+	if mode == JoinYannakakis && !jp.acyclic {
+		return nil, false, fmt.Errorf("ecrpq: JoinYannakakis requested but the join hypergraph is cyclic")
 	}
+	if mode == JoinBacktrack || !jp.acyclic {
+		return rels, false, nil
+	}
+	root, err := yannakakisReduce(ctx, rels, jp.elims, keep)
+	if err != nil {
+		return nil, false, err
+	}
+	return []*varRelation{root}, true, nil
 }
 
 // elimination records one GYO ear removal: child is folded into parent;
@@ -86,7 +83,9 @@ type elimination struct{ child, parent int }
 
 // gyoOrder runs the GYO reduction on the hypergraph whose hyperedges
 // are the given variable sets. It reports α-acyclicity and the
-// elimination order.
+// elimination order. An ear that shares nothing fits any parent, so
+// unconnected relations are folded too and an acyclic order ends in
+// exactly one root.
 func gyoOrder(varSets [][]NodeVar) (bool, []elimination) {
 	n := len(varSets)
 	varsOf := make([]map[NodeVar]bool, n)
@@ -149,12 +148,12 @@ func gyoOrder(varSets [][]NodeVar) (bool, []elimination) {
 	return true, elims
 }
 
-// yannakakisReduce runs the first phases of the Yannakakis algorithm:
-// bottom-up and top-down semijoins, then bottom-up joins projected onto
-// parent variables plus kept columns. Relations are mutated in place;
-// the surviving per-tree roots are returned (they share no variables,
-// so the caller cross-joins them).
-func yannakakisReduce(ctx context.Context, rels []*varRelation, elims []elimination, keep map[NodeVar]bool, keepPaths map[PathVar]bool) ([]*varRelation, error) {
+// yannakakisReduce runs the Yannakakis algorithm up to its root:
+// bottom-up and top-down semijoins, then bottom-up joins, each projected
+// onto the columns something still reads. Component relations are
+// filtered in place and rels[parent] is replaced by each fold's result;
+// the root is returned projected onto keep.
+func yannakakisReduce(ctx context.Context, rels []*varRelation, elims []elimination, keep map[NodeVar]bool) (*varRelation, error) {
 	for _, e := range elims {
 		if e.parent >= 0 {
 			semijoin(rels[e.parent], rels[e.child])
@@ -165,23 +164,38 @@ func yannakakisReduce(ctx context.Context, rels []*varRelation, elims []eliminat
 			semijoin(rels[elims[i].child], rels[elims[i].parent])
 		}
 	}
+	inKeep := func(v NodeVar) bool { return keep[v] }
 	// Phase 3: projected joins child→parent in elimination order.
-	var roots []*varRelation
-	for _, e := range elims {
+	var root *varRelation
+	for k, e := range elims {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if e.parent < 0 {
-			roots = append(roots, projectRelation(rels[e.child], keep, keepPaths))
+			root = projectRelation(rels[e.child], inKeep)
 			continue
 		}
-		pj, err := projectJoin(ctx, rels[e.parent], rels[e.child], keep, keepPaths)
+		// A parent column outlives the fold only if the head keeps it or a
+		// relation still to be folded shares it. (By the ear property no
+		// such relation shares a column the parent gained from a child.)
+		wanted := func(v NodeVar) bool {
+			if keep[v] {
+				return true
+			}
+			for _, later := range elims[k+1:] {
+				if later.child != e.parent && varPos(rels[later.child].vars, v) >= 0 {
+					return true
+				}
+			}
+			return false
+		}
+		pj, err := projectJoin(ctx, rels[e.parent], rels[e.child], inKeep, wanted)
 		if err != nil {
 			return nil, err
 		}
 		rels[e.parent] = pj
 	}
-	return roots, nil
+	return root, nil
 }
 
 // positions maps each of vars to its column index in of (-1 if absent).
@@ -193,171 +207,139 @@ func positions(vars, of []NodeVar) []int {
 	return out
 }
 
-// gather copies the row's values at the given column positions into buf.
-func gather(nodes []graph.Node, pos []int, buf []int) []int {
-	buf = buf[:0]
-	for _, p := range pos {
-		buf = append(buf, int(nodes[p]))
+// gather copies the row's values at the given column positions into dst.
+func gather(dst, row []graph.Node, pos []int) {
+	for k, p := range pos {
+		dst[k] = row[p]
 	}
-	return buf
 }
 
-// projectRelation projects a relation onto keep ∩ vars plus nothing
-// else, deduplicating rows (shortest witnesses win).
-func projectRelation(r *varRelation, keep map[NodeVar]bool, keepPaths map[PathVar]bool) *varRelation {
+// projectRelation projects r onto the columns want admits, in r's column
+// and row order, deduplicating (shortest witnesses win). It is the one
+// projection routine of the join layer. A projection that drops no column
+// cannot create a duplicate and returns r itself.
+func projectRelation(r *varRelation, want func(NodeVar) bool) *varRelation {
 	var cols []NodeVar
 	var pos []int
 	for i, v := range r.vars {
-		if keep[v] {
+		if want(v) {
 			cols = append(cols, v)
 			pos = append(pos, i)
 		}
 	}
-	out := &varRelation{vars: cols}
-	seen := intern.NewTable(len(r.rows))
-	buf := make([]int, 0, len(cols))
-	nodes := make([]graph.Node, len(cols))
-	for _, rr := range r.rows {
-		buf = gather(rr.nodes, pos, buf)
-		paths := filterPaths(rr.paths, keepPaths)
-		idx, added := seen.Intern(buf)
-		if !added {
-			mergeShorterPaths(&out.rows[idx], paths)
-			continue
-		}
-		for i, p := range pos {
-			nodes[i] = rr.nodes[p]
-		}
-		out.addRow(nodes, paths)
+	if len(pos) == len(r.vars) {
+		return r
+	}
+	out := &varRelation{vars: cols, pvars: r.pvars}
+	var seen rowSet
+	tup := make([]graph.Node, len(pos))
+	for i := 0; i < r.n; i++ {
+		gather(tup, r.row(i), pos)
+		seen.put(out, tup, r.witness(i))
 	}
 	return out
 }
 
-// projectJoin joins parent ⋈ child and projects onto vars(parent) ∪
-// (kept columns present in child), deduplicating.
-func projectJoin(ctx context.Context, parent, child *varRelation, keep map[NodeVar]bool, keepPaths map[PathVar]bool) (*varRelation, error) {
-	shared := sharedVars(child, parent)
-	childShared := positions(shared, child.vars)
-	parentShared := positions(shared, parent.vars)
-	index := intern.NewTable(len(child.rows))
-	rowsOf := [][]int32{}
-	buf := make([]int, 0, len(shared))
-	for i, rc := range child.rows {
-		buf = gather(rc.nodes, childShared, buf)
-		id, added := index.Intern(buf)
-		if added {
-			rowsOf = append(rowsOf, nil)
-		}
-		rowsOf[id] = append(rowsOf[id], int32(i))
+// projectJoin folds child into parent: parent ⋈ child projected onto the
+// parent columns wanted admits plus the kept columns only the child has.
+// It must run after the semijoin phases (every parent row has a partner).
+//
+// Both sides are projected before they are paired — the child onto what
+// the parent shares or the head keeps, the parent onto what is wanted or
+// the child shares — so the pairing enumerates no combination twice, and
+// the output needs a dedup only when a join column is dropped from it.
+// Each pre-projection folds rows that would have produced colliding
+// output rows anyway, at the position of the first of them, so witnesses
+// are merged exactly as a dedup of the unprojected pairing in (parent
+// row, child row) order would: strictly shorter wins, else first seen.
+func projectJoin(ctx context.Context, parent, child *varRelation, keep, wanted func(NodeVar) bool) (*varRelation, error) {
+	inParent := func(v NodeVar) bool { return varPos(parent.vars, v) >= 0 }
+	gains := len(child.pvars) > 0
+	for _, v := range child.vars {
+		gains = gains || keep(v) && !inParent(v)
 	}
-	// Output columns: parent's vars plus child's kept vars.
-	cols := append([]NodeVar(nil), parent.vars...)
-	var childCols []int // positions in child.vars of appended columns
+	if !gains {
+		// The child only filters, and the semijoins already did that.
+		return projectRelation(parent, wanted), nil
+	}
+	child = projectRelation(child, func(v NodeVar) bool { return keep(v) || inParent(v) })
+	var shared []NodeVar
+	var childCols []int // child columns the output gains
 	for i, v := range child.vars {
-		if keep[v] && varPos(cols, v) < 0 {
-			cols = append(cols, v)
+		if inParent(v) {
+			shared = append(shared, v)
+		} else {
 			childCols = append(childCols, i)
 		}
 	}
-	out := &varRelation{vars: cols}
-	seen := intern.NewTable(len(parent.rows))
-	keyBuf := make([]int, len(cols))
-	nodes := make([]graph.Node, len(cols))
-	for ri, rp := range parent.rows {
+	parent = projectRelation(parent, func(v NodeVar) bool { return wanted(v) || varPos(child.vars, v) >= 0 })
+	out := &varRelation{pvars: append(append([]PathVar(nil), parent.pvars...), child.pvars...)}
+	var parentCols []int
+	for i, v := range parent.vars {
+		if wanted(v) {
+			out.vars = append(out.vars, v)
+			parentCols = append(parentCols, i)
+		}
+	}
+	for _, c := range childCols {
+		out.vars = append(out.vars, child.vars[c])
+	}
+	dedup := len(parentCols) < len(parent.vars)
+	index := newRowIndex(child, positions(shared, child.vars))
+	parentShared := positions(shared, parent.vars)
+	key := make([]graph.Node, len(shared))
+	tup := make([]graph.Node, len(out.vars))
+	w := make([]graph.Path, len(out.pvars))
+	var seen rowSet
+	for ri := 0; ri < parent.n; ri++ {
 		if ri&1023 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		buf = gather(rp.nodes, parentShared, buf)
-		id, ok := index.Lookup(buf)
-		if !ok {
-			continue
-		}
-		for _, ci := range rowsOf[id] {
-			rc := child.rows[ci]
-			for i := range rp.nodes {
-				keyBuf[i] = int(rp.nodes[i])
+		rp := parent.row(ri)
+		gather(key, rp, parentShared)
+		gather(tup, rp, parentCols)
+		copy(w, parent.witness(ri))
+		for ci := index.first(key); ci >= 0; ci = index.after(ci) {
+			gather(tup[len(parentCols):], child.row(ci), childCols)
+			copy(w[len(parent.pvars):], child.witness(ci))
+			if dedup {
+				seen.put(out, tup, w)
+			} else {
+				out.add(tup, w)
 			}
-			for i, cp := range childCols {
-				keyBuf[len(rp.nodes)+i] = int(rc.nodes[cp])
-			}
-			paths := filterPaths(rp.paths, keepPaths)
-			for pv, p := range filterPaths(rc.paths, keepPaths) {
-				if old, ok := paths[pv]; !ok || p.Len() < old.Len() {
-					if paths == nil {
-						paths = map[PathVar]graph.Path{}
-					}
-					paths[pv] = p
-				}
-			}
-			idx, added := seen.Intern(keyBuf)
-			if !added {
-				mergeShorterPaths(&out.rows[idx], paths)
-				continue
-			}
-			for i, x := range keyBuf {
-				nodes[i] = graph.Node(x)
-			}
-			out.addRow(nodes, paths)
 		}
 	}
 	return out, nil
 }
 
-// filterPaths projects a witness map onto the kept path variables,
-// returning nil (not an empty map) when nothing survives; merge sites
-// allocate lazily.
-func filterPaths(paths map[PathVar]graph.Path, keepPaths map[PathVar]bool) map[PathVar]graph.Path {
-	var out map[PathVar]graph.Path
-	for pv, p := range paths {
-		if keepPaths[pv] {
-			if out == nil {
-				out = make(map[PathVar]graph.Path, len(paths))
-			}
-			out[pv] = p
-		}
-	}
-	return out
-}
-
-func mergeShorterPaths(dst *row, paths map[PathVar]graph.Path) {
-	for pv, p := range paths {
-		if old, ok := dst.paths[pv]; !ok || p.Len() < old.Len() {
-			if dst.paths == nil {
-				dst.paths = map[PathVar]graph.Path{}
-			}
-			dst.paths[pv] = p
-		}
-	}
-}
-
 // semijoin keeps only the rows of a that agree with some row of b on
-// their shared variables.
+// their shared variables, compacting a in place.
 func semijoin(a, b *varRelation) {
 	shared := sharedVars(a, b)
 	if len(shared) == 0 {
-		if len(b.rows) == 0 {
-			a.rows = nil
+		if b.n == 0 {
+			a.truncate(0)
 		}
 		return
 	}
+	index := newRowIndex(b, positions(shared, b.vars))
 	aPos := positions(shared, a.vars)
-	bPos := positions(shared, b.vars)
-	index := intern.NewTable(len(b.rows))
-	buf := make([]int, 0, len(shared))
-	for _, rb := range b.rows {
-		buf = gather(rb.nodes, bPos, buf)
-		index.Intern(buf)
-	}
-	var kept []row
-	for _, ra := range a.rows {
-		buf = gather(ra.nodes, aPos, buf)
-		if _, ok := index.Lookup(buf); ok {
-			kept = append(kept, ra)
+	key := make([]graph.Node, len(shared))
+	kept := 0
+	for i := 0; i < a.n; i++ {
+		gather(key, a.row(i), aPos)
+		if index.first(key) < 0 {
+			continue
 		}
+		if kept != i {
+			copy(a.row(kept), a.row(i))
+			copy(a.witness(kept), a.witness(i))
+		}
+		kept++
 	}
-	a.rows = kept
+	a.truncate(kept)
 }
 
 func sharedVars(a, b *varRelation) []NodeVar {
@@ -382,71 +364,74 @@ type joinEnum struct {
 	keepCols  []NodeVar
 	keepSlots []int
 	bindVars  []NodeVar
-	keepPaths map[PathVar]bool
+	pathCols  []PathVar // the relations' witness columns, in plan order
 }
 
+// indexedRel is one relation of the enumeration. Its columns split into
+// those shared with the prefix — the key of its index, probed with the
+// binding's keySlots — and the fresh ones, which a row of it writes to
+// the binding's freshSlots.
 type indexedRel struct {
-	rel    *varRelation
-	shared []int // column positions (in rel.vars) shared with the prefix
-	index  *intern.Table
-	rowsOf [][]int32
-	// bindPos[j] is the slot in the global binding for rel.vars[j].
-	bindPos []int
+	rel        *varRelation
+	index      *rowIndex
+	keySlots   []int
+	fresh      []int
+	freshSlots []int
+	pathAt     int // where rel.pvars start in pathCols
 }
 
 // newJoinEnum indexes the relations for enumeration. Global binding
 // slots are assigned per distinct variable in first-seen order; the
 // kept columns are keep ∩ (all variables), in that same order.
-func newJoinEnum(rels []*varRelation, keep map[NodeVar]bool, keepPaths map[PathVar]bool) *joinEnum {
-	je := &joinEnum{keepPaths: keepPaths}
+func newJoinEnum(rels []*varRelation, keep map[NodeVar]bool) *joinEnum {
+	je := &joinEnum{}
 	slotOf := map[NodeVar]int{}
 	je.plan = make([]indexedRel, len(rels))
 	for i, r := range rels {
+		p := indexedRel{rel: r, pathAt: len(je.pathCols)}
 		var sharedPos []int
-		bindPos := make([]int, len(r.vars))
 		for j, v := range r.vars {
 			if s, ok := slotOf[v]; ok {
 				sharedPos = append(sharedPos, j)
-				bindPos[j] = s
-			} else {
-				s := len(je.bindVars)
-				slotOf[v] = s
-				je.bindVars = append(je.bindVars, v)
-				bindPos[j] = s
-				if keep[v] {
-					je.keepCols = append(je.keepCols, v)
-					je.keepSlots = append(je.keepSlots, s)
-				}
+				p.keySlots = append(p.keySlots, s)
+				continue
+			}
+			s := len(je.bindVars)
+			slotOf[v] = s
+			je.bindVars = append(je.bindVars, v)
+			p.fresh = append(p.fresh, j)
+			p.freshSlots = append(p.freshSlots, s)
+			if keep[v] {
+				je.keepCols = append(je.keepCols, v)
+				je.keepSlots = append(je.keepSlots, s)
 			}
 		}
-		idx := intern.NewTable(len(r.rows))
-		rowsOf := [][]int32{}
-		buf := make([]int, 0, len(sharedPos))
-		for ri, rr := range r.rows {
-			buf = gather(rr.nodes, sharedPos, buf)
-			id, added := idx.Intern(buf)
-			if added {
-				rowsOf = append(rowsOf, nil)
-			}
-			rowsOf[id] = append(rowsOf[id], int32(ri))
-		}
-		je.plan[i] = indexedRel{rel: r, shared: sharedPos, index: idx, rowsOf: rowsOf, bindPos: bindPos}
+		p.index = newRowIndex(r, sharedPos)
+		je.plan[i] = p
+		je.pathCols = append(je.pathCols, r.pvars...)
 	}
 	return je
 }
 
-// run enumerates the join. each receives a transient node slice (in
-// keepCols order; callees must copy) and the filtered witness map, and
-// returns false to stop the enumeration. Cancellation of ctx is checked
-// periodically; run returns ctx.Err() when it fired.
-func (je *joinEnum) run(ctx context.Context, each func(nodes []graph.Node, paths map[PathVar]graph.Path) bool) error {
+// run enumerates the join. each receives the node tuple (in keepCols
+// order) and the witnesses (in pathCols order) of one assignment — both
+// transient, callees must copy — and returns false to stop the
+// enumeration. Cancellation of ctx is checked periodically; run returns
+// ctx.Err() when it fired.
+//
+// All scratch is sized here, once: the binding, the output buffers and
+// one probe key per depth. A row binds exactly its relation's fresh
+// columns — the shared ones are the probe key, bound by the prefix — so
+// deeper levels overwrite their slots and nothing is undone on the way
+// back.
+func (je *joinEnum) run(ctx context.Context, each func(nodes []graph.Node, paths []graph.Path) bool) error {
 	binding := make([]graph.Node, len(je.bindVars))
-	for i := range binding {
-		binding[i] = -1
-	}
-	bindPaths := map[PathVar]graph.Path{}
+	paths := make([]graph.Path, len(je.pathCols))
 	rowBuf := make([]graph.Node, len(je.keepCols))
-	probeBuf := make([]int, 0, 8)
+	keys := make([][]graph.Node, len(je.plan))
+	for i, p := range je.plan {
+		keys[i] = make([]graph.Node, len(p.keySlots))
+	}
 	done := false
 	steps := 0
 	var ctxErr error
@@ -463,59 +448,21 @@ func (je *joinEnum) run(ctx context.Context, each func(nodes []graph.Node, paths
 			}
 		}
 		if i == len(je.plan) {
-			for k, s := range je.keepSlots {
-				rowBuf[k] = binding[s]
-			}
-			paths := filterPaths(bindPaths, je.keepPaths)
+			gather(rowBuf, binding, je.keepSlots)
 			if !each(rowBuf, paths) {
 				done = true
 			}
 			return
 		}
-		p := je.plan[i]
-		probeBuf = probeBuf[:0]
-		for _, j := range p.shared {
-			probeBuf = append(probeBuf, int(binding[p.bindPos[j]]))
-		}
-		id, ok := p.index.Lookup(probeBuf)
-		if !ok {
-			return
-		}
-		for _, ri := range p.rowsOf[id] {
-			if done {
-				return
+		p := &je.plan[i]
+		gather(keys[i], binding, p.keySlots)
+		for ri := p.index.first(keys[i]); ri >= 0 && !done; ri = p.index.after(ri) {
+			row := p.rel.row(ri)
+			for k, j := range p.fresh {
+				binding[p.freshSlots[k]] = row[j]
 			}
-			rr := p.rel.rows[ri]
-			var added []int
-			ok := true
-			for j, n := range rr.nodes {
-				s := p.bindPos[j]
-				if prev := binding[s]; prev >= 0 {
-					if prev != n {
-						ok = false
-						break
-					}
-				} else {
-					binding[s] = n
-					added = append(added, s)
-				}
-			}
-			if ok {
-				var addedPaths []PathVar
-				for pv, pp := range rr.paths {
-					if _, exists := bindPaths[pv]; !exists {
-						bindPaths[pv] = pp
-						addedPaths = append(addedPaths, pv)
-					}
-				}
-				rec(i + 1)
-				for _, pv := range addedPaths {
-					delete(bindPaths, pv)
-				}
-			}
-			for _, s := range added {
-				binding[s] = -1
-			}
+			copy(paths[p.pathAt:], p.rel.witness(ri))
+			rec(i + 1)
 		}
 	}
 	rec(0)
@@ -525,22 +472,13 @@ func (je *joinEnum) run(ctx context.Context, each func(nodes []graph.Node, paths
 // backtrackJoin materializes the natural join, deduplicating on the
 // kept columns (shortest witnesses win). For Boolean queries (no kept
 // columns) it stops at the first satisfying assignment.
-func backtrackJoin(ctx context.Context, rels []*varRelation, keep map[NodeVar]bool, keepPaths map[PathVar]bool) (*varRelation, error) {
-	je := newJoinEnum(rels, keep, keepPaths)
-	out := &varRelation{vars: je.keepCols}
+func backtrackJoin(ctx context.Context, rels []*varRelation, keep map[NodeVar]bool) (*varRelation, error) {
+	je := newJoinEnum(rels, keep)
+	out := &varRelation{vars: je.keepCols, pvars: je.pathCols}
 	boolean := len(je.keepCols) == 0
-	seen := intern.NewTable(16)
-	keyBuf := make([]int, len(je.keepCols))
-	err := je.run(ctx, func(nodes []graph.Node, paths map[PathVar]graph.Path) bool {
-		for i, n := range nodes {
-			keyBuf[i] = int(n)
-		}
-		idx, added := seen.Intern(keyBuf)
-		if !added {
-			mergeShorterPaths(&out.rows[idx], paths)
-			return true
-		}
-		out.addRow(nodes, paths)
+	var seen rowSet
+	err := je.run(ctx, func(nodes []graph.Node, paths []graph.Path) bool {
+		seen.put(out, nodes, paths)
 		return !boolean
 	})
 	if err != nil {

@@ -221,13 +221,6 @@ type laneBox struct {
 	fresh   []bool
 }
 
-// acceptRec is one accept candidate found during expansion: the checked
-// node tuple (copied) and the witnesses reconstructed by the lane.
-type acceptRec struct {
-	nodes []graph.Node
-	paths map[PathVar]graph.Path
-}
-
 // bfsLane is one worker of a multi-lane level: its own move kernel
 // reading live sets through a private runner view, a private symbol
 // intern table mapped to shared ids, and the level outputs.
@@ -249,11 +242,14 @@ type bfsLane struct {
 	chainBuf []int32
 
 	// Level outputs: per-shard outboxes, the per-candidate (shard, idx)
-	// locator in emission order, accept records, and the lane error.
-	out     []laneBox
-	where   []int64
-	accepts []acceptRec
-	err     error
+	// locator in emission order, the accept candidates in scan order —
+	// checked node tuples (stride len(allVars)) beside the witnesses the
+	// lane reconstructed (stride len(keptVars)) — and the lane error.
+	out      []laneBox
+	where    []int64
+	accNodes []graph.Node
+	accPaths []graph.Path
+	err      error
 }
 
 // beginLevel pins the level's snapshot and pruning mode on the lane's
@@ -270,7 +266,8 @@ func (ln *bfsLane) beginLevel() {
 		b.fresh = b.fresh[:0]
 	}
 	ln.where = ln.where[:0]
-	ln.accepts = ln.accepts[:0]
+	ln.accNodes = ln.accNodes[:0]
+	ln.accPaths = ln.accPaths[:0]
 	ln.err = nil
 }
 
@@ -316,10 +313,8 @@ func (ln *bfsLane) expand(ctx context.Context, lo, hi int) {
 		joint := int(e.joints[gid])
 		if ln.view.Accepting(joint) {
 			if nodes, ok := e.checkAccept(cur, ln.nodesBuf); ok {
-				ln.accepts = append(ln.accepts, acceptRec{
-					nodes: append([]graph.Node(nil), nodes...),
-					paths: e.reconstruct(gid, &ln.chainBuf),
-				})
+				ln.accNodes = append(ln.accNodes, nodes...)
+				ln.accPaths = e.reconstruct(gid, &ln.chainBuf, ln.accPaths)
 			}
 		}
 		if !ln.prepareMoves(joint, cur) {
@@ -437,9 +432,10 @@ func (e *componentEngine) levelParallel(ctx context.Context, lo, hi, workers int
 
 	// Phase 2: apply accepts in lane order — identical to the order an
 	// inline head cursor visits the same states.
+	nv, np := len(e.allVars), len(e.keptVars)
 	for _, ln := range lanes {
-		for i := range ln.accepts {
-			if err := e.applyRow(ln.accepts[i].nodes, ln.accepts[i].paths); err != nil {
+		for i := 0; i*nv < len(ln.accNodes); i++ {
+			if err := e.applyRow(ln.accNodes[i*nv:i*nv+nv], ln.accPaths[i*np:i*np+np]); err != nil {
 				return err
 			}
 		}
@@ -522,11 +518,11 @@ type fanChunk struct {
 // parallelism: the dense assignment index space splits into fixed
 // contiguous chunks claimed dynamically by workers, each worker borrows
 // a sibling engine from the component pool and runs its chunk at one
-// lane, and the chunk results merge in chunk-index order —
-// reproducing exactly the fold the sequential enumeration computes
-// (first-wins rows, per-variable shortest witnesses, memo segments in
-// assignment order). done=false means the caller should run the
-// sequential enumeration instead.
+// lane, and the chunk results concatenate in chunk-index order —
+// reproducing exactly what the sequential enumeration computes (rows and
+// memo segments in assignment order; chunks cover disjoint assignments,
+// so no row of one can duplicate a row of another). done=false means the
+// caller should run the sequential enumeration instead.
 func (e *componentEngine) evalAssignFanout(ctx context.Context, bud *stateBudget) (*varRelation, bool, error) {
 	if e.workers <= 1 || e.sink != nil || e.fanTake == nil {
 		return nil, false, nil
@@ -585,25 +581,16 @@ func (e *componentEngine) evalAssignFanout(ctx context.Context, bud *stateBudget
 			return nil, true, results[ci].err
 		}
 	}
-	// No chunk failed ⇒ every chunk ran (stop is only set on error). The
-	// chunks' row counts bound the merged relation's.
+	// No chunk failed ⇒ every chunk ran (stop is only set on error).
 	nRows := 0
 	for ci := range results {
-		nRows += len(results[ci].vr.rows)
+		nRows += results[ci].vr.n
 	}
-	e.vr.rows = slices.Grow(e.vr.rows, nRows)
+	e.vr.nodes = slices.Grow(e.vr.nodes, nRows*len(e.vr.vars))
+	e.vr.paths = slices.Grow(e.vr.paths, nRows*len(e.vr.pvars))
 	for ci := range results {
 		r := &results[ci]
-		for _, rw := range r.vr.rows {
-			for j, nd := range rw.nodes {
-				e.keyBuf[j] = int(nd)
-			}
-			if idx, added := e.rowTab.Intern(e.keyBuf); added {
-				e.vr.rows = append(e.vr.rows, rw)
-			} else {
-				mergeShorterPaths(&e.vr.rows[idx], rw.paths)
-			}
-		}
+		e.vr.addAll(r.vr)
 		if !capture {
 			continue
 		}

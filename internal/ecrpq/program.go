@@ -4,12 +4,10 @@ import (
 	"context"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/graph"
-	"repro/internal/intern"
 	"repro/internal/qerr"
 	"repro/internal/regex"
 	"repro/internal/relations"
@@ -343,17 +341,14 @@ func (p *Program) put(i int, e *componentEngine) {
 	if cap(e.allNodes) > maxPooledScratch {
 		e.allNodes = nil
 	}
-	if e.capRowTab != nil && e.capRowTab.Cap() > maxPooledScratch {
-		e.capRowTab = intern.NewTable(0)
-	}
 	if cap(e.parentState) > maxPooledScratch {
 		e.curs, e.joints, e.parentState, e.parentSym, e.parentLabs = nil, nil, nil, nil, nil
 	}
 	if e.states.oversized() {
 		e.states = tupleSet{}
 	}
-	if e.rowTab.Cap() > maxPooledScratch {
-		e.rowTab = intern.NewTable(0)
+	if len(e.rows.slots) > maxPooledScratch {
+		e.rows = rowSet{}
 	}
 	p.pools[i].put(e)
 }
@@ -520,47 +515,58 @@ func (p *Program) evalFull(ctx context.Context, s *graph.Snapshot, opts Options,
 }
 
 // assemble joins the component relations per the compile-time join
-// plan, projects and deduplicates the head (keeping shortest
-// witnesses), and sorts — the shared tail of full and incremental
-// evaluation.
+// plan, projects the head and sorts — the shared tail of full and
+// incremental evaluation.
+//
+// The joined relation is already distinct on the head: its columns are
+// exactly the distinct head variables (a Yannakakis root is projected
+// onto them with a dedup whenever that drops a column, and is a
+// duplicate-free component relation or fold otherwise; backtrackJoin
+// dedups on them), and a head tuple lists every one of those columns at
+// least once, so two rows never map to one answer and no dedup runs here.
+// Every answer's Nodes (and Paths) is carved from one exactly-sized
+// backing array.
 func (p *Program) assemble(ctx context.Context, s *graph.Snapshot, rels []*varRelation, opts Options) (*Result, error) {
 	q := p.q
-	joined, err := joinAll(ctx, rels, p.jp, opts.Join, q.HeadNodes, q.HeadPaths)
+	joined, err := joinAll(ctx, rels, p.jp, opts.Join, q.HeadNodes)
 	if err != nil {
 		return nil, qerr.Classify(err)
 	}
 	res := &Result{Query: q, Snap: s, fp: new(fpMemo)}
-	headPos := make([]int, len(q.HeadNodes))
-	for i, z := range q.HeadNodes {
-		headPos[i] = varPos(joined.vars, z)
+	if joined.n == 0 {
+		return res, nil
 	}
-	seen := intern.NewTable(len(joined.rows))
-	keyBuf := make([]int, len(q.HeadNodes))
-	for _, row := range joined.rows {
-		ans := Answer{}
-		for i, pos := range headPos {
-			n := row.nodes[pos]
-			ans.Nodes = append(ans.Nodes, n)
-			keyBuf[i] = int(n)
+	headPos := positions(q.HeadNodes, joined.vars)
+	pathPos := make([]int, len(q.HeadPaths))
+	for i, chi := range q.HeadPaths {
+		pathPos[i] = slices.Index(joined.pvars, chi)
+	}
+	nh, np := len(headPos), len(pathPos)
+	res.Answers = make([]Answer, joined.n)
+	// A head without node (path) variables leaves Nodes (Paths) nil.
+	var nodes []graph.Node
+	if nh > 0 {
+		nodes = make([]graph.Node, joined.n*nh)
+	}
+	var paths []graph.Path
+	if np > 0 {
+		paths = make([]graph.Path, joined.n*np)
+	}
+	for i := range res.Answers {
+		if nh > 0 {
+			an := nodes[i*nh : i*nh+nh : i*nh+nh]
+			gather(an, joined.row(i), headPos)
+			res.Answers[i].Nodes = an
 		}
-		idx, added := seen.Intern(keyBuf)
-		if !added {
-			// Keep the shortest witnesses among duplicates.
-			old := &res.Answers[idx]
-			for pi, chi := range q.HeadPaths {
-				if p, ok := row.paths[chi]; ok && p.Len() < old.Paths[pi].Len() {
-					old.Paths[pi] = p
-				}
+		if np > 0 {
+			ap := paths[i*np : i*np+np : i*np+np]
+			w := joined.witness(i)
+			for k, pos := range pathPos {
+				ap[k] = w[pos]
 			}
-			continue
+			res.Answers[i].Paths = ap
 		}
-		for _, chi := range q.HeadPaths {
-			ans.Paths = append(ans.Paths, row.paths[chi])
-		}
-		res.Answers = append(res.Answers, ans)
 	}
-	sort.Slice(res.Answers, func(i, j int) bool {
-		return lessNodes(res.Answers[i].Nodes, res.Answers[j].Nodes)
-	})
+	slices.SortFunc(res.Answers, func(a, b Answer) int { return slices.Compare(a.Nodes, b.Nodes) })
 	return res, nil
 }

@@ -1,0 +1,227 @@
+package ecrpq
+
+import (
+	"slices"
+
+	"repro/internal/graph"
+)
+
+// varRelation is a relation over node variables: the result of one
+// component, input and output of the relational join. It is one flat,
+// column-strided store: row i's value for vars[j] is
+// nodes[i*len(vars)+j], and — only when the relation carries witnesses —
+// its shortest witness for pvars[k] is paths[i*len(pvars)+k]. A relation
+// only ever carries path variables the query outputs (engines
+// reconstruct no others), and every path variable belongs to exactly one
+// component, so the witness columns of two relations never overlap.
+//
+// row, witness and add are the accessors every producer and consumer
+// goes through. A relation is mutated only by the code that is building
+// it (and by semijoin, on component relations no one else holds yet);
+// once the join layer has returned it, it is read-only.
+type varRelation struct {
+	vars  []NodeVar
+	pvars []PathVar
+	n     int // rows; explicit because a Boolean projection has no columns
+	nodes []graph.Node
+	paths []graph.Path
+}
+
+// row returns row i's node tuple, aligned to vars (a read-only view).
+func (r *varRelation) row(i int) []graph.Node {
+	a := len(r.vars)
+	return r.nodes[i*a : i*a+a : i*a+a]
+}
+
+// witness returns row i's witness paths, aligned to pvars (nil for a
+// relation without witness columns).
+func (r *varRelation) witness(i int) []graph.Path {
+	a := len(r.pvars)
+	return r.paths[i*a : i*a+a : i*a+a]
+}
+
+// add appends a row, copying the tuple and its witnesses.
+func (r *varRelation) add(nodes []graph.Node, paths []graph.Path) {
+	r.nodes = append(r.nodes, nodes...)
+	r.paths = append(r.paths, paths...)
+	r.n++
+}
+
+// addAll appends every row of o, which has r's columns.
+func (r *varRelation) addAll(o *varRelation) {
+	r.nodes = append(r.nodes, o.nodes...)
+	r.paths = append(r.paths, o.paths...)
+	r.n += o.n
+}
+
+// truncate drops every row from the n-th on.
+func (r *varRelation) truncate(n int) {
+	r.n = n
+	r.nodes = r.nodes[:n*len(r.vars)]
+	r.paths = r.paths[:n*len(r.pvars)]
+}
+
+// mergeShorter refines row i's witnesses with those of a duplicate of the
+// row: per path variable a strictly shorter path replaces the held one,
+// so among equally short witnesses the first seen stays.
+func (r *varRelation) mergeShorter(i int, paths []graph.Path) {
+	held := r.witness(i)
+	for k, p := range paths {
+		if p.Len() < held[k].Len() {
+			held[k] = p
+		}
+	}
+}
+
+// hashNodes is FNV-1a over whole node ids with a finalizer, as in
+// package intern: linear probing is sensitive to low-bit clustering.
+func hashNodes(tup []graph.Node) uint64 {
+	h := uint64(1469598103934665603)
+	for _, x := range tup {
+		h ^= uint64(x)
+		h *= 1099511628211
+	}
+	h ^= h >> 29
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 32
+	return h
+}
+
+// indexSlots returns the open-addressed slot count for n entries: a power
+// of two keeping the load under 3/4.
+func indexSlots(n int) int {
+	s := 16
+	for 3*s < 4*(n+1) {
+		s *= 2
+	}
+	return s
+}
+
+// rowSet deduplicates the rows of a relation under construction. It
+// holds row ids only — the tuples stay in the relation's flat store — so
+// a row is written once, where an interning table would keep a second
+// copy of it.
+type rowSet struct {
+	slots []int32 // row id + 1; 0 = empty
+	n     int     // rows indexed
+}
+
+// reset empties the set, keeping its slots for the next relation.
+func (s *rowSet) reset() {
+	clear(s.slots)
+	s.n = 0
+}
+
+// intern returns the id of the row of r equal to tup, appending tup to r
+// (node columns only: the caller appends the witnesses of a fresh row)
+// when there is none. Rows r received by other means need not be in the
+// set as long as no interned tuple can equal them.
+func (s *rowSet) intern(r *varRelation, tup []graph.Node) (id int, added bool) {
+	if 4*(s.n+1) > 3*len(s.slots) {
+		s.rehash(r)
+	}
+	mask := uint64(len(s.slots) - 1)
+	i := hashNodes(tup) & mask
+	for ; s.slots[i] != 0; i = (i + 1) & mask {
+		if id := int(s.slots[i] - 1); slices.Equal(r.row(id), tup) {
+			return id, false
+		}
+	}
+	s.slots[i] = int32(r.n + 1)
+	s.n++
+	r.nodes = append(r.nodes, tup...)
+	r.n++
+	return r.n - 1, true
+}
+
+// put adds the row (tup, w) to r unless the set already holds the tuple;
+// then the held row's witnesses are refined (shortest wins, first seen
+// among equals). It is the one dedup-and-merge step of every projection.
+func (s *rowSet) put(r *varRelation, tup []graph.Node, w []graph.Path) {
+	if id, added := s.intern(r, tup); added {
+		r.paths = append(r.paths, w...)
+	} else {
+		r.mergeShorter(id, w)
+	}
+}
+
+// rehash doubles the slots (or sizes them for the rows r already has) and
+// re-enters every row of r.
+func (s *rowSet) rehash(r *varRelation) {
+	s.slots = make([]int32, max(2*len(s.slots), indexSlots(r.n)))
+	mask := uint64(len(s.slots) - 1)
+	for id := 0; id < r.n; id++ {
+		i := hashNodes(r.row(id)) & mask
+		for s.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = int32(id + 1)
+	}
+	s.n = r.n
+}
+
+// rowIndex is a hash index over the rows of a finished relation, keyed
+// on a subset of its columns: the build side of semijoins, projected
+// joins and the backtracking enumeration. Like rowSet it stores row ids
+// only. Rows with equal keys form a chain in ascending row order, which
+// is the order every join iterates them in.
+type rowIndex struct {
+	rel   *varRelation
+	cols  []int   // key columns, as positions in rel.vars
+	slots []int32 // first row of the key's chain + 1; 0 = empty
+	next  []int32 // next[i]: the row after i in its chain + 1; 0 = end
+}
+
+// newRowIndex indexes rel on the given columns.
+func newRowIndex(rel *varRelation, cols []int) *rowIndex {
+	x := &rowIndex{
+		rel:   rel,
+		cols:  cols,
+		slots: make([]int32, indexSlots(rel.n)),
+		next:  make([]int32, rel.n),
+	}
+	key := make([]graph.Node, len(cols))
+	mask := uint64(len(x.slots) - 1)
+	// Rows enter in descending order, each at the head of its chain, so
+	// the chains come out ascending.
+	for id := rel.n - 1; id >= 0; id-- {
+		row := rel.row(id)
+		for k, c := range cols {
+			key[k] = row[c]
+		}
+		i := hashNodes(key) & mask
+		for ; x.slots[i] != 0; i = (i + 1) & mask {
+			if x.matches(int(x.slots[i]-1), key) {
+				x.next[id] = x.slots[i]
+				break
+			}
+		}
+		x.slots[i] = int32(id + 1)
+	}
+	return x
+}
+
+func (x *rowIndex) matches(id int, key []graph.Node) bool {
+	row := x.rel.row(id)
+	for k, c := range x.cols {
+		if row[c] != key[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// first returns the first row whose key columns equal key, or -1; after
+// continues its chain.
+func (x *rowIndex) first(key []graph.Node) int {
+	mask := uint64(len(x.slots) - 1)
+	for i := hashNodes(key) & mask; x.slots[i] != 0; i = (i + 1) & mask {
+		if id := int(x.slots[i] - 1); x.matches(id, key) {
+			return id
+		}
+	}
+	return -1
+}
+
+// after returns the next row with row id's key, or -1.
+func (x *rowIndex) after(id int) int { return int(x.next[id]) - 1 }

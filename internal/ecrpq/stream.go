@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"iter"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/intern"
@@ -88,6 +89,7 @@ type answerSink struct {
 	headNodes []NodeVar
 	headPaths []PathVar
 	headPos   []int // positions of headNodes in the source columns
+	pathPos   []int // positions of headPaths in the source witness columns
 	seen      *intern.Table
 	keyBuf    []int
 	limit     int
@@ -106,18 +108,20 @@ func newAnswerSink(q *Query, limit int, emit func(Answer) bool) *answerSink {
 	}
 }
 
-// bindCols resolves the head-variable positions against the columns of
-// the rows the sink will receive.
-func (s *answerSink) bindCols(cols []NodeVar) {
-	s.headPos = make([]int, len(s.headNodes))
-	for i, z := range s.headNodes {
-		s.headPos[i] = varPos(cols, z)
+// bindCols resolves the head-variable positions against the node and
+// witness columns of the rows the sink will receive.
+func (s *answerSink) bindCols(cols []NodeVar, pcols []PathVar) {
+	s.headPos = positions(s.headNodes, cols)
+	s.pathPos = make([]int, len(s.headPaths))
+	for i, chi := range s.headPaths {
+		s.pathPos[i] = slices.Index(pcols, chi)
 	}
 }
 
-// row projects, deduplicates and emits one source row. nodes is
-// transient (indexed by the bound columns); paths may be retained.
-func (s *answerSink) row(nodes []graph.Node, paths map[PathVar]graph.Path) error {
+// row projects, deduplicates and emits one source row. Both slices are
+// transient (indexed by the bound columns); the paths themselves may be
+// retained.
+func (s *answerSink) row(nodes []graph.Node, paths []graph.Path) error {
 	for i, pos := range s.headPos {
 		s.keyBuf[i] = int(nodes[pos])
 	}
@@ -128,8 +132,8 @@ func (s *answerSink) row(nodes []graph.Node, paths map[PathVar]graph.Path) error
 	for _, pos := range s.headPos {
 		ans.Nodes = append(ans.Nodes, nodes[pos])
 	}
-	for _, chi := range s.headPaths {
-		ans.Paths = append(ans.Paths, paths[chi])
+	for _, pos := range s.pathPos {
+		ans.Paths = append(ans.Paths, paths[pos])
 	}
 	if !s.emit(ans) {
 		return errStopStream
@@ -157,7 +161,7 @@ func (p *Program) streamSingle(ctx context.Context, s *graph.Snapshot, opts Stre
 		return err
 	}
 	e.reset(s, opts.Options, doms)
-	sink.bindCols(e.allVars)
+	sink.bindCols(e.allVars, e.keptVars)
 	e.sink = sink.row
 	_, err = evalComponent(ctx, e, bud)
 	return err
@@ -175,18 +179,14 @@ func (p *Program) streamJoin(ctx context.Context, s *graph.Snapshot, opts Stream
 	for _, v := range p.q.HeadNodes {
 		keepSet[v] = true
 	}
-	pathSet := map[PathVar]bool{}
-	for _, v := range p.q.HeadPaths {
-		pathSet[v] = true
-	}
-	final, err := reduceJoin(ctx, rels, p.jp, opts.Join, keepSet, pathSet)
+	final, _, err := reduceJoin(ctx, rels, p.jp, opts.Join, keepSet)
 	if err != nil {
 		return err
 	}
-	je := newJoinEnum(final, keepSet, pathSet)
-	sink.bindCols(je.keepCols)
+	je := newJoinEnum(final, keepSet)
+	sink.bindCols(je.keepCols, je.pathCols)
 	var sinkErr error
-	err = je.run(ctx, func(nodes []graph.Node, paths map[PathVar]graph.Path) bool {
+	err = je.run(ctx, func(nodes []graph.Node, paths []graph.Path) bool {
 		if err := sink.row(nodes, paths); err != nil {
 			sinkErr = err
 			return false

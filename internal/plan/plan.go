@@ -93,13 +93,17 @@ func checkAlphabet(q *ecrpq.Query, sigma []rune) error {
 		if ra.Rel == nil || ra.Rel.A == nil {
 			continue
 		}
-		for _, sym := range ra.Rel.A.Alphabet() {
+		var bad error
+		ra.Rel.A.EachSymbol(func(sym string) {
 			for _, r := range sym {
-				if r != regex.Bot && !in[r] {
-					return fmt.Errorf("plan: relation %s uses letter %q outside the environment alphabet %q",
+				if bad == nil && r != regex.Bot && !in[r] {
+					bad = fmt.Errorf("plan: relation %s uses letter %q outside the environment alphabet %q",
 						ra.Rel.Name, r, string(sigma))
 				}
 			}
+		})
+		if bad != nil {
+			return bad
 		}
 	}
 	return nil

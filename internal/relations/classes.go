@@ -51,11 +51,11 @@ func CompileClassAtoms(atoms []Atom) (*regex.Partition, []Atom, error) {
 		if at.Rel.A == nil {
 			return nil, nil, fmt.Errorf("relations: atom %s has neither automaton nor language AST", at.Rel.Name)
 		}
-		for _, sym := range at.Rel.A.Alphabet() {
+		at.Rel.A.EachSymbol(func(sym TupleSym) {
 			for _, r := range sym {
 				b.AddLabel(r)
 			}
-		}
+		})
 	}
 	part := b.Build()
 	out := make([]Atom, len(atoms))
