@@ -46,3 +46,27 @@ func TestEvalAllocsDoNotGrowPerAnswer(t *testing.T) {
 		t.Errorf("allocations grew from %.0f (64 answers) to %.0f (1024 answers): more than slice doublings", small, large)
 	}
 }
+
+// TestDecidedEvalAllocs: a warm Boolean three-tape evaluation (the
+// fig1a_m3 shape) is decided by its first row, so what it allocates is the
+// fixed cost of one evaluation — the budget, the engine slice, the
+// relation, the row, the join's bookkeeping and the Result — and none of
+// it scales with the 27 start assignments or the rows they would accept.
+func TestDecidedEvalAllocs(t *testing.T) {
+	q, s := fig1aM3(t)
+	prog, err := CompileProgram(q, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := func() {
+		res, err := prog.EvalSnapshot(context.Background(), s, Options{})
+		if err != nil || !res.Bool() {
+			t.Fatalf("evaluation: %v, %v; want true", res, err)
+		}
+	}
+	eval()
+	const maxAllocs = 12
+	if got := testing.AllocsPerRun(50, eval); got > maxAllocs {
+		t.Errorf("%.0f allocations per decided evaluation, want at most %d", got, maxAllocs)
+	}
+}

@@ -175,15 +175,11 @@ func checkDomainCase(t *testing.T, label string, q *Query, s *graph.Snapshot, bi
 		if base == nil {
 			base = res
 			if !fired && res.inc != nil {
-				// Nothing propagated: the enumeration, hence every memo row,
-				// is the oracle's. (Reached-node sets are not: exhaustive
-				// move enumeration visits states the live sets skip.)
-				for i, cm := range res.inc.comps {
-					om := oracle.inc.comps[i]
-					if !reflect.DeepEqual(cm.rows, om.rows) || !reflect.DeepEqual(cm.rowOff, om.rowOff) || !reflect.DeepEqual(cm.lists, om.lists) {
-						t.Fatalf("%s: component %d memo rows differ from NoPrune with nothing propagated", wl, i)
-					}
-				}
+				// Nothing propagated: the enumeration is the oracle's, and so
+				// is every memo row of an assignment no stop rule ended.
+				// (Reached-node sets are not: exhaustive move enumeration
+				// visits states the live sets skip.)
+				checkMemoRows(t, wl, prog, s, opts, res.inc, oracle.inc)
 			}
 		} else if (res.inc == nil) != (base.inc == nil) || res.inc != nil && !reflect.DeepEqual(res.inc.comps, base.inc.comps) {
 			t.Fatalf("%s: memo rows differ from W=1", wl)

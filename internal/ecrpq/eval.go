@@ -402,6 +402,18 @@ type component struct {
 	// labels miss these ranges entirely.
 	liveRanges    []regex.Range
 	liveUniversal bool
+
+	// Node-variable layout, fixed at compile time. allVars are the distinct
+	// node variables in first-occurrence order — the columns of the
+	// component's relation — and xvars those in X position, the start
+	// variables; isStart[i] says whether allVars[i] is one. needed[i]
+	// (compileProgram's, nil for a start-domain relaxation) marks the
+	// columns something outside the component reads: head node variables
+	// and variables another component shares, the join columns. Every other
+	// column is existential — the head and the joins cannot tell two rows
+	// apart by it — which is what the stop rules (stopRule) decide on.
+	allVars, xvars  []NodeVar
+	isStart, needed []bool
 }
 
 func decompose(q *Query, monolithic, noClasses bool) ([]*component, error) {
@@ -475,6 +487,7 @@ func newComponent(pathAtoms []PathAtom, relAtoms []RelAtom, vars []PathVar, noCl
 			c.atomsOf[i] = append(c.atomsOf[i], a)
 		}
 	}
+	c.layoutNodeVars()
 	var atoms []relations.Atom
 	for _, ra := range relAtoms {
 		if slices.ContainsFunc(ra.Args, func(v PathVar) bool { _, ok := c.varIdx[v]; return !ok }) {
@@ -513,28 +526,26 @@ func newComponent(pathAtoms []PathAtom, relAtoms []RelAtom, vars []PathVar, noCl
 	return c, nil
 }
 
-// nodeVarsOf returns the distinct node variables of the component in
-// first-occurrence order, and those occurring in X position.
-func (c *component) nodeVars() (all []NodeVar, xvars []NodeVar) {
-	seenAll := map[NodeVar]bool{}
-	seenX := map[NodeVar]bool{}
+// layoutNodeVars fixes allVars, xvars and isStart from the component's
+// path atoms, tape by tape.
+func (c *component) layoutNodeVars() {
 	for _, atoms := range c.atomsOf {
 		for _, a := range atoms {
-			if !seenAll[a.X] {
-				seenAll[a.X] = true
-				all = append(all, a.X)
+			if !slices.Contains(c.allVars, a.X) {
+				c.allVars = append(c.allVars, a.X)
 			}
-			if !seenX[a.X] {
-				seenX[a.X] = true
-				xvars = append(xvars, a.X)
+			if !slices.Contains(c.xvars, a.X) {
+				c.xvars = append(c.xvars, a.X)
 			}
-			if !seenAll[a.Y] {
-				seenAll[a.Y] = true
-				all = append(all, a.Y)
+			if !slices.Contains(c.allVars, a.Y) {
+				c.allVars = append(c.allVars, a.Y)
 			}
 		}
 	}
-	return all, xvars
+	c.isStart = make([]bool, len(c.allVars))
+	for i, v := range c.allVars {
+		c.isStart[i] = slices.Contains(c.xvars, v)
+	}
 }
 
 // acceptCheck is one Y-endpoint consistency obligation: the path on
@@ -543,6 +554,52 @@ type acceptCheck struct {
 	coord int
 	yi    int
 }
+
+// stopRule is how much of a component's relation one execution has to
+// enumerate before the head and the joins can no longer tell a further
+// row from the rows it already holds. Definition 3.1 answers are
+// projections onto the head and components meet only on shared
+// variables, so two rows that agree on the needed columns are one row to
+// every reader. reset derives the rule from the needed columns, the
+// bindings, X position and the kept witnesses; Options.NoPrune switches
+// it off, which keeps NoPrune the exhaustive reference.
+type stopRule uint8
+
+const (
+	// stopNone: some needed column is a free end variable, or a witness is
+	// kept (a later duplicate may carry a shorter one) — every row counts.
+	stopNone stopRule = iota
+	// stopRow: every needed column is a start variable or bound, so the
+	// rows of one start assignment agree on every column anyone reads and
+	// the assignment's BFS ends at its first accepted row.
+	stopRow
+	// stopSweep: moreover every needed column is bound, or none is needed —
+	// the relation matters only as empty or non-empty, and the sweep over
+	// the start space ends at its first row.
+	stopSweep
+)
+
+// stopRuleFor derives the rule under the external bindings bindVal
+// (aligned with allVars, -1 unbound; nil binds nothing). It does not look
+// at kept witnesses or NoPrune — reset does.
+func (c *component) stopRuleFor(bindVal []graph.Node) stopRule {
+	rule := stopSweep
+	for i, need := range c.needed {
+		switch {
+		case !need || bindVal != nil && bindVal[i] >= 0:
+		case c.isStart[i]:
+			rule = stopRow
+		default:
+			return stopNone
+		}
+	}
+	return rule
+}
+
+// errDecided is applyRow's report that the armed stop rule has the row it
+// was waiting for. bfs, runAssign and evalComponent unwind it like
+// errStopStream; it never leaves evalComponent.
+var errDecided = errors.New("ecrpq: decided")
 
 // componentEngine holds everything the dense product BFS needs for one
 // component: the shared product core (adjacency snapshot, joint runner,
@@ -568,11 +625,13 @@ type componentEngine struct {
 	// sinks must copy. Returning errStopStream aborts the BFS cleanly.
 	sink func(nodes []graph.Node, paths []graph.Path) error
 
-	// Accept plan, fixed per component.
-	allVars []NodeVar
-	xvars   []NodeVar
+	// Accept plan, fixed per component; var slots are positions in
+	// c.allVars.
 	bindVal []graph.Node // external binding per var slot; -1 if unbound
 	plan    []acceptCheck
+	// stop is the execution's stop rule, set by reset (startCapture demotes
+	// stopSweep: a memo holds a segment per start assignment).
+	stop stopRule
 	// keptCoords lists the (coordinate, variable) pairs of the path
 	// variables whose witnesses the query outputs; witness paths are only
 	// reconstructed for these.
@@ -624,45 +683,42 @@ type componentEngine struct {
 	// retained across executions like the runner memos. space is the
 	// execution's start-assignment space, set by reset from the bindings,
 	// the start-domain lists in doms and allNodes, the shared
-	// 0..NumNodes-1 candidate slice of an unconfined variable.
-	// fanTake/fanPut, installed by Program.take, let the assignment
-	// fan-out borrow sibling engines of the same component pool.
+	// 0..NumNodes-1 candidate slice of an unconfined variable. prog and
+	// comp name the pool the engine belongs to — the assignment fan-out
+	// borrows sibling engines from it.
 	workers  int
 	opts     Options
 	par      *parState
 	doms     map[NodeVar][]graph.Node
 	space    startSpace
 	allNodes []graph.Node
-	fanTake  func() *componentEngine
-	fanPut   func(*componentEngine)
+	prog     *Program
+	comp     int
 }
 
-// newComponentEngine builds an engine for c. The graph is not needed at
-// construction time — reset supplies it before each execution — so
-// engines can be compiled into a Program ahead of any graph.
-func newComponentEngine(c *component, keepPaths map[PathVar]bool) *componentEngine {
-	allVars, xvars := c.nodeVars()
+// newComponentEngine builds an engine for component comp of p, whose
+// pool it will live in. The graph is not needed at construction time —
+// reset supplies it before each execution — so engines can be compiled
+// into a Program ahead of any graph.
+func newComponentEngine(p *Program, comp int) *componentEngine {
+	c := p.comps[comp]
 	e := &componentEngine{
 		prodCore: newProdCore(nil, c),
-		allVars:  allVars,
-		xvars:    xvars,
+		prog:     p,
+		comp:     comp,
 
-		nodesBuf: make([]graph.Node, len(allVars)),
-		tmpl:     make([]graph.Node, len(allVars)),
-		bindVal:  make([]graph.Node, len(allVars)),
+		nodesBuf: make([]graph.Node, len(c.allVars)),
+		tmpl:     make([]graph.Node, len(c.allVars)),
+		bindVal:  make([]graph.Node, len(c.allVars)),
 	}
 	e.emit = e.emitIntern
-	slot := map[NodeVar]int{}
-	for i, v := range allVars {
-		slot[v] = i
-	}
 	for i, atoms := range c.atomsOf {
 		for _, a := range atoms {
-			e.plan = append(e.plan, acceptCheck{coord: i, yi: slot[a.Y]})
+			e.plan = append(e.plan, acceptCheck{coord: i, yi: varPos(c.allVars, a.Y)})
 		}
 	}
 	for i, v := range c.vars {
-		if keepPaths[v] {
+		if p.keepPaths[v] {
 			e.keptCoords = append(e.keptCoords, i)
 			e.keptVars = append(e.keptVars, v)
 		}
@@ -687,19 +743,23 @@ func (e *componentEngine) reset(s *graph.Snapshot, opts Options, doms map[NodeVa
 	e.opts = opts
 	e.doms = doms
 	e.workers = effectiveBFSWorkers(opts.BFSWorkers)
-	e.vr = &varRelation{vars: e.allVars, pvars: e.keptVars}
+	e.vr = &varRelation{vars: e.c.allVars, pvars: e.keptVars}
 	e.rows.reset()
-	for i, v := range e.allVars {
+	for i, v := range e.c.allVars {
 		if n, ok := opts.Bind[v]; ok {
 			e.bindVal[i] = n
 		} else {
 			e.bindVal[i] = -1
 		}
 	}
-	e.space.vars, e.space.lists = e.xvars, e.space.lists[:0]
-	for _, v := range e.xvars {
+	e.stop = stopNone
+	if !opts.NoPrune && len(e.keptVars) == 0 {
+		e.stop = e.c.stopRuleFor(e.bindVal)
+	}
+	e.space.vars, e.space.lists = e.c.xvars, e.space.lists[:0]
+	for _, v := range e.c.xvars {
 		var list []graph.Node
-		if i := varPos(e.allVars, v); e.bindVal[i] >= 0 {
+		if i := varPos(e.c.allVars, v); e.bindVal[i] >= 0 {
 			list = e.bindVal[i : i+1 : i+1]
 		} else if dom, ok := doms[v]; ok {
 			list = dom
@@ -733,11 +793,17 @@ func (e *componentEngine) release() {
 // assignment of its start space (see reset), drawing on the shared state
 // budget. It returns the component's relation (under a sink, which has
 // consumed the rows, only the node tuples the dedup kept).
+//
+// Under stopSweep the enumeration runs here, in assignment order on the
+// caller's goroutine, and ends at the first row: fanning the sweep out
+// would run assignments past the deciding one.
 func evalComponent(ctx context.Context, e *componentEngine, bud *stateBudget) (*varRelation, error) {
-	if vr, done, err := e.evalAssignFanout(ctx, bud); done {
-		return vr, err
+	if e.stop != stopSweep {
+		if vr, done, err := e.evalAssignFanout(ctx, bud); done {
+			return vr, err
+		}
 	}
-	if err := e.runAssignRange(ctx, 0, math.MaxUint64, bud); err != nil {
+	if err := e.runAssignRange(ctx, 0, math.MaxUint64, bud); err != nil && err != errDecided {
 		return nil, err
 	}
 	return e.vr, nil
@@ -753,12 +819,18 @@ func (e *componentEngine) runAssignRange(ctx context.Context, lo, hi uint64, bud
 }
 
 // runAssign is one start assignment: its product BFS and, when the
-// engine captures, its memo segment.
+// engine captures, its memo segment. A BFS the stop rule ended is a
+// finished assignment; errDecided travels on only under stopSweep, where
+// it ends the enumeration too.
 func (e *componentEngine) runAssign(ctx context.Context, assign map[NodeVar]graph.Node, bud *stateBudget) error {
-	if err := e.bfs(ctx, assign, bud, e.workers); err != nil {
+	err := e.bfs(ctx, assign, bud, e.workers)
+	if err != nil && err != errDecided {
 		return err
 	}
-	e.endCapAssign()
+	e.endCapAssign(err == errDecided)
+	if e.stop == stopSweep {
+		return err
+	}
 	return nil
 }
 
@@ -786,7 +858,7 @@ func (e *componentEngine) beginRun(assign map[NodeVar]graph.Node) bool {
 		e.tmpl[i] = -1
 	}
 	for v, n := range assign {
-		e.tmpl[varPos(e.allVars, v)] = n
+		e.tmpl[varPos(e.c.allVars, v)] = n
 	}
 	// No move discovered the start state: its recorded labels are ⊥.
 	for i := range e.symLabs {
@@ -820,6 +892,11 @@ func (e *componentEngine) pushState(jointID int, nodes []graph.Node, parent, sym
 // one-lane run builds no parallel state, counts nothing towards the
 // parallel counters and consults no ParallelBFS fault point; it is what
 // a multi-lane run hit by such a fault degrades to.
+//
+// With a stop rule armed the driver applies a level's accepts itself,
+// before any state of the level is expanded by either path (which then
+// skip them): the run ends — errDecided — having charged exactly the
+// states of the levels up to the deciding one, at every worker count.
 func (e *componentEngine) bfs(ctx context.Context, assign map[NodeVar]graph.Node, bud *stateBudget, lanes int) error {
 	if !e.beginRun(assign) {
 		return nil // inconsistent start for repeated path var
@@ -827,6 +904,11 @@ func (e *componentEngine) bfs(ctx context.Context, assign map[NodeVar]graph.Node
 	e.bud, e.spent, e.sharded = bud, 0, false
 	counted := false
 	for lo, hi := 0, 1; lo < hi; lo, hi = hi, len(e.joints) {
+		if e.stop != stopNone {
+			if err := e.acceptLevel(lo, hi); err != nil {
+				return err
+			}
+		}
 		if lanes > 1 && faultinject.Inject(faultinject.ParallelBFS) != nil {
 			return e.degradeToSeq(ctx, assign)
 		}
@@ -873,7 +955,7 @@ func (e *componentEngine) levelInline(ctx context.Context, lo, hi int) error {
 		}
 		cur := e.curs[head*cnt : head*cnt+cnt]
 		joint := int(e.joints[head])
-		if e.runner.Accepting(joint) {
+		if e.stop == stopNone && e.runner.Accepting(joint) {
 			if err := e.accept(head, cur); err != nil {
 				return err
 			}
@@ -889,6 +971,21 @@ func (e *componentEngine) levelInline(ctx context.Context, lo, hi int) error {
 		e.head = head
 		if err := e.forEachMove(cur); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// acceptLevel applies the accepts of the frontier [lo, hi) in state
+// order, on the owner goroutine — the accept phase of a level when a stop
+// rule is armed (see bfs).
+func (e *componentEngine) acceptLevel(lo, hi int) error {
+	cnt := e.cnt
+	for id := lo; id < hi; id++ {
+		if e.runner.Accepting(int(e.joints[id])) {
+			if err := e.accept(id, e.curs[id*cnt:id*cnt+cnt]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -959,6 +1056,11 @@ func (e *componentEngine) checkAccept(cur []graph.Node, buf []graph.Node) ([]gra
 // memo capture of a fresh row, sink or relation append. paths are the
 // row's witnesses in keptVars order. Single-threaded: the parallel BFS
 // calls it only at the level barrier, in deterministic sequential order.
+//
+// It is also where the stop rules live: with one armed, any row is the
+// last row the run (stopRow) or the sweep (stopSweep) can contribute that
+// a reader could tell from this one, and applyRow reports errDecided —
+// after the sink, whose own stop takes precedence.
 func (e *componentEngine) applyRow(nodes []graph.Node, paths []graph.Path) error {
 	id, added := e.rows.intern(e.vr, nodes)
 	if added && e.memoCap != nil {
@@ -969,12 +1071,17 @@ func (e *componentEngine) applyRow(nodes []graph.Node, paths []graph.Path) error
 		// Streaming keeps the first witness per row; duplicates carry no
 		// new node tuple and are dropped.
 		if added {
-			return e.sink(nodes, paths)
+			if err := e.sink(nodes, paths); err != nil {
+				return err
+			}
 		}
 	case added:
 		e.vr.paths = append(e.vr.paths, paths...)
 	default:
 		e.vr.mergeShorter(id, paths)
+	}
+	if e.stop != stopNone {
+		return errDecided
 	}
 	return nil
 }

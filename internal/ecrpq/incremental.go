@@ -165,10 +165,16 @@ func (m *incMemo) sizeBytes() int64 {
 	return size
 }
 
-// startCapture arms the engine's memo capture for one execution.
+// startCapture arms the engine's memo capture for one execution. A memo
+// holds one segment per start assignment (memoSpace checks it), so a
+// capturing execution finishes the sweep: stopSweep stands down to
+// stopRow, which it implies.
 func (e *componentEngine) startCapture() {
-	lists := make([][]graph.Node, len(e.xvars))
-	for i, v := range e.xvars {
+	if e.stop == stopSweep {
+		e.stop = stopRow
+	}
+	lists := make([][]graph.Node, len(e.c.xvars))
+	for i, v := range e.c.xvars {
 		if n, bound := e.opts.Bind[v]; bound {
 			lists[i] = []graph.Node{n}
 		} else {
@@ -176,7 +182,7 @@ func (e *componentEngine) startCapture() {
 		}
 	}
 	e.memoCap = &compMemo{
-		stride:   len(e.allVars),
+		stride:   len(e.c.allVars),
 		lists:    lists,
 		touchOff: make([]int32, 1, 64),
 		rowOff:   make([]int32, 1, 64),
@@ -187,12 +193,18 @@ func (e *componentEngine) startCapture() {
 // endCapAssign seals the current assignment's memo segment after its
 // BFS completed: the reached-node set (sorted, distinct; skipped when
 // the BFS never left the start state) and the row/touch offsets.
-func (e *componentEngine) endCapAssign() {
+//
+// An assignment the stop rule decided seals its one row and an empty
+// reached set. Positive queries are monotone under AddEdge: the row can
+// never be lost, and under the rule no later row of the assignment can be
+// told from it, so no delta ever needs to re-run it for its closure — at
+// worst a delta at its start tuple re-runs it to the same one row.
+func (e *componentEngine) endCapAssign(decided bool) {
 	m := e.memoCap
 	if m == nil {
 		return
 	}
-	if len(e.joints) > 1 {
+	if len(e.joints) > 1 && !decided {
 		base := len(m.touched)
 		m.touched = append(m.touched, e.curs[:len(e.joints)*e.cnt]...)
 		seg := m.touched[base:]
@@ -237,10 +249,10 @@ var errMemoStale = errors.New("ecrpq: incremental memo out of step")
 // memoSpace rebuilds the start space old was enumerated over, or false
 // when the memo does not fit this component.
 func (e *componentEngine) memoSpace(old *compMemo) (*startSpace, bool) {
-	if len(old.lists) != len(e.xvars) {
+	if len(old.lists) != len(e.c.xvars) {
 		return nil, false
 	}
-	sp := &startSpace{vars: e.xvars, lists: make([][]graph.Node, len(old.lists))}
+	sp := &startSpace{vars: e.c.xvars, lists: make([][]graph.Node, len(old.lists))}
 	for i, l := range old.lists {
 		if l == nil {
 			l = e.allNodesSlice()

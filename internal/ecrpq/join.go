@@ -358,7 +358,8 @@ func sharedVars(a, b *varRelation) []NodeVar {
 // materializing backtrackJoin and the streaming executor: run invokes
 // the callback once per satisfying assignment (projected onto the kept
 // columns, duplicates included — callers deduplicate), stopping early
-// when the callback returns false.
+// when the callback returns false — and after the first assignment when
+// no column is kept: every further one would be its duplicate.
 type joinEnum struct {
 	plan      []indexedRel
 	keepCols  []NodeVar
@@ -449,7 +450,7 @@ func (je *joinEnum) run(ctx context.Context, each func(nodes []graph.Node, paths
 		}
 		if i == len(je.plan) {
 			gather(rowBuf, binding, je.keepSlots)
-			if !each(rowBuf, paths) {
+			if !each(rowBuf, paths) || len(je.keepCols) == 0 {
 				done = true
 			}
 			return
@@ -471,15 +472,14 @@ func (je *joinEnum) run(ctx context.Context, each func(nodes []graph.Node, paths
 
 // backtrackJoin materializes the natural join, deduplicating on the
 // kept columns (shortest witnesses win). For Boolean queries (no kept
-// columns) it stops at the first satisfying assignment.
+// columns) the enumeration stops at the first satisfying assignment.
 func backtrackJoin(ctx context.Context, rels []*varRelation, keep map[NodeVar]bool) (*varRelation, error) {
 	je := newJoinEnum(rels, keep)
 	out := &varRelation{vars: je.keepCols, pvars: je.pathCols}
-	boolean := len(je.keepCols) == 0
 	var seen rowSet
 	err := je.run(ctx, func(nodes []graph.Node, paths []graph.Path) bool {
 		seen.put(out, nodes, paths)
-		return !boolean
+		return true
 	})
 	if err != nil {
 		return nil, err

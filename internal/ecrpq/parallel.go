@@ -32,7 +32,9 @@ import (
 //  1. Expand (parallel): each lane scans a contiguous slice of the
 //     frontier [lo, hi), records accept candidates (checked tuple +
 //     reconstructed witnesses) and emits successor candidates to its
-//     outboxes, tagging each with its emission order.
+//     outboxes, tagging each with its emission order. (With a stop rule
+//     armed the driver has applied the level's accepts already — see
+//     componentEngine.bfs — and the lanes record none.)
 //  2. Accepts (sequential): lane-order application of the accept
 //     records. Lane k's slice precedes lane k+1's, and within a lane
 //     records are in scan order, so rows apply in exactly the order an
@@ -201,7 +203,7 @@ func (p *parState) ensureLanes(e *componentEngine, n int) {
 			e:          e,
 			view:       view,
 			syms:       newSymSet(e.cnt),
-			nodesBuf:   make([]graph.Node, len(e.allVars)),
+			nodesBuf:   make([]graph.Node, len(e.c.allVars)),
 			out:        make([]laneBox, parShards),
 		}
 		ln.emit = ln.emitOutbox
@@ -311,7 +313,7 @@ func (ln *bfsLane) expand(ctx context.Context, lo, hi int) {
 		}
 		cur := e.curs[gid*cnt : gid*cnt+cnt]
 		joint := int(e.joints[gid])
-		if ln.view.Accepting(joint) {
+		if e.stop == stopNone && ln.view.Accepting(joint) {
 			if nodes, ok := e.checkAccept(cur, ln.nodesBuf); ok {
 				ln.accNodes = append(ln.accNodes, nodes...)
 				ln.accPaths = e.reconstruct(gid, &ln.chainBuf, ln.accPaths)
@@ -432,7 +434,7 @@ func (e *componentEngine) levelParallel(ctx context.Context, lo, hi, workers int
 
 	// Phase 2: apply accepts in lane order — identical to the order an
 	// inline head cursor visits the same states.
-	nv, np := len(e.allVars), len(e.keptVars)
+	nv, np := len(e.c.allVars), len(e.keptVars)
 	for _, ln := range lanes {
 		for i := 0; i*nv < len(ln.accNodes); i++ {
 			if err := e.applyRow(ln.accNodes[i*nv:i*nv+nv], ln.accPaths[i*np:i*np+np]); err != nil {
@@ -524,7 +526,7 @@ type fanChunk struct {
 // so no row of one can duplicate a row of another). done=false means the
 // caller should run the sequential enumeration instead.
 func (e *componentEngine) evalAssignFanout(ctx context.Context, bud *stateBudget) (*varRelation, bool, error) {
-	if e.workers <= 1 || e.sink != nil || e.fanTake == nil {
+	if e.workers <= 1 || e.sink != nil {
 		return nil, false, nil
 	}
 	// An empty or overflowing space goes to the sequential enumeration.
@@ -553,8 +555,8 @@ func (e *componentEngine) evalAssignFanout(ctx context.Context, bud *stateBudget
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sib := e.fanTake()
-			defer e.fanPut(sib)
+			sib := e.prog.take(e.comp)
+			defer e.prog.put(e.comp, sib)
 			for {
 				ci := uint64(next.Add(1) - 1)
 				if ci >= nCh || stop.Load() {

@@ -99,7 +99,7 @@ func newProductBuilder(s *graph.Snapshot, c *component, opts Options, bind map[N
 // bind has its bound node, any other every node of the snapshot.
 func (pb *productBuilder) build(start func(nodes []graph.Node, s0 int), edge func(from, to int)) error {
 	pb.start, pb.edge = start, edge
-	_, xvars := pb.c.nodeVars()
+	xvars := pb.c.xvars
 	space := startSpace{vars: xvars}
 	var all []graph.Node
 	for _, v := range xvars {

@@ -2,6 +2,7 @@ package ecrpq
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -45,6 +46,8 @@ type Program struct {
 	// Every field of Query is covered — HeadNodes and the
 	// AllowRepeatedPathVars flag included, since they change the answer
 	// set (and feed the result-cache key via the program's identity).
+	// Execution reads these copies, never q: the query was validated once,
+	// by compileProgram, and an evaluation validates nothing again.
 	pathAtoms []PathAtom
 	relAtoms  []RelAtom
 	headNodes []NodeVar
@@ -154,14 +157,24 @@ func compileProgram(q *Query, monolithic, noClasses bool) (*Program, error) {
 	for i, ra := range q.RelAtoms {
 		p.relAtoms[i] = RelAtom{Rel: ra.Rel, Args: append([]PathVar(nil), ra.Args...)}
 	}
-	// Warm one engine per component so the first execution pays no
-	// construction cost, and record each component's variable set for the
-	// compile-time join plan.
+	// Mark each component's needed columns — head node variables and the
+	// variables another component shares (component.needed) — warm one
+	// engine per component so the first execution pays no construction
+	// cost, and record each component's variable set for the compile-time
+	// join plan.
 	varSets := make([][]NodeVar, len(comps))
 	for i, c := range comps {
-		e := newComponentEngine(c, keepPaths)
-		varSets[i] = e.allVars
-		p.pools[i].put(e)
+		varSets[i] = c.allVars
+		c.needed = make([]bool, len(c.allVars))
+		for k, v := range c.allVars {
+			c.needed[k] = slices.Contains(q.HeadNodes, v)
+			for _, o := range comps {
+				if o != c && slices.Contains(o.allVars, v) {
+					c.needed[k] = true
+				}
+			}
+		}
+		p.pools[i].put(newComponentEngine(p, i))
 	}
 	p.jp = planJoin(varSets)
 	p.incCapable = len(q.HeadPaths) == 0
@@ -239,16 +252,54 @@ type ComponentInfo struct {
 	// the nodes x reaches under a+ only, not from every node. Empty when
 	// no path atom ends at one of the component's start variables.
 	Propagation []string
+	// Needed lists the node columns something outside the component
+	// reads: head variables and variables shared with another component.
+	// The others are existential, and Rows renders what that buys: the
+	// stop rule an evaluation without bindings arms ("all", "first per
+	// start assignment", "decided by first row") and the rule a binding of
+	// the free needed variables would arm instead.
+	Needed []NodeVar
+	Rows   string
+}
+
+// explainRows renders the component's stop rule for ComponentInfo.Rows.
+func (c *component) explainRows(keepsWitness bool) string {
+	if keepsWitness {
+		return "all, shortest witness each (a head path variable is kept)"
+	}
+	var needed, unread, ends, starts []string
+	for i, v := range c.allVars {
+		switch {
+		case !c.needed[i]:
+			unread = append(unread, string(v))
+			continue
+		case c.isStart[i]:
+			starts = append(starts, string(v))
+		default:
+			ends = append(ends, string(v))
+		}
+		needed = append(needed, string(v))
+	}
+	cols := "needs " + strings.Join(needed, ", ")
+	if len(unread) > 0 {
+		cols += "; " + strings.Join(unread, ", ") + " unread"
+	}
+	switch c.stopRuleFor(nil) {
+	case stopSweep:
+		return "decided by first row"
+	case stopRow:
+		return fmt.Sprintf("first per start assignment (%s); decided by first row when %s bound", cols, strings.Join(starts, ", "))
+	}
+	return fmt.Sprintf("all (%s); first per start assignment when %s bound", cols, strings.Join(ends, ", "))
 }
 
 // Components describes the compiled component decomposition.
 func (p *Program) Components() []ComponentInfo {
 	out := make([]ComponentInfo, len(p.comps))
 	for i, c := range p.comps {
-		all, xvars := c.nodeVars()
 		var rules []string
 		for _, pa := range p.prop {
-			if slices.Contains(xvars, pa.atom.Y) {
+			if slices.Contains(c.xvars, pa.atom.Y) {
 				rules = append(rules, pa.explain(p.relAtoms))
 			}
 		}
@@ -258,13 +309,20 @@ func (p *Program) Components() []ComponentInfo {
 		for t, ls := range live {
 			starts[t] = renderLiveSet(ls, c.part)
 		}
-		p.put(i, e)
-		out[i] = ComponentInfo{
+		info := ComponentInfo{
 			PathVars:    append([]PathVar(nil), c.vars...),
-			NodeVars:    append([]NodeVar(nil), all...),
+			NodeVars:    append([]NodeVar(nil), c.allVars...),
 			LiveStart:   starts,
 			Propagation: rules,
+			Rows:        c.explainRows(len(e.keptVars) > 0),
 		}
+		p.put(i, e)
+		for k, v := range c.allVars {
+			if c.needed[k] {
+				info.Needed = append(info.Needed, v)
+			}
+		}
+		out[i] = info
 	}
 	return out
 }
@@ -300,17 +358,12 @@ func renderLiveSet(ls relations.LiveSet, part *regex.Partition) string {
 	return b.String()
 }
 
-// take borrows an engine for component i. The fan-out hooks let the
-// engine's start-assignment fan-out borrow sibling engines of the same
-// component pool (parallel.go); they are cleared again by put.
+// take borrows an engine for component i.
 func (p *Program) take(i int) *componentEngine {
-	e := p.pools[i].take()
-	if e == nil {
-		e = newComponentEngine(p.comps[i], p.keepPaths)
+	if e := p.pools[i].take(); e != nil {
+		return e
 	}
-	e.fanTake = func() *componentEngine { return p.take(i) }
-	e.fanPut = func(sib *componentEngine) { p.put(i, sib) }
-	return e
+	return newComponentEngine(p, i)
 }
 
 // maxPooledScratch bounds the per-state scratch (in elements) a pooled
@@ -330,8 +383,6 @@ func (p *Program) put(i int, e *componentEngine) {
 	e.sink = nil
 	e.memoCap = nil
 	e.memoFailed = false
-	e.fanTake = nil
-	e.fanPut = nil
 	e.opts = Options{}
 	e.doms = nil
 	clear(e.space.lists)
@@ -497,9 +548,6 @@ func (p *Program) EvalSnapshotMemo(ctx context.Context, s *graph.Snapshot, opts 
 }
 
 func (p *Program) evalFull(ctx context.Context, s *graph.Snapshot, opts Options, capture bool) (*Result, error) {
-	if err := p.q.Validate(); err != nil {
-		return nil, err
-	}
 	rels, memos, err := p.evalComponents(ctx, s, opts, capture)
 	if err != nil {
 		return nil, qerr.Classify(err)
@@ -527,18 +575,17 @@ func (p *Program) evalFull(ctx context.Context, s *graph.Snapshot, opts Options,
 // Every answer's Nodes (and Paths) is carved from one exactly-sized
 // backing array.
 func (p *Program) assemble(ctx context.Context, s *graph.Snapshot, rels []*varRelation, opts Options) (*Result, error) {
-	q := p.q
-	joined, err := joinAll(ctx, rels, p.jp, opts.Join, q.HeadNodes)
+	joined, err := joinAll(ctx, rels, p.jp, opts.Join, p.headNodes)
 	if err != nil {
 		return nil, qerr.Classify(err)
 	}
-	res := &Result{Query: q, Snap: s, fp: new(fpMemo)}
+	res := &Result{Query: p.q, Snap: s, fp: new(fpMemo)}
 	if joined.n == 0 {
 		return res, nil
 	}
-	headPos := positions(q.HeadNodes, joined.vars)
-	pathPos := make([]int, len(q.HeadPaths))
-	for i, chi := range q.HeadPaths {
+	headPos := positions(p.headNodes, joined.vars)
+	pathPos := make([]int, len(p.headPaths))
+	for i, chi := range p.headPaths {
 		pathPos[i] = slices.Index(joined.pvars, chi)
 	}
 	nh, np := len(headPos), len(pathPos)

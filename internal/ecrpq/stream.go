@@ -62,14 +62,12 @@ func (p *Program) StreamSnapshot(ctx context.Context, s *graph.Snapshot, opts St
 
 // stream drives one streaming execution, calling emit for every
 // answer. It returns nil on normal completion and on early stop
-// (consumer break, limit, boolean short-circuit); real failures are
-// returned for the iterator to surface.
+// (consumer break, limit); real failures are returned for the iterator
+// to surface. A head without node variables needs no rule here: the
+// engine's stop rule ends a single component at its first row, and the
+// join enumeration ends itself when it keeps no column.
 func (p *Program) stream(ctx context.Context, s *graph.Snapshot, opts StreamOptions, emit func(Answer) bool) error {
-	q := p.q
-	if err := q.Validate(); err != nil {
-		return err
-	}
-	sink := newAnswerSink(q, opts.Limit, emit)
+	sink := newAnswerSink(p.headNodes, p.headPaths, opts.Limit, emit)
 	var err error
 	if len(p.comps) == 1 {
 		err = p.streamSingle(ctx, s, opts, sink)
@@ -97,12 +95,12 @@ type answerSink struct {
 	emit      func(Answer) bool
 }
 
-func newAnswerSink(q *Query, limit int, emit func(Answer) bool) *answerSink {
+func newAnswerSink(headNodes []NodeVar, headPaths []PathVar, limit int, emit func(Answer) bool) *answerSink {
 	return &answerSink{
-		headNodes: q.HeadNodes,
-		headPaths: q.HeadPaths,
+		headNodes: headNodes,
+		headPaths: headPaths,
 		seen:      intern.NewTable(0),
-		keyBuf:    make([]int, len(q.HeadNodes)),
+		keyBuf:    make([]int, len(headNodes)),
 		limit:     limit,
 		emit:      emit,
 	}
@@ -142,11 +140,6 @@ func (s *answerSink) row(nodes []graph.Node, paths []graph.Path) error {
 	if s.limit > 0 && s.emitted >= s.limit {
 		return errStopStream
 	}
-	if len(s.headNodes) == 0 {
-		// Every further row projects to the same (empty) head tuple, so
-		// no distinct answer can follow: stop the whole enumeration.
-		return errStopStream
-	}
 	return nil
 }
 
@@ -161,7 +154,7 @@ func (p *Program) streamSingle(ctx context.Context, s *graph.Snapshot, opts Stre
 		return err
 	}
 	e.reset(s, opts.Options, doms)
-	sink.bindCols(e.allVars, e.keptVars)
+	sink.bindCols(e.c.allVars, e.keptVars)
 	e.sink = sink.row
 	_, err = evalComponent(ctx, e, bud)
 	return err
@@ -176,7 +169,7 @@ func (p *Program) streamJoin(ctx context.Context, s *graph.Snapshot, opts Stream
 		return err
 	}
 	keepSet := map[NodeVar]bool{}
-	for _, v := range p.q.HeadNodes {
+	for _, v := range p.headNodes {
 		keepSet[v] = true
 	}
 	final, _, err := reduceJoin(ctx, rels, p.jp, opts.Join, keepSet)

@@ -64,3 +64,55 @@ func TestExplainShowsStartDomains(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainShowsStopRule pins the rows line of Explain: per component,
+// how much of its relation the head and the joins make it enumerate — the
+// columns they read, the stop rule an unbound evaluation arms, and the
+// binding that would arm the next one.
+func TestExplainShowsStopRule(t *testing.T) {
+	env := ecrpq.Env{Sigma: []rune("ab")}
+	for _, tc := range []struct {
+		text string
+		rows []string
+	}{
+		{"Ans() <- (x,p1,y), (u,p2,v), a+(p1), eq(p1,p2)",
+			[]string{"    rows: decided by first row\n"}},
+		{"Ans(x) <- (x,p,y), a+(p)",
+			[]string{"    rows: first per start assignment (needs x; y unread); decided by first row when x bound\n"}},
+		{"Ans(x,y) <- (x,p,y), a+(p)",
+			[]string{"    rows: all (needs x, y); first per start assignment when y bound\n"}},
+		{"Ans(x, p) <- (x,p,y), a+(p)",
+			[]string{"    rows: all, shortest witness each (a head path variable is kept)\n"}},
+		// The head reads nothing of the second component past x.
+		{"Ans(x,y) <- (x,p1,y), (x,p2,z), a+(p1), b+(p2)", []string{
+			"nodes(x, y) live(p1:a)\n    rows: all (needs x, y); first per start assignment when y bound\n",
+			"nodes(x, z) live(p2:b)\n    rows: first per start assignment (needs x; z unread); decided by first row when x bound\n"}},
+		// A Boolean chain still needs its join column.
+		{"Ans() <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)", []string{
+			"    rows: all (needs z; x unread); first per start assignment when z bound\n",
+			"    rows: first per start assignment (needs z; y unread); decided by first row when z bound\n"}},
+	} {
+		p, err := Compile(ecrpq.MustParse(tc.text, env), env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := p.Explain()
+		for _, rows := range tc.rows {
+			if !strings.Contains(out, rows) {
+				t.Errorf("%s: Explain missing %q:\n%s", tc.text, rows, out)
+			}
+		}
+		if got := strings.Count(out, "    rows: "); got != p.NumComponents() {
+			t.Errorf("%s: %d rows lines for %d components:\n%s", tc.text, got, p.NumComponents(), out)
+		}
+	}
+	p, err := Compile(ecrpq.MustParse("Ans(x) <- (x,p1,y), (x,p2,z), a+(p1), b+(p2)", env), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range p.prog.Components() {
+		if len(c.Needed) != 1 || c.Needed[0] != "x" {
+			t.Errorf("component %d needs %v, want [x]", i, c.Needed)
+		}
+	}
+}

@@ -250,7 +250,9 @@ func (p *Plan) Acyclic() bool { return p.prog.JoinAcyclic() }
 // the component decomposition, each component's start-state live labels
 // (the selectivity the label-directed product BFS exploits), the static
 // start-domain propagation rules that confine its start variables when
-// an evaluation binds a variable upstream, and the join strategy.
+// an evaluation binds a variable upstream, how much of its relation the
+// head and the joins make it enumerate (ComponentInfo.Rows), and the
+// join strategy.
 func (p *Plan) Explain() string {
 	var b strings.Builder
 	comps := p.prog.Components()
@@ -285,6 +287,7 @@ func (p *Plan) Explain() string {
 		for _, rule := range c.Propagation {
 			fmt.Fprintf(&b, "    start domain: %s\n", rule)
 		}
+		fmt.Fprintf(&b, "    rows: %s\n", c.Rows)
 	}
 	if p.prog.JoinAcyclic() {
 		b.WriteString("  join: acyclic hypergraph — Yannakakis semijoins (Theorem 6.5)\n")
