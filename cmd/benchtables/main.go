@@ -2,70 +2,14 @@
 // cell of Figure 1 (data/combined complexity of CRPQs, ECRPQs, acyclic
 // restrictions, Q_len, repetition, negation, linear constraints) as an
 // empirical scaling sweep, plus the Proposition 3.2 separation, the
-// Proposition 5.2 answer-automaton sizes, and the two design ablations.
+// Proposition 5.2 answer-automaton sizes, and the join ablation.
 //
 //	go run ./cmd/benchtables                   # all experiments
 //	go run ./cmd/benchtables -only E8          # one experiment
-//	go run ./cmd/benchtables -json BENCH.json  # machine-readable ECRPQ
-//	                                           # engine benchmarks (Fig1a
-//	                                           # + Scale_LabelRich), for
-//	                                           # cross-PR perf tracking
-//	go run ./cmd/benchtables -json B.json -baseline
-//	                                           # same suites as ablation
-//	                                           # baselines: engine suites
-//	                                           # without label-directed
-//	                                           # pruning, bigcomp suite
-//	                                           # with the sequential BFS
-//	                                           # (BFSWorkers=1), mixed suite
-//	                                           # without delta overlays,
-//	                                           # serve suite without the
-//	                                           # result cache
-//	go run ./cmd/benchtables -json B.json -suite bigcomp
-//	                                           # single-component parallel
-//	                                           # product-BFS suite (all
-//	                                           # cores); with -baseline the
-//	                                           # sequential ablation — the
-//	                                           # BENCH_8 comparison pair
-//	go run ./cmd/benchtables -json B.json -suite bigalpha
-//	                                           # RDF/Wikidata-scale label
-//	                                           # spaces (|Σ| = 10⁴): cold
-//	                                           # query service with the
-//	                                           # label-class partition;
-//	                                           # with -baseline the
-//	                                           # per-symbol NoClasses
-//	                                           # ablation — the BENCH_9
-//	                                           # comparison pair
-//	go run ./cmd/benchtables -json B.json -suite serve -noadvance
-//	                                           # serve suite with the cache
-//	                                           # but without the incremental
-//	                                           # serving layer (revalidation
-//	                                           # + delta BFS off) — the
-//	                                           # BENCH_7 revalidation-off
-//	                                           # baseline
-//	go run ./cmd/benchtables -json B.json -suite durable
-//	                                           # durable segment store:
-//	                                           # cold start from the mapped
-//	                                           # checkpoint, serve over the
-//	                                           # mapped CSR, WAL-logged
-//	                                           # writes; with -baseline the
-//	                                           # parse-from-text boot and
-//	                                           # memory-only writes — the
-//	                                           # BENCH_10 comparison pair
-//	go run ./cmd/benchtables -json M.json -suite mixed
-//	                                           # one suite only (all,
-//	                                           # engine, bigcomp, bigalpha,
-//	                                           # mixed, serve, daemon,
-//	                                           # durable) — e.g.
-//	                                           # Scale_MixedReadWrite, the
-//	                                           # Scale_RepeatedServe cached
-//	                                           # serving suite, or the
-//	                                           # Daemon_Serve end-to-end
-//	                                           # HTTP latency suite
-//	go run ./cmd/benchtables -compare old.json new.json
-//	                                           # speedup/allocation table
-//	                                           # between two bench files
 //
-// The measured shapes are recorded against the paper in EXPERIMENTS.md.
+// The theorem → package → test map in docs/ARCHITECTURE.md says which
+// result each table measures. Engine performance is measured by
+// `bash benchmark/run.sh` (see BENCHMARK.json), not here.
 package main
 
 import (
@@ -78,44 +22,8 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment (E1..E16)")
-	jsonPath := flag.String("json", "", "run the ECRPQ engine benchmarks and write machine-readable results to this file")
-	baseline := flag.Bool("baseline", false, "with -json: run the ablation baselines (engine suites without pruning, bigcomp suite with the sequential BFS, bigalpha suite with the per-symbol NoClasses expansion, mixed suite without delta overlays, durable suite with parse-from-text boot and memory-only writes)")
-	noAdvance := flag.Bool("noadvance", false, "with -json -suite serve: keep the result cache but disable incremental re-evaluation (revalidation + delta BFS)")
-	suite := flag.String("suite", "all", "with -json: benchmark suite to run (all, engine, bigcomp, bigalpha, mixed, serve, daemon, durable)")
-	compare := flag.Bool("compare", false, "compare two bench JSON files (old new) and print a speedup table")
+	only := flag.String("only", "", "run a single experiment (E1..E12, E14, E16)")
 	flag.Parse()
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "benchtables: -compare needs exactly two file arguments: old.json new.json")
-			os.Exit(2)
-		}
-		oldRep, err := experiments.ReadBenchReport(flag.Arg(0))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-			os.Exit(1)
-		}
-		newRep, err := experiments.ReadBenchReport(flag.Arg(1))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-			os.Exit(1)
-		}
-		experiments.CompareBenchReports(os.Stdout, oldRep, newRep)
-		return
-	}
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := experiments.WriteBenchJSON(f, os.Stdout, *baseline, *noAdvance, *suite); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	table := map[string]func(io.Writer){
 		"E1":  experiments.E1CRPQData,
 		"E2":  experiments.E2ECRPQData,
@@ -130,7 +38,6 @@ func main() {
 		"E11": experiments.E11LinConstraints,
 		"E12": experiments.E12Separation,
 		"E14": experiments.E14AnswerAutomaton,
-		"E15": experiments.E15Decomposition,
 		"E16": experiments.E16Yannakakis,
 	}
 	if *only != "" {

@@ -16,8 +16,10 @@ import (
 
 // This file is the cross-mode equivalence suite for the label-class
 // compilation: class-partitioned evaluation must produce answer sets
-// AND witness paths byte-identical to the per-symbol expansion
-// (Options.NoClasses) and, where the oracle is complete, to
+// AND witness paths byte-identical to the per-symbol spelling of the
+// same query (symPlus: each band written out as an alternation of its
+// labels, which compiles through the ordinary label-space path) and,
+// where the oracle is complete, to
 // NaiveEvalSnapshot — on random graphs and queries over alphabets up
 // to 10⁴ labels, under delta-write storms, and at every worker count.
 
@@ -59,20 +61,41 @@ func bandPlus(lo, hi rune) *relations.Relation {
 	return relations.FromLanguage(fmt.Sprintf("[%U-%U]+", lo, hi), node)
 }
 
-// randBandQuery builds a random path-returning query over sigma: a
-// single banded tape or a banded two-tape chain.
-func randBandQuery(r *rand.Rand, sigma []rune) *Query {
-	band := func() *relations.Relation {
+// symPlus is bandPlus spelled per symbol: (lo|…|hi)+ as an explicit
+// alternation of literals. It carries no class node, so it compiles
+// through the ordinary label-space path — no partition — and is the
+// reference the class compilation must agree with.
+func symPlus(lo, hi rune) *relations.Relation {
+	parts := make([]*regex.Node[rune], 0, hi-lo+1)
+	for r := lo; r <= hi; r++ {
+		parts = append(parts, regex.Lit(r))
+	}
+	return relations.FromLanguage(fmt.Sprintf("(%U|…|%U)+", lo, hi), regex.Repeat(regex.Or(parts...)))
+}
+
+// bandShape is a random path-returning query shape over sigma: one
+// banded tape or a banded two-tape chain, one (lo, hi) band per tape.
+type bandShape []struct{ lo, hi rune }
+
+func randBands(r *rand.Rand, sigma []rune) bandShape {
+	bs := make(bandShape, 1+r.Intn(2))
+	for k := range bs {
 		i := r.Intn(len(sigma))
 		j := i + r.Intn(len(sigma)-i)
-		return bandPlus(sigma[i], sigma[j])
+		bs[k].lo, bs[k].hi = sigma[i], sigma[j]
 	}
+	return bs
+}
+
+// query builds the shape with each band spelled by rel: bandPlus (a
+// class) or symPlus (per symbol).
+func (bs bandShape) query(rel func(lo, hi rune) *relations.Relation) *Query {
 	b := NewBuilder()
-	if r.Intn(2) == 0 {
-		b.Path("x", "p", "y").Rel(band(), "p").HeadNodes("x", "y").HeadPaths("p")
+	if len(bs) == 1 {
+		b.Path("x", "p", "y").Rel(rel(bs[0].lo, bs[0].hi), "p").HeadNodes("x", "y").HeadPaths("p")
 	} else {
 		b.Path("x", "p1", "z").Path("z", "p2", "y").
-			Rel(band(), "p1").Rel(band(), "p2").
+			Rel(rel(bs[0].lo, bs[0].hi), "p1").Rel(rel(bs[1].lo, bs[1].hi), "p2").
 			HeadNodes("x", "y").HeadPaths("p1", "p2")
 	}
 	q, err := b.Build()
@@ -81,6 +104,9 @@ func randBandQuery(r *rand.Rand, sigma []rune) *Query {
 	}
 	return q
 }
+
+// randBandQuery builds a random class-banded query (see bandShape).
+func randBandQuery(r *rand.Rand, sigma []rune) *Query { return randBands(r, sigma).query(bandPlus) }
 
 // renderFull renders a result including witness paths, in answer order
 // — equality of renderings is witness identity, not just answer
@@ -106,7 +132,7 @@ func renderFull(res *Result) string {
 }
 
 // TestClassVsPerSymbolRandom: class-mode evaluation is answer- and
-// witness-identical to the per-symbol expansion across alphabet scales,
+// witness-identical to the per-symbol spelling across alphabet scales,
 // sequentially and with the parallel BFS forced on.
 func TestClassVsPerSymbolRandom(t *testing.T) {
 	oldMin, oldSlice := parFrontierMin, parMinSlice
@@ -122,15 +148,15 @@ func TestClassVsPerSymbolRandom(t *testing.T) {
 		}
 		for trial := 0; trial < trials; trial++ {
 			g := zipfGraph(r, 24, 96, sigma)
-			q := randBandQuery(r, sigma)
+			bs := randBands(r, sigma)
+			q, qSym := bs.query(bandPlus), bs.query(symPlus)
 			class, err := Eval(q, g, Options{})
 			if err != nil {
 				t.Fatalf("k=%d trial=%d class: %v", k, trial, err)
 			}
-			qExp := cloneForMode(t, q)
-			persym, err := Eval(qExp, g, Options{NoClasses: true})
+			persym, err := Eval(qSym, g, Options{})
 			if err != nil {
-				t.Fatalf("k=%d trial=%d nocls: %v", k, trial, err)
+				t.Fatalf("k=%d trial=%d per-symbol: %v", k, trial, err)
 			}
 			if class.Fingerprint() != persym.Fingerprint() {
 				t.Fatalf("k=%d trial=%d: fingerprint mismatch class=%x persym=%x",
@@ -151,18 +177,10 @@ func TestClassVsPerSymbolRandom(t *testing.T) {
 	}
 }
 
-// cloneForMode reparses/rebuilds nothing — it just copies the query so
-// the class and per-symbol arms get distinct program-cache identities.
-func cloneForMode(t *testing.T, q *Query) *Query {
-	t.Helper()
-	cp := *q
-	return &cp
-}
-
 // TestClassVsNaive: on small DAG-free random graphs the bounded naive
 // oracle agrees with class evaluation on every answer within its path
-// bound, including negated classes and the wildcard (which the
-// per-symbol expansion rejects as cofinite).
+// bound, including negated classes and the wildcard (cofinite
+// label sets, which no per-symbol spelling can express).
 func TestClassVsNaive(t *testing.T) {
 	env := Env{Sigma: []rune{'a', 'b', 'c', 'd', 'e', 'f'}}
 	queries := []string{
@@ -204,25 +222,10 @@ func TestClassVsNaive(t *testing.T) {
 	}
 }
 
-// TestNoClassesRejectsCofinite: the per-symbol ablation cannot expand
-// negated classes or the wildcard and must say so rather than guess.
-func TestNoClassesRejectsCofinite(t *testing.T) {
-	env := Env{Sigma: []rune{'a', 'b', 'c'}}
-	for _, src := range []string{
-		"Ans(x,y) <- (x,p,y), [^a]+(p)",
-		"Ans(x,y) <- (x,p,y), .+(p)",
-	} {
-		q := MustParse(src, env)
-		if _, err := Eval(q, graph.NewDB(), Options{NoClasses: true}); err == nil {
-			t.Errorf("%s: NoClasses accepted a cofinite class", src)
-		}
-	}
-}
-
 // TestClassWithRegularRelations: a component mixing class atoms with
 // classic regular relations (el) must compile — the relation's
 // automaton is remapped onto the class alphabet — and agree with the
-// per-symbol expansion and the naive oracle.
+// per-symbol spelling and the naive oracle.
 func TestClassWithRegularRelations(t *testing.T) {
 	sigma := []rune{'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'}
 	env := Env{Sigma: sigma}
@@ -245,7 +248,16 @@ func TestClassWithRegularRelations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	persym, err := Eval(cloneForMode(t, q), g, Options{NoClasses: true})
+	qSym, err := NewBuilder().
+		Path("x", "p1", "z").Path("z", "p2", "y").
+		Rel(symPlus('a', 'd'), "p1").Rel(symPlus('c', 'f'), "p2").
+		Rel(relations.EqualLength(sigma), "p1", "p2").
+		HeadNodes("x", "y").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	persym, err := Eval(qSym, g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +275,7 @@ func TestClassWithRegularRelations(t *testing.T) {
 
 // TestClassDeltaStorm: a compiled class program advanced through a
 // storm of delta writes stays identical to from-scratch evaluation in
-// both modes at every epoch — the range-based revalidation and the
+// both spellings at every epoch — the range-based revalidation and the
 // delta BFS see class-compiled components.
 func TestClassDeltaStorm(t *testing.T) {
 	sigma := bigSigmaTest(512)
@@ -273,28 +285,28 @@ func TestClassDeltaStorm(t *testing.T) {
 	// Node-only head: witness-free results are what the incremental memo
 	// machinery supports (witness identity under classes is pinned by
 	// TestClassVsPerSymbolRandom).
-	q, err := NewBuilder().
-		Path("x", "p", "y").
-		Rel(bandPlus(sigma[0], sigma[127]), "p").
-		HeadNodes("x", "y").
-		Build()
-	if err != nil {
-		t.Fatal(err)
+	band := func(rel func(lo, hi rune) *relations.Relation) *Program {
+		q, err := NewBuilder().
+			Path("x", "p", "y").
+			Rel(rel(sigma[0], sigma[127]), "p").
+			HeadNodes("x", "y").
+			Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := CompileProgram(q, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	pClass, err := compileProgram(q, false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pExp, err := compileProgram(q, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pClass, pExp := band(bandPlus), band(symPlus)
 	ctx := context.Background()
 	prevC, err := pClass.EvalSnapshotMemo(ctx, g.Snapshot(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prevE, err := pExp.EvalSnapshotMemo(ctx, g.Snapshot(), Options{NoClasses: true})
+	prevE, err := pExp.EvalSnapshotMemo(ctx, g.Snapshot(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,18 +342,18 @@ func TestClassDeltaStorm(t *testing.T) {
 			sawDelta = true
 		}
 		prevC = next
-		nextE, _, err := pExp.Advance(ctx, prevE, s, Options{NoClasses: true})
+		nextE, _, err := pExp.Advance(ctx, prevE, s, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if nextE == nil {
-			nextE, err = pExp.EvalSnapshotMemo(ctx, s, Options{NoClasses: true})
+			nextE, err = pExp.EvalSnapshotMemo(ctx, s, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
 		prevE = nextE
-		fresh, err := Eval(cloneForMode(t, q), g, Options{})
+		fresh, err := pClass.Eval(ctx, g, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

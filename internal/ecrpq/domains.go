@@ -85,7 +85,7 @@ func (pa *propAtom) take(p *Program) *domainEngine {
 	pa.once.Do(func() {
 		// A relaxation that fails to compile (it cannot, once the program
 		// itself compiled) costs the pruning, never the evaluation.
-		pa.comp, _ = newComponent([]PathAtom{pa.atom}, p.relAtoms, []PathVar{pa.atom.Pi}, p.noClasses)
+		pa.comp, _ = newComponent([]PathAtom{pa.atom}, p.relAtoms, []PathVar{pa.atom.Pi})
 	})
 	if pa.comp == nil {
 		return nil

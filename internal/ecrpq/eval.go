@@ -44,12 +44,6 @@ type Options struct {
 	MaxProductStates int
 	// Join selects the join algorithm (see JoinMode).
 	Join JoinMode
-	// NoDecompose disables the component decomposition and evaluates the
-	// full m-tape product, as in the paper's monolithic construction; used
-	// by the decomposition ablation benchmark. For a compiled Program the
-	// decomposition is fixed at compile time and this field is ignored;
-	// the Eval shim selects the matching program.
-	NoDecompose bool
 	// NoPrune disables the label-directed move planning of the product
 	// BFS (the per-state intersection of the joint runner's live labels
 	// with the graph's label runs), falling back to exhaustive
@@ -59,29 +53,9 @@ type Options struct {
 	// every unbound start variable sweeps every node again instead of
 	// the nodes reachable from the bound variables upstream of it.
 	// Answers and witnesses are identical either way; only the cost
-	// changes. It is the oracle configuration: the ablation baseline for
-	// benchmarks and the pruned==unpruned property tests.
+	// changes. It is the oracle configuration: the reference the
+	// benchmark and the pruned==unpruned property tests compare against.
 	NoPrune bool
-	// NoClasses disables the label-class compilation of components whose
-	// relation atoms carry character classes ([a-z], [^x], .): every
-	// positive class is expanded into an explicit per-label alternation
-	// and the product BFS transitions on raw labels, the pre-partition
-	// behavior. Negated classes and wildcards denote cofinite label sets
-	// and cannot be expanded, so they error under NoClasses. Queries
-	// without class atoms are unaffected. Answers and witnesses are
-	// identical either way; it exists as the ablation baseline of the
-	// big-alphabet benchmarks. For a compiled Program the mode is fixed
-	// at compile time and this field is ignored; the Eval shim selects
-	// the matching program.
-	NoClasses bool
-	// NoAdvance disables the incremental serving layer above the
-	// evaluator: epoch-stale cache lookups recompute from scratch
-	// instead of revalidating against the delta or running the
-	// semi-naive delta BFS, and no per-assignment memo is captured.
-	// Answers are identical either way; only the serving cost changes.
-	// It exists as the revalidation-off ablation baseline for the
-	// repeated-serve benchmarks (BENCH_7_baseline).
-	NoAdvance bool
 	// BFSWorkers sets the worker count of the frontier-synchronous
 	// parallel product BFS and of the start-assignment fan-out. Zero
 	// uses GOMAXPROCS; 1 runs every BFS level inline on the calling
@@ -92,12 +66,12 @@ type Options struct {
 }
 
 // CacheKey renders the evaluation-relevant options in a canonical
-// string: Bind as sorted (var, node) pairs, then the join mode, state
-// budget and ablation flags. Two Options values with equal CacheKeys
-// request the same evaluation, so the epoch-keyed result cache uses it
-// as the options component of its key (map iteration order and
-// semantically identical Bind maps built in different orders hash the
-// same).
+// string: Bind as sorted (var, node) pairs, then the state budget, join
+// mode, pruning switch and worker count. Two Options values with equal
+// CacheKeys request the same evaluation, so the epoch-keyed result
+// cache uses it as the options component of its key (map iteration
+// order and semantically identical Bind maps built in different orders
+// hash the same).
 func (o Options) CacheKey() string {
 	vars := make([]string, 0, len(o.Bind))
 	for v := range o.Bind {
@@ -109,9 +83,8 @@ func (o Options) CacheKey() string {
 	for _, v := range vars {
 		fmt.Fprintf(&b, "%s=%d,", v, o.Bind[NodeVar(v)])
 	}
-	fmt.Fprintf(&b, ";max=%d;join=%d;nodecomp=%t;noprune=%t;nocls=%t;noadv=%t;bfsw=%d",
-		o.MaxProductStates, o.Join, o.NoDecompose, o.NoPrune, o.NoClasses, o.NoAdvance,
-		effectiveBFSWorkers(o.BFSWorkers))
+	fmt.Fprintf(&b, ";max=%d;join=%d;noprune=%t;bfsw=%d",
+		o.MaxProductStates, o.Join, o.NoPrune, effectiveBFSWorkers(o.BFSWorkers))
 	return b.String()
 }
 
@@ -316,18 +289,15 @@ func (r *Result) SizeBytes() int64 {
 // compiles once explicitly and adds context cancellation, streaming,
 // snapshot pinning and concurrent reuse.
 func Eval(q *Query, g *graph.DB, opts Options) (*Result, error) {
-	prog, err := sharedProgram(q, opts.NoDecompose, opts.NoClasses)
+	prog, err := SharedProgram(q)
 	if err != nil {
 		return nil, err
 	}
 	return prog.Eval(context.Background(), g, opts)
 }
 
-// sharedProgram returns a cached compiled Program for q (compiling and
-// caching on miss). The cache is bounded; beyond the cap queries are
-// compiled per call. A Program is safe for concurrent use, so unlike
-// the old engine cache no handoff is needed: concurrent Evals of the
-// same query share one Program and borrow engines from its pools.
+// maxCachedPrograms bounds the per-query program cache behind Eval;
+// beyond the cap queries are compiled per call.
 const maxCachedPrograms = 64
 
 var (
@@ -335,26 +305,26 @@ var (
 	progCacheCount atomic.Int32
 )
 
-// SharedProgram is the exported face of the cache for the extension
+// SharedProgram returns a cached compiled Program for q (compiling and
+// caching on miss) — the cache behind Eval, exported for the extension
 // packages (via plan.Cached): repeated per-call evaluation of the same
-// query object reuses one compiled program, as ecrpq.Eval does.
-func SharedProgram(q *Query) (*Program, error) { return sharedProgram(q, false, false) }
-
-func sharedProgram(q *Query, monolithic, noClasses bool) (*Program, error) {
+// query object reuses one compiled program. A Program is safe for
+// concurrent use, so concurrent Evals of the same query share one
+// Program and borrow engines from its pools.
+func SharedProgram(q *Query) (*Program, error) {
 	if v, ok := progCache.Load(q); ok {
 		p := v.(*Program)
-		if p.valid(q, monolithic, noClasses) {
+		if p.valid(q) {
 			return p, nil
 		}
-		// The caller mutated the query in place (or flipped NoDecompose /
-		// NoClasses): drop the stale entry — but only that exact entry, so
-		// a fresh program stored by a concurrent caller is neither deleted
-		// nor double-counted.
+		// The caller mutated the query in place: drop the stale entry —
+		// but only that exact entry, so a fresh program stored by a
+		// concurrent caller is neither deleted nor double-counted.
 		if progCache.CompareAndDelete(q, v) {
 			progCacheCount.Add(-1)
 		}
 	}
-	p, err := compileProgram(q, monolithic, noClasses)
+	p, err := CompileProgram(q, false)
 	if err != nil {
 		return nil, err
 	}
@@ -387,9 +357,9 @@ type component struct {
 	joint   *relations.Joint
 
 	// part is the component's label-space partition when its atoms carry
-	// character classes and class compilation is on (nil otherwise): the
-	// joint's atoms then transition on class runes and the product BFS
-	// translates label runs to classes (see prodCore).
+	// character classes (nil otherwise): the joint's atoms then transition
+	// on class runes and the product BFS translates label runs to classes
+	// (see prodCore).
 	part *regex.Partition
 
 	// liveRanges over-approximates the edge labels any product BFS of
@@ -407,7 +377,7 @@ type component struct {
 	// node variables in first-occurrence order — the columns of the
 	// component's relation — and xvars those in X position, the start
 	// variables; isStart[i] says whether allVars[i] is one. needed[i]
-	// (compileProgram's, nil for a start-domain relaxation) marks the
+	// (CompileProgram's, nil for a start-domain relaxation) marks the
 	// columns something outside the component reads: head node variables
 	// and variables another component shares, the join columns. Every other
 	// column is existential — the head and the joins cannot tell two rows
@@ -416,7 +386,10 @@ type component struct {
 	isStart, needed []bool
 }
 
-func decompose(q *Query, monolithic, noClasses bool) ([]*component, error) {
+// decompose splits q's path variables into the connected components of
+// the relation hypergraph; monolithic puts them all in one component,
+// the paper's single m-tape product.
+func decompose(q *Query, monolithic bool) ([]*component, error) {
 	pathVars := []PathVar{}
 	seen := map[PathVar]bool{}
 	for _, a := range q.PathAtoms {
@@ -461,7 +434,7 @@ func decompose(q *Query, monolithic, noClasses bool) ([]*component, error) {
 		}
 	}
 	for _, root := range roots {
-		c, err := newComponent(q.PathAtoms, q.RelAtoms, groups[root], noClasses)
+		c, err := newComponent(q.PathAtoms, q.RelAtoms, groups[root])
 		if err != nil {
 			return nil, err
 		}
@@ -477,7 +450,7 @@ func decompose(q *Query, monolithic, noClasses bool) ([]*component, error) {
 // relation atoms by construction); the start-domain pass calls it with a
 // single path variable, which keeps that variable's own language atoms
 // and drops every relation it shares with another tape.
-func newComponent(pathAtoms []PathAtom, relAtoms []RelAtom, vars []PathVar, noClasses bool) (*component, error) {
+func newComponent(pathAtoms []PathAtom, relAtoms []RelAtom, vars []PathVar) (*component, error) {
 	c := &component{vars: vars, varIdx: map[PathVar]int{}, atomsOf: make([][]PathAtom, len(vars))}
 	for i, v := range vars {
 		c.varIdx[v] = i
@@ -504,19 +477,11 @@ func newComponent(pathAtoms []PathAtom, relAtoms []RelAtom, vars []PathVar, noCl
 	// atoms below transition on class runes, not labels.
 	c.liveRanges, c.liveUniversal = componentLiveRanges(atoms, len(vars))
 	if relations.HasClassAtoms(atoms) {
-		if noClasses {
-			expanded, err := relations.ExpandClassAtoms(atoms)
-			if err != nil {
-				return nil, err
-			}
-			atoms = expanded
-		} else {
-			part, compiled, err := relations.CompileClassAtoms(atoms)
-			if err != nil {
-				return nil, err
-			}
-			c.part, atoms = part, compiled
+		part, compiled, err := relations.CompileClassAtoms(atoms)
+		if err != nil {
+			return nil, err
 		}
+		c.part, atoms = part, compiled
 	}
 	j, err := relations.NewJoint(len(vars), atoms)
 	if err != nil {

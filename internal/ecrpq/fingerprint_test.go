@@ -3,6 +3,9 @@ package ecrpq
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -91,7 +94,6 @@ func TestOptionsCacheKey(t *testing.T) {
 		{MaxProductStates: 100},
 		{Join: JoinBacktrack},
 		{NoPrune: true},
-		{NoDecompose: true},
 		{},
 	}
 	seen := map[string]int{}
@@ -101,6 +103,28 @@ func TestOptionsCacheKey(t *testing.T) {
 			t.Errorf("options %d and %d share key %q", i, j, k)
 		}
 		seen[k] = i
+	}
+}
+
+// TestOptionsSurface pins the public option surface: exactly these
+// five fields, and a CacheKey that renders none of the ablation
+// switches removed with the old bench apparatus. A new field must be a
+// deliberate change here, not a knob that slips in beside the others.
+func TestOptionsSurface(t *testing.T) {
+	want := []string{"Bind", "MaxProductStates", "Join", "NoPrune", "BFSWorkers"}
+	typ := reflect.TypeOf(Options{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		got = append(got, typ.Field(i).Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Options fields = %v, want %v", got, want)
+	}
+	key := Options{Bind: map[NodeVar]graph.Node{"x": 1}, NoPrune: true, BFSWorkers: 1}.CacheKey()
+	for _, gone := range []string{"nodecomp", "nocls", "noadv"} {
+		if strings.Contains(key, gone) {
+			t.Errorf("CacheKey %q renders removed component %q", key, gone)
+		}
 	}
 }
 
@@ -153,7 +177,7 @@ func fixedResultAnswers() []Answer {
 // TestFingerprintGolden pins Result.Fingerprint on a fixed result to the
 // value the hash/fnv implementation it replaced returned, and checks the
 // inlined FNV-1a against hash/fnv on the same byte stream: cached
-// fingerprints, BENCH records and cross-version comparisons all depend
+// fingerprints, the benchmark's checks and cross-version comparisons depend
 // on the value never moving.
 func TestFingerprintGolden(t *testing.T) {
 	answers := fixedResultAnswers()

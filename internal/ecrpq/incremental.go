@@ -398,7 +398,7 @@ const incMaxDeltaDen = 8
 // the content is unchanged; callers must treat both as immutable —
 // exactly the contract cached results already have.
 func (p *Program) Advance(ctx context.Context, prev *Result, s *graph.Snapshot, opts Options) (*Result, AdvanceKind, error) {
-	if prev == nil || prev.Snap == nil || s == nil || opts.NoAdvance {
+	if prev == nil || prev.Snap == nil || s == nil {
 		return nil, AdvanceNone, nil
 	}
 	ps := prev.Snap

@@ -67,7 +67,7 @@ func TestKernelEnumeratesContractOrder(t *testing.T) {
 		"legacy": "Ans(x, y) <- (x,p1,z), (z,p2,y), el(p1,p2)",
 		"class":  "Ans(x, y) <- (x,p1,z), (z,p2,y), el(p1,p2), [a-b]+(p1), [^c]*(p2)",
 	} {
-		cs, err := decompose(MustParse(src, env), false, false)
+		cs, err := decompose(MustParse(src, env), false)
 		if err != nil || len(cs) != 1 || len(cs[0].vars) != 2 {
 			t.Fatalf("%s: decompose gave %d components, err %v", name, len(cs), err)
 		}

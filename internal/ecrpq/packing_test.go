@@ -293,7 +293,7 @@ func TestLargeNodeIds(t *testing.T) {
 // ids found after it, and numbering must continue without a gap.
 func TestTupleSetSpillKeepsIds(t *testing.T) {
 	q := MustParse("Ans(x, y) <- (x,p1,z), (z,p2,y), el(p1,p2)", env())
-	comps, err := decompose(q, false, false)
+	comps, err := decompose(q, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func BuildPathAutomatonSnapshot(q *Query, s *graph.Snapshot, headNodes []graph.N
 		}
 		bind[z] = headNodes[i]
 	}
-	comps, err := decompose(q, true, opts.NoClasses) // monolithic: all m tapes at once
+	comps, err := decompose(q, true) // monolithic: all m tapes at once
 	if err != nil {
 		return nil, err
 	}

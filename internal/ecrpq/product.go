@@ -33,7 +33,7 @@ func ProductNFASnapshot(q *Query, s *graph.Snapshot, opts Options) (*automata.NF
 	if err := q.Validate(); err != nil {
 		return nil, nil, err
 	}
-	comps, err := decompose(q, true, opts.NoClasses)
+	comps, err := decompose(q, true)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -36,9 +36,7 @@ import (
 // Programs subsume the per-query engine cache that Eval used to keep:
 // the Eval shim now compiles (or re-uses) a Program per query object.
 type Program struct {
-	q          *Query
-	monolithic bool
-	noClasses  bool
+	q *Query
 
 	// Structural fingerprint of the query at compile time; if the caller
 	// mutated the query in place since, the cached program is discarded
@@ -47,7 +45,7 @@ type Program struct {
 	// AllowRepeatedPathVars flag included, since they change the answer
 	// set (and feed the result-cache key via the program's identity).
 	// Execution reads these copies, never q: the query was validated once,
-	// by compileProgram, and an evaluation validates nothing again.
+	// by CompileProgram, and an evaluation validates nothing again.
 	pathAtoms []PathAtom
 	relAtoms  []RelAtom
 	headNodes []NodeVar
@@ -108,31 +106,18 @@ func (pool *idlePool[E]) put(e *E) {
 	pool.mu.Unlock()
 }
 
-// CompileProgram compiles q into an executable Program. With monolithic
-// set the component decomposition is disabled and the full m-tape
-// product is compiled (the Options.NoDecompose ablation). Components
-// whose atoms carry character classes compile against a label-space
-// partition (the class-ID product BFS); the Options.NoClasses ablation
-// compiles through the internal variant the Eval shim selects.
+// CompileProgram compiles q into an executable Program, without
+// consulting or populating the shared program cache (SharedProgram).
+// With monolithic set the component decomposition is disabled and the
+// paper's single m-tape product is compiled — the reference the
+// decomposed program is tested against. Components whose atoms carry
+// character classes compile against a label-space partition (the
+// class-ID product BFS).
 func CompileProgram(q *Query, monolithic bool) (*Program, error) {
-	return compileProgram(q, monolithic, false)
-}
-
-// CompileProgramOptions compiles q with both ablation switches explicit
-// — monolithic (Options.NoDecompose) and noClasses (Options.NoClasses)
-// — and without consulting or populating the shared program cache.
-// Benchmarks use it to measure cold query service (compilation plus
-// first evaluation), where per-symbol automata pay their Θ(|Σ|)
-// construction cost on every arriving query.
-func CompileProgramOptions(q *Query, monolithic, noClasses bool) (*Program, error) {
-	return compileProgram(q, monolithic, noClasses)
-}
-
-func compileProgram(q *Query, monolithic, noClasses bool) (*Program, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	comps, err := decompose(q, monolithic, noClasses)
+	comps, err := decompose(q, monolithic)
 	if err != nil {
 		return nil, err
 	}
@@ -141,17 +126,15 @@ func compileProgram(q *Query, monolithic, noClasses bool) (*Program, error) {
 		keepPaths[chi] = true
 	}
 	p := &Program{
-		q:          q,
-		monolithic: monolithic,
-		noClasses:  noClasses,
-		pathAtoms:  append([]PathAtom(nil), q.PathAtoms...),
-		headNodes:  append([]NodeVar(nil), q.HeadNodes...),
-		headPaths:  append([]PathVar(nil), q.HeadPaths...),
-		allowRep:   q.AllowRepeatedPathVars,
-		comps:      comps,
-		keepPaths:  keepPaths,
-		pools:      make([]idlePool[componentEngine], len(comps)),
-		prop:       propagationAtoms(q.PathAtoms),
+		q:         q,
+		pathAtoms: append([]PathAtom(nil), q.PathAtoms...),
+		headNodes: append([]NodeVar(nil), q.HeadNodes...),
+		headPaths: append([]PathVar(nil), q.HeadPaths...),
+		allowRep:  q.AllowRepeatedPathVars,
+		comps:     comps,
+		keepPaths: keepPaths,
+		pools:     make([]idlePool[componentEngine], len(comps)),
+		prop:      propagationAtoms(q.PathAtoms),
 	}
 	p.relAtoms = make([]RelAtom, len(q.RelAtoms))
 	for i, ra := range q.RelAtoms {
@@ -189,9 +172,8 @@ func compileProgram(q *Query, monolithic, noClasses bool) (*Program, error) {
 
 // valid reports whether the compiled fingerprint still matches q — the
 // guard behind the Eval shim's per-query program cache.
-func (p *Program) valid(q *Query, monolithic, noClasses bool) bool {
-	if p.monolithic != monolithic || p.noClasses != noClasses ||
-		p.allowRep != q.AllowRepeatedPathVars ||
+func (p *Program) valid(q *Query) bool {
+	if p.allowRep != q.AllowRepeatedPathVars ||
 		len(p.pathAtoms) != len(q.PathAtoms) ||
 		len(p.relAtoms) != len(q.RelAtoms) ||
 		len(p.headNodes) != len(q.HeadNodes) ||

@@ -3,8 +3,9 @@
 // measurements, one experiment per cell, plus the constructions of
 // Propositions 3.2 and 5.2 and the Section 4/8.2 applications. Each
 // experiment prints a small table (sweep parameter, measured time, and a
-// growth indicator); EXPERIMENTS.md records the measured shapes against
-// the paper's stated complexity classes.
+// growth indicator). The theorem → package → test map in
+// docs/ARCHITECTURE.md says which result each experiment measures and
+// which tests pin the construction behind it.
 //
 // Absolute numbers are machine-dependent; what must match the paper is
 // the shape: polynomial data complexity everywhere (NLOGSPACE cells),
@@ -388,28 +389,6 @@ func E14AnswerAutomaton(w io.Writer) {
 	}
 }
 
-// E15: ablation — component decomposition vs monolithic convolution.
-func E15Decomposition(w io.Writer) {
-	fmt.Fprintln(w, "E15 ablation — component-wise evaluation vs monolithic m-tape product")
-	fmt.Fprintln(w, "    n      decomposed   monolithic")
-	q := ecrpq.MustParse("Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)", env())
-	for _, n := range []int{8, 16, 32} {
-		g := workload.Random(rand.New(rand.NewSource(15)), n, 1.5, sigmaAB)
-		bind := map[ecrpq.NodeVar]graph.Node{"x": 0}
-		d1 := timeIt(func() {
-			if _, err := ecrpq.Eval(q, g, ecrpq.Options{Bind: bind}); err != nil {
-				panic(err)
-			}
-		})
-		d2 := timeIt(func() {
-			if _, err := ecrpq.Eval(q, g, ecrpq.Options{Bind: bind, NoDecompose: true, MaxProductStates: 50_000_000}); err != nil {
-				panic(err)
-			}
-		})
-		fmt.Fprintf(w, "    %-6d %-12v %v\n", n, d1, d2)
-	}
-}
-
 // E16: ablation — Yannakakis vs backtracking join on acyclic chains.
 func E16Yannakakis(w io.Writer) {
 	fmt.Fprintln(w, "E16 ablation — Yannakakis semijoin vs backtracking join (chain CRPQ)")
@@ -443,7 +422,7 @@ func All(w io.Writer) {
 		E1CRPQData, E2ECRPQData, E3CRPQCombined, E4E6ECRPQCombined,
 		E5AcyclicCRPQ, E7Qlen, E8Repetition, E9CRPQNegData,
 		E10ECRPQNeg, E11LinConstraints, E12Separation,
-		E14AnswerAutomaton, E15Decomposition, E16Yannakakis,
+		E14AnswerAutomaton, E16Yannakakis,
 	} {
 		f(w)
 		fmt.Fprintln(w)

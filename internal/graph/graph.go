@@ -72,9 +72,6 @@ type DB struct {
 	baseN       int
 	deltaSorted []rawEdge
 	deltaNew    []rawEdge
-	// noDelta disables delta overlays (every snapshot compacts) — the
-	// full-rebuild ablation baseline for the mixed read/write benchmarks.
-	noDelta bool
 
 	// hist is the epoch-ordered edge write log: every fresh AddEdge
 	// appends its stamped entry here, and unlike the delta overlay it is
@@ -262,22 +259,6 @@ func (g *DB) AddEdge(from Node, label rune, to Node) {
 	}
 }
 
-// SetDeltaOverlay toggles delta overlays (default on). With overlays
-// disabled every post-write Snapshot compacts into a fresh full CSR —
-// the PR-3-era behavior, kept as the ablation baseline of the
-// Scale_MixedReadWrite benchmarks.
-func (g *DB) SetDeltaOverlay(enabled bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.noDelta = !enabled
-}
-
-// Adjacency returns per-node out-edge slices: Adjacency()[v] lists every
-// edge leaving v, sorted by label then target; callers must not modify
-// them. It is a shim over the CSR snapshot (see Snapshot), sharing its
-// cache and concurrency story.
-func (g *DB) Adjacency() [][]Edge { return g.Snapshot().Adjacency() }
-
 // baseHasEdgeLocked reports whether the compacted base segment holds
 // (from, label, to): a binary search over from's label run. Callers
 // hold g.mu (the base pointer swaps at compaction).
@@ -371,7 +352,6 @@ func (g *DB) Clone() *DB {
 		deltaSorted: g.deltaSorted, // immutable once published; safe to share
 		baseN:       g.baseN,
 		deltaNew:    append([]rawEdge(nil), g.deltaNew...),
-		noDelta:     g.noDelta,
 		// The history tail is copied, not shared: both stores keep
 		// appending at the same index otherwise.
 		hist:      append([]DeltaEdge(nil), g.hist...),

@@ -563,7 +563,7 @@ func (g *DB) compactLocked() {
 // point can force it, so a harness can drive compaction storms — every
 // post-write snapshot paying the full O(m log m) rebuild.
 func (g *DB) compactionDue() bool {
-	if g.base == nil || g.noDelta {
+	if g.base == nil {
 		return true
 	}
 	if faultinject.Forced(faultinject.CompactionPolicy) {
@@ -580,7 +580,7 @@ func (g *DB) compactionDue() bool {
 // write lock. Steady read traffic with occasional writes pays
 // O(Δ log Δ + n) per post-write snapshot — the delta overlay — not the
 // O(m log m) full rebuild, which only runs when the delta crosses the
-// compaction threshold (or delta overlays are disabled).
+// compaction threshold.
 func (g *DB) Snapshot() *Snapshot {
 	if s := g.snap.Load(); s != nil && s.epoch == g.epoch.Load() {
 		return s
@@ -602,9 +602,8 @@ func (g *DB) Snapshot() *Snapshot {
 		// is persisted sidecar-atomically and the WAL truncated, so the
 		// log stays bounded by the compaction threshold. A write failure
 		// is sticky (DurableErr) but never blocks serving — the in-memory
-		// compaction above already succeeded. The noDelta ablation skips
-		// persistence (it would checkpoint on every write).
-		if g.dir != "" && !g.noDelta {
+		// compaction above already succeeded.
+		if g.dir != "" {
 			if err := g.checkpointWriteLocked(); err != nil {
 				g.setWalErrLocked(err)
 			}

@@ -53,14 +53,12 @@ func TestEpochMonotonicity(t *testing.T) {
 	}
 }
 
-// fullyCompacted returns a snapshot of g with an empty delta overlay,
-// by cloning into a store with overlays disabled.
+// fullyCompacted returns a snapshot of g's nodes and edges with an
+// empty delta overlay: a fresh DB's first snapshot always compacts.
 func fullyCompacted(g *DB) *Snapshot {
-	h := g.Clone()
-	h.SetDeltaOverlay(false)
-	// Force a rebuild even if the clone carried a cached snapshot.
-	w := h.AddNode("__witness__")
-	_ = w
+	h := NewDB()
+	h.AddNodes(g.NumNodes())
+	g.EachEdge(func(from Node, a rune, to Node) { h.AddEdge(from, a, to) })
 	return h.Snapshot()
 }
 
@@ -101,6 +99,9 @@ func TestDeltaOverlayIterationOrder(t *testing.T) {
 			t.Fatal("write burst should be served from the delta overlay")
 		}
 		want := fullyCompacted(g)
+		if want.DeltaEdges() != 0 {
+			t.Fatalf("reference snapshot carries %d delta edges", want.DeltaEdges())
+		}
 		if s.NumEdges() != g.NumEdges() || s.BaseEdges()+s.DeltaEdges() != s.NumEdges() {
 			t.Fatalf("edge accounting: base %d + delta %d != total %d (graph %d)",
 				s.BaseEdges(), s.DeltaEdges(), s.NumEdges(), g.NumEdges())
@@ -164,18 +165,13 @@ func TestDeltaOverlayIterationOrder(t *testing.T) {
 
 // TestCompactionCrossover checks the threshold: small write bursts ride
 // the delta overlay, and a delta past ~25% of the base triggers one
-// compaction that resets it to zero. With overlays disabled every
-// post-write snapshot compacts.
+// compaction that resets it to zero.
 func TestCompactionCrossover(t *testing.T) {
-	build := func() *DB {
-		g := NewDB()
-		g.AddNodes(2000)
-		for i := 0; i < 1000; i++ {
-			g.AddEdge(Node(i), 'a', Node(i+1))
-		}
-		return g
+	g := NewDB()
+	g.AddNodes(2000)
+	for i := 0; i < 1000; i++ {
+		g.AddEdge(Node(i), 'a', Node(i+1))
 	}
-	g := build()
 	if s := g.Snapshot(); s.DeltaEdges() != 0 || s.BaseEdges() != 1000 {
 		t.Fatalf("initial snapshot: base %d delta %d, want 1000/0", s.BaseEdges(), s.DeltaEdges())
 	}
@@ -192,14 +188,6 @@ func TestCompactionCrossover(t *testing.T) {
 	}
 	if s := g.Snapshot(); s.DeltaEdges() != 0 || s.BaseEdges() != 1260 {
 		t.Fatalf("post-threshold snapshot: base %d delta %d, want 1260/0 (compacted)", s.BaseEdges(), s.DeltaEdges())
-	}
-	// Ablation: overlays disabled — every post-write snapshot compacts.
-	g2 := build()
-	g2.SetDeltaOverlay(false)
-	g2.Snapshot()
-	g2.AddEdge(0, 'z', 1)
-	if s := g2.Snapshot(); s.DeltaEdges() != 0 {
-		t.Fatalf("noDelta snapshot has %d delta edges, want 0", s.DeltaEdges())
 	}
 }
 

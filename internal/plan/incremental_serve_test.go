@@ -69,23 +69,6 @@ func TestServeKindsThroughCache(t *testing.T) {
 		t.Fatalf("stats = hits %d, revalidated %d, incremental %d; want >0, 1, 1",
 			st.Hits, st.Revalidated, st.Incremental)
 	}
-
-	// The NoAdvance ablation keys separately and never advances: the
-	// same store state is a fresh compute, and a further live write
-	// forces a full recompute instead of an incremental pass.
-	noadv := ecrpq.Options{NoAdvance: true}
-	s := g.Snapshot()
-	if _, cached, err := p.EvalSnapshotCached(ctx, s, noadv, c); err != nil || cached {
-		t.Fatalf("noadvance first serve: cached=%v err=%v, want fresh compute", cached, err)
-	}
-	g.AddEdge(2, 'a', 0)
-	if _, cached, err := p.EvalSnapshotCached(ctx, g.Snapshot(), noadv, c); err != nil || cached {
-		t.Fatalf("noadvance post-write serve: cached=%v err=%v, want fresh compute", cached, err)
-	}
-	after := c.Stats()
-	if after.Revalidated != st.Revalidated || after.Incremental != st.Incremental {
-		t.Fatalf("noadvance serves moved the incremental counters: %+v vs %+v", after, st)
-	}
 }
 
 // TestServeKindsBoundChain is the same walk for a bound two-atom query,

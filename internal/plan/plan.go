@@ -149,8 +149,6 @@ func (p *Plan) EvalSnapshot(ctx context.Context, s *graph.Snapshot, opts ecrpq.O
 // start assignments. Either way the derived result is admitted at the
 // new epoch under the same single-flight leadership a full evaluation
 // would have, and qcache.Stats splits the serve kinds out.
-// Options.NoAdvance switches the whole layer off: every epoch-stale
-// lookup recomputes from scratch and no memo is captured.
 func (p *Plan) EvalSnapshotCached(ctx context.Context, s *graph.Snapshot, opts ecrpq.Options, c *qcache.Cache) (*ecrpq.Result, bool, error) {
 	if c == nil {
 		res, err := p.prog.EvalSnapshot(ctx, s, opts)
@@ -158,13 +156,6 @@ func (p *Plan) EvalSnapshotCached(ctx context.Context, s *graph.Snapshot, opts e
 	}
 	k := qcache.Key{Prog: p.prog, Source: s.Source(), Epoch: s.Epoch(), Opts: opts.CacheKey()}
 	v, served, err := c.DoServe(ctx, k, func() (any, int64, qcache.Served, error) {
-		if opts.NoAdvance {
-			res, err := p.prog.EvalSnapshot(ctx, s, opts)
-			if err != nil {
-				return nil, 0, qcache.ServedCompute, err
-			}
-			return res, res.SizeBytes(), qcache.ServedCompute, nil
-		}
 		if pv, _, ok := c.Prev(k); ok {
 			if prev, isRes := pv.(*ecrpq.Result); isRes {
 				res, kind, aerr := p.prog.Advance(ctx, prev, s, opts)

@@ -1,7 +1,6 @@
 package regex
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"unicode/utf8"
@@ -402,7 +401,7 @@ func (b *PartitionBuilder) Build() *Partition {
 }
 
 // ---------------------------------------------------------------------
-// Live-label ranges and per-symbol expansion.
+// Live-label ranges.
 
 // LabelRanges over-approximates the labels an expression can consume,
 // as normalized ranges: literal labels and positive class ranges.
@@ -435,64 +434,4 @@ func LabelRanges(n *Node[rune]) (rs []Range, universal bool) {
 		return nil, true
 	}
 	return NormalizeRanges(rs), false
-}
-
-// maxClassExpansion bounds ExpandClasses: per-symbol evaluation of a
-// class enumerates its labels explicitly, which is exactly the ablation
-// the class machinery exists to avoid — beyond this many labels the
-// expansion refuses instead of building a pathological automaton.
-const maxClassExpansion = 1 << 17
-
-// ExpandClasses rewrites every class node into an explicit alternation
-// of its member labels — the per-symbol ablation (Options.NoClasses).
-// Negated classes and wildcards have cofinite label sets and cannot be
-// expanded; they error.
-func ExpandClasses(n *Node[rune]) (*Node[rune], error) {
-	switch n.Op {
-	case OpClass:
-		if n.Class.Negate {
-			return nil, fmt.Errorf("regex: cannot expand negated class %s per-symbol (cofinite label set); NoClasses supports positive classes only", n.Class)
-		}
-		total := 0
-		for _, rg := range n.Class.Ranges {
-			total += int(rg.Hi-rg.Lo) + 1
-			if total > maxClassExpansion {
-				return nil, fmt.Errorf("regex: class %s expands to more than %d labels", n.Class, maxClassExpansion)
-			}
-		}
-		parts := make([]*Node[rune], 0, total)
-		for _, rg := range n.Class.Ranges {
-			for r := rg.Lo; r <= rg.Hi; r++ {
-				parts = append(parts, Lit(r))
-			}
-		}
-		return Or(parts...), nil
-	case OpConcat, OpAlt:
-		l, err := ExpandClasses(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ExpandClasses(n.Right)
-		if err != nil {
-			return nil, err
-		}
-		if l == n.Left && r == n.Right {
-			return n, nil
-		}
-		if n.Op == OpConcat {
-			return Seq(l, r), nil
-		}
-		return Or(l, r), nil
-	case OpStar:
-		l, err := ExpandClasses(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		if l == n.Left {
-			return n, nil
-		}
-		return Kleene(l), nil
-	default:
-		return n, nil
-	}
 }

@@ -44,8 +44,7 @@ const (
 //
 // OpClass nodes carry a ClassExpr instead of an explicit symbol set and
 // are only meaningful for the rune instantiation (S = rune); see
-// classes.go for the class syntax, the partition compiler and the
-// per-symbol expansion.
+// classes.go for the class syntax and the partition compiler.
 type Node[S comparable] struct {
 	Op          Op
 	Sym         S          // valid when Op == OpSym

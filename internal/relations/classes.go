@@ -168,24 +168,3 @@ func remapToClasses(a *automata.NFA[TupleSym], part *regex.Partition) *automata.
 	}
 	return out
 }
-
-// ExpandClassAtoms is the per-symbol ablation (Options.NoClasses):
-// every class-bearing atom's AST is rewritten into an explicit
-// alternation over its member labels and compiled to an ordinary
-// label-space automaton. Negated classes and wildcards cannot be
-// expanded (cofinite label sets) and error.
-func ExpandClassAtoms(atoms []Atom) ([]Atom, error) {
-	out := make([]Atom, len(atoms))
-	for i, at := range atoms {
-		if at.Rel.Lang == nil || !regex.HasClass(at.Rel.Lang) {
-			out[i] = at
-			continue
-		}
-		expanded, err := regex.ExpandClasses(at.Rel.Lang)
-		if err != nil {
-			return nil, fmt.Errorf("relations: atom %s: %w", at.Rel.Name, err)
-		}
-		out[i] = Atom{Rel: FromLanguage(at.Rel.Name, expanded), Pos: at.Pos}
-	}
-	return out, nil
-}

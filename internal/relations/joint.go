@@ -40,7 +40,7 @@ func NewJoint(m int, atoms []Atom) (*Joint, error) {
 	}
 	for _, at := range atoms {
 		if at.Rel.A == nil {
-			return nil, fmt.Errorf("relations: atom %s carries character classes and no explicit automaton; compile it first (CompileClassAtoms or ExpandClassAtoms)", at.Rel.Name)
+			return nil, fmt.Errorf("relations: atom %s carries character classes and no explicit automaton; compile it first (CompileClassAtoms)", at.Rel.Name)
 		}
 		if len(at.Pos) != at.Rel.Arity {
 			return nil, fmt.Errorf("relations: atom %s has %d positions, arity %d",

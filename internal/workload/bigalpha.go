@@ -1,24 +1,18 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 	"unicode/utf16"
 
-	"repro/internal/ecrpq"
 	"repro/internal/graph"
-	"repro/internal/regex"
-	"repro/internal/relations"
 )
 
 // This file is the RDF/Wikidata-scale workload: graphs whose edge
 // labels come from a huge sparse predicate vocabulary (|Σ| in the tens
 // of thousands) with a heavy-tailed frequency distribution — the regime
 // the N-Triples loader produces from real dumps and the label-class
-// partition (regex.Partition) exists for. Queries select predicate
-// bands with range classes, so a per-symbol automaton would carry
-// thousands of live labels per state while the class-compiled one
-// carries a handful of class ids.
+// partition (regex.Partition) exists for. The benchmark's bigalpha
+// cases select predicate bands of it with range classes.
 
 // BigAlphabetSigma returns k distinct labels assigned the way the
 // N-Triples loader interns predicates: densely from rune(1), skipping
@@ -66,104 +60,15 @@ func BigAlphabet(r *rand.Rand, n int, sigma []rune, avgDeg float64) *graph.DB {
 	return g
 }
 
-// bigAlphaLabels is the vocabulary size of the Scale_BigAlphabet suite
-// and bigAlphaBand the width of the predicate bands its queries select
-// (~a quarter of the vocabulary's head).
+// bigAlphaLabels and bigAlphaNodes size BigAlphabetGraph.
 const (
 	bigAlphaLabels = 10000
-	bigAlphaBand   = 2500
 	bigAlphaNodes  = 2048
 )
 
-// rangePlus builds the single-tape relation C+ for the inclusive label
-// band [lo, hi] — a class node, so the ecrpq compiler partitions the
-// alphabet instead of expanding the band.
-func rangePlus(lo, hi rune) *relations.Relation {
-	node := regex.Repeat(regex.ClassNode(regex.NewClass(false, regex.Range{Lo: lo, Hi: hi})))
-	return relations.FromLanguage(fmt.Sprintf("[%U-%U]+", lo, hi), node)
-}
-
-// BigAlphaQuery is one query of the Scale_BigAlphabet suite without the
-// graph: benchmarks that measure cold query service rebuild the queries
-// every iteration while the (expensive to generate) graph stays fixed.
-type BigAlphaQuery struct {
-	Name  string
-	Query *ecrpq.Query
-}
-
-// BigAlphabetQueries builds fresh copies of the suite's three queries
-// over the |Σ| = 10⁴ vocabulary:
-//
-//   - band/head — C+(p) over the 2500 hottest predicates: most edges
-//     are live, so the run measures pure transition/interning cost —
-//     per-symbol evaluation steps the joint runner through thousands of
-//     distinct labels where class evaluation steps through one class;
-//   - band/tail — the same width starting at the vocabulary's midpoint:
-//     almost nothing is live and the range-based move pruning carries;
-//   - band/join — a star join at the bound node over two disjoint
-//     halves of the head band.
-//
-// Every call builds fresh Query values, so callers can hold the
-// class-compiled and the NoClasses (per-symbol ablation) programs side
-// by side without evicting each other from the per-query program cache
-// — or compile each copy cold, bypassing the cache entirely.
-func BigAlphabetQueries() []BigAlphaQuery {
-	sigma := BigAlphabetSigma(bigAlphaLabels)
-
-	headQ, err := ecrpq.NewBuilder().
-		Path("x", "p", "y").
-		Rel(rangePlus(sigma[0], sigma[bigAlphaBand-1]), "p").
-		HeadNodes("x", "y").
-		Build()
-	if err != nil {
-		panic(err)
-	}
-	tailQ, err := ecrpq.NewBuilder().
-		Path("x", "p", "y").
-		Rel(rangePlus(sigma[bigAlphaLabels/2], sigma[bigAlphaLabels/2+bigAlphaBand-1]), "p").
-		HeadNodes("x", "y").
-		Build()
-	if err != nil {
-		panic(err)
-	}
-	// A star join at the bound node: two single-tape components over
-	// disjoint halves of the head band, joined relationally on x. Both
-	// components stay start-bound, so the run measures two banded
-	// traversals plus the node join, not an unbound start enumeration.
-	joinQ, err := ecrpq.NewBuilder().
-		Path("x", "p1", "y").
-		Path("x", "p2", "z").
-		Rel(rangePlus(sigma[0], sigma[bigAlphaBand/2-1]), "p1").
-		Rel(rangePlus(sigma[bigAlphaBand/2], sigma[bigAlphaBand-1]), "p2").
-		HeadNodes("x", "y").
-		Build()
-	if err != nil {
-		panic(err)
-	}
-
-	return []BigAlphaQuery{
-		{Name: fmt.Sprintf("band=head/sigma=%d", bigAlphaLabels), Query: headQ},
-		{Name: fmt.Sprintf("band=tail/sigma=%d", bigAlphaLabels), Query: tailQ},
-		{Name: fmt.Sprintf("band=join/sigma=%d", bigAlphaLabels), Query: joinQ},
-	}
-}
-
-// BigAlphabetGraph builds the suite's fixed Wikidata-like graph
+// BigAlphabetGraph builds the fixed Wikidata-like graph
 // (deterministic: 2048 nodes, |Σ| = 10⁴, avg degree 4).
 func BigAlphabetGraph() *graph.DB {
 	sigma := BigAlphabetSigma(bigAlphaLabels)
 	return BigAlphabet(rand.New(rand.NewSource(97)), bigAlphaNodes, sigma, 4.0)
-}
-
-// ScaleBigAlphabetCases assembles the suite as ScaleCase values: the
-// shared graph, the three queries, and the start binding x = 0.
-func ScaleBigAlphabetCases() []ScaleCase {
-	g := BigAlphabetGraph()
-	bind := map[ecrpq.NodeVar]graph.Node{"x": 0}
-	qs := BigAlphabetQueries()
-	out := make([]ScaleCase, len(qs))
-	for i, bq := range qs {
-		out[i] = ScaleCase{Name: bq.Name, Graph: g, Query: bq.Query, Bind: bind}
-	}
-	return out
 }

@@ -3,8 +3,6 @@ package workload
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/ecrpq"
 )
 
 func TestBigAlphabetSigma(t *testing.T) {
@@ -33,28 +31,5 @@ func TestBigAlphabetDeterministic(t *testing.T) {
 	}
 	if g1.NumEdges() == 0 {
 		t.Fatal("no edges generated")
-	}
-}
-
-// TestScaleBigAlphabetCases evaluates each suite case once in class
-// mode — the full-scale cross-mode equivalence lives in the ecrpq
-// property suite; here we pin that the workload itself is well-formed
-// and answerable.
-func TestScaleBigAlphabetCases(t *testing.T) {
-	for _, c := range ScaleBigAlphabetCases() {
-		opts := ecrpq.Options{Bind: c.Bind}
-		res, err := ecrpq.Eval(c.Query, c.Graph, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
-		if res == nil {
-			t.Fatalf("%s: nil result", c.Name)
-		}
-	}
-	// Fresh calls build fresh Query values (separate program-cache
-	// identities for the class and NoClasses arms).
-	a, b := ScaleBigAlphabetCases(), ScaleBigAlphabetCases()
-	if a[0].Query == b[0].Query {
-		t.Fatal("ScaleBigAlphabetCases shares Query pointers across calls")
 	}
 }

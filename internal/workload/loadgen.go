@@ -6,8 +6,8 @@ package workload
 // mix (rank 0 hottest — the realistic shape where a few prepared
 // queries dominate traffic) and a configurable write ratio. Everything
 // is seeded, so a load run is reproducible operation-for-operation up
-// to server-side scheduling. The daemon benchmark suite (BENCH_6) and
-// the CI smoke job both drive this.
+// to server-side scheduling. `ecrpqd -load` and the CI daemon smoke
+// both drive this.
 
 import (
 	"context"

@@ -7,10 +7,10 @@ package workload_test
 import (
 	"context"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/qcache"
 	"repro/internal/server"
 	"repro/internal/workload"
@@ -27,17 +27,30 @@ func TestRunLoadSmoke(t *testing.T) {
 		Cache:       qcache.New(64 << 20),
 		MaxStaleLag: 8,
 	})
-	queries := m.RepeatedServeQueries()
+	// The serving shapes, each bound to a tail (sparse) node: the aⁿbⁿ
+	// ECRPQ at two bindings, the relation-free chain, a selective RPQ.
+	const (
+		anbn  = "Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)"
+		chain = "Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)"
+		rpq   = "Ans(x,y) <- (x,p,y), a+b(p)"
+	)
+	queries := []struct {
+		name, text string
+		x          graph.Node
+	}{
+		{"anbn-tail", anbn, 15000},
+		{"anbn-tail2", anbn, 10007},
+		{"chain-tail", chain, 15000},
+		{"rpq-tail", rpq, 10013},
+	}
 	names := make([]string, len(queries))
 	binds := make([]string, len(queries))
 	for i, sq := range queries {
-		names[i] = strings.ReplaceAll(sq.Name, "/", "-")
-		if err := srv.Register(names[i], sq.Text); err != nil {
-			t.Fatalf("register %s: %v", sq.Name, err)
+		names[i] = sq.name
+		if err := srv.Register(sq.name, sq.text); err != nil {
+			t.Fatalf("register %s: %v", sq.name, err)
 		}
-		for v, node := range sq.Bind {
-			binds[i] = string(v) + "=" + m.Graph.Name(node)
-		}
+		binds[i] = "x=" + m.Graph.Name(sq.x)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

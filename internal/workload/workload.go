@@ -1,9 +1,9 @@
-// Package workload generates the graph databases and query families used
-// by the benchmark harness to regenerate the paper's complexity landscape
-// (Figure 1), plus the motivating workloads of the introduction and
-// Section 8.2: string graphs, advisor genealogies, the REI hardness
-// graphs of Theorem 6.3, random labeled graphs and DAGs, and flight
-// networks.
+// Package workload generates the graph databases and query families
+// that internal/experiments uses to regenerate the paper's complexity
+// landscape (Figure 1) and that benchmark/ measures the engine on:
+// string graphs, the REI hardness graphs of Theorem 6.3, random and
+// label-rich graphs, the Section 8.2 flight networks, the serving graph
+// and the closed-loop HTTP load generator.
 package workload
 
 import (
@@ -42,49 +42,6 @@ func Random(r *rand.Rand, n int, avgDeg float64, sigma []rune) *graph.DB {
 		from := graph.Node(r.Intn(n))
 		to := graph.Node(r.Intn(n))
 		g.AddEdge(from, sigma[r.Intn(len(sigma))], to)
-	}
-	return g
-}
-
-// RandomDAG builds a random DAG (edges only from lower to higher ids)
-// with the given edge density; on DAGs the naive evaluator is complete.
-func RandomDAG(r *rand.Rand, n int, density float64, sigma []rune) *graph.DB {
-	g := graph.NewDB()
-	for i := 0; i < n; i++ {
-		g.AddNode("")
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if r.Float64() < density {
-				g.AddEdge(graph.Node(i), sigma[r.Intn(len(sigma))], graph.Node(j))
-			}
-		}
-	}
-	return g
-}
-
-// AdvisorForest builds the student→advisor graph of the paper's
-// introduction: a forest of advisor trees with the single edge label 'a'
-// pointing from student to advisor; depth levels, branch students per
-// advisor, roots root advisors.
-func AdvisorForest(roots, depth, branch int) *graph.DB {
-	g := graph.NewDB()
-	var grow func(advisor graph.Node, level int)
-	id := 0
-	grow = func(advisor graph.Node, level int) {
-		if level == depth {
-			return
-		}
-		for b := 0; b < branch; b++ {
-			id++
-			student := g.AddNode(fmt.Sprintf("s%d", id))
-			g.AddEdge(student, 'a', advisor)
-			grow(student, level+1)
-		}
-	}
-	for rt := 0; rt < roots; rt++ {
-		root := g.AddNode(fmt.Sprintf("root%d", rt))
-		grow(root, 0)
 	}
 	return g
 }
@@ -211,12 +168,6 @@ func FlightNetwork(r *rand.Rand, nCities int, airlines []rune) *graph.DB {
 	return g
 }
 
-// PropertyGraph builds an RDF-like graph with a property alphabet and a
-// bias toward short property chains, for the semantic-web experiments.
-func PropertyGraph(r *rand.Rand, n int, properties []rune, avgDeg float64) *graph.DB {
-	return Random(r, n, avgDeg, properties)
-}
-
 // labelRichLetters is the letter pool of LabelRichSigma ('_' excluded:
 // it is the regex syntax for ⊥).
 const labelRichLetters = "abcdefghijklmnopqrstuvwxyzABCDEF"
@@ -272,8 +223,8 @@ type ScaleCase struct {
 //   - permissive — a full-alphabet [..]* regex, the adversarial case
 //     where every label is live and pruning cannot help.
 //
-// The same cases back BenchmarkScale_LabelRich and the benchtables
-// -json suite; construction is deterministic.
+// The benchmark's lr_* cases draw their graphs and queries from it;
+// construction is deterministic.
 func ScaleLabelRichCases() []ScaleCase {
 	var out []ScaleCase
 	for _, k := range []int{8, 32} {
@@ -295,89 +246,23 @@ func ScaleLabelRichCases() []ScaleCase {
 	return out
 }
 
-// MixedServing bundles the Scale_MixedReadWrite workload: a warm
-// label-rich graph of roughly 100k edges, the serving query with its
-// binding, and a deterministic stream of fresh writes — the shape the
-// epoch-versioned snapshot store exists for. One instance backs both
-// BenchmarkScale_MixedReadWrite and the benchtables -json suite.
+// MixedServing is the serving graph of the benchmark's serve_hot and
+// serve_mixed workloads: a warm label-rich graph of roughly 100k edges
+// over σ = 8 labels.
 type MixedServing struct {
 	Graph *graph.DB
 	Sigma []rune
-	Query *ecrpq.Query
-	Bind  map[ecrpq.NodeVar]graph.Node
-	n     int
 }
 
 // mixedServingNodes sizes the serving graph: ~100k edges at avgDeg 5.
 const mixedServingNodes = 20000
 
-// NewMixedServing builds the serving workload deterministically from
-// seed. The query is the aⁿbⁿ ECRPQ bound to a tail (sparse) node, so
-// per-query cost stays modest and the snapshot path dominates the
-// write side of the mix.
+// NewMixedServing builds the serving graph deterministically from seed.
 func NewMixedServing(seed int64) *MixedServing {
 	sigma := LabelRichSigma(8)
 	g := LabelRich(rand.New(rand.NewSource(seed)), mixedServingNodes, sigma, 5.0)
-	env := ecrpq.Env{Sigma: sigma}
-	q := ecrpq.MustParse("Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)", env)
-	return &MixedServing{
-		Graph: g,
-		Sigma: sigma,
-		Query: q,
-		Bind:  map[ecrpq.NodeVar]graph.Node{"x": graph.Node(mixedServingNodes * 3 / 4)},
-		n:     mixedServingNodes,
-	}
+	return &MixedServing{Graph: g, Sigma: sigma}
 }
 
 // Env returns the parsing/compile environment of the serving query.
 func (m *MixedServing) Env() ecrpq.Env { return ecrpq.Env{Sigma: m.Sigma} }
-
-// Write applies the i'th write of the deterministic write stream: a
-// pseudo-random labeled edge over the existing nodes (collisions with
-// existing edges are possible but vanishingly rare at ~100k edges over
-// 20k²·8 slots, so essentially every call advances the epoch).
-func (m *MixedServing) Write(i int) {
-	from := graph.Node((i*2654435761 + 11) % m.n)
-	to := graph.Node((i*40503 + 17) % m.n)
-	m.Graph.AddEdge(from, m.Sigma[i%len(m.Sigma)], to)
-}
-
-// MixedWritePcts are the write ratios (writes per 100 operations) of
-// the Scale_MixedReadWrite serve cases.
-var MixedWritePcts = []int{1, 10}
-
-// ServeQuery is one entry of the repeated-serve query mix: a prepared
-// query shape with its binding, evaluated over and over by many
-// clients — the traffic pattern the epoch-keyed result cache exists
-// for.
-type ServeQuery struct {
-	Name  string
-	Query *ecrpq.Query
-	// Text is the textual source of Query — what a client would PUT to
-	// the serving daemon's registry to prepare the same query.
-	Text string
-	Bind map[ecrpq.NodeVar]graph.Node
-}
-
-// RepeatedServeQueries returns the deterministic query mix of the
-// Scale_RepeatedServe benchmark over m's graph: a handful of distinct
-// (query, bind) pairs that clients rotate through, so at an unchanged
-// epoch every evaluation after the first rotation is a repeat. The mix
-// spans the serving shapes: the aⁿbⁿ ECRPQ at two bindings, the
-// relation-free chain, and a plain selective RPQ.
-func (m *MixedServing) RepeatedServeQueries() []ServeQuery {
-	env := m.Env()
-	const (
-		anbnText  = "Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)"
-		chainText = "Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)"
-		rpqText   = "Ans(x,y) <- (x,p,y), a+b(p)"
-	)
-	chain := ecrpq.MustParse(chainText, env)
-	rpq := ecrpq.MustParse(rpqText, env)
-	return []ServeQuery{
-		{Name: "anbn/tail", Query: m.Query, Text: anbnText, Bind: m.Bind},
-		{Name: "anbn/tail2", Query: m.Query, Text: anbnText, Bind: map[ecrpq.NodeVar]graph.Node{"x": graph.Node(m.n/2 + 7)}},
-		{Name: "chain/tail", Query: chain, Text: chainText, Bind: map[ecrpq.NodeVar]graph.Node{"x": graph.Node(m.n * 3 / 4)}},
-		{Name: "rpq/tail", Query: rpq, Text: rpqText, Bind: map[ecrpq.NodeVar]graph.Node{"x": graph.Node(m.n/2 + 13)}},
-	}
-}

@@ -18,39 +18,11 @@ func TestStringGraph(t *testing.T) {
 	}
 }
 
-func TestRandomAndDAG(t *testing.T) {
+func TestRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	g := Random(r, 50, 2.0, []rune{'a', 'b'})
 	if g.NumNodes() != 50 || g.NumEdges() == 0 {
 		t.Error("Random graph malformed")
-	}
-	d := RandomDAG(r, 10, 0.5, []rune{'a', 'b'})
-	d.EachEdge(func(from graph.Node, _ rune, to graph.Node) {
-		if from >= to {
-			t.Errorf("DAG has back edge %d->%d", from, to)
-		}
-	})
-}
-
-func TestAdvisorForest(t *testing.T) {
-	g := AdvisorForest(2, 2, 2)
-	// 2 roots, each with 2 students, each with 2 students: 2*(1+2+4) = 14.
-	if g.NumNodes() != 14 {
-		t.Errorf("nodes = %d, want 14", g.NumNodes())
-	}
-	if g.NumEdges() != 12 {
-		t.Errorf("edges = %d, want 12", g.NumEdges())
-	}
-	// Same-length-to-advisor query from the introduction: two distinct
-	// students with equal-length advisor chains to a common ancestor.
-	q := ecrpq.MustParse("Ans(x,y) <- (x,p1,z), (y,p2,z), a+(p1), a+(p2), el(p1,p2)",
-		ecrpq.Env{Sigma: []rune{'a'}})
-	res, err := ecrpq.Eval(q, g, ecrpq.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Bool() {
-		t.Error("siblings share equal-length paths to their advisor")
 	}
 }
 
