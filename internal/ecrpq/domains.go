@@ -158,10 +158,10 @@ func (d *domainEngine) step() error {
 
 // post computes post[L](src) over s: the sorted distinct nodes at which
 // the product of the snapshot with the tape's automaton accepts, started
-// from every source at once — never nil, so that an empty domain is not
-// mistaken for an unconfined one. Every discovered state is charged to
-// bud; charged reports how many, whatever the outcome, so the caller can
-// return them.
+// from every source at once. The list is the engine's own scratch, valid
+// until its next run — the caller copies it before the engine goes back to
+// its pool. Every discovered state is charged to bud; charged reports how
+// many, whatever the outcome, so the caller can return them.
 func (d *domainEngine) post(ctx context.Context, s *graph.Snapshot, src []graph.Node, bud *stateBudget) (ends []graph.Node, charged int, err error) {
 	d.snap, d.bud, d.charged = s, bud, 0
 	d.planStates()
@@ -196,62 +196,102 @@ func (d *domainEngine) post(ctx context.Context, s *graph.Snapshot, src []graph.
 		}
 	}
 	slices.Sort(d.ends)
-	return append(make([]graph.Node, 0, len(d.ends)), slices.Compact(d.ends)...), d.charged, nil
+	d.ends = slices.Compact(d.ends)
+	return d.ends, d.charged, nil
+}
+
+// domainLists is the start-domain pass's storage in a workspace: the map
+// it hands out, the candidate lists in it and the pass's bookkeeping.
+// Each pass reuses all of it, so the map and its lists are valid until the
+// workspace's next evaluation; the memo capture copies the lists it keeps.
+type domainLists struct {
+	lists map[NodeVar][]graph.Node
+	buf   []graph.Node
+	fired []bool
+	src   [1]graph.Node // the source list of an atom whose start is bound
+}
+
+// release empties the storage for an idle workspace, dropping it past the
+// pooled-scratch budget.
+func (dl *domainLists) release() {
+	clear(dl.lists)
+	if cap(dl.buf) > maxPooledScratch {
+		dl.buf = nil
+	}
+	dl.buf = dl.buf[:0]
+}
+
+// confine records ends (sorted, distinct) as v's candidate list, or
+// intersects the list v already has with it. A list is never nil, so an
+// empty domain is not mistaken for an unconfined one.
+func (dl *domainLists) confine(v NodeVar, ends []graph.Node) {
+	if dl.lists == nil {
+		dl.lists = map[NodeVar][]graph.Node{}
+	}
+	list := carve(&dl.buf, len(ends))[:0]
+	if old, ok := dl.lists[v]; ok {
+		list = appendIntersection(list, old, ends)
+	} else {
+		list = append(list, ends...)
+	}
+	dl.lists[v] = list
 }
 
 // startDomains runs the propagation pass for one evaluation and returns
-// the confined variables' sorted candidate lists; nil when nothing
-// propagates. The pass borrows from the evaluation's state budget: every
-// state it discovers is charged while it runs, which bounds it like any
-// other BFS, and returned before the components start — so a budget the
-// unpruned evaluation fits always fits the pruned one (its BFS runs are
-// a subset). A pass that would exhaust the budget is abandoned and the
-// evaluation continues unpruned; pruning never turns an answer into a
-// refusal. Cancellation and injected BFSStep faults fail the evaluation
-// as they would inside any component.
-func (p *Program) startDomains(ctx context.Context, s *graph.Snapshot, opts Options, bud *stateBudget) (map[NodeVar][]graph.Node, error) {
+// the confined variables' sorted candidate lists, kept in dl; nil when
+// nothing propagates. The pass borrows from the evaluation's state
+// budget: every state it discovers is charged while it runs, which bounds
+// it like any other BFS, and returned before the components start — so a
+// budget the unpruned evaluation fits always fits the pruned one (its BFS
+// runs are a subset). A pass that would exhaust the budget is abandoned
+// and the evaluation continues unpruned; pruning never turns an answer
+// into a refusal. Cancellation and injected BFSStep faults fail the
+// evaluation as they would inside any component.
+func (dl *domainLists) startDomains(ctx context.Context, p *Program, s *graph.Snapshot, opts Options, bud *stateBudget) (map[NodeVar][]graph.Node, error) {
 	if opts.NoPrune || len(opts.Bind) == 0 || len(p.prop) == 0 {
 		return nil, nil
 	}
-	var doms map[NodeVar][]graph.Node
-	fired := make([]bool, len(p.prop))
+	clear(dl.lists)
+	dl.buf = dl.buf[:0]
+	dl.fired = zeroed(dl.fired, len(p.prop))
+	confined := false
 	borrowed := 0
 	defer func() { bud.refund(borrowed) }()
 	for progress := true; progress; {
 		progress = false
 		for i, pa := range p.prop {
-			if _, bound := opts.Bind[pa.atom.Y]; bound || fired[i] {
+			if _, bound := opts.Bind[pa.atom.Y]; bound || dl.fired[i] {
 				continue
 			}
 			var src []graph.Node
 			if n, ok := opts.Bind[pa.atom.X]; ok {
-				src = []graph.Node{n}
-			} else if src, ok = doms[pa.atom.X]; !ok {
+				dl.src[0] = n
+				src = dl.src[:]
+			} else if src, ok = dl.lists[pa.atom.X]; !ok {
 				continue
 			}
-			fired[i] = true
+			dl.fired[i] = true
 			d := pa.take(p)
 			if d == nil {
 				continue
 			}
 			ends, charged, err := d.post(ctx, s, src, bud)
-			pa.put(d)
 			borrowed += charged
+			if err == nil {
+				dl.confine(pa.atom.Y, ends)
+			}
+			pa.put(d)
 			if errors.Is(err, ErrBudget) {
 				return nil, nil
 			}
 			if err != nil {
 				return nil, err
 			}
-			if doms == nil {
-				doms = map[NodeVar][]graph.Node{}
-			}
-			if old, ok := doms[pa.atom.Y]; ok {
-				ends = intersectSorted(old, ends)
-			}
-			doms[pa.atom.Y] = ends
-			progress = true
+			confined, progress = true, true
 		}
 	}
-	return doms, nil
+	if !confined {
+		return nil, nil
+	}
+	return dl.lists, nil
 }

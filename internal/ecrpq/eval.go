@@ -105,12 +105,18 @@ var errStopStream = errors.New("ecrpq: stream stopped")
 type stateBudget struct{ left atomic.Int64 }
 
 func newStateBudget(max int) *stateBudget {
+	b := &stateBudget{}
+	b.reset(max)
+	return b
+}
+
+// reset refills the budget to max states (zero: the default) for a new
+// execution.
+func (b *stateBudget) reset(max int) {
 	if max == 0 {
 		max = defaultMaxProductStates
 	}
-	b := &stateBudget{}
 	b.left.Store(int64(max))
-	return b
 }
 
 // spend consumes one product state; false means the budget is exhausted.
@@ -574,17 +580,18 @@ var errDecided = errors.New("ecrpq: decided")
 type componentEngine struct {
 	prodCore
 
-	// vr is the relation under construction (columns allVars, witness
+	// rel is the relation under construction (columns allVars, witness
 	// columns keptVars) and rows its dedup on the node tuple. Two start
 	// assignments differ on an X variable and every X variable is a
 	// column, so a duplicate can only come from the assignment being run:
 	// rows appended wholesale — a fan-out chunk's, a replayed memo
-	// segment's — are never entered in the set.
-	vr   *varRelation
+	// segment's — are never entered in the set. Both keep their storage
+	// from one execution to the next (see workspace).
+	rel  *varRelation
 	rows rowSet
 
 	// sink, when set, receives each fresh deduplicated row (witnesses in
-	// keptVars order) and vr keeps node tuples only, as the dedup's store
+	// keptVars order) and rel keeps node tuples only, as the dedup's store
 	// — the hook the streaming executor uses for single-component
 	// queries. Both slices are only valid for the duration of the call;
 	// sinks must copy. Returning errStopStream aborts the BFS cleanly.
@@ -635,7 +642,7 @@ type componentEngine struct {
 	// memoCap, when non-nil, collects the incremental-evaluation memo
 	// of the execution: per start assignment, the nodes of every reached
 	// product state and the accepted rows (each once: the rows a run adds
-	// to vr are exactly its assignment's). endCapAssign seals one
+	// to rel are exactly its assignment's). endCapAssign seals one
 	// assignment; past memoMaxEntries the capture is abandoned
 	// (memoFailed) so a huge result never pins a second copy of itself.
 	memoCap    *compMemo
@@ -648,29 +655,33 @@ type componentEngine struct {
 	// retained across executions like the runner memos. space is the
 	// execution's start-assignment space, set by reset from the bindings,
 	// the start-domain lists in doms and allNodes, the shared
-	// 0..NumNodes-1 candidate slice of an unconfined variable. prog and
-	// comp name the pool the engine belongs to — the assignment fan-out
-	// borrows sibling engines from it.
+	// 0..NumNodes-1 candidate slice of an unconfined variable. ws and comp
+	// name the workspace and component the engine belongs to; fan is the
+	// assignment fan-out's state — its sibling engines among it — built on
+	// the first fan-out and kept with the engine.
 	workers  int
 	opts     Options
 	par      *parState
 	doms     map[NodeVar][]graph.Node
 	space    startSpace
 	allNodes []graph.Node
-	prog     *Program
+	ws       *workspace
 	comp     int
+	fan      *fanOut
 }
 
-// newComponentEngine builds an engine for component comp of p, whose
-// pool it will live in. The graph is not needed at construction time —
+// newComponentEngine builds an engine for component comp of the
+// workspace's program. The graph is not needed at construction time —
 // reset supplies it before each execution — so engines can be compiled
 // into a Program ahead of any graph.
-func newComponentEngine(p *Program, comp int) *componentEngine {
+func newComponentEngine(ws *workspace, comp int) *componentEngine {
+	p := ws.prog
 	c := p.comps[comp]
 	e := &componentEngine{
 		prodCore: newProdCore(nil, c),
-		prog:     p,
+		ws:       ws,
 		comp:     comp,
+		rel:      new(varRelation),
 
 		nodesBuf: make([]graph.Node, len(c.allVars)),
 		tmpl:     make([]graph.Node, len(c.allVars)),
@@ -683,7 +694,7 @@ func newComponentEngine(p *Program, comp int) *componentEngine {
 		}
 	}
 	for i, v := range c.vars {
-		if p.keepPaths[v] {
+		if slices.Contains(p.headPaths, v) {
 			e.keptCoords = append(e.keptCoords, i)
 			e.keptVars = append(e.keptVars, v)
 		}
@@ -708,7 +719,7 @@ func (e *componentEngine) reset(s *graph.Snapshot, opts Options, doms map[NodeVa
 	e.opts = opts
 	e.doms = doms
 	e.workers = effectiveBFSWorkers(opts.BFSWorkers)
-	e.vr = &varRelation{vars: e.c.allVars, pvars: e.keptVars}
+	e.rel.reset(e.c.allVars, e.keptVars)
 	e.rows.reset()
 	for i, v := range e.c.allVars {
 		if n, ok := opts.Bind[v]; ok {
@@ -743,35 +754,69 @@ func (e *componentEngine) allNodesSlice() []graph.Node {
 	return e.allNodes
 }
 
-// release unpins the snapshot from the engine's kernel and from every
-// lane's, for an engine going back to its pool.
+// release readies the engine, and its fan-out siblings, for an idle
+// workspace. It must not pin a possibly huge graph snapshot — the
+// snapshot half of the rule is moveKernel.release's, applied to the
+// engine's kernel and every lane's — nor anything of the last execution
+// past the pooled-scratch budget: BFS arrays, state and dedup sets,
+// parallel state, and the relation's store are dropped when oversized and
+// otherwise kept for the next execution to grow into.
 func (e *componentEngine) release() {
 	e.prodCore.release()
 	if e.par != nil {
 		for _, ln := range e.par.lanes {
 			ln.release()
 		}
+		if e.par.oversized() {
+			e.par = nil
+		}
+	}
+	e.bud, e.sink, e.memoCap, e.memoFailed = nil, nil, nil, false
+	e.opts, e.doms = Options{}, nil
+	clear(e.space.lists)
+	if cap(e.allNodes) > maxPooledScratch {
+		e.allNodes = nil
+	}
+	if cap(e.parentState) > maxPooledScratch {
+		e.curs, e.joints, e.parentState, e.parentSym, e.parentLabs = nil, nil, nil, nil, nil
+	}
+	if e.states.oversized() {
+		e.states = tupleSet{}
+	}
+	if len(e.rows.slots) > maxPooledScratch {
+		e.rows = rowSet{}
+	}
+	if e.rel.oversized() {
+		*e.rel = varRelation{}
+	}
+	e.rel.reset(nil, nil)
+	if e.fan != nil {
+		e.fan.release()
 	}
 }
 
 // evalComponent runs the product BFS for one component, for every
 // assignment of its start space (see reset), drawing on the shared state
 // budget. It returns the component's relation (under a sink, which has
-// consumed the rows, only the node tuples the dedup kept).
+// consumed the rows, only the node tuples the dedup kept): the engine's
+// own, valid until the engine's next execution.
 //
 // Under stopSweep the enumeration runs here, in assignment order on the
 // caller's goroutine, and ends at the first row: fanning the sweep out
 // would run assignments past the deciding one.
 func evalComponent(ctx context.Context, e *componentEngine, bud *stateBudget) (*varRelation, error) {
 	if e.stop != stopSweep {
-		if vr, done, err := e.evalAssignFanout(ctx, bud); done {
-			return vr, err
+		if done, err := e.evalAssignFanout(ctx, bud); done {
+			if err != nil {
+				return nil, err
+			}
+			return e.rel, nil
 		}
 	}
 	if err := e.runAssignRange(ctx, 0, math.MaxUint64, bud); err != nil && err != errDecided {
 		return nil, err
 	}
-	return e.vr, nil
+	return e.rel, nil
 }
 
 // runAssignRange runs the product BFS for the start assignments with
@@ -849,7 +894,7 @@ func (e *componentEngine) pushState(jointID int, nodes []graph.Node, parent, sym
 
 // bfs explores the product of G⊥^c with the component's joint relation
 // automaton from the start tuple given by assign, level by level,
-// collecting accepting bindings into e.vr (or handing them to e.sink).
+// collecting accepting bindings into e.rel (or handing them to e.sink).
 // It is the one driver of every evaluation. A level narrower than
 // parFrontierMin — every level when lanes is 1 — runs inline on this
 // goroutine; a wider one fans out over up to lanes workers
@@ -1027,7 +1072,7 @@ func (e *componentEngine) checkAccept(cur []graph.Node, buf []graph.Node) ([]gra
 // a reader could tell from this one, and applyRow reports errDecided —
 // after the sink, whose own stop takes precedence.
 func (e *componentEngine) applyRow(nodes []graph.Node, paths []graph.Path) error {
-	id, added := e.rows.intern(e.vr, nodes)
+	id, added := e.rows.intern(e.rel, nodes)
 	if added && e.memoCap != nil {
 		e.memoCap.rows = append(e.memoCap.rows, nodes...)
 	}
@@ -1041,9 +1086,9 @@ func (e *componentEngine) applyRow(nodes []graph.Node, paths []graph.Path) error
 			}
 		}
 	case added:
-		e.vr.paths = append(e.vr.paths, paths...)
+		e.rel.paths = append(e.rel.paths, paths...)
 	default:
-		e.vr.mergeShorter(id, paths)
+		e.rel.mergeShorter(id, paths)
 	}
 	if e.stop != stopNone {
 		return errDecided

@@ -139,7 +139,32 @@ type compMemo struct {
 	rows     []graph.Node
 }
 
-func (m *compMemo) nAssign() int { return len(m.touchOff) - 1 }
+// nAssign is the number of sealed segments; a nil memo holds none.
+func (m *compMemo) nAssign() int {
+	if m == nil {
+		return 0
+	}
+	return len(m.touchOff) - 1
+}
+
+// entries counts the graph.Node and offset entries m holds, the unit of
+// memoMaxEntries.
+func (m *compMemo) entries() int { return len(m.touched) + len(m.rows) + len(m.touchOff) }
+
+// appendSegments appends segments [lo, hi) of o to m, rebasing their
+// offsets: the replay of an unaffected assignment and the merge of a
+// fan-out chunk both copy segments this way.
+func (m *compMemo) appendSegments(o *compMemo, lo, hi int) {
+	tBase, rBase := int32(len(m.touched))-o.touchOff[lo], int32(len(m.rows))-o.rowOff[lo]
+	m.touched = append(m.touched, o.touched[o.touchOff[lo]:o.touchOff[hi]]...)
+	m.rows = append(m.rows, o.rows[o.rowOff[lo]:o.rowOff[hi]]...)
+	for _, off := range o.touchOff[lo+1 : hi+1] {
+		m.touchOff = append(m.touchOff, tBase+off)
+	}
+	for _, off := range o.rowOff[lo+1 : hi+1] {
+		m.rowOff = append(m.rowOff, rBase+off)
+	}
+}
 
 // memoMaxEntries bounds the total graph.Node/offset entries one
 // component memo may hold (~32 MB); beyond it capture is abandoned and
@@ -168,17 +193,20 @@ func (m *incMemo) sizeBytes() int64 {
 // startCapture arms the engine's memo capture for one execution. A memo
 // holds one segment per start assignment (memoSpace checks it), so a
 // capturing execution finishes the sweep: stopSweep stands down to
-// stopRow, which it implies.
+// stopRow, which it implies. The memo outlives the execution, so the
+// candidate lists it records are copies: the start-domain lists belong to
+// the workspace.
 func (e *componentEngine) startCapture() {
 	if e.stop == stopSweep {
 		e.stop = stopRow
 	}
 	lists := make([][]graph.Node, len(e.c.xvars))
 	for i, v := range e.c.xvars {
+		// An unconfined variable keeps nil: every node.
 		if n, bound := e.opts.Bind[v]; bound {
 			lists[i] = []graph.Node{n}
-		} else {
-			lists[i] = e.doms[v] // nil when unconfined: every node
+		} else if dom, ok := e.doms[v]; ok {
+			lists[i] = append(make([]graph.Node, 0, len(dom)), dom...)
 		}
 	}
 	e.memoCap = &compMemo{
@@ -189,6 +217,28 @@ func (e *componentEngine) startCapture() {
 	}
 	e.memoFailed = false
 }
+
+// captureChunks arms a fan-out sibling's capture for one execution, into
+// m, storage the fan-out keeps for the sibling: the segments of every
+// chunk it runs, one after the other, which the merge copies into the
+// caller's memo.
+func (e *componentEngine) captureChunks(m *compMemo) {
+	m.stride = len(e.c.allVars)
+	m.touched, m.rows = m.touched[:0], m.rows[:0]
+	m.touchOff, m.rowOff = append(m.touchOff[:0], 0), append(m.rowOff[:0], 0)
+	e.memoCap, e.memoFailed = m, false
+}
+
+// checkCapture abandons the capture once the memo holds more than
+// memoMaxEntries entries, so a huge result never pins a second copy of
+// itself.
+func (e *componentEngine) checkCapture() {
+	if e.memoCap.entries() > memoMaxEntries {
+		e.abandonCapture()
+	}
+}
+
+func (e *componentEngine) abandonCapture() { e.memoCap, e.memoFailed = nil, true }
 
 // endCapAssign seals the current assignment's memo segment after its
 // BFS completed: the reached-node set (sorted, distinct; skipped when
@@ -213,31 +263,20 @@ func (e *componentEngine) endCapAssign(decided bool) {
 	}
 	m.touchOff = append(m.touchOff, int32(len(m.touched)))
 	m.rowOff = append(m.rowOff, int32(len(m.rows)))
-	if len(m.touched)+len(m.rows)+len(m.touchOff) > memoMaxEntries {
-		e.memoCap = nil
-		e.memoFailed = true
-	}
+	e.checkCapture()
 }
 
 // replayAssign re-emits an unaffected assignment from the old memo: its
 // rows (distinct, and no other assignment's) append to the relation in
-// one copy, and the memo segments copy forward. Only programs without
+// one copy, and the memo segment copies forward. Only programs without
 // head path variables capture, so the rows carry no witnesses.
 func (e *componentEngine) replayAssign(old *compMemo, idx int) {
 	seg := old.rows[old.rowOff[idx]:old.rowOff[idx+1]]
-	e.vr.nodes = append(e.vr.nodes, seg...)
-	e.vr.n += len(seg) / old.stride
-	m := e.memoCap
-	if m == nil {
-		return
-	}
-	m.touched = append(m.touched, old.touched[old.touchOff[idx]:old.touchOff[idx+1]]...)
-	m.touchOff = append(m.touchOff, int32(len(m.touched)))
-	m.rows = append(m.rows, seg...)
-	m.rowOff = append(m.rowOff, int32(len(m.rows)))
-	if len(m.touched)+len(m.rows)+len(m.touchOff) > memoMaxEntries {
-		e.memoCap = nil
-		e.memoFailed = true
+	e.rel.nodes = append(e.rel.nodes, seg...)
+	e.rel.n += len(seg) / old.stride
+	if e.memoCap != nil {
+		e.memoCap.appendSegments(old, idx, idx+1)
+		e.checkCapture()
 	}
 }
 
@@ -346,7 +385,7 @@ func advanceComponent(ctx context.Context, e *componentEngine, old *compMemo, ol
 	if err != nil {
 		return nil, err
 	}
-	return e.vr, nil
+	return e.rel, nil
 }
 
 // AdvanceKind classifies how Program.Advance derived (or declined to
@@ -489,17 +528,9 @@ func labelRangesIntersectLive(lr []graph.LabelRange, live []regex.Range) bool {
 func (p *Program) advanceIncremental(ctx context.Context, prev *Result, s *graph.Snapshot, opts Options, since []graph.DeltaEdge) (*Result, error) {
 	m := prev.inc
 	n := len(p.comps)
-	engines := make([]*componentEngine, n)
-	for i := range engines {
-		engines[i] = p.take(i)
-	}
-	defer func() {
-		for i, e := range engines {
-			p.put(i, e)
-		}
-	}()
-	bud := newStateBudget(opts.MaxProductStates)
-	doms, err := p.startDomains(ctx, s, opts, bud)
+	ws := p.takeWorkspace()
+	defer p.putWorkspace(ws)
+	doms, err := ws.begin(ctx, s, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -507,7 +538,7 @@ func (p *Program) advanceIncremental(ctx context.Context, prev *Result, s *graph
 	olds := make([]*startSpace, n)
 	changed := false
 	for i, c := range p.comps {
-		e := engines[i]
+		e := ws.engines[i]
 		e.reset(s, opts, doms)
 		old, ok := e.memoSpace(m.comps[i])
 		if !ok {
@@ -530,21 +561,19 @@ func (p *Program) advanceIncremental(ctx context.Context, prev *Result, s *graph
 	if !changed {
 		return restamp(prev, s), nil
 	}
-	rels := make([]*varRelation, n)
 	memos := make([]*compMemo, n)
 	memoOK := true
-	for i := range p.comps {
-		e := engines[i]
+	for i, e := range ws.engines {
 		e.startCapture()
-		vr, err := advanceComponent(ctx, e, m.comps[i], olds[i], aff[i], bud)
+		vr, err := advanceComponent(ctx, e, m.comps[i], olds[i], aff[i], &ws.bud)
 		if err != nil {
 			return nil, err
 		}
 		memos[i] = e.memoCap
 		memoOK = memoOK && !e.memoFailed
-		rels[i] = vr
+		ws.rels[i] = vr
 	}
-	res, err := p.assemble(ctx, s, rels, opts)
+	res, err := p.assemble(ctx, ws, s, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package ecrpq
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -37,24 +38,21 @@ func planJoin(varSets [][]NodeVar) joinPlan {
 // JoinBacktrack go through the backtracking enumeration.
 //
 // The result is distinct on its columns and may alias an input relation
-// (a projection that drops nothing copies nothing). Cancellation of ctx
-// is honored inside the enumeration loops.
-func joinAll(ctx context.Context, rels []*varRelation, jp joinPlan, mode JoinMode, keep []NodeVar) (*varRelation, error) {
+// (a projection that drops nothing copies nothing); everything it builds
+// lives in the arena. Cancellation of ctx is honored inside the
+// enumeration loops.
+func (a *joinArena) joinAll(ctx context.Context, rels []*varRelation, jp joinPlan, mode JoinMode, keep []NodeVar) (*varRelation, error) {
 	if len(rels) == 0 {
-		return &varRelation{}, nil
+		return a.relation(nil, nil), nil
 	}
-	keepSet := map[NodeVar]bool{}
-	for _, v := range keep {
-		keepSet[v] = true
-	}
-	final, reduced, err := reduceJoin(ctx, rels, jp, mode, keepSet)
+	final, reduced, err := a.reduceJoin(ctx, rels, jp, mode, keep)
 	if err != nil {
 		return nil, err
 	}
 	if reduced {
 		return final[0], nil
 	}
-	return backtrackJoin(ctx, final, keepSet)
+	return a.backtrackJoin(ctx, final, keep)
 }
 
 // reduceJoin runs everything up to the final enumeration: for the
@@ -63,18 +61,110 @@ func joinAll(ctx context.Context, rels []*varRelation, jp joinPlan, mode JoinMod
 // columns; for the backtracking strategy the relations pass through
 // unchanged. The returned relations may alias the inputs; callers only
 // read them.
-func reduceJoin(ctx context.Context, rels []*varRelation, jp joinPlan, mode JoinMode, keep map[NodeVar]bool) (final []*varRelation, reduced bool, err error) {
+func (a *joinArena) reduceJoin(ctx context.Context, rels []*varRelation, jp joinPlan, mode JoinMode, keep []NodeVar) (final []*varRelation, reduced bool, err error) {
 	if mode == JoinYannakakis && !jp.acyclic {
 		return nil, false, fmt.Errorf("ecrpq: JoinYannakakis requested but the join hypergraph is cyclic")
 	}
 	if mode == JoinBacktrack || !jp.acyclic {
 		return rels, false, nil
 	}
-	root, err := yannakakisReduce(ctx, rels, jp.elims, keep)
+	root, err := a.yannakakisReduce(ctx, rels, jp.elims, keep)
 	if err != nil {
 		return nil, false, err
 	}
-	return []*varRelation{root}, true, nil
+	a.root[0] = root
+	return a.root[:], true, nil
+}
+
+// joinArena is the join layer's storage, owned by a workspace: the
+// relations the layer materialises (projections, folds, the backtracking
+// join's output), their dedup sets and hash indexes, and the small key,
+// tuple, witness and column buffers. release hands all of it out again
+// for the next evaluation, so a warm join allocates nothing; what the
+// arena handed out is valid until then.
+type joinArena struct {
+	rels  []*varRelation
+	nrels int
+	sets  []*rowSet
+	nsets int
+	idx   []*rowIndex
+	nidx  int
+
+	nodes []graph.Node
+	paths []graph.Path
+	ints  []int
+	vars  []NodeVar
+	pvars []PathVar
+	root  [1]*varRelation // reduceJoin's result
+}
+
+// nextOf returns the n-th object of one of the arena's lists, building it
+// on first use, and advances n.
+func nextOf[T any](list *[]*T, n *int) *T {
+	if *n == len(*list) {
+		*list = append(*list, new(T))
+	}
+	x := (*list)[*n]
+	*n++
+	return x
+}
+
+// relation hands out an empty relation over vars and pvars.
+func (a *joinArena) relation(vars []NodeVar, pvars []PathVar) *varRelation {
+	r := nextOf(&a.rels, &a.nrels)
+	r.reset(vars, pvars)
+	return r
+}
+
+// set hands out an empty dedup set.
+func (a *joinArena) set() *rowSet {
+	s := nextOf(&a.sets, &a.nsets)
+	s.reset()
+	return s
+}
+
+// index hands out an index over rel on the given columns.
+func (a *joinArena) index(rel *varRelation, cols []int) *rowIndex {
+	x := nextOf(&a.idx, &a.nidx)
+	x.build(rel, cols, carve(&a.nodes, len(cols)))
+	return x
+}
+
+// positions maps each of vars to its column index in of (-1 if absent),
+// in arena storage.
+func (a *joinArena) positions(vars, of []NodeVar) []int {
+	return positions(carve(&a.ints, len(vars)), vars, of)
+}
+
+// release makes everything the arena handed out available to the next
+// evaluation. Storage past the pooled-scratch budget is dropped, and no
+// witness path of the last result stays referenced.
+func (a *joinArena) release() {
+	for _, r := range a.rels[:a.nrels] {
+		if r.oversized() {
+			*r = varRelation{}
+		}
+		r.reset(nil, nil)
+	}
+	for _, s := range a.sets[:a.nsets] {
+		if len(s.slots) > maxPooledScratch {
+			*s = rowSet{}
+		}
+	}
+	for _, x := range a.idx[:a.nidx] {
+		if x.oversized() {
+			*x = rowIndex{}
+		}
+		x.rel = nil
+	}
+	a.nrels, a.nsets, a.nidx = 0, 0, 0
+	clear(a.paths[:cap(a.paths)])
+	a.root[0] = nil
+	if cap(a.nodes) > maxPooledScratch || cap(a.ints) > maxPooledScratch {
+		a.nodes, a.ints = nil, nil
+	}
+	a.nodes, a.paths, a.ints = a.nodes[:0], a.paths[:0], a.ints[:0]
+	a.vars, a.pvars = a.vars[:0], a.pvars[:0]
 }
 
 // elimination records one GYO ear removal: child is folded into parent;
@@ -153,18 +243,18 @@ func gyoOrder(varSets [][]NodeVar) (bool, []elimination) {
 // onto the columns something still reads. Component relations are
 // filtered in place and rels[parent] is replaced by each fold's result;
 // the root is returned projected onto keep.
-func yannakakisReduce(ctx context.Context, rels []*varRelation, elims []elimination, keep map[NodeVar]bool) (*varRelation, error) {
+func (a *joinArena) yannakakisReduce(ctx context.Context, rels []*varRelation, elims []elimination, keep []NodeVar) (*varRelation, error) {
 	for _, e := range elims {
 		if e.parent >= 0 {
-			semijoin(rels[e.parent], rels[e.child])
+			a.semijoin(rels[e.parent], rels[e.child])
 		}
 	}
 	for i := len(elims) - 1; i >= 0; i-- {
 		if elims[i].parent >= 0 {
-			semijoin(rels[elims[i].child], rels[elims[i].parent])
+			a.semijoin(rels[elims[i].child], rels[elims[i].parent])
 		}
 	}
-	inKeep := func(v NodeVar) bool { return keep[v] }
+	inKeep := func(v NodeVar) bool { return slices.Contains(keep, v) }
 	// Phase 3: projected joins child→parent in elimination order.
 	var root *varRelation
 	for k, e := range elims {
@@ -172,14 +262,14 @@ func yannakakisReduce(ctx context.Context, rels []*varRelation, elims []eliminat
 			return nil, err
 		}
 		if e.parent < 0 {
-			root = projectRelation(rels[e.child], inKeep)
+			root = a.projectRelation(rels[e.child], inKeep)
 			continue
 		}
 		// A parent column outlives the fold only if the head keeps it or a
 		// relation still to be folded shares it. (By the ear property no
 		// such relation shares a column the parent gained from a child.)
 		wanted := func(v NodeVar) bool {
-			if keep[v] {
+			if inKeep(v) {
 				return true
 			}
 			for _, later := range elims[k+1:] {
@@ -189,7 +279,7 @@ func yannakakisReduce(ctx context.Context, rels []*varRelation, elims []eliminat
 			}
 			return false
 		}
-		pj, err := projectJoin(ctx, rels[e.parent], rels[e.child], inKeep, wanted)
+		pj, err := a.projectJoin(ctx, rels[e.parent], rels[e.child], inKeep, wanted)
 		if err != nil {
 			return nil, err
 		}
@@ -198,13 +288,13 @@ func yannakakisReduce(ctx context.Context, rels []*varRelation, elims []eliminat
 	return root, nil
 }
 
-// positions maps each of vars to its column index in of (-1 if absent).
-func positions(vars, of []NodeVar) []int {
-	out := make([]int, len(vars))
+// positions fills dst with the column index in of of each of vars (-1 if
+// absent).
+func positions(dst []int, vars, of []NodeVar) []int {
 	for i, v := range vars {
-		out[i] = varPos(of, v)
+		dst[i] = varPos(of, v)
 	}
-	return out
+	return dst
 }
 
 // gather copies the row's values at the given column positions into dst.
@@ -218,21 +308,20 @@ func gather(dst, row []graph.Node, pos []int) {
 // and row order, deduplicating (shortest witnesses win). It is the one
 // projection routine of the join layer. A projection that drops no column
 // cannot create a duplicate and returns r itself.
-func projectRelation(r *varRelation, want func(NodeVar) bool) *varRelation {
-	var cols []NodeVar
-	var pos []int
+func (a *joinArena) projectRelation(r *varRelation, want func(NodeVar) bool) *varRelation {
+	if !slices.ContainsFunc(r.vars, func(v NodeVar) bool { return !want(v) }) {
+		return r
+	}
+	cols, pos := carve(&a.vars, len(r.vars))[:0], carve(&a.ints, len(r.vars))[:0]
 	for i, v := range r.vars {
 		if want(v) {
 			cols = append(cols, v)
 			pos = append(pos, i)
 		}
 	}
-	if len(pos) == len(r.vars) {
-		return r
-	}
-	out := &varRelation{vars: cols, pvars: r.pvars}
-	var seen rowSet
-	tup := make([]graph.Node, len(pos))
+	out := a.relation(cols, r.pvars)
+	seen := a.set()
+	tup := carve(&a.nodes, len(pos))
 	for i := 0; i < r.n; i++ {
 		gather(tup, r.row(i), pos)
 		seen.put(out, tup, r.witness(i))
@@ -252,7 +341,7 @@ func projectRelation(r *varRelation, want func(NodeVar) bool) *varRelation {
 // output rows anyway, at the position of the first of them, so witnesses
 // are merged exactly as a dedup of the unprojected pairing in (parent
 // row, child row) order would: strictly shorter wins, else first seen.
-func projectJoin(ctx context.Context, parent, child *varRelation, keep, wanted func(NodeVar) bool) (*varRelation, error) {
+func (a *joinArena) projectJoin(ctx context.Context, parent, child *varRelation, keep, wanted func(NodeVar) bool) (*varRelation, error) {
 	inParent := func(v NodeVar) bool { return varPos(parent.vars, v) >= 0 }
 	gains := len(child.pvars) > 0
 	for _, v := range child.vars {
@@ -260,11 +349,11 @@ func projectJoin(ctx context.Context, parent, child *varRelation, keep, wanted f
 	}
 	if !gains {
 		// The child only filters, and the semijoins already did that.
-		return projectRelation(parent, wanted), nil
+		return a.projectRelation(parent, wanted), nil
 	}
-	child = projectRelation(child, func(v NodeVar) bool { return keep(v) || inParent(v) })
-	var shared []NodeVar
-	var childCols []int // child columns the output gains
+	child = a.projectRelation(child, func(v NodeVar) bool { return keep(v) || inParent(v) })
+	shared := carve(&a.vars, len(child.vars))[:0]
+	childCols := carve(&a.ints, len(child.vars))[:0] // child columns the output gains
 	for i, v := range child.vars {
 		if inParent(v) {
 			shared = append(shared, v)
@@ -272,25 +361,29 @@ func projectJoin(ctx context.Context, parent, child *varRelation, keep, wanted f
 			childCols = append(childCols, i)
 		}
 	}
-	parent = projectRelation(parent, func(v NodeVar) bool { return wanted(v) || varPos(child.vars, v) >= 0 })
-	out := &varRelation{pvars: append(append([]PathVar(nil), parent.pvars...), child.pvars...)}
-	var parentCols []int
+	parent = a.projectRelation(parent, func(v NodeVar) bool { return wanted(v) || varPos(child.vars, v) >= 0 })
+	np := len(parent.pvars)
+	pvars := carve(&a.pvars, np+len(child.pvars))
+	copy(pvars[copy(pvars, parent.pvars):], child.pvars)
+	vars := carve(&a.vars, len(parent.vars)+len(childCols))[:0]
+	parentCols := carve(&a.ints, len(parent.vars))[:0]
 	for i, v := range parent.vars {
 		if wanted(v) {
-			out.vars = append(out.vars, v)
+			vars = append(vars, v)
 			parentCols = append(parentCols, i)
 		}
 	}
 	for _, c := range childCols {
-		out.vars = append(out.vars, child.vars[c])
+		vars = append(vars, child.vars[c])
 	}
+	out := a.relation(vars, pvars)
 	dedup := len(parentCols) < len(parent.vars)
-	index := newRowIndex(child, positions(shared, child.vars))
-	parentShared := positions(shared, parent.vars)
-	key := make([]graph.Node, len(shared))
-	tup := make([]graph.Node, len(out.vars))
-	w := make([]graph.Path, len(out.pvars))
-	var seen rowSet
+	index := a.index(child, a.positions(shared, child.vars))
+	parentShared := a.positions(shared, parent.vars)
+	key := carve(&a.nodes, len(shared))
+	tup := carve(&a.nodes, len(vars))
+	w := carve(&a.paths, len(pvars))
+	seen := a.set()
 	for ri := 0; ri < parent.n; ri++ {
 		if ri&1023 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -303,7 +396,7 @@ func projectJoin(ctx context.Context, parent, child *varRelation, keep, wanted f
 		copy(w, parent.witness(ri))
 		for ci := index.first(key); ci >= 0; ci = index.after(ci) {
 			gather(tup[len(parentCols):], child.row(ci), childCols)
-			copy(w[len(parent.pvars):], child.witness(ci))
+			copy(w[np:], child.witness(ci))
 			if dedup {
 				seen.put(out, tup, w)
 			} else {
@@ -314,42 +407,37 @@ func projectJoin(ctx context.Context, parent, child *varRelation, keep, wanted f
 	return out, nil
 }
 
-// semijoin keeps only the rows of a that agree with some row of b on
-// their shared variables, compacting a in place.
-func semijoin(a, b *varRelation) {
-	shared := sharedVars(a, b)
+// semijoin keeps only the rows of r that agree with some row of b on
+// their shared variables, compacting r in place.
+func (a *joinArena) semijoin(r, b *varRelation) {
+	shared := carve(&a.vars, len(r.vars))[:0]
+	for _, v := range r.vars {
+		if varPos(b.vars, v) >= 0 {
+			shared = append(shared, v)
+		}
+	}
 	if len(shared) == 0 {
 		if b.n == 0 {
-			a.truncate(0)
+			r.truncate(0)
 		}
 		return
 	}
-	index := newRowIndex(b, positions(shared, b.vars))
-	aPos := positions(shared, a.vars)
-	key := make([]graph.Node, len(shared))
+	index := a.index(b, a.positions(shared, b.vars))
+	rPos := a.positions(shared, r.vars)
+	key := carve(&a.nodes, len(shared))
 	kept := 0
-	for i := 0; i < a.n; i++ {
-		gather(key, a.row(i), aPos)
+	for i := 0; i < r.n; i++ {
+		gather(key, r.row(i), rPos)
 		if index.first(key) < 0 {
 			continue
 		}
 		if kept != i {
-			copy(a.row(kept), a.row(i))
-			copy(a.witness(kept), a.witness(i))
+			copy(r.row(kept), r.row(i))
+			copy(r.witness(kept), r.witness(i))
 		}
 		kept++
 	}
-	a.truncate(kept)
-}
-
-func sharedVars(a, b *varRelation) []NodeVar {
-	var out []NodeVar
-	for _, v := range a.vars {
-		if varPos(b.vars, v) >= 0 {
-			out = append(out, v)
-		}
-	}
-	return out
+	r.truncate(kept)
 }
 
 // joinEnum enumerates the natural join of a set of relations by
@@ -381,10 +469,11 @@ type indexedRel struct {
 	pathAt     int // where rel.pvars start in pathCols
 }
 
-// newJoinEnum indexes the relations for enumeration. Global binding
-// slots are assigned per distinct variable in first-seen order; the
-// kept columns are keep ∩ (all variables), in that same order.
-func newJoinEnum(rels []*varRelation, keep map[NodeVar]bool) *joinEnum {
+// newJoinEnum indexes the relations for enumeration, on indexes of the
+// arena. Global binding slots are assigned per distinct variable in
+// first-seen order; the kept columns are keep ∩ (all variables), in that
+// same order.
+func (a *joinArena) newJoinEnum(rels []*varRelation, keep []NodeVar) *joinEnum {
 	je := &joinEnum{}
 	slotOf := map[NodeVar]int{}
 	je.plan = make([]indexedRel, len(rels))
@@ -402,12 +491,12 @@ func newJoinEnum(rels []*varRelation, keep map[NodeVar]bool) *joinEnum {
 			je.bindVars = append(je.bindVars, v)
 			p.fresh = append(p.fresh, j)
 			p.freshSlots = append(p.freshSlots, s)
-			if keep[v] {
+			if slices.Contains(keep, v) {
 				je.keepCols = append(je.keepCols, v)
 				je.keepSlots = append(je.keepSlots, s)
 			}
 		}
-		p.index = newRowIndex(r, sharedPos)
+		p.index = a.index(r, sharedPos)
 		je.plan[i] = p
 		je.pathCols = append(je.pathCols, r.pvars...)
 	}
@@ -473,10 +562,10 @@ func (je *joinEnum) run(ctx context.Context, each func(nodes []graph.Node, paths
 // backtrackJoin materializes the natural join, deduplicating on the
 // kept columns (shortest witnesses win). For Boolean queries (no kept
 // columns) the enumeration stops at the first satisfying assignment.
-func backtrackJoin(ctx context.Context, rels []*varRelation, keep map[NodeVar]bool) (*varRelation, error) {
-	je := newJoinEnum(rels, keep)
-	out := &varRelation{vars: je.keepCols, pvars: je.pathCols}
-	var seen rowSet
+func (a *joinArena) backtrackJoin(ctx context.Context, rels []*varRelation, keep []NodeVar) (*varRelation, error) {
+	je := a.newJoinEnum(rels, keep)
+	out := a.relation(je.keepCols, je.pathCols)
+	seen := a.set()
 	err := je.run(ctx, func(nodes []graph.Node, paths []graph.Path) bool {
 		seen.put(out, nodes, paths)
 		return true

@@ -160,6 +160,7 @@ type parState struct {
 	group  *relations.RunnerGroup
 	shards []tupleSet
 	lanes  []*bfsLane
+	wg     sync.WaitGroup // the goroutines of the level's current phase
 }
 
 func (e *componentEngine) ensurePar() *parState {
@@ -398,23 +399,19 @@ func (e *componentEngine) levelParallel(ctx context.Context, lo, hi, workers int
 
 	// Phase 1: expand, one contiguous slice per lane.
 	chunk := (n + L - 1) / L
-	var wg sync.WaitGroup
 	for k := 0; k < L; k++ {
 		a := lo + k*chunk
-		b := a + chunk
-		if b > hi {
-			b = hi
-		}
+		b := min(a+chunk, hi)
 		if a >= b {
 			break
 		}
-		wg.Add(1)
-		go func(ln *bfsLane, a, b int) {
-			defer wg.Done()
+		par.wg.Add(1)
+		go func(ln *bfsLane) {
+			defer par.wg.Done()
 			ln.expand(ctx, a, b)
-		}(lanes[k], a, b)
+		}(lanes[k])
 	}
-	wg.Wait()
+	par.wg.Wait()
 	var fault error
 	for _, ln := range lanes {
 		if ln.err == nil {
@@ -451,38 +448,28 @@ func (e *componentEngine) levelParallel(ctx context.Context, lo, hi, workers int
 	for _, ln := range lanes {
 		total += len(ln.where)
 	}
-	cnt := e.cnt
-	dedupShard := func(s int) {
-		set := &par.shards[s]
-		for _, ln := range lanes {
-			box := &ln.out[s]
-			for i, joint := range box.joints {
-				_, box.fresh[i] = e.internState(set, int(joint), box.nodes[i*cnt:i*cnt+cnt])
-			}
-		}
-	}
 	if total >= parDedupMin && L > 1 {
 		G := min(L, parShards)
-		var dwg sync.WaitGroup
 		for g := 0; g < G; g++ {
-			dwg.Add(1)
-			go func(g int) {
-				defer dwg.Done()
+			par.wg.Add(1)
+			go func() {
+				defer par.wg.Done()
 				for s := g; s < parShards; s += G {
-					dedupShard(s)
+					e.dedupShard(s, lanes)
 				}
-			}(g)
+			}()
 		}
-		dwg.Wait()
+		par.wg.Wait()
 	} else {
 		for s := 0; s < parShards; s++ {
-			dedupShard(s)
+			e.dedupShard(s, lanes)
 		}
 	}
 
 	// Phase 4: merge fresh states into the global arrays in emission
 	// (= inline discovery) order, charging the budget per state exactly
 	// as an inline level does.
+	cnt := e.cnt
 	for _, ln := range lanes {
 		for _, w := range ln.where {
 			s, i := int(w>>32), int(uint32(w))
@@ -506,117 +493,183 @@ func (e *componentEngine) levelParallel(ctx context.Context, lo, hi, workers int
 	return nil
 }
 
-// fanChunk is one chunk's outcome in the assignment fan-out.
+// dedupShard interns shard s's candidates of the level into the shard's
+// membership table — lanes in order, within a lane in emission order —
+// and marks the first occurrence of each tuple fresh.
+func (e *componentEngine) dedupShard(s int, lanes []*bfsLane) {
+	set, cnt := &e.par.shards[s], e.cnt
+	for _, ln := range lanes {
+		box := &ln.out[s]
+		for i, joint := range box.joints {
+			_, box.fresh[i] = e.internState(set, int(joint), box.nodes[i*cnt:i*cnt+cnt])
+		}
+	}
+}
+
+// fanOut is an engine's assignment fan-out, kept with it from one
+// fan-out to the next: the sibling engines that run chunks beside the
+// engine itself, the memo each worker captures into, the relation the
+// chunks merge into, the chunk table, the claim counter, the stop flag
+// and the wait group of the goroutines.
+type fanOut struct {
+	sibs   []*componentEngine
+	memos  []compMemo
+	out    *varRelation
+	chunks []fanChunk
+	next   atomic.Int64
+	stop   atomic.Bool
+	wg     sync.WaitGroup
+}
+
+// fanChunk is one chunk's outcome: the engine that ran it (nil while
+// none has), the rows [rowLo, rowHi) it appended to that engine's
+// relation, the memo segments [segLo, segHi) it sealed in memo (nil when
+// the worker does not capture, or its capture overflowed), and its error.
 type fanChunk struct {
-	vr       *varRelation
-	memo     *compMemo
-	memoFail bool
-	err      error
-	ran      bool
+	eng          *componentEngine
+	memo         *compMemo
+	rowLo, rowHi int
+	segLo, segHi int
+	err          error
+}
+
+// release readies the fan-out for an idle engine: siblings released, no
+// chunk referenced, nothing past the pooled-scratch budget kept.
+func (f *fanOut) release() {
+	for _, sib := range f.sibs {
+		sib.release()
+	}
+	for k := range f.memos {
+		if f.memos[k].entries() > maxPooledScratch {
+			f.memos[k] = compMemo{}
+		}
+	}
+	if f.out.oversized() {
+		*f.out = varRelation{}
+	}
+	f.out.reset(nil, nil)
+	clear(f.chunks)
 }
 
 // evalAssignFanout fans a component's start assignments over the worker
 // pool when there are enough of them to dominate the inner BFS
 // parallelism: the dense assignment index space splits into fixed
-// contiguous chunks claimed dynamically by workers, each worker borrows
-// a sibling engine from the component pool and runs its chunk at one
-// lane, and the chunk results concatenate in chunk-index order —
-// reproducing exactly what the sequential enumeration computes (rows and
-// memo segments in assignment order; chunks cover disjoint assignments,
-// so no row of one can duplicate a row of another). done=false means the
-// caller should run the sequential enumeration instead.
-func (e *componentEngine) evalAssignFanout(ctx context.Context, bud *stateBudget) (*varRelation, bool, error) {
+// contiguous chunks claimed dynamically by W workers — the engine itself
+// on the caller's goroutine and W−1 sibling engines on goroutines of
+// their own (see fanWorker), all at one lane — and the chunk results
+// concatenate in chunk-index order, reproducing exactly what the
+// sequential enumeration computes (rows and memo segments in assignment
+// order; chunks cover disjoint assignments, so no row of one can
+// duplicate a row of another). A worker appends the chunks it runs to its
+// own relation and chunk memo one after the other, so the next chunk it
+// claims cannot overwrite the last one's rows; the merge copies them, in
+// chunk order, into the fan-out's out relation, which then trades places
+// with e.rel. done=false means the caller should run the sequential
+// enumeration instead.
+func (e *componentEngine) evalAssignFanout(ctx context.Context, bud *stateBudget) (done bool, err error) {
 	if e.workers <= 1 || e.sink != nil {
-		return nil, false, nil
+		return false, nil
 	}
 	// An empty or overflowing space goes to the sequential enumeration.
 	total := e.space.size()
 	if total < uint64(fanoutFactor*e.workers) || total > 1<<62 {
-		return nil, false, nil
+		return false, nil
 	}
 	parFanoutsCtr.Add(1)
 
-	nCh := uint64(fanoutChunks * e.workers)
-	if nCh > total {
-		nCh = total
+	if e.fan == nil {
+		e.fan = &fanOut{out: new(varRelation)}
 	}
+	f := e.fan
+	nCh := min(uint64(fanoutChunks*e.workers), total)
+	workers := min(e.workers, int(nCh))
+	f.chunks = zeroed(f.chunks, int(nCh))
+	f.next.Store(0)
+	f.stop.Store(false)
 	capture := e.memoCap != nil
-	results := make([]fanChunk, nCh)
-	var next atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	workers := e.workers
-	if uint64(workers) > nCh {
-		workers = int(nCh)
-	}
 	seqOpts := e.opts
 	seqOpts.BFSWorkers = 1
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	for len(f.sibs) < workers-1 {
+		f.sibs = append(f.sibs, newComponentEngine(e.ws, e.comp))
+	}
+	for capture && len(f.memos) < workers {
+		f.memos = append(f.memos, compMemo{})
+	}
+	sibs := f.sibs[:workers-1]
+	for k, sib := range sibs {
+		sib.reset(e.snap, seqOpts, e.doms)
+		sib.stop = e.stop // the caller's rule, demoted by its capture
+		if capture {
+			sib.captureChunks(&f.memos[k+1])
+		}
+	}
+	// The engine runs its own chunks at one lane into its own relation (no
+	// rows yet) and, while it does, captures into a chunk memo too.
+	memo, lanes := e.memoCap, e.workers
+	if capture {
+		e.captureChunks(&f.memos[0])
+	}
+	e.workers = 1
+	f.wg.Add(workers - 1)
+	for _, sib := range sibs {
 		go func() {
-			defer wg.Done()
-			sib := e.prog.take(e.comp)
-			defer e.prog.put(e.comp, sib)
-			for {
-				ci := uint64(next.Add(1) - 1)
-				if ci >= nCh || stop.Load() {
-					return
-				}
-				lo := ci * total / nCh
-				hi := (ci + 1) * total / nCh
-				sib.reset(e.snap, seqOpts, e.doms)
-				if capture {
-					sib.startCapture()
-				}
-				err := sib.runAssignRange(ctx, lo, hi, bud)
-				results[ci] = fanChunk{vr: sib.vr, memo: sib.memoCap, memoFail: sib.memoFailed, err: err, ran: true}
-				if err != nil {
-					stop.Store(true)
-					return
-				}
-			}
+			defer f.wg.Done()
+			e.fanWorker(ctx, sib, bud, total)
 		}()
 	}
-	wg.Wait()
-	for ci := range results {
-		if results[ci].ran && results[ci].err != nil {
-			return nil, true, results[ci].err
+	e.fanWorker(ctx, e, bud, total)
+	f.wg.Wait()
+	e.workers, e.memoCap, e.memoFailed = lanes, memo, false
+	for i := range f.chunks {
+		if ch := &f.chunks[i]; ch.err != nil {
+			return true, ch.err
 		}
 	}
 	// No chunk failed ⇒ every chunk ran (stop is only set on error).
+	out := f.out
+	out.reset(e.c.allVars, e.keptVars)
 	nRows := 0
-	for ci := range results {
-		nRows += results[ci].vr.n
+	for _, ch := range f.chunks {
+		nRows += ch.rowHi - ch.rowLo
 	}
-	e.vr.nodes = slices.Grow(e.vr.nodes, nRows*len(e.vr.vars))
-	e.vr.paths = slices.Grow(e.vr.paths, nRows*len(e.vr.pvars))
-	for ci := range results {
-		r := &results[ci]
-		e.vr.addAll(r.vr)
+	out.nodes = slices.Grow(out.nodes, nRows*len(out.vars))
+	out.paths = slices.Grow(out.paths, nRows*len(out.pvars))
+	for _, ch := range f.chunks {
+		out.addRows(ch.eng.rel, ch.rowLo, ch.rowHi)
 		if !capture {
 			continue
 		}
-		if r.memo == nil || r.memoFail {
-			e.memoCap = nil
-			e.memoFailed = true
+		if ch.memo == nil {
+			e.abandonCapture()
 			capture = false
 			continue
 		}
-		m := e.memoCap
-		tBase, rBase := int32(len(m.touched)), int32(len(m.rows))
-		m.touched = append(m.touched, r.memo.touched...)
-		m.rows = append(m.rows, r.memo.rows...)
-		for _, off := range r.memo.touchOff[1:] {
-			m.touchOff = append(m.touchOff, tBase+off)
+		e.memoCap.appendSegments(ch.memo, ch.segLo, ch.segHi)
+		e.checkCapture()
+		capture = e.memoCap != nil
+	}
+	e.rel, f.out = out, e.rel
+	return true, nil
+}
+
+// fanWorker claims chunks of the fan-out and runs each on eng — the
+// engine itself or one of its siblings — until none is left or one has
+// failed.
+func (e *componentEngine) fanWorker(ctx context.Context, eng *componentEngine, bud *stateBudget, total uint64) {
+	f := e.fan
+	nCh := uint64(len(f.chunks))
+	for {
+		ci := uint64(f.next.Add(1) - 1)
+		if ci >= nCh || f.stop.Load() {
+			return
 		}
-		for _, off := range r.memo.rowOff[1:] {
-			m.rowOff = append(m.rowOff, rBase+off)
-		}
-		if len(m.touched)+len(m.rows)+len(m.touchOff) > memoMaxEntries {
-			e.memoCap = nil
-			e.memoFailed = true
-			capture = false
+		ch := &f.chunks[ci]
+		ch.rowLo, ch.segLo = eng.rel.n, eng.memoCap.nAssign()
+		ch.err = eng.runAssignRange(ctx, ci*total/nCh, (ci+1)*total/nCh, bud)
+		ch.eng, ch.memo, ch.rowHi, ch.segHi = eng, eng.memoCap, eng.rel.n, eng.memoCap.nAssign()
+		if ch.err != nil {
+			f.stop.Store(true)
+			return
 		}
 	}
-	return e.vr, true, nil
 }

@@ -372,7 +372,11 @@ func effectiveLive(src []relations.LiveSet, alpha []rune) []relations.LiveSet {
 
 // intersectSorted intersects two sorted slices into a fresh one.
 func intersectSorted[T cmp.Ordered](a, b []T) []T {
-	out := make([]T, 0, min(len(a), len(b)))
+	return appendIntersection(make([]T, 0, min(len(a), len(b))), a, b)
+}
+
+// appendIntersection appends the intersection of two sorted slices to out.
+func appendIntersection[T cmp.Ordered](out, a, b []T) []T {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

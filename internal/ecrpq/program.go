@@ -3,7 +3,6 @@ package ecrpq
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -22,16 +21,17 @@ import (
 //   - the joint relation automaton of each component (relations.Joint),
 //   - the GYO reduction of the component join hypergraph (acyclicity and
 //     elimination order, backing the Yannakakis strategy of Theorem 6.5),
-//   - warm component engines whose joint-runner transition memos and
-//     symbol tables persist across executions.
+//   - a warm workspace (workspace.go): one engine per component, whose
+//     joint-runner transition memos and symbol tables persist across
+//     executions, and the scratch every execution reuses.
 //
 // A Program is immutable after compilation and safe for concurrent use:
-// each execution borrows one engine per component from an internal pool
-// (building a fresh engine when the pool is empty), so any number of
-// goroutines may Eval or Stream the same Program against the same or
-// different graphs. The interned joint transitions are label-based and
-// therefore valid across graphs; everything graph- or bind-dependent is
-// refreshed per execution by componentEngine.reset.
+// each execution borrows one workspace from an internal pool (building a
+// fresh one when the pool is empty), so any number of goroutines may Eval
+// or Stream the same Program against the same or different graphs. The
+// interned joint transitions are label-based and therefore valid across
+// graphs; everything graph- or bind-dependent is refreshed per execution
+// by componentEngine.reset.
 //
 // Programs subsume the per-query engine cache that Eval used to keep:
 // the Eval shim now compiles (or re-uses) a Program per query object.
@@ -52,9 +52,8 @@ type Program struct {
 	headPaths []PathVar
 	allowRep  bool
 
-	comps     []*component
-	keepPaths map[PathVar]bool
-	jp        joinPlan
+	comps []*component
+	jp    joinPlan
 
 	// Live-label over-approximation of the whole program (union of the
 	// component range sets; see componentLiveRanges) and whether the
@@ -66,25 +65,25 @@ type Program struct {
 	liveUniversal bool
 	incCapable    bool
 
-	pools []idlePool[componentEngine]
+	pool idlePool[workspace]
 
 	// prop lists the path atoms the start-domain pass can fire, in atom
 	// order (see domains.go); their one-tape engines are built lazily.
 	prop []*propAtom
 }
 
-// idlePool holds the idle engines of one component (or of one atom of
-// the start-domain pass).
+// idlePool holds the idle workspaces of a Program (or the idle engines of
+// one atom of the start-domain pass).
 type idlePool[E any] struct {
 	mu   sync.Mutex
 	free []*E
 }
 
-// maxPooledEngines bounds idle engines kept per pool; beyond it engines
+// maxPooledIdle bounds the idle objects kept per pool; beyond it those
 // returned from bursts of concurrency are dropped.
-const maxPooledEngines = 8
+const maxPooledIdle = 8
 
-// take pops an idle engine, or returns nil when there is none.
+// take pops an idle object, or returns nil when there is none.
 func (pool *idlePool[E]) take() *E {
 	pool.mu.Lock()
 	defer pool.mu.Unlock()
@@ -100,7 +99,7 @@ func (pool *idlePool[E]) take() *E {
 
 func (pool *idlePool[E]) put(e *E) {
 	pool.mu.Lock()
-	if len(pool.free) < maxPooledEngines {
+	if len(pool.free) < maxPooledIdle {
 		pool.free = append(pool.free, e)
 	}
 	pool.mu.Unlock()
@@ -121,10 +120,6 @@ func CompileProgram(q *Query, monolithic bool) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	keepPaths := map[PathVar]bool{}
-	for _, chi := range q.HeadPaths {
-		keepPaths[chi] = true
-	}
 	p := &Program{
 		q:         q,
 		pathAtoms: append([]PathAtom(nil), q.PathAtoms...),
@@ -132,8 +127,6 @@ func CompileProgram(q *Query, monolithic bool) (*Program, error) {
 		headPaths: append([]PathVar(nil), q.HeadPaths...),
 		allowRep:  q.AllowRepeatedPathVars,
 		comps:     comps,
-		keepPaths: keepPaths,
-		pools:     make([]idlePool[componentEngine], len(comps)),
 		prop:      propagationAtoms(q.PathAtoms),
 	}
 	p.relAtoms = make([]RelAtom, len(q.RelAtoms))
@@ -141,10 +134,8 @@ func CompileProgram(q *Query, monolithic bool) (*Program, error) {
 		p.relAtoms[i] = RelAtom{Rel: ra.Rel, Args: append([]PathVar(nil), ra.Args...)}
 	}
 	// Mark each component's needed columns — head node variables and the
-	// variables another component shares (component.needed) — warm one
-	// engine per component so the first execution pays no construction
-	// cost, and record each component's variable set for the compile-time
-	// join plan.
+	// variables another component shares (component.needed) — and record
+	// each component's variable set for the compile-time join plan.
 	varSets := make([][]NodeVar, len(comps))
 	for i, c := range comps {
 		varSets[i] = c.allVars
@@ -157,8 +148,10 @@ func CompileProgram(q *Query, monolithic bool) (*Program, error) {
 				}
 			}
 		}
-		p.pools[i].put(newComponentEngine(p, i))
 	}
+	// Warm one workspace, so the first execution pays no engine
+	// construction; its buffers grow on first use.
+	p.pool.put(newWorkspace(p))
 	p.jp = planJoin(varSets)
 	p.incCapable = len(q.HeadPaths) == 0
 	for _, c := range comps {
@@ -278,6 +271,8 @@ func (c *component) explainRows(keepsWitness bool) string {
 // Components describes the compiled component decomposition.
 func (p *Program) Components() []ComponentInfo {
 	out := make([]ComponentInfo, len(p.comps))
+	ws := p.takeWorkspace()
+	defer p.putWorkspace(ws)
 	for i, c := range p.comps {
 		var rules []string
 		for _, pa := range p.prop {
@@ -285,7 +280,7 @@ func (p *Program) Components() []ComponentInfo {
 				rules = append(rules, pa.explain(p.relAtoms))
 			}
 		}
-		e := p.take(i)
+		e := ws.engines[i]
 		live := e.runner.Live(e.runner.StartID())
 		starts := make([]string, len(live))
 		for t, ls := range live {
@@ -298,7 +293,6 @@ func (p *Program) Components() []ComponentInfo {
 			Propagation: rules,
 			Rows:        c.explainRows(len(e.keptVars) > 0),
 		}
-		p.put(i, e)
 		for k, v := range c.allVars {
 			if c.needed[k] {
 				info.Needed = append(info.Needed, v)
@@ -340,163 +334,11 @@ func renderLiveSet(ls relations.LiveSet, part *regex.Partition) string {
 	return b.String()
 }
 
-// take borrows an engine for component i.
-func (p *Program) take(i int) *componentEngine {
-	if e := p.pools[i].take(); e != nil {
-		return e
-	}
-	return newComponentEngine(p, i)
-}
-
 // maxPooledScratch bounds the per-state scratch (in elements) a pooled
-// engine may retain; a BFS that ran to millions of product states must
-// not pin its peak buffers for the process lifetime.
+// workspace may retain in any one buffer; a BFS that ran to millions of
+// product states, or a join that materialised millions of rows, must not
+// pin its peak buffers for the process lifetime.
 const maxPooledScratch = 1 << 16
-
-// put returns an engine to component i's pool after an execution. The
-// engine must not pin a possibly huge graph snapshot, the last result
-// relation, or peak-sized BFS scratch, so everything sized by the last
-// execution is dropped first; release applies the snapshot half of that
-// rule (see moveKernel.release) to the engine's kernel and every lane's.
-func (p *Program) put(i int, e *componentEngine) {
-	e.release()
-	e.bud = nil
-	e.vr = nil
-	e.sink = nil
-	e.memoCap = nil
-	e.memoFailed = false
-	e.opts = Options{}
-	e.doms = nil
-	clear(e.space.lists)
-	if e.par != nil && e.par.oversized() {
-		e.par = nil
-	}
-	if cap(e.allNodes) > maxPooledScratch {
-		e.allNodes = nil
-	}
-	if cap(e.parentState) > maxPooledScratch {
-		e.curs, e.joints, e.parentState, e.parentSym, e.parentLabs = nil, nil, nil, nil, nil
-	}
-	if e.states.oversized() {
-		e.states = tupleSet{}
-	}
-	if len(e.rows.slots) > maxPooledScratch {
-		e.rows = rowSet{}
-	}
-	p.pools[i].put(e)
-}
-
-// evalComponents evaluates every component of the program over the
-// pinned snapshot s, borrowing one engine per component. Independent
-// components run concurrently on a worker pool bounded by GOMAXPROCS,
-// all drawing from one shared product-state budget; the first error
-// cancels the rest. Every component reads the same immutable snapshot,
-// so a multi-component answer is always consistent with one epoch even
-// under concurrent writers.
-// When capture is set each engine records the incremental-evaluation
-// memo of its component (see incMemo); the returned memos slice is nil
-// when capture was off or any component's capture overflowed.
-func (p *Program) evalComponents(ctx context.Context, s *graph.Snapshot, opts Options, capture bool) ([]*varRelation, []*compMemo, error) {
-	bud := newStateBudget(opts.MaxProductStates)
-	n := len(p.comps)
-	engines := make([]*componentEngine, n)
-	for i := range engines {
-		engines[i] = p.take(i)
-	}
-	defer func() {
-		// Engines stay structurally valid after budget aborts and
-		// cancellations (reset clears all per-call state), so they are
-		// always pooled for reuse.
-		for i, e := range engines {
-			p.put(i, e)
-		}
-	}()
-	doms, err := p.startDomains(ctx, s, opts, bud)
-	if err != nil {
-		return nil, nil, err
-	}
-	rels := make([]*varRelation, n)
-	var memos []*compMemo
-	memoOK := capture
-	if capture {
-		memos = make([]*compMemo, n)
-	}
-	if n == 1 {
-		e := engines[0]
-		e.reset(s, opts, doms)
-		if capture {
-			e.startCapture()
-		}
-		vr, err := evalComponent(ctx, e, bud)
-		if err != nil {
-			return nil, nil, err
-		}
-		rels[0] = vr
-		if capture {
-			memos[0] = e.memoCap
-			memoOK = !e.memoFailed
-		}
-		if !memoOK {
-			memos = nil
-		}
-		return rels, memos, nil
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	workers := n
-	if mp := runtime.GOMAXPROCS(0); workers > mp {
-		workers = mp
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	var errOnce sync.Once
-	var firstErr error
-	for i := range p.comps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if cctx.Err() != nil {
-				return
-			}
-			e := engines[i]
-			e.reset(s, opts, doms)
-			if capture {
-				e.startCapture()
-			}
-			vr, err := evalComponent(cctx, e, bud)
-			if err != nil {
-				errOnce.Do(func() { firstErr = err; cancel() })
-				return
-			}
-			rels[i] = vr
-			if capture {
-				memos[i] = e.memoCap
-			}
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-	// The components may all have finished before noticing a late
-	// cancellation of the caller's context; honor it anyway.
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	if capture {
-		for _, e := range engines {
-			if e.memoFailed {
-				memoOK = false
-			}
-		}
-	}
-	if !memoOK {
-		memos = nil
-	}
-	return rels, memos, nil
-}
 
 // Eval runs the program to completion over the current snapshot of g;
 // it is the take-current-snapshot shim over EvalSnapshot.
@@ -530,23 +372,27 @@ func (p *Program) EvalSnapshotMemo(ctx context.Context, s *graph.Snapshot, opts 
 }
 
 func (p *Program) evalFull(ctx context.Context, s *graph.Snapshot, opts Options, capture bool) (*Result, error) {
-	rels, memos, err := p.evalComponents(ctx, s, opts, capture)
+	ws := p.takeWorkspace()
+	defer p.putWorkspace(ws)
+	_, memos, err := ws.evalComponents(ctx, s, opts, capture)
 	if err != nil {
 		return nil, qerr.Classify(err)
 	}
-	res, err := p.assemble(ctx, s, rels, opts)
+	res, err := p.assemble(ctx, ws, s, opts)
 	if err != nil {
 		return nil, err
 	}
 	if memos != nil {
-		res.inc = &incMemo{optsKey: opts.CacheKey(), nodes: s.NumNodes(), comps: memos}
+		res.inc = &incMemo{optsKey: opts.CacheKey(), nodes: s.NumNodes(), comps: slices.Clone(memos)}
 	}
 	return res, nil
 }
 
-// assemble joins the component relations per the compile-time join
-// plan, projects the head and sorts — the shared tail of full and
-// incremental evaluation.
+// assemble joins the component relations in ws.rels per the
+// compile-time join plan, projects the head and sorts — the shared tail
+// of full and incremental evaluation. Everything before the answers is
+// the workspace's; the Result and its answer slabs are the only storage
+// the evaluation allocates for its caller.
 //
 // The joined relation is already distinct on the head: its columns are
 // exactly the distinct head variables (a Yannakakis root is projected
@@ -556,8 +402,8 @@ func (p *Program) evalFull(ctx context.Context, s *graph.Snapshot, opts Options,
 // least once, so two rows never map to one answer and no dedup runs here.
 // Every answer's Nodes (and Paths) is carved from one exactly-sized
 // backing array.
-func (p *Program) assemble(ctx context.Context, s *graph.Snapshot, rels []*varRelation, opts Options) (*Result, error) {
-	joined, err := joinAll(ctx, rels, p.jp, opts.Join, p.headNodes)
+func (p *Program) assemble(ctx context.Context, ws *workspace, s *graph.Snapshot, opts Options) (*Result, error) {
+	joined, err := ws.join.joinAll(ctx, ws.rels, p.jp, opts.Join, p.headNodes)
 	if err != nil {
 		return nil, qerr.Classify(err)
 	}
@@ -565,8 +411,8 @@ func (p *Program) assemble(ctx context.Context, s *graph.Snapshot, rels []*varRe
 	if joined.n == 0 {
 		return res, nil
 	}
-	headPos := positions(p.headNodes, joined.vars)
-	pathPos := make([]int, len(p.headPaths))
+	headPos := ws.join.positions(p.headNodes, joined.vars)
+	pathPos := carve(&ws.join.ints, len(p.headPaths))
 	for i, chi := range p.headPaths {
 		pathPos[i] = slices.Index(joined.pvars, chi)
 	}

@@ -18,7 +18,11 @@ import (
 // row, witness and add are the accessors every producer and consumer
 // goes through. A relation is mutated only by the code that is building
 // it (and by semijoin, on component relations no one else holds yet);
-// once the join layer has returned it, it is read-only.
+// once the join layer has returned it, it is read-only. Every relation of
+// an evaluation is scratch of its workspace (workspace.go): reset empties
+// it for the next evaluation and keeps the storage, so no row of it may
+// outlive the evaluation — assemble and the memo capture copy what they
+// keep.
 type varRelation struct {
 	vars  []NodeVar
 	pvars []PathVar
@@ -40,6 +44,21 @@ func (r *varRelation) witness(i int) []graph.Path {
 	return r.paths[i*a : i*a+a : i*a+a]
 }
 
+// reset empties r for rows over vars and pvars, keeping its storage. The
+// witness slots are cleared as far as they ever reached: a stale path
+// there would pin the walks of a result handed out long ago.
+func (r *varRelation) reset(vars []NodeVar, pvars []PathVar) {
+	clear(r.paths[:cap(r.paths)])
+	r.vars, r.pvars, r.n = vars, pvars, 0
+	r.nodes, r.paths = r.nodes[:0], r.paths[:0]
+}
+
+// oversized reports whether r's storage exceeds the pooled-scratch
+// budget; the workspace drops it then.
+func (r *varRelation) oversized() bool {
+	return cap(r.nodes) > maxPooledScratch || cap(r.paths) > maxPooledScratch
+}
+
 // add appends a row, copying the tuple and its witnesses.
 func (r *varRelation) add(nodes []graph.Node, paths []graph.Path) {
 	r.nodes = append(r.nodes, nodes...)
@@ -47,11 +66,12 @@ func (r *varRelation) add(nodes []graph.Node, paths []graph.Path) {
 	r.n++
 }
 
-// addAll appends every row of o, which has r's columns.
-func (r *varRelation) addAll(o *varRelation) {
-	r.nodes = append(r.nodes, o.nodes...)
-	r.paths = append(r.paths, o.paths...)
-	r.n += o.n
+// addRows appends rows [lo, hi) of o, which has r's columns.
+func (r *varRelation) addRows(o *varRelation, lo, hi int) {
+	a, p := len(o.vars), len(o.pvars)
+	r.nodes = append(r.nodes, o.nodes[lo*a:hi*a]...)
+	r.paths = append(r.paths, o.paths[lo*p:hi*p]...)
+	r.n += hi - lo
 }
 
 // truncate drops every row from the n-th on.
@@ -172,15 +192,12 @@ type rowIndex struct {
 	next  []int32 // next[i]: the row after i in its chain + 1; 0 = end
 }
 
-// newRowIndex indexes rel on the given columns.
-func newRowIndex(rel *varRelation, cols []int) *rowIndex {
-	x := &rowIndex{
-		rel:   rel,
-		cols:  cols,
-		slots: make([]int32, indexSlots(rel.n)),
-		next:  make([]int32, rel.n),
-	}
-	key := make([]graph.Node, len(cols))
+// build indexes rel on the given columns, reusing x's arrays; key is
+// scratch of len(cols).
+func (x *rowIndex) build(rel *varRelation, cols []int, key []graph.Node) {
+	x.rel, x.cols = rel, cols
+	x.slots = zeroed(x.slots, indexSlots(rel.n))
+	x.next = zeroed(x.next, rel.n)
 	mask := uint64(len(x.slots) - 1)
 	// Rows enter in descending order, each at the head of its chain, so
 	// the chains come out ascending.
@@ -198,7 +215,12 @@ func newRowIndex(rel *varRelation, cols []int) *rowIndex {
 		}
 		x.slots[i] = int32(id + 1)
 	}
-	return x
+}
+
+// oversized reports whether the index's arrays exceed the pooled-scratch
+// budget.
+func (x *rowIndex) oversized() bool {
+	return cap(x.slots) > maxPooledScratch || cap(x.next) > maxPooledScratch
 }
 
 func (x *rowIndex) matches(id int, key []graph.Node) bool {
@@ -225,3 +247,31 @@ func (x *rowIndex) first(key []graph.Node) int {
 
 // after returns the next row with row id's key, or -1.
 func (x *rowIndex) after(id int) int { return int(x.next[id]) - 1 }
+
+// zeroed returns s resized to n zero elements, reusing its array when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// carve returns the next n elements of *buf as a slice of their own,
+// growing *buf when it has no room left (slices carved before keep the
+// old array); *buf = (*buf)[:0] hands the storage out again. The elements
+// are not cleared, and the result is never nil. It is how a workspace
+// hands out the small per-evaluation buffers — keys, tuples, column
+// lists, candidate lists — from a few arrays that outlive it. The first
+// evaluations grow the array to what one evaluation needs; after that
+// carving allocates nothing.
+func carve[T any](buf *[]T, n int) []T {
+	b := *buf
+	if b == nil || cap(b)-len(b) < n {
+		b = make([]T, 0, max(2*cap(b), n))
+	}
+	*buf = b[:len(b)+n]
+	return b[len(b) : len(b)+n : len(b)+n]
+}

@@ -65,14 +65,17 @@ func (p *Program) StreamSnapshot(ctx context.Context, s *graph.Snapshot, opts St
 // (consumer break, limit); real failures are returned for the iterator
 // to surface. A head without node variables needs no rule here: the
 // engine's stop rule ends a single component at its first row, and the
-// join enumeration ends itself when it keeps no column.
+// join enumeration ends itself when it keeps no column. The execution
+// holds one workspace until the stream's last row has been read.
 func (p *Program) stream(ctx context.Context, s *graph.Snapshot, opts StreamOptions, emit func(Answer) bool) error {
+	ws := p.takeWorkspace()
+	defer p.putWorkspace(ws)
 	sink := newAnswerSink(p.headNodes, p.headPaths, opts.Limit, emit)
 	var err error
 	if len(p.comps) == 1 {
-		err = p.streamSingle(ctx, s, opts, sink)
+		err = ws.streamSingle(ctx, s, opts, sink)
 	} else {
-		err = p.streamJoin(ctx, s, opts, sink)
+		err = ws.streamJoin(ctx, s, opts, sink)
 	}
 	if errors.Is(err, errStopStream) {
 		return nil
@@ -109,7 +112,7 @@ func newAnswerSink(headNodes []NodeVar, headPaths []PathVar, limit int, emit fun
 // bindCols resolves the head-variable positions against the node and
 // witness columns of the rows the sink will receive.
 func (s *answerSink) bindCols(cols []NodeVar, pcols []PathVar) {
-	s.headPos = positions(s.headNodes, cols)
+	s.headPos = positions(make([]int, len(s.headNodes)), s.headNodes, cols)
 	s.pathPos = make([]int, len(s.headPaths))
 	for i, chi := range s.headPaths {
 		s.pathPos[i] = slices.Index(pcols, chi)
@@ -145,38 +148,33 @@ func (s *answerSink) row(nodes []graph.Node, paths []graph.Path) error {
 
 // streamSingle streams a single-component program: the engine's sink
 // hook emits answers straight out of the product BFS.
-func (p *Program) streamSingle(ctx context.Context, s *graph.Snapshot, opts StreamOptions, sink *answerSink) error {
-	e := p.take(0)
-	defer p.put(0, e)
-	bud := newStateBudget(opts.MaxProductStates)
-	doms, err := p.startDomains(ctx, s, opts.Options, bud)
+func (ws *workspace) streamSingle(ctx context.Context, s *graph.Snapshot, opts StreamOptions, sink *answerSink) error {
+	doms, err := ws.begin(ctx, s, opts.Options)
 	if err != nil {
 		return err
 	}
+	e := ws.engines[0]
 	e.reset(s, opts.Options, doms)
 	sink.bindCols(e.c.allVars, e.keptVars)
 	e.sink = sink.row
-	_, err = evalComponent(ctx, e, bud)
+	_, err = evalComponent(ctx, e, &ws.bud)
 	return err
 }
 
 // streamJoin streams a multi-component program: components evaluate
 // (concurrently) to completion, then the final join enumeration yields
 // answers incrementally.
-func (p *Program) streamJoin(ctx context.Context, s *graph.Snapshot, opts StreamOptions, sink *answerSink) error {
-	rels, _, err := p.evalComponents(ctx, s, opts.Options, false)
+func (ws *workspace) streamJoin(ctx context.Context, s *graph.Snapshot, opts StreamOptions, sink *answerSink) error {
+	rels, _, err := ws.evalComponents(ctx, s, opts.Options, false)
 	if err != nil {
 		return err
 	}
-	keepSet := map[NodeVar]bool{}
-	for _, v := range p.headNodes {
-		keepSet[v] = true
-	}
-	final, _, err := reduceJoin(ctx, rels, p.jp, opts.Join, keepSet)
+	p := ws.prog
+	final, _, err := ws.join.reduceJoin(ctx, rels, p.jp, opts.Join, p.headNodes)
 	if err != nil {
 		return err
 	}
-	je := newJoinEnum(final, keepSet)
+	je := ws.join.newJoinEnum(final, p.headNodes)
 	sink.bindCols(je.keepCols, je.pathCols)
 	var sinkErr error
 	err = je.run(ctx, func(nodes []graph.Node, paths []graph.Path) bool {
