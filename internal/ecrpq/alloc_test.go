@@ -87,9 +87,9 @@ func TestDecidedEvalAllocs(t *testing.T) {
 // was: component relations, semijoin indexes, the fold and the start-
 // domain list all live in the pooled workspace. What is left is what
 // escapes — the Result, its fingerprint memo, Answers and the node slab.
-// (AllocsPerRun measures at GOMAXPROCS 1, where the components run one
-// after the other on the caller's goroutine; with more procs the second
-// one's goroutine and cancel context add a fixed few.)
+// (The components run one after the other on the caller's goroutine: the
+// cost model never runs work this small concurrently, and AllocsPerRun
+// measures at GOMAXPROCS 1 anyway.)
 func TestWarmJoinEvalAllocs(t *testing.T) {
 	q := MustParse("Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)", env())
 	prog, err := CompileProgram(q, false)

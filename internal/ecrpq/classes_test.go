@@ -135,9 +135,7 @@ func renderFull(res *Result) string {
 // witness-identical to the per-symbol spelling across alphabet scales,
 // sequentially and with the parallel BFS forced on.
 func TestClassVsPerSymbolRandom(t *testing.T) {
-	oldMin, oldSlice := parFrontierMin, parMinSlice
-	parFrontierMin, parMinSlice = 2, 1
-	t.Cleanup(func() { parFrontierMin, parMinSlice = oldMin, oldSlice })
+	forceParallel(t)
 
 	for _, k := range []int{8, 64, 1024, 10000} {
 		sigma := bigSigmaTest(k)

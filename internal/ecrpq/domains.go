@@ -96,8 +96,11 @@ func (pa *propAtom) take(p *Program) *domainEngine {
 	return newDomainEngine(pa.comp)
 }
 
-// put returns an engine to the atom's pool under the pooled-scratch rule
-// of Program.put: nothing sized by a large run stays pinned.
+// put returns an engine to the atom's pool under the rule putWorkspace
+// applies to a workspace's engines (componentEngine.release): the kernel
+// unpins its snapshot, and the state queue and state set are dropped once
+// they hold more than maxPooledScratch elements, kept for the next run to
+// grow into otherwise.
 func (pa *propAtom) put(d *domainEngine) {
 	d.release()
 	d.bud = nil

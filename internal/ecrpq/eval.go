@@ -316,7 +316,9 @@ var (
 // packages (via plan.Cached): repeated per-call evaluation of the same
 // query object reuses one compiled program. A Program is safe for
 // concurrent use, so concurrent Evals of the same query share one
-// Program and borrow engines from its pools.
+// Program, each borrowing a workspace from its pool (takeWorkspace) and
+// returning it through putWorkspace, which keeps the storage the
+// evaluation grew up to maxPooledScratch elements per buffer.
 func SharedProgram(q *Query) (*Program, error) {
 	if v, ok := progCache.Load(q); ok {
 		p := v.(*Program)
@@ -650,9 +652,12 @@ type componentEngine struct {
 
 	// Parallel execution state (see parallel.go). workers and opts are
 	// set by reset from the per-call options; par holds the lanes, shard
-	// tables and outboxes of the multi-lane levels, built lazily on the
-	// first level wide enough to need them (never at one worker) and
-	// retained across executions like the runner memos. space is the
+	// tables and outboxes of the multi-lane levels, built on the first
+	// level the cost model sends wide (never at one worker) and kept with
+	// the engine (see componentEngine.release). The kernel's moves count
+	// the execution's work — reset zeroes them, lanes and fan-out siblings
+	// add theirs — and stay readable until the next reset, which is what
+	// the next execution's concurrency decision reads. space is the
 	// execution's start-assignment space, set by reset from the bindings,
 	// the start-domain lists in doms and allNodes, the shared
 	// 0..NumNodes-1 candidate slice of an unconfined variable. ws and comp
@@ -719,6 +724,7 @@ func (e *componentEngine) reset(s *graph.Snapshot, opts Options, doms map[NodeVa
 	e.opts = opts
 	e.doms = doms
 	e.workers = effectiveBFSWorkers(opts.BFSWorkers)
+	e.moves = 0
 	e.rel.reset(e.c.allVars, e.keptVars)
 	e.rows.reset()
 	for i, v := range e.c.allVars {
@@ -801,23 +807,39 @@ func (e *componentEngine) release() {
 // consumed the rows, only the node tuples the dedup kept): the engine's
 // own, valid until the engine's next execution.
 //
-// Under stopSweep the enumeration runs here, in assignment order on the
-// caller's goroutine, and ends at the first row: fanning the sweep out
-// would run assignments past the deciding one.
+// The enumeration starts inline, in assignment order on the caller's
+// goroutine, each BFS on up to e.workers lanes. After every finished
+// assignment the cost model weighs the ones left against the moves the
+// finished ones took (fanWorkers); once fanning them out pays,
+// evalAssignFanout runs them over the worker pool behind the inline
+// prefix. Under stopSweep it never does, and the enumeration ends at the
+// first row.
 func evalComponent(ctx context.Context, e *componentEngine, bud *stateBudget) (*varRelation, error) {
-	if e.stop != stopSweep {
-		if done, err := e.evalAssignFanout(ctx, bud); done {
-			if err != nil {
-				return nil, err
-			}
-			return e.rel, nil
+	total := e.space.size()
+	var done uint64
+	fan := 1
+	err := e.space.forRange(0, math.MaxUint64, func(idx uint64, assign map[NodeVar]graph.Node) error {
+		if err := e.runAssign(ctx, assign, bud); err != nil {
+			return err
 		}
+		done = idx + 1
+		if fan = e.fanWorkers(done, total); fan > 1 {
+			return errFanOut
+		}
+		return nil
+	})
+	if err == errFanOut {
+		err = e.evalAssignFanout(ctx, bud, done, total, fan)
 	}
-	if err := e.runAssignRange(ctx, 0, math.MaxUint64, bud); err != nil && err != errDecided {
+	if err != nil && err != errDecided {
 		return nil, err
 	}
 	return e.rel, nil
 }
+
+// errFanOut is evalComponent's signal that the cost model wants the rest
+// of the start space fanned out; it never leaves evalComponent.
+var errFanOut = errors.New("ecrpq: fan out")
 
 // runAssignRange runs the product BFS for the start assignments with
 // dense indices [lo, hi), sealing one memo segment per assignment when
@@ -895,13 +917,16 @@ func (e *componentEngine) pushState(jointID int, nodes []graph.Node, parent, sym
 // bfs explores the product of G⊥^c with the component's joint relation
 // automaton from the start tuple given by assign, level by level,
 // collecting accepting bindings into e.rel (or handing them to e.sink).
-// It is the one driver of every evaluation. A level narrower than
-// parFrontierMin — every level when lanes is 1 — runs inline on this
-// goroutine; a wider one fans out over up to lanes workers
-// (levelParallel in parallel.go), with byte-identical results. A
-// one-lane run builds no parallel state, counts nothing towards the
-// parallel counters and consults no ParallelBFS fault point; it is what
-// a multi-lane run hit by such a fault degrades to.
+// It is the one driver of every evaluation. Each level's work is
+// estimated as its frontier times the moves per state the level before it
+// emitted, and the cost model (wideLanes, parallel.go) picks its lanes,
+// up to lanes: one runs it inline on this goroutine, more run
+// levelParallel, with byte-identical results. The first level, one start
+// state with nothing measured yet, always runs inline, as does every
+// level when lanes is 1. A one-lane run builds no parallel state, counts
+// nothing towards the parallel counters and consults no ParallelBFS fault
+// point; it is what a multi-lane run hit by such a fault degrades to. A
+// run with more lanes consults the point at every level, wide or not.
 //
 // With a stop rule armed the driver applies a level's accepts itself,
 // before any state of the level is expanded by either path (which then
@@ -913,17 +938,23 @@ func (e *componentEngine) bfs(ctx context.Context, assign map[NodeVar]graph.Node
 	}
 	e.bud, e.spent, e.sharded = bud, 0, false
 	counted := false
+	rate := 0.0 // moves per state of the last level
 	for lo, hi := 0, 1; lo < hi; lo, hi = hi, len(e.joints) {
 		if e.stop != stopNone {
 			if err := e.acceptLevel(lo, hi); err != nil {
 				return err
 			}
 		}
-		if lanes > 1 && faultinject.Inject(faultinject.ParallelBFS) != nil {
-			return e.degradeToSeq(ctx, assign)
+		L := 1
+		if lanes > 1 {
+			if faultinject.Inject(faultinject.ParallelBFS) != nil {
+				return e.degradeToSeq(ctx, assign)
+			}
+			L = wideLanes(rate*float64(hi-lo), 0, laneMoveCost, hi-lo, lanes)
 		}
+		moves := e.moves
 		var err error
-		if lanes == 1 || hi-lo < parFrontierMin {
+		if L == 1 {
 			err = e.levelInline(ctx, lo, hi)
 		} else {
 			if !e.sharded {
@@ -933,7 +964,7 @@ func (e *componentEngine) bfs(ctx context.Context, assign map[NodeVar]graph.Node
 				counted = true
 				parRunsCtr.Add(1)
 			}
-			err = e.levelParallel(ctx, lo, hi, lanes)
+			err = e.levelParallel(ctx, lo, hi, L)
 		}
 		if _, isFault := err.(parFaultError); isFault {
 			return e.degradeToSeq(ctx, assign)
@@ -941,6 +972,7 @@ func (e *componentEngine) bfs(ctx context.Context, assign map[NodeVar]graph.Node
 		if err != nil {
 			return err
 		}
+		rate = float64(e.moves-moves) / float64(hi-lo)
 	}
 	return nil
 }

@@ -164,8 +164,8 @@ func TestKernelEnumeratesContractOrder(t *testing.T) {
 }
 
 // TestOneLaneBuildsNoParallelState: a BFSWorkers: 1 evaluation is the
-// driver with every level inline — even with the frontier threshold
-// forced down it builds no shard tables, lanes or runner group.
+// driver with every level inline — even with the cost model's test hook
+// sending everything wide it builds no shard tables, lanes or runner group.
 func TestOneLaneBuildsNoParallelState(t *testing.T) {
 	g := randomCyclic(rand.New(rand.NewSource(5)), 12, 40)
 	q := MustParse("Ans(y, z) <- (x,p1,y), (x,p2,z), el(p1,p2)", env())

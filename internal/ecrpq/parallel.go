@@ -58,10 +58,88 @@ import (
 // joint runner — that can permute *internal* joint-state ids across
 // runs, which nothing observable depends on (see relations.RunnerGroup).
 //
-// Small frontiers skip the machinery: below parFrontierMin the driver
-// runs the level inline (interning into the same membership tables), so
-// narrow products pay nothing for the parallel capability, and at one
-// worker none of this file's state is ever built.
+// Narrow work skips the machinery: the cost model below keeps a level
+// inline (interning into the same membership tables) unless the work the
+// kernel measured says lanes win, so a product that never grows a level
+// worth splitting builds none of this file's state, and at one worker
+// none of it is ever built.
+//
+// When to go wide. Every parallel decision of the package is one cost
+// model over work the move kernel measures: the moves it emits
+// (moveKernel.moves, counted inline and per lane). Run inline, W moves
+// cost W — the unit is one inline move. Split over L workers they cost
+//
+//	max(U, m·W/min(L, GOMAXPROCS)) + laneBarrierMoves·L
+//
+// where m is what one move costs a worker, in inline moves, U the work of
+// the largest piece (no worker finishes before it does), and the last
+// term the fixed cost of each worker (its goroutine, its share of the
+// barrier, its part of the merge). Workers beyond GOMAXPROCS divide
+// nothing and only add their fixed cost. A BFS lane pays m =
+// laneMoveCost: it files each move in an outbox, and the shard dedup and
+// the merge then redo what interning at once does. Every other split runs
+// the inline code on each worker, so m = 1. wideLanes picks the worker
+// count that minimises the estimate and returns 1, inline, unless it
+// beats W. The four decisions differ only in what W, U, m, the pieces and
+// the cap are:
+//
+//   - a BFS level (componentEngine.bfs): the frontier times the moves per
+//     state the level before it emitted; 0; laneMoveCost; frontier states;
+//     the run's lanes;
+//   - its dedup goroutines (levelParallel): the candidates the level
+//     actually emitted; 0; 1; shards; the level's lanes;
+//   - the start-assignment fan-out (fanWorkers): the moves per finished
+//     assignment times the assignments left; 0; 1; assignments;
+//     BFSWorkers;
+//   - concurrent components (workspace.evalComponents): the moves the
+//     engines emitted in their previous execution; the largest engine's;
+//     1; components; GOMAXPROCS.
+//
+// Output never depends on the verdict, so the model only has to be right
+// about cost. Its two constants are calibrated once, not measured at run
+// time; docs/PERF.md ("Go wide only when the work pays") derives them
+// from per-level timings of the same levels run inline and on two lanes.
+const (
+	laneMoveCost     = 3.5
+	laneBarrierMoves = 150
+)
+
+// forceWide, set only by tests, sends every decision wide: as many
+// workers as there are pieces to split, up to the cap, whatever the work —
+// except that the fan-out waits until half the start space has run
+// inline, so one evaluation exercises both the multi-lane levels of the
+// prefix and the fan-out of the rest. It is what lets the
+// schedule-invariance suites run lanes, parallel dedup, fan-outs after an
+// inline prefix and concurrent components on graphs small enough to check
+// against an oracle.
+var forceWide bool
+
+// wideLanes is the cost model's verdict on splitting work moves, in
+// pieces no worker can divide further (the largest holding largest
+// moves), over at most cap workers that pay moveCost inline moves a move:
+// the worker count with the smallest estimated cost, 1 when nothing beats
+// running it inline. Past GOMAXPROCS workers the estimate only grows, and
+// below it it is convex in the worker count, so the scan stops at
+// GOMAXPROCS or at its first rise.
+func wideLanes(work, largest, moveCost float64, pieces, cap int) int {
+	cap = min(cap, pieces)
+	if forceWide {
+		return max(cap, 1)
+	}
+	if cap < 2 {
+		return 1
+	}
+	cap = min(cap, runtime.GOMAXPROCS(0))
+	best, cost := 1, work
+	for l := 2; l <= cap; l++ {
+		c := max(largest, moveCost*work/float64(l)) + laneBarrierMoves*float64(l)
+		if c >= cost {
+			break
+		}
+		best, cost = l, c
+	}
+	return best
+}
 
 // maxBFSWorkers caps Options.BFSWorkers.
 const maxBFSWorkers = 64
@@ -72,27 +150,9 @@ const parShards = 32
 
 const parShardMask = parShards - 1
 
-// parFrontierMin is the frontier size below which a level is processed
-// inline; parMinSlice is the minimum frontier
-// slice worth a lane of its own. Vars, not consts, so tests can force
-// multi-lane processing on small graphs.
-var (
-	parFrontierMin = 256
-	parMinSlice    = 32
-)
-
-// parDedupMin is the candidate count below which the dedup phase runs
-// inline instead of spawning per-shard goroutines.
-const parDedupMin = 2048
-
-// fanoutFactor: the assignment fan-out engages when a component has at
-// least fanoutFactor×workers start assignments (below that the inner
-// parallel BFS uses the cores better); fanoutChunks×workers chunks keep
-// the dynamic schedule balanced.
-const (
-	fanoutFactor = 4
-	fanoutChunks = 4
-)
+// fanoutChunks×workers chunks keep the fan-out's dynamic schedule
+// balanced.
+const fanoutChunks = 4
 
 // Package counters for /statz: how often the parallel machinery
 // actually engaged.
@@ -153,9 +213,11 @@ func shardOf(joint int32, nodes []graph.Node) uint32 {
 
 // parState is the reusable parallel machinery of one engine: the shared
 // runner group, per-shard membership tables, lanes (one per worker)
-// and dedup scratch. Built on the first multi-lane level, retained
-// across executions like the runner memos, dropped by Program.put when
-// oversized.
+// and dedup scratch. Built on the first level the cost model sends wide,
+// it stays with the engine in its pooled workspace from one execution to
+// the next; componentEngine.release, which putWorkspace runs on every
+// engine, unpins the lanes' snapshots and drops the whole state once any
+// shard table or lane buffer holds more than maxPooledScratch elements.
 type parState struct {
 	group  *relations.RunnerGroup
 	shards []tupleSet
@@ -173,8 +235,9 @@ func (e *componentEngine) ensurePar() *parState {
 	return e.par
 }
 
-// oversized reports whether the retained parallel state exceeds the
-// pooled-scratch budget (Program.put drops it then).
+// oversized reports whether any shard table, lane locator or outbox
+// holds more than maxPooledScratch elements: componentEngine.release
+// then drops the parallel state rather than keep it in an idle workspace.
 func (p *parState) oversized() bool {
 	for i := range p.shards {
 		if p.shards[i].oversized() {
@@ -256,9 +319,9 @@ type bfsLane struct {
 }
 
 // beginLevel pins the level's snapshot and pruning mode on the lane's
-// kernel and resets the lane's level outputs.
+// kernel and resets the lane's level outputs and move count.
 func (ln *bfsLane) beginLevel() {
-	ln.snap, ln.noPrune = ln.e.snap, ln.e.noPrune
+	ln.snap, ln.noPrune, ln.moves = ln.e.snap, ln.e.noPrune, 0
 	for i := range ln.out {
 		b := &ln.out[i]
 		b.nodes = b.nodes[:0]
@@ -381,15 +444,12 @@ func (e *componentEngine) activateShards() {
 	e.sharded = true
 }
 
-// levelParallel processes the frontier [lo, hi) with the four-phase
-// parallel pipeline described in the file comment.
-func (e *componentEngine) levelParallel(ctx context.Context, lo, hi, workers int) error {
+// levelParallel processes the frontier [lo, hi) on L lanes with the
+// four-phase parallel pipeline described in the file comment. The lanes'
+// moves add to the engine's count, as an inline level's do.
+func (e *componentEngine) levelParallel(ctx context.Context, lo, hi, L int) error {
 	par := e.par
 	n := hi - lo
-	L := workers
-	if maxL := (n + parMinSlice - 1) / parMinSlice; L > maxL {
-		L = maxL
-	}
 	par.ensureLanes(e, L)
 	lanes := par.lanes[:L]
 	for _, ln := range lanes {
@@ -414,6 +474,7 @@ func (e *componentEngine) levelParallel(ctx context.Context, lo, hi, workers int
 	par.wg.Wait()
 	var fault error
 	for _, ln := range lanes {
+		e.moves += ln.moves
 		if ln.err == nil {
 			continue
 		}
@@ -448,8 +509,7 @@ func (e *componentEngine) levelParallel(ctx context.Context, lo, hi, workers int
 	for _, ln := range lanes {
 		total += len(ln.where)
 	}
-	if total >= parDedupMin && L > 1 {
-		G := min(L, parShards)
+	if G := wideLanes(float64(total), 0, 1, parShards, L); G > 1 {
 		for g := 0; g < G; g++ {
 			par.wg.Add(1)
 			go func() {
@@ -509,16 +569,18 @@ func (e *componentEngine) dedupShard(s int, lanes []*bfsLane) {
 // fanOut is an engine's assignment fan-out, kept with it from one
 // fan-out to the next: the sibling engines that run chunks beside the
 // engine itself, the memo each worker captures into, the relation the
-// chunks merge into, the chunk table, the claim counter, the stop flag
-// and the wait group of the goroutines.
+// chunks merge into, the assignments the chunks cover ([from, from+left)),
+// the chunk table, the claim counter, the stop flag and the wait group of
+// the goroutines.
 type fanOut struct {
-	sibs   []*componentEngine
-	memos  []compMemo
-	out    *varRelation
-	chunks []fanChunk
-	next   atomic.Int64
-	stop   atomic.Bool
-	wg     sync.WaitGroup
+	sibs       []*componentEngine
+	memos      []compMemo
+	out        *varRelation
+	from, left uint64
+	chunks     []fanChunk
+	next       atomic.Int64
+	stop       atomic.Bool
+	wg         sync.WaitGroup
 }
 
 // fanChunk is one chunk's outcome: the engine that ran it (nil while
@@ -551,38 +613,47 @@ func (f *fanOut) release() {
 	clear(f.chunks)
 }
 
-// evalAssignFanout fans a component's start assignments over the worker
-// pool when there are enough of them to dominate the inner BFS
-// parallelism: the dense assignment index space splits into fixed
-// contiguous chunks claimed dynamically by W workers — the engine itself
-// on the caller's goroutine and W−1 sibling engines on goroutines of
-// their own (see fanWorker), all at one lane — and the chunk results
+// fanWorkers is the cost model's verdict on a component's start
+// assignments after done of the space's total have run inline: how many
+// workers the rest is worth, estimated from the moves the finished ones
+// emitted. 1 keeps enumerating inline. A stream (its sink must see rows in
+// order as they are found), a sweep the stop rule ends at its first row
+// (fanning out would run assignments past the deciding one) and one lane
+// never fan out.
+func (e *componentEngine) fanWorkers(done, total uint64) int {
+	if e.workers <= 1 || e.sink != nil || e.stop == stopSweep || done >= total || total > 1<<62 ||
+		forceWide && 2*done < total {
+		return 1
+	}
+	left := total - done
+	return wideLanes(float64(e.moves)/float64(done)*float64(left), 0, 1, int(min(left, maxBFSWorkers)), e.workers)
+}
+
+// evalAssignFanout runs the start assignments [from, total) — those left
+// after an inline prefix, whose rows and memo segments e already holds —
+// on workers workers: the dense index range splits into fixed contiguous
+// chunks claimed dynamically by the engine itself on the caller's
+// goroutine and workers−1 sibling engines on goroutines of their own (see
+// fanWorker), all at one lane. The prefix and then the chunk results
 // concatenate in chunk-index order, reproducing exactly what the
 // sequential enumeration computes (rows and memo segments in assignment
 // order; chunks cover disjoint assignments, so no row of one can
 // duplicate a row of another). A worker appends the chunks it runs to its
 // own relation and chunk memo one after the other, so the next chunk it
-// claims cannot overwrite the last one's rows; the merge copies them, in
-// chunk order, into the fan-out's out relation, which then trades places
-// with e.rel. done=false means the caller should run the sequential
-// enumeration instead.
-func (e *componentEngine) evalAssignFanout(ctx context.Context, bud *stateBudget) (done bool, err error) {
-	if e.workers <= 1 || e.sink != nil {
-		return false, nil
-	}
-	// An empty or overflowing space goes to the sequential enumeration.
-	total := e.space.size()
-	if total < uint64(fanoutFactor*e.workers) || total > 1<<62 {
-		return false, nil
-	}
+// claims cannot overwrite the last one's rows; the merge copies the prefix
+// and the chunks, in that order, into the fan-out's out relation, which
+// then trades places with e.rel, and appends the chunks' segments to the
+// prefix's memo. The siblings' moves add to the engine's count.
+func (e *componentEngine) evalAssignFanout(ctx context.Context, bud *stateBudget, from, total uint64, workers int) error {
 	parFanoutsCtr.Add(1)
 
 	if e.fan == nil {
 		e.fan = &fanOut{out: new(varRelation)}
 	}
 	f := e.fan
-	nCh := min(uint64(fanoutChunks*e.workers), total)
-	workers := min(e.workers, int(nCh))
+	f.from, f.left = from, total-from
+	nCh := min(uint64(fanoutChunks*workers), f.left)
+	workers = min(workers, int(nCh))
 	f.chunks = zeroed(f.chunks, int(nCh))
 	f.next.Store(0)
 	f.stop.Store(false)
@@ -603,9 +674,11 @@ func (e *componentEngine) evalAssignFanout(ctx context.Context, bud *stateBudget
 			sib.captureChunks(&f.memos[k+1])
 		}
 	}
-	// The engine runs its own chunks at one lane into its own relation (no
-	// rows yet) and, while it does, captures into a chunk memo too.
-	memo, lanes := e.memoCap, e.workers
+	// The engine runs its own chunks at one lane into its own relation,
+	// after the prefix's rows, and, while it does, captures into a chunk
+	// memo too.
+	prefix := e.rel.n
+	memo, failed, lanes := e.memoCap, e.memoFailed, e.workers
 	if capture {
 		e.captureChunks(&f.memos[0])
 	}
@@ -614,26 +687,30 @@ func (e *componentEngine) evalAssignFanout(ctx context.Context, bud *stateBudget
 	for _, sib := range sibs {
 		go func() {
 			defer f.wg.Done()
-			e.fanWorker(ctx, sib, bud, total)
+			e.fanWorker(ctx, sib, bud)
 		}()
 	}
-	e.fanWorker(ctx, e, bud, total)
+	e.fanWorker(ctx, e, bud)
 	f.wg.Wait()
-	e.workers, e.memoCap, e.memoFailed = lanes, memo, false
+	e.workers, e.memoCap, e.memoFailed = lanes, memo, failed
+	for _, sib := range sibs {
+		e.moves += sib.moves
+	}
 	for i := range f.chunks {
 		if ch := &f.chunks[i]; ch.err != nil {
-			return true, ch.err
+			return ch.err
 		}
 	}
 	// No chunk failed ⇒ every chunk ran (stop is only set on error).
 	out := f.out
 	out.reset(e.c.allVars, e.keptVars)
-	nRows := 0
+	nRows := prefix
 	for _, ch := range f.chunks {
 		nRows += ch.rowHi - ch.rowLo
 	}
 	out.nodes = slices.Grow(out.nodes, nRows*len(out.vars))
 	out.paths = slices.Grow(out.paths, nRows*len(out.pvars))
+	out.addRows(e.rel, 0, prefix)
 	for _, ch := range f.chunks {
 		out.addRows(ch.eng.rel, ch.rowLo, ch.rowHi)
 		if !capture {
@@ -649,13 +726,13 @@ func (e *componentEngine) evalAssignFanout(ctx context.Context, bud *stateBudget
 		capture = e.memoCap != nil
 	}
 	e.rel, f.out = out, e.rel
-	return true, nil
+	return nil
 }
 
 // fanWorker claims chunks of the fan-out and runs each on eng — the
 // engine itself or one of its siblings — until none is left or one has
 // failed.
-func (e *componentEngine) fanWorker(ctx context.Context, eng *componentEngine, bud *stateBudget, total uint64) {
+func (e *componentEngine) fanWorker(ctx context.Context, eng *componentEngine, bud *stateBudget) {
 	f := e.fan
 	nCh := uint64(len(f.chunks))
 	for {
@@ -665,7 +742,7 @@ func (e *componentEngine) fanWorker(ctx context.Context, eng *componentEngine, b
 		}
 		ch := &f.chunks[ci]
 		ch.rowLo, ch.segLo = eng.rel.n, eng.memoCap.nAssign()
-		ch.err = eng.runAssignRange(ctx, ci*total/nCh, (ci+1)*total/nCh, bud)
+		ch.err = eng.runAssignRange(ctx, f.from+ci*f.left/nCh, f.from+(ci+1)*f.left/nCh, bud)
 		ch.eng, ch.memo, ch.rowHi, ch.segHi = eng, eng.memoCap, eng.rel.n, eng.memoCap.nAssign()
 		if ch.err != nil {
 			f.stop.Store(true)

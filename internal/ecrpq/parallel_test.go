@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -20,14 +21,15 @@ import (
 // deterministic under the assignment fan-out, and an injected worker
 // fault must degrade to the sequential engine with identical output.
 
-// forceParallel lowers the parallel engagement thresholds so the
-// multi-lane level machinery (and the shard-table switch) exercises on
-// the small graphs the property suites use, restoring them on cleanup.
+// forceParallel sets the cost model's test hook (forceWide) so that the
+// multi-lane level machinery (and the shard-table switch), the parallel
+// dedup, the assignment fan-out after an inline prefix of half the start
+// space and concurrent components exercise on the small graphs the
+// property suites use, clearing it on cleanup.
 func forceParallel(t *testing.T) {
 	t.Helper()
-	oldMin, oldSlice := parFrontierMin, parMinSlice
-	parFrontierMin, parMinSlice = 2, 1
-	t.Cleanup(func() { parFrontierMin, parMinSlice = oldMin, oldSlice })
+	forceWide = true
+	t.Cleanup(func() { forceWide = false })
 }
 
 // parWorkerCounts is the worker dimension the determinism properties
@@ -220,6 +222,7 @@ func TestParallelBudgetParity(t *testing.T) {
 // same per-assignment segments no matter how chunks are scheduled, so
 // the memos captured at W=1 and W=8 must be deeply equal.
 func TestParallelMemoDeterministic(t *testing.T) {
+	forceParallel(t)
 	q := MustParse("Ans(x, y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)", env())
 	g := bigComponentGraph(rand.New(rand.NewSource(109)), 40, 3, sigmaAB)
 	prog, err := CompileProgram(q, false)
@@ -290,6 +293,95 @@ func TestParallelAdvanceAcrossEpochs(t *testing.T) {
 	}
 }
 
+// TestFanOutAfterInlinePrefix: the fan-out engages in the middle of an
+// enumeration with the memo capture on. With the cost model's test hook
+// set, the first half of the start assignments runs inline, on
+// multi-lane levels, and the rest fans out. The prefix's rows and memo
+// segments stay first, so at every worker count the evaluation:
+//
+//   - charges the same states and yields the same fingerprint and memo as
+//     at W=1;
+//   - holds one memo segment per assignment, in enumeration order, each
+//     with the rows of its own assignment only;
+//   - seeds an Advance that equals a cold evaluation at the new epoch.
+func TestFanOutAfterInlinePrefix(t *testing.T) {
+	forceParallel(t)
+	ctx := context.Background()
+	q := MustParse("Ans(x, y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)", env())
+	build := func() *graph.DB { return bigComponentGraph(rand.New(rand.NewSource(137)), 16, 2, sigmaAB) }
+	const budget = 1 << 30
+	opts := func(w int) Options { return Options{BFSWorkers: w, MaxProductStates: budget} }
+	// eval runs one capturing evaluation on a fresh program and reports the
+	// states it charged and the fan-outs and multi-lane levels it ran.
+	eval := func(s *graph.Snapshot, w int) (prog *Program, res *Result, charged int, fanouts, levels uint64) {
+		t.Helper()
+		prog, err := CompileProgram(q, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, levels0, _, fanouts0 := BFSParallelStats()
+		if res, err = prog.EvalSnapshotMemo(ctx, s, opts(w)); err != nil {
+			t.Fatalf("W=%d: %v", w, err)
+		}
+		_, levels1, _, fanouts1 := BFSParallelStats()
+		ws := prog.takeWorkspace() // the pool's one workspace: the one that ran
+		charged = budget - int(ws.bud.left.Load())
+		prog.putWorkspace(ws)
+		if res.inc == nil {
+			t.Fatalf("W=%d: no memo captured", w)
+		}
+		return prog, res, charged, fanouts1 - fanouts0, levels1 - levels0
+	}
+
+	_, base, baseCharged, _, _ := eval(build().Snapshot(), 1)
+	for _, w := range parWorkerCounts[1:] {
+		g := build()
+		s := g.Snapshot()
+		prog, res, charged, fanouts, levels := eval(s, w)
+		if fanouts == 0 || levels == 0 {
+			t.Fatalf("W=%d: %d fan-outs after %d multi-lane levels; want both", w, fanouts, levels)
+		}
+		if res.Fingerprint() != base.Fingerprint() || charged != baseCharged {
+			t.Fatalf("W=%d: fingerprint %016x after %d states charged, W=1 %016x after %d",
+				w, res.Fingerprint(), charged, base.Fingerprint(), baseCharged)
+		}
+		if !reflect.DeepEqual(res.inc.comps, base.inc.comps) {
+			t.Fatalf("W=%d: memo differs from the W=1 capture", w)
+		}
+
+		c, m := prog.comps[0], res.inc.comps[0]
+		sp := startSpace{vars: c.xvars}
+		for _, l := range m.lists {
+			if l == nil {
+				l = nodeRange(nil, s.NumNodes())
+			}
+			sp.lists = append(sp.lists, l)
+		}
+		if got, want := uint64(m.nAssign()), sp.size(); got != want {
+			t.Fatalf("W=%d: %d memo segments for %d start assignments", w, got, want)
+		}
+		_ = sp.forRange(0, sp.size(), func(idx uint64, assign map[NodeVar]graph.Node) error {
+			rows := m.rows[m.rowOff[idx]:m.rowOff[idx+1]]
+			for r := 0; r < len(rows); r += m.stride {
+				for _, v := range c.xvars {
+					if n := rows[r+varPos(c.allVars, v)]; n != assign[v] {
+						t.Fatalf("W=%d: segment %d holds a row with %s=%d, its assignment has %d", w, idx, v, n, assign[v])
+					}
+				}
+			}
+			return nil
+		})
+
+		g.AddEdge(3, 'a', 11)
+		g.AddEdge(11, 'b', 5)
+		adv, kind, err := prog.Advance(ctx, res, g.Snapshot(), opts(w))
+		if err != nil || kind != AdvanceIncremental {
+			t.Fatalf("W=%d: Advance: %v, %v; want an incremental pass", w, kind, err)
+		}
+		sameResult(t, fmt.Sprintf("W=%d: Advance from the fanned-out memo", w), adv, evalFresh(t, q, g.Snapshot(), opts(1)))
+	}
+}
+
 // TestParallelStreamAgreesAcrossWorkers pins the streaming executor on
 // the parallel core: the emitted answer sequence (order included) must
 // be identical at every worker count, because level-barrier accepts
@@ -332,9 +424,9 @@ func TestParallelStreamAgreesAcrossWorkers(t *testing.T) {
 func TestParallelBFSFaultDegradesToSequential(t *testing.T) {
 	forceParallel(t)
 	q := MustParse("Ans(x, y, p1, p2) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)", env())
-	// 5 nodes keeps the assignment space (5²) below the fan-out
-	// threshold at W=8, so every run takes bfsParallel — where the
-	// ParallelBFS point lives — rather than sequential sibling engines.
+	// With the test hook set, the first half of the 5² start assignments
+	// runs inline at eight lanes — where the ParallelBFS point lives —
+	// before the rest fans out to one-lane sibling engines.
 	g := bigComponentGraph(rand.New(rand.NewSource(131)), 5, 3, sigmaAB)
 	want, err := Eval(q, g, Options{BFSWorkers: 8})
 	if err != nil {
@@ -402,5 +494,95 @@ func TestEffectiveBFSWorkers(t *testing.T) {
 	}
 	if (Options{BFSWorkers: 1}).CacheKey() == (Options{BFSWorkers: 2}).CacheKey() {
 		t.Fatalf("cache key ignores the worker count")
+	}
+}
+
+// labelRichGraph is the label-rich shape of the benchmark's lr cases: n
+// nodes and about deg·n edges, whose sources are Zipf-skewed towards the
+// low node ids (hubs) and whose labels are uniform over sigma.
+func labelRichGraph(r *rand.Rand, n int, sigma []rune, deg float64) *graph.DB {
+	g := graph.NewDB()
+	g.AddNodes(n)
+	z := rand.NewZipf(r, 1.4, 4, uint64(n-1))
+	for e := 0; e < int(deg*float64(n)); e++ {
+		g.AddEdge(graph.Node(z.Uint64()), sigma[r.Intn(len(sigma))], graph.Node(r.Intn(n)))
+	}
+	return g
+}
+
+// TestCostModelKeepsNarrowWorkInline pins the decisions the cost model is
+// there to make, at BFSWorkers: 2 with the committed constants and at
+// least two procs, so that going wide is on the table:
+//
+//   - a cold [σ]* evaluation (σ = 32, n = 256, x bound to the top hub),
+//     whose levels of a few hundred states each sent the old fixed
+//     frontier threshold wide, builds no lanes, outboxes, shard tables or
+//     fan-out: a few thousand moves a level do not pay for a barrier;
+//   - the bigcomp shape (32 nodes, el, x bound; some twenty start
+//     assignments of thousands of moves each) still fans out;
+//   - a warm permissive evaluation allocates no more at W = 2 than at
+//     W = 1.
+func TestCostModelKeepsNarrowWorkInline(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	ctx := context.Background()
+	bind := map[NodeVar]graph.Node{"x": 0}
+	sigma := []rune("abcdefghijklmnopqrstuvwxyzABCDEF")
+	permissive := MustParse(fmt.Sprintf("Ans(x,y) <- (x,p,y), [%s]*(p)", string(sigma)), Env{Sigma: sigma})
+	s := labelRichGraph(rand.New(rand.NewSource(32256)), 256, sigma, 6).Snapshot()
+
+	prog, err := CompileProgram(permissive, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prog.EvalSnapshot(ctx, s, Options{Bind: bind, BFSWorkers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	e := prog.take(0)
+	if e.moves < 5000 {
+		t.Fatalf("the permissive evaluation emitted %d moves; the test exercises nothing", e.moves)
+	}
+	if e.par != nil || e.fan != nil {
+		t.Errorf("cold permissive evaluation at W=2 built lanes (%v) or a fan-out (%v); it should run inline", e.par != nil, e.fan != nil)
+	}
+	prog.put(0, e)
+
+	bigcomp := MustParse("Ans(x,y) <- (x,p1,z), (z,p2,y), (a|b)*a(p1), (a|b)*b(p2), el(p1,p2)", env())
+	g := bigComponentGraph(rand.New(rand.NewSource(8)), 32, 3, sigmaAB)
+	_, _, _, fanouts0 := BFSParallelStats()
+	if _, err := Eval(bigcomp, g, Options{Bind: bind, BFSWorkers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, fanouts1 := BFSParallelStats(); fanouts1 == fanouts0 {
+		t.Error("the bigcomp shape no longer fans out at W=2")
+	}
+
+	// Not testing.AllocsPerRun: it measures at GOMAXPROCS 1, where no
+	// decision could go wide.
+	mallocs := func(w int) uint64 {
+		prog, err := CompileProgram(permissive, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Bind: bind, BFSWorkers: w}
+		eval := func() {
+			if _, err := prog.EvalSnapshot(ctx, s, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eval()
+		eval()
+		const runs = 20
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range runs {
+			eval()
+		}
+		runtime.ReadMemStats(&m1)
+		return (m1.Mallocs - m0.Mallocs) / runs
+	}
+	if w1, w2 := mallocs(1), mallocs(2); w2 > w1 {
+		t.Errorf("a warm permissive evaluation makes %d allocations at W=2, %d at W=1", w2, w1)
 	}
 }

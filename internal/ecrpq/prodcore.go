@@ -101,6 +101,11 @@ type moveKernel struct {
 	next    []graph.Node
 	moveCur []graph.Node
 	emit    func() error
+
+	// moves counts the moves handed to emit: the measured work every
+	// parallel decision of the evaluator estimates from (see parallel.go).
+	// Its owner resets it.
+	moves int
 }
 
 func newMoveKernel(snap *graph.Snapshot, cnt int, part *regex.Partition, live liveSource) moveKernel {
@@ -176,9 +181,12 @@ func (s *tupleSet) reset(packed bool) {
 	}
 }
 
-// oversized reports whether the set's retained storage exceeds the
-// pooled-scratch budget (Program.put drops it then); a packed slot is
-// two words of it.
+// oversized reports whether the set's retained storage exceeds
+// maxPooledScratch elements, a packed slot counting two. A set is kept
+// from one execution to the next and reset for reuse; the owner going
+// idle drops it once it is oversized — componentEngine.release (run by
+// putWorkspace) for a run's state set and shards, propAtom.put for a
+// domain engine's — so an idle workspace never pins a peak-sized table.
 func (s *tupleSet) oversized() bool {
 	if s.packed != nil {
 		return 2*s.packed.Cap() > maxPooledScratch
@@ -556,6 +564,7 @@ func (k *moveKernel) forEachMove(cur []graph.Node) error {
 
 func (k *moveKernel) enumMoves(i int) error {
 	if i == k.cnt {
+		k.moves++
 		return k.emit()
 	}
 	if k.botOK[i] {

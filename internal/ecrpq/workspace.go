@@ -107,18 +107,26 @@ func (ws *workspace) begin(ctx context.Context, s *graph.Snapshot, opts Options)
 // pinned snapshot s on the workspace's engines, into ws.rels (and, when
 // capture is set, ws.memos; see incMemo). Independent components run
 // concurrently on up to GOMAXPROCS goroutines — the caller's among them —
-// all drawing from one shared product-state budget; the first error
-// cancels the rest. Every component reads the same immutable snapshot, so
-// a multi-component answer is always consistent with one epoch even
-// under concurrent writers. The returned memos are nil when capture was
-// off or any component's capture overflowed.
+// when the cost model says the moves the engines emitted in their previous
+// execution are worth it, and one after the other on the caller's
+// goroutine otherwise (always on a fresh workspace, which has no previous
+// execution to go by); either way they draw from one shared product-state
+// budget and the first error ends the rest. Every component reads the
+// same immutable snapshot, so a multi-component answer is always
+// consistent with one epoch even under concurrent writers. The returned
+// memos are nil when capture was off or any component's capture
+// overflowed.
 func (ws *workspace) evalComponents(ctx context.Context, s *graph.Snapshot, opts Options, capture bool) ([]*varRelation, []*compMemo, error) {
 	doms, err := ws.begin(ctx, s, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	n := len(ws.engines)
-	if workers := min(n, runtime.GOMAXPROCS(0)); workers > 1 {
+	work, largest := 0, 0
+	for _, e := range ws.engines {
+		work, largest = work+e.moves, max(largest, e.moves)
+	}
+	if workers := wideLanes(float64(work), float64(largest), 1, n, runtime.GOMAXPROCS(0)); workers > 1 {
 		if ws.run == nil {
 			ws.run = &componentRun{}
 		}

@@ -170,8 +170,9 @@ func TestWorkspaceNeverAliasesResults(t *testing.T) {
 		held(t, "inline", compile(t, "Ans(x, y, p) <- (x,p,y), a+(p)"), "x", 0, 1, false)
 	})
 	t.Run("single component fanned out at W=8", func(t *testing.T) {
-		// y bound, x swept over all 40 nodes: ≥ fanoutFactor × 8 start
-		// assignments, so the fan-out engages.
+		// y bound, x swept over all 40 nodes: with the cost model's test
+		// hook set, the second half of the start assignments fans out.
+		forceParallel(t)
 		_, _, _, before := BFSParallelStats()
 		held(t, "fan-out", compile(t, "Ans(x, y) <- (x,p,y), a+(p)"), "y", n-1, 8, true)
 		if _, _, _, after := BFSParallelStats(); after == before {

@@ -140,7 +140,9 @@ func LoadNTriples(r io.Reader, g *graph.DB, vocab *Vocab) (*Vocab, LoadStats, er
 		stats.Triples++
 	}
 	if err := sc.Err(); err != nil {
-		return vocab, stats, fmt.Errorf("rdf: line %d: %w", lineNo, err)
+		// The scanner failed reading the line after the last one it
+		// returned (one longer than its buffer, say).
+		return vocab, stats, fmt.Errorf("rdf: line %d: %w", lineNo+1, err)
 	}
 	return vocab, stats, nil
 }
