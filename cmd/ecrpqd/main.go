@@ -23,8 +23,9 @@
 //	                                  N epochs behind under pressure
 //	      fresh=1                     forbid degraded (stale) serving
 //	      limit=100                   answers rendered (count is exact)
-//	      workers=8                   parallel-BFS workers (0 = GOMAXPROCS,
-//	                                  1 = sequential; same answers either way)
+//	      workers=8                   start-assignment fan-out workers (0 =
+//	                                  GOMAXPROCS, 1 = none; same answers and
+//	                                  cache entry either way)
 //	POST /write                 apply graph text lines (`edge A l B`, ...)
 //
 // Flags:
@@ -46,7 +47,7 @@
 //	-timeout D        default per-request deadline (default 2s)
 //	-max-timeout D    clamp for request-supplied deadlines (default 30s)
 //	-budget N         default product-state budget (0 = engine default)
-//	-bfs-workers N    default parallel-BFS workers (0 = GOMAXPROCS, 1 = sequential)
+//	-bfs-workers N    default fan-out workers (0 = GOMAXPROCS, 1 = none)
 //	-max-stale N      cache retention window in epochs for degraded reads
 //	-cache BYTES      result-cache budget (default 64 MiB)
 //	-drain-timeout D  how long SIGTERM waits for in-flight requests
@@ -130,7 +131,7 @@ func main() {
 	flag.DurationVar(&cfg.timeout, "timeout", 2*time.Second, "default per-request deadline")
 	flag.DurationVar(&cfg.maxTimeout, "max-timeout", 30*time.Second, "clamp for request deadlines")
 	flag.IntVar(&cfg.budget, "budget", 0, "default product-state budget (0 = engine default)")
-	flag.IntVar(&cfg.bfsWorkers, "bfs-workers", 0, "default parallel-BFS workers (0 = GOMAXPROCS, 1 = sequential)")
+	flag.IntVar(&cfg.bfsWorkers, "bfs-workers", 0, "default start-assignment fan-out workers (0 = GOMAXPROCS, 1 = none)")
 	flag.Uint64Var(&cfg.maxStale, "max-stale", 8, "epoch retention window for degraded reads")
 	flag.Int64Var(&cfg.cacheBytes, "cache", 64<<20, "result cache budget in bytes")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 15*time.Second, "SIGTERM drain deadline")

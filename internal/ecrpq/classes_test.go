@@ -133,7 +133,7 @@ func renderFull(res *Result) string {
 
 // TestClassVsPerSymbolRandom: class-mode evaluation is answer- and
 // witness-identical to the per-symbol spelling across alphabet scales,
-// sequentially and with the parallel BFS forced on.
+// sequentially and with the fan-out forced on.
 func TestClassVsPerSymbolRandom(t *testing.T) {
 	forceParallel(t)
 

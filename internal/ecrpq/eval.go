@@ -56,22 +56,23 @@ type Options struct {
 	// changes. It is the oracle configuration: the reference the
 	// benchmark and the pruned==unpruned property tests compare against.
 	NoPrune bool
-	// BFSWorkers sets the worker count of the frontier-synchronous
-	// parallel product BFS and of the start-assignment fan-out. Zero
-	// uses GOMAXPROCS; 1 runs every BFS level inline on the calling
-	// goroutine (the ablation baseline). Answers, witness paths and
+	// BFSWorkers caps the workers of the start-assignment fan-out: how
+	// many start assignments of one component may run their product BFS
+	// at once, each on an engine of its own. Zero uses GOMAXPROCS; 1 runs
+	// every assignment on the calling goroutine. A single BFS run always
+	// runs on one goroutine. Answers, witness paths and
 	// Result.Fingerprint are byte-identical at every worker count — only
 	// the cost changes.
 	BFSWorkers int
 }
 
-// CacheKey renders the evaluation-relevant options in a canonical
-// string: Bind as sorted (var, node) pairs, then the state budget, join
-// mode, pruning switch and worker count. Two Options values with equal
-// CacheKeys request the same evaluation, so the epoch-keyed result
-// cache uses it as the options component of its key (map iteration
-// order and semantically identical Bind maps built in different orders
-// hash the same).
+// CacheKey renders the result-relevant options in a canonical string:
+// Bind as sorted (var, node) pairs, then the state budget, join mode and
+// pruning switch. Two Options values with equal CacheKeys request the
+// same result, so the epoch-keyed result cache uses it as the options
+// component of its key (map iteration order and semantically identical
+// Bind maps built in different orders hash the same). BFSWorkers is not
+// part of it: the result is byte-identical at every worker count.
 func (o Options) CacheKey() string {
 	vars := make([]string, 0, len(o.Bind))
 	for v := range o.Bind {
@@ -83,8 +84,7 @@ func (o Options) CacheKey() string {
 	for _, v := range vars {
 		fmt.Fprintf(&b, "%s=%d,", v, o.Bind[NodeVar(v)])
 	}
-	fmt.Fprintf(&b, ";max=%d;join=%d;noprune=%t;bfsw=%d",
-		o.MaxProductStates, o.Join, o.NoPrune, effectiveBFSWorkers(o.BFSWorkers))
+	fmt.Fprintf(&b, ";max=%d;join=%d;noprune=%t", o.MaxProductStates, o.Join, o.NoPrune)
 	return b.String()
 }
 
@@ -122,9 +122,8 @@ func (b *stateBudget) reset(max int) {
 // spend consumes one product state; false means the budget is exhausted.
 func (b *stateBudget) spend() bool { return b.left.Add(-1) >= 0 }
 
-// refund returns n states to the pool: the parallel BFS refunds
-// everything it charged before degrading to one lane, so the rerun
-// re-spends the same states exactly once.
+// refund returns n states to the pool: the start-domain pass gives back
+// every state it borrowed before the components start (startDomains).
 func (b *stateBudget) refund(n int) {
 	if n > 0 {
 		b.left.Add(int64(n))
@@ -627,13 +626,9 @@ type componentEngine struct {
 	parentLabs  []rune
 
 	// The run in progress, read by the intern-now emitter: the state
-	// being expanded, the budget the run charges, how many states it has
-	// charged (a faulted multi-lane run refunds them), and whether
-	// membership has moved from states to the shard tables of par.
-	head    int
-	bud     *stateBudget
-	spent   int
-	sharded bool
+	// being expanded and the budget the run charges.
+	head int
+	bud  *stateBudget
 
 	// Scratch buffers.
 	nodesBuf []graph.Node
@@ -651,13 +646,10 @@ type componentEngine struct {
 	memoFailed bool
 
 	// Parallel execution state (see parallel.go). workers and opts are
-	// set by reset from the per-call options; par holds the lanes, shard
-	// tables and outboxes of the multi-lane levels, built on the first
-	// level the cost model sends wide (never at one worker) and kept with
-	// the engine (see componentEngine.release). The kernel's moves count
-	// the execution's work — reset zeroes them, lanes and fan-out siblings
-	// add theirs — and stay readable until the next reset, which is what
-	// the next execution's concurrency decision reads. space is the
+	// set by reset from the per-call options. The kernel's moves count
+	// the execution's work — reset zeroes them, fan-out siblings add
+	// theirs — and stay readable until the next reset, which is what the
+	// next execution's concurrency decision reads. space is the
 	// execution's start-assignment space, set by reset from the bindings,
 	// the start-domain lists in doms and allNodes, the shared
 	// 0..NumNodes-1 candidate slice of an unconfined variable. ws and comp
@@ -666,7 +658,6 @@ type componentEngine struct {
 	// the first fan-out and kept with the engine.
 	workers  int
 	opts     Options
-	par      *parState
 	doms     map[NodeVar][]graph.Node
 	space    startSpace
 	allNodes []graph.Node
@@ -762,21 +753,12 @@ func (e *componentEngine) allNodesSlice() []graph.Node {
 
 // release readies the engine, and its fan-out siblings, for an idle
 // workspace. It must not pin a possibly huge graph snapshot — the
-// snapshot half of the rule is moveKernel.release's, applied to the
-// engine's kernel and every lane's — nor anything of the last execution
-// past the pooled-scratch budget: BFS arrays, state and dedup sets,
-// parallel state, and the relation's store are dropped when oversized and
+// snapshot half of the rule is moveKernel.release's — nor anything of the
+// last execution past the pooled-scratch budget: BFS arrays, state and
+// dedup sets, and the relation's store are dropped when oversized and
 // otherwise kept for the next execution to grow into.
 func (e *componentEngine) release() {
 	e.prodCore.release()
-	if e.par != nil {
-		for _, ln := range e.par.lanes {
-			ln.release()
-		}
-		if e.par.oversized() {
-			e.par = nil
-		}
-	}
 	e.bud, e.sink, e.memoCap, e.memoFailed = nil, nil, nil, false
 	e.opts, e.doms = Options{}, nil
 	clear(e.space.lists)
@@ -808,12 +790,11 @@ func (e *componentEngine) release() {
 // own, valid until the engine's next execution.
 //
 // The enumeration starts inline, in assignment order on the caller's
-// goroutine, each BFS on up to e.workers lanes. After every finished
-// assignment the cost model weighs the ones left against the moves the
-// finished ones took (fanWorkers); once fanning them out pays,
-// evalAssignFanout runs them over the worker pool behind the inline
-// prefix. Under stopSweep it never does, and the enumeration ends at the
-// first row.
+// goroutine. After every finished assignment the cost model weighs the
+// ones left against the moves the finished ones took (fanWorkers); once
+// fanning them out pays, evalAssignFanout runs them over the worker pool
+// behind the inline prefix. Under stopSweep it never does, and the
+// enumeration ends at the first row.
 func evalComponent(ctx context.Context, e *componentEngine, bud *stateBudget) (*varRelation, error) {
 	total := e.space.size()
 	var done uint64
@@ -855,7 +836,7 @@ func (e *componentEngine) runAssignRange(ctx context.Context, lo, hi uint64, bud
 // finished assignment; errDecided travels on only under stopSweep, where
 // it ends the enumeration too.
 func (e *componentEngine) runAssign(ctx context.Context, assign map[NodeVar]graph.Node, bud *stateBudget) error {
-	err := e.bfs(ctx, assign, bud, e.workers)
+	err := e.bfs(ctx, assign, bud)
 	if err != nil && err != errDecided {
 		return err
 	}
@@ -917,110 +898,66 @@ func (e *componentEngine) pushState(jointID int, nodes []graph.Node, parent, sym
 // bfs explores the product of G⊥^c with the component's joint relation
 // automaton from the start tuple given by assign, level by level,
 // collecting accepting bindings into e.rel (or handing them to e.sink).
-// It is the one driver of every evaluation. Each level's work is
-// estimated as its frontier times the moves per state the level before it
-// emitted, and the cost model (wideLanes, parallel.go) picks its lanes,
-// up to lanes: one runs it inline on this goroutine, more run
-// levelParallel, with byte-identical results. The first level, one start
-// state with nothing measured yet, always runs inline, as does every
-// level when lanes is 1. A one-lane run builds no parallel state, counts
-// nothing towards the parallel counters and consults no ParallelBFS fault
-// point; it is what a multi-lane run hit by such a fault degrades to. A
-// run with more lanes consults the point at every level, wide or not.
+// It is the one driver of every evaluation and runs on the caller's
+// goroutine: a head cursor in discovery order, accepts interleaved,
+// successors interned at once by emitIntern. Cancellation of ctx is
+// checked every 256 states of the run, not of the level, so a run of
+// narrow levels pays one check per 256 states like a single scan would.
 //
-// With a stop rule armed the driver applies a level's accepts itself,
-// before any state of the level is expanded by either path (which then
-// skip them): the run ends — errDecided — having charged exactly the
-// states of the levels up to the deciding one, at every worker count.
-func (e *componentEngine) bfs(ctx context.Context, assign map[NodeVar]graph.Node, bud *stateBudget, lanes int) error {
+// With a stop rule armed the driver applies a level's accepts first
+// (acceptLevel), before any state of the level is expanded, and the
+// expansion skips them: the run ends — errDecided — having charged
+// exactly the states of the levels up to the deciding one.
+func (e *componentEngine) bfs(ctx context.Context, assign map[NodeVar]graph.Node, bud *stateBudget) error {
 	if !e.beginRun(assign) {
 		return nil // inconsistent start for repeated path var
 	}
-	e.bud, e.spent, e.sharded = bud, 0, false
-	counted := false
-	rate := 0.0 // moves per state of the last level
+	e.bud = bud
+	cnt := e.cnt
 	for lo, hi := 0, 1; lo < hi; lo, hi = hi, len(e.joints) {
 		if e.stop != stopNone {
 			if err := e.acceptLevel(lo, hi); err != nil {
 				return err
 			}
 		}
-		L := 1
-		if lanes > 1 {
-			if faultinject.Inject(faultinject.ParallelBFS) != nil {
-				return e.degradeToSeq(ctx, assign)
+		for head := lo; head < hi; head++ {
+			if head&255 == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				// Fault point: mid-BFS cancellation/crash injection (free
+				// when no harness is installed).
+				if err := faultinject.Inject(faultinject.BFSStep); err != nil {
+					return err
+				}
 			}
-			L = wideLanes(rate*float64(hi-lo), 0, laneMoveCost, hi-lo, lanes)
-		}
-		moves := e.moves
-		var err error
-		if L == 1 {
-			err = e.levelInline(ctx, lo, hi)
-		} else {
-			if !e.sharded {
-				e.activateShards()
+			cur := e.curs[head*cnt : head*cnt+cnt]
+			joint := int(e.joints[head])
+			if e.stop == stopNone && e.runner.Accepting(joint) {
+				if err := e.accept(head, cur); err != nil {
+					return err
+				}
 			}
-			if !counted {
-				counted = true
-				parRunsCtr.Add(1)
+			// Label-directed expansion: per coordinate, only the moves in
+			// the intersection of the runner's live labels with the CSR
+			// label runs at the coordinate's node (⊥-stay included only
+			// when the runner admits it there); a coordinate with no move
+			// at all skips the state entirely.
+			if !e.prepareMoves(joint, cur) {
+				continue
 			}
-			err = e.levelParallel(ctx, lo, hi, L)
-		}
-		if _, isFault := err.(parFaultError); isFault {
-			return e.degradeToSeq(ctx, assign)
-		}
-		if err != nil {
-			return err
-		}
-		rate = float64(e.moves-moves) / float64(hi-lo)
-	}
-	return nil
-}
-
-// levelInline processes the frontier [lo, hi) on the owner goroutine:
-// a head cursor in discovery order, accepts interleaved, successors
-// interned at once by emitIntern. Cancellation of ctx is checked every
-// 256 states of the run, not of the level, so a run of narrow levels
-// pays one check per 256 states like a single scan would.
-func (e *componentEngine) levelInline(ctx context.Context, lo, hi int) error {
-	cnt := e.cnt
-	for head := lo; head < hi; head++ {
-		if head&255 == 0 {
-			if err := ctx.Err(); err != nil {
+			e.head = head
+			if err := e.forEachMove(cur); err != nil {
 				return err
 			}
-			// Fault point: mid-BFS cancellation/crash injection (free
-			// when no harness is installed).
-			if err := faultinject.Inject(faultinject.BFSStep); err != nil {
-				return err
-			}
-		}
-		cur := e.curs[head*cnt : head*cnt+cnt]
-		joint := int(e.joints[head])
-		if e.stop == stopNone && e.runner.Accepting(joint) {
-			if err := e.accept(head, cur); err != nil {
-				return err
-			}
-		}
-		// Label-directed expansion: per coordinate, only the moves in the
-		// intersection of the runner's live labels with the CSR label
-		// runs at the coordinate's node (⊥-stay included only when the
-		// runner admits it there); a coordinate with no move at all
-		// skips the state entirely.
-		if !e.prepareMoves(joint, cur) {
-			continue
-		}
-		e.head = head
-		if err := e.forEachMove(cur); err != nil {
-			return err
 		}
 	}
 	return nil
 }
 
 // acceptLevel applies the accepts of the frontier [lo, hi) in state
-// order, on the owner goroutine — the accept phase of a level when a stop
-// rule is armed (see bfs).
+// order — the accept phase of a level when a stop rule is armed (see
+// bfs).
 func (e *componentEngine) acceptLevel(lo, hi int) error {
 	cnt := e.cnt
 	for id := lo; id < hi; id++ {
@@ -1033,28 +970,22 @@ func (e *componentEngine) acceptLevel(lo, hi int) error {
 	return nil
 }
 
-// emitIntern is the evaluator's emit function for inline levels: step
-// the runner by the enumerated move, intern the successor into whichever
-// membership structure the run is using (e.states before the shard
-// switch, the shard tables after), append it and charge the budget.
+// emitIntern is the evaluator's emit function: step the runner by the
+// enumerated move, intern the successor into the run's state set, append
+// it and charge the budget.
 func (e *componentEngine) emitIntern() error {
 	symID := e.symID()
 	js, ok := e.runner.Step(int(e.joints[e.head]), symID)
 	if !ok {
 		return nil
 	}
-	set := &e.states
-	if e.sharded {
-		set = &e.par.shards[shardOf(int32(js), e.next)]
-	}
-	if _, added := e.internState(set, js, e.next); !added {
+	if _, added := e.internState(&e.states, js, e.next); !added {
 		return nil
 	}
 	e.pushState(js, e.next, int32(e.head), int32(symID))
 	if !e.bud.spend() {
 		return ErrBudget
 	}
-	e.spent++
 	return nil
 }
 
@@ -1063,19 +994,19 @@ func (e *componentEngine) emitIntern() error {
 // the node tuple, keeping shortest witnesses) — or streams it to the
 // engine's sink when one is installed.
 func (e *componentEngine) accept(state int, cur []graph.Node) error {
-	nodes, ok := e.checkAccept(cur, e.nodesBuf)
+	nodes, ok := e.checkAccept(cur)
 	if !ok {
 		return nil
 	}
-	e.pathBuf = e.reconstruct(state, &e.chainBuf, e.pathBuf[:0])
+	e.pathBuf = e.reconstruct(state, e.pathBuf[:0])
 	return e.applyRow(nodes, e.pathBuf)
 }
 
 // checkAccept validates an accepting product state's node tuple against
-// the template and external bindings, filling buf (len(allVars), caller
-// owned — parallel workers pass per-lane buffers). ok=false means the
-// state binds no consistent row.
-func (e *componentEngine) checkAccept(cur []graph.Node, buf []graph.Node) ([]graph.Node, bool) {
+// the template and external bindings, filling e.nodesBuf. ok=false means
+// the state binds no consistent row.
+func (e *componentEngine) checkAccept(cur []graph.Node) ([]graph.Node, bool) {
+	buf := e.nodesBuf
 	copy(buf, e.tmpl)
 	for _, ck := range e.plan {
 		val := cur[ck.coord]
@@ -1096,8 +1027,7 @@ func (e *componentEngine) checkAccept(cur []graph.Node, buf []graph.Node) ([]gra
 // applyRow records one checked row: dedup on the node tuple (first
 // discovery wins, later duplicates refine witnesses to the shortest),
 // memo capture of a fresh row, sink or relation append. paths are the
-// row's witnesses in keptVars order. Single-threaded: the parallel BFS
-// calls it only at the level barrier, in deterministic sequential order.
+// row's witnesses in keptVars order.
 //
 // It is also where the stop rules live: with one armed, any row is the
 // last row the run (stopRow) or the sweep (stopSweep) can contribute that
@@ -1131,18 +1061,16 @@ func (e *componentEngine) applyRow(nodes []graph.Node, paths []graph.Path) error
 // reconstruct walks the BFS tree back to the start and appends to dst the
 // witness paths of the kept path variables (in keptVars order), stripping
 // ⊥ stay-moves (the stripping operation ρ̄s(j) of Section 5). Components
-// whose witnesses the query never outputs skip the walk entirely. It only
-// reads the state arrays, so parallel lanes call it concurrently during a
-// level (they are frozen then), each with its own chain scratch.
-func (e *componentEngine) reconstruct(state int, chainBuf *[]int32, dst []graph.Path) []graph.Path {
+// whose witnesses the query never outputs skip the walk entirely.
+func (e *componentEngine) reconstruct(state int, dst []graph.Path) []graph.Path {
 	if len(e.keptCoords) == 0 {
 		return dst
 	}
-	chain := (*chainBuf)[:0]
+	chain := e.chainBuf[:0]
 	for cur := int32(state); cur >= 0; cur = e.parentState[cur] {
 		chain = append(chain, cur)
 	}
-	*chainBuf = chain
+	e.chainBuf = chain
 	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
 		chain[i], chain[j] = chain[j], chain[i]
 	}

@@ -163,38 +163,49 @@ func TestKernelEnumeratesContractOrder(t *testing.T) {
 	}
 }
 
-// TestOneLaneBuildsNoParallelState: a BFSWorkers: 1 evaluation is the
-// driver with every level inline — even with the cost model's test hook
-// sending everything wide it builds no shard tables, lanes or runner group.
-func TestOneLaneBuildsNoParallelState(t *testing.T) {
-	g := randomCyclic(rand.New(rand.NewSource(5)), 12, 40)
+// TestWorkersOnlyFanOut: BFSWorkers caps the start-assignment fan-out and
+// nothing else. A component with one start assignment has nothing to fan
+// out, so even with the cost model's test hook sending every decision
+// wide it runs at W=8 exactly as at W=1: the same fingerprint, the same
+// allocations, and no fan-out.
+func TestWorkersOnlyFanOut(t *testing.T) {
+	s := randomCyclic(rand.New(rand.NewSource(5)), 12, 40).Snapshot()
 	q := MustParse("Ans(y, z) <- (x,p1,y), (x,p2,z), el(p1,p2)", env())
-	// One start assignment, so W=2 runs it multi-lane, not as a fan-out.
 	bind := map[NodeVar]graph.Node{"x": 0}
 	forceParallel(t)
-	for _, tc := range []struct {
-		workers int
-		wantPar bool
-	}{{1, false}, {2, true}} {
+	var fps [2]uint64
+	var allocs [2]float64
+	for i, w := range []int{1, 8} {
 		prog, err := CompileProgram(q, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := prog.EvalSnapshot(context.Background(), g.Snapshot(), Options{Bind: bind, BFSWorkers: tc.workers}); err != nil {
-			t.Fatal(err)
+		eval := func() *Result {
+			res, err := prog.EvalSnapshot(context.Background(), s, Options{Bind: bind, BFSWorkers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		e := prog.take(0)
-		if (e.par != nil) != tc.wantPar {
-			t.Fatalf("BFSWorkers %d: parallel state built = %v, want %v", tc.workers, e.par != nil, tc.wantPar)
+		fanouts := BFSParallelStats()
+		fps[i] = eval().Fingerprint()
+		allocs[i] = testing.AllocsPerRun(20, func() { eval() })
+		if BFSParallelStats() != fanouts {
+			t.Errorf("W=%d: one start assignment fanned out", w)
 		}
-		prog.put(0, e)
+	}
+	if fps[0] != fps[1] {
+		t.Errorf("fingerprint %016x at W=8, %016x at W=1", fps[1], fps[0])
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("%v allocations per evaluation at W=8, %v at W=1", allocs[1], allocs[0])
 	}
 }
 
 // TestPooledEngineReleasesLargeSnapshot: past maxPooledScratch edges an
 // idle pooled engine must not pin the snapshot it last ran over —
-// through the engine's kernel, a lane's kernel, or the live-set memo
-// keyed on it.
+// through the engine's kernel, a fan-out sibling's kernel, or the
+// live-set memo keyed on it.
 func TestPooledEngineReleasesLargeSnapshot(t *testing.T) {
 	const n = 300
 	g := graph.NewDB()
@@ -208,28 +219,28 @@ func TestPooledEngineReleasesLargeSnapshot(t *testing.T) {
 	}
 	s := g.Snapshot()
 	q := MustParse("Ans(x, y) <- (x,p,y), a+(p)", env())
-	// One start assignment, so W=2 builds lanes instead of fanning out.
-	bind := map[NodeVar]graph.Node{"x": 0}
+	// x unbound: with the cost model's test hook set, W=2 fans the second
+	// half of the start assignments out to a sibling engine.
 	forceParallel(t)
 	for _, w := range []int{1, 2} {
 		prog, err := CompileProgram(q, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := prog.EvalSnapshot(context.Background(), s, Options{Bind: bind, BFSWorkers: w}); err != nil {
+		if _, err := prog.EvalSnapshot(context.Background(), s, Options{BFSWorkers: w}); err != nil {
 			t.Fatal(err)
 		}
 		e := prog.take(0)
 		if e.snap != nil || e.effSnap != nil {
 			t.Fatalf("W=%d: pooled engine retains snap=%v effSnap=%v", w, e.snap != nil, e.effSnap != nil)
 		}
-		if w > 1 && (e.par == nil || len(e.par.lanes) == 0) {
-			t.Fatalf("W=%d: no lanes were built; the test exercises nothing", w)
+		if w > 1 && (e.fan == nil || len(e.fan.sibs) == 0) {
+			t.Fatalf("W=%d: no fan-out sibling was built; the test exercises nothing", w)
 		}
-		if e.par != nil {
-			for i, ln := range e.par.lanes {
-				if ln.snap != nil || ln.effSnap != nil {
-					t.Fatalf("W=%d: lane %d retains snap=%v effSnap=%v", w, i, ln.snap != nil, ln.effSnap != nil)
+		if e.fan != nil {
+			for i, sib := range e.fan.sibs {
+				if sib.snap != nil || sib.effSnap != nil {
+					t.Fatalf("W=%d: sibling %d retains snap=%v effSnap=%v", w, i, sib.snap != nil, sib.effSnap != nil)
 				}
 			}
 		}

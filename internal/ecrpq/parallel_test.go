@@ -9,23 +9,20 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/qerr"
 )
 
-// This file pins the frontier-synchronous parallel product BFS
+// This file pins the start-assignment fan-out and concurrent components
 // (parallel.go) against the sequential engine: answers, witness-path
 // lengths and Result.Fingerprint must be byte-identical at every worker
-// count, budget failures must agree exactly, memo capture must be
-// deterministic under the assignment fan-out, and an injected worker
-// fault must degrade to the sequential engine with identical output.
+// count, budget failures must agree exactly, and memo capture must be
+// deterministic under the fan-out.
 
 // forceParallel sets the cost model's test hook (forceWide) so that the
-// multi-lane level machinery (and the shard-table switch), the parallel
-// dedup, the assignment fan-out after an inline prefix of half the start
-// space and concurrent components exercise on the small graphs the
-// property suites use, clearing it on cleanup.
+// assignment fan-out after an inline prefix of half the start space and
+// concurrent components exercise on the small graphs the property suites
+// use, clearing it on cleanup.
 func forceParallel(t *testing.T) {
 	t.Helper()
 	forceWide = true
@@ -77,11 +74,10 @@ func checkWorkersAgree(t *testing.T, q *Query, g *graph.DB, label string) {
 // TestParallelBFSFingerprintDeterministic sweeps the oracle and
 // label-rich query suites over random graphs at W=1,2,8 with the
 // parallel machinery forced on, asserting byte-identical fingerprints,
-// answers and witness lengths — and that the multi-lane path actually
-// ran.
+// answers and witness lengths — and that the fan-out actually ran.
 func TestParallelBFSFingerprintDeterministic(t *testing.T) {
 	forceParallel(t)
-	runs0, levels0, _, _ := BFSParallelStats()
+	fanouts0 := BFSParallelStats()
 	r := rand.New(rand.NewSource(97))
 	queries := append(oracleQueries(t), MustParse("Ans(x, y, p) <- (x,p,y), (a|b)*(p)", env()))
 	for trial := 0; trial < 6; trial++ {
@@ -96,10 +92,8 @@ func TestParallelBFSFingerprintDeterministic(t *testing.T) {
 			checkWorkersAgree(t, q, g, fmt.Sprintf("rich trial %d query %d", trial, qi))
 		}
 	}
-	runs1, levels1, _, _ := BFSParallelStats()
-	if runs1 == runs0 || levels1 == levels0 {
-		t.Fatalf("parallel BFS never engaged multi-lane levels (runs %d→%d, levels %d→%d)",
-			runs0, runs1, levels0, levels1)
+	if fanouts1 := BFSParallelStats(); fanouts1 == fanouts0 {
+		t.Fatal("the assignment fan-out never engaged")
 	}
 }
 
@@ -148,7 +142,7 @@ func TestParallelBFSMatchesNaiveOracle(t *testing.T) {
 
 // bigComponentGraph builds a dense-ish random labeled digraph (cycles
 // included) whose Combined-style product space forms one large
-// component — the shape the parallel BFS is for.
+// component — the shape the fan-out is for.
 func bigComponentGraph(r *rand.Rand, n, deg int, sigma []rune) *graph.DB {
 	g := graph.NewDB()
 	for i := 0; i < n; i++ {
@@ -179,8 +173,7 @@ func TestParallelBFSBigComponentAgree(t *testing.T) {
 			checkWorkersAgree(t, q, g, fmt.Sprintf("trial %d query %d", trial, qi))
 		}
 	}
-	_, _, _, fanouts := BFSParallelStats()
-	if fanouts == 0 {
+	if BFSParallelStats() == 0 {
 		t.Fatalf("assignment fan-out never engaged on 40-node unbound queries")
 	}
 }
@@ -257,8 +250,8 @@ func TestParallelMemoDeterministic(t *testing.T) {
 
 // TestParallelAdvanceAcrossEpochs drives the incremental serving path
 // at W>1: evaluate with memo, add edges, Advance — the delta pass runs
-// its re-evaluated assignments through the parallel core and must match
-// a from-scratch parallel evaluation and the W=1 Advance exactly.
+// its re-evaluated assignments at W>1 and must match a from-scratch
+// evaluation at the same W and the W=1 Advance exactly.
 func TestParallelAdvanceAcrossEpochs(t *testing.T) {
 	forceParallel(t)
 	r := rand.New(rand.NewSource(113))
@@ -295,9 +288,9 @@ func TestParallelAdvanceAcrossEpochs(t *testing.T) {
 
 // TestFanOutAfterInlinePrefix: the fan-out engages in the middle of an
 // enumeration with the memo capture on. With the cost model's test hook
-// set, the first half of the start assignments runs inline, on
-// multi-lane levels, and the rest fans out. The prefix's rows and memo
-// segments stay first, so at every worker count the evaluation:
+// set, the first half of the start assignments runs inline and the rest
+// fans out. The prefix's rows and memo segments stay first, so at every
+// worker count the evaluation:
 //
 //   - charges the same states and yields the same fingerprint and memo as
 //     at W=1;
@@ -312,34 +305,34 @@ func TestFanOutAfterInlinePrefix(t *testing.T) {
 	const budget = 1 << 30
 	opts := func(w int) Options { return Options{BFSWorkers: w, MaxProductStates: budget} }
 	// eval runs one capturing evaluation on a fresh program and reports the
-	// states it charged and the fan-outs and multi-lane levels it ran.
-	eval := func(s *graph.Snapshot, w int) (prog *Program, res *Result, charged int, fanouts, levels uint64) {
+	// states it charged and the fan-outs it ran.
+	eval := func(s *graph.Snapshot, w int) (prog *Program, res *Result, charged int, fanouts uint64) {
 		t.Helper()
 		prog, err := CompileProgram(q, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, levels0, _, fanouts0 := BFSParallelStats()
+		fanouts0 := BFSParallelStats()
 		if res, err = prog.EvalSnapshotMemo(ctx, s, opts(w)); err != nil {
 			t.Fatalf("W=%d: %v", w, err)
 		}
-		_, levels1, _, fanouts1 := BFSParallelStats()
+		fanouts = BFSParallelStats() - fanouts0
 		ws := prog.takeWorkspace() // the pool's one workspace: the one that ran
 		charged = budget - int(ws.bud.left.Load())
 		prog.putWorkspace(ws)
 		if res.inc == nil {
 			t.Fatalf("W=%d: no memo captured", w)
 		}
-		return prog, res, charged, fanouts1 - fanouts0, levels1 - levels0
+		return prog, res, charged, fanouts
 	}
 
-	_, base, baseCharged, _, _ := eval(build().Snapshot(), 1)
+	_, base, baseCharged, _ := eval(build().Snapshot(), 1)
 	for _, w := range parWorkerCounts[1:] {
 		g := build()
 		s := g.Snapshot()
-		prog, res, charged, fanouts, levels := eval(s, w)
-		if fanouts == 0 || levels == 0 {
-			t.Fatalf("W=%d: %d fan-outs after %d multi-lane levels; want both", w, fanouts, levels)
+		prog, res, charged, fanouts := eval(s, w)
+		if fanouts == 0 {
+			t.Fatalf("W=%d: no fan-out after the inline prefix", w)
 		}
 		if res.Fingerprint() != base.Fingerprint() || charged != baseCharged {
 			t.Fatalf("W=%d: fingerprint %016x after %d states charged, W=1 %016x after %d",
@@ -382,10 +375,10 @@ func TestFanOutAfterInlinePrefix(t *testing.T) {
 	}
 }
 
-// TestParallelStreamAgreesAcrossWorkers pins the streaming executor on
-// the parallel core: the emitted answer sequence (order included) must
-// be identical at every worker count, because level-barrier accepts
-// apply in exactly the sequential order.
+// TestParallelStreamAgreesAcrossWorkers pins the streaming executor at
+// every worker count: the emitted answer sequence (order included) must
+// be identical, because a stream never fans out and its sink sees rows in
+// exactly the sequential order.
 func TestParallelStreamAgreesAcrossWorkers(t *testing.T) {
 	forceParallel(t)
 	q := MustParse("Ans(x, y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)", env())
@@ -416,64 +409,10 @@ func TestParallelStreamAgreesAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestParallelBFSFaultDegradesToSequential pins the ParallelBFS fault
-// point: worker failures — injected on every hit, and on scattered
-// hits — must degrade the run to the sequential engine with an
-// identical fingerprint and no error, and the fallback counter must
-// advance.
-func TestParallelBFSFaultDegradesToSequential(t *testing.T) {
-	forceParallel(t)
-	q := MustParse("Ans(x, y, p1, p2) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)", env())
-	// With the test hook set, the first half of the 5² start assignments
-	// runs inline at eight lanes — where the ParallelBFS point lives —
-	// before the rest fans out to one-lane sibling engines.
-	g := bigComponentGraph(rand.New(rand.NewSource(131)), 5, 3, sigmaAB)
-	want, err := Eval(q, g, Options{BFSWorkers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	schedules := []struct {
-		name string
-		hook faultinject.Hook
-	}{
-		{"every-hit", func(p faultinject.Point, n uint64) error {
-			if p == faultinject.ParallelBFS {
-				return errors.New("injected worker fault")
-			}
-			return nil
-		}},
-		{"every-3rd-hit", func(p faultinject.Point, n uint64) error {
-			if p == faultinject.ParallelBFS && n%3 == 0 {
-				return errors.New("injected worker fault")
-			}
-			return nil
-		}},
-	}
-	for _, sc := range schedules {
-		_, _, fb0, _ := BFSParallelStats()
-		faultinject.Set(sc.hook)
-		res, err := Eval(q, g, Options{BFSWorkers: 8})
-		hits := faultinject.Hits(faultinject.ParallelBFS)
-		faultinject.Clear()
-		if err != nil {
-			t.Fatalf("%s: faulted eval errored: %v", sc.name, err)
-		}
-		if hits == 0 {
-			t.Fatalf("%s: ParallelBFS point never fired", sc.name)
-		}
-		if res.Fingerprint() != want.Fingerprint() {
-			t.Fatalf("%s: faulted fingerprint %016x, unfaulted %016x",
-				sc.name, res.Fingerprint(), want.Fingerprint())
-		}
-		if _, _, fb1, _ := BFSParallelStats(); fb1 == fb0 {
-			t.Fatalf("%s: fallback counter did not advance", sc.name)
-		}
-	}
-}
-
 // TestEffectiveBFSWorkers pins the option resolution: zero means
 // GOMAXPROCS, negatives clamp to sequential, huge values clamp to the
-// lane cap, and the cache key canonicalizes through the same function.
+// worker cap, and the cache key ignores the worker count, which cannot
+// change the result.
 func TestEffectiveBFSWorkers(t *testing.T) {
 	if got := effectiveBFSWorkers(1); got != 1 {
 		t.Fatalf("effectiveBFSWorkers(1) = %d", got)
@@ -492,8 +431,8 @@ func TestEffectiveBFSWorkers(t *testing.T) {
 	if a != b {
 		t.Fatalf("cache keys differ for default and resolved worker counts:\n%s\n%s", a, b)
 	}
-	if (Options{BFSWorkers: 1}).CacheKey() == (Options{BFSWorkers: 2}).CacheKey() {
-		t.Fatalf("cache key ignores the worker count")
+	if a, b := (Options{BFSWorkers: 1}).CacheKey(), (Options{BFSWorkers: 2}).CacheKey(); a != b {
+		t.Fatalf("cache key renders the worker count:\n%s\n%s", a, b)
 	}
 }
 
@@ -514,10 +453,8 @@ func labelRichGraph(r *rand.Rand, n int, sigma []rune, deg float64) *graph.DB {
 // there to make, at BFSWorkers: 2 with the committed constants and at
 // least two procs, so that going wide is on the table:
 //
-//   - a cold [σ]* evaluation (σ = 32, n = 256, x bound to the top hub),
-//     whose levels of a few hundred states each sent the old fixed
-//     frontier threshold wide, builds no lanes, outboxes, shard tables or
-//     fan-out: a few thousand moves a level do not pay for a barrier;
+//   - a cold [σ]* evaluation (σ = 32, n = 256, x bound to the top hub)
+//     builds no fan-out;
 //   - the bigcomp shape (32 nodes, el, x bound; some twenty start
 //     assignments of thousands of moves each) still fans out;
 //   - a warm permissive evaluation allocates no more at W = 2 than at
@@ -543,18 +480,18 @@ func TestCostModelKeepsNarrowWorkInline(t *testing.T) {
 	if e.moves < 5000 {
 		t.Fatalf("the permissive evaluation emitted %d moves; the test exercises nothing", e.moves)
 	}
-	if e.par != nil || e.fan != nil {
-		t.Errorf("cold permissive evaluation at W=2 built lanes (%v) or a fan-out (%v); it should run inline", e.par != nil, e.fan != nil)
+	if e.fan != nil {
+		t.Error("cold permissive evaluation at W=2 built a fan-out; it should run inline")
 	}
 	prog.put(0, e)
 
 	bigcomp := MustParse("Ans(x,y) <- (x,p1,z), (z,p2,y), (a|b)*a(p1), (a|b)*b(p2), el(p1,p2)", env())
 	g := bigComponentGraph(rand.New(rand.NewSource(8)), 32, 3, sigmaAB)
-	_, _, _, fanouts0 := BFSParallelStats()
+	fanouts0 := BFSParallelStats()
 	if _, err := Eval(bigcomp, g, Options{Bind: bind, BFSWorkers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, fanouts1 := BFSParallelStats(); fanouts1 == fanouts0 {
+	if BFSParallelStats() == fanouts0 {
 		t.Error("the bigcomp shape no longer fans out at W=2")
 	}
 

@@ -36,12 +36,11 @@ type prodCore struct {
 	nodeBits, jointBits uint
 	statesPacked        bool
 
-	symRunes []rune // symIDOf's scratch for runner.AddSym
+	symRunes []rune // symID's scratch for runner.AddSym
 }
 
 // liveSource is where a kernel reads the live label sets of a joint
-// state: the engine's master JointRunner, or a parallel lane's
-// RunnerView of it.
+// state: the driver's JointRunner, or a test's fixed table.
 type liveSource interface {
 	Live(jointID int) []relations.LiveSet
 }
@@ -49,10 +48,10 @@ type liveSource interface {
 // moveKernel is the one move planner and enumerator of the product BFS:
 // for a product state it plans the admissible moves per coordinate
 // (prepareMoves) and enumerates their combinations in the contract order
-// (forEachMove), handing each to emit. Every driver embeds one — through
-// prodCore the evaluator, the automaton builders and the start-domain
-// pass, and each parallel lane its own — and differs only in the emit
-// function it binds (once, at construction) and in the live source.
+// (forEachMove), handing each to emit. Every driver embeds one through
+// prodCore — the evaluator, the automaton builders and the start-domain
+// pass — and differs only in the emit function it binds (once, at
+// construction).
 type moveKernel struct {
 	snap *graph.Snapshot
 	cnt  int
@@ -153,13 +152,13 @@ func (k *moveKernel) release() {
 }
 
 // tupleSet is one dense-id membership structure of the product BFS — the
-// product states of a run, one shard of them, or the tuple symbols of an
-// engine or lane. It holds exactly one representation at a time: the
-// single-word intern.Packed while every tuple fits the key layout, the
-// generic intern.Table from the first tuple that does not (spill moves
-// the members over in id order, so ids survive the switch). All access
-// goes through prodCore.internState and prodCore.internSym, which own
-// the two key layouts.
+// product states of a run, or the tuple symbols of a driver. It holds
+// exactly one representation at a time: the single-word intern.Packed
+// while every tuple fits the key layout, the generic intern.Table from
+// the first tuple that does not (spill moves the members over in id
+// order, so ids survive the switch). All access goes through
+// prodCore.internState and prodCore.internSym, which own the two key
+// layouts.
 type tupleSet struct {
 	packed *intern.Packed
 	table  *intern.Table
@@ -185,7 +184,7 @@ func (s *tupleSet) reset(packed bool) {
 // maxPooledScratch elements, a packed slot counting two. A set is kept
 // from one execution to the next and reset for reuse; the owner going
 // idle drops it once it is oversized — componentEngine.release (run by
-// putWorkspace) for a run's state set and shards, propAtom.put for a
+// putWorkspace) for a run's state set, propAtom.put for a
 // domain engine's — so an idle workspace never pins a peak-sized table.
 func (s *tupleSet) oversized() bool {
 	if s.packed != nil {
@@ -242,9 +241,8 @@ func newSymSet(cnt int) tupleSet {
 	return s
 }
 
-// internSym interns a cnt-tuple symbol into set (the engine's shared
-// table or a lane's local one), packing it into one word while every
-// component fits symBits.
+// internSym interns a cnt-tuple symbol into set, packing it into one word
+// while every component fits symBits.
 func (pc *prodCore) internSym(set *tupleSet, tup []int) (id int, added bool) {
 	if set.packed != nil {
 		var key, over uint64
@@ -276,9 +274,8 @@ func (pc *prodCore) planStates() {
 }
 
 // internState interns the product state (joint, nodes…) into set — the
-// run's state table or one of its shards, reset with pc.statesPacked —
-// under the layout planStates chose. It only reads the layout, so shard
-// sets may be driven from concurrent goroutines.
+// run's state table, reset with pc.statesPacked — under the layout
+// planStates chose.
 func (pc *prodCore) internState(set *tupleSet, joint int, nodes []graph.Node) (id int, added bool) {
 	if set.packed != nil {
 		key, over := uint64(joint), uint64(joint)>>pc.jointBits
@@ -303,16 +300,10 @@ func (pc *prodCore) internState(set *tupleSet, joint int, nodes []graph.Node) (i
 // with the joint runner on first sight. The symbol set and the runner
 // assign dense ids in the same insertion order, so the returned id is
 // valid for runner.Step/SymRunes/SymString.
-func (pc *prodCore) symID() int { return pc.symIDOf(pc.symInts) }
-
-// symIDOf is symID over an explicit tuple — the form the parallel BFS
-// lanes call (under the runner-group lock) to register symbols they
-// discover, keeping the master table and the runner the single id
-// authority for sequential and parallel phases alike.
-func (pc *prodCore) symIDOf(tup []int) int {
-	id, fresh := pc.internSym(&pc.syms, tup)
+func (pc *prodCore) symID() int {
+	id, fresh := pc.internSym(&pc.syms, pc.symInts)
 	if fresh {
-		for k, x := range tup {
+		for k, x := range pc.symInts {
 			pc.symRunes[k] = rune(x)
 		}
 		pc.runner.AddSym(pc.symRunes)

@@ -126,7 +126,7 @@ func (ws *workspace) evalComponents(ctx context.Context, s *graph.Snapshot, opts
 	for _, e := range ws.engines {
 		work, largest = work+e.moves, max(largest, e.moves)
 	}
-	if workers := wideLanes(float64(work), float64(largest), 1, n, runtime.GOMAXPROCS(0)); workers > 1 {
+	if workers := wideWorkers(float64(work), float64(largest), n, runtime.GOMAXPROCS(0)); workers > 1 {
 		if ws.run == nil {
 			ws.run = &componentRun{}
 		}

@@ -173,9 +173,9 @@ func TestWorkspaceNeverAliasesResults(t *testing.T) {
 		// y bound, x swept over all 40 nodes: with the cost model's test
 		// hook set, the second half of the start assignments fans out.
 		forceParallel(t)
-		_, _, _, before := BFSParallelStats()
+		before := BFSParallelStats()
 		held(t, "fan-out", compile(t, "Ans(x, y) <- (x,p,y), a+(p)"), "y", n-1, 8, true)
-		if _, _, _, after := BFSParallelStats(); after == before {
+		if BFSParallelStats() == before {
 			t.Fatal("no fan-out engaged")
 		}
 	})

@@ -53,13 +53,6 @@ const (
 	// full evaluation with an identical answer set — and a hook that
 	// panics models a crash inside the delta machinery.
 	DeltaBFS
-	// ParallelBFS fires inside the parallel product BFS — once per
-	// frontier level on the coordinator, and periodically in each
-	// expansion worker. A hook returning an error models a worker
-	// failure: the engine abandons the parallel traversal, refunds its
-	// budget, and degrades to the sequential BFS with an identical
-	// answer set (never an error, never a hang).
-	ParallelBFS
 	// WALAppend fires in the durable store before a write-ahead-log
 	// record is appended. A hook returning an error models a failing log
 	// device: the mutation still commits in memory, but the store's
@@ -93,8 +86,6 @@ func (p Point) String() string {
 		return "qcache.leader"
 	case DeltaBFS:
 		return "ecrpq.delta-bfs"
-	case ParallelBFS:
-		return "ecrpq.parallel-bfs"
 	case WALAppend:
 		return "graph.wal-append"
 	case CheckpointWrite:

@@ -4,9 +4,12 @@ import "sync"
 
 // This file is the concurrency face of the joint runner: a JointRunner
 // is deliberately single-threaded (dense append-only tables, no locks on
-// the hot path), but the parallel product BFS wants many workers
-// stepping the same runner at once. RunnerGroup + RunnerView keep the
-// single-threaded master while giving each worker a lock-free read path:
+// the hot path), and RunnerGroup + RunnerView let many workers step the
+// same runner at once. The evaluator no longer does — a product-BFS run
+// never splits across goroutines — so the one caller is the benchmark
+// probe behind relations.view_step_contended_ns, and the file retires
+// with that probe. The scheme keeps the single-threaded master while
+// giving each worker a lock-free read path:
 //
 //   - RunnerGroup owns the master runner behind one mutex. Everything
 //     that can mutate the master (Step discovering a transition, Live

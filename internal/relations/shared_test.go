@@ -103,8 +103,8 @@ func TestRunnerViewsMatchSequential(t *testing.T) {
 }
 
 // TestRunnerGroupDoSerializesSymRegistration interns fresh symbols
-// concurrently through Do — the pattern the parallel BFS lanes use to
-// keep the master the single symbol-id authority, with the interning
+// concurrently through Do — the pattern that keeps the master the
+// single symbol-id authority across workers, with the interning
 // table itself guarded by the group lock — and checks every recorded id
 // resolves to the runes its registrar saw, with no duplicate
 // registrations despite the contention.

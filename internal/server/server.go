@@ -82,10 +82,11 @@ type Config struct {
 	// Default: 8. Requests choose their own (smaller) per-request lag
 	// budget with maxstale=N.
 	MaxStaleLag uint64
-	// BFSWorkers is the default worker count of the frontier-synchronous
-	// parallel product BFS (ecrpq.Options.BFSWorkers): 0 uses GOMAXPROCS,
-	// 1 forces the sequential engine. Requests override it per call with
-	// workers=N. Answers and fingerprints are identical at every setting.
+	// BFSWorkers is the default cap on the start-assignment fan-out
+	// (ecrpq.Options.BFSWorkers): 0 uses GOMAXPROCS, 1 runs every start
+	// assignment on the request's goroutine. Requests override it per call
+	// with workers=N. Answers and fingerprints are identical at every
+	// setting, so the result cache shares one entry across them.
 	BFSWorkers int
 }
 
@@ -144,14 +145,10 @@ type Stats struct {
 	EvalNs     uint64 `json:"eval_ns_total"`
 	Evals      uint64 `json:"evals"`
 
-	// Parallel product-BFS activity (process-wide engine counters, see
-	// ecrpq.BFSParallelStats): runs that used multi-lane expansion,
-	// multi-lane levels processed, fault-degraded runs, and component
-	// evaluations that fanned start assignments over the worker pool.
-	ParRuns      uint64 `json:"par_bfs_runs"`
-	ParLevels    uint64 `json:"par_bfs_levels"`
-	ParFallbacks uint64 `json:"par_bfs_fallbacks"`
-	ParFanouts   uint64 `json:"par_bfs_fanouts"`
+	// ParFanouts counts the component evaluations that fanned their start
+	// assignments over the worker pool (a process-wide engine counter, see
+	// ecrpq.BFSParallelStats).
+	ParFanouts uint64 `json:"par_bfs_fanouts"`
 
 	// Checkpoints counts successful POST /admin/checkpoint calls (drain
 	// checkpoints included); CheckpointErrs the failed ones.
@@ -180,12 +177,12 @@ type Server struct {
 	queries map[string]*prepared
 
 	// counters (see Stats)
-	requests, ok, degraded, overloaded, unavail  atomic.Uint64
-	budget, deadline, canceled, panics           atomic.Uint64
-	badRequest, notFound, writeLines, writeErrs  atomic.Uint64
-	evalNs, evals                                atomic.Uint64
-	checkpoints, checkpointErrs                  atomic.Uint64
-	active, queued, queueHighW                   atomic.Int64
+	requests, ok, degraded, overloaded, unavail atomic.Uint64
+	budget, deadline, canceled, panics          atomic.Uint64
+	badRequest, notFound, writeLines, writeErrs atomic.Uint64
+	evalNs, evals                               atomic.Uint64
+	checkpoints, checkpointErrs                 atomic.Uint64
+	active, queued, queueHighW                  atomic.Int64
 }
 
 // New builds a Server from cfg. It panics when cfg.DB is nil — a
@@ -277,30 +274,26 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Stats returns a point-in-time snapshot of the serving counters.
 func (s *Server) Stats() Stats {
-	parRuns, parLevels, parFallbacks, parFanouts := ecrpq.BFSParallelStats()
 	return Stats{
-		ParRuns:      parRuns,
-		ParLevels:    parLevels,
-		ParFallbacks: parFallbacks,
-		ParFanouts:   parFanouts,
-		Requests:   s.requests.Load(),
-		OK:         s.ok.Load(),
-		Degraded:   s.degraded.Load(),
-		Overloaded: s.overloaded.Load(),
-		Unavail:    s.unavail.Load(),
-		Budget:     s.budget.Load(),
-		Deadline:   s.deadline.Load(),
-		Canceled:   s.canceled.Load(),
-		Panics:     s.panics.Load(),
-		BadRequest: s.badRequest.Load(),
-		NotFound:   s.notFound.Load(),
-		Writes:     s.writeLines.Load(),
-		WriteErrs:  s.writeErrs.Load(),
-		Active:     s.active.Load(),
-		Queued:     s.queued.Load(),
-		QueueHighW: s.queueHighW.Load(),
-		EvalNs:     s.evalNs.Load(),
-		Evals:      s.evals.Load(),
+		ParFanouts:     ecrpq.BFSParallelStats(),
+		Requests:       s.requests.Load(),
+		OK:             s.ok.Load(),
+		Degraded:       s.degraded.Load(),
+		Overloaded:     s.overloaded.Load(),
+		Unavail:        s.unavail.Load(),
+		Budget:         s.budget.Load(),
+		Deadline:       s.deadline.Load(),
+		Canceled:       s.canceled.Load(),
+		Panics:         s.panics.Load(),
+		BadRequest:     s.badRequest.Load(),
+		NotFound:       s.notFound.Load(),
+		Writes:         s.writeLines.Load(),
+		WriteErrs:      s.writeErrs.Load(),
+		Active:         s.active.Load(),
+		Queued:         s.queued.Load(),
+		QueueHighW:     s.queueHighW.Load(),
+		EvalNs:         s.evalNs.Load(),
+		Evals:          s.evals.Load(),
 		Checkpoints:    s.checkpoints.Load(),
 		CheckpointErrs: s.checkpointErrs.Load(),
 		Cache:          s.cfg.Cache.Stats(),
