@@ -18,20 +18,6 @@ import (
 	"repro/internal/relations"
 )
 
-// JoinMode selects how component results are joined on shared node
-// variables.
-type JoinMode int
-
-const (
-	// JoinAuto uses Yannakakis semijoins when the component hypergraph is
-	// acyclic and backtracking otherwise.
-	JoinAuto JoinMode = iota
-	// JoinBacktrack always uses backtracking join.
-	JoinBacktrack
-	// JoinYannakakis requires an acyclic hypergraph and fails otherwise.
-	JoinYannakakis
-)
-
 // Options tune evaluation.
 type Options struct {
 	// Bind fixes node variables to constants before evaluation; the
@@ -42,8 +28,6 @@ type Options struct {
 	// across all components; evaluation fails with ErrBudget beyond it.
 	// Zero means the default of 4,000,000.
 	MaxProductStates int
-	// Join selects the join algorithm (see JoinMode).
-	Join JoinMode
 	// NoPrune disables the label-directed move planning of the product
 	// BFS (the per-state intersection of the joint runner's live labels
 	// with the graph's label runs), falling back to exhaustive
@@ -67,8 +51,8 @@ type Options struct {
 }
 
 // CacheKey renders the result-relevant options in a canonical string:
-// Bind as sorted (var, node) pairs, then the state budget, join mode and
-// pruning switch. Two Options values with equal CacheKeys request the
+// Bind as sorted (var, node) pairs, then the state budget and the pruning
+// switch. Two Options values with equal CacheKeys request the
 // same result, so the epoch-keyed result cache uses it as the options
 // component of its key (map iteration order and semantically identical
 // Bind maps built in different orders hash the same). BFSWorkers is not
@@ -84,7 +68,7 @@ func (o Options) CacheKey() string {
 	for _, v := range vars {
 		fmt.Fprintf(&b, "%s=%d,", v, o.Bind[NodeVar(v)])
 	}
-	fmt.Fprintf(&b, ";max=%d;join=%d;noprune=%t", o.MaxProductStates, o.Join, o.NoPrune)
+	fmt.Fprintf(&b, ";max=%d;noprune=%t", o.MaxProductStates, o.NoPrune)
 	return b.String()
 }
 

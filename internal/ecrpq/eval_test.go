@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -222,21 +223,28 @@ func TestMultiComponentJoin(t *testing.T) {
 	// Ans(x,y) ← (x,p1,z), (z,p2,y), a+(p1), b+(p2).
 	q := MustParse("Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)", env())
 	g := stringGraph("aabb")
-	for _, mode := range []JoinMode{JoinAuto, JoinBacktrack, JoinYannakakis} {
-		res, err := Eval(q, g, Options{Join: mode})
-		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
-		}
-		// z must be v2; x ∈ {v0,v1}, y ∈ {v3,v4}.
-		if got := answersString(g, res.Answers); got != "v0,v3;v0,v4;v1,v3;v1,v4" {
-			t.Errorf("mode %d: answers = %q", mode, got)
-		}
+	res, err := Eval(q, g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// z must be v2; x ∈ {v0,v1}, y ∈ {v3,v4}.
+	if got := answersString(g, res.Answers); got != "v0,v3;v0,v4;v1,v3;v1,v4" {
+		t.Errorf("answers = %q", got)
 	}
 }
 
+// TestYannakakisRejectsCyclic: the join planner refuses Yannakakis on a
+// triangle of atoms, whose hypergraph is cyclic, and the backtracking
+// join it falls back to finds the triangle.
 func TestYannakakisRejectsCyclic(t *testing.T) {
-	// Cyclic query: triangle of atoms.
 	q := MustParse("Ans() <- (x,p1,y), (y,p2,z), (z,p3,x), a(p1), a(p2), a(p3)", env())
+	p, err := CompileProgram(q, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.JoinAcyclic() {
+		t.Fatal("the triangle's join hypergraph planned as acyclic")
+	}
 	g := graph.NewDB()
 	u := g.AddNode("u")
 	v := g.AddNode("v")
@@ -244,10 +252,7 @@ func TestYannakakisRejectsCyclic(t *testing.T) {
 	g.AddEdge(u, 'a', v)
 	g.AddEdge(v, 'a', w)
 	g.AddEdge(w, 'a', u)
-	if _, err := Eval(q, g, Options{Join: JoinYannakakis}); err == nil {
-		t.Error("Yannakakis should reject cyclic hypergraph")
-	}
-	res, err := Eval(q, g, Options{Join: JoinBacktrack})
+	res, err := p.Eval(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,21 +362,46 @@ func TestPropertyEvalMatchesNaiveOnDAGs(t *testing.T) {
 	}
 }
 
-func TestPropertyJoinModesAgree(t *testing.T) {
+// TestPropertyYannakakisMatchesBacktracking: on an acyclic chain, the
+// answers a Program joins with Yannakakis semijoins equal the
+// backtracking join of the same component relations.
+func TestPropertyYannakakisMatchesBacktracking(t *testing.T) {
+	ctx := context.Background()
 	r := rand.New(rand.NewSource(23))
 	q := MustParse("Ans(x,w) <- (x,p1,y), (y,p2,z), (z,p3,w), a*(p1), b*(p2), (a|b)*(p3)", env())
+	p, err := CompileProgram(q, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.NumComponents() != 3 || !p.JoinAcyclic() {
+		t.Fatalf("the chain compiled to %d components, acyclic=%t", p.NumComponents(), p.JoinAcyclic())
+	}
+	head := p.headNodes
 	for trial := 0; trial < 20; trial++ {
-		g := randomDAG(r, 6, 0.4, sigmaAB)
-		r1, err := Eval(q, g, Options{Join: JoinBacktrack})
+		s := randomDAG(r, 6, 0.4, sigmaAB).Snapshot()
+		res, err := p.EvalSnapshot(ctx, s, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := Eval(q, g, Options{Join: JoinYannakakis})
+		ws := p.takeWorkspace()
+		rels, _, err := ws.evalComponents(ctx, s, Options{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if answersString(g, r1.Answers) != answersString(g, r2.Answers) {
-			t.Fatalf("trial %d: join modes disagree", trial)
+		bt, err := backtrackJoin(ctx, rels, head)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := relationRows(t, bt, head)
+		p.putWorkspace(ws)
+		if len(res.Answers) != len(want) {
+			t.Fatalf("trial %d: Yannakakis %d answers, backtracking %d", trial, len(res.Answers), len(want))
+		}
+		for _, a := range res.Answers {
+			key := rowKey(head, func(v NodeVar) graph.Node { return a.Nodes[slices.Index(head, v)] })
+			if _, ok := want[key]; !ok {
+				t.Fatalf("trial %d: Yannakakis answer %s is not in the backtracking join", trial, key)
+			}
 		}
 	}
 }

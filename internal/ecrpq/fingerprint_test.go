@@ -92,7 +92,6 @@ func TestOptionsCacheKey(t *testing.T) {
 		{Bind: map[NodeVar]graph.Node{"x": 2, "y": 2}, MaxProductStates: 100},
 		{Bind: map[NodeVar]graph.Node{"x": 1, "y": 2}},
 		{MaxProductStates: 100},
-		{Join: JoinBacktrack},
 		{NoPrune: true},
 		{},
 	}
@@ -107,11 +106,12 @@ func TestOptionsCacheKey(t *testing.T) {
 }
 
 // TestOptionsSurface pins the public option surface: exactly these
-// five fields, and a CacheKey that renders none of the ablation
-// switches removed with the old bench apparatus. A new field must be a
-// deliberate change here, not a knob that slips in beside the others.
+// four fields, and a CacheKey that renders none of the switches removed
+// with the old bench apparatus and the old timing harness. A new field
+// must be a deliberate change here, not a knob that slips in beside the
+// others.
 func TestOptionsSurface(t *testing.T) {
-	want := []string{"Bind", "MaxProductStates", "Join", "NoPrune", "BFSWorkers"}
+	want := []string{"Bind", "MaxProductStates", "NoPrune", "BFSWorkers"}
 	typ := reflect.TypeOf(Options{})
 	var got []string
 	for i := 0; i < typ.NumField(); i++ {
@@ -121,7 +121,7 @@ func TestOptionsSurface(t *testing.T) {
 		t.Fatalf("Options fields = %v, want %v", got, want)
 	}
 	key := Options{Bind: map[NodeVar]graph.Node{"x": 1}, NoPrune: true, BFSWorkers: 1}.CacheKey()
-	for _, gone := range []string{"nodecomp", "nocls", "noadv"} {
+	for _, gone := range []string{"nodecomp", "nocls", "noadv", "join="} {
 		if strings.Contains(key, gone) {
 			t.Errorf("CacheKey %q renders removed component %q", key, gone)
 		}

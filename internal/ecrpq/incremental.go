@@ -573,7 +573,7 @@ func (p *Program) advanceIncremental(ctx context.Context, prev *Result, s *graph
 		memoOK = memoOK && !e.memoFailed
 		ws.rels[i] = vr
 	}
-	res, err := p.assemble(ctx, ws, s, opts)
+	res, err := p.assemble(ctx, ws, s)
 	if err != nil {
 		return nil, err
 	}

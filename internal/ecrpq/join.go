@@ -2,7 +2,6 @@ package ecrpq
 
 import (
 	"context"
-	"fmt"
 	"slices"
 
 	"repro/internal/graph"
@@ -27,25 +26,25 @@ func planJoin(varSets [][]NodeVar) joinPlan {
 // and projects onto keep (the query's head node variables); witness
 // columns ride along, shortest path per row.
 //
-// Under JoinAuto it runs the full Yannakakis algorithm when the
-// hypergraph of variable sets is α-acyclic (GYO-reducible): semijoin
-// reduction followed by bottom-up joins projected onto the needed
-// columns — the PTIME combined-complexity algorithm behind Theorem 6.5.
-// Crucially the projected joins keep intermediate results polynomial;
-// materializing full assignments would be exponential in the query even
-// for chains. The reduction ends in one root (gyoOrder), and that root,
-// projected, is the joined relation; only cyclic hypergraphs and
-// JoinBacktrack go through the backtracking enumeration.
+// The policy is fixed by the hypergraph of variable sets. When it is
+// α-acyclic (GYO-reducible) the join runs the full Yannakakis algorithm:
+// semijoin reduction followed by bottom-up joins projected onto the
+// needed columns — the PTIME combined-complexity algorithm behind
+// Theorem 6.5. Crucially the projected joins keep intermediate results
+// polynomial; materializing full assignments would be exponential in the
+// query even for chains. The reduction ends in one root (gyoOrder), and
+// that root, projected, is the joined relation. Only cyclic hypergraphs
+// go through the backtracking enumeration.
 //
 // The result is distinct on its columns and may alias an input relation
 // (a projection that drops nothing copies nothing); everything it builds
 // lives in the arena. Cancellation of ctx is honored inside the
 // enumeration loops.
-func (a *joinArena) joinAll(ctx context.Context, rels []*varRelation, jp joinPlan, mode JoinMode, keep []NodeVar) (*varRelation, error) {
+func (a *joinArena) joinAll(ctx context.Context, rels []*varRelation, jp joinPlan, keep []NodeVar) (*varRelation, error) {
 	if len(rels) == 0 {
 		return a.relation(nil, nil), nil
 	}
-	final, reduced, err := a.reduceJoin(ctx, rels, jp, mode, keep)
+	final, reduced, err := a.reduceJoin(ctx, rels, jp, keep)
 	if err != nil {
 		return nil, err
 	}
@@ -55,17 +54,14 @@ func (a *joinArena) joinAll(ctx context.Context, rels []*varRelation, jp joinPla
 	return a.backtrackJoin(ctx, final, keep)
 }
 
-// reduceJoin runs everything up to the final enumeration: for the
-// Yannakakis strategy (reduced = true) the semijoin phases and the
-// projected bottom-up joins, leaving the one root, distinct on its kept
-// columns; for the backtracking strategy the relations pass through
-// unchanged. The returned relations may alias the inputs; callers only
+// reduceJoin runs everything up to the final enumeration: for an acyclic
+// plan (reduced = true) the semijoin phases and the projected bottom-up
+// joins, leaving the one root, distinct on its kept columns; for a cyclic
+// one the relations pass through unchanged to the backtracking
+// enumeration. The returned relations may alias the inputs; callers only
 // read them.
-func (a *joinArena) reduceJoin(ctx context.Context, rels []*varRelation, jp joinPlan, mode JoinMode, keep []NodeVar) (final []*varRelation, reduced bool, err error) {
-	if mode == JoinYannakakis && !jp.acyclic {
-		return nil, false, fmt.Errorf("ecrpq: JoinYannakakis requested but the join hypergraph is cyclic")
-	}
-	if mode == JoinBacktrack || !jp.acyclic {
+func (a *joinArena) reduceJoin(ctx context.Context, rels []*varRelation, jp joinPlan, keep []NodeVar) (final []*varRelation, reduced bool, err error) {
+	if !jp.acyclic {
 		return rels, false, nil
 	}
 	root, err := a.yannakakisReduce(ctx, rels, jp.elims, keep)

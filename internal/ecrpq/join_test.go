@@ -12,14 +12,14 @@ import (
 )
 
 // This file tests the join layer on its own: seeded random relation sets
-// over acyclic and cyclic variable hypergraphs go through joinAll under
-// JoinAuto and JoinBacktrack and through a nested-loop join written here,
-// and must agree on the rows and on which witness every row carries. The
-// end-to-end suites only reach this code through fingerprints.
+// over acyclic and cyclic variable hypergraphs go through joinAll and
+// through a nested-loop join written here, and must agree on the rows and
+// on which witness every row carries. The end-to-end suites only reach
+// this code through fingerprints.
 
 // relSpec describes one input relation; build makes a fresh varRelation
 // from it (the semijoin phases filter their inputs in place, so every
-// mode gets its own).
+// join gets its own).
 type relSpec struct {
 	vars  []NodeVar
 	pvars []PathVar
@@ -236,7 +236,8 @@ var joinShapes = []struct {
 	{"square+tail", [][]NodeVar{{"a", "b"}, {"b", "c"}, {"c", "d"}, {"d", "a"}, {"a", "t"}}, false},
 }
 
-// TestJoinDifferential: joinAll under JoinAuto == JoinBacktrack == the
+// TestJoinDifferential: joinAll (Yannakakis on the acyclic shapes,
+// backtracking on the cyclic ones) == backtrackJoin on every shape == the
 // nested-loop join, on rows and on witness choice, with head variables
 // spread at random over the relations.
 func TestJoinDifferential(t *testing.T) {
@@ -272,18 +273,21 @@ func TestJoinDifferential(t *testing.T) {
 					}
 				}
 				want := naiveJoin(specs, keep)
-				for _, mode := range []JoinMode{JoinAuto, JoinBacktrack} {
-					joined, err := joinAll(ctx, buildAll(specs), jp, mode, keep)
-					if err != nil {
-						t.Fatal(err)
-					}
-					// A Boolean backtracking join (JoinAuto's too, on a
-					// cyclic hypergraph) stops at its first binding: its one
-					// row carries that binding's witnesses, not the shortest.
-					witnesses := len(keep) > 0 || mode == JoinAuto && shape.acyclic
-					sameRows(t, fmt.Sprintf("trial %d mode %d keep %v", trial, mode, keep),
-						relationRows(t, joined, keep), want, witnesses)
+				joined, err := joinAll(ctx, buildAll(specs), jp, keep)
+				if err != nil {
+					t.Fatal(err)
 				}
+				// A Boolean backtracking join (the one a cyclic hypergraph
+				// gets) stops at its first binding: its one row carries that
+				// binding's witnesses, not the shortest.
+				sameRows(t, fmt.Sprintf("trial %d keep %v", trial, keep),
+					relationRows(t, joined, keep), want, len(keep) > 0 || shape.acyclic)
+				bt, err := backtrackJoin(ctx, buildAll(specs), keep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameRows(t, fmt.Sprintf("trial %d keep %v, backtracking", trial, keep),
+					relationRows(t, bt, keep), want, len(keep) > 0)
 				if shape.acyclic {
 					checkFoldColumns(t, specs, jp, keep)
 				}
@@ -350,7 +354,7 @@ func TestJoinWitnessTieOrder(t *testing.T) {
 	if !jp.acyclic || jp.elims[0] != (elimination{child: 0, parent: 1}) {
 		t.Fatalf("unexpected join plan %+v", jp)
 	}
-	joined, err := joinAll(context.Background(), buildAll(specs), jp, JoinAuto, []NodeVar{"z"})
+	joined, err := joinAll(context.Background(), buildAll(specs), jp, []NodeVar{"z"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,8 +36,7 @@ func NodeSym(vs []graph.Node) string {
 // LetterSym encodes a k-tuple of Σ⊥ runes as a representation symbol.
 func LetterSym(rs []rune) string { return "L:" + string(rs) }
 
-// decodeSym splits a representation symbol; isNode selects which decoding
-// applies.
+// decodeNodeSym decodes a node-tuple symbol written by NodeSym.
 func decodeNodeSym(s string) []graph.Node {
 	parts := strings.Split(strings.TrimSuffix(strings.TrimPrefix(s, "N:"), ","), ",")
 	out := make([]graph.Node, len(parts))

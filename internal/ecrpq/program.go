@@ -206,7 +206,8 @@ func (p *Program) valid(q *Query) bool {
 func (p *Program) NumComponents() int { return len(p.comps) }
 
 // JoinAcyclic reports whether the component join hypergraph is
-// α-acyclic, i.e. whether JoinAuto will run Yannakakis semijoins.
+// α-acyclic, i.e. whether the join runs Yannakakis semijoins rather than
+// the backtracking enumeration.
 func (p *Program) JoinAcyclic() bool { return p.jp.acyclic }
 
 // ComponentInfo describes one compiled component for Explain-style
@@ -378,7 +379,7 @@ func (p *Program) evalFull(ctx context.Context, s *graph.Snapshot, opts Options,
 	if err != nil {
 		return nil, qerr.Classify(err)
 	}
-	res, err := p.assemble(ctx, ws, s, opts)
+	res, err := p.assemble(ctx, ws, s)
 	if err != nil {
 		return nil, err
 	}
@@ -402,8 +403,8 @@ func (p *Program) evalFull(ctx context.Context, s *graph.Snapshot, opts Options,
 // least once, so two rows never map to one answer and no dedup runs here.
 // Every answer's Nodes (and Paths) is carved from one exactly-sized
 // backing array.
-func (p *Program) assemble(ctx context.Context, ws *workspace, s *graph.Snapshot, opts Options) (*Result, error) {
-	joined, err := ws.join.joinAll(ctx, ws.rels, p.jp, opts.Join, p.headNodes)
+func (p *Program) assemble(ctx context.Context, ws *workspace, s *graph.Snapshot) (*Result, error) {
+	joined, err := ws.join.joinAll(ctx, ws.rels, p.jp, p.headNodes)
 	if err != nil {
 		return nil, qerr.Classify(err)
 	}

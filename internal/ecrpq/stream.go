@@ -39,9 +39,10 @@ type StreamOptions struct {
 // For single-component queries answers are emitted straight out of the
 // product BFS, so the time to first answer is proportional to how much
 // of the product must be explored to find it — not to the full
-// evaluation. Multi-component queries evaluate their components
-// concurrently (see Program.evalComponents) and then stream the final
-// join enumeration.
+// evaluation. Multi-component queries evaluate their components to
+// completion (workspace.evalComponents, which runs them concurrently only
+// when the cost model says it pays) and then stream the final join
+// enumeration.
 func (p *Program) Stream(ctx context.Context, g *graph.DB, opts StreamOptions) iter.Seq2[Answer, error] {
 	return p.StreamSnapshot(ctx, g.Snapshot(), opts)
 }
@@ -161,16 +162,16 @@ func (ws *workspace) streamSingle(ctx context.Context, s *graph.Snapshot, opts S
 	return err
 }
 
-// streamJoin streams a multi-component program: components evaluate
-// (concurrently) to completion, then the final join enumeration yields
-// answers incrementally.
+// streamJoin streams a multi-component program: components evaluate to
+// completion, then the final join enumeration yields answers
+// incrementally.
 func (ws *workspace) streamJoin(ctx context.Context, s *graph.Snapshot, opts StreamOptions, sink *answerSink) error {
 	rels, _, err := ws.evalComponents(ctx, s, opts.Options, false)
 	if err != nil {
 		return err
 	}
 	p := ws.prog
-	final, _, err := ws.join.reduceJoin(ctx, rels, p.jp, opts.Join, p.headNodes)
+	final, _, err := ws.join.reduceJoin(ctx, rels, p.jp, p.headNodes)
 	if err != nil {
 		return err
 	}

@@ -24,10 +24,14 @@ func (p *Program) startDomains(ctx context.Context, s *graph.Snapshot, opts Opti
 	return new(domainLists).startDomains(ctx, p, s, opts, bud)
 }
 
-// joinAll and yannakakisReduce run the join layer on an arena of their
-// own, keeping the head columns keep.
-func joinAll(ctx context.Context, rels []*varRelation, jp joinPlan, mode JoinMode, keep []NodeVar) (*varRelation, error) {
-	return new(joinArena).joinAll(ctx, rels, jp, mode, keep)
+// joinAll, backtrackJoin and yannakakisReduce run the join layer on an
+// arena of their own, keeping the head columns keep.
+func joinAll(ctx context.Context, rels []*varRelation, jp joinPlan, keep []NodeVar) (*varRelation, error) {
+	return new(joinArena).joinAll(ctx, rels, jp, keep)
+}
+
+func backtrackJoin(ctx context.Context, rels []*varRelation, keep []NodeVar) (*varRelation, error) {
+	return new(joinArena).backtrackJoin(ctx, rels, keep)
 }
 
 func yannakakisReduce(ctx context.Context, rels []*varRelation, elims []elimination, keep map[NodeVar]bool) (*varRelation, error) {

@@ -1,8 +1,6 @@
 package parikh
 
 import (
-	"fmt"
-
 	"repro/internal/automata"
 	"repro/internal/ilp"
 )
@@ -46,29 +44,9 @@ func NewMulti(dims int) *Multi {
 // that can contribute nothing to d forces count_d = 0.
 func AddBlock[S comparable](m *Multi, n *automata.NFA[S], covers []int, weight func(S) []int64) {
 	b := &blockSys{offset: m.numVars, covers: append([]int(nil), covers...)}
-	ns := n.NumStates()
-	src := ns
-	snk := ns + 1
-	b.src = src
-	b.nStates = ns + 2
-	n.EachTransition(func(from int, sym S, to int) {
-		w := weight(sym)
-		if len(w) != m.Dims {
-			panic(fmt.Sprintf("parikh: weight vector has %d dims, want %d", len(w), m.Dims))
-		}
-		b.edges = append(b.edges, edge{from: from, to: to, weight: w})
-	})
-	for q := 0; q < ns; q++ {
-		for _, r := range n.EpsSuccessors(q) {
-			b.edges = append(b.edges, edge{from: q, to: r, weight: make([]int64, m.Dims)})
-		}
-	}
-	for _, s := range n.Start() {
-		b.edges = append(b.edges, edge{from: src, to: s, weight: make([]int64, m.Dims)})
-	}
-	for _, f := range n.FinalStates() {
-		b.edges = append(b.edges, edge{from: f, to: snk, weight: make([]int64, m.Dims)})
-	}
+	var snk int
+	b.edges, b.src, snk = flowEdges(n, m.Dims, weight)
+	b.nStates = snk + 1
 	m.numVars += len(b.edges)
 	m.blocks = append(m.blocks, b)
 }
@@ -120,7 +98,7 @@ func (m *Multi) Solve(extra []ilp.Constraint, opts ilp.Options) ([]int64, bool, 
 	userCheck := opts.Check
 	opts.Check = func(sol []int64) ([][]ilp.Constraint, bool) {
 		for _, b := range m.blocks {
-			if branches, ok := b.connectivity(sol, m.numVars); !ok {
+			if branches, ok := connectivityCut(b.edges, b.src, b.offset, m.numVars, sol); !ok {
 				return branches, false
 			}
 		}
@@ -134,78 +112,6 @@ func (m *Multi) Solve(extra []ilp.Constraint, opts ilp.Options) ([]int64, bool, 
 		return nil, ok, err
 	}
 	return sol[:m.Dims], true, nil
-}
-
-// connectivity is the per-block weak-connectivity Euler check with the
-// same disjunctive cut as System.connectivityCheck.
-func (b *blockSys) connectivity(sol []int64, numVars int) ([][]ilp.Constraint, bool) {
-	active := func(i int) bool { return sol[b.offset+i] > 0 }
-	adj := map[int][]int{}
-	inSupport := map[int]bool{b.src: true}
-	for i := range b.edges {
-		if !active(i) {
-			continue
-		}
-		e := b.edges[i]
-		adj[e.from] = append(adj[e.from], e.to)
-		adj[e.to] = append(adj[e.to], e.from)
-		inSupport[e.from] = true
-		inSupport[e.to] = true
-	}
-	reach := map[int]bool{b.src: true}
-	stack := []int{b.src}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, r := range adj[q] {
-			if !reach[r] {
-				reach[r] = true
-				stack = append(stack, r)
-			}
-		}
-	}
-	strayRoot := -1
-	for q := range inSupport {
-		if !reach[q] {
-			strayRoot = q
-			break
-		}
-	}
-	if strayRoot == -1 {
-		return nil, true
-	}
-	comp := map[int]bool{strayRoot: true}
-	stack = []int{strayRoot}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, r := range adj[q] {
-			if !comp[r] {
-				comp[r] = true
-				stack = append(stack, r)
-			}
-		}
-	}
-	inside := make([]int64, numVars)
-	crossing := make([]int64, numVars)
-	hasCrossing := false
-	for i, e := range b.edges {
-		fIn, tIn := comp[e.from], comp[e.to]
-		switch {
-		case fIn && tIn:
-			inside[b.offset+i] = 1
-		case fIn != tIn:
-			crossing[b.offset+i] = 1
-			hasCrossing = true
-		}
-	}
-	branches := [][]ilp.Constraint{
-		{{Coef: inside, Rel: ilp.LE, RHS: 0}},
-	}
-	if hasCrossing {
-		branches = append(branches, []ilp.Constraint{{Coef: crossing, Rel: ilp.GE, RHS: 1}})
-	}
-	return branches, false
 }
 
 // AddVars reserves k fresh ILP variables (beyond counts and flows) and

@@ -18,7 +18,9 @@
 package parikh
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/automata"
 	"repro/internal/ilp"
@@ -33,10 +35,10 @@ type System struct {
 	// transitions: from, to state (with super-source S and super-sink T
 	// appended after the automaton's states), and the weight vector
 	// contributed to each count dimension.
-	edges   []edge
-	nStates int // including super-source and super-sink
+	edges    []edge
+	nStates  int // including super-source and super-sink
 	src, snk int
-	problem ilp.Problem
+	problem  ilp.Problem
 }
 
 type edge struct {
@@ -51,30 +53,44 @@ type edge struct {
 // count vector satisfies the added constraints?
 func NewSystem[S comparable](n *automata.NFA[S], dims int, weight func(S) []int64) *System {
 	sys := &System{Dims: dims}
+	sys.edges, sys.src, sys.snk = flowEdges(n, dims, weight)
+	sys.nStates = sys.snk + 1
+	sys.build()
+	return sys
+}
+
+// flowEdges collects the flow edges of automaton n: one per labelled
+// transition, weighted by weight, one per ε-move, one from the
+// super-source src to each start state and one from each final state to
+// the super-sink snk (src and snk follow n's states). The automaton hands
+// out its labelled transitions in map order, so they are sorted by
+// (from, to, weight): the ILP's variable order, and with it the
+// branch-and-bound search, is then the same on every run.
+func flowEdges[S comparable](n *automata.NFA[S], dims int, weight func(S) []int64) (edges []edge, src, snk int) {
 	ns := n.NumStates()
-	sys.src = ns
-	sys.snk = ns + 1
-	sys.nStates = ns + 2
+	src, snk = ns, ns+1
 	n.EachTransition(func(from int, sym S, to int) {
 		w := weight(sym)
 		if len(w) != dims {
 			panic(fmt.Sprintf("parikh: weight vector has %d dims, want %d", len(w), dims))
 		}
-		sys.edges = append(sys.edges, edge{from: from, to: to, weight: w})
+		edges = append(edges, edge{from: from, to: to, weight: w})
+	})
+	slices.SortFunc(edges, func(a, b edge) int {
+		return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to), slices.Compare(a.weight, b.weight))
 	})
 	for q := 0; q < ns; q++ {
 		for _, r := range n.EpsSuccessors(q) {
-			sys.edges = append(sys.edges, edge{from: q, to: r, weight: make([]int64, dims)})
+			edges = append(edges, edge{from: q, to: r, weight: make([]int64, dims)})
 		}
 	}
 	for _, s := range n.Start() {
-		sys.edges = append(sys.edges, edge{from: sys.src, to: s, weight: make([]int64, dims)})
+		edges = append(edges, edge{from: src, to: s, weight: make([]int64, dims)})
 	}
 	for _, f := range n.FinalStates() {
-		sys.edges = append(sys.edges, edge{from: f, to: sys.snk, weight: make([]int64, dims)})
+		edges = append(edges, edge{from: f, to: snk, weight: make([]int64, dims)})
 	}
-	sys.build()
-	return sys
+	return edges, src, snk
 }
 
 // flowVar returns the ILP variable index of edge i.
@@ -124,7 +140,7 @@ func (s *System) Solve(extra []ilp.Constraint, opts ilp.Options) ([]int64, bool,
 	p.Cons = append(append([]ilp.Constraint(nil), s.problem.Cons...), extra...)
 	userCheck := opts.Check
 	opts.Check = func(sol []int64) ([][]ilp.Constraint, bool) {
-		if branches, ok := s.connectivityCheck(sol); !ok {
+		if branches, ok := connectivityCut(s.edges, s.src, s.flowVar(0), s.NumVars(), sol); !ok {
 			return branches, false
 		}
 		if userCheck != nil {
@@ -139,75 +155,67 @@ func (s *System) Solve(extra []ilp.Constraint, opts ilp.Options) ([]int64, bool,
 	return sol[:s.Dims], true, nil
 }
 
-// connectivityCheck verifies that the support of the flow is weakly
+// connectivityCut verifies that the support of a block's flow is weakly
 // connected (standard Euler-walk condition: a balanced flow from source
 // to sink corresponds to an actual run iff its support is connected to
-// the source). On failure it returns the disjunctive cut for one stray
-// component S: either all edges inside S are silenced, or some edge
-// crossing into S∪out-of-S is used.
-func (s *System) connectivityCheck(sol []int64) ([][]ilp.Constraint, bool) {
-	active := func(i int) bool { return sol[s.flowVar(i)] > 0 }
-	// Union of endpoints of active edges.
+// the source). The block's edges carry the flows sol[offset+i]; numVars
+// sizes the cut's coefficient vectors. On failure it returns the
+// disjunctive cut for one stray component S: either all edges inside S
+// are silenced, or some edge crossing into S∪out-of-S is used. S is the
+// component of the first active edge the source does not reach, so a
+// solve branches the same way, and explores the same number of nodes, on
+// every run.
+func connectivityCut(edges []edge, src, offset, numVars int, sol []int64) ([][]ilp.Constraint, bool) {
+	active := func(i int) bool { return sol[offset+i] > 0 }
+	// Undirected support of the active edges.
 	adj := map[int][]int{}
-	inSupport := map[int]bool{s.src: true}
-	for i := range s.edges {
-		if !active(i) {
-			continue
+	for i, e := range edges {
+		if active(i) {
+			adj[e.from] = append(adj[e.from], e.to)
+			adj[e.to] = append(adj[e.to], e.from)
 		}
-		e := s.edges[i]
-		adj[e.from] = append(adj[e.from], e.to)
-		adj[e.to] = append(adj[e.to], e.from)
-		inSupport[e.from] = true
-		inSupport[e.to] = true
 	}
-	// BFS from source over undirected support.
-	reach := map[int]bool{s.src: true}
-	stack := []int{s.src}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, r := range adj[q] {
-			if !reach[r] {
-				reach[r] = true
-				stack = append(stack, r)
+	// component collects the weak component of root.
+	component := func(root int) map[int]bool {
+		comp := map[int]bool{root: true}
+		stack := []int{root}
+		for len(stack) > 0 {
+			q := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, r := range adj[q] {
+				if !comp[r] {
+					comp[r] = true
+					stack = append(stack, r)
+				}
 			}
 		}
+		return comp
 	}
-	// Find a stray component.
-	var strayRoot = -1
-	for q := range inSupport {
-		if !reach[q] {
-			strayRoot = q
+	reach := component(src)
+	// An active edge's endpoints share a component, so the first active
+	// edge whose tail the source does not reach roots a stray component.
+	strayRoot := -1
+	for i, e := range edges {
+		if active(i) && !reach[e.from] {
+			strayRoot = e.from
 			break
 		}
 	}
 	if strayRoot == -1 {
 		return nil, true
 	}
-	// Collect the stray weak component.
-	comp := map[int]bool{strayRoot: true}
-	stack = []int{strayRoot}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, r := range adj[q] {
-			if !comp[r] {
-				comp[r] = true
-				stack = append(stack, r)
-			}
-		}
-	}
+	comp := component(strayRoot)
 	// Disjunctive cut.
-	inside := make([]int64, s.NumVars())
-	crossing := make([]int64, s.NumVars())
+	inside := make([]int64, numVars)
+	crossing := make([]int64, numVars)
 	hasCrossing := false
-	for i, e := range s.edges {
+	for i, e := range edges {
 		fIn, tIn := comp[e.from], comp[e.to]
 		switch {
 		case fIn && tIn:
-			inside[s.flowVar(i)] = 1
+			inside[offset+i] = 1
 		case fIn != tIn:
-			crossing[s.flowVar(i)] = 1
+			crossing[offset+i] = 1
 			hasCrossing = true
 		}
 	}

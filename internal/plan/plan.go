@@ -43,19 +43,7 @@ type Plan struct {
 // used by the query's relation automata, catching the common mistake of
 // preparing a query against the wrong environment.
 func Compile(q *ecrpq.Query, env ecrpq.Env) (*Plan, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if len(env.Sigma) > 0 {
-		if err := checkAlphabet(q, env.Sigma); err != nil {
-			return nil, err
-		}
-	}
-	prog, err := ecrpq.CompileProgram(q, false)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Query: q, prog: prog}, nil
+	return compile(q, env, func(q *ecrpq.Query) (*ecrpq.Program, error) { return ecrpq.CompileProgram(q, false) })
 }
 
 // Cached is Compile backed by the bounded package-level program cache
@@ -67,6 +55,12 @@ func Compile(q *ecrpq.Query, env ecrpq.Env) (*Plan, error) {
 // objects constructed per call — they would pin cache slots for the
 // process lifetime.
 func Cached(q *ecrpq.Query, env ecrpq.Env) (*Plan, error) {
+	return compile(q, env, ecrpq.SharedProgram)
+}
+
+// compile validates q, checks its letters against env's alphabet and
+// builds the Plan around the program build returns.
+func compile(q *ecrpq.Query, env ecrpq.Env, build func(*ecrpq.Query) (*ecrpq.Program, error)) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -75,7 +69,7 @@ func Cached(q *ecrpq.Query, env ecrpq.Env) (*Plan, error) {
 			return nil, err
 		}
 	}
-	prog, err := ecrpq.SharedProgram(q)
+	prog, err := build(q)
 	if err != nil {
 		return nil, err
 	}

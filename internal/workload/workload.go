@@ -1,6 +1,6 @@
 // Package workload generates the graph databases and query families
-// that internal/experiments uses to regenerate the paper's complexity
-// landscape (Figure 1) and that benchmark/ measures the engine on:
+// that the root package's Figure 1 test sweeps to assert the paper's
+// complexity landscape and that benchmark/ measures the engine on:
 // string graphs, the REI hardness graphs of Theorem 6.3, random and
 // label-rich graphs, the Section 8.2 flight networks, the serving graph
 // and the closed-loop HTTP load generator.
@@ -125,22 +125,6 @@ func ChainCRPQ(m int, langs []string) (*ecrpq.Query, error) {
 		b.Rel(relations.FromLanguage(src, node), fmt.Sprintf("p%d", i+1))
 	}
 	b.HeadNodes("x0", fmt.Sprintf("x%d", m))
-	return b.Build()
-}
-
-// CycleCRPQ builds the cyclic CRPQ with m atoms forming a variable cycle
-// x0 → x1 → … → x0.
-func CycleCRPQ(m int, langs []string) (*ecrpq.Query, error) {
-	b := ecrpq.NewBuilder()
-	for i := 0; i < m; i++ {
-		src := langs[i%len(langs)]
-		node, err := regex.Parse(src)
-		if err != nil {
-			return nil, err
-		}
-		b.Path(fmt.Sprintf("x%d", i), fmt.Sprintf("p%d", i+1), fmt.Sprintf("x%d", (i+1)%m))
-		b.Rel(relations.FromLanguage(src, node), fmt.Sprintf("p%d", i+1))
-	}
 	return b.Build()
 }
 
