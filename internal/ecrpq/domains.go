@@ -122,16 +122,15 @@ type domainEngine struct {
 	joints []int32
 	ends   []graph.Node // accepting nodes of the current run, unsorted
 
-	// The run in progress, read by step: the state being expanded, the
-	// budget it charges and how many states it has charged so far.
-	head    int
+	// The run in progress, read by emitMove: the budget it charges and how
+	// many states it has charged so far.
 	bud     *stateBudget
 	charged int
 }
 
 func newDomainEngine(c *component) *domainEngine {
 	d := &domainEngine{prodCore: newProdCore(nil, c)}
-	d.emit = d.step
+	d.emit = d
 	return d
 }
 
@@ -145,11 +144,10 @@ func (d *domainEngine) push(joint int) bool {
 	return true
 }
 
-// step is the pass's emit function: it takes the move forEachMove left
-// in the kernel's scratch.
-func (d *domainEngine) step() error {
-	js, ok := d.runner.Step(int(d.joints[d.head]), d.symID())
-	if !ok || !d.push(js) {
+// emitMove is the pass's emitter: it takes the move forEachMove left in
+// the kernel's scratch, with its successor joint state js.
+func (d *domainEngine) emitMove(js int) error {
+	if !d.push(js) {
 		return nil
 	}
 	d.charged++
@@ -174,8 +172,8 @@ func (d *domainEngine) post(ctx context.Context, s *graph.Snapshot, src []graph.
 		d.next[0] = v
 		d.push(d.runner.StartID())
 	}
-	for d.head = 0; d.head < len(d.joints); d.head++ {
-		if d.head&255 == 0 {
+	for head := 0; head < len(d.joints); head++ {
+		if head&255 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, d.charged, err
 			}
@@ -183,8 +181,8 @@ func (d *domainEngine) post(ctx context.Context, s *graph.Snapshot, src []graph.
 				return nil, d.charged, err
 			}
 		}
-		cur := d.nodes[d.head : d.head+1]
-		joint := int(d.joints[d.head])
+		cur := d.nodes[head : head+1]
+		joint := int(d.joints[head])
 		if d.runner.Accepting(joint) {
 			d.ends = append(d.ends, cur[0])
 		}
@@ -194,7 +192,7 @@ func (d *domainEngine) post(ctx context.Context, s *graph.Snapshot, src []graph.
 		// On one tape the ⊥ stay-move reaches no new node, and acceptance
 		// was read above.
 		d.botOK[0] = false
-		if err := d.forEachMove(cur); err != nil {
+		if err := d.forEachMove(joint, cur); err != nil {
 			return nil, d.charged, err
 		}
 	}

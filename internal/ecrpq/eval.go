@@ -347,10 +347,10 @@ type component struct {
 	atomsOf [][]PathAtom
 	joint   *relations.Joint
 
-	// part is the component's label-space partition when its atoms carry
-	// character classes (nil otherwise): the joint's atoms then transition
-	// on class runes and the product BFS translates label runs to classes
-	// (see prodCore).
+	// part is the component's label-space partition: the joint's atoms
+	// transition on class runes and the product BFS translates label runs
+	// to classes (see moveKernel). Without character classes its cells are
+	// the singletons of the atoms' own alphabet.
 	part *regex.Partition
 
 	// liveRanges over-approximates the edge labels any product BFS of
@@ -467,13 +467,11 @@ func newComponent(pathAtoms []PathAtom, relAtoms []RelAtom, vars []PathVar) (*co
 	// ASTs included, via their label ranges) — the class-compiled
 	// atoms below transition on class runes, not labels.
 	c.liveRanges, c.liveUniversal = componentLiveRanges(atoms, len(vars))
-	if relations.HasClassAtoms(atoms) {
-		part, compiled, err := relations.CompileClassAtoms(atoms)
-		if err != nil {
-			return nil, err
-		}
-		c.part, atoms = part, compiled
+	part, atoms, err := relations.CompileClassAtoms(atoms)
+	if err != nil {
+		return nil, err
 	}
+	c.part = part
 	j, err := relations.NewJoint(len(vars), atoms)
 	if err != nil {
 		return nil, err
@@ -559,7 +557,7 @@ var errDecided = errors.New("ecrpq: decided")
 
 // componentEngine holds everything the dense product BFS needs for one
 // component: the shared product core (adjacency snapshot, joint runner,
-// symbol interning) plus row collection and the reusable per-state
+// flat transition rows) plus row collection and the reusable per-state
 // buffers. Nothing in the BFS hot loop allocates beyond amortized slice
 // growth.
 type componentEngine struct {
@@ -597,16 +595,15 @@ type componentEngine struct {
 
 	// Product-state storage, reset per start assignment. State id i has
 	// node tuple curs[i*cnt:(i+1)*cnt] and joint state joints[i];
-	// parentState/parentSym record the BFS tree for witness extraction,
-	// and parentLabs (stride cnt, recorded only when the query outputs
+	// parentState records the BFS tree for witness extraction, and
+	// parentLabs (stride cnt, recorded only when the query outputs
 	// witnesses) the raw edge labels of the move that discovered the
-	// state — in class mode parentSym is a class tuple and cannot name
-	// the traversed labels.
+	// state — the joint automaton steps by classes, which cannot name the
+	// traversed labels.
 	states      tupleSet
 	curs        []graph.Node
 	joints      []int32
 	parentState []int32
-	parentSym   []int32
 	parentLabs  []rune
 
 	// The run in progress, read by the intern-now emitter: the state
@@ -667,7 +664,7 @@ func newComponentEngine(ws *workspace, comp int) *componentEngine {
 		tmpl:     make([]graph.Node, len(c.allVars)),
 		bindVal:  make([]graph.Node, len(c.allVars)),
 	}
-	e.emit = e.emitIntern
+	e.emit = e
 	for i, atoms := range c.atomsOf {
 		for _, a := range atoms {
 			e.plan = append(e.plan, acceptCheck{coord: i, yi: varPos(c.allVars, a.Y)})
@@ -685,9 +682,8 @@ func newComponentEngine(ws *workspace, comp int) *componentEngine {
 // reset prepares a (possibly pooled) engine for one execution: the
 // pinned graph snapshot, external bindings, pruning mode and result
 // accumulators are per-call; the joint runner (with its live-label
-// memos) and symbol table persist — and the graph-effective live memo
-// survives as long as consecutive executions pin the same snapshot
-// (same DB, unchanged epoch).
+// memos), the symbol table and the flat rows persist across executions
+// and snapshots alike.
 //
 // doms carries the candidate lists of the start-domain pass (nil when
 // nothing propagated); with the bindings they fix the execution's start
@@ -750,7 +746,7 @@ func (e *componentEngine) release() {
 		e.allNodes = nil
 	}
 	if cap(e.parentState) > maxPooledScratch {
-		e.curs, e.joints, e.parentState, e.parentSym, e.parentLabs = nil, nil, nil, nil, nil
+		e.curs, e.joints, e.parentState, e.parentLabs = nil, nil, nil, nil
 	}
 	if e.states.oversized() {
 		e.states = tupleSet{}
@@ -843,7 +839,6 @@ func (e *componentEngine) beginRun(assign map[NodeVar]graph.Node) bool {
 	e.curs = e.curs[:0]
 	e.joints = e.joints[:0]
 	e.parentState = e.parentState[:0]
-	e.parentSym = e.parentSym[:0]
 	e.parentLabs = e.parentLabs[:0]
 
 	start, ok := e.startTuple(assign)
@@ -862,18 +857,17 @@ func (e *componentEngine) beginRun(assign map[NodeVar]graph.Node) bool {
 		e.symLabs[i] = regex.Bot
 	}
 	e.internState(&e.states, e.runner.StartID(), start)
-	e.pushState(e.runner.StartID(), start, -1, -1)
+	e.pushState(e.runner.StartID(), start, -1)
 	return true
 }
 
 // pushState appends a freshly interned product state to the state
 // arrays, with the raw labels of the discovering move (in e.symLabs)
 // when the query outputs witnesses.
-func (e *componentEngine) pushState(jointID int, nodes []graph.Node, parent, sym int32) {
+func (e *componentEngine) pushState(jointID int, nodes []graph.Node, parent int32) {
 	e.curs = append(e.curs, nodes...)
 	e.joints = append(e.joints, int32(jointID))
 	e.parentState = append(e.parentState, parent)
-	e.parentSym = append(e.parentSym, sym)
 	if len(e.keptCoords) > 0 {
 		e.parentLabs = append(e.parentLabs, e.symLabs[:e.cnt]...)
 	}
@@ -884,7 +878,7 @@ func (e *componentEngine) pushState(jointID int, nodes []graph.Node, parent, sym
 // collecting accepting bindings into e.rel (or handing them to e.sink).
 // It is the one driver of every evaluation and runs on the caller's
 // goroutine: a head cursor in discovery order, accepts interleaved,
-// successors interned at once by emitIntern. Cancellation of ctx is
+// successors interned at once by emitMove. Cancellation of ctx is
 // checked every 256 states of the run, not of the level, so a run of
 // narrow levels pays one check per 256 states like a single scan would.
 //
@@ -931,7 +925,7 @@ func (e *componentEngine) bfs(ctx context.Context, assign map[NodeVar]graph.Node
 				continue
 			}
 			e.head = head
-			if err := e.forEachMove(cur); err != nil {
+			if err := e.forEachMove(joint, cur); err != nil {
 				return err
 			}
 		}
@@ -954,19 +948,14 @@ func (e *componentEngine) acceptLevel(lo, hi int) error {
 	return nil
 }
 
-// emitIntern is the evaluator's emit function: step the runner by the
-// enumerated move, intern the successor into the run's state set, append
-// it and charge the budget.
-func (e *componentEngine) emitIntern() error {
-	symID := e.symID()
-	js, ok := e.runner.Step(int(e.joints[e.head]), symID)
-	if !ok {
-		return nil
-	}
+// emitMove is the evaluator's emitter, intern-now: intern the enumerated
+// move's successor (joint state js, nodes e.next) into the run's state
+// set, append it and charge the budget.
+func (e *componentEngine) emitMove(js int) error {
 	if _, added := e.internState(&e.states, js, e.next); !added {
 		return nil
 	}
-	e.pushState(js, e.next, int32(e.head), int32(symID))
+	e.pushState(js, e.next, int32(e.head))
 	if !e.bud.spend() {
 		return ErrBudget
 	}

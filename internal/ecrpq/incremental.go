@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/faultinject"
 	"repro/internal/graph"
@@ -106,8 +105,8 @@ func componentLiveRanges(atoms []relations.Atom, cnt int) (live []regex.Range, u
 
 // runeInSorted reports whether r is in the sorted slice rs.
 func runeInSorted(rs []rune, r rune) bool {
-	i := sort.Search(len(rs), func(i int) bool { return rs[i] >= r })
-	return i < len(rs) && rs[i] == r
+	_, ok := slices.BinarySearch(rs, r)
+	return ok
 }
 
 // incMemo is the incremental-evaluation memo attached to a Result by a

@@ -3,6 +3,7 @@ package ecrpq
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -20,52 +21,98 @@ import (
 // first, then the node's label runs in order with the base segment
 // before the delta overlay, coordinates nested first-outermost.
 
-// kernelMove is one enumerated move, copied out of the kernel's scratch.
+// kernelMove is one emitted move, copied out of the kernel's scratch,
+// with the successor joint state it was emitted with.
 type kernelMove struct {
 	symInts []int
 	symLabs []rune
 	next    []graph.Node
+	succ    int
 }
 
-// fixedLive is a liveSource serving the test's own live sets, one row per
-// joint id, so a case controls every coordinate without steering a real
-// joint automaton into the right state.
-type fixedLive [][]relations.LiveSet
+// emitFunc is an emitter made of a function.
+type emitFunc func(succ int) error
 
-func (f fixedLive) Live(jointID int) []relations.LiveSet { return f[jointID] }
+func (f emitFunc) emitMove(succ int) error { return f(succ) }
+
+// stubJoint is a jointSource serving the test's own live sets, one row
+// per joint id, so a case controls every coordinate without steering a
+// real joint automaton into the right state. Its Step is stubNext, a
+// fixed function of the state and the symbol's classes, and it counts its
+// calls per (state, classes).
+type stubJoint struct {
+	live   [][]relations.LiveSet
+	runner *relations.JointRunner // names the symbol ids Step receives
+	calls  map[string]int
+}
+
+func (f *stubJoint) Live(jointID int) []relations.LiveSet { return f.live[jointID] }
+
+func (f *stubJoint) Step(state, sym int) (int, bool) {
+	classes := f.runner.SymRunes(sym)
+	f.calls[stepKey(state, classes)]++
+	return stubNext(state, classes)
+}
+
+func stepKey(state int, classes []rune) string { return fmt.Sprintf("%d%q", state, string(classes)) }
+
+// stubNext kills about a third of the symbols and sends the others to
+// one of 50 states.
+func stubNext(state int, classes []rune) (int, bool) {
+	h := state
+	for _, c := range classes {
+		h = 7*h + int(c)
+	}
+	return h % 50, h%3 != 0
+}
 
 // coordMoves lists one coordinate's admissible moves by brute force: ⊥
-// when bot, then every out-edge of v whose label (its class, in class
-// mode) passes keep, base runs before delta runs.
-func coordMoves(s *graph.Snapshot, part *regex.Partition, v graph.Node, bot bool, keep func(sym rune) bool) (syms []int, labs []rune, tos []graph.Node) {
+// when bot, then every out-edge of v whose label's class passes keep,
+// base runs before delta runs. runs numbers each move's run: ⊥ is a run
+// of its own, and a run is a maximal sequence of kept label runs of one
+// segment, adjacent in it, that map to one class.
+func coordMoves(s *graph.Snapshot, part *regex.Partition, v graph.Node, bot bool, keep func(class rune) bool) (classes []rune, labs []rune, tos []graph.Node, runs []int) {
+	run := -1
 	if bot {
-		syms, labs, tos = append(syms, int(regex.Bot)), append(labs, regex.Bot), append(tos, v)
+		run++
+		classes, labs, tos, runs = append(classes, regex.Bot), append(labs, regex.Bot), append(tos, v), append(runs, run)
 	}
-	for _, runs := range [][]graph.LabelRun{s.BaseRuns(v), s.DeltaRuns(v)} {
-		for _, run := range runs {
-			sym := run.Label
-			if part != nil {
-				sym = part.ClassOf(run.Label)
-			}
-			if !keep(sym) {
+	for _, seg := range [][]graph.LabelRun{s.BaseRuns(v), s.DeltaRuns(v)} {
+		prev, adjacent := rune(-1), false
+		for _, lr := range seg {
+			c := part.ClassOf(lr.Label)
+			if !keep(c) {
+				adjacent = false
 				continue
 			}
-			for _, ed := range s.EdgeRange(run.Start, run.End) {
-				syms, labs, tos = append(syms, int(sym)), append(labs, ed.Label), append(tos, ed.To)
+			if !adjacent || c != prev {
+				run++
+			}
+			prev, adjacent = c, true
+			for _, ed := range s.EdgeRange(lr.Start, lr.End) {
+				classes, labs, tos, runs = append(classes, c), append(labs, ed.Label), append(tos, ed.To), append(runs, run)
 			}
 		}
 	}
-	return syms, labs, tos
+	return classes, labs, tos, runs
 }
 
+// TestKernelEnumeratesContractOrder pins the kernel's contract on two
+// class-compiled components, one without character classes (the
+// singleton cells of its alphabet): the emitted moves are the brute-force
+// product of each coordinate's admissible moves in contract order, minus
+// those whose symbol is dead, each with its successor; moves counts every
+// combination, dead ones included; and the joint automaton steps once per
+// (state, symbol) with flat rows, once per (state, outer move, innermost
+// run) without — never per edge.
 func TestKernelEnumeratesContractOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
 	sigma := []rune("abcd")
 	env := Env{Sigma: sigma}
 	comps := map[string]*component{}
 	for name, src := range map[string]string{
-		"legacy": "Ans(x, y) <- (x,p1,z), (z,p2,y), el(p1,p2)",
-		"class":  "Ans(x, y) <- (x,p1,z), (z,p2,y), el(p1,p2), [a-b]+(p1), [^c]*(p2)",
+		"plain": "Ans(x, y) <- (x,p1,z), (z,p2,y), el(p1,p2)",
+		"class": "Ans(x, y) <- (x,p1,z), (z,p2,y), el(p1,p2), [a-b]+(p1), [^c]*(p2)",
 	} {
 		cs, err := decompose(MustParse(src, env), false)
 		if err != nil || len(cs) != 1 || len(cs[0].vars) != 2 {
@@ -73,8 +120,8 @@ func TestKernelEnumeratesContractOrder(t *testing.T) {
 		}
 		comps[name] = cs[0]
 	}
-	if comps["legacy"].part != nil || comps["class"].part == nil {
-		t.Fatal("want one legacy and one class-compiled component")
+	if n := comps["plain"].part.NumClasses(); n != len(sigma) {
+		t.Fatalf("plain component has %d classes, want the %d singletons of its alphabet", n, len(sigma))
 	}
 
 	for trial := 0; trial < 4; trial++ {
@@ -82,16 +129,14 @@ func TestKernelEnumeratesContractOrder(t *testing.T) {
 		g, _ := overlayPair(t, r, n, 4*n, 2*n, sigma)
 		s := g.Snapshot()
 		for name, c := range comps {
-			// The label list is a proper subset of what the graph carries;
-			// in legacy mode it also names a label the graph lacks ('z'),
-			// which liveFor's alphabet intersection must drop.
-			list := []rune{'a', 'c', 'z'}
-			whole := append([]rune(nil), s.Alphabet()...) // collapses to All in legacy mode
-			if c.part != nil {
-				list = []rune{c.part.ClassOf('a'), c.part.ClassOf('d')}
-				slices.Sort(list)
-				list = slices.Compact(list)
-				whole = list
+			var list, whole []rune
+			for _, l := range sigma {
+				whole = append(whole, c.part.ClassOf(l))
+			}
+			list = []rune{c.part.ClassOf('a'), c.part.ClassOf('d')}
+			for _, cs := range []*[]rune{&list, &whole} {
+				slices.Sort(*cs)
+				*cs = slices.Compact(*cs)
 			}
 			sets := []relations.LiveSet{
 				{All: true, Bot: true},
@@ -102,64 +147,230 @@ func TestKernelEnumeratesContractOrder(t *testing.T) {
 				{Bot: true}, // ⊥ only
 				{},          // dead
 			}
-			var live fixedLive
+			var live [][]relations.LiveSet
 			for _, a := range sets {
 				for _, b := range sets {
 					live = append(live, []relations.LiveSet{a, b})
 				}
 			}
 			for _, noPrune := range []bool{false, true} {
-				pc := newProdCore(s, c)
-				pc.live, pc.noPrune = live, noPrune
-				var got []kernelMove
-				pc.emit = func() error {
-					got = append(got, kernelMove{slices.Clone(pc.symInts), slices.Clone(pc.symLabs), slices.Clone(pc.next)})
-					return nil
-				}
-				for joint, ls := range live {
-					cur := []graph.Node{graph.Node(r.Intn(n)), graph.Node(r.Intn(n))}
-					label := fmt.Sprintf("trial %d %s noPrune=%v live=%v at %v", trial, name, noPrune, ls, cur)
+				for _, rows := range []bool{true, false} {
+					pc := newProdCore(s, c)
+					stub := &stubJoint{live: live, runner: pc.runner}
+					pc.src, pc.noPrune = stub, noPrune
+					if !rows {
+						pc.rowWidth = 0
+						clear(pc.pow)
+					}
+					var got []kernelMove
+					pc.emit = emitFunc(func(succ int) error {
+						got = append(got, kernelMove{slices.Clone(pc.symInts), slices.Clone(pc.symLabs), slices.Clone(pc.next), succ})
+						return nil
+					})
+					for joint, ls := range live {
+						cur := []graph.Node{graph.Node(r.Intn(n)), graph.Node(r.Intn(n))}
+						label := fmt.Sprintf("trial %d %s noPrune=%v rows=%v live=%v at %v", trial, name, noPrune, rows, ls, cur)
 
-					var syms [2][]int
-					var labs [2][]rune
-					var tos [2][]graph.Node
-					dead := false
-					for i, v := range cur {
-						keep := func(sym rune) bool { return ls[i].All || slices.Contains(ls[i].Labels, sym) }
-						bot := ls[i].Bot
-						if noPrune {
-							keep, bot = func(rune) bool { return true }, true
+						var classes, labs [2][]rune
+						var tos [2][]graph.Node
+						var runs [2][]int
+						dead := false
+						for i, v := range cur {
+							keep := func(class rune) bool { return ls[i].All || slices.Contains(ls[i].Labels, class) }
+							bot := ls[i].Bot
+							if noPrune {
+								keep, bot = func(rune) bool { return true }, true
+							}
+							classes[i], labs[i], tos[i], runs[i] = coordMoves(s, c.part, v, bot, keep)
+							dead = dead || len(classes[i]) == 0
 						}
-						syms[i], labs[i], tos[i] = coordMoves(s, c.part, v, bot, keep)
-						dead = dead || len(syms[i]) == 0
-					}
-					var want []kernelMove
-					for a := range syms[0] {
-						for b := range syms[1] {
-							want = append(want, kernelMove{
-								[]int{syms[0][a], syms[1][b]},
-								[]rune{labs[0][a], labs[1][b]},
-								[]graph.Node{tos[0][a], tos[1][b]},
-							})
+						var want []kernelMove
+						combos := 0
+						wantSteps := map[string]int{}
+						for a := range classes[0] {
+							for b := range classes[1] {
+								combos++
+								sym := []rune{classes[0][a], classes[1][b]}
+								if b == 0 || runs[1][b] != runs[1][b-1] {
+									wantSteps[stepKey(joint, sym)]++
+								}
+								if succ, ok := stubNext(joint, sym); ok {
+									want = append(want, kernelMove{
+										[]int{int(sym[0]), int(sym[1])},
+										[]rune{labs[0][a], labs[1][b]},
+										[]graph.Node{tos[0][a], tos[1][b]},
+										succ,
+									})
+								}
+							}
 						}
-					}
+						if rows {
+							for key := range wantSteps {
+								wantSteps[key] = 1
+							}
+						}
 
-					got = got[:0]
-					if ok := pc.prepareMoves(joint, cur); ok == dead {
-						t.Fatalf("%s: prepareMoves = %v with dead = %v", label, ok, dead)
-					}
-					if dead {
-						continue
-					}
-					if err := pc.forEachMove(cur); err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: enumerated %d moves, want %d:\n got %v\nwant %v", label, len(got), len(want), got, want)
+						got, stub.calls = got[:0], map[string]int{}
+						if ok := pc.prepareMoves(joint, cur); ok == dead {
+							t.Fatalf("%s: prepareMoves = %v with dead = %v", label, ok, dead)
+						}
+						if dead {
+							continue
+						}
+						before := pc.moves
+						if err := pc.forEachMove(joint, cur); err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: emitted %d moves, want %d:\n got %v\nwant %v", label, len(got), len(want), got, want)
+						}
+						if pc.moves-before != combos {
+							t.Fatalf("%s: moves counted %d, want every combination: %d", label, pc.moves-before, combos)
+						}
+						if !maps.Equal(stub.calls, wantSteps) {
+							t.Fatalf("%s: stepped %v, want %v", label, stub.calls, wantSteps)
+						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestFlatRowsMatchRunner evaluates random components, with and without
+// character classes, and checks every flat-row entry the evaluation
+// filled against a fresh JointRunner: walking the rows from the start
+// state, each entry's class tuple must step the fresh runner to the state
+// the entry names (or to nothing, for a dead entry), one fresh state per
+// row state. Turning the rows off must not change the answers, and a
+// component whose symbol space exceeds maxRowWidth keeps none.
+func TestFlatRowsMatchRunner(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	sigma := []rune("abc")
+	langs := []string{"a+", "(a|b)*", "[a-b]+", "[^a]*", "c?a(b|c)*", "(ab)*", ".b*", "[b-c]*a"}
+	rels := []string{"el", "eq", "prefix", "lt"}
+	for trial := 0; trial < 24; trial++ {
+		text := fmt.Sprintf("Ans(x, y) <- (x,p1,z), (z,p2,y), %s(p1,p2), %s(p1), %s(p2)",
+			rels[r.Intn(len(rels))], langs[r.Intn(len(langs))], langs[r.Intn(len(langs))])
+		if trial%3 == 0 {
+			text = fmt.Sprintf("Ans(x, y) <- (x,p,y), %s(p)", langs[r.Intn(len(langs))])
+		}
+		q := MustParse(text, Env{Sigma: sigma})
+		s := bigComponentGraph(r, 8, 3, sigma).Snapshot()
+		for _, noPrune := range []bool{false, true} {
+			prog, err := CompileProgram(q, false)
+			if err != nil {
+				t.Fatalf("%s: %v", text, err)
+			}
+			opts := Options{NoPrune: noPrune, BFSWorkers: 1}
+			res, err := prog.EvalSnapshot(context.Background(), s, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", text, err)
+			}
+			e := prog.take(0)
+			if e.rowWidth == 0 {
+				t.Fatalf("%s: a %d-class component keeps no rows", text, e.part.NumClasses())
+			}
+			checkRows(t, text, &e.moveKernel, e.c)
+			e.rowWidth, e.flat, e.flatCells = 0, nil, 0
+			clear(e.pow)
+			prog.put(0, e)
+			again, err := prog.EvalSnapshot(context.Background(), s, opts)
+			if err != nil {
+				t.Fatalf("%s without rows: %v", text, err)
+			}
+			sameResult(t, text+" without rows", again, res)
+		}
+	}
+
+	// Four tapes over 32 labels: k^cnt = 34⁴ ≈ 1.3 M entries a row.
+	sigma = []rune("abcdefghijklmnopqrstuvwxyzABCDEF")
+	q := MustParse("Ans(y1, y4) <- (x,p1,y1), (x,p2,y2), (x,p3,y3), (x,p4,y4), el(p1,p2), el(p2,p3), el(p3,p4), (a|b)+(p1)", Env{Sigma: sigma})
+	s := bigComponentGraph(r, 6, 3, sigma[:2]).Snapshot()
+	bind := map[NodeVar]graph.Node{"x": 0}
+	want := evalFresh(t, q, s, Options{Bind: bind, NoPrune: true, BFSWorkers: 1})
+	prog, err := CompileProgram(q, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prog.EvalSnapshot(context.Background(), s, Options{Bind: bind, BFSWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "4 tapes over 32 labels", res, want)
+	if len(want.Answers) == 0 {
+		t.Fatal("4 tapes over 32 labels: no answers; the graph exercises nothing")
+	}
+	e := prog.take(0)
+	if e.cnt != 4 || e.rowWidth != 0 || e.flat != nil || e.flatCells != 0 {
+		t.Fatalf("4 tapes over 32 labels: cnt %d, row width %d, %d rows of %d cells", e.cnt, e.rowWidth, len(e.flat), e.flatCells)
+	}
+	if e.runner.NumSyms() == 0 {
+		t.Fatal("4 tapes over 32 labels: nothing stepped; the test exercises nothing")
+	}
+	prog.put(0, e)
+}
+
+// checkRows walks k's flat rows from the start state against a fresh
+// runner over c's joint (see TestFlatRowsMatchRunner).
+func checkRows(t *testing.T, label string, k *moveKernel, c *component) {
+	t.Helper()
+	fresh := relations.NewJointRunner(c.joint)
+	base := c.part.NumClasses() + 2
+	toFresh := map[int]int{k.runner.StartID(): fresh.StartID()}
+	fromFresh := map[int]int{fresh.StartID(): k.runner.StartID()}
+	syms := map[string]int{}
+	queue := []int{k.runner.StartID()}
+	visited, entries := 0, 0
+	for ; len(queue) > 0; queue = queue[1:] {
+		j := queue[0]
+		if j >= len(k.flat) || k.flat[j] == nil {
+			continue
+		}
+		visited++
+		for idx, v := range k.flat[j] {
+			if v == 0 {
+				continue
+			}
+			entries++
+			classes := make([]rune, k.cnt)
+			for i, x := 0, idx; i < k.cnt; i, x = i+1, x/base {
+				classes[i] = rune(x % base)
+			}
+			sym, ok := syms[string(classes)]
+			if !ok {
+				sym = fresh.AddSym(classes)
+				syms[string(classes)] = sym
+			}
+			next, live := fresh.Step(toFresh[j], sym)
+			if live != (v > 0) {
+				t.Fatalf("%s: state %d by %v: row says live=%v, runner %v", label, j, classes, v > 0, live)
+			}
+			if !live {
+				continue
+			}
+			got := int(v - 1)
+			if f, seen := toFresh[got]; seen {
+				if f != next {
+					t.Fatalf("%s: state %d by %v: row names %d (fresh %d), runner steps to fresh %d", label, j, classes, got, f, next)
+				}
+				continue
+			}
+			if o, seen := fromFresh[next]; seen {
+				t.Fatalf("%s: fresh state %d is both row state %d and %d", label, next, o, got)
+			}
+			toFresh[got], fromFresh[next] = next, got
+			queue = append(queue, got)
+		}
+	}
+	rows := 0
+	for _, row := range k.flat {
+		if row != nil {
+			rows++
+		}
+	}
+	if visited != rows || entries == 0 {
+		t.Fatalf("%s: walked %d of %d rows, %d entries", label, visited, rows, entries)
 	}
 }
 
@@ -203,9 +414,8 @@ func TestWorkersOnlyFanOut(t *testing.T) {
 }
 
 // TestPooledEngineReleasesLargeSnapshot: past maxPooledScratch edges an
-// idle pooled engine must not pin the snapshot it last ran over —
-// through the engine's kernel, a fan-out sibling's kernel, or the
-// live-set memo keyed on it.
+// idle pooled engine must not pin the snapshot it last ran over, through
+// the engine's kernel or a fan-out sibling's kernel.
 func TestPooledEngineReleasesLargeSnapshot(t *testing.T) {
 	const n = 300
 	g := graph.NewDB()
@@ -231,16 +441,16 @@ func TestPooledEngineReleasesLargeSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := prog.take(0)
-		if e.snap != nil || e.effSnap != nil {
-			t.Fatalf("W=%d: pooled engine retains snap=%v effSnap=%v", w, e.snap != nil, e.effSnap != nil)
+		if e.snap != nil {
+			t.Fatalf("W=%d: pooled engine retains its snapshot", w)
 		}
 		if w > 1 && (e.fan == nil || len(e.fan.sibs) == 0) {
 			t.Fatalf("W=%d: no fan-out sibling was built; the test exercises nothing", w)
 		}
 		if e.fan != nil {
 			for i, sib := range e.fan.sibs {
-				if sib.snap != nil || sib.effSnap != nil {
-					t.Fatalf("W=%d: sibling %d retains snap=%v effSnap=%v", w, i, sib.snap != nil, sib.effSnap != nil)
+				if sib.snap != nil {
+					t.Fatalf("W=%d: sibling %d retains its snapshot", w, i)
 				}
 			}
 		}

@@ -11,23 +11,20 @@ import (
 )
 
 // prodCore is the machinery shared by every dense product-BFS driver
-// (the evaluator's componentEngine and the explicit-automaton
-// productBuilder): the component, the pinned graph snapshot (base CSR
-// plus delta overlay), the joint runner, the tuple-symbol interning
-// whose dense ids must stay aligned with the runner's, and the
-// label-directed move plan — keeping those invariants in one place.
+// (the evaluator's componentEngine, the explicit-automaton productBuilder
+// and the start-domain pass's domainEngine): the component, the move
+// kernel with its pinned graph snapshot (base CSR plus delta overlay),
+// joint runner and flat transition rows, and the product-state key
+// layout — keeping those invariants in one place.
 //
 // Everything graph-dependent reads the immutable *graph.Snapshot, never
 // a live *graph.DB, so an execution is isolated from concurrent writers
-// for its whole lifetime and memos keyed on the snapshot stay valid
-// exactly as long as the epoch does.
+// for its whole lifetime. Nothing the kernel memoizes depends on the
+// snapshot: live sets and transitions are over the component's classes.
 type prodCore struct {
 	moveKernel
 
 	c *component
-
-	runner *relations.JointRunner
-	syms   tupleSet // label tuples → dense symbol ids (== runner ids)
 
 	// Packed product-state key layout of the current BFS run, chosen by
 	// planStates: the joint id in the top jointBits, then cnt node fields
@@ -35,32 +32,52 @@ type prodCore struct {
 	// not fit one word and its membership sets start on the generic table.
 	nodeBits, jointBits uint
 	statesPacked        bool
-
-	symRunes []rune // symID's scratch for runner.AddSym
 }
 
-// liveSource is where a kernel reads the live label sets of a joint
-// state: the driver's JointRunner, or a test's fixed table.
-type liveSource interface {
+// jointSource is what the kernel reads of the joint automaton: the live
+// class sets of a joint state and its successor by a registered tuple
+// symbol. It is the engine's JointRunner, or a kernel test's stub.
+type jointSource interface {
 	Live(jointID int) []relations.LiveSet
+	Step(state, sym int) (int, bool)
 }
 
-// moveKernel is the one move planner and enumerator of the product BFS:
-// for a product state it plans the admissible moves per coordinate
-// (prepareMoves) and enumerates their combinations in the contract order
-// (forEachMove), handing each to emit. Every driver embeds one through
-// prodCore — the evaluator, the automaton builders and the start-domain
-// pass — and differs only in the emit function it binds (once, at
-// construction).
+// emitter is the owner's side of the kernel: emitMove takes each live move
+// the kernel enumerates, left in the kernel's scratch (symLabs, next),
+// with its successor joint state. An interface, not a func value, so a
+// move costs one indirect call, not two.
+type emitter interface {
+	emitMove(succ int) error
+}
+
+// maxRowWidth bounds a flat transition row. A component whose symbol
+// space k^cnt is wider keeps no rows and resolves every run through the
+// symbol table and the runner (moveKernel.miss).
+const maxRowWidth = 4096
+
+// moveKernel is the one move planner, enumerator and joint stepper of the
+// product BFS: for a product state it plans the admissible label runs per
+// coordinate (prepareMoves), enumerates their combinations in the
+// contract order (forEachMove), resolves the successor joint state once
+// per innermost run, and hands each live move to emit with that
+// successor. Every BFS owner embeds one through prodCore — the evaluator,
+// the automaton builders and the start-domain pass — and differs only in
+// the emitter it binds (itself, at construction).
+//
+// Every component is class-compiled, so each run of one label carries one
+// class and every edge of a run steps the joint automaton alike: the
+// successor depends on the (state, run), not on the edge. A tuple symbol
+// is indexed Σ classᵢ·kⁱ with k = NumClasses()+2 (⊥ is class 0, the dead
+// class k−1), and each expanded joint state keeps one flat row of k^cnt
+// entries: 0 unknown, −1 dead, otherwise next+1. A miss fills its entry
+// through the symbol table and the runner.
 type moveKernel struct {
 	snap *graph.Snapshot
 	cnt  int
 
-	// part is the component's label-space partition when its atoms carry
-	// character classes (nil otherwise — the legacy per-label mode). In
-	// class mode the runner transitions on class runes and the move plan
-	// translates the snapshot's label runs to classes; witnesses still
-	// record raw labels (symLabs).
+	// part is the component's label-space partition: the move plan maps
+	// the snapshot's label runs to its classes, which the runner
+	// transitions on; witnesses still record raw labels (symLabs).
 	part *regex.Partition
 
 	// noPrune disables the label-directed move planning: prepareMoves
@@ -70,55 +87,48 @@ type moveKernel struct {
 	// enumeration, not the whole analysis. Answers are identical.
 	noPrune bool
 
-	live liveSource
+	// runner is the component's joint runner and src what the kernel
+	// reads it through (the runner itself outside kernel tests). syms
+	// interns class tuples to the runner's dense symbol ids (symID).
+	runner   *relations.JointRunner
+	src      jointSource
+	syms     tupleSet
+	symRunes []rune // symID's scratch for runner.AddSym
+
+	// Flat transition rows: pow[i] = kⁱ (all zero when rowWidth is 0, the
+	// component's symbol space being wider than maxRowWidth), flat[j] the
+	// row of joint state j (nil until j is first expanded) and flatCells
+	// their total size, which release holds to maxPooledScratch.
+	pow       []int
+	rowWidth  int
+	flat      [][]int32
+	flatCells int
 
 	// Move plan for the product state currently being expanded, filled
-	// by prepareMoves: per coordinate, (start, end, sym) triples — a
+	// by prepareMoves: per coordinate, (start, end, class) triples — a
 	// virtual edge range into the snapshot's segments (resolved by
-	// Snapshot.EdgeRange) plus the runner symbol of the whole run: -1
-	// means "read each edge's own label" (legacy mode), a non-negative
-	// value is the fixed class rune every edge of the run steps by
-	// (class mode) — plus whether the ⊥ stay-move is live.
+	// Snapshot.EdgeRange) whose edges all map to one class — plus whether
+	// the ⊥ stay-move is live.
 	moveRuns [][]int32
 	botOK    []bool
 
-	// effLive memoizes, per joint state id, the graph-effective live
-	// sets: the source's live labels intersected with the snapshot's
-	// alphabet, collapsed to the All fast path when they cover it — so a
-	// permissive (full-alphabet) regex pays nothing per state. Valid for
-	// effSnap only (one epoch of one DB); liveFor clears it when the
-	// snapshot changes.
-	effLive [][]relations.LiveSet
-	effSnap *graph.Snapshot
-
-	// The move being enumerated, filled coordinate by coordinate: runner
-	// symbol, raw graph labels (class mode: ≠ symInts) and target nodes.
-	// moveCur holds the enumeration's input so the recursion is a method,
-	// not a per-state closure; emit takes each complete move.
+	// The move being enumerated, filled coordinate by coordinate: class
+	// runes (set once per run), raw graph labels and target nodes. joint,
+	// row and moveCur hold the enumeration's input so the recursion is a
+	// method, not a per-state closure; emit takes each complete live move
+	// with its successor joint state.
 	symInts []int
 	symLabs []rune
 	next    []graph.Node
+	joint   int
+	row     []int32
 	moveCur []graph.Node
-	emit    func() error
+	emit    emitter
 
-	// moves counts the moves handed to emit: the measured work every
-	// parallel decision of the evaluator estimates from (see parallel.go).
-	// Its owner resets it.
+	// moves counts the move combinations enumerated, dead ones included:
+	// the measured work every parallel decision of the evaluator estimates
+	// from (see parallel.go). Its owner resets it.
 	moves int
-}
-
-func newMoveKernel(snap *graph.Snapshot, cnt int, part *regex.Partition, live liveSource) moveKernel {
-	return moveKernel{
-		snap:     snap,
-		cnt:      cnt,
-		part:     part,
-		live:     live,
-		moveRuns: make([][]int32, cnt),
-		botOK:    make([]bool, cnt),
-		symInts:  make([]int, cnt),
-		symLabs:  make([]rune, cnt),
-		next:     make([]graph.Node, cnt),
-	}
 }
 
 // newProdCore builds the shared product machinery. snap may be nil when
@@ -127,27 +137,51 @@ func newMoveKernel(snap *graph.Snapshot, cnt int, part *regex.Partition, live li
 func newProdCore(snap *graph.Snapshot, c *component) prodCore {
 	cnt := len(c.vars)
 	runner := relations.NewJointRunner(c.joint)
+	pow, width := rowLayout(c.part.NumClasses()+2, cnt)
 	return prodCore{
-		moveKernel: newMoveKernel(snap, cnt, c.part, runner),
-		c:          c,
-		runner:     runner,
-		syms:       newSymSet(cnt),
-		symRunes:   make([]rune, cnt),
+		moveKernel: moveKernel{
+			snap:     snap,
+			cnt:      cnt,
+			part:     c.part,
+			runner:   runner,
+			src:      runner,
+			syms:     newSymSet(cnt),
+			symRunes: make([]rune, cnt),
+			pow:      pow,
+			rowWidth: width,
+			moveRuns: make([][]int32, cnt),
+			botOK:    make([]bool, cnt),
+			symInts:  make([]int, cnt),
+			symLabs:  make([]rune, cnt),
+			next:     make([]graph.Node, cnt),
+		},
+		c: c,
 	}
 }
 
-// release unpins the snapshot of a kernel going back to a pool. The
-// graph-effective live memo (effLive, keyed on effSnap) is retained for
-// the unchanged-epoch serving case — the next execution against the same
-// snapshot reuses it wholesale — but only while the snapshot is small:
-// past maxPooledScratch edges a stale memo would pin an O(m) snapshot in
-// an idle pooled engine, so it is dropped (recomputing liveFor is
-// negligible next to any BFS at that scale).
+// rowLayout returns the place values kⁱ of a cnt-coordinate symbol index
+// over k classes per coordinate and the row width k^cnt, or all-zero
+// place values and width 0 when the width would exceed maxRowWidth.
+func rowLayout(k, cnt int) (pow []int, width int) {
+	pow = make([]int, cnt)
+	width = 1
+	for i := range pow {
+		if width > maxRowWidth/k {
+			return make([]int, cnt), 0
+		}
+		pow[i] = width
+		width *= k
+	}
+	return pow, width
+}
+
+// release unpins the snapshot of a kernel going back to a pool. The flat
+// rows do not depend on the snapshot and stay for the next execution,
+// unless together they exceed maxPooledScratch entries.
 func (k *moveKernel) release() {
 	k.snap = nil
-	if k.effSnap != nil && k.effSnap.NumEdges() > maxPooledScratch {
-		k.effSnap = nil
-		k.effLive = k.effLive[:0]
+	if k.flatCells > maxPooledScratch {
+		k.flat, k.flatCells = nil, 0
 	}
 }
 
@@ -157,7 +191,7 @@ func (k *moveKernel) release() {
 // while every tuple fits the key layout, the generic intern.Table from
 // the first tuple that does not (spill moves the members over in id
 // order, so ids survive the switch). All access goes through
-// prodCore.internState and prodCore.internSym, which own the two key
+// prodCore.internState and moveKernel.internSym, which own the two key
 // layouts.
 type tupleSet struct {
 	packed *intern.Packed
@@ -243,7 +277,7 @@ func newSymSet(cnt int) tupleSet {
 
 // internSym interns a cnt-tuple symbol into set, packing it into one word
 // while every component fits symBits.
-func (pc *prodCore) internSym(set *tupleSet, tup []int) (id int, added bool) {
+func (k *moveKernel) internSym(set *tupleSet, tup []int) (id int, added bool) {
 	if set.packed != nil {
 		var key, over uint64
 		for _, x := range tup {
@@ -253,7 +287,7 @@ func (pc *prodCore) internSym(set *tupleSet, tup []int) (id int, added bool) {
 		if over == 0 {
 			return set.packed.Intern(key)
 		}
-		set.spill(pc.cnt, symBits, false)
+		set.spill(k.cnt, symBits, false)
 	}
 	return set.table.Intern(tup)
 }
@@ -296,17 +330,18 @@ func (pc *prodCore) internState(set *tupleSet, joint int, nodes []graph.Node) (i
 	return set.table.Intern(tup)
 }
 
-// symID interns the tuple symbol currently in symInts, registering it
+// symID interns the class tuple currently in symInts, registering it
 // with the joint runner on first sight. The symbol set and the runner
 // assign dense ids in the same insertion order, so the returned id is
-// valid for runner.Step/SymRunes/SymString.
-func (pc *prodCore) symID() int {
-	id, fresh := pc.internSym(&pc.syms, pc.symInts)
+// valid for runner.Step/SymRunes/SymString. Only successor's miss path
+// reaches it.
+func (k *moveKernel) symID() int {
+	id, fresh := k.internSym(&k.syms, k.symInts)
 	if fresh {
-		for k, x := range pc.symInts {
-			pc.symRunes[k] = rune(x)
+		for i, x := range k.symInts {
+			k.symRunes[i] = rune(x)
 		}
-		pc.runner.AddSym(pc.symRunes)
+		k.runner.AddSym(k.symRunes)
 	}
 	return id
 }
@@ -328,52 +363,6 @@ func (pc *prodCore) startTuple(assign map[NodeVar]graph.Node) ([]graph.Node, boo
 	return start, true
 }
 
-// liveFor returns the graph-effective live sets of jointID, memoized
-// per joint state for the lifetime of the pinned snapshot (i.e. one
-// epoch): an unchanged-epoch re-evaluation reuses the memo wholesale.
-func (k *moveKernel) liveFor(jointID int) []relations.LiveSet {
-	if k.snap != k.effSnap {
-		k.effLive = k.effLive[:0]
-		k.effSnap = k.snap
-	}
-	for len(k.effLive) <= jointID {
-		k.effLive = append(k.effLive, nil)
-	}
-	if eff := k.effLive[jointID]; eff != nil {
-		return eff
-	}
-	eff := k.live.Live(jointID)
-	if k.part == nil {
-		// Legacy mode only: in class mode the live labels are class
-		// runes, not graph labels, so the snapshot-alphabet intersection
-		// does not apply — the move plan translates runs to classes.
-		eff = effectiveLive(eff, k.snap.Alphabet())
-	}
-	k.effLive[jointID] = eff
-	return eff
-}
-
-// effectiveLive intersects the runner's live sets with the snapshot's
-// alphabet, collapsing to the All fast path when a set covers it — the
-// transform behind liveFor.
-func effectiveLive(src []relations.LiveSet, alpha []rune) []relations.LiveSet {
-	eff := make([]relations.LiveSet, len(src))
-	for i, ls := range src {
-		if ls.All || len(ls.Labels) == 0 {
-			eff[i] = ls
-			continue
-		}
-		inter := intersectSorted(ls.Labels, alpha)
-		eff[i] = relations.LiveSet{All: len(inter) == len(alpha), Bot: ls.Bot, Labels: inter}
-	}
-	return eff
-}
-
-// intersectSorted intersects two sorted slices into a fresh one.
-func intersectSorted[T cmp.Ordered](a, b []T) []T {
-	return appendIntersection(make([]T, 0, min(len(a), len(b))), a, b)
-}
-
 // appendIntersection appends the intersection of two sorted slices to out.
 func appendIntersection[T cmp.Ordered](out, a, b []T) []T {
 	i, j := 0, 0
@@ -392,195 +381,183 @@ func appendIntersection[T cmp.Ordered](out, a, b []T) []T {
 	return out
 }
 
-// appendLiveRuns appends to rr the (start, end, -1) triples of the
-// runs in runs whose label belongs to the sorted live set lab. For
-// each run (few — one per distinct label of the segment) it
-// binary-searches the shrinking tail of lab: O(runs·log|live|),
-// cheaper than a linear merge when the live set is broad. Adjacent
-// selected runs coalesce into one contiguous range (they abut in the
-// segment's edge array) — but never across calls: coalescing stops at
-// the rr prefix that was already present, so base and delta segments
-// stay separate triples.
-func appendLiveRuns(rr []int32, runs []graph.LabelRun, lab []rune) []int32 {
-	floor := len(rr)
-	li := 0
-	for _, run := range runs {
-		lo, hi := li, len(lab)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if lab[mid] < run.Label {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		li = lo
-		if li == len(lab) {
-			break
-		}
-		if lab[li] == run.Label {
-			if n := len(rr); n > floor && rr[n-2] == run.Start {
-				rr[n-2] = run.End
-			} else {
-				rr = append(rr, run.Start, run.End, -1)
-			}
-			li++
-			if li == len(lab) {
-				break
-			}
-		}
-	}
-	return rr
-}
-
 // prepareMoves computes the per-coordinate admissible moves for the
 // product state with joint state jointID and node tuple cur: the
-// intersection of the runner's live labels with the snapshot's label
-// runs at each coordinate's node — base segment and delta overlay both
-// consulted — plus the ⊥ stay-move where the runner admits it. It
-// returns false when some coordinate has no move at all — the state is
-// dead and the caller skips its expansion entirely.
+// snapshot's label runs at each coordinate's node — base segment and
+// delta overlay both consulted — whose class the runner's live set
+// admits, plus the ⊥ stay-move where the runner admits it. It returns
+// false when some coordinate has no move at all — the state is dead and
+// the caller skips its expansion entirely.
 func (k *moveKernel) prepareMoves(jointID int, cur []graph.Node) bool {
-	if k.noPrune {
-		for i, v := range cur {
-			if k.part != nil {
-				k.moveRuns[i] = appendClassRuns(k.snap, k.part, v, nil, k.moveRuns[i][:0])
-			} else {
-				k.moveRuns[i] = appendAllRuns(k.snap, v, k.moveRuns[i][:0])
-			}
-			k.botOK[i] = true
-		}
-		return true
+	var live []relations.LiveSet
+	if !k.noPrune {
+		live = k.src.Live(jointID)
 	}
-	live := k.liveFor(jointID)
 	for i, v := range cur {
-		ls := live[i]
-		var rr []int32
-		if k.part != nil {
-			rr = planClassCoordMoves(k.snap, k.part, ls, v, k.moveRuns[i][:0])
-		} else {
-			rr = planCoordMoves(k.snap, ls, v, k.moveRuns[i][:0])
+		rr, bot := k.moveRuns[i][:0], true
+		switch {
+		case live == nil || live[i].All:
+			rr = k.appendRuns(v, nil, rr)
+		case len(live[i].Labels) > 0:
+			rr = k.appendRuns(v, live[i].Labels, rr)
 		}
-		k.moveRuns[i] = rr
-		k.botOK[i] = ls.Bot
-		if len(rr) == 0 && !ls.Bot {
+		if live != nil {
+			bot = live[i].Bot
+		}
+		k.moveRuns[i], k.botOK[i] = rr, bot
+		if len(rr) == 0 && !bot {
 			return false
 		}
 	}
 	return true
 }
 
-// appendAllRuns appends the node's whole out-edge ranges — at most one
-// per segment — as (start, end, -1) triples: the legacy exhaustive and
-// All-live move plan.
-func appendAllRuns(snap *graph.Snapshot, v graph.Node, rr []int32) []int32 {
-	var tmp [4]int32
-	for t := snap.AppendOutRanges(v, tmp[:0]); len(t) >= 2; t = t[2:] {
-		rr = append(rr, t[0], t[1], -1)
+// appendRuns appends (start, end, class) triples for v's label runs in
+// the base segment, then in the delta overlay, mapping each run's label
+// to its class. live (sorted class runes) filters the runs; nil keeps
+// every run, dead-class ones included — the runner then rejects those
+// symbols itself, matching the exhaustive semantics.
+func (k *moveKernel) appendRuns(v graph.Node, live []rune, rr []int32) []int32 {
+	// A live set naming every class admits every run but the dead class's.
+	full := len(live) == k.part.NumClasses()
+	rr = appendClassRuns(k.part, k.snap.BaseRuns(v), live, full, rr)
+	if dr := k.snap.DeltaRuns(v); len(dr) > 0 {
+		rr = appendClassRuns(k.part, dr, live, full, rr)
 	}
 	return rr
 }
 
-// planClassCoordMoves is planCoordMoves for a class-compiled component:
-// the live set carries class runes, so the plan walks the node's label
-// runs in both segments, translating each run's label to its class and
-// keeping the runs whose class is live. Each kept run becomes a
-// (start, end, class) triple — the class is constant across the run, so
-// the enumeration steps the runner without touching per-edge labels.
-func planClassCoordMoves(snap *graph.Snapshot, part *regex.Partition, ls relations.LiveSet, v graph.Node, rr []int32) []int32 {
-	switch {
-	case ls.All:
-		rr = appendClassRuns(snap, part, v, nil, rr)
-	case len(ls.Labels) > 0:
-		rr = appendClassRuns(snap, part, v, ls.Labels, rr)
-	}
-	return rr
-}
-
-// appendClassRuns appends (start, end, class) triples for the node's
-// label runs across both segments, mapping each run's label to its
-// partition class. live (sorted class runes) filters the runs; nil
-// keeps every run, including dead-class ones — the runner then rejects
-// those symbols itself, matching the legacy exhaustive semantics.
-// Adjacent same-class runs coalesce within a segment, never across the
-// base/delta boundary (a triple must not span segments).
-func appendClassRuns(snap *graph.Snapshot, part *regex.Partition, v graph.Node, live []rune, rr []int32) []int32 {
-	for _, runs := range [2][]graph.LabelRun{snap.BaseRuns(v), snap.DeltaRuns(v)} {
-		floor := len(rr)
-		for _, run := range runs {
-			c := part.ClassOf(run.Label)
-			if live != nil && !runeInSorted(live, c) {
-				continue
-			}
-			if n := len(rr); n > floor && rr[n-1] == int32(c) && rr[n-2] == run.Start {
-				rr[n-2] = run.End
-			} else {
-				rr = append(rr, run.Start, run.End, int32(c))
-			}
+// appendClassRuns appends the triples of one segment's runs (see
+// appendRuns); full says live names every class. Adjacent same-class
+// runs coalesce; runs never coalesce across classes, and a call never
+// extends a triple of an earlier one (a triple must not span the
+// base/delta boundary).
+func appendClassRuns(part *regex.Partition, runs []graph.LabelRun, live []rune, full bool, rr []int32) []int32 {
+	floor := len(rr)
+	dead := part.DeadClass()
+	for _, run := range runs {
+		c := part.ClassOf(run.Label)
+		if live != nil && (c == dead || !full && !runeInSorted(live, c)) {
+			continue
 		}
-	}
-	return rr
-}
-
-// planCoordMoves selects one coordinate's admissible edge runs: the
-// node's label runs intersected with the live set ls, appended to rr as
-// (start, end, -1) triples, base segment before delta. Pure over the
-// snapshot; rr is the caller's scratch.
-func planCoordMoves(snap *graph.Snapshot, ls relations.LiveSet, v graph.Node, rr []int32) []int32 {
-	switch {
-	case ls.All:
-		rr = appendAllRuns(snap, v, rr)
-	case len(ls.Labels) > 0:
-		rr = appendLiveRuns(rr, snap.BaseRuns(v), ls.Labels)
-		if dr := snap.DeltaRuns(v); len(dr) != 0 {
-			rr = appendLiveRuns(rr, dr, ls.Labels)
+		if n := len(rr); n > floor && rr[n-1] == int32(c) && rr[n-2] == run.Start {
+			rr[n-2] = run.End
+		} else {
+			rr = append(rr, run.Start, run.End, int32(c))
 		}
 	}
 	return rr
 }
 
 // forEachMove enumerates the move combinations planned by the last
-// prepareMoves, leaving each combination in symInts/symLabs/next and
-// calling emit; a non-nil error from emit stops the enumeration. cur
-// must be the node tuple passed to prepareMoves (the ⊥ stay-move keeps
-// the coordinate's node). The order is the determinism contract of every
+// prepareMoves for the product state (joint, cur), leaving each live one
+// in symInts/symLabs/next and handing it to emit with its successor joint
+// state; a non-nil error from emit stops the enumeration. cur must be the
+// node tuple passed to prepareMoves (the ⊥ stay-move keeps the
+// coordinate's node). The order is the determinism contract of every
 // driver: per coordinate ⊥ first, then the planned runs in order (base
 // segment before delta), coordinates nested first-outermost.
-func (k *moveKernel) forEachMove(cur []graph.Node) error {
-	k.moveCur = cur
-	err := k.enumMoves(0)
-	k.moveCur = nil
+func (k *moveKernel) forEachMove(joint int, cur []graph.Node) error {
+	k.joint, k.moveCur, k.row = joint, cur, k.rowOf(joint)
+	err := k.enumMoves(0, 0)
+	k.moveCur, k.row = nil, nil
 	return err
 }
 
-func (k *moveKernel) enumMoves(i int) error {
-	if i == k.cnt {
-		k.moves++
-		return k.emit()
+// rowOf returns joint state j's flat row, allocating it on j's first
+// expansion; nil when the component keeps no rows.
+func (k *moveKernel) rowOf(j int) []int32 {
+	if k.rowWidth == 0 {
+		return nil
 	}
+	for len(k.flat) <= j {
+		k.flat = append(k.flat, nil)
+	}
+	if k.flat[j] == nil {
+		k.flat[j] = make([]int32, k.rowWidth)
+		k.flatCells += k.rowWidth
+	}
+	return k.flat[j]
+}
+
+// successor returns the row entry of the state being expanded for the
+// tuple symbol whose classes symInts holds and whose row index is idx:
+// -1 when the symbol is dead, otherwise the successor joint state + 1.
+// It reads the state's flat row when it has one, and goes to miss when
+// it has none or the entry is still unknown.
+func (k *moveKernel) successor(idx int) int32 {
+	if k.row != nil {
+		if v := k.row[idx]; v != 0 {
+			return v
+		}
+	}
+	return k.miss(idx)
+}
+
+// miss is successor's slow path and the one joint-step call site of the
+// product BFS: the symbol table names the class tuple, the runner steps
+// by it, and the state's row (if any) keeps the outcome.
+func (k *moveKernel) miss(idx int) int32 {
+	v := int32(-1)
+	if next, ok := k.src.Step(k.joint, k.symID()); ok {
+		v = int32(next + 1)
+	}
+	if k.row != nil {
+		k.row[idx] = v
+	}
+	return v
+}
+
+// enumMoves enumerates coordinate i and the ones after it; idx is the row
+// index of the classes fixed at coordinates before i. At the innermost
+// coordinate the successor is resolved once per run (and once for ⊥): a
+// dead run is counted and skipped without reading its edges.
+func (k *moveKernel) enumMoves(i, idx int) error {
+	last := i == k.cnt-1
 	if k.botOK[i] {
-		k.symInts[i] = int(regex.Bot)
+		k.symInts[i] = int(regex.Bot) // class 0: idx is unchanged
 		k.symLabs[i] = regex.Bot
 		k.next[i] = k.moveCur[i]
-		if err := k.enumMoves(i + 1); err != nil {
+		var err error
+		if last {
+			k.moves++
+			if v := k.successor(idx); v > 0 {
+				err = k.emit.emitMove(int(v - 1))
+			}
+		} else {
+			err = k.enumMoves(i+1, idx)
+		}
+		if err != nil {
 			return err
 		}
 	}
-	// Each (start, end, sym) triple resolves to one contiguous base or
-	// delta slice; sym ≥ 0 is the run's fixed class rune, -1 means step
-	// by each edge's own label.
+	// Each (start, end, class) triple resolves to one contiguous base or
+	// delta slice whose edges all step by the run's class.
 	rr := k.moveRuns[i]
 	for j := 0; j+2 < len(rr); j += 3 {
-		fixed := rr[j+2]
-		for _, ed := range k.snap.EdgeRange(rr[j], rr[j+1]) {
-			if fixed >= 0 {
-				k.symInts[i] = int(fixed)
-			} else {
-				k.symInts[i] = int(ed.Label)
+		c := int(rr[j+2])
+		k.symInts[i] = c
+		at := idx + c*k.pow[i]
+		succ := 0
+		if last {
+			v := k.successor(at)
+			if v < 0 {
+				k.moves += int(rr[j+1] - rr[j])
+				continue
 			}
+			succ = int(v - 1)
+		}
+		for _, ed := range k.snap.EdgeRange(rr[j], rr[j+1]) {
 			k.symLabs[i] = ed.Label
 			k.next[i] = ed.To
-			if err := k.enumMoves(i + 1); err != nil {
+			var err error
+			if last {
+				k.moves++
+				err = k.emit.emitMove(succ)
+			} else {
+				err = k.enumMoves(i+1, at)
+			}
+			if err != nil {
 				return err
 			}
 		}

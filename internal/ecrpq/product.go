@@ -91,7 +91,7 @@ func newProductBuilder(s *graph.Snapshot, c *component, opts Options, bind map[N
 		bind:     bind,
 	}
 	pb.noPrune = opts.NoPrune
-	pb.emit = pb.step
+	pb.emit = pb
 	return pb
 }
 
@@ -159,23 +159,20 @@ func (pb *productBuilder) addCopy(assign map[NodeVar]graph.Node) error {
 	cnt := pb.cnt
 	for pb.head = 0; pb.head < len(pb.joints); pb.head++ {
 		cur := pb.curs[pb.head*cnt : pb.head*cnt+cnt]
-		if !pb.prepareMoves(int(pb.joints[pb.head]), cur) {
+		joint := int(pb.joints[pb.head])
+		if !pb.prepareMoves(joint, cur) {
 			continue
 		}
-		if err := pb.forEachMove(cur); err != nil {
+		if err := pb.forEachMove(joint, cur); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// step is the builders' emit function: step the runner by the
-// enumerated move and add the NFA edge to the successor's state.
-func (pb *productBuilder) step() error {
-	js, ok := pb.runner.Step(int(pb.joints[pb.head]), pb.symID())
-	if !ok {
-		return nil
-	}
+// emitMove is the builders' emitter: add the NFA edge of the enumerated
+// move to its successor's state (joint state js).
+func (pb *productBuilder) emitMove(js int) error {
 	to, err := pb.stateOf(js, pb.next)
 	if err != nil {
 		return err

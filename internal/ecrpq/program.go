@@ -29,9 +29,9 @@ import (
 // each execution borrows one workspace from an internal pool (building a
 // fresh one when the pool is empty), so any number of goroutines may Eval
 // or Stream the same Program against the same or different graphs. The
-// interned joint transitions are label-based and therefore valid across
-// graphs; everything graph- or bind-dependent is refreshed per execution
-// by componentEngine.reset.
+// interned joint transitions and flat rows are over the component's
+// label classes and therefore valid across graphs; everything graph- or
+// bind-dependent is refreshed per execution by componentEngine.reset.
 //
 // Programs subsume the per-query engine cache that Eval used to keep:
 // the Eval shim now compiles (or re-uses) a Program per query object.
@@ -109,9 +109,8 @@ func (pool *idlePool[E]) put(e *E) {
 // consulting or populating the shared program cache (SharedProgram).
 // With monolithic set the component decomposition is disabled and the
 // paper's single m-tape product is compiled — the reference the
-// decomposed program is tested against. Components whose atoms carry
-// character classes compile against a label-space partition (the
-// class-ID product BFS).
+// decomposed program is tested against. Every component compiles
+// against a label-space partition (the class-ID product BFS).
 func CompileProgram(q *Query, monolithic bool) (*Program, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -304,12 +303,12 @@ func (p *Program) Components() []ComponentInfo {
 	return out
 }
 
-// renderLiveSet renders a live set for Explain output. In class mode
-// the set's labels are class runes, so they are translated back to
-// label ranges via the partition ("?" is the wild bucket — every label
-// outside the partition's cells); legacy sets render as before.
+// renderLiveSet renders a live set for Explain output. The set's labels
+// are class runes, so they are translated back to label ranges via the
+// partition ("?" is the wild bucket — every label outside the
+// partition's cells); a singleton cell renders as its label.
 func renderLiveSet(ls relations.LiveSet, part *regex.Partition) string {
-	if part == nil || ls.All || len(ls.Labels) == 0 {
+	if ls.All || len(ls.Labels) == 0 {
 		return ls.String()
 	}
 	var b strings.Builder
@@ -358,7 +357,7 @@ func (p *Program) Eval(ctx context.Context, g *graph.DB, opts Options) (*Result,
 // the underlying context error; budget exhaustion is
 // qerr.ErrBudgetExceeded). The execution never touches the live DB, so
 // it is fully isolated from concurrent writers, and repeated calls
-// with the same snapshot reuse the per-epoch move-plan memos.
+// reuse the joint runner's memos and flat rows, on any snapshot.
 func (p *Program) EvalSnapshot(ctx context.Context, s *graph.Snapshot, opts Options) (*Result, error) {
 	return p.evalFull(ctx, s, opts, false)
 }

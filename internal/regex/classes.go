@@ -1,6 +1,9 @@
 package regex
 
 import (
+	"cmp"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"unicode/utf8"
@@ -109,7 +112,7 @@ func NormalizeRanges(rs []Range) []Range {
 	if len(rs) <= 1 {
 		return rs
 	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Lo < rs[j].Lo })
+	slices.SortFunc(rs, func(a, b Range) int { return cmp.Compare(a.Lo, b.Lo) })
 	out := rs[:1]
 	for _, r := range rs[1:] {
 		last := &out[len(out)-1]
@@ -196,6 +199,14 @@ func RangesOverlap(a, b []Range) bool {
 type Partition struct {
 	cells []Range
 	wild  bool
+
+	// ascii caches ClassOf for the ASCII labels whose class fits a byte
+	// (0: not cached), the common case of a small alphabet: the move
+	// planner maps every label run it plans through ClassOf.
+	ascii [128]uint8
+	// outside is the least label in no cell: the representative of the
+	// wild and the dead class (Label).
+	outside rune
 }
 
 // NumClasses returns the number of class IDs (wild bucket included).
@@ -234,18 +245,47 @@ func (p *Partition) Cell(c rune) Range { return p.cells[c-1] }
 // class if outside all cells and the partition has a wild bucket, or
 // DeadClass() otherwise. ⊥ maps to ⊥ (class 0 is reserved for it).
 func (p *Partition) ClassOf(r rune) rune {
+	if uint32(r) < uint32(len(p.ascii)) && p.ascii[r] != 0 {
+		return rune(p.ascii[r])
+	}
+	return p.classOf(r)
+}
+
+// classOf is ClassOf without the ASCII cache: a binary search over the
+// cells.
+func (p *Partition) classOf(r rune) rune {
 	if r == Bot {
 		return Bot
 	}
 	cs := p.cells
-	i := sort.Search(len(cs), func(i int) bool { return cs[i].Hi >= r })
-	if i < len(cs) && cs[i].Lo <= r {
-		return rune(i + 1)
+	lo, hi := 0, len(cs) // the first cell with Hi ≥ r is in [lo, hi]
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cs[mid].Hi < r {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(cs) && cs[lo].Lo <= r {
+		return rune(lo + 1)
 	}
 	if p.wild {
 		return rune(len(cs) + 1)
 	}
 	return p.DeadClass()
+}
+
+// Label returns a representative label of class rune c: the least label
+// of its cell, or for the wild and the dead class the least label in no
+// cell. Every label of a class behaves alike in every automaton the
+// partition was built from, so stepping one by the representative steps
+// it by the class.
+func (p *Partition) Label(c rune) rune {
+	if c >= 1 && int(c) <= len(p.cells) {
+		return p.cells[c-1].Lo
+	}
+	return p.outside
 }
 
 // ClassesOf returns the class runes whose cells the class expression
@@ -323,15 +363,17 @@ func FormatLabelRange(r Range) string {
 // splits the space at its boundaries, and any negated class turns on
 // the wild bucket.
 type PartitionBuilder struct {
-	singles []rune
+	singles RuneSet
 	ranges  []Range
 	wild    bool
 }
 
-// AddLabel records a label that must be its own singleton cell.
+// AddLabel records a label that must be its own singleton cell. A
+// relation automaton names each label once per transition, so most calls
+// repeat a label.
 func (b *PartitionBuilder) AddLabel(r rune) {
 	if r != Bot {
-		b.singles = append(b.singles, r)
+		b.singles.Add(r)
 	}
 }
 
@@ -366,26 +408,22 @@ func (b *PartitionBuilder) AddNode(n *Node[rune]) {
 // becomes one cell. Each single ends up alone in its cell and each
 // input range is an exact union of cells.
 func (b *PartitionBuilder) Build() *Partition {
-	limits := make([]rune, 0, 2*(len(b.singles)+len(b.ranges)))
-	for _, r := range b.singles {
+	singles := b.singles.Sorted()
+	limits := make([]rune, 0, 2*(len(singles)+len(b.ranges)))
+	for _, r := range singles {
 		limits = append(limits, r, r+1)
 	}
 	for _, rg := range b.ranges {
 		limits = append(limits, rg.Lo, rg.Hi+1)
 	}
 	if len(limits) == 0 {
-		return &Partition{wild: b.wild}
+		return newPartition(nil, b.wild)
 	}
-	sort.Slice(limits, func(i, j int) bool { return limits[i] < limits[j] })
-	uniq := limits[:1]
-	for _, l := range limits[1:] {
-		if l != uniq[len(uniq)-1] {
-			uniq = append(uniq, l)
-		}
-	}
+	slices.Sort(limits)
+	uniq := slices.Compact(limits)
 	// Coverage: the normalized union of all inputs.
-	cov := make([]Range, 0, len(b.singles)+len(b.ranges))
-	for _, r := range b.singles {
+	cov := make([]Range, 0, len(singles)+len(b.ranges))
+	for _, r := range singles {
 		cov = append(cov, Range{r, r})
 	}
 	cov = append(cov, b.ranges...)
@@ -397,7 +435,68 @@ func (b *PartitionBuilder) Build() *Partition {
 			cells = append(cells, Range{lo, hi})
 		}
 	}
-	return &Partition{cells: cells, wild: b.wild}
+	return newPartition(cells, b.wild)
+}
+
+// RuneSet gathers a set of runes from a stream with many repeats: runes
+// below 128 — ASCII labels, and the class runes of a partition of fewer
+// than 127 classes — go into a bitmap, so a repeat costs a bit test; the
+// rest are appended, then sorted and deduplicated when the set is read.
+// The zero value is an empty set.
+type RuneSet struct {
+	low  [2]uint64
+	high []rune
+}
+
+// Add adds r to the set.
+func (s *RuneSet) Add(r rune) {
+	if uint32(r) < 128 {
+		s.low[r>>6] |= 1 << (r & 63)
+		return
+	}
+	s.high = append(s.high, r)
+}
+
+// Reset empties the set, keeping its storage.
+func (s *RuneSet) Reset() {
+	s.low = [2]uint64{}
+	s.high = s.high[:0]
+}
+
+// Sorted returns the set's runes in increasing order in a fresh
+// exactly-sized slice, nil when the set is empty.
+func (s *RuneSet) Sorted() []rune {
+	slices.Sort(s.high)
+	s.high = slices.Compact(s.high)
+	n := bits.OnesCount64(s.low[0]) + bits.OnesCount64(s.low[1]) + len(s.high)
+	if n == 0 {
+		return nil
+	}
+	out := make([]rune, 0, n)
+	for w, word := range s.low {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, rune(w*64+bits.TrailingZeros64(word)))
+		}
+	}
+	return append(out, s.high...)
+}
+
+// newPartition builds the partition of the given cells, filling its
+// ASCII cache and finding its outside label.
+func newPartition(cells []Range, wild bool) *Partition {
+	p := &Partition{cells: cells, wild: wild, outside: 1}
+	for _, cell := range cells {
+		if cell.Lo > p.outside {
+			break
+		}
+		p.outside = cell.Hi + 1
+	}
+	for r := range p.ascii {
+		if c := p.classOf(rune(r)); c <= 0xff {
+			p.ascii[r] = uint8(c)
+		}
+	}
+	return p
 }
 
 // ---------------------------------------------------------------------

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/automata"
+	"repro/internal/regex"
 )
 
 // Atom is one relation atom R(ω̄) positioned over the m tapes of a query:
@@ -13,6 +14,12 @@ import (
 type Atom struct {
 	Rel *Relation
 	Pos []int
+
+	// part is set by CompileClassAtoms on an atom whose automaton stays on
+	// raw labels while the joint's symbols are class runes of part: the
+	// runner reads class c as a representative label of c's cell
+	// (Partition.Label). Nil: the automaton reads the symbols as given.
+	part *regex.Partition
 }
 
 // Joint implements the m-ary joined relation S_Q = S₁(ω̄₁) ⋈ … ⋈ S_t(ω̄_t)

@@ -1,10 +1,10 @@
 package relations
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/automata"
+	"repro/internal/regex"
 )
 
 // LiveSet describes, for one tape of a joint state, which moves can
@@ -67,47 +67,39 @@ type atomLiveInfo struct {
 	setFinal []int8     // 0 unknown, 1 has accepting member, 2 none
 }
 
-func newAtomLiveInfo(a *automata.NFA[TupleSym], arity int) atomLiveInfo {
+// newAtomLiveInfo builds the static tables of an atom with automaton a.
+// When part is set the automaton reads raw labels and the joint class
+// runes of part, so stateLive lists the classes of the labels.
+func newAtomLiveInfo(a *automata.NFA[TupleSym], arity int, part *regex.Partition) atomLiveInfo {
 	co := automata.CoReachable(a)
 	al := atomLiveInfo{coReach: co, stateLive: make([][][]rune, a.NumStates())}
-	acc := make([]map[rune]bool, arity)
+	acc := make([]regex.RuneSet, arity) // per coordinate: runes gathered from q
 	for q := range al.stateLive {
 		for c := range acc {
-			acc[c] = nil
+			acc[c].Reset()
 		}
 		a.TransitionsFrom(q, func(sym TupleSym, to int) {
 			if !co[to] {
 				return
 			}
-			for c, r := range []rune(sym) {
-				if r == Bot {
-					continue
+			c := 0
+			for _, r := range sym {
+				if r != Bot {
+					if part != nil {
+						r = part.ClassOf(r)
+					}
+					acc[c].Add(r)
 				}
-				if acc[c] == nil {
-					acc[c] = map[rune]bool{}
-				}
-				acc[c][r] = true
+				c++
 			}
 		})
 		per := make([][]rune, arity)
-		for c, set := range acc {
-			per[c] = sortedRunes(set)
+		for c := range acc {
+			per[c] = acc[c].Sorted()
 		}
 		al.stateLive[q] = per
 	}
 	return al
-}
-
-func sortedRunes(set map[rune]bool) []rune {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]rune, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // ensure grows the per-subset memos to cover setID.
@@ -181,17 +173,15 @@ func (r *JointRunner) atomSetLive(ai, setID, c int) []rune {
 		arity := len(r.J.Atoms[ai].Pos)
 		per := make([][]rune, arity)
 		set := r.subsets[ai].At(setID)
+		var acc regex.RuneSet
 		for cc := 0; cc < arity; cc++ {
-			var acc map[rune]bool
+			acc.Reset()
 			for _, q := range set {
 				for _, x := range al.stateLive[q][cc] {
-					if acc == nil {
-						acc = map[rune]bool{}
-					}
-					acc[x] = true
+					acc.Add(x)
 				}
 			}
-			per[cc] = sortedRunes(acc)
+			per[cc] = acc.Sorted()
 		}
 		al.setLive[setID] = per
 	}

@@ -66,7 +66,7 @@ func NewJointRunner(j *Joint) *JointRunner {
 	for i, at := range j.Atoms {
 		r.steppers[i] = automata.NewStepper(at.Rel.A)
 		r.subsets[i] = intern.NewTable(0)
-		r.live[i] = newAtomLiveInfo(at.Rel.A, len(at.Pos))
+		r.live[i] = newAtomLiveInfo(at.Rel.A, len(at.Pos), at.part)
 		id, _ := r.subsets[i].Intern(at.Rel.A.EpsClosure(at.Rel.A.Start()))
 		tup = append(tup, id)
 	}
@@ -91,7 +91,9 @@ func (r *JointRunner) NumSyms() int { return len(r.symRunes) }
 // returns its dense id. The caller is responsible for registering each
 // distinct symbol once (typically behind its own interning table); the
 // runes are copied. Per-atom projections and the padding mask are
-// precomputed here so Step never touches runes again.
+// precomputed here so Step never touches runes again; an atom that keeps
+// its automaton on raw labels (Atom.part) projects each class onto a
+// representative label of its cell.
 func (r *JointRunner) AddSym(labels []rune) int {
 	if len(labels) != r.J.M {
 		panic("relations: AddSym arity mismatch")
@@ -111,10 +113,14 @@ func (r *JointRunner) AddSym(labels []rune) int {
 		proj = proj[:0]
 		allBot := true
 		for _, p := range at.Pos {
-			proj = append(proj, cp[p])
-			if cp[p] != Bot {
+			c := cp[p]
+			if c != Bot {
 				allBot = false
+				if at.part != nil {
+					c = at.part.Label(c)
+				}
 			}
+			proj = append(proj, c)
 		}
 		info.projs[ai] = atomProj{sym: string(proj), allBot: allBot}
 	}
@@ -139,7 +145,11 @@ func (r *JointRunner) SymString(id int) TupleSym {
 // Step advances joint state by symbol, both as dense ids. ok = false
 // means the symbol leads to a dead state. Results are memoized: the
 // subset stepping behind a (state, sym) pair runs at most once for the
-// lifetime of the runner.
+// lifetime of the runner. A state's memo row spans the registered
+// symbols; its capacity grows geometrically, so a run that registers
+// symbols as it goes reallocates each row O(log NumSyms) times, not once
+// per symbol. Entries past a row's length are zero: only entries below it
+// are ever written.
 func (r *JointRunner) Step(state, sym int) (int, bool) {
 	row := r.trans[state]
 	if sym < len(row) {
@@ -150,10 +160,15 @@ func (r *JointRunner) Step(state, sym int) (int, bool) {
 			return int(v - 1), true
 		}
 	} else {
-		grown := make([]int32, len(r.symRunes))
-		copy(grown, row)
-		r.trans[state] = grown
-		row = grown
+		n := len(r.symRunes)
+		if n <= cap(row) {
+			row = row[:n]
+		} else {
+			grown := make([]int32, n, max(2*cap(row), n))
+			copy(grown, row)
+			row = grown
+		}
+		r.trans[state] = row
 	}
 	next, ok := r.step(state, sym)
 	if !ok {
