@@ -231,7 +231,7 @@ func TestCachedEpochInvalidation(t *testing.T) {
 	c := NewCache(1 << 20)
 	cp := p.Cached(c)
 	s1 := g.Snapshot()
-	r1, err := cp.EvalSnapshot(context.Background(), s1, Options{})
+	r1, err := cp.EvalContext(context.Background(), s1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestCachedEpochInvalidation(t *testing.T) {
 	cNode := g.AddNode("c")
 	g.AddEdge(b, 'k', cNode)
 	s2 := g.Snapshot()
-	r2, err := cp.EvalSnapshot(context.Background(), s2, Options{})
+	r2, err := cp.EvalContext(context.Background(), s2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestCachedEpochInvalidation(t *testing.T) {
 	}
 	// The old epoch's entry was dropped; serving the pinned old snapshot
 	// recomputes against the old content — correct isolation either way.
-	r1again, err := cp.EvalSnapshot(context.Background(), s1, Options{})
+	r1again, err := cp.EvalContext(context.Background(), s1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,12 +356,12 @@ func TestCachedConcurrentEpochAdvance(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				s := g.Snapshot()
-				got, err := cp.EvalSnapshot(context.Background(), s, Options{})
+				got, err := cp.EvalContext(context.Background(), s, Options{})
 				if err != nil {
 					t.Errorf("reader %d: %v", w, err)
 					return
 				}
-				want, err := pRef.EvalSnapshot(context.Background(), s, Options{})
+				want, err := pRef.EvalContext(context.Background(), s, Options{})
 				if err != nil {
 					t.Errorf("reader %d: ref: %v", w, err)
 					return

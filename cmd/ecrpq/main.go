@@ -182,10 +182,11 @@ func run(cfg config, in io.Reader, out, errw io.Writer) error {
 		defer f.Close()
 		return runReplay(ctx, cfg, p, q, g, f, opts, qc, out, errw)
 	}
+	s := g.Snapshot()
 	if cfg.limit > 0 {
-		return runStream(ctx, cfg, p, q, g, opts, out, errw)
+		return runStream(ctx, cfg, p, q, s, opts, out, errw)
 	}
-	res, _, err := p.EvalCached(ctx, g, opts, qc)
+	res, _, err := p.EvalSnapshotCached(ctx, s, opts, qc)
 	if err != nil {
 		return err
 	}
@@ -194,7 +195,7 @@ func run(cfg config, in io.Reader, out, errw io.Writer) error {
 		return nil
 	}
 	for _, a := range res.Answers {
-		if err := printAnswer(cfg, q, g, a, out); err != nil {
+		if err := printAnswer(cfg, q, s, a, out); err != nil {
 			return err
 		}
 	}
@@ -204,9 +205,9 @@ func run(cfg config, in io.Reader, out, errw io.Writer) error {
 
 // runStream prints answers as the streaming executor discovers them,
 // stopping the evaluation after cfg.limit answers.
-func runStream(ctx context.Context, cfg config, p *plan.Plan, q *ecrpq.Query, g *graph.DB, opts ecrpq.Options, out, errw io.Writer) error {
+func runStream(ctx context.Context, cfg config, p *plan.Plan, q *ecrpq.Query, s *graph.Snapshot, opts ecrpq.Options, out, errw io.Writer) error {
 	count := 0
-	for a, err := range p.Stream(ctx, g, ecrpq.StreamOptions{Options: opts, Limit: cfg.limit}) {
+	for a, err := range p.StreamSnapshot(ctx, s, ecrpq.StreamOptions{Options: opts, Limit: cfg.limit}) {
 		if err != nil {
 			return err
 		}
@@ -215,7 +216,7 @@ func runStream(ctx context.Context, cfg config, p *plan.Plan, q *ecrpq.Query, g 
 			fmt.Fprintln(out, true)
 			continue
 		}
-		if err := printAnswer(cfg, q, g, a, out); err != nil {
+		if err := printAnswer(cfg, q, s, a, out); err != nil {
 			return err
 		}
 	}
@@ -226,19 +227,22 @@ func runStream(ctx context.Context, cfg config, p *plan.Plan, q *ecrpq.Query, g 
 	return nil
 }
 
-func printAnswer(cfg config, q *ecrpq.Query, g *graph.DB, a ecrpq.Answer, out io.Writer) error {
+// printAnswer prints one answer read from s; -paths automata are built
+// on that same snapshot, so every line describes the epoch it was
+// answered at.
+func printAnswer(cfg config, q *ecrpq.Query, s *graph.Snapshot, a ecrpq.Answer, out io.Writer) error {
 	for i, v := range a.Nodes {
 		if i > 0 {
 			fmt.Fprint(out, ", ")
 		}
-		fmt.Fprint(out, g.Name(v))
+		fmt.Fprint(out, s.Name(v))
 	}
 	for _, p := range a.Paths {
-		fmt.Fprintf(out, " | %s", p.Format(g))
+		fmt.Fprintf(out, " | %s", p.Format(s))
 	}
 	fmt.Fprintln(out)
 	if cfg.nPaths > 0 && len(q.HeadPaths) > 0 {
-		pa, err := ecrpq.BuildPathAutomaton(q, g, a.Nodes, ecrpq.Options{MaxProductStates: cfg.budget})
+		pa, err := ecrpq.BuildPathAutomaton(q, s, a.Nodes, ecrpq.Options{MaxProductStates: cfg.budget})
 		if err != nil {
 			return err
 		}
@@ -303,7 +307,7 @@ func runReplay(ctx context.Context, cfg config, p *plan.Plan, q *ecrpq.Query, g 
 				if q.IsBoolean() {
 					continue
 				}
-				if err := printAnswer(cfg, q, g, a, out); err != nil {
+				if err := printAnswer(cfg, q, s, a, out); err != nil {
 					return err
 				}
 			}
@@ -316,7 +320,7 @@ func runReplay(ctx context.Context, cfg config, p *plan.Plan, q *ecrpq.Query, g 
 			cached = hit
 			if !q.IsBoolean() {
 				for _, a := range res.Answers {
-					if err := printAnswer(cfg, q, g, a, out); err != nil {
+					if err := printAnswer(cfg, q, s, a, out); err != nil {
 						return err
 					}
 				}

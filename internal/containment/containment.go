@@ -21,6 +21,7 @@
 package containment
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/automata"
@@ -85,6 +86,11 @@ func Check(q1, q2 *ecrpq.Query, sigma []rune, bound, limit int, opts ecrpq.Optio
 	if err != nil {
 		return nil, err
 	}
+	// Every canonical database is checked against Q2: compile it once.
+	prog2, err := ecrpq.CompileProgram(q2, false)
+	if err != nil {
+		return nil, err
+	}
 	for _, words := range tuples {
 		g, headVals := canonicalDB(q1, words)
 		// Check the canonical head tuple against Q2.
@@ -104,7 +110,7 @@ func Check(q1, q2 *ecrpq.Query, sigma []rune, bound, limit int, opts ecrpq.Optio
 		}
 		o := opts
 		o.Bind = bind
-		res, err := ecrpq.Eval(q2, g, o)
+		res, err := prog2.Eval(context.Background(), g, o)
 		if err != nil {
 			return nil, err
 		}

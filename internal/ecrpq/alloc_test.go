@@ -32,7 +32,7 @@ func TestEvalAllocsDoNotGrowPerAnswer(t *testing.T) {
 		s := g.Snapshot()
 		opts := Options{Bind: map[NodeVar]graph.Node{"x": hub}, BFSWorkers: 1}
 		eval := func() {
-			res, err := prog.EvalSnapshot(context.Background(), s, opts)
+			res, err := prog.Eval(context.Background(), s, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func TestDecidedEvalAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	eval := func() {
-		res, err := prog.EvalSnapshot(context.Background(), s, Options{})
+		res, err := prog.Eval(context.Background(), s, Options{})
 		if err != nil || !res.Bool() {
 			t.Fatalf("evaluation: %v, %v; want true", res, err)
 		}
@@ -118,7 +118,7 @@ func TestWarmJoinEvalAllocs(t *testing.T) {
 		s := g.Snapshot()
 		opts := Options{Bind: map[NodeVar]graph.Node{"x": x}, BFSWorkers: 1}
 		eval := func() {
-			res, err := prog.EvalSnapshot(context.Background(), s, opts)
+			res, err := prog.Eval(context.Background(), s, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

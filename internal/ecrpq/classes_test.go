@@ -20,7 +20,7 @@ import (
 // same query (symPlus: each band written out as an alternation of its
 // labels, which compiles through the ordinary label-space path) and,
 // where the oracle is complete, to
-// NaiveEvalSnapshot — on random graphs and queries over alphabets up
+// NaiveEval — on random graphs and queries over alphabets up
 // to 10⁴ labels, under delta-write storms, and at every worker count.
 
 // bigSigmaTest mirrors the N-Triples label assignment: dense runes from
@@ -209,7 +209,7 @@ func TestClassVsNaive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", src, err)
 			}
-			want, err := NaiveEvalSnapshot(q, res.Snap, n)
+			want, err := NaiveEval(q, res.Snap, n)
 			if err != nil {
 				t.Fatalf("%s: naive: %v", src, err)
 			}
@@ -262,7 +262,7 @@ func TestClassWithRegularRelations(t *testing.T) {
 	if class.Fingerprint() != persym.Fingerprint() {
 		t.Fatalf("fingerprint mismatch: class=%x persym=%x", class.Fingerprint(), persym.Fingerprint())
 	}
-	want, err := NaiveEvalSnapshot(q, class.Snap, n)
+	want, err := NaiveEval(q, class.Snap, n)
 	if err != nil {
 		t.Fatal(err)
 	}

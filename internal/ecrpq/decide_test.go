@@ -396,15 +396,15 @@ func TestDecidedBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range parWorkerCounts {
-		if _, err := prog.EvalSnapshot(ctx, s, Options{MaxProductStates: 4, BFSWorkers: w, NoPrune: true}); !errors.Is(err, qerr.ErrBudgetExceeded) {
+		if _, err := prog.Eval(ctx, s, Options{MaxProductStates: 4, BFSWorkers: w, NoPrune: true}); !errors.Is(err, qerr.ErrBudgetExceeded) {
 			t.Fatalf("W=%d: NoPrune at budget 4 returned %v, want qerr.ErrBudgetExceeded", w, err)
 		}
-		res, err := prog.EvalSnapshot(ctx, s, Options{MaxProductStates: 4, BFSWorkers: w})
+		res, err := prog.Eval(ctx, s, Options{MaxProductStates: 4, BFSWorkers: w})
 		if err != nil || !res.Bool() {
 			t.Fatalf("W=%d: default at budget 4: %v, %v; want true", w, res, err)
 		}
 		n := 0
-		for _, err := range prog.StreamSnapshot(ctx, s, StreamOptions{Options: Options{MaxProductStates: 4, BFSWorkers: w}}) {
+		for _, err := range prog.Stream(ctx, s, StreamOptions{Options: Options{MaxProductStates: 4, BFSWorkers: w}}) {
 			if err != nil {
 				t.Fatalf("W=%d: stream at budget 4: %v", w, err)
 			}
@@ -425,8 +425,8 @@ func TestDecidedBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, refErr := prog.EvalSnapshot(ctx, s, Options{MaxProductStates: budget, BFSWorkers: w, NoPrune: true})
-			res, err := prog.EvalSnapshot(ctx, s, Options{MaxProductStates: budget, BFSWorkers: w})
+			ref, refErr := prog.Eval(ctx, s, Options{MaxProductStates: budget, BFSWorkers: w, NoPrune: true})
+			res, err := prog.Eval(ctx, s, Options{MaxProductStates: budget, BFSWorkers: w})
 			if refErr != nil {
 				refused++
 				if err != nil && !errors.Is(err, ErrBudget) {

@@ -120,7 +120,7 @@ func naiveBound(t *testing.T, q *Query, s *graph.Snapshot, bind map[NodeVar]grap
 	t.Helper()
 	wide := *q
 	wide.HeadNodes = q.NodeVars()
-	rows, err := NaiveEvalSnapshot(&wide, s, s.NumNodes())
+	rows, err := NaiveEval(&wide, s, s.NumNodes())
 	if err != nil {
 		t.Fatalf("naive %q: %v", q, err)
 	}
@@ -186,7 +186,7 @@ func checkDomainCase(t *testing.T, label string, q *Query, s *graph.Snapshot, bi
 		}
 
 		got := map[string]bool{}
-		for a, err := range prog.StreamSnapshot(ctx, s, StreamOptions{Options: opts}) {
+		for a, err := range prog.Stream(ctx, s, StreamOptions{Options: opts}) {
 			if err != nil {
 				t.Fatalf("%s: stream: %v", wl, err)
 			}
@@ -309,7 +309,7 @@ func TestStartDomainConcurrent(t *testing.T) {
 				defer wg.Done()
 				opts := Options{Bind: map[NodeVar]graph.Node{"x": graph.Node(w % 4)}}
 				for i := 0; i < 10 && errs[w] == nil; i++ {
-					res, err := prog.EvalSnapshot(context.Background(), s, opts)
+					res, err := prog.Eval(context.Background(), s, opts)
 					if err != nil {
 						errs[w] = err
 						return
@@ -319,7 +319,7 @@ func TestStartDomainConcurrent(t *testing.T) {
 						return
 					}
 					n := 0
-					for _, err := range prog.StreamSnapshot(context.Background(), s, StreamOptions{Options: opts}) {
+					for _, err := range prog.Stream(context.Background(), s, StreamOptions{Options: opts}) {
 						if err != nil {
 							errs[w] = err
 							return
@@ -354,7 +354,7 @@ func countBFSRuns(t *testing.T, prog *Program, s *graph.Snapshot, opts Options) 
 		return nil
 	})
 	defer faultinject.Clear()
-	res, err := prog.EvalSnapshot(context.Background(), s, opts)
+	res, err := prog.Eval(context.Background(), s, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,8 +441,8 @@ func TestStartDomainBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, refErr := prog.EvalSnapshot(ctx, s, Options{Bind: bind, MaxProductStates: budget, BFSWorkers: w, NoPrune: true})
-			res, err := prog.EvalSnapshot(ctx, s, Options{Bind: bind, MaxProductStates: budget, BFSWorkers: w})
+			ref, refErr := prog.Eval(ctx, s, Options{Bind: bind, MaxProductStates: budget, BFSWorkers: w, NoPrune: true})
+			res, err := prog.Eval(ctx, s, Options{Bind: bind, MaxProductStates: budget, BFSWorkers: w})
 			if refErr != nil {
 				if err != nil && !errors.Is(err, ErrBudget) {
 					t.Fatalf("budget %d W=%d: failed untyped: %v", budget, w, err)
@@ -482,20 +482,20 @@ func TestStartDomainBudget(t *testing.T) {
 	if left := bud.left.Load(); left != 1000 {
 		t.Fatalf("finished pass left %d of 1000 states in the budget", left)
 	}
-	ref, err := prog.EvalSnapshot(ctx, s, Options{Bind: bind, MaxProductStates: 10, NoPrune: true})
+	ref, err := prog.Eval(ctx, s, Options{Bind: bind, MaxProductStates: 10, NoPrune: true})
 	if err != nil {
 		t.Fatalf("NoPrune at budget 10: %v", err)
 	}
 	if len(ref.Answers) != 1 {
 		t.Fatalf("trap query has %d answers, want 1", len(ref.Answers))
 	}
-	res, err := prog.EvalSnapshot(ctx, s, Options{Bind: bind, MaxProductStates: 10})
+	res, err := prog.Eval(ctx, s, Options{Bind: bind, MaxProductStates: 10})
 	if err != nil {
 		t.Fatalf("default at budget 10 (pass abandoned): %v", err)
 	}
 	sameResult(t, "pass abandoned", res, ref)
 	streamed := 0
-	for _, err := range prog.StreamSnapshot(ctx, s, StreamOptions{Options: Options{Bind: bind, MaxProductStates: 10}}) {
+	for _, err := range prog.Stream(ctx, s, StreamOptions{Options: Options{Bind: bind, MaxProductStates: 10}}) {
 		if err != nil {
 			t.Fatalf("stream at budget 10 (pass abandoned): %v", err)
 		}
@@ -525,7 +525,7 @@ func TestStartDomainCancellation(t *testing.T) {
 		return nil
 	})
 	defer faultinject.Clear()
-	_, err = prog.EvalSnapshot(ctx, s, Options{Bind: map[NodeVar]graph.Node{"x": 0}})
+	_, err = prog.Eval(ctx, s, Options{Bind: map[NodeVar]graph.Node{"x": 0}})
 	if !errors.Is(err, qerr.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("evaluation cancelled inside the pass returned %v, want qerr.ErrCanceled", err)
 	}
@@ -541,7 +541,7 @@ func TestStartDomainCancellation(t *testing.T) {
 		}
 		return nil
 	})
-	_, err = prog.EvalSnapshot(context.Background(), s, Options{Bind: map[NodeVar]graph.Node{"x": 0}})
+	_, err = prog.Eval(context.Background(), s, Options{Bind: map[NodeVar]graph.Node{"x": 0}})
 	if !errors.Is(err, faultinject.ErrForced) {
 		t.Fatalf("BFSStep fault inside the pass returned %v, want faultinject.ErrForced", err)
 	}

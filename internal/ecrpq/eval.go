@@ -268,63 +268,21 @@ func (r *Result) SizeBytes() int64 {
 	return size
 }
 
-// Eval evaluates the query over g per the semantics of Definition 3.1.
+// Eval evaluates the query over the snapshot g yields, per the semantics
+// of Definition 3.1.
 //
-// Eval is a convenience shim over the plan/execute split: it compiles
-// the query into a Program (see CompileProgram) — or reuses one from a
-// bounded package-level cache keyed by the query object — takes the
-// current snapshot of g and runs to completion with a background
-// context. Prepared execution (internal/plan, pathquery.Prepare)
-// compiles once explicitly and adds context cancellation, streaming,
-// snapshot pinning and concurrent reuse.
-func Eval(q *Query, g *graph.DB, opts Options) (*Result, error) {
-	prog, err := SharedProgram(q)
+// Eval is a compile-per-call convenience over the plan/execute split: it
+// compiles the query into a fresh Program (see CompileProgram) and runs
+// it to completion with a background context. A caller that evaluates
+// one query repeatedly compiles it once (CompileProgram, internal/plan,
+// pathquery.Prepare) and holds the result, which also adds context
+// cancellation, streaming and concurrent reuse.
+func Eval(q *Query, g graph.Snapshotter, opts Options) (*Result, error) {
+	prog, err := CompileProgram(q, false)
 	if err != nil {
 		return nil, err
 	}
 	return prog.Eval(context.Background(), g, opts)
-}
-
-// maxCachedPrograms bounds the per-query program cache behind Eval;
-// beyond the cap queries are compiled per call.
-const maxCachedPrograms = 64
-
-var (
-	progCache      sync.Map // *Query → *Program
-	progCacheCount atomic.Int32
-)
-
-// SharedProgram returns a cached compiled Program for q (compiling and
-// caching on miss) — the cache behind Eval, exported for the extension
-// packages (via plan.Cached): repeated per-call evaluation of the same
-// query object reuses one compiled program. A Program is safe for
-// concurrent use, so concurrent Evals of the same query share one
-// Program, each borrowing a workspace from its pool (takeWorkspace) and
-// returning it through putWorkspace, which keeps the storage the
-// evaluation grew up to maxPooledScratch elements per buffer.
-func SharedProgram(q *Query) (*Program, error) {
-	if v, ok := progCache.Load(q); ok {
-		p := v.(*Program)
-		if p.valid(q) {
-			return p, nil
-		}
-		// The caller mutated the query in place: drop the stale entry —
-		// but only that exact entry, so a fresh program stored by a
-		// concurrent caller is neither deleted nor double-counted.
-		if progCache.CompareAndDelete(q, v) {
-			progCacheCount.Add(-1)
-		}
-	}
-	p, err := CompileProgram(q, false)
-	if err != nil {
-		return nil, err
-	}
-	if progCacheCount.Load() < maxCachedPrograms {
-		if _, loaded := progCache.LoadOrStore(q, p); !loaded {
-			progCacheCount.Add(1)
-		}
-	}
-	return p, nil
 }
 
 // varPos returns the index of v in vars, or -1.

@@ -379,7 +379,7 @@ func TestPropertyYannakakisMatchesBacktracking(t *testing.T) {
 	head := p.headNodes
 	for trial := 0; trial < 20; trial++ {
 		s := randomDAG(r, 6, 0.4, sigmaAB).Snapshot()
-		res, err := p.EvalSnapshot(ctx, s, Options{})
+		res, err := p.Eval(ctx, s, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

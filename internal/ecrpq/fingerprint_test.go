@@ -12,39 +12,9 @@ import (
 	"repro/internal/graph"
 )
 
-// TestProgramFingerprintHeadMutation: the Eval shim's per-query program
-// cache must notice in-place mutations of every Query field. HeadNodes
-// and AllowRepeatedPathVars used to be missing from the fingerprint, so
-// a mutated query kept hitting the stale compiled program (and, worse,
-// would have kept hitting stale result-cache entries keyed on the
-// program's identity).
-func TestProgramFingerprintHeadMutation(t *testing.T) {
-	q := MustParse("Ans(x, y) <- (x,p,y), a+(p)", env())
-	p1, err := SharedProgram(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.HeadNodes = []NodeVar{"x"}
-	p2, err := SharedProgram(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 == p2 {
-		t.Fatal("HeadNodes mutation did not invalidate the cached program")
-	}
-	q.AllowRepeatedPathVars = true
-	p3, err := SharedProgram(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3 == p2 {
-		t.Fatal("AllowRepeatedPathVars mutation did not invalidate the cached program")
-	}
-}
-
 // TestEvalAfterHeadMutation evaluates, mutates the head in place, and
-// evaluates again through the shim: the second answer set must reflect
-// the mutated head (narrower tuples, deduplicated).
+// evaluates again through Eval: the second answer set must reflect the
+// mutated head (narrower tuples, deduplicated).
 func TestEvalAfterHeadMutation(t *testing.T) {
 	q := MustParse("Ans(x, y) <- (x,p,y), a+(p)", env())
 	g := stringGraph("aaa")

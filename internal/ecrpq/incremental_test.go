@@ -95,7 +95,7 @@ func TestAdvanceRevalidatesDisjointDelta(t *testing.T) {
 	if &res.Answers[0] != &prev.Answers[0] {
 		t.Fatal("revalidated result did not share the previous answers")
 	}
-	scratch, err := p.EvalSnapshot(ctx, s, Options{})
+	scratch, err := p.Eval(ctx, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestAdvanceIncrementalMatchesScratch(t *testing.T) {
 				if err != nil {
 					t.Fatalf("round %d: Advance: %v", round, err)
 				}
-				scratch, err := p.EvalSnapshot(ctx, s, oracle)
+				scratch, err := p.Eval(ctx, s, oracle)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -281,7 +281,7 @@ func TestAdvanceGrowingStartDomain(t *testing.T) {
 							t.Fatalf("%s: fallback: %v", name, err)
 						}
 					}
-					scratch, err := p.EvalSnapshot(ctx, s, Options{Bind: opts.Bind, NoPrune: true, BFSWorkers: 1})
+					scratch, err := p.Eval(ctx, s, Options{Bind: opts.Bind, NoPrune: true, BFSWorkers: 1})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -362,7 +362,7 @@ func TestAdvanceWitnessQueries(t *testing.T) {
 	if err != nil || kind != AdvanceRevalidated {
 		t.Fatalf("dead-label advance = %v, %v", kind, err)
 	}
-	scratch, err := p.EvalSnapshot(ctx, s1, Options{})
+	scratch, err := p.Eval(ctx, s1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestAdvanceFaultInjection(t *testing.T) {
 	if err != nil || kind != AdvanceIncremental {
 		t.Fatalf("unfaulted advance = %v, %v, want incremental", kind, err)
 	}
-	scratch, err := p.EvalSnapshot(ctx, s, Options{})
+	scratch, err := p.Eval(ctx, s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

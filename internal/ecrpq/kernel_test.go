@@ -263,7 +263,7 @@ func TestFlatRowsMatchRunner(t *testing.T) {
 				t.Fatalf("%s: %v", text, err)
 			}
 			opts := Options{NoPrune: noPrune, BFSWorkers: 1}
-			res, err := prog.EvalSnapshot(context.Background(), s, opts)
+			res, err := prog.Eval(context.Background(), s, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", text, err)
 			}
@@ -275,7 +275,7 @@ func TestFlatRowsMatchRunner(t *testing.T) {
 			e.rowWidth, e.flat, e.flatCells = 0, nil, 0
 			clear(e.pow)
 			prog.put(0, e)
-			again, err := prog.EvalSnapshot(context.Background(), s, opts)
+			again, err := prog.Eval(context.Background(), s, opts)
 			if err != nil {
 				t.Fatalf("%s without rows: %v", text, err)
 			}
@@ -293,7 +293,7 @@ func TestFlatRowsMatchRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.EvalSnapshot(context.Background(), s, Options{Bind: bind, BFSWorkers: 1})
+	res, err := prog.Eval(context.Background(), s, Options{Bind: bind, BFSWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestWorkersOnlyFanOut(t *testing.T) {
 			t.Fatal(err)
 		}
 		eval := func() *Result {
-			res, err := prog.EvalSnapshot(context.Background(), s, Options{Bind: bind, BFSWorkers: w})
+			res, err := prog.Eval(context.Background(), s, Options{Bind: bind, BFSWorkers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -437,7 +437,7 @@ func TestPooledEngineReleasesLargeSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := prog.EvalSnapshot(context.Background(), s, Options{BFSWorkers: w}); err != nil {
+		if _, err := prog.Eval(context.Background(), s, Options{BFSWorkers: w}); err != nil {
 			t.Fatal(err)
 		}
 		e := prog.take(0)

@@ -14,15 +14,10 @@ import (
 // increases; on DAGs any maxLen ≥ the longest simple path is exact. It
 // exists as the correctness oracle for the production evaluator and for
 // tests, and its cost is exponential in maxLen and the atom count. It
-// is the take-current-snapshot shim over NaiveEvalSnapshot.
-func NaiveEval(q *Query, g *graph.DB, maxLen int) ([]Answer, error) {
-	return NaiveEvalSnapshot(q, g.Snapshot(), maxLen)
-}
-
-// NaiveEvalSnapshot is NaiveEval over a pinned immutable snapshot, so
-// the oracle sees exactly the epoch the production evaluator saw even
-// under concurrent writers.
-func NaiveEvalSnapshot(q *Query, s *graph.Snapshot, maxLen int) ([]Answer, error) {
+// reads the one snapshot g yields, so passing the snapshot the
+// production evaluator saw makes the oracle see exactly that epoch.
+func NaiveEval(q *Query, g graph.Snapshotter, maxLen int) ([]Answer, error) {
+	s := g.Snapshot()
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}

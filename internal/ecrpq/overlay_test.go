@@ -114,7 +114,7 @@ func TestOverlaySnapshotStreamEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := g.Snapshot()
-	res, err := prog.EvalSnapshot(context.Background(), s, Options{})
+	res, err := prog.Eval(context.Background(), s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestOverlaySnapshotStreamEquivalence(t *testing.T) {
 		want = append(want, fmt.Sprint(a.Nodes))
 	}
 	var got []string
-	for a, err := range prog.StreamSnapshot(context.Background(), s, StreamOptions{}) {
+	for a, err := range prog.Stream(context.Background(), s, StreamOptions{}) {
 		if err != nil {
 			t.Fatal(err)
 		}

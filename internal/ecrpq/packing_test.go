@@ -144,7 +144,7 @@ func TestJointFieldOverflowSpillsMidRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := Options{Bind: bind, BFSWorkers: w}
-		res, err := prog.EvalSnapshot(context.Background(), s, opts)
+		res, err := prog.Eval(context.Background(), s, opts)
 		if err != nil {
 			t.Fatalf("W=%d: %v", w, err)
 		}
@@ -159,7 +159,7 @@ func TestJointFieldOverflowSpillsMidRun(t *testing.T) {
 		}
 		prog.put(0, e)
 
-		res, err = prog.EvalSnapshot(context.Background(), s, opts)
+		res, err = prog.Eval(context.Background(), s, opts)
 		if err != nil {
 			t.Fatalf("W=%d rerun: %v", w, err)
 		}
@@ -201,7 +201,7 @@ func TestFourTapeComponentFallsBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := prog.EvalSnapshot(context.Background(), s, Options{Bind: bind, BFSWorkers: w})
+		res, err := prog.Eval(context.Background(), s, Options{Bind: bind, BFSWorkers: w})
 		if err != nil {
 			t.Fatalf("W=%d: %v", w, err)
 		}
@@ -266,7 +266,7 @@ func TestLargeNodeIds(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := prog.EvalSnapshot(context.Background(), bs, Options{Bind: bind, BFSWorkers: w})
+				res, err := prog.Eval(context.Background(), bs, Options{Bind: bind, BFSWorkers: w})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -276,7 +276,7 @@ func TestParallelAdvanceAcrossEpochs(t *testing.T) {
 		if kind == AdvanceNone {
 			t.Fatalf("W=%d: expected an incremental advance", w)
 		}
-		full, err := prog.EvalSnapshot(context.Background(), s, opts)
+		full, err := prog.Eval(context.Background(), s, opts)
 		if err != nil {
 			t.Fatalf("W=%d: full eval: %v", w, err)
 		}
@@ -473,7 +473,7 @@ func TestCostModelKeepsNarrowWorkInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.EvalSnapshot(ctx, s, Options{Bind: bind, BFSWorkers: 2}); err != nil {
+	if _, err := prog.Eval(ctx, s, Options{Bind: bind, BFSWorkers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	e := prog.take(0)
@@ -504,7 +504,7 @@ func TestCostModelKeepsNarrowWorkInline(t *testing.T) {
 		}
 		opts := Options{Bind: bind, BFSWorkers: w}
 		eval := func() {
-			if _, err := prog.EvalSnapshot(ctx, s, opts); err != nil {
+			if _, err := prog.Eval(ctx, s, opts); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -57,21 +57,17 @@ func decodeNodeSym(s string) []graph.Node {
 // The automaton is polynomial in |E| for a fixed query, as the
 // proposition states; the constant is exponential in the query.
 func (r *Result) PathAutomaton(headNodes []graph.Node) (*PathAutomaton, error) {
-	return BuildPathAutomatonSnapshot(r.Query, r.Snap, headNodes, Options{})
+	return BuildPathAutomaton(r.Query, r.Snap, headNodes, Options{})
 }
 
-// BuildPathAutomaton is the standalone form of Result.PathAutomaton —
-// the take-current-snapshot shim over BuildPathAutomatonSnapshot.
-func BuildPathAutomaton(q *Query, g *graph.DB, headNodes []graph.Node, opts Options) (*PathAutomaton, error) {
-	return BuildPathAutomatonSnapshot(q, g.Snapshot(), headNodes, opts)
-}
-
-// BuildPathAutomatonSnapshot builds the answer automaton over a pinned
-// immutable snapshot. The construction explores the same kind of
-// product as the evaluator and honors opts.MaxProductStates (default
-// 4,000,000) across all start assignments, failing with ErrBudget
-// beyond it; opts.Bind is ignored (the head nodes are the binding).
-func BuildPathAutomatonSnapshot(q *Query, s *graph.Snapshot, headNodes []graph.Node, opts Options) (*PathAutomaton, error) {
+// BuildPathAutomaton is the standalone form of Result.PathAutomaton: it
+// builds the answer automaton over the snapshot g yields. The
+// construction explores the same kind of product as the evaluator and
+// honors opts.MaxProductStates (default 4,000,000) across all start
+// assignments, failing with ErrBudget beyond it; opts.Bind is ignored
+// (the head nodes are the binding).
+func BuildPathAutomaton(q *Query, g graph.Snapshotter, headNodes []graph.Node, opts Options) (*PathAutomaton, error) {
+	s := g.Snapshot()
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -271,7 +267,7 @@ func decodeRepresentation(w []string, k int) ([]graph.Path, bool) {
 // path variables. For queries without head paths this reduces to node
 // evaluation with bound constants; otherwise the answer automaton of
 // Proposition 5.2 is built for v̄ and tested on the representation of ρ̄.
-func Member(q *Query, g *graph.DB, nodes []graph.Node, paths []graph.Path, opts Options) (bool, error) {
+func Member(q *Query, g graph.Snapshotter, nodes []graph.Node, paths []graph.Path, opts Options) (bool, error) {
 	if err := q.Validate(); err != nil {
 		return false, err
 	}
@@ -279,8 +275,11 @@ func Member(q *Query, g *graph.DB, nodes []graph.Node, paths []graph.Path, opts 
 		return false, fmt.Errorf("ecrpq: Member needs %d nodes and %d paths, got %d and %d",
 			len(q.HeadNodes), len(q.HeadPaths), len(nodes), len(paths))
 	}
+	// One snapshot answers the whole question: the given paths are
+	// validated against the epoch the evaluation then reads.
+	s := g.Snapshot()
 	for _, p := range paths {
-		if err := p.Validate(g); err != nil {
+		if err := p.Validate(s); err != nil {
 			return false, err
 		}
 	}
@@ -294,13 +293,13 @@ func Member(q *Query, g *graph.DB, nodes []graph.Node, paths []graph.Path, opts 
 		}
 		o := opts
 		o.Bind = bind
-		res, err := Eval(q, g, o)
+		res, err := Eval(q, s, o)
 		if err != nil {
 			return false, err
 		}
 		return res.Bool(), nil
 	}
-	pa, err := BuildPathAutomaton(q, g, nodes, opts)
+	pa, err := BuildPathAutomaton(q, s, nodes, opts)
 	if err != nil {
 		return false, err
 	}

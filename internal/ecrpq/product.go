@@ -8,10 +8,10 @@ import (
 )
 
 // ProductNFA builds the full m-tape product automaton of the query over
-// g: an NFA over tuple symbols (strings of m runes over Σ⊥) accepting
-// exactly the convolutions [λ(ρ₁),…,λ(ρₘ)] of path tuples that satisfy
-// the relational part and all relation atoms, for some node assignment
-// consistent with opts.Bind. This is the automaton A_Q × Gᵐ of Theorem
+// the snapshot g yields: an NFA over tuple symbols (strings of m runes
+// over Σ⊥) accepting exactly the convolutions [λ(ρ₁),…,λ(ρₘ)] of path
+// tuples that satisfy the relational part and all relation atoms, for
+// some node assignment consistent with opts.Bind. This is the automaton A_Q × Gᵐ of Theorem
 // 6.3, with one copy per start assignment σ (the paper's union over Θ)
 // and Q-compatibility folded into acceptance.
 //
@@ -20,16 +20,9 @@ import (
 //
 // The second return value gives the tape order (path variables).
 // ProductNFA is the substrate for the extensions of Section 8.2: package
-// linconstr attaches Parikh-image counters to its transitions. It is
-// the take-current-snapshot shim over ProductNFASnapshot.
-func ProductNFA(q *Query, g *graph.DB, opts Options) (*automata.NFA[string], []PathVar, error) {
-	return ProductNFASnapshot(q, g.Snapshot(), opts)
-}
-
-// ProductNFASnapshot builds the product automaton over a pinned
-// immutable snapshot, isolating the construction from concurrent
-// writers of the underlying DB.
-func ProductNFASnapshot(q *Query, s *graph.Snapshot, opts Options) (*automata.NFA[string], []PathVar, error) {
+// linconstr attaches Parikh-image counters to its transitions.
+func ProductNFA(q *Query, g graph.Snapshotter, opts Options) (*automata.NFA[string], []PathVar, error) {
+	s := g.Snapshot()
 	if err := q.Validate(); err != nil {
 		return nil, nil, err
 	}

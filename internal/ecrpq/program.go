@@ -33,24 +33,18 @@ import (
 // label classes and therefore valid across graphs; everything graph- or
 // bind-dependent is refreshed per execution by componentEngine.reset.
 //
-// Programs subsume the per-query engine cache that Eval used to keep:
-// the Eval shim now compiles (or re-uses) a Program per query object.
+// A caller that asks one question repeatedly compiles it once and holds
+// the Program; ecrpq.Eval compiles a fresh one per call.
 type Program struct {
 	q *Query
 
-	// Structural fingerprint of the query at compile time; if the caller
-	// mutated the query in place since, the cached program is discarded
-	// by the Eval shim (prepared callers must not mutate their query).
-	// Every field of Query is covered — HeadNodes and the
-	// AllowRepeatedPathVars flag included, since they change the answer
-	// set (and feed the result-cache key via the program's identity).
-	// Execution reads these copies, never q: the query was validated once,
-	// by CompileProgram, and an evaluation validates nothing again.
-	pathAtoms []PathAtom
+	// Copies of the query's relation atoms and head, taken at compile
+	// time. Execution reads these copies, never q: the query was
+	// validated once, by CompileProgram, and an evaluation validates
+	// nothing again.
 	relAtoms  []RelAtom
 	headNodes []NodeVar
 	headPaths []PathVar
-	allowRep  bool
 
 	comps []*component
 	jp    joinPlan
@@ -105,11 +99,10 @@ func (pool *idlePool[E]) put(e *E) {
 	pool.mu.Unlock()
 }
 
-// CompileProgram compiles q into an executable Program, without
-// consulting or populating the shared program cache (SharedProgram).
-// With monolithic set the component decomposition is disabled and the
-// paper's single m-tape product is compiled — the reference the
-// decomposed program is tested against. Every component compiles
+// CompileProgram compiles q into an executable Program. With monolithic
+// set the component decomposition is disabled and the paper's single
+// m-tape product is compiled — the reference the decomposed program is
+// tested against. Every component compiles
 // against a label-space partition (the class-ID product BFS).
 func CompileProgram(q *Query, monolithic bool) (*Program, error) {
 	if err := q.Validate(); err != nil {
@@ -121,10 +114,8 @@ func CompileProgram(q *Query, monolithic bool) (*Program, error) {
 	}
 	p := &Program{
 		q:         q,
-		pathAtoms: append([]PathAtom(nil), q.PathAtoms...),
 		headNodes: append([]NodeVar(nil), q.HeadNodes...),
 		headPaths: append([]PathVar(nil), q.HeadPaths...),
-		allowRep:  q.AllowRepeatedPathVars,
 		comps:     comps,
 		prop:      propagationAtoms(q.PathAtoms),
 	}
@@ -160,44 +151,6 @@ func CompileProgram(q *Query, monolithic bool) (*Program, error) {
 		p.liveRanges = regex.UnionRanges(p.liveRanges, c.liveRanges)
 	}
 	return p, nil
-}
-
-// valid reports whether the compiled fingerprint still matches q — the
-// guard behind the Eval shim's per-query program cache.
-func (p *Program) valid(q *Query) bool {
-	if p.allowRep != q.AllowRepeatedPathVars ||
-		len(p.pathAtoms) != len(q.PathAtoms) ||
-		len(p.relAtoms) != len(q.RelAtoms) ||
-		len(p.headNodes) != len(q.HeadNodes) ||
-		len(p.headPaths) != len(q.HeadPaths) {
-		return false
-	}
-	for i, a := range q.PathAtoms {
-		if p.pathAtoms[i] != a {
-			return false
-		}
-	}
-	for i, ra := range q.RelAtoms {
-		if p.relAtoms[i].Rel != ra.Rel || len(p.relAtoms[i].Args) != len(ra.Args) {
-			return false
-		}
-		for j, v := range ra.Args {
-			if p.relAtoms[i].Args[j] != v {
-				return false
-			}
-		}
-	}
-	for i, z := range q.HeadNodes {
-		if p.headNodes[i] != z {
-			return false
-		}
-	}
-	for i, chi := range q.HeadPaths {
-		if p.headPaths[i] != chi {
-			return false
-		}
-	}
-	return true
 }
 
 // NumComponents returns the number of connected components of the
@@ -340,33 +293,26 @@ func renderLiveSet(ls relations.LiveSet, part *regex.Partition) string {
 // pin its peak buffers for the process lifetime.
 const maxPooledScratch = 1 << 16
 
-// Eval runs the program to completion over the current snapshot of g;
-// it is the take-current-snapshot shim over EvalSnapshot.
-func (p *Program) Eval(ctx context.Context, g *graph.DB, opts Options) (*Result, error) {
-	return p.EvalSnapshot(ctx, g.Snapshot(), opts)
-}
-
-// EvalSnapshot runs the program to completion over the pinned immutable
-// snapshot s and materializes the full answer set: component relations
-// are joined per the compile-time join plan, head projections
-// deduplicated keeping shortest witnesses, and answers sorted
-// lexicographically — identical semantics to the original one-shot
-// Eval. Cancellation of ctx aborts the product BFS and the joins
+// Eval runs the program to completion over the snapshot g yields and
+// materializes the full answer set: component relations are joined per
+// the compile-time join plan, head projections deduplicated keeping
+// shortest witnesses, and answers sorted lexicographically (Definition
+// 3.1). Cancellation of ctx aborts the product BFS and the joins
 // promptly — the failure is classified against the typed taxonomy
 // (qerr.ErrDeadline / qerr.ErrCanceled, still errors.Is-able against
 // the underlying context error; budget exhaustion is
-// qerr.ErrBudgetExceeded). The execution never touches the live DB, so
-// it is fully isolated from concurrent writers, and repeated calls
+// qerr.ErrBudgetExceeded). The execution reads only that one snapshot,
+// so it is fully isolated from concurrent writers, and repeated calls
 // reuse the joint runner's memos and flat rows, on any snapshot.
-func (p *Program) EvalSnapshot(ctx context.Context, s *graph.Snapshot, opts Options) (*Result, error) {
-	return p.evalFull(ctx, s, opts, false)
+func (p *Program) Eval(ctx context.Context, g graph.Snapshotter, opts Options) (*Result, error) {
+	return p.evalFull(ctx, g.Snapshot(), opts, false)
 }
 
-// EvalSnapshotMemo is EvalSnapshot capturing the incremental-evaluation
-// memo when the query is eligible (no head path variables): the
-// returned Result can seed Program.Advance at later epochs. The memo
-// roughly doubles the result's retained footprint (SizeBytes accounts
-// for it); plain EvalSnapshot skips the capture entirely.
+// EvalSnapshotMemo is Eval on the snapshot s capturing the
+// incremental-evaluation memo when the query is eligible (no head path
+// variables): the returned Result can seed Program.Advance at later
+// epochs. The memo roughly doubles the result's retained footprint
+// (SizeBytes accounts for it); plain Eval skips the capture entirely.
 func (p *Program) EvalSnapshotMemo(ctx context.Context, s *graph.Snapshot, opts Options) (*Result, error) {
 	return p.evalFull(ctx, s, opts, p.incCapable)
 }

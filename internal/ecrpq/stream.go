@@ -21,8 +21,11 @@ type StreamOptions struct {
 	Limit int
 }
 
-// Stream evaluates the program over g and yields answers incrementally
-// as an iterator. Semantics relative to Eval:
+// Stream evaluates the program over the snapshot g yields and yields
+// answers incrementally as an iterator. The whole streaming execution —
+// product BFS, joins, and the enumeration driving the iterator — reads
+// that one snapshot, so answers keep flowing from one consistent epoch
+// while writers mutate the store underneath. Semantics relative to Eval:
 //
 //   - The multiset of node tuples is identical to Eval's, but answers
 //     arrive in discovery order, not sorted.
@@ -43,16 +46,8 @@ type StreamOptions struct {
 // completion (workspace.evalComponents, which runs them concurrently only
 // when the cost model says it pays) and then stream the final join
 // enumeration.
-func (p *Program) Stream(ctx context.Context, g *graph.DB, opts StreamOptions) iter.Seq2[Answer, error] {
-	return p.StreamSnapshot(ctx, g.Snapshot(), opts)
-}
-
-// StreamSnapshot is Stream against a pinned immutable snapshot: the
-// whole streaming execution — product BFS, joins, and the enumeration
-// driving the iterator — reads s and never the live DB, so answers
-// keep flowing from one consistent epoch while writers mutate the
-// store underneath.
-func (p *Program) StreamSnapshot(ctx context.Context, s *graph.Snapshot, opts StreamOptions) iter.Seq2[Answer, error] {
+func (p *Program) Stream(ctx context.Context, g graph.Snapshotter, opts StreamOptions) iter.Seq2[Answer, error] {
+	s := g.Snapshot()
 	return func(yield func(Answer, error) bool) {
 		err := p.stream(ctx, s, opts, func(a Answer) bool { return yield(a, nil) })
 		if err != nil {

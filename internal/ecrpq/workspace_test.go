@@ -149,7 +149,7 @@ func TestWorkspaceNeverAliasesResults(t *testing.T) {
 		t.Helper()
 		eval := func(node int) *Result {
 			opts := Options{Bind: bindOn(v, node), BFSWorkers: workers}
-			res, err := p.EvalSnapshot(ctx, s, opts)
+			res, err := p.Eval(ctx, s, opts)
 			if memo {
 				res, err = p.EvalSnapshotMemo(ctx, s, opts)
 			}
@@ -224,13 +224,13 @@ func TestWorkspaceNeverAliasesResults(t *testing.T) {
 		} {
 			p := compile(t, src)
 			opts := Options{Bind: bindOn("x", 0)}
-			ref, err := p.EvalSnapshot(ctx, s, opts)
+			ref, err := p.Eval(ctx, s, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			h := hold(src, ref)
 			var first Answer
-			for a, err := range p.StreamSnapshot(ctx, s, StreamOptions{Options: opts}) {
+			for a, err := range p.Stream(ctx, s, StreamOptions{Options: opts}) {
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -239,7 +239,7 @@ func TestWorkspaceNeverAliasesResults(t *testing.T) {
 			}
 			firstCopy := Answer{Nodes: slices.Clone(first.Nodes), Paths: slices.Clone(first.Paths)}
 			for node := 0; node < n; node++ {
-				res, err := p.EvalSnapshot(ctx, s, Options{Bind: bindOn("x", node)})
+				res, err := p.Eval(ctx, s, Options{Bind: bindOn("x", node)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -269,7 +269,7 @@ func TestWorkspaceNeverAliasesResults(t *testing.T) {
 			}
 			refs := make([]heldResult, n)
 			for node := range refs {
-				res, err := p.EvalSnapshot(ctx, s, opts(node))
+				res, err := p.Eval(ctx, s, opts(node))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -283,7 +283,7 @@ func TestWorkspaceNeverAliasesResults(t *testing.T) {
 					defer wg.Done()
 					for round := 0; round < 3; round++ {
 						for node := w; node < n; node += 8 {
-							res, err := p.EvalSnapshot(ctx, s, opts(node))
+							res, err := p.Eval(ctx, s, opts(node))
 							if err != nil {
 								errs <- err
 								return

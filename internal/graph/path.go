@@ -69,18 +69,19 @@ func (p Path) Equal(q Path) bool {
 	return true
 }
 
-// Validate checks that p is a path of g.
-func (p Path) Validate(g *DB) error {
+// Validate checks that p is a path of the snapshot g yields.
+func (p Path) Validate(g Snapshotter) error {
 	if len(p.Nodes) == 0 {
 		return fmt.Errorf("graph: path has no nodes")
 	}
 	if len(p.Nodes) != len(p.Labels)+1 {
 		return fmt.Errorf("graph: path has %d nodes and %d labels", len(p.Nodes), len(p.Labels))
 	}
+	s := g.Snapshot()
 	for i, a := range p.Labels {
-		if !g.HasEdge(p.Nodes[i], a, p.Nodes[i+1]) {
+		if !s.HasEdge(p.Nodes[i], a, p.Nodes[i+1]) {
 			return fmt.Errorf("graph: missing edge (%s, %q, %s)",
-				g.Name(p.Nodes[i]), a, g.Name(p.Nodes[i+1]))
+				s.Name(p.Nodes[i]), a, s.Name(p.Nodes[i+1]))
 		}
 	}
 	return nil
@@ -101,16 +102,18 @@ func (p Path) StripBotLoops() Path {
 	return out
 }
 
-// String renders the path as v0 -a-> v1 -b-> v2 using node names.
-func (p Path) Format(g *DB) string {
+// Format renders the path as v0 -a-> v1 -b-> v2 using the node names of
+// the snapshot g yields.
+func (p Path) Format(g Snapshotter) string {
+	s := g.Snapshot()
 	var b strings.Builder
-	b.WriteString(g.Name(p.Nodes[0]))
+	b.WriteString(s.Name(p.Nodes[0]))
 	for i, a := range p.Labels {
 		label := string(a)
 		if a == regex.Bot {
 			label = "_"
 		}
-		fmt.Fprintf(&b, " -%s-> %s", label, g.Name(p.Nodes[i+1]))
+		fmt.Fprintf(&b, " -%s-> %s", label, s.Name(p.Nodes[i+1]))
 	}
 	return b.String()
 }

@@ -54,6 +54,16 @@ type Snapshot struct {
 	adj     [][]Edge
 }
 
+// Snapshotter is what every evaluation entry point takes: the one
+// snapshot a question is answered on. A *DB yields its current
+// snapshot; a pinned *Snapshot yields itself.
+type Snapshotter interface {
+	Snapshot() *Snapshot
+}
+
+// Snapshot returns s itself: a pinned snapshot is its own Snapshotter.
+func (s *Snapshot) Snapshot() *Snapshot { return s }
+
 // DeltaEdge is one epoch-stamped delta-log entry: an edge appended by
 // AddEdge (already deduplicated), carrying the epoch its write advanced
 // the store to. Snapshot.EdgesSince reports these, which is what lets

@@ -132,16 +132,15 @@ type Options struct {
 	MaxNodes int
 }
 
-// EvalAbstract evaluates Q_len(G) with the generic PSPACE engine: the
-// abstracted query (AbstractQuery) is compiled through the shared
-// plan/execute layer and run with ctx cancellation. It is the reference
-// implementation EvalLen is tested against, exposed so callers can pick
-// either procedure behind the same planner.
-func EvalAbstract(ctx context.Context, q *ecrpq.Query, g *graph.DB, sigma []rune, opts ecrpq.Options) ([]ecrpq.Answer, error) {
-	// The abstracted query is a fresh object per call, so the shared
-	// program cache cannot help here (and must not be polluted with
-	// per-call queries); callers that evaluate one abstraction
-	// repeatedly should AbstractQuery once and Prepare it themselves.
+// EvalAbstract evaluates Q_len over the snapshot g yields with the
+// generic PSPACE engine: the abstracted query (AbstractQuery) is
+// compiled through the plan/execute layer and run with ctx
+// cancellation. It is the reference implementation EvalLen is tested
+// against, exposed so callers can pick either procedure behind the same
+// planner. The abstraction is built and compiled on every call; callers
+// that evaluate one abstraction repeatedly should AbstractQuery once
+// and Prepare it themselves.
+func EvalAbstract(ctx context.Context, q *ecrpq.Query, g graph.Snapshotter, sigma []rune, opts ecrpq.Options) ([]ecrpq.Answer, error) {
 	p, err := plan.Compile(AbstractQuery(q, sigma), ecrpq.Env{Sigma: sigma})
 	if err != nil {
 		return nil, err
@@ -155,16 +154,17 @@ func EvalAbstract(ctx context.Context, q *ecrpq.Query, g *graph.DB, sigma []rune
 
 // EvalLen evaluates Q_len(G) with a background context; see
 // EvalLenContext.
-func EvalLen(q *ecrpq.Query, g *graph.DB, opts Options) ([]ecrpq.Answer, error) {
+func EvalLen(q *ecrpq.Query, g graph.Snapshotter, opts Options) ([]ecrpq.Answer, error) {
 	return EvalLenContext(context.Background(), q, g, opts)
 }
 
-// EvalLenContext evaluates Q_len(G) by the NP procedure of Theorem 6.7
-// and returns the node answers (Q_len path outputs are not supported;
-// the abstraction concerns lengths, so project heads to nodes).
+// EvalLenContext evaluates Q_len over the snapshot g yields by the NP
+// procedure of Theorem 6.7 and returns the node answers (Q_len path
+// outputs are not supported; the abstraction concerns lengths, so
+// project heads to nodes).
 // Cancellation of ctx is checked between node assignments, so deadlines
 // abort the (exponential in the query) enumeration promptly.
-func EvalLenContext(ctx context.Context, q *ecrpq.Query, g *graph.DB, opts Options) ([]ecrpq.Answer, error) {
+func EvalLenContext(ctx context.Context, q *ecrpq.Query, g graph.Snapshotter, opts Options) ([]ecrpq.Answer, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -332,8 +332,8 @@ func graphAutomaton(s *graph.Snapshot, u, v graph.Node) *automata.NFA[rune] {
 }
 
 // LengthsBetween returns the exact ultimately periodic set of walk
-// lengths from u to v in g — the unary-automaton analysis of
-// Claim 6.7.2.
-func LengthsBetween(g *graph.DB, u, v graph.Node) automata.LengthSet {
+// lengths from u to v in the snapshot g yields — the unary-automaton
+// analysis of Claim 6.7.2.
+func LengthsBetween(g graph.Snapshotter, u, v graph.Node) automata.LengthSet {
 	return automata.Lengths(graphAutomaton(g.Snapshot(), u, v))
 }

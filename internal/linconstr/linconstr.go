@@ -15,10 +15,10 @@
 // of package parikh (Verma–Seidl–Schwentick translation) with the ILP
 // substrate of package ilp — the NP procedure the theorem describes.
 //
-// The base-ECRPQ evaluation is routed through the shared plan/execute
-// layer (internal/plan): the query is compiled once per Eval call and
-// run with context cancellation, so deadlines abort both the product
-// BFS and the per-answer feasibility checks.
+// The base-ECRPQ evaluation is routed through the plan/execute layer
+// (internal/plan): the query is compiled once per Eval call and run with
+// context cancellation, so deadlines abort both the product BFS and the
+// per-answer feasibility checks.
 package linconstr
 
 import (
@@ -58,18 +58,12 @@ type Options struct {
 }
 
 // Feasible decides whether the query with the linear constraints is
-// satisfiable over g under the given (possibly empty) binding of node
-// variables: the Boolean query evaluation of Theorem 8.5. The product
-// construction honors the base MaxProductStates budget. It is the
-// take-current-snapshot shim over FeasibleSnapshot.
-func Feasible(q *ecrpq.Query, cons []Constraint, g *graph.DB, sigma []rune, bind map[ecrpq.NodeVar]graph.Node, opts Options) (bool, error) {
-	return FeasibleSnapshot(q, cons, g.Snapshot(), sigma, bind, opts)
-}
-
-// FeasibleSnapshot is Feasible against a pinned immutable snapshot,
-// isolating the product construction from concurrent writers.
-func FeasibleSnapshot(q *ecrpq.Query, cons []Constraint, s *graph.Snapshot, sigma []rune, bind map[ecrpq.NodeVar]graph.Node, opts Options) (bool, error) {
-	nfa, tapes, err := ecrpq.ProductNFASnapshot(q, s, ecrpq.Options{
+// satisfiable over the snapshot g yields under the given (possibly
+// empty) binding of node variables: the Boolean query evaluation of
+// Theorem 8.5. The product construction honors the base
+// MaxProductStates budget.
+func Feasible(q *ecrpq.Query, cons []Constraint, g graph.Snapshotter, sigma []rune, bind map[ecrpq.NodeVar]graph.Node, opts Options) (bool, error) {
+	nfa, tapes, err := ecrpq.ProductNFA(q, g, ecrpq.Options{
 		Bind:             bind,
 		MaxProductStates: opts.Base.MaxProductStates,
 	})
@@ -129,25 +123,22 @@ func FeasibleSnapshot(q *ecrpq.Query, cons []Constraint, s *graph.Snapshot, sigm
 
 // Eval evaluates the query with linear constraints with a background
 // context; see EvalContext.
-func Eval(q *ecrpq.Query, cons []Constraint, g *graph.DB, sigma []rune, opts Options) ([]ecrpq.Answer, error) {
+func Eval(q *ecrpq.Query, cons []Constraint, g graph.Snapshotter, sigma []rune, opts Options) ([]ecrpq.Answer, error) {
 	return EvalContext(context.Background(), q, cons, g, sigma, opts)
 }
 
-// EvalContext evaluates the query with linear constraints: the base
-// ECRPQ is compiled through the shared planner and evaluated, and each
-// candidate head tuple is kept iff the counter constraints are feasible
-// for that binding. Witness paths of the base evaluation are not
+// EvalContext evaluates the query with linear constraints over the
+// snapshot g yields: the base ECRPQ is compiled once and evaluated, and
+// each candidate head tuple is kept iff the counter constraints are
+// feasible for that binding. Witness paths of the base evaluation are not
 // retained (they may violate the constraints); answers carry node
 // values only. Cancellation of ctx aborts the base evaluation mid-BFS
 // and the per-answer checks between answers.
-func EvalContext(ctx context.Context, q *ecrpq.Query, cons []Constraint, g *graph.DB, sigma []rune, opts Options) ([]ecrpq.Answer, error) {
+func EvalContext(ctx context.Context, q *ecrpq.Query, cons []Constraint, g graph.Snapshotter, sigma []rune, opts Options) ([]ecrpq.Answer, error) {
 	if len(q.HeadPaths) > 0 {
 		return nil, fmt.Errorf("linconstr: path outputs are not supported with linear constraints; project to nodes")
 	}
-	// Cached: callers typically evaluate the same query object many
-	// times, and the shared program cache keeps its compiled engines warm
-	// across calls (the behavior the pre-split ecrpq.Eval route had).
-	p, err := plan.Cached(q, ecrpq.Env{Sigma: sigma})
+	p, err := plan.Compile(q, ecrpq.Env{Sigma: sigma})
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +180,7 @@ func EvalContext(ctx context.Context, q *ecrpq.Query, cons []Constraint, g *grap
 		if !okBind {
 			continue
 		}
-		ok, err := FeasibleSnapshot(q, cons, snap, sigma, bind, opts)
+		ok, err := Feasible(q, cons, snap, sigma, bind, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -43,24 +43,6 @@ type Plan struct {
 // used by the query's relation automata, catching the common mistake of
 // preparing a query against the wrong environment.
 func Compile(q *ecrpq.Query, env ecrpq.Env) (*Plan, error) {
-	return compile(q, env, func(q *ecrpq.Query) (*ecrpq.Program, error) { return ecrpq.CompileProgram(q, false) })
-}
-
-// Cached is Compile backed by the bounded package-level program cache
-// shared with ecrpq.Eval: repeated calls with the same query object
-// reuse one compiled program and its warmed engines. It is meant for
-// per-call entry points that evaluate caller-owned queries repeatedly
-// (linconstr.Eval and friends); explicit Prepare-style callers should
-// use Compile and hold the Plan themselves. Do not use it for query
-// objects constructed per call — they would pin cache slots for the
-// process lifetime.
-func Cached(q *ecrpq.Query, env ecrpq.Env) (*Plan, error) {
-	return compile(q, env, ecrpq.SharedProgram)
-}
-
-// compile validates q, checks its letters against env's alphabet and
-// builds the Plan around the program build returns.
-func compile(q *ecrpq.Query, env ecrpq.Env, build func(*ecrpq.Query) (*ecrpq.Program, error)) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -69,7 +51,7 @@ func compile(q *ecrpq.Query, env ecrpq.Env, build func(*ecrpq.Query) (*ecrpq.Pro
 			return nil, err
 		}
 	}
-	prog, err := build(q)
+	prog, err := ecrpq.CompileProgram(q, false)
 	if err != nil {
 		return nil, err
 	}
@@ -103,21 +85,12 @@ func checkAlphabet(q *ecrpq.Query, sigma []rune) error {
 	return nil
 }
 
-// Eval executes the plan to completion over the current snapshot of g,
-// materializing the full sorted answer set — identical semantics to
-// ecrpq.Eval. Cancellation of ctx aborts the product BFS and joins
-// promptly with ctx.Err(). It is the take-current-snapshot shim over
-// EvalSnapshot.
-func (p *Plan) Eval(ctx context.Context, g *graph.DB, opts ecrpq.Options) (*ecrpq.Result, error) {
-	return p.prog.Eval(ctx, g, opts)
-}
-
 // EvalSnapshot executes the plan against a pinned immutable snapshot:
 // the whole execution reads s and never the live DB, so it is isolated
 // from concurrent writers, and re-evaluations against the same
 // snapshot (unchanged epoch) keep the per-epoch move-plan memos warm.
 func (p *Plan) EvalSnapshot(ctx context.Context, s *graph.Snapshot, opts ecrpq.Options) (*ecrpq.Result, error) {
-	return p.prog.EvalSnapshot(ctx, s, opts)
+	return p.prog.Eval(ctx, s, opts)
 }
 
 // EvalSnapshotCached is EvalSnapshot through an epoch-keyed result
@@ -145,7 +118,7 @@ func (p *Plan) EvalSnapshot(ctx context.Context, s *graph.Snapshot, opts ecrpq.O
 // would have, and qcache.Stats splits the serve kinds out.
 func (p *Plan) EvalSnapshotCached(ctx context.Context, s *graph.Snapshot, opts ecrpq.Options, c *qcache.Cache) (*ecrpq.Result, bool, error) {
 	if c == nil {
-		res, err := p.prog.EvalSnapshot(ctx, s, opts)
+		res, err := p.prog.Eval(ctx, s, opts)
 		return res, false, err
 	}
 	k := qcache.Key{Prog: p.prog, Source: s.Source(), Epoch: s.Epoch(), Opts: opts.CacheKey()}
@@ -176,13 +149,6 @@ func (p *Plan) EvalSnapshotCached(ctx context.Context, s *graph.Snapshot, opts e
 	return v.(*ecrpq.Result), served != qcache.ServedCompute, nil
 }
 
-// EvalCached is EvalSnapshotCached over the current snapshot of g —
-// the one-line serving shape for repeated queries against a store that
-// advances between some of them.
-func (p *Plan) EvalCached(ctx context.Context, g *graph.DB, opts ecrpq.Options, c *qcache.Cache) (*ecrpq.Result, bool, error) {
-	return p.EvalSnapshotCached(ctx, g.Snapshot(), opts, c)
-}
-
 // CacheKeyFor returns the result-cache key this plan uses for an
 // evaluation against s with opts — the hook for degraded lookups
 // (Cache.Stale) and cache introspection outside the Do path.
@@ -209,18 +175,12 @@ func (p *Plan) StaleSnapshot(s *graph.Snapshot, opts ecrpq.Options, c *qcache.Ca
 	return v.(*ecrpq.Result), lag, nil
 }
 
-// Stream executes the plan over the current snapshot of g, yielding
-// answers incrementally; see ecrpq.Program.Stream for the exact
-// semantics (unsorted, first witness per node tuple, Limit and ctx
-// honored inside the product BFS).
-func (p *Plan) Stream(ctx context.Context, g *graph.DB, opts ecrpq.StreamOptions) iter.Seq2[ecrpq.Answer, error] {
-	return p.prog.Stream(ctx, g, opts)
-}
-
-// StreamSnapshot is Stream against a pinned immutable snapshot; see
-// ecrpq.Program.StreamSnapshot.
+// StreamSnapshot executes the plan against a pinned immutable
+// snapshot, yielding answers incrementally; see ecrpq.Program.Stream
+// for the exact semantics (unsorted, first witness per node tuple,
+// Limit and ctx honored inside the product BFS).
 func (p *Plan) StreamSnapshot(ctx context.Context, s *graph.Snapshot, opts ecrpq.StreamOptions) iter.Seq2[ecrpq.Answer, error] {
-	return p.prog.StreamSnapshot(ctx, s, opts)
+	return p.prog.Stream(ctx, s, opts)
 }
 
 // NumComponents returns the number of independently evaluated

@@ -39,7 +39,7 @@ func TestCompileEvalMatchesDirectEval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		got, err := p.Eval(context.Background(), g, ecrpq.Options{})
+		got, err := p.EvalSnapshot(context.Background(), g.Snapshot(), ecrpq.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
@@ -85,7 +85,7 @@ func TestSharedPlanConcurrency(t *testing.T) {
 			for i := 0; i < 15; i++ {
 				gi := (w + i) % len(graphs)
 				g := graphs[gi]
-				res, err := p.Eval(context.Background(), g, ecrpq.Options{})
+				res, err := p.EvalSnapshot(context.Background(), g.Snapshot(), ecrpq.Options{})
 				if err != nil {
 					errs[w] = err
 					return
@@ -95,7 +95,7 @@ func TestSharedPlanConcurrency(t *testing.T) {
 					return
 				}
 				n := 0
-				for _, err := range p.Stream(context.Background(), g, ecrpq.StreamOptions{}) {
+				for _, err := range p.StreamSnapshot(context.Background(), g.Snapshot(), ecrpq.StreamOptions{}) {
 					if err != nil {
 						errs[w] = err
 						return
@@ -132,7 +132,7 @@ func TestConcurrentComponents(t *testing.T) {
 		t.Fatalf("components = %d, want 3", p.NumComponents())
 	}
 	g := stringGraph("aabba")
-	got, err := p.Eval(context.Background(), g, ecrpq.Options{})
+	got, err := p.EvalSnapshot(context.Background(), g.Snapshot(), ecrpq.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,13 +13,18 @@
 //     arbitrary tuple regular expressions (TupleRegex).
 //   - Evaluation: Prepare/Prepared (plan once, then Eval or Stream
 //     concurrently with context cancellation and limits), Eval (the
-//     one-shot Section 5 convolution construction), Member (the
-//     ECRPQ-EVAL decision problem of Section 6), PathAutomaton
-//     (Proposition 5.2 answer representation).
+//     one-shot Section 5 convolution construction, compiled per call),
+//     Member (the ECRPQ-EVAL decision problem of Section 6),
+//     PathAutomaton (Proposition 5.2 answer representation).
 //   - Extensions: the length abstraction Q_len (Section 6.3), linear
 //     constraints on label occurrences and path lengths (Section 8.2),
 //     the negation fragment ECRPQ¬ (Section 8.1, package
 //     internal/neg), and containment checking (Section 7).
+//
+// Every evaluation entry point takes one Snapshotter, the snapshot the
+// question is answered on: pass the Graph to read its current epoch, or
+// a Snapshot pinned earlier to answer at that epoch while writers move
+// the store on.
 //
 // A minimal session:
 //
@@ -77,12 +82,14 @@ type (
 	Graph = graph.DB
 	// Snapshot is an immutable, epoch-stamped view of a Graph: the last
 	// compacted CSR index plus a delta overlay of the writes since. A
-	// pinned Snapshot never changes, so Prepared.EvalSnapshot and
-	// StreamSnapshot against it are fully isolated from concurrent
-	// AddEdge/AddNode traffic, and a snapshot taken right after a write
-	// costs O(Δ) in the number of writes since the last compaction, not
-	// a full index rebuild.
+	// pinned Snapshot never changes, so an evaluation passed one is fully
+	// isolated from concurrent AddEdge/AddNode traffic, and a snapshot
+	// taken right after a write costs O(Δ) in the number of writes since
+	// the last compaction, not a full index rebuild.
 	Snapshot = graph.Snapshot
+	// Snapshotter is what every evaluation entry point takes: a *Graph
+	// (its current snapshot) or a *Snapshot (itself).
+	Snapshotter = graph.Snapshotter
 	// Node identifies a graph node.
 	Node = graph.Node
 	// Path is a path v₀a₀v₁⋯ with its label λ(ρ).
@@ -124,11 +131,12 @@ func ParseQuery(src string, env Env) (*Query, error) { return ecrpq.Parse(src, e
 // NewQuery starts a fluent query builder.
 func NewQuery() *Builder { return ecrpq.NewBuilder() }
 
-// Eval evaluates an ECRPQ by the convolution construction of Section 5.
-// It is a convenience shim over the plan/execute split: the query is
-// compiled once (and cached) and run to completion. For repeated
-// evaluation, deadlines, or streaming, use Prepare.
-func Eval(q *Query, g *Graph, opts Options) (*Result, error) { return ecrpq.Eval(q, g, opts) }
+// Eval evaluates an ECRPQ by the convolution construction of Section 5
+// over the snapshot g yields. It is a compile-per-call convenience over
+// the plan/execute split: the query is compiled afresh and run to
+// completion. For repeated evaluation, deadlines, or streaming, Prepare
+// once and hold the Prepared.
+func Eval(q *Query, g Snapshotter, opts Options) (*Result, error) { return ecrpq.Eval(q, g, opts) }
 
 // Prepared is a compiled query — the public face of the plan/execute
 // split. Prepare once, then Eval or Stream any number of times, against
@@ -149,51 +157,38 @@ func Prepare(q *Query, env Env) (*Prepared, error) {
 	return &Prepared{plan: p}, nil
 }
 
-// Eval runs the prepared query to completion over the current snapshot
-// of g, materializing the full sorted answer set — identical semantics
-// to the package-level Eval. It is a take-current-snapshot shim over
-// EvalSnapshot.
-func (p *Prepared) Eval(g *Graph, opts Options) (*Result, error) {
-	return p.plan.Eval(context.Background(), g, opts)
+// Eval runs the prepared query to completion over the snapshot g
+// yields, materializing the full sorted answer set — identical
+// semantics to the package-level Eval — with a background context.
+func (p *Prepared) Eval(g Snapshotter, opts Options) (*Result, error) {
+	return p.EvalContext(context.Background(), g, opts)
 }
 
 // EvalContext is Eval with cancellation: ctx is checked inside the
 // product BFS and the joins, so a deadline or cancel aborts promptly
-// with ctx.Err().
-func (p *Prepared) EvalContext(ctx context.Context, g *Graph, opts Options) (*Result, error) {
-	return p.plan.Eval(ctx, g, opts)
-}
-
-// EvalSnapshot runs the prepared query against a pinned immutable
-// snapshot. The execution never reads the live Graph, so it is fully
-// isolated from concurrent writers — the mixed read/write serving
-// shape is
+// with ctx.Err(). The execution reads only the one snapshot g yields,
+// so it is fully isolated from concurrent writers — the mixed
+// read/write serving shape is
 //
 //	s := g.Snapshot()          // O(Δ) after a write, cached per epoch
-//	res, err := p.EvalSnapshot(ctx, s, opts)
+//	res, err := p.EvalContext(ctx, s, opts)
 //
 // and repeated evaluations against the same snapshot (unchanged epoch)
 // keep the per-epoch move-plan memos warm.
-func (p *Prepared) EvalSnapshot(ctx context.Context, s *Snapshot, opts Options) (*Result, error) {
-	return p.plan.EvalSnapshot(ctx, s, opts)
+func (p *Prepared) EvalContext(ctx context.Context, g Snapshotter, opts Options) (*Result, error) {
+	return p.plan.EvalSnapshot(ctx, g.Snapshot(), opts)
 }
 
-// Stream runs the prepared query over g and yields answers
-// incrementally, in discovery order: each distinct node tuple is
+// Stream runs the prepared query over the snapshot g yields and yields
+// answers incrementally, in discovery order: each distinct node tuple is
 // yielded once with the first witness found (not necessarily the
 // shortest — Eval refines duplicates, a stream cannot). opts.Limit
 // stops the execution — not just the iteration — after that many
 // answers, and ctx cancellation is honored mid-BFS. Breaking out of
-// the range loop tears the execution down cleanly.
-func (p *Prepared) Stream(ctx context.Context, g *Graph, opts StreamOptions) iter.Seq2[Answer, error] {
-	return p.plan.Stream(ctx, g, opts)
-}
-
-// StreamSnapshot is Stream against a pinned immutable snapshot: answers
-// keep flowing from one consistent epoch while writers mutate the
-// store underneath.
-func (p *Prepared) StreamSnapshot(ctx context.Context, s *Snapshot, opts StreamOptions) iter.Seq2[Answer, error] {
-	return p.plan.StreamSnapshot(ctx, s, opts)
+// the range loop tears the execution down cleanly. Answers keep flowing
+// from that one snapshot while writers mutate the store underneath.
+func (p *Prepared) Stream(ctx context.Context, g Snapshotter, opts StreamOptions) iter.Seq2[Answer, error] {
+	return p.plan.StreamSnapshot(ctx, g.Snapshot(), opts)
 }
 
 // Explain describes the compiled plan: component decomposition and join
@@ -235,31 +230,23 @@ type CachedPrepared struct {
 	c *Cache
 }
 
-// Eval is Prepared.Eval through the cache (current snapshot of g,
-// background context).
-func (cp *CachedPrepared) Eval(g *Graph, opts Options) (*Result, error) {
-	res, _, err := cp.p.plan.EvalCached(context.Background(), g, opts, cp.c)
-	return res, err
+// Eval is Prepared.Eval through the cache, with a background context.
+func (cp *CachedPrepared) Eval(g Snapshotter, opts Options) (*Result, error) {
+	return cp.EvalContext(context.Background(), g, opts)
 }
 
-// EvalContext is Prepared.EvalContext through the cache. A caller that
-// joins another caller's in-flight evaluation honors its own ctx while
-// waiting; the underlying evaluation runs on the leader's.
-func (cp *CachedPrepared) EvalContext(ctx context.Context, g *Graph, opts Options) (*Result, error) {
-	res, _, err := cp.p.plan.EvalCached(ctx, g, opts, cp.c)
-	return res, err
-}
-
-// EvalSnapshot is Prepared.EvalSnapshot through the cache: the serving
+// EvalContext is Prepared.EvalContext through the cache: the serving
 // path for mixed read/write traffic —
 //
 //	s := g.Snapshot()
-//	res, err := cp.EvalSnapshot(ctx, s, opts)
+//	res, err := cp.EvalContext(ctx, s, opts)
 //
 // pays one product BFS per (query, options, epoch) no matter how many
-// goroutines ask.
-func (cp *CachedPrepared) EvalSnapshot(ctx context.Context, s *Snapshot, opts Options) (*Result, error) {
-	res, _, err := cp.p.plan.EvalSnapshotCached(ctx, s, opts, cp.c)
+// goroutines ask. A caller that joins another caller's in-flight
+// evaluation honors its own ctx while waiting; the underlying
+// evaluation runs on the leader's.
+func (cp *CachedPrepared) EvalContext(ctx context.Context, g Snapshotter, opts Options) (*Result, error) {
+	res, _, err := cp.p.plan.EvalSnapshotCached(ctx, g.Snapshot(), opts, cp.c)
 	return res, err
 }
 
@@ -275,14 +262,16 @@ func (cp *CachedPrepared) Stats() CacheStats {
 	return cp.c.Stats()
 }
 
-// Member decides (v̄, ρ̄) ∈ Q(G) — the ECRPQ-EVAL problem of Section 6.
-func Member(q *Query, g *Graph, nodes []Node, paths []Path, opts Options) (bool, error) {
+// Member decides (v̄, ρ̄) ∈ Q(G) — the ECRPQ-EVAL problem of Section 6 —
+// on the one snapshot g yields.
+func Member(q *Query, g Snapshotter, nodes []Node, paths []Path, opts Options) (bool, error) {
 	return ecrpq.Member(q, g, nodes, paths, opts)
 }
 
 // BuildPathAutomaton constructs the Proposition 5.2 answer automaton for
-// fixed head-node values, honoring opts.MaxProductStates.
-func BuildPathAutomaton(q *Query, g *Graph, headNodes []Node, opts Options) (*PathAutomaton, error) {
+// fixed head-node values over the snapshot g yields, honoring
+// opts.MaxProductStates.
+func BuildPathAutomaton(q *Query, g Snapshotter, headNodes []Node, opts Options) (*PathAutomaton, error) {
 	return ecrpq.BuildPathAutomaton(q, g, headNodes, opts)
 }
 

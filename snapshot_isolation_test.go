@@ -3,11 +3,17 @@ package pathquery
 import (
 	"context"
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/ecrpq"
+	"repro/internal/ilp"
+	"repro/internal/lenabs"
+	"repro/internal/linconstr"
 )
 
 // This file holds the snapshot-isolation property test of the
@@ -21,7 +27,7 @@ import (
 // lengths (Eval keeps shortest witnesses, so lengths are deterministic).
 func renderEval(t *testing.T, p *Prepared, s *Snapshot, opts Options) string {
 	t.Helper()
-	res, err := p.EvalSnapshot(context.Background(), s, opts)
+	res, err := p.EvalContext(context.Background(), s, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +48,7 @@ func renderEval(t *testing.T, p *Prepared, s *Snapshot, opts Options) string {
 func renderStream(t *testing.T, p *Prepared, s *Snapshot, opts Options) string {
 	t.Helper()
 	var rows []string
-	for a, err := range p.StreamSnapshot(context.Background(), s, StreamOptions{Options: opts}) {
+	for a, err := range p.Stream(context.Background(), s, StreamOptions{Options: opts}) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,47 +160,162 @@ func TestSnapshotIsolationUnderWriteStorm(t *testing.T) {
 		t.Fatalf("storm left no trace: pinned epoch %d/%d edges, fresh %d/%d",
 			pinned.Epoch(), pinned.NumEdges(), fresh.Epoch(), fresh.NumEdges())
 	}
-	if _, err := p.EvalSnapshot(context.Background(), fresh, opts); err != nil {
+	if _, err := p.EvalContext(context.Background(), fresh, opts); err != nil {
 		t.Fatalf("post-storm evaluation: %v", err)
 	}
 }
 
-// TestEvalIsTakeCurrentSnapshotShim: Prepared.Eval over the live graph
-// equals EvalSnapshot over an explicitly taken snapshot at the same
-// epoch, and sees writes that a previously pinned snapshot does not.
-func TestEvalIsTakeCurrentSnapshotShim(t *testing.T) {
+// TestSnapshotterEntryPoints runs every evaluation entry point that
+// takes a Snapshotter on a graph where one later write changes the
+// answer. Passing the Graph must see the write; passing a snapshot
+// pinned before it must read exactly what the Graph read at the pin,
+// whatever the entry point reports: a Fingerprint, the sorted answer
+// keys, an automaton's size, a length set or a bool.
+func TestSnapshotterEntryPoints(t *testing.T) {
 	sigma := []rune{'a', 'b'}
-	g := NewGraph()
-	u, v, w := g.AddNode("u"), g.AddNode("v"), g.AddNode("w")
-	g.AddEdge(u, 'a', v)
-	q, err := ParseQuery("Ans(x, y) <- (x,p,y), a+(p)", Env{Sigma: sigma})
+	env := Env{Sigma: sigma}
+	ctx := context.Background()
+	const u, v, w Node = 0, 1, 2
+	// u -a-> v -b-> w; the write adds v -a-> u, closing an a-cycle.
+	build := func() *Graph {
+		g := NewGraph()
+		g.AddNode("u")
+		g.AddNode("v")
+		g.AddNode("w")
+		g.AddEdge(u, 'a', v)
+		g.AddEdge(v, 'b', w)
+		return g
+	}
+	write := func(g *Graph) { g.AddEdge(v, 'a', u) }
+
+	nodes, err := ParseQuery("Ans(x, y) <- (x,p,y), a+(p)", env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Prepare(q, Env{Sigma: sigma})
+	paths, err := ParseQuery("Ans(x, y, p) <- (x,p,y), a+(p)", env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinned := g.Snapshot()
-	before, err := p.Eval(g, Options{})
+	prog, err := ecrpq.CompileProgram(nodes, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.AddEdge(v, 'a', w)
-	after, err := p.Eval(g, Options{})
+	prep, err := Prepare(nodes, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(after.Answers) != len(before.Answers)+2 {
-		t.Fatalf("live Eval answers: %d before, %d after (want +2: v→w and u→w)",
-			len(before.Answers), len(after.Answers))
+	cached := prep.Cached(NewCache(1 << 20))
+	// At least two a-steps: unsatisfiable until the write closes the cycle.
+	twoAs := []linconstr.Constraint{{Terms: []linconstr.Term{{Path: "p", Label: 'a', Coef: 1}}, Rel: ilp.GE, RHS: 2}}
+	vu := Path{Nodes: []Node{v, u}, Labels: []rune{'a'}}
+
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	onPinned, err := p.EvalSnapshot(context.Background(), pinned, Options{})
-	if err != nil {
-		t.Fatal(err)
+	fp := func(res *Result, err error) string {
+		t.Helper()
+		must(err)
+		return fmt.Sprintf("fingerprint %016x", res.Fingerprint())
 	}
-	if len(onPinned.Answers) != len(before.Answers) {
-		t.Fatalf("pinned snapshot saw the write: %d answers, want %d",
-			len(onPinned.Answers), len(before.Answers))
+	keys := func(answers []Answer, err error) string {
+		t.Helper()
+		must(err)
+		ks := make([]string, len(answers))
+		for i, a := range answers {
+			ks[i] = a.Key()
+		}
+		sort.Strings(ks)
+		return strings.Join(ks, " ")
+	}
+	streamed := func(seq iter.Seq2[Answer, error]) string {
+		t.Helper()
+		var answers []Answer
+		for a, err := range seq {
+			must(err)
+			answers = append(answers, a)
+		}
+		return keys(answers, nil)
+	}
+	nfaSize := func(states, transitions int) string {
+		return fmt.Sprintf("%d states, %d transitions", states, transitions)
+	}
+	decided := func(ok bool, err error) string {
+		t.Helper()
+		must(err)
+		return fmt.Sprint(ok)
+	}
+
+	cases := []struct {
+		name string
+		read func(g Snapshotter) string
+	}{
+		{"ecrpq.Eval", func(g Snapshotter) string { return fp(ecrpq.Eval(nodes, g, Options{})) }},
+		{"ecrpq.Program.Eval", func(g Snapshotter) string { return fp(prog.Eval(ctx, g, Options{})) }},
+		{"ecrpq.Program.Stream", func(g Snapshotter) string { return streamed(prog.Stream(ctx, g, StreamOptions{})) }},
+		{"ecrpq.ProductNFA", func(g Snapshotter) string {
+			a, _, err := ecrpq.ProductNFA(nodes, g, Options{})
+			must(err)
+			return nfaSize(a.NumStates(), a.NumTransitions())
+		}},
+		{"ecrpq.BuildPathAutomaton", func(g Snapshotter) string {
+			pa, err := ecrpq.BuildPathAutomaton(paths, g, []Node{u, v}, Options{})
+			must(err)
+			return nfaSize(pa.A.NumStates(), pa.A.NumTransitions())
+		}},
+		{"ecrpq.NaiveEval", func(g Snapshotter) string { return keys(ecrpq.NaiveEval(nodes, g, 3)) }},
+		{"ecrpq.Member", func(g Snapshotter) string { return decided(ecrpq.Member(nodes, g, []Node{v, u}, nil, Options{})) }},
+		// The path is validated on the same snapshot the automaton is
+		// built on: on the pin, v -a-> u is not an edge yet.
+		{"ecrpq.Member/path", func(g Snapshotter) string {
+			ok, err := ecrpq.Member(paths, g, []Node{v, u}, []Path{vu}, Options{})
+			if err != nil && strings.Contains(err.Error(), "missing edge") {
+				return "path not in graph"
+			}
+			return decided(ok, err)
+		}},
+		{"linconstr.Feasible", func(g Snapshotter) string {
+			return decided(linconstr.Feasible(nodes, twoAs, g, sigma, nil, linconstr.Options{}))
+		}},
+		{"linconstr.EvalContext", func(g Snapshotter) string {
+			return keys(linconstr.EvalContext(ctx, nodes, twoAs, g, sigma, linconstr.Options{}))
+		}},
+		{"lenabs.EvalAbstract", func(g Snapshotter) string {
+			return keys(lenabs.EvalAbstract(ctx, nodes, g, sigma, Options{}))
+		}},
+		{"lenabs.EvalLenContext", func(g Snapshotter) string {
+			return keys(lenabs.EvalLenContext(ctx, nodes, g, lenabs.Options{}))
+		}},
+		{"lenabs.LengthsBetween", func(g Snapshotter) string {
+			return fmt.Sprint(lenabs.LengthsBetween(g, u, u).Progressions())
+		}},
+		{"pathquery.Eval", func(g Snapshotter) string { return fp(Eval(nodes, g, Options{})) }},
+		{"Prepared.Eval", func(g Snapshotter) string { return fp(prep.Eval(g, Options{})) }},
+		{"Prepared.EvalContext", func(g Snapshotter) string { return fp(prep.EvalContext(ctx, g, Options{})) }},
+		{"Prepared.Stream", func(g Snapshotter) string { return streamed(prep.Stream(ctx, g, StreamOptions{})) }},
+		{"CachedPrepared.Eval", func(g Snapshotter) string { return fp(cached.Eval(g, Options{})) }},
+		{"CachedPrepared.EvalContext", func(g Snapshotter) string { return fp(cached.EvalContext(ctx, g, Options{})) }},
+		{"pathquery.Member", func(g Snapshotter) string { return decided(Member(nodes, g, []Node{v, u}, nil, Options{})) }},
+		{"pathquery.BuildPathAutomaton", func(g Snapshotter) string {
+			pa, err := BuildPathAutomaton(paths, g, []Node{u, v}, Options{})
+			must(err)
+			return nfaSize(pa.A.NumStates(), pa.A.NumTransitions())
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := build()
+			before := c.read(g)
+			pinned := g.Snapshot()
+			write(g)
+			if got := c.read(pinned); got != before {
+				t.Errorf("pinned snapshot after the write reads %q, the graph read %q at the pin", got, before)
+			}
+			if after := c.read(g); after == before {
+				t.Errorf("graph after the write still reads %q: the write was not seen", after)
+			}
+		})
 	}
 }
