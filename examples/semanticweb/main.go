@@ -29,11 +29,11 @@ func main() {
 	bob := g.AddNode("bob")
 	lab := g.AddNode("lab")
 	agency := g.AddNode("agency")
-	g.AddEdge(paper, 'c', alice)   // paper createdBy alice
-	g.AddEdge(alice, 's', lab)     // alice supervisedBy lab
-	g.AddEdge(dataset, 's', bob)   // dataset supervisedBy bob
-	g.AddEdge(bob, 's', lab)       // bob supervisedBy lab
-	g.AddEdge(lab, 'f', agency)    // lab fundedBy agency
+	g.AddEdge(paper, 'c', alice) // paper createdBy alice
+	g.AddEdge(alice, 's', lab)   // alice supervisedBy lab
+	g.AddEdge(dataset, 's', bob) // dataset supervisedBy bob
+	g.AddEdge(bob, 's', lab)     // bob supervisedBy lab
+	g.AddEdge(lab, 'f', agency)  // lab fundedBy agency
 
 	pairs, err := h.IsoAssociated(g)
 	if err != nil {

@@ -67,10 +67,6 @@ func (n *NFA[S]) AddEps(from, to int) { n.eps[from] = append(n.eps[from], to) }
 // SetStart marks q as a start state.
 func (n *NFA[S]) SetStart(q int) { n.start = append(n.start, q) }
 
-// ClearStart removes all start states (useful when re-rooting a graph
-// automaton at a particular node).
-func (n *NFA[S]) ClearStart() { n.start = n.start[:0] }
-
 // SetFinal marks or unmarks q as accepting.
 func (n *NFA[S]) SetFinal(q int, accepting bool) { n.final[q] = accepting }
 

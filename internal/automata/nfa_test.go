@@ -106,8 +106,8 @@ func randomExpr(r *rand.Rand, depth int) *regex.Node[rune] {
 }
 
 func TestIntersect(t *testing.T) {
-	a := nfaFor(t, "(a|b)*a")   // ends with a
-	b := nfaFor(t, "a(a|b)*")   // starts with a
+	a := nfaFor(t, "(a|b)*a") // ends with a
+	b := nfaFor(t, "a(a|b)*") // starts with a
 	both := Intersect(a, b)
 	sigma := []rune{'a', 'b'}
 	for _, w := range words(sigma, 5) {

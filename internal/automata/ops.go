@@ -2,7 +2,6 @@ package automata
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -454,22 +453,3 @@ func Subset[S comparable](a, b *NFA[S], alphabet []S) bool {
 func Equivalent[S comparable](a, b *NFA[S], alphabet []S) bool {
 	return Subset(a, b, alphabet) && Subset(b, a, alphabet)
 }
-
-// MergeAlphabets returns the deduplicated union of the given alphabets in
-// a deterministic order (insertion order of first occurrence).
-func MergeAlphabets[S comparable](alphas ...[]S) []S {
-	seen := map[S]bool{}
-	var out []S
-	for _, al := range alphas {
-		for _, a := range al {
-			if !seen[a] {
-				seen[a] = true
-				out = append(out, a)
-			}
-		}
-	}
-	return out
-}
-
-// SortInts sorts ints ascending and returns the slice (test convenience).
-func SortInts(xs []int) []int { sort.Ints(xs); return xs }

@@ -53,13 +53,3 @@ func (st *Stepper[S]) Step(states []int, a S) []int {
 	st.buf = buf
 	return buf
 }
-
-// ContainsFinal reports whether any state in the set is accepting.
-func (st *Stepper[S]) ContainsFinal(states []int) bool {
-	for _, q := range states {
-		if st.n.final[q] {
-			return true
-		}
-	}
-	return false
-}

@@ -234,9 +234,9 @@ func TestLargeNodeIds(t *testing.T) {
 	off := graph.Node(n - k)
 	ss := small.Snapshot()
 	for v := graph.Node(0); v < k; v++ {
-		for _, ed := range ss.Out(v) {
-			big.AddEdge(off+v, ed.Label, off+ed.To)
-		}
+		ss.EdgesFrom(v, func(a rune, to graph.Node) {
+			big.AddEdge(off+v, a, off+to)
+		})
 	}
 	bs := big.Snapshot()
 	for _, tc := range []struct {

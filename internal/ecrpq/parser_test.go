@@ -65,15 +65,15 @@ func TestParseBuiltins(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	bad := []string{
-		"Ans(x,y)",                               // no body
-		"foo(x) <- (x,p,y)",                      // head not Ans
-		"Ans(x) <- ",                             // empty body
-		"Ans(x) <- (x,p)",                        // 2-ary path atom is not valid regex either
-		"Ans(x) <- (x,p,y), a)b(p)",              // invalid regex name
-		"Ans(x) <- (x,p,y), el(p)",               // arity mismatch
-		"Ans(w) <- (x,p,y), a(p)",                // head var not in body
-		"Ans(x) <- (x,p,y), (x,p,z), a(p)",       // repeated path var
-		"Ans(x) <- (x,p,y), unknown(p,q)",        // unknown binary relation
+		"Ans(x,y)",                         // no body
+		"foo(x) <- (x,p,y)",                // head not Ans
+		"Ans(x) <- ",                       // empty body
+		"Ans(x) <- (x,p)",                  // 2-ary path atom is not valid regex either
+		"Ans(x) <- (x,p,y), a)b(p)",        // invalid regex name
+		"Ans(x) <- (x,p,y), el(p)",         // arity mismatch
+		"Ans(w) <- (x,p,y), a(p)",          // head var not in body
+		"Ans(x) <- (x,p,y), (x,p,z), a(p)", // repeated path var
+		"Ans(x) <- (x,p,y), unknown(p,q)",  // unknown binary relation
 	}
 	for _, src := range bad {
 		if _, err := Parse(src, env()); err == nil {

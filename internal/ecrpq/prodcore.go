@@ -333,7 +333,7 @@ func (pc *prodCore) internState(set *tupleSet, joint int, nodes []graph.Node) (i
 // symID interns the class tuple currently in symInts, registering it
 // with the joint runner on first sight. The symbol set and the runner
 // assign dense ids in the same insertion order, so the returned id is
-// valid for runner.Step/SymRunes/SymString. Only successor's miss path
+// valid for runner.Step/SymRunes. Only successor's miss path
 // reaches it.
 func (k *moveKernel) symID() int {
 	id, fresh := k.internSym(&k.syms, k.symInts)

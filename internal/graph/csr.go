@@ -34,7 +34,6 @@ type CSR struct {
 	runs     []LabelRun
 	runOff   []int32 // per node: range of its runs in runs (len n+1)
 	alphabet []rune  // distinct edge labels, sorted
-	perNode  [][]Edge
 }
 
 // mergeCSR constructs the full CSR covering n nodes from the previous
@@ -52,7 +51,6 @@ func mergeCSR(base *CSR, baseN int, delta []rawEdge, n int) *CSR {
 		Edges:   make([]Edge, 0, baseEdges+len(delta)),
 		nodeOff: make([]int32, n+1),
 		runOff:  make([]int32, n+1),
-		perNode: make([][]Edge, n),
 	}
 	seen := map[rune]bool{}
 	note := func(a rune) {
@@ -65,7 +63,7 @@ func mergeCSR(base *CSR, baseN int, delta []rawEdge, n int) *CSR {
 	for v := 0; v < n; v++ {
 		var b []Edge
 		if base != nil && v < baseN {
-			b = base.Out(Node(v))
+			b = base.out(Node(v))
 		}
 		bi := 0
 		emit := func(e Edge) {
@@ -96,33 +94,18 @@ func mergeCSR(base *CSR, baseN int, delta []rawEdge, n int) *CSR {
 		c.runOff[v+1] = int32(len(c.runs))
 	}
 	sort.Slice(c.alphabet, func(i, j int) bool { return c.alphabet[i] < c.alphabet[j] })
-	for v := 0; v < n; v++ {
-		c.perNode[v] = c.Edges[c.nodeOff[v]:c.nodeOff[v+1]]
-	}
 	return c
 }
 
 // csrFromParts assembles a CSR over externally built arrays — the
 // segment-backed path, where Edges, runs and the offset tables are
-// views into a read-only file mapping and must not be modified. Only
-// the per-node slice headers and the alphabet scan are materialized on
-// the heap; the edge payload itself stays in the page cache. The caller
-// guarantees the arrays are structurally valid (segment.Open validates
-// offsets, monotonicity and checksums before handing them over).
+// views into a read-only file mapping and must not be modified. No
+// per-node structure is built on the heap: the edge payload stays in
+// the page cache. The caller guarantees the arrays are structurally
+// valid (loadSegment validates offsets, monotonicity and sortedness
+// before handing them over).
 func csrFromParts(edges []Edge, nodeOff, runOff []int32, runs []LabelRun, alphabet []rune) *CSR {
-	n := len(nodeOff) - 1
-	c := &CSR{
-		Edges:    edges,
-		nodeOff:  nodeOff,
-		runOff:   runOff,
-		runs:     runs,
-		alphabet: alphabet,
-		perNode:  make([][]Edge, n),
-	}
-	for v := 0; v < n; v++ {
-		c.perNode[v] = c.Edges[c.nodeOff[v]:c.nodeOff[v+1]]
-	}
-	return c
+	return &CSR{Edges: edges, nodeOff: nodeOff, runOff: runOff, runs: runs, alphabet: alphabet}
 }
 
 // NumNodes returns the number of nodes of the CSR.
@@ -131,12 +114,12 @@ func (c *CSR) NumNodes() int { return len(c.nodeOff) - 1 }
 // NumEdges returns the number of edges of the CSR.
 func (c *CSR) NumEdges() int { return len(c.Edges) }
 
-// Out returns every out-edge of v, sorted by label then target (shared
-// slice; do not modify).
-func (c *CSR) Out(v Node) []Edge { return c.perNode[v] }
-
 // OutRange returns the range of v's edges in Edges.
 func (c *CSR) OutRange(v Node) (start, end int32) { return c.nodeOff[v], c.nodeOff[v+1] }
+
+// out returns v's edges, sorted by label then target: Edges sliced by
+// OutRange (shared; do not modify).
+func (c *CSR) out(v Node) []Edge { return c.Edges[c.nodeOff[v]:c.nodeOff[v+1]] }
 
 // Runs returns the label runs of v, sorted by label: one entry per
 // distinct out-label, delimiting that label's edges in Edges (shared
@@ -157,8 +140,3 @@ func (c *CSR) WithLabel(v Node, a rune) []Edge {
 // Alphabet returns the distinct edge labels of the CSR, sorted (shared
 // slice; do not modify).
 func (c *CSR) Alphabet() []rune { return c.alphabet }
-
-// Adjacency returns the per-node out-edge view of the CSR:
-// Adjacency()[v] lists every edge leaving v, sorted by label then
-// target. The slices alias Edges; callers must not modify them.
-func (c *CSR) Adjacency() [][]Edge { return c.perNode }

@@ -17,73 +17,102 @@ func randomTestDB(r *rand.Rand, n, edges int, sigma []rune) *DB {
 	return g
 }
 
-// TestCSRMatchesDB checks the CSR snapshot against the authoritative
-// map representation: edge content, per-node order (label then target),
-// label runs, per-label lookup and the cached alphabet.
+// TestCSRMatchesDB checks a snapshot against the edge list the test
+// inserted, with part of it compacted into the base and the rest in the
+// delta overlay: every edge exactly once across BaseRuns and DeltaRuns,
+// label-sorted runs with target-sorted edges, OutDegree, per-label
+// lookup, EdgesFrom and the cached alphabet.
 func TestCSRMatchesDB(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	sigma := []rune("abcde")
 	for trial := 0; trial < 20; trial++ {
-		g := randomTestDB(r, 2+r.Intn(10), r.Intn(60), sigma)
-		c := g.Snapshot()
-		if c.NumNodes() != g.NumNodes() || c.NumEdges() != g.NumEdges() {
-			t.Fatalf("snapshot size %d/%d, want %d/%d", c.NumNodes(), c.NumEdges(), g.NumNodes(), g.NumEdges())
+		n := 2 + r.Intn(10)
+		g := NewDB()
+		g.AddNodes(n)
+		inserted := map[edgeKey]bool{}
+		m := r.Intn(60)
+		for e := 0; e < m; e++ {
+			k := edgeKey{Node(r.Intn(n)), sigma[r.Intn(len(sigma))], Node(r.Intn(n))}
+			g.AddEdge(k.from, k.label, k.to)
+			inserted[k] = true
+			if e == m/2 {
+				g.Snapshot() // compact the first half into the base
+			}
 		}
-		total := 0
-		for v := 0; v < g.NumNodes(); v++ {
-			out := c.Out(Node(v))
-			if deg := c.OutDegree(Node(v)); len(out) != deg {
-				t.Fatalf("node %d: Out len %d, OutDegree %d", v, len(out), deg)
-			}
-			total += len(out)
-			for i := 1; i < len(out); i++ {
-				if out[i-1].Label > out[i].Label ||
-					(out[i-1].Label == out[i].Label && out[i-1].To >= out[i].To) {
-					t.Fatalf("node %d: edges not sorted by label,target: %v", v, out)
-				}
-			}
-			runs := c.Runs(Node(v))
-			covered := 0
-			for ri, run := range runs {
-				if ri > 0 && runs[ri-1].Label >= run.Label {
-					t.Fatalf("node %d: runs not label-sorted: %v", v, runs)
-				}
-				for _, ed := range c.EdgeRange(run.Start, run.End) {
-					if ed.Label != run.Label {
-						t.Fatalf("node %d: run %q contains edge %v", v, run.Label, ed)
+		c := g.Snapshot()
+		if c.NumNodes() != n || c.NumEdges() != len(inserted) || g.NumEdges() != len(inserted) {
+			t.Fatalf("snapshot %d nodes %d edges, store %d edges; inserted %d nodes %d edges",
+				c.NumNodes(), c.NumEdges(), g.NumEdges(), n, len(inserted))
+		}
+		seen := map[edgeKey]bool{}
+		for v := 0; v < n; v++ {
+			deg := 0
+			for _, runs := range [2][]LabelRun{c.BaseRuns(Node(v)), c.DeltaRuns(Node(v))} {
+				for ri, run := range runs {
+					if ri > 0 && runs[ri-1].Label >= run.Label {
+						t.Fatalf("node %d: runs not label-sorted: %v", v, runs)
 					}
-					covered++
+					es := c.EdgeRange(run.Start, run.End)
+					for i, ed := range es {
+						k := edgeKey{Node(v), ed.Label, ed.To}
+						if ed.Label != run.Label || (i > 0 && es[i-1].To >= ed.To) {
+							t.Fatalf("node %d run %q: edges %v off-label or unsorted", v, run.Label, es)
+						}
+						if !inserted[k] || seen[k] {
+							t.Fatalf("snapshot edge %v: inserted %v, already seen %v", k, inserted[k], seen[k])
+						}
+						seen[k] = true
+						deg++
+					}
 				}
-				got := c.WithLabel(Node(v), run.Label)
-				want := append([]Node(nil), g.Successors(Node(v), run.Label)...)
+			}
+			if got := c.OutDegree(Node(v)); got != deg {
+				t.Fatalf("node %d: OutDegree %d, runs hold %d", v, got, deg)
+			}
+			from := 0
+			c.EdgesFrom(Node(v), func(a rune, to Node) {
+				if !inserted[edgeKey{Node(v), a, to}] {
+					t.Fatalf("EdgesFrom(%d) yields (%q,%d), never inserted", v, a, to)
+				}
+				from++
+			})
+			if from != deg {
+				t.Fatalf("node %d: EdgesFrom yields %d edges, want %d", v, from, deg)
+			}
+			for _, a := range sigma {
+				var want []Node
+				for k := range inserted {
+					if k.from == Node(v) && k.label == a {
+						want = append(want, k.to)
+					}
+				}
 				sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+				got := c.WithLabel(Node(v), a)
 				if len(got) != len(want) {
-					t.Fatalf("node %d label %q: WithLabel %d edges, want %d", v, run.Label, len(got), len(want))
+					t.Fatalf("node %d label %q: WithLabel %d edges, want %d", v, a, len(got), len(want))
 				}
 				for i, ed := range got {
 					if ed.To != want[i] {
-						t.Fatalf("node %d label %q: WithLabel[%d] = %v, want %v", v, run.Label, i, ed, want[i])
+						t.Fatalf("node %d label %q: WithLabel[%d] = %v, want %v", v, a, i, ed, want[i])
 					}
 				}
-			}
-			if covered != len(out) {
-				t.Fatalf("node %d: runs cover %d edges, node has %d", v, covered, len(out))
 			}
 			if c.WithLabel(Node(v), 'z') != nil {
 				t.Fatalf("node %d: WithLabel on absent label not nil", v)
 			}
 		}
-		if total != g.NumEdges() {
-			t.Fatalf("snapshot covers %d edges, graph has %d", total, g.NumEdges())
+		if len(seen) != len(inserted) {
+			t.Fatalf("snapshot runs cover %d edges, inserted %d", len(seen), len(inserted))
 		}
-		// Alphabet agrees with a direct scan.
-		seen := map[rune]bool{}
-		g.EachEdge(func(_ Node, a rune, _ Node) { seen[a] = true })
-		if len(c.Alphabet()) != len(seen) {
-			t.Fatalf("alphabet %q, want %d labels", string(c.Alphabet()), len(seen))
+		labels := map[rune]bool{}
+		for k := range inserted {
+			labels[k.label] = true
+		}
+		if len(c.Alphabet()) != len(labels) {
+			t.Fatalf("alphabet %q, want %d labels", string(c.Alphabet()), len(labels))
 		}
 		for i, a := range c.Alphabet() {
-			if !seen[a] || (i > 0 && c.Alphabet()[i-1] >= a) {
+			if !labels[a] || (i > 0 && c.Alphabet()[i-1] >= a) {
 				t.Fatalf("alphabet %q wrong or unsorted", string(c.Alphabet()))
 			}
 		}
@@ -114,11 +143,18 @@ func TestCSRInvalidation(t *testing.T) {
 	}
 }
 
-// TestAddEdgeDedupLargeFanOut drives a single (node,label) pair far past
-// the dedup threshold: duplicates must be dropped in both regimes and
-// HasEdge must agree.
+// TestAddEdgeDedupLargeFanOut drives a single (node,label) pair to a
+// large fan-out, then re-adds an edge from every place one can already
+// be — the base CSR, the published delta, the unpublished delta, a
+// compacted base, a clone, and a reopened store's mapped base and
+// replayed WAL. A duplicate must leave NumEdges and Epoch unchanged,
+// and HasEdge must report the edge.
 func TestAddEdgeDedupLargeFanOut(t *testing.T) {
-	g := NewDB()
+	dir := t.TempDir()
+	g, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g.AddNodes(200)
 	for rep := 0; rep < 3; rep++ {
 		for i := 1; i < 150; i++ {
@@ -138,5 +174,111 @@ func TestAddEdgeDedupLargeFanOut(t *testing.T) {
 	}
 	if got := len(g.Snapshot().WithLabel(0, 'a')); got != 149 {
 		t.Fatalf("WithLabel run has %d edges, want 149", got)
+	}
+
+	type edge struct {
+		from  Node
+		label rune
+		to    Node
+	}
+	edges := []edge{{0, 'a', 1}} // in the base
+	if s := g.Snapshot(); s.BaseEdges() != 149 || s.DeltaEdges() != 0 {
+		t.Fatalf("after the fan-out: base %d delta %d, want 149/0", s.BaseEdges(), s.DeltaEdges())
+	}
+	g.AddEdge(1, 'b', 2)
+	if s := g.Snapshot(); s.BaseEdges() != 149 || s.DeltaEdges() != 1 {
+		t.Fatalf("published delta: base %d delta %d, want 149/1", s.BaseEdges(), s.DeltaEdges())
+	}
+	edges = append(edges, edge{1, 'b', 2})
+	g.AddEdge(2, 'c', 3) // unpublished: no snapshot taken since
+	edges = append(edges, edge{2, 'c', 3})
+	dupes := func(where string, g *DB) {
+		t.Helper()
+		for _, e := range edges {
+			n, ep := g.NumEdges(), g.Epoch()
+			g.AddEdge(e.from, e.label, e.to)
+			if g.NumEdges() != n || g.Epoch() != ep {
+				t.Fatalf("%s: duplicate %v moved NumEdges %d→%d, Epoch %d→%d", where, e, n, g.NumEdges(), ep, g.Epoch())
+			}
+			if !g.HasEdge(e.from, e.label, e.to) {
+				t.Fatalf("%s: HasEdge%v = false", where, e)
+			}
+		}
+	}
+	dupes("live", g)
+	dupes("clone", g.Clone())
+	if err := g.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if s := g.Snapshot(); s.BaseEdges() != 151 || s.DeltaEdges() != 0 {
+		t.Fatalf("after compaction: base %d delta %d, want 151/0", s.BaseEdges(), s.DeltaEdges())
+	}
+	dupes("compacted", g)
+	g.AddEdge(3, 'd', 4) // in the WAL only
+	edges = append(edges, edge{3, 'd', 4})
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if rec := h.Recovery(); rec.WALReplayed != 1 || rec.SegmentEpoch == 0 {
+		t.Fatalf("reopen: replayed %d WAL records over segment epoch %d, want 1 over a segment", rec.WALReplayed, rec.SegmentEpoch)
+	}
+	dupes("reopened", h)
+	if h.NumEdges() != 152 {
+		t.Fatalf("reopened store has %d edges, want 152", h.NumEdges())
+	}
+}
+
+// TestEachEdgeOnceInOrder checks DB.EachEdge over a store with edges in
+// the base, the published delta and the unpublished delta: it yields
+// the snapshot's edge set exactly once, in the same order on two calls.
+func TestEachEdgeOnceInOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	sigma := []rune("abc")
+	for trial := 0; trial < 10; trial++ {
+		n := 5 + r.Intn(10)
+		g := randomTestDB(r, n, 40+r.Intn(40), sigma)
+		burst := func(k int) {
+			for e := 0; e < k; e++ {
+				g.AddEdge(Node(r.Intn(n)), sigma[r.Intn(len(sigma))], Node(r.Intn(n)))
+			}
+		}
+		g.Snapshot() // base
+		burst(10)
+		if s := g.Snapshot(); s.BaseEdges() == 0 || s.DeltaEdges() == 0 {
+			t.Fatalf("want a base and a published delta, got %d/%d", s.BaseEdges(), s.DeltaEdges())
+		}
+		g.AddEdge(Node(n-1), 'z', 0) // at least one unpublished write
+		burst(10)
+		collect := func() []edgeKey {
+			var out []edgeKey
+			g.EachEdge(func(from Node, a rune, to Node) { out = append(out, edgeKey{from, a, to}) })
+			return out
+		}
+		first, second := collect(), collect()
+		if len(first) != len(second) {
+			t.Fatalf("two EachEdge calls yield %d and %d edges", len(first), len(second))
+		}
+		for i := range first {
+			if first[i] != second[i] {
+				t.Fatalf("EachEdge order differs at %d: %v then %v", i, first[i], second[i])
+			}
+		}
+		want := map[edgeKey]bool{}
+		g.Snapshot().EachEdge(func(from Node, a rune, to Node) { want[edgeKey{from, a, to}] = true })
+		got := map[edgeKey]bool{}
+		for _, k := range first {
+			if got[k] || !want[k] {
+				t.Fatalf("EachEdge yields %v: repeated %v, in snapshot %v", k, got[k], want[k])
+			}
+			got[k] = true
+		}
+		if len(got) != len(want) || len(got) != g.NumEdges() {
+			t.Fatalf("EachEdge yields %d edges, snapshot holds %d, store counts %d", len(got), len(want), g.NumEdges())
+		}
 	}
 }

@@ -311,8 +311,6 @@ func (g *DB) loadSegment(f *segment.File) error {
 	}
 	g.names = names
 	g.byName = byName
-	g.out = make([]map[rune][]Node, n)
-	g.dedup = make([]map[rune]map[Node]bool, n)
 	g.base = csrFromParts(edges, nodeOff, runOff, runs, alphabet)
 	g.baseN = n
 	g.nEdges = len(edges)

@@ -1,35 +1,41 @@
 // Package graph implements Σ-labeled graph databases — the data model of
 // the ECRPQ paper (Section 2): a finite set of nodes V and a set of
-// directed edges E ⊆ V × Σ × V. It provides paths and their labels λ(ρ),
-// the automaton view of a graph database, the ⊥-loop extension G⊥ and the
-// product construction G₁⊗G₂ used to build the convolution powers Gᵐ of
-// Section 5, and a small text format for the command-line tools.
+// directed edges E ⊆ V × Σ × V. It provides the epoch-versioned store
+// (each edge held once, in a compacted CSR base or the delta log of the
+// writes since), immutable snapshots of it, paths and their labels λ(ρ),
+// and a small text format for the command-line tools. The ⊥-loop
+// extension G⊥ and the convolution powers Gᵐ of Section 5 are never
+// built: the evaluator walks them on the fly over a snapshot.
 package graph
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph/segment"
-	"repro/internal/regex"
 )
 
 // Node identifies a node of a DB; nodes are dense integers.
 type Node int
 
-// DB is a Σ-labeled graph database. The zero value is an empty database;
-// use NewDB. Node names are optional (auto-generated when absent) and are
-// unique.
+// DB is a Σ-labeled graph database. Use NewDB. Node names are optional
+// (auto-generated when absent) and are unique.
+//
+// Every edge is held in exactly one place: the immutable base CSR of
+// the last compaction (which may be a read-only file mapping, see
+// durable.go) or the delta log of the writes since. Readers and the
+// duplicate check consult those two and nothing else.
 //
 // Concurrency: the store is epoch-versioned. Mutations (AddNode,
 // AddEdge) serialize on an internal write mutex and advance a monotonic
 // epoch; Snapshot returns an immutable epoch-stamped view that is safe
 // to read from any number of goroutines concurrently with writers.
-// Direct readers of the live DB (HasEdge, EachEdge, Successors, …) see
-// the latest writes but must not run concurrently with them — the
-// serving path for mixed read/write traffic is Snapshot.
+// NodeByName, HasEdge and Successors are safe alongside writers;
+// EachEdge sees the latest writes but must not run concurrently with
+// them — the serving path for mixed read/write traffic is Snapshot.
 type DB struct {
 	// id is the process-unique store identity (see ID); snapshots are
 	// stamped with it so downstream caches can key on (store, epoch)
@@ -39,19 +45,7 @@ type DB struct {
 	mu     sync.Mutex
 	names  []string
 	byName map[string]Node
-	// out holds ONLY the edges written since the last compaction — the
-	// delta segment's mutable index. Edges older than that live solely
-	// in the base CSR (which may be a read-only file mapping, see
-	// durable.go); readers and the duplicate check consult both. Keeping
-	// the maps delta-only is what lets a segment-backed store open
-	// without materializing per-node maps for millions of base edges.
-	out    []map[rune][]Node
 	nEdges int
-	// dedup holds per-(node,label) membership sets for delta targets,
-	// built lazily once a (node,label) fan-out crosses dedupThreshold so
-	// bulk loads stay near-linear instead of paying an O(deg) scan per
-	// insert. Like out, it covers the delta only.
-	dedup []map[rune]map[Node]bool
 
 	// epoch counts successful mutations; it stamps snapshots and keys
 	// downstream memos (an unchanged epoch means an unchanged graph).
@@ -72,6 +66,10 @@ type DB struct {
 	baseN       int
 	deltaSorted []rawEdge
 	deltaNew    []rawEdge
+	// deltaSet indexes the delta log (deltaSorted ∪ deltaNew) for the
+	// duplicate check of edges the base does not hold. Compaction drops
+	// it; nil means an empty delta.
+	deltaSet map[edgeKey]struct{}
 
 	// hist is the epoch-ordered edge write log: every fresh AddEdge
 	// appends its stamped entry here, and unlike the delta overlay it is
@@ -110,15 +108,19 @@ type DB struct {
 // instead of a copy per write.
 const histKeep = 4096
 
-// dedupThreshold is the (node,label) fan-out beyond which AddEdge and
-// HasEdge switch from a linear scan to a membership set.
-const dedupThreshold = 8
-
-// Edge is one labeled out-edge of a node, as stored in the adjacency
-// slices returned by Adjacency.
+// Edge is one labeled out-edge of a node: an entry of CSR.Edges, of a
+// snapshot's delta overlay, or of the slices WithLabel and EdgeRange
+// return. The source node is the one whose range holds it.
 type Edge struct {
 	Label rune
 	To    Node
+}
+
+// edgeKey is an edge as a map key, for the delta log's duplicate check.
+type edgeKey struct {
+	from  Node
+	label rune
+	to    Node
 }
 
 // dbIDs issues process-unique store identities; 0 is never issued, so
@@ -156,8 +158,6 @@ func (g *DB) addNodeLocked(name string) Node {
 	v := Node(len(g.names))
 	g.names = append(g.names, name)
 	g.byName[name] = v
-	g.out = append(g.out, nil)
-	g.dedup = append(g.dedup, nil)
 	ep := g.epoch.Add(1)
 	g.walAppendNode(ep, name)
 	return v
@@ -180,16 +180,9 @@ func (g *DB) AddNodes(k int) Node {
 func (g *DB) Epoch() uint64 { return g.epoch.Load() }
 
 // NodeByName returns the node with the given name. It reads the name
-// index without synchronization and is only safe when no writer is
-// active; concurrent servers use LookupNode.
+// index under the store's lock, so a serving layer may resolve names
+// while writes are in flight.
 func (g *DB) NodeByName(name string) (Node, bool) {
-	v, ok := g.byName[name]
-	return v, ok
-}
-
-// LookupNode is NodeByName under the store's lock — the form a serving
-// layer must use to resolve names while writes may be in flight.
-func (g *DB) LookupNode(name string) (Node, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	v, ok := g.byName[name]
@@ -206,46 +199,21 @@ func (g *DB) NumNodes() int { return len(g.names) }
 func (g *DB) NumEdges() int { return g.nEdges }
 
 // AddEdge adds the labeled edge (from, label, to). Duplicate edges are
-// ignored (and do not advance the epoch); the duplicate check consults
-// the compacted base CSR by binary search and, beyond dedupThreshold
-// parallel delta targets, a membership set, keeping bulk loads
-// near-linear. A fresh edge is appended to the delta log (and, on a
+// ignored (and do not advance the epoch); the duplicate check is a
+// binary search of the compacted base CSR plus one lookup in the delta
+// log's set. A fresh edge is appended to the delta log (and, on a
 // durable store, to the write-ahead log) so the next Snapshot pays only
 // for the delta overlay instead of a full CSR rebuild.
 func (g *DB) AddEdge(from Node, label rune, to Node) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.baseHasEdgeLocked(from, label, to) {
+	if g.hasEdgeLocked(from, label, to) {
 		return
 	}
-	if g.out[from] == nil {
-		g.out[from] = make(map[rune][]Node)
+	if g.deltaSet == nil {
+		g.deltaSet = make(map[edgeKey]struct{})
 	}
-	tos := g.out[from][label]
-	if set := g.dedup[from][label]; set != nil {
-		if set[to] {
-			return
-		}
-		set[to] = true
-	} else {
-		for _, t := range tos {
-			if t == to {
-				return
-			}
-		}
-		if len(tos)+1 > dedupThreshold {
-			set = make(map[Node]bool, 2*len(tos))
-			for _, t := range tos {
-				set[t] = true
-			}
-			set[to] = true
-			if g.dedup[from] == nil {
-				g.dedup[from] = make(map[rune]map[Node]bool)
-			}
-			g.dedup[from][label] = set
-		}
-	}
-	g.out[from][label] = append(tos, to)
+	g.deltaSet[edgeKey{from, label, to}] = struct{}{}
 	g.nEdges++
 	e := rawEdge{From: from, Label: label, To: to, Epoch: g.epoch.Add(1)}
 	g.walAppendEdge(e)
@@ -259,33 +227,26 @@ func (g *DB) AddEdge(from Node, label rune, to Node) {
 	}
 }
 
-// baseHasEdgeLocked reports whether the compacted base segment holds
-// (from, label, to): a binary search over from's label run. Callers
-// hold g.mu (the base pointer swaps at compaction).
-func (g *DB) baseHasEdgeLocked(from Node, label rune, to Node) bool {
-	if g.base == nil || int(from) >= g.baseN {
-		return false
-	}
-	es := g.base.WithLabel(from, label)
-	i := sort.Search(len(es), func(i int) bool { return es[i].To >= to })
-	return i < len(es) && es[i].To == to
-}
-
-// HasEdge reports whether (from, label, to) ∈ E, consulting the base
-// segment and the delta maps.
-func (g *DB) HasEdge(from Node, label rune, to Node) bool {
-	if g.baseHasEdgeLocked(from, label, to) {
-		return true
-	}
-	if set := g.dedup[from][label]; set != nil {
-		return set[to]
-	}
-	for _, t := range g.out[from][label] {
-		if t == to {
+// hasEdgeLocked reports whether the store holds (from, label, to): a
+// binary search over from's label run in the base, then one delta-set
+// lookup. Callers hold g.mu (the base pointer swaps at compaction).
+func (g *DB) hasEdgeLocked(from Node, label rune, to Node) bool {
+	if g.base != nil && int(from) < g.baseN {
+		es := g.base.WithLabel(from, label)
+		i := sort.Search(len(es), func(i int) bool { return es[i].To >= to })
+		if i < len(es) && es[i].To == to {
 			return true
 		}
 	}
-	return false
+	_, ok := g.deltaSet[edgeKey{from, label, to}]
+	return ok
+}
+
+// HasEdge reports whether (from, label, to) ∈ E.
+func (g *DB) HasEdge(from Node, label rune, to Node) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.hasEdgeLocked(from, label, to)
 }
 
 // Successors returns the targets of label-edges leaving from, sorted.
@@ -303,24 +264,21 @@ func (g *DB) Successors(from Node, label rune) []Node {
 	return out
 }
 
-// EachEdge calls f for every edge: for each node the base-segment edges
-// first (label/target order), then the delta edges in map order.
+// EachEdge calls f once for every edge, in a deterministic order: the
+// base CSR in CSR order (source, label, target), then the delta log —
+// its sorted prefix, then the writes since the last snapshot in write
+// order.
 func (g *DB) EachEdge(f func(from Node, label rune, to Node)) {
-	for v := range g.out {
-		g.EdgesFrom(Node(v), func(a rune, to Node) { f(Node(v), a, to) })
-	}
-}
-
-// EdgesFrom calls f for every edge leaving v, base segment first.
-func (g *DB) EdgesFrom(v Node, f func(label rune, to Node)) {
-	if g.base != nil && int(v) < g.baseN {
-		for _, e := range g.base.Out(v) {
-			f(e.Label, e.To)
+	if g.base != nil {
+		for v := 0; v < g.baseN; v++ {
+			for _, e := range g.base.out(Node(v)) {
+				f(Node(v), e.Label, e.To)
+			}
 		}
 	}
-	for a, tos := range g.out[v] {
-		for _, to := range tos {
-			f(a, to)
+	for _, d := range [2][]rawEdge{g.deltaSorted, g.deltaNew} {
+		for _, e := range d {
+			f(e.From, e.Label, e.To)
 		}
 	}
 }
@@ -331,58 +289,30 @@ func (g *DB) EdgesFrom(v Node, f func(label rune, to Node)) {
 func (g *DB) Alphabet() []rune { return g.Snapshot().Alphabet() }
 
 // Clone returns a deep copy of the database. Instead of replaying
-// AddEdge m times through the dedup machinery, the delta adjacency and
-// dedup structures are copied directly and the immutable base CSR,
-// delta log and current snapshot are shared/carried over — the clone
-// starts at the source's epoch with the same compaction state. A clone
-// of a durable store is memory-only (no directory, no WAL) and borrows
-// the source's base segment: if that base is a file mapping, the clone
-// must not outlive the source's Close.
+// AddEdge m times, the delta log and its set are copied directly and
+// the immutable base CSR, sorted delta prefix and current snapshot are
+// shared — the clone starts at the source's epoch with the same
+// compaction state. A clone of a durable store is memory-only (no
+// directory, no WAL) and borrows the source's base segment: if that
+// base is a file mapping, the clone must not outlive the source's
+// Close.
 func (g *DB) Clone() *DB {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	h := &DB{
 		id:          dbIDs.Add(1),
 		names:       append([]string(nil), g.names...),
-		byName:      make(map[string]Node, len(g.byName)),
-		out:         make([]map[rune][]Node, len(g.out)),
-		dedup:       make([]map[rune]map[Node]bool, len(g.dedup)),
+		byName:      maps.Clone(g.byName),
 		nEdges:      g.nEdges,
 		base:        g.base,        // immutable once built; safe to share
 		deltaSorted: g.deltaSorted, // immutable once published; safe to share
 		baseN:       g.baseN,
 		deltaNew:    append([]rawEdge(nil), g.deltaNew...),
+		deltaSet:    maps.Clone(g.deltaSet),
 		// The history tail is copied, not shared: both stores keep
 		// appending at the same index otherwise.
 		hist:      append([]DeltaEdge(nil), g.hist...),
 		histFloor: g.histFloor,
-	}
-	for name, v := range g.byName {
-		h.byName[name] = v
-	}
-	for v, m := range g.out {
-		if m == nil {
-			continue
-		}
-		cp := make(map[rune][]Node, len(m))
-		for a, tos := range m {
-			cp[a] = append([]Node(nil), tos...)
-		}
-		h.out[v] = cp
-	}
-	for v, m := range g.dedup {
-		if m == nil {
-			continue
-		}
-		cp := make(map[rune]map[Node]bool, len(m))
-		for a, set := range m {
-			cs := make(map[Node]bool, len(set))
-			for t := range set {
-				cs[t] = true
-			}
-			cp[a] = cs
-		}
-		h.dedup[v] = cp
 	}
 	h.epoch.Store(g.epoch.Load())
 	if s := g.snap.Load(); s != nil && s.epoch == h.epoch.Load() {
@@ -395,126 +325,4 @@ func (g *DB) Clone() *DB {
 		h.snap.Store(s)
 	}
 	return h
-}
-
-// WithBotLoops returns the Σ⊥-labeled database G⊥ of Section 5: a copy
-// of g with a ⊥-labeled self-loop added to every node. The loops are
-// recorded as a delta overlay on the parent's compaction state, so
-// building G⊥ shares the parent's base CSR instead of rebuilding it.
-func (g *DB) WithBotLoops() *DB {
-	h := g.Clone()
-	for v := 0; v < h.NumNodes(); v++ {
-		h.AddEdge(Node(v), regex.Bot, Node(v))
-	}
-	return h
-}
-
-// Product returns the graph database g⊗h over the product alphabet
-// (Section 5): nodes are pairs (encoded as v*h.NumNodes()+w), and there is
-// an edge ((v,w), a·b, (v',w')) iff (v,a,v') ∈ g and (w,b,w') ∈ h. Labels
-// of g and h must be single runes; the product's labels are the
-// concatenated strings, so the result is exposed as a TupleDB.
-func Product(g, h *DB) *TupleDB {
-	tg := g.asTuple()
-	return tg.Product(h)
-}
-
-// PairNode encodes the product node (v, w) of g⊗h given h's size.
-func PairNode(v, w Node, hSize int) Node { return v*Node(hSize) + w }
-
-// TupleDB is a graph database whose edge labels are m-tuples of runes
-// (strings of fixed length m over Σ⊥); it represents the convolution
-// powers Gᵐ of Section 5.
-type TupleDB struct {
-	M     int // tuple width
-	Size  int // number of nodes
-	out   []map[string][]Node
-	nEdge int
-}
-
-// asTuple views a rune-labeled database as a 1-tuple database.
-func (g *DB) asTuple() *TupleDB {
-	t := &TupleDB{M: 1, Size: g.NumNodes(), out: make([]map[string][]Node, g.NumNodes())}
-	g.EachEdge(func(from Node, a rune, to Node) { t.addEdge(from, string(a), to) })
-	return t
-}
-
-func (t *TupleDB) addEdge(from Node, label string, to Node) {
-	if t.out[from] == nil {
-		t.out[from] = make(map[string][]Node)
-	}
-	t.out[from][label] = append(t.out[from][label], to)
-	t.nEdge++
-}
-
-// NumEdges returns the number of edges.
-func (t *TupleDB) NumEdges() int { return t.nEdge }
-
-// Successors returns successor nodes by tuple label.
-func (t *TupleDB) Successors(from Node, label string) []Node { return t.out[from][label] }
-
-// EachEdge calls f for every edge.
-func (t *TupleDB) EachEdge(f func(from Node, label string, to Node)) {
-	for v := range t.out {
-		for a, tos := range t.out[v] {
-			for _, to := range tos {
-				f(Node(v), a, to)
-			}
-		}
-	}
-}
-
-// EdgesFrom calls f for every edge leaving v.
-func (t *TupleDB) EdgesFrom(v Node, f func(label string, to Node)) {
-	for a, tos := range t.out[v] {
-		for _, to := range tos {
-			f(a, to)
-		}
-	}
-}
-
-// Product returns t⊗h where h is rune-labeled: labels are extended by one
-// component, nodes are pairs encoded as v*h.NumNodes()+w.
-func (t *TupleDB) Product(h *DB) *TupleDB {
-	out := &TupleDB{M: t.M + 1, Size: t.Size * h.NumNodes(), out: make([]map[string][]Node, t.Size*h.NumNodes())}
-	hn := h.NumNodes()
-	t.EachEdge(func(f1 Node, a string, t1 Node) {
-		h.EachEdge(func(f2 Node, b rune, t2 Node) {
-			out.addEdge(f1*Node(hn)+f2, a+string(b), t1*Node(hn)+t2)
-		})
-	})
-	return out
-}
-
-// Power returns the m'th convolution power Gᵐ of Section 5:
-// G¹ = G⊥ and Gᵐ⁺¹ = G⊥ ⊗ Gᵐ (all components carry ⊥-loops). Node
-// (v₁,...,vₘ) is encoded in big-endian base NumNodes: v₁ is the most
-// significant digit.
-func Power(g *DB, m int) *TupleDB {
-	gb := g.WithBotLoops()
-	res := gb.asTuple()
-	for i := 1; i < m; i++ {
-		res = res.Product(gb)
-	}
-	return res
-}
-
-// DecodeTupleNode decodes a TupleDB node of a Power(g, m) database into
-// its m component nodes of g.
-func DecodeTupleNode(v Node, m, gSize int) []Node {
-	out := make([]Node, m)
-	for i := m - 1; i >= 0; i-- {
-		out[i] = v % Node(gSize)
-		v /= Node(gSize)
-	}
-	return out
-}
-
-// EncodeTupleNode is the inverse of DecodeTupleNode.
-func EncodeTupleNode(vs []Node, gSize int) Node {
-	var v Node
-	for _, x := range vs {
-		v = v*Node(gSize) + x
-	}
-	return v
 }

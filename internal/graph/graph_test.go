@@ -3,8 +3,6 @@ package graph
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/regex"
 )
 
 // line builds the string graph G_s of Proposition 3.2: for s = a0…an-1,
@@ -65,118 +63,6 @@ func TestPathBasics(t *testing.T) {
 	}
 }
 
-func TestStripBotLoops(t *testing.T) {
-	g, v0, _ := line("ab")
-	gb := g.WithBotLoops()
-	p := EmptyPath(v0).
-		Extend(regex.Bot, 0).
-		Extend('a', 1).
-		Extend(regex.Bot, 1).
-		Extend('b', 2)
-	if err := p.Validate(gb); err != nil {
-		t.Fatal(err)
-	}
-	s := p.StripBotLoops()
-	if s.LabelString() != "ab" || s.Len() != 2 {
-		t.Errorf("StripBotLoops = %q", s.LabelString())
-	}
-}
-
-func TestWithBotLoops(t *testing.T) {
-	g, _, _ := line("ab")
-	gb := g.WithBotLoops()
-	if gb.NumEdges() != g.NumEdges()+g.NumNodes() {
-		t.Errorf("G⊥ edges = %d", gb.NumEdges())
-	}
-	for v := 0; v < gb.NumNodes(); v++ {
-		if !gb.HasEdge(Node(v), regex.Bot, Node(v)) {
-			t.Errorf("node %d missing ⊥-loop", v)
-		}
-	}
-	// original untouched
-	if g.HasEdge(0, regex.Bot, 0) {
-		t.Error("WithBotLoops mutated the receiver")
-	}
-}
-
-func TestAllPathsAndPathsBetween(t *testing.T) {
-	g := NewDB()
-	a := g.AddNode("a")
-	b := g.AddNode("b")
-	g.AddEdge(a, 'x', b)
-	g.AddEdge(b, 'y', a)
-	ps := g.AllPaths(a, 3)
-	// ε, x, xy, xyx
-	if len(ps) != 4 {
-		t.Fatalf("AllPaths = %d paths, want 4", len(ps))
-	}
-	pb := g.PathsBetween(a, b, 3)
-	if len(pb) != 2 { // x, xyx
-		t.Fatalf("PathsBetween = %d paths, want 2", len(pb))
-	}
-	for _, p := range pb {
-		if err := p.Validate(g); err != nil {
-			t.Error(err)
-		}
-	}
-}
-
-func TestPowerAndComponents(t *testing.T) {
-	g, v0, _ := line("ab")
-	m := 2
-	p2 := Power(g, m)
-	if p2.M != 2 || p2.Size != g.NumNodes()*g.NumNodes() {
-		t.Fatalf("Power dims wrong: M=%d Size=%d", p2.M, p2.Size)
-	}
-	// Walk the pair ((v0,v0) -> (v1,v1) -> (v2, v1 via ⊥ on 2nd)) in G².
-	n := g.NumNodes()
-	start := EncodeTupleNode([]Node{v0, v0}, n)
-	lbl1 := "aa"
-	succs := p2.Successors(start, lbl1)
-	if len(succs) != 1 {
-		t.Fatalf("successors of (v0,v0) by (a,a): %v", succs)
-	}
-	mid := succs[0]
-	if got := DecodeTupleNode(mid, m, n); got[0] != 1 || got[1] != 1 {
-		t.Fatalf("decode = %v", got)
-	}
-	lbl2 := "b" + string(regex.Bot)
-	succs2 := p2.Successors(mid, lbl2)
-	if len(succs2) != 1 {
-		t.Fatalf("successors of (v1,v1) by (b,⊥): %v", succs2)
-	}
-	tp := TuplePath{Nodes: []Node{start, mid, succs2[0]}, Labels: []string{lbl1, lbl2}}
-	c0 := tp.Component(0, m, n)
-	c1 := tp.Component(1, m, n)
-	if c0.LabelString() != "ab" {
-		t.Errorf("component 0 = %q, want ab", c0.LabelString())
-	}
-	if c1.LabelString() != "a" {
-		t.Errorf("component 1 = %q, want a", c1.LabelString())
-	}
-	if err := c0.Validate(g); err != nil {
-		t.Error(err)
-	}
-	if err := c1.Validate(g); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	size := 7
-	for a := 0; a < size; a++ {
-		for b := 0; b < size; b++ {
-			for c := 0; c < size; c++ {
-				v := EncodeTupleNode([]Node{Node(a), Node(b), Node(c)}, size)
-				got := DecodeTupleNode(v, 3, size)
-				if got[0] != Node(a) || got[1] != Node(b) || got[2] != Node(c) {
-					t.Fatalf("round trip (%d,%d,%d) -> %v", a, b, c, got)
-				}
-			}
-		}
-	}
-}
-
 func TestParseWriteText(t *testing.T) {
 	src := `
 # a comment
@@ -228,17 +114,5 @@ func TestFormatPath(t *testing.T) {
 	p := EmptyPath(v0).Extend('a', 1)
 	if got := p.Format(g); got != "v0 -a-> v1" {
 		t.Errorf("Format = %q", got)
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	g, _, _ := line("ab")
-	var b strings.Builder
-	if err := WriteDOT(&b, g); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "digraph G {") || !strings.Contains(out, `"v0" -> "v1" [label="a"]`) {
-		t.Errorf("DOT output = %q", out)
 	}
 }

@@ -87,21 +87,6 @@ func (p Path) Validate(g Snapshotter) error {
 	return nil
 }
 
-// StripBotLoops returns the path obtained by removing every ⊥-labeled
-// self-loop step v—⊥→v; this is the operation ρ̄s(j) of Section 5 turning
-// a path of G⊥ back into a path of G.
-func (p Path) StripBotLoops() Path {
-	out := Path{Nodes: []Node{p.Nodes[0]}}
-	for i, a := range p.Labels {
-		if a == regex.Bot && p.Nodes[i] == p.Nodes[i+1] {
-			continue
-		}
-		out.Nodes = append(out.Nodes, p.Nodes[i+1])
-		out.Labels = append(out.Labels, a)
-	}
-	return out
-}
-
 // Format renders the path as v0 -a-> v1 -b-> v2 using the node names of
 // the snapshot g yields.
 func (p Path) Format(g Snapshotter) string {
@@ -116,63 +101,4 @@ func (p Path) Format(g Snapshotter) string {
 		fmt.Fprintf(&b, " -%s-> %s", label, s.Name(p.Nodes[i+1]))
 	}
 	return b.String()
-}
-
-// AllPaths returns every path of g starting at from with at most maxLen
-// edges. The number of such paths is exponential in maxLen in general;
-// this is intended for the naive reference evaluator and for tests.
-func (g *DB) AllPaths(from Node, maxLen int) []Path {
-	out := []Path{EmptyPath(from)}
-	frontier := []Path{EmptyPath(from)}
-	for l := 0; l < maxLen; l++ {
-		var next []Path
-		for _, p := range frontier {
-			g.EdgesFrom(p.To(), func(a rune, to Node) {
-				np := p.Extend(a, to)
-				next = append(next, np)
-				out = append(out, np)
-			})
-		}
-		frontier = next
-	}
-	return out
-}
-
-// PathsBetween returns every path from u to v with at most maxLen edges.
-func (g *DB) PathsBetween(u, v Node, maxLen int) []Path {
-	var out []Path
-	for _, p := range g.AllPaths(u, maxLen) {
-		if p.To() == v {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// TuplePath is a path of a TupleDB, the representation of a tuple of
-// paths used in Section 5 (a path π̄ in Gᵐ represents an m-tuple of paths
-// of G after per-coordinate ⊥-loop stripping).
-type TuplePath struct {
-	Nodes  []Node   // nodes of the TupleDB
-	Labels []string // m-tuple labels
-}
-
-// Component extracts the j'th (0-based) component path of a TuplePath of
-// a Power(g, m) database, after stripping ⊥-loops: the paper's ρ̄s(j).
-func (tp TuplePath) Component(j, m, gSize int) Path {
-	p := Path{}
-	for i, v := range tp.Nodes {
-		comps := DecodeTupleNode(v, m, gSize)
-		if i == 0 {
-			p.Nodes = []Node{comps[j]}
-			continue
-		}
-		a := []rune(tp.Labels[i-1])[j]
-		if a == regex.Bot && comps[j] == p.Nodes[len(p.Nodes)-1] {
-			continue
-		}
-		p.Nodes = append(p.Nodes, comps[j])
-		p.Labels = append(p.Labels, a)
-	}
-	return p
 }

@@ -92,7 +92,6 @@ const (
 	hdrCRC      = 32 // uint32 over the header page with this field zeroed
 	hdrSections = 40 // NumSections × {off uint64, len uint64, crc uint32, pad uint32}
 	hdrSecSize  = 24
-	hdrLen      = hdrSections + NumSections*hdrSecSize
 )
 
 // align rounds n up to the next page boundary.

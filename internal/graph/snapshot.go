@@ -2,7 +2,6 @@ package graph
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/faultinject"
 )
@@ -18,10 +17,9 @@ import (
 // a write appends to the DB's delta log, and the next Snapshot merges
 // the few new writes into the already-sorted delta and rebuilds only
 // the overlay index (O(Δ + n)) instead of the full CSR (O(m log m)).
-// Edge offsets are virtual — runs of the delta overlay
-// are shifted past the base edge array — so a (start, end) pair from
-// AppendOutRanges or a LabelRun always resolves through EdgeRange,
-// which picks the right segment.
+// Edge offsets are virtual — runs of the delta overlay are shifted
+// past the base edge array — so a LabelRun from BaseRuns or DeltaRuns
+// always resolves through EdgeRange, which picks the right segment.
 type Snapshot struct {
 	source uint64
 	epoch  uint64
@@ -49,9 +47,6 @@ type Snapshot struct {
 	// or above histFloor; older epochs have been trimmed away.
 	hist      []DeltaEdge
 	histFloor uint64
-
-	adjOnce sync.Once
-	adj     [][]Edge
 }
 
 // Snapshotter is what every evaluation entry point takes: the one
@@ -310,52 +305,8 @@ func (s *Snapshot) DeltaRuns(v Node) []LabelRun {
 	return s.dRuns[s.dRunOff[v]:s.dRunOff[v+1]]
 }
 
-// Runs returns the label runs of v across both segments, sorted by
-// label. When v has edges in only one segment the shared slice of that
-// segment is returned; otherwise a fresh merged slice is built. A label
-// present in both segments contributes two runs (base first).
-func (s *Snapshot) Runs(v Node) []LabelRun {
-	b, d := s.BaseRuns(v), s.DeltaRuns(v)
-	switch {
-	case len(d) == 0:
-		return b
-	case len(b) == 0:
-		return d
-	}
-	out := make([]LabelRun, 0, len(b)+len(d))
-	i, j := 0, 0
-	for i < len(b) && j < len(d) {
-		if b[i].Label <= d[j].Label {
-			out = append(out, b[i])
-			i++
-		} else {
-			out = append(out, d[j])
-			j++
-		}
-	}
-	out = append(out, b[i:]...)
-	return append(out, d[j:]...)
-}
-
-// AppendOutRanges appends the virtual (start, end) edge ranges of v —
-// at most one per segment — to rr and returns it. Resolve the pairs
-// with EdgeRange; a pair never spans segments.
-func (s *Snapshot) AppendOutRanges(v Node, rr []int32) []int32 {
-	if int(v) < s.baseN {
-		if st, en := s.base.OutRange(v); st < en {
-			rr = append(rr, st, en)
-		}
-	}
-	if s.dNodeOff != nil {
-		if st, en := s.dNodeOff[v], s.dNodeOff[v+1]; st < en {
-			rr = append(rr, s.baseLen+st, s.baseLen+en)
-		}
-	}
-	return rr
-}
-
-// EdgeRange resolves a virtual (start, end) pair — from AppendOutRanges
-// or a LabelRun — to the backing edge slice (shared; do not modify).
+// EdgeRange resolves a LabelRun's virtual (start, end) pair to the
+// backing edge slice (shared; do not modify).
 func (s *Snapshot) EdgeRange(start, end int32) []Edge {
 	if start >= s.baseLen {
 		return s.dEdges[start-s.baseLen : end-s.baseLen]
@@ -424,7 +375,7 @@ func (s *Snapshot) baseWithLabel(v Node, a rune) []Edge {
 // EdgesFrom calls f for every edge leaving v, base segment first.
 func (s *Snapshot) EdgesFrom(v Node, f func(label rune, to Node)) {
 	if int(v) < s.baseN {
-		for _, e := range s.base.Out(v) {
+		for _, e := range s.base.out(v) {
 			f(e.Label, e.To)
 		}
 	}
@@ -442,12 +393,6 @@ func (s *Snapshot) EachEdge(f func(from Node, label rune, to Node)) {
 	}
 }
 
-// Out returns every out-edge of v, sorted by label then target (shared
-// slice; do not modify). Materializes the merged adjacency on first
-// use; hot paths should prefer BaseRuns/DeltaRuns/EdgeRange, which
-// never materialize.
-func (s *Snapshot) Out(v Node) []Edge { return s.Adjacency()[v] }
-
 // OutDegree returns the number of edges leaving v.
 func (s *Snapshot) OutDegree(v Node) int {
 	deg := 0
@@ -461,57 +406,9 @@ func (s *Snapshot) OutDegree(v Node) int {
 	return deg
 }
 
-// Adjacency returns the per-node out-edge view of the snapshot:
-// Adjacency()[v] lists every edge leaving v, sorted by label then
-// target; callers must not modify the slices. A fully compacted
-// snapshot shares the base CSR's arrays; with a delta overlay the
-// merged view is materialized once, on first call.
-func (s *Snapshot) Adjacency() [][]Edge {
-	if s.dEdges == nil && s.n == s.baseN {
-		return s.base.Adjacency()
-	}
-	s.adjOnce.Do(func() {
-		adj := make([][]Edge, s.n)
-		for v := 0; v < s.n; v++ {
-			if s.dRunOff == nil || s.dRunOff[v] == s.dRunOff[v+1] {
-				if v < s.baseN {
-					adj[v] = s.base.Out(Node(v))
-				}
-				continue
-			}
-			runs := s.Runs(Node(v))
-			out := make([]Edge, 0, s.OutDegree(Node(v)))
-			for i := 0; i < len(runs); i++ {
-				if i+1 < len(runs) && runs[i+1].Label == runs[i].Label {
-					// Same label in both segments: merge by target.
-					a, b := s.EdgeRange(runs[i].Start, runs[i].End), s.EdgeRange(runs[i+1].Start, runs[i+1].End)
-					x, y := 0, 0
-					for x < len(a) && y < len(b) {
-						if a[x].To <= b[y].To {
-							out = append(out, a[x])
-							x++
-						} else {
-							out = append(out, b[y])
-							y++
-						}
-					}
-					out = append(out, a[x:]...)
-					out = append(out, b[y:]...)
-					i++
-					continue
-				}
-				out = append(out, s.EdgeRange(runs[i].Start, runs[i].End)...)
-			}
-			adj[v] = out
-		}
-		s.adj = adj
-	})
-	return s.adj
-}
-
 // AllPaths returns every path of the snapshot starting at from with at
-// most maxLen edges — the snapshot-isolated form of DB.AllPaths, for
-// the naive reference evaluator and tests.
+// most maxLen edges. The number of such paths is exponential in maxLen
+// in general; this is for the naive reference evaluator and tests.
 func (s *Snapshot) AllPaths(from Node, maxLen int) []Path {
 	out := []Path{EmptyPath(from)}
 	frontier := []Path{EmptyPath(from)}
@@ -543,9 +440,8 @@ const (
 // compactLocked merges the delta into a fresh full base CSR and clears
 // the delta: the sorted prefix and fresh suffix are folded together,
 // then linearly merged with the previous base (O(m), no re-sort of the
-// base), and the delta-only adjacency maps are emptied — after
-// compaction the base CSR is the sole owner of every edge. Callers
-// hold g.mu. The epoch-ordered history tail is NOT touched: EdgesSince
+// base), and the delta set is dropped — after compaction the base CSR
+// is the sole owner of every edge. Callers hold g.mu. The epoch-ordered history tail is NOT touched: EdgesSince
 // keeps answering across compactions.
 func (g *DB) compactLocked() {
 	n := len(g.names)
@@ -560,12 +456,8 @@ func (g *DB) compactLocked() {
 	g.base = mergeCSR(g.base, g.baseN, g.deltaSorted, n)
 	g.baseN = n
 	g.deltaSorted = nil
-	for v := range g.out {
-		g.out[v] = nil
-	}
-	for v := range g.dedup {
-		g.dedup[v] = nil
-	}
+	// nil, not clear: a cleared map keeps its buckets.
+	g.deltaSet = nil
 }
 
 // compactionDue reports whether the delta log has crossed the

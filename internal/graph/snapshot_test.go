@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"repro/internal/regex"
 )
 
 // TestEpochMonotonicity checks that every effective mutation advances
@@ -76,8 +74,8 @@ func edgesOf(s *Snapshot, n int) [][]Edge {
 // TestDeltaOverlayIterationOrder drives random graphs through a
 // compaction point followed by a write burst, and checks the overlay
 // snapshot against a fully compacted equivalent: identical edge sets,
-// label-sorted runs per segment (base-before-delta on equal labels),
-// sorted targets inside every run, and merged WithLabel/Out views.
+// strictly label-sorted BaseRuns and DeltaRuns, sorted targets inside
+// every run, and merged WithLabel and EdgesFrom views.
 func TestDeltaOverlayIterationOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	sigma := []rune("abcd")
@@ -110,18 +108,19 @@ func TestDeltaOverlayIterationOrder(t *testing.T) {
 			t.Fatalf("alphabet %q, want %q", string(s.Alphabet()), string(want.Alphabet()))
 		}
 		for v := 0; v < s.NumNodes(); v++ {
-			runs := s.Runs(Node(v))
-			for i, run := range runs {
-				if i > 0 && runs[i-1].Label > run.Label {
-					t.Fatalf("node %d: runs not label-sorted: %v", v, runs)
-				}
-				seg := s.EdgeRange(run.Start, run.End)
-				for j, ed := range seg {
-					if ed.Label != run.Label {
-						t.Fatalf("node %d: run %q contains %v", v, run.Label, ed)
+			for _, runs := range [2][]LabelRun{s.BaseRuns(Node(v)), s.DeltaRuns(Node(v))} {
+				for i, run := range runs {
+					if i > 0 && runs[i-1].Label >= run.Label {
+						t.Fatalf("node %d: runs not strictly label-sorted: %v", v, runs)
 					}
-					if j > 0 && seg[j-1].To >= ed.To {
-						t.Fatalf("node %d run %q: targets not strictly sorted: %v", v, run.Label, seg)
+					seg := s.EdgeRange(run.Start, run.End)
+					for j, ed := range seg {
+						if ed.Label != run.Label {
+							t.Fatalf("node %d: run %q contains %v", v, run.Label, ed)
+						}
+						if j > 0 && seg[j-1].To >= ed.To {
+							t.Fatalf("node %d run %q: targets not strictly sorted: %v", v, run.Label, seg)
+						}
 					}
 				}
 			}
@@ -140,16 +139,6 @@ func TestDeltaOverlayIterationOrder(t *testing.T) {
 					if !s.HasEdge(Node(v), a, ed.To) {
 						t.Fatalf("HasEdge(%d,%q,%d) = false on overlay snapshot", v, a, ed.To)
 					}
-				}
-			}
-			// Out/Adjacency materialization agrees too.
-			got, ref := s.Out(Node(v)), want.Out(Node(v))
-			if len(got) != len(ref) {
-				t.Fatalf("node %d: Out %d edges, want %d", v, len(got), len(ref))
-			}
-			for i := range got {
-				if got[i] != ref[i] {
-					t.Fatalf("node %d: Out[%d] = %v, want %v", v, i, got[i], ref[i])
 				}
 			}
 		}
@@ -213,11 +202,10 @@ func TestSuccessorsIsolated(t *testing.T) {
 	}
 }
 
-// TestCloneReusesSnapshotState checks the Clone/WithBotLoops satellite:
-// a clone carries the parent's epoch, base CSR and cached snapshot
-// instead of replaying AddEdge, stays equal edge-wise, and diverges
-// independently afterwards; WithBotLoops records its loops as a delta
-// overlay on the parent's compaction state.
+// TestCloneReusesSnapshotState checks that a clone carries the parent's
+// epoch, base CSR and cached snapshot instead of replaying AddEdge,
+// stays equal edge-wise, and diverges independently afterwards; a write
+// burst on a clone rides a delta overlay over the shared base.
 func TestCloneReusesSnapshotState(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	g := randomTestDB(r, 10, 40, []rune("ab"))
@@ -244,22 +232,30 @@ func TestCloneReusesSnapshotState(t *testing.T) {
 		t.Fatal("parent write leaked into the clone")
 	}
 
-	// WithBotLoops: loops ride the delta overlay over the shared base.
+	// A write burst on a clone: the loops ride the clone's delta
+	// overlay over the base it shares with the parent.
 	g2 := randomTestDB(r, 20, 50, []rune("ab"))
 	base := g2.Snapshot()
-	gb := g2.WithBotLoops()
-	if gb.NumEdges() != g2.NumEdges()+20 {
-		t.Fatalf("G⊥ has %d edges, want %d", gb.NumEdges(), g2.NumEdges()+20)
+	h2 := g2.Clone()
+	for v := 0; v < 20; v++ {
+		h2.AddEdge(Node(v), 'c', Node(v))
 	}
-	bs := gb.Snapshot()
+	if h2.NumEdges() != g2.NumEdges()+20 {
+		t.Fatalf("clone has %d edges, want %d", h2.NumEdges(), g2.NumEdges()+20)
+	}
+	bs := h2.Snapshot()
 	if bs.BaseEdges() != base.NumEdges() || bs.DeltaEdges() != 20 {
-		t.Fatalf("G⊥ snapshot: base %d delta %d, want %d/20 (loops as overlay)",
+		t.Fatalf("clone snapshot: base %d delta %d, want %d/20 (burst as overlay)",
 			bs.BaseEdges(), bs.DeltaEdges(), base.NumEdges())
 	}
 	for v := 0; v < 20; v++ {
-		if !bs.HasEdge(Node(v), regex.Bot, Node(v)) {
-			t.Fatalf("missing ⊥-loop at %d", v)
+		if !bs.HasEdge(Node(v), 'c', Node(v)) || g2.HasEdge(Node(v), 'c', Node(v)) {
+			t.Fatalf("loop at %d: clone has it %v, parent has it %v (want true, false)",
+				v, bs.HasEdge(Node(v), 'c', Node(v)), g2.HasEdge(Node(v), 'c', Node(v)))
 		}
+	}
+	if g2.Snapshot() != base {
+		t.Fatal("clone burst republished the parent's snapshot")
 	}
 }
 
@@ -306,6 +302,13 @@ func TestSnapshotConcurrentWithWriters(t *testing.T) {
 				})
 				if e != s.NumEdges() {
 					t.Errorf("snapshot iterates %d edges, claims %d", e, s.NumEdges())
+				}
+				// The live store's locked readers are safe alongside the writer.
+				if !g.HasEdge(0, 'a', 1) {
+					t.Error("HasEdge lost the edge (0, a, 1) mid-storm")
+				}
+				if v, ok := g.NodeByName("n1"); !ok || v != 1 {
+					t.Errorf("NodeByName(n1) = %d, %v mid-storm", v, ok)
 				}
 			}
 		}(int64(w))

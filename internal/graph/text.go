@@ -236,26 +236,3 @@ func WriteText(w io.Writer, g *DB) error {
 	}
 	return nil
 }
-
-// WriteDOT writes g in Graphviz DOT format for visualization.
-func WriteDOT(w io.Writer, g *DB) error {
-	if _, err := fmt.Fprintln(w, "digraph G {"); err != nil {
-		return err
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		if _, err := fmt.Fprintf(w, "  %q;\n", g.Name(Node(v))); err != nil {
-			return err
-		}
-	}
-	var werr error
-	g.EachEdge(func(from Node, a rune, to Node) {
-		if werr == nil {
-			_, werr = fmt.Fprintf(w, "  %q -> %q [label=%q];\n", g.Name(from), g.Name(to), string(a))
-		}
-	})
-	if werr != nil {
-		return werr
-	}
-	_, err := fmt.Fprintln(w, "}")
-	return err
-}

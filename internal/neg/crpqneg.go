@@ -33,8 +33,8 @@ type CRPQNegEvaluator struct {
 }
 
 // NewCRPQNegEvaluator returns the dedicated CRPQ¬ evaluator pinned to
-// the current snapshot of g.
-func NewCRPQNegEvaluator(g *graph.DB) *CRPQNegEvaluator {
+// the snapshot g yields.
+func NewCRPQNegEvaluator(g graph.Snapshotter) *CRPQNegEvaluator {
 	s := g.Snapshot()
 	return &CRPQNegEvaluator{Snap: s, Sigma: s.Alphabet()}
 }
@@ -127,16 +127,16 @@ func collectLanguages(f Formula) ([]*automata.DFA[rune], map[string]int, error) 
 	return dfas, idx, nil
 }
 
-// relIndexes assigns each Rel atom its index in the collection order;
-// recomputed identically during evaluation by walking in the same order.
+// quantRank returns the quantifier rank of f: the deepest nesting of
+// node and path quantifiers.
 func quantRank(f Formula) int {
 	switch f := f.(type) {
 	case Not:
 		return quantRank(f.F)
 	case And:
-		return max2(quantRank(f.F), quantRank(f.G))
+		return max(quantRank(f.F), quantRank(f.G))
 	case Or:
-		return max2(quantRank(f.F), quantRank(f.G))
+		return max(quantRank(f.F), quantRank(f.G))
 	case ExistsNode:
 		return 1 + quantRank(f.F)
 	case ExistsPath:
@@ -144,13 +144,6 @@ func quantRank(f Formula) int {
 	default:
 		return 0
 	}
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 type classKey struct {

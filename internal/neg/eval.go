@@ -24,8 +24,8 @@ type Evaluator struct {
 	MaxStates int
 }
 
-// NewEvaluator returns an evaluator pinned to the current snapshot of g.
-func NewEvaluator(g *graph.DB) *Evaluator {
+// NewEvaluator returns an evaluator pinned to the snapshot g yields.
+func NewEvaluator(g graph.Snapshotter) *Evaluator {
 	s := g.Snapshot()
 	return &Evaluator{Snap: s, Sigma: s.Alphabet(), MaxStates: 200000}
 }

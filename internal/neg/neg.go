@@ -108,9 +108,9 @@ func (a Rel) freePathVars(s map[ecrpq.PathVar]bool) {
 		s[p] = true
 	}
 }
-func (a Not) freePathVars(s map[ecrpq.PathVar]bool) { a.F.freePathVars(s) }
-func (a And) freePathVars(s map[ecrpq.PathVar]bool) { a.F.freePathVars(s); a.G.freePathVars(s) }
-func (a Or) freePathVars(s map[ecrpq.PathVar]bool)  { a.F.freePathVars(s); a.G.freePathVars(s) }
+func (a Not) freePathVars(s map[ecrpq.PathVar]bool)        { a.F.freePathVars(s) }
+func (a And) freePathVars(s map[ecrpq.PathVar]bool)        { a.F.freePathVars(s); a.G.freePathVars(s) }
+func (a Or) freePathVars(s map[ecrpq.PathVar]bool)         { a.F.freePathVars(s); a.G.freePathVars(s) }
 func (a ExistsNode) freePathVars(s map[ecrpq.PathVar]bool) { a.F.freePathVars(s) }
 func (a ExistsPath) freePathVars(s map[ecrpq.PathVar]bool) {
 	inner := map[ecrpq.PathVar]bool{}

@@ -56,7 +56,7 @@ func naiveHolds(f Formula, g *graph.DB, sigma map[ecrpq.NodeVar]graph.Node, mu m
 		return false
 	case ExistsPath:
 		for v := 0; v < g.NumNodes(); v++ {
-			for _, p := range g.AllPaths(graph.Node(v), maxLen) {
+			for _, p := range g.Snapshot().AllPaths(graph.Node(v), maxLen) {
 				m2 := map[ecrpq.PathVar]graph.Path{}
 				for k, x := range mu {
 					m2[k] = x

@@ -503,16 +503,6 @@ func (c *Cache) removeLocked(el *list.Element) {
 	c.bytes -= e.size
 }
 
-// Invalidate drops every entry (flights in progress are unaffected and
-// will admit into the emptied cache).
-func (c *Cache) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lru.Init()
-	c.entries = make(map[Key]*list.Element)
-	c.bytes = 0
-}
-
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()

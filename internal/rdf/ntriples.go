@@ -147,23 +147,6 @@ func LoadNTriples(r io.Reader, g *graph.DB, vocab *Vocab) (*Vocab, LoadStats, er
 	return vocab, stats, nil
 }
 
-// LoadNTriplesBulk is LoadNTriples inside graph.DB.Bulk — the durable
-// bulk-ingest fast path. On a durable store, per-triple WAL records are
-// suspended and the whole load is made durable by one segment
-// checkpoint (a single fsync) at the end, so Wikidata-scale ingest is
-// parser-bound instead of WAL-bound; a crash mid-load loses the whole
-// un-checkpointed batch, never a torn prefix. On a memory-only store it
-// behaves exactly like LoadNTriples.
-func LoadNTriplesBulk(r io.Reader, g *graph.DB, vocab *Vocab) (*Vocab, LoadStats, error) {
-	var stats LoadStats
-	err := g.Bulk(func() error {
-		var err error
-		vocab, stats, err = LoadNTriples(r, g, vocab)
-		return err
-	})
-	return vocab, stats, err
-}
-
 // nodeName maps a parsed term to its node name: IRIs lose the angle
 // brackets, everything else (blank nodes, literals) keeps its lexical
 // form.

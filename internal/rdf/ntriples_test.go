@@ -89,14 +89,14 @@ func TestLoadNTriplesSharedVocab(t *testing.T) {
 
 func TestLoadNTriplesErrors(t *testing.T) {
 	for _, bad := range []string{
-		"<a:s> <a:p> <a:o>\n",                // missing dot
-		"<a:s> <a:p> .\n",                    // missing object
-		"<a:s> \"lit\" <a:o> .\n",            // literal predicate
-		"_:b <a:p> <a:o> . extra\n",          // trailing garbage
-		"<a:s <a:p> <a:o> .\n",               // unterminated IRI
-		"<a:s> <a:p> \"open .\n",             // unterminated literal
-		"<a:s> <a:p> \"x\"^^<broken .\n",     // unterminated datatype
-		"\"lit\" <a:p> <a:o> .\n",            // literal subject
+		"<a:s> <a:p> <a:o>\n",            // missing dot
+		"<a:s> <a:p> .\n",                // missing object
+		"<a:s> \"lit\" <a:o> .\n",        // literal predicate
+		"_:b <a:p> <a:o> . extra\n",      // trailing garbage
+		"<a:s <a:p> <a:o> .\n",           // unterminated IRI
+		"<a:s> <a:p> \"open .\n",         // unterminated literal
+		"<a:s> <a:p> \"x\"^^<broken .\n", // unterminated datatype
+		"\"lit\" <a:p> <a:o> .\n",        // literal subject
 	} {
 		g := graph.NewDB()
 		if _, _, err := LoadNTriples(strings.NewReader(bad), g, nil); err == nil {

@@ -109,9 +109,11 @@ func (h *Hierarchy) RhoIso(sigma []rune) *relations.Relation {
 //
 // of Section 4, with R the ρ-isomorphism relation. Pairs reached only by
 // the empty sequences (trivially ρ-isomorphic) are excluded by requiring
-// nonempty sequences, matching the intent of semantic association.
-func (h *Hierarchy) IsoAssociated(g *graph.DB) ([][2]graph.Node, error) {
-	sigma := g.Alphabet()
+// nonempty sequences, matching the intent of semantic association. The
+// relation's alphabet and the evaluation come from one snapshot of g.
+func (h *Hierarchy) IsoAssociated(g graph.Snapshotter) ([][2]graph.Node, error) {
+	s := g.Snapshot()
+	sigma := s.Alphabet()
 	rho := h.RhoIso(sigma)
 	nonempty := relations.NonEmptyPair(sigma)
 	q, err := ecrpq.NewBuilder().
@@ -124,7 +126,7 @@ func (h *Hierarchy) IsoAssociated(g *graph.DB) ([][2]graph.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := ecrpq.Eval(q, g, ecrpq.Options{})
+	res, err := ecrpq.Eval(q, s, ecrpq.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -141,9 +143,11 @@ func (h *Hierarchy) IsoAssociated(g *graph.DB) ([][2]graph.Node, error) {
 //	Ans(π₁, π₂) ← (u,π₁,z₁), (v,π₂,z₂), R(π₁,π₂)
 //
 // Up to limit pairs with at most maxLen properties are enumerated from
-// the answer automaton of Proposition 5.2.
-func (h *Hierarchy) RhoQuery(g *graph.DB, u, v graph.Node, limit, maxLen int) ([][2]graph.Path, error) {
-	sigma := g.Alphabet()
+// the answer automaton of Proposition 5.2, built on the same snapshot of
+// g the relation's alphabet is read from.
+func (h *Hierarchy) RhoQuery(g graph.Snapshotter, u, v graph.Node, limit, maxLen int) ([][2]graph.Path, error) {
+	s := g.Snapshot()
+	sigma := s.Alphabet()
 	rho := h.RhoIso(sigma)
 	q, err := ecrpq.NewBuilder().
 		Path("x", "p1", "z1").
@@ -155,7 +159,7 @@ func (h *Hierarchy) RhoQuery(g *graph.DB, u, v graph.Node, limit, maxLen int) ([
 	if err != nil {
 		return nil, err
 	}
-	pa, err := ecrpq.BuildPathAutomaton(q, g, []graph.Node{u, v}, ecrpq.Options{})
+	pa, err := ecrpq.BuildPathAutomaton(q, s, []graph.Node{u, v}, ecrpq.Options{})
 	if err != nil {
 		return nil, err
 	}

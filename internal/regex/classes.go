@@ -164,21 +164,6 @@ func IntersectRanges(a, b []Range) []Range {
 	return out
 }
 
-// RangesOverlap reports whether two normalized lists share any rune.
-func RangesOverlap(a, b []Range) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].Hi < b[j].Lo {
-			i++
-		} else if b[j].Hi < a[i].Lo {
-			j++
-		} else {
-			return true
-		}
-	}
-	return false
-}
-
 // ---------------------------------------------------------------------
 // Partition: the per-component alphabet compiler.
 
@@ -304,28 +289,6 @@ func (p *Partition) ClassesOf(c *ClassExpr) []rune {
 		out = append(out, rune(len(p.cells)+1))
 	}
 	return out
-}
-
-// AppendClassRanges appends the label ranges class rune c covers: its
-// cell, or — for the wild class — the complement of all cells over the
-// label space (1..MaxLabel). The dead class covers nothing.
-func (p *Partition) AppendClassRanges(c rune, dst []Range) []Range {
-	if c >= 1 && int(c) <= len(p.cells) {
-		return append(dst, p.cells[c-1])
-	}
-	if p.wild && c == rune(len(p.cells)+1) {
-		lo := rune(1)
-		for _, cell := range p.cells {
-			if cell.Lo > lo {
-				dst = append(dst, Range{lo, cell.Lo - 1})
-			}
-			lo = cell.Hi + 1
-		}
-		if lo <= MaxLabel {
-			dst = append(dst, Range{lo, MaxLabel})
-		}
-	}
-	return dst
 }
 
 // String renders the partition for Explain-style output: each cell as a

@@ -18,9 +18,9 @@ func match(t *testing.T, src, w string) bool {
 
 func TestParseAndMatchBasics(t *testing.T) {
 	cases := []struct {
-		re   string
-		yes  []string
-		no   []string
+		re  string
+		yes []string
+		no  []string
 	}{
 		{"a", []string{"a"}, []string{"", "b", "aa"}},
 		{"ab", []string{"ab"}, []string{"a", "b", "ba", "abb"}},

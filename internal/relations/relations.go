@@ -30,9 +30,6 @@ type TupleSym = string
 // MakeSym builds a tuple symbol from component runes.
 func MakeSym(rs ...rune) TupleSym { return string(rs) }
 
-// SymAt returns the i'th component of a tuple symbol.
-func SymAt(sym TupleSym, i int) rune { return []rune(sym)[i] }
-
 // AllBot reports whether every component of the symbol is ⊥.
 func AllBot(sym TupleSym) bool {
 	for _, r := range sym {

@@ -29,7 +29,6 @@ type JointRunner struct {
 	trans    [][]int32       // trans[state][sym]: 0 unknown, -1 dead, else next+1
 
 	symRunes [][]rune
-	symStrs  []string
 	symInfo  []symInfo
 
 	// live holds the per-atom co-reachability and live-label analysis;
@@ -101,7 +100,6 @@ func (r *JointRunner) AddSym(labels []rune) int {
 	id := len(r.symRunes)
 	cp := append([]rune(nil), labels...)
 	r.symRunes = append(r.symRunes, cp)
-	r.symStrs = append(r.symStrs, "")
 	info := symInfo{projs: make([]atomProj, len(r.J.Atoms))}
 	for i, c := range cp {
 		if c == Bot {
@@ -131,16 +129,6 @@ func (r *JointRunner) AddSym(labels []rune) int {
 // SymRunes returns the component runes of symbol id (shared; do not
 // modify).
 func (r *JointRunner) SymRunes(id int) []rune { return r.symRunes[id] }
-
-// SymString returns the symbol as a TupleSym string, built on first use
-// and cached (the evaluator never needs it; the explicit automaton
-// constructions do).
-func (r *JointRunner) SymString(id int) TupleSym {
-	if r.symStrs[id] == "" {
-		r.symStrs[id] = string(r.symRunes[id])
-	}
-	return r.symStrs[id]
-}
 
 // Step advances joint state by symbol, both as dense ids. ok = false
 // means the symbol leads to a dead state. Results are memoized: the
@@ -250,15 +238,4 @@ func (r *JointRunner) Accepting(state int) bool {
 	}
 	r.accept[state] = 1
 	return true
-}
-
-// State reconstructs the explicit JointState for id, for interop with
-// the string-keyed Joint API (tests, Materialize); not a hot path.
-func (r *JointRunner) State(id int) JointState {
-	tup := r.states.At(id)
-	s := JointState{done: uint64(tup[0]), sets: make([][]int, len(r.J.Atoms))}
-	for ai := range r.J.Atoms {
-		s.sets[ai] = append([]int(nil), r.subsets[ai].At(tup[1+ai])...)
-	}
-	return s
 }

@@ -560,7 +560,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeErrJSON(w, http.StatusBadRequest, fmt.Sprintf("bad bind %q (want var=node)", b))
 			return
 		}
-		node, ok := s.cfg.DB.LookupNode(val)
+		node, ok := s.cfg.DB.NodeByName(val)
 		if !ok {
 			s.badRequest.Add(1)
 			writeErrJSON(w, http.StatusBadRequest, fmt.Sprintf("bind %q: unknown node %q", b, val))

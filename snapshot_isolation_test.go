@@ -14,6 +14,8 @@ import (
 	"repro/internal/ilp"
 	"repro/internal/lenabs"
 	"repro/internal/linconstr"
+	"repro/internal/neg"
+	"repro/internal/rdf"
 )
 
 // This file holds the snapshot-isolation property test of the
@@ -208,6 +210,11 @@ func TestSnapshotterEntryPoints(t *testing.T) {
 	// At least two a-steps: unsatisfiable until the write closes the cycle.
 	twoAs := []linconstr.Constraint{{Terms: []linconstr.Term{{Path: "p", Label: 'a', Coef: 1}}, Rel: ilp.GE, RHS: 2}}
 	vu := Path{Nodes: []Node{v, u}, Labels: []rune{'a'}}
+	// Some node lies on an a-cycle: false until the write.
+	aCycle := neg.ExistsNode{X: "x", F: neg.ExistsPath{P: "p", F: neg.And{
+		F: neg.Edge{X: "x", P: "p", Y: "x"}, G: neg.Lang("a+", "p")}}}
+	// Only a ≺ a: v originates no a-sequence until the write.
+	onlyA := rdf.NewHierarchy().Sub('a', 'a')
 
 	must := func(err error) {
 		t.Helper()
@@ -290,6 +297,28 @@ func TestSnapshotterEntryPoints(t *testing.T) {
 		}},
 		{"lenabs.LengthsBetween", func(g Snapshotter) string {
 			return fmt.Sprint(lenabs.LengthsBetween(g, u, u).Progressions())
+		}},
+		{"neg.NewEvaluator", func(g Snapshotter) string { return decided(neg.NewEvaluator(g).Holds(aCycle)) }},
+		{"neg.NewCRPQNegEvaluator", func(g Snapshotter) string {
+			return decided(neg.NewCRPQNegEvaluator(g).HoldsCRPQ(aCycle))
+		}},
+		{"rdf.Hierarchy.IsoAssociated", func(g Snapshotter) string {
+			pairs, err := onlyA.IsoAssociated(g)
+			must(err)
+			sort.Slice(pairs, func(i, j int) bool {
+				return pairs[i][0] < pairs[j][0] || (pairs[i][0] == pairs[j][0] && pairs[i][1] < pairs[j][1])
+			})
+			return fmt.Sprint(pairs)
+		}},
+		{"rdf.Hierarchy.RhoQuery", func(g Snapshotter) string {
+			pairs, err := onlyA.RhoQuery(g, u, v, 10, 3)
+			must(err)
+			rows := make([]string, len(pairs))
+			for i, pr := range pairs {
+				rows[i] = fmt.Sprint(pr[0].Nodes, pr[0].LabelString(), pr[1].Nodes, pr[1].LabelString())
+			}
+			sort.Strings(rows)
+			return strings.Join(rows, " ")
 		}},
 		{"pathquery.Eval", func(g Snapshotter) string { return fp(Eval(nodes, g, Options{})) }},
 		{"Prepared.Eval", func(g Snapshotter) string { return fp(prep.Eval(g, Options{})) }},
