@@ -99,13 +99,14 @@ func (pa *propAtom) take(p *Program) *domainEngine {
 // put returns an engine to the atom's pool under the rule putWorkspace
 // applies to a workspace's engines (componentEngine.release): the kernel
 // unpins its snapshot, and the state queue and state set are dropped once
-// they hold more than maxPooledScratch elements, kept for the next run to
-// grow into otherwise.
+// they hold more than maxPooledScratch elements (the set with the queue),
+// kept for the next run to grow into otherwise.
 func (pa *propAtom) put(d *domainEngine) {
 	d.release()
 	d.bud = nil
 	if cap(d.joints) > maxPooledScratch {
 		d.nodes, d.joints, d.ends = nil, nil, nil
+		d.states = tupleSet{} // a bitset is cleared by walking the queue
 	}
 	if d.states.oversized() {
 		d.states = tupleSet{}
@@ -136,7 +137,7 @@ func newDomainEngine(c *component) *domainEngine {
 
 // push appends the state (joint, d.next[0]) unless the run has seen it.
 func (d *domainEngine) push(joint int) bool {
-	if _, added := d.internState(&d.states, joint, d.next); !added {
+	if !d.visit(&d.states, joint, d.next) {
 		return false
 	}
 	d.nodes = append(d.nodes, d.next[0])
@@ -165,8 +166,7 @@ func (d *domainEngine) emitMove(js int) error {
 // many, whatever the outcome, so the caller can return them.
 func (d *domainEngine) post(ctx context.Context, s *graph.Snapshot, src []graph.Node, bud *stateBudget) (ends []graph.Node, charged int, err error) {
 	d.snap, d.bud, d.charged = s, bud, 0
-	d.planStates()
-	d.states.reset(d.statesPacked)
+	d.beginVisit(&d.states, d.joints, d.nodes)
 	d.nodes, d.joints, d.ends = d.nodes[:0], d.joints[:0], d.ends[:0]
 	for _, v := range src {
 		d.next[0] = v

@@ -564,7 +564,7 @@ type componentEngine struct {
 	parentState []int32
 	parentLabs  []rune
 
-	// The run in progress, read by the intern-now emitter: the state
+	// The run in progress, read by the visit-now emitter: the state
 	// being expanded and the budget the run charges.
 	head int
 	bud  *stateBudget
@@ -705,6 +705,7 @@ func (e *componentEngine) release() {
 	}
 	if cap(e.parentState) > maxPooledScratch {
 		e.curs, e.joints, e.parentState, e.parentLabs = nil, nil, nil, nil
+		e.states = tupleSet{} // a bitset is cleared by walking the arrays
 	}
 	if e.states.oversized() {
 		e.states = tupleSet{}
@@ -792,8 +793,7 @@ func (e *componentEngine) runAssign(ctx context.Context, assign map[NodeVar]grap
 // after bfs returns — when a repeated path variable's atoms disagree on
 // the start node.
 func (e *componentEngine) beginRun(assign map[NodeVar]graph.Node) bool {
-	e.planStates()
-	e.states.reset(e.statesPacked)
+	e.beginVisit(&e.states, e.joints, e.curs)
 	e.curs = e.curs[:0]
 	e.joints = e.joints[:0]
 	e.parentState = e.parentState[:0]
@@ -814,12 +814,12 @@ func (e *componentEngine) beginRun(assign map[NodeVar]graph.Node) bool {
 	for i := range e.symLabs {
 		e.symLabs[i] = regex.Bot
 	}
-	e.internState(&e.states, e.runner.StartID(), start)
+	e.visit(&e.states, e.runner.StartID(), start)
 	e.pushState(e.runner.StartID(), start, -1)
 	return true
 }
 
-// pushState appends a freshly interned product state to the state
+// pushState appends a newly visited product state to the state
 // arrays, with the raw labels of the discovering move (in e.symLabs)
 // when the query outputs witnesses.
 func (e *componentEngine) pushState(jointID int, nodes []graph.Node, parent int32) {
@@ -906,11 +906,11 @@ func (e *componentEngine) acceptLevel(lo, hi int) error {
 	return nil
 }
 
-// emitMove is the evaluator's emitter, intern-now: intern the enumerated
-// move's successor (joint state js, nodes e.next) into the run's state
-// set, append it and charge the budget.
+// emitMove is the evaluator's emitter, visit-now: add the enumerated
+// move's successor (joint state js, nodes e.next) to the run's state set
+// and, when it is new, append it and charge the budget.
 func (e *componentEngine) emitMove(js int) error {
-	if _, added := e.internState(&e.states, js, e.next); !added {
+	if !e.visit(&e.states, js, e.next) {
 		return nil
 	}
 	e.pushState(js, e.next, int32(e.head))

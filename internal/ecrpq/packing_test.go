@@ -10,11 +10,12 @@ import (
 	"repro/internal/graph"
 )
 
-// This file pins the word-packed membership sets of the product BFS
-// (prodCore.internState / internSym) against the generic intern.Table
-// they fall back to: whichever representation a run starts on, and
-// wherever it spills, answers, witnesses, fingerprints and memo rows are
-// the ones the other representation produces.
+// This file pins the membership sets of the product BFS — the state
+// bitset (prodCore.visit), the word-packed tables (internState /
+// internSym) and the generic intern.Table they fall back to — against
+// each other: whichever representation a run starts on, and wherever it
+// spills, answers, witnesses, fingerprints and memo rows are the ones the
+// other representations produce.
 
 // setPacking overrides the key-layout knobs for one test.
 func setPacking(t *testing.T, keyBits, jointBits int) {
@@ -22,6 +23,15 @@ func setPacking(t *testing.T, keyBits, jointBits int) {
 	oldKey, oldJoint := packedKeyBits, minJointBits
 	packedKeyBits, minJointBits = keyBits, jointBits
 	t.Cleanup(func() { packedKeyBits, minJointBits = oldKey, oldJoint })
+}
+
+// setBitset overrides the state bitset's bound (in words) for one test;
+// 0 turns the bitset off.
+func setBitset(t *testing.T, words int) {
+	t.Helper()
+	old := bitsetWords
+	bitsetWords = words
+	t.Cleanup(func() { bitsetWords = old })
 }
 
 // evalFresh evaluates q on a program compiled for the call, so the
@@ -52,9 +62,10 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 }
 
 // TestPackedMatchesGenericEverywhere runs the oracle, label-rich and
-// class query suites with every set packed (the default on these small
-// graphs) and with every set forced generic, at W ∈ {1,2,8} with the
-// parallel machinery forced on: identical results, identical memos.
+// class query suites three ways — states on the bitset (the default on
+// these small graphs), on packed tables with the bitset forced off, and
+// every set forced generic — at W ∈ {1,2,8} with the parallel machinery
+// forced on: identical results, identical memos.
 func TestPackedMatchesGenericEverywhere(t *testing.T) {
 	forceParallel(t)
 	r := rand.New(rand.NewSource(211))
@@ -101,17 +112,25 @@ func TestPackedMatchesGenericEverywhere(t *testing.T) {
 		}
 		return o
 	}
+	setBitset(t, maxPooledScratch)
+	bitset := run()
+	setBitset(t, 0)
 	packed := run()
 	setPacking(t, 0, minJointBits)
 	generic := run()
-	for i := range packed.res {
+	for i := range bitset.res {
 		in, w := inputs[i/len(parWorkerCounts)], parWorkerCounts[i%len(parWorkerCounts)]
 		label := fmt.Sprintf("query %q W=%d", in.q, w)
-		sameResult(t, label, packed.res[i], generic.res[i])
-		if !reflect.DeepEqual(packed.memo[i], generic.memo[i]) {
-			t.Fatalf("%s: memo rows differ between packed and generic sets", label)
+		for _, other := range []struct {
+			name string
+			o    outcome
+		}{{"packed", packed}, {"generic", generic}} {
+			sameResult(t, label+" vs "+other.name, bitset.res[i], other.o.res[i])
+			if !reflect.DeepEqual(bitset.memo[i], other.o.memo[i]) {
+				t.Fatalf("%s: memo rows differ between the bitset and %s sets", label, other.name)
+			}
 		}
-		sameResult(t, label+" vs W=1", packed.res[i], packed.res[i-i%len(parWorkerCounts)])
+		sameResult(t, label+" vs W=1", bitset.res[i], bitset.res[i-i%len(parWorkerCounts)])
 	}
 }
 
@@ -121,7 +140,8 @@ func TestPackedMatchesGenericEverywhere(t *testing.T) {
 // runner knows one state — and the third joint id no longer fits, so the
 // state set must move to the generic table mid-run with every id intact.
 // The rerun finds a runner that holds more joint states than the field
-// can name and must start generic.
+// can name and must start generic. The bitset is off: on 12 nodes it
+// would hold every state and never reach the packed table.
 func TestJointFieldOverflowSpillsMidRun(t *testing.T) {
 	forceParallel(t)
 	q := MustParse("Ans(y1, y2) <- (x,p1,y1), (x,p2,y2), (ab)+(p1), (ba|bb)+(p2), el(p1,p2)", env())
@@ -138,6 +158,7 @@ func TestJointFieldOverflowSpillsMidRun(t *testing.T) {
 
 	// 12 nodes need 4 bits a tape; 2 tapes + 1 joint bit = 9.
 	setPacking(t, 9, 1)
+	setBitset(t, 0)
 	for _, w := range parWorkerCounts {
 		prog, err := CompileProgram(q, false)
 		if err != nil {

@@ -3,6 +3,7 @@ package ecrpq
 import (
 	"cmp"
 	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/intern"
@@ -26,10 +27,11 @@ type prodCore struct {
 
 	c *component
 
-	// Packed product-state key layout of the current BFS run, chosen by
-	// planStates: the joint id in the top jointBits, then cnt node fields
-	// of nodeBits each. statesPacked is false when the run's states do
-	// not fit one word and its membership sets start on the generic table.
+	// Product-state key layout of the current BFS run, chosen by
+	// planStates: cnt node fields of nodeBits each below the joint id —
+	// the bitset's index, and a packed table's key with the joint id in
+	// the top jointBits. statesPacked is false when the run's states do
+	// not fit one word and a table-backed set starts generic.
 	nodeBits, jointBits uint
 	statesPacked        bool
 }
@@ -185,22 +187,43 @@ func (k *moveKernel) release() {
 	}
 }
 
-// tupleSet is one dense-id membership structure of the product BFS — the
-// product states of a run, or the tuple symbols of a driver. It holds
-// exactly one representation at a time: the single-word intern.Packed
-// while every tuple fits the key layout, the generic intern.Table from
-// the first tuple that does not (spill moves the members over in id
-// order, so ids survive the switch). All access goes through
-// prodCore.internState and moveKernel.internSym, which own the two key
-// layouts.
+// tupleSet is one membership structure of the product BFS — the product
+// states of a run, or the tuple symbols of a driver — in one of three
+// representations, picked per run from the input:
+//
+//   - bits, a direct-indexed bitset over the packed product-state key, for
+//     the owners that only test membership (componentEngine and
+//     domainEngine, through beginVisit and visit) while the blocks of the
+//     run's joint states fit bitsetWords;
+//   - the single-word intern.Packed while every tuple fits the key layout;
+//   - the generic intern.Table from the first tuple that does not.
+//
+// The two tables assign dense ids; a set holds at most one of them, and a
+// spill moves the members over in id order, so ids survive the switch.
+// The bitset assigns none: a run that outgrows it spills its members to a
+// table in key order, which its owners cannot tell. All access goes
+// through prodCore.visit, prodCore.internState and moveKernel.internSym,
+// which own the two key layouts.
 type tupleSet struct {
 	packed *intern.Packed
 	table  *intern.Table
 	buf    []int // generic-path tuple scratch of internState
+
+	// bits holds bit k iff the state with packed key k — joint<<shift |
+	// node fields of nodeBits each — is a member: one block of 2^shift bits
+	// per joint state, grown a block at a time. Words that hold no member
+	// are zero over the whole capacity. onBits says the states of the last
+	// run readied by beginVisit are in bits (a spill clears it and the
+	// bitset); its nodeBits and shift are that run's layout, which the next
+	// beginVisit clears its states under.
+	bits            []uint64
+	nodeBits, shift uint
+	onBits          bool
 }
 
-// reset empties the set for reuse on the given representation, dropping
-// the other one so a pooled engine never retains both.
+// reset empties the set for reuse on the given table representation,
+// dropping the other one so a pooled engine never retains both. It does
+// not touch bits: beginVisit owns the bitset.
 func (s *tupleSet) reset(packed bool) {
 	switch {
 	case packed && s.packed != nil:
@@ -220,6 +243,7 @@ func (s *tupleSet) reset(packed bool) {
 // idle drops it once it is oversized — componentEngine.release (run by
 // putWorkspace) for a run's state set, propAtom.put for a
 // domain engine's — so an idle workspace never pins a peak-sized table.
+// A bitset is never planned or grown past bitsetWords.
 func (s *tupleSet) oversized() bool {
 	if s.packed != nil {
 		return 2*s.packed.Cap() > maxPooledScratch
@@ -259,11 +283,13 @@ const symBits = 21
 // packedKeyBits is the width of a packed key, and minJointBits the least
 // room a product-state key keeps for the joint id: graphs too large to
 // leave it start on the generic table instead of spilling a few states
-// into every run. Vars, not consts, so tests can force the generic
+// into every run. bitsetWords bounds a run's state bitset, in words (0
+// turns the bitset off). Vars, not consts, so tests can force each
 // representation and mid-run spills on small inputs.
 var (
 	packedKeyBits = 64
 	minJointBits  = 8
+	bitsetWords   = maxPooledScratch
 )
 
 // newSymSet returns an empty symbol set for cnt-tape symbols. Symbol
@@ -294,10 +320,12 @@ func (k *moveKernel) internSym(set *tupleSet, tup []int) (id int, added bool) {
 
 // planStates fixes the product-state key layout for one BFS run from
 // what the input shows: node fields as wide as the snapshot's node count
-// needs, the joint id in whatever remains — packed only when that leaves
-// room for the joint states the runner already has (and minJointBits at
-// least). Joint states discovered mid-run that outgrow the field spill
-// the affected set; later runs then start generic.
+// needs, the joint id above them. A table-backed run packs its keys only
+// when that leaves room for the joint states the runner already has (and
+// minJointBits at least); joint states discovered mid-run that outgrow
+// the field spill the affected set, and later runs then start generic.
+// beginVisit puts a membership-only run on the bitset instead when the
+// blocks of those joint states fit bitsetWords.
 func (pc *prodCore) planStates() {
 	pc.nodeBits = uint(bits.Len(uint(max(pc.snap.NumNodes()-1, 1))))
 	need := max(minJointBits, bits.Len(uint(pc.runner.NumStates())))
@@ -328,6 +356,109 @@ func (pc *prodCore) internState(set *tupleSet, joint int, nodes []graph.Node) (i
 	}
 	set.buf = tup
 	return set.table.Intern(tup)
+}
+
+// beginVisit readies set for one run of an owner that reads no state ids
+// (the evaluator, the start-domain pass). It first clears the bits of
+// the owner's previous run — whose states are joints[i] at
+// nodes[i*cnt:(i+1)*cnt] — under the layout the set recorded for it, not
+// the snapshot's current one; then it plans this run and puts it on the
+// bitset when the blocks of the joint states known so far fit
+// bitsetWords, on a table otherwise. The owner must not drop or truncate
+// its state arrays while the set is on bits without dropping the set too.
+func (pc *prodCore) beginVisit(set *tupleSet, joints []int32, nodes []graph.Node) {
+	if set.onBits {
+		set.clearStates(joints, nodes, pc.cnt)
+	}
+	pc.planStates()
+	shift := uint(pc.cnt) * pc.nodeBits
+	if n, ok := bitsetLen(pc.runner.NumStates(), shift); ok {
+		set.packed, set.table = nil, nil
+		set.bits = slices.Grow(set.bits[:0], n)[:n]
+		set.nodeBits, set.shift, set.onBits = pc.nodeBits, shift, true
+		return
+	}
+	set.bits, set.onBits = nil, false
+	set.reset(pc.statesPacked)
+}
+
+// bitsetLen returns the words that blocks blocks of 2^shift bits take,
+// or ok=false past bitsetWords.
+func bitsetLen(blocks int, shift uint) (n int, ok bool) {
+	if shift >= 64 || uint64(blocks) > uint64(bitsetWords)*64>>shift {
+		return 0, false
+	}
+	return int((uint64(blocks)<<shift + 63) >> 6), true
+}
+
+// visit adds the product state (joint, nodes…) to set, readied by
+// beginVisit, and reports whether it is new: internState for owners that
+// read no ids, and on the bitset a single word test. A joint state past
+// the bitset's blocks grows it; one that would grow it past bitsetWords,
+// or a node outside the run's node field, spills it to a table.
+func (pc *prodCore) visit(set *tupleSet, joint int, nodes []graph.Node) bool {
+	if set.onBits {
+		key, over := uint64(joint), uint64(0)
+		for _, n := range nodes {
+			key = key<<pc.nodeBits | uint64(n)
+			over |= uint64(n) >> pc.nodeBits
+		}
+		if w := key >> 6; over == 0 && (w < uint64(len(set.bits)) || set.growBits(joint)) {
+			m := uint64(1) << (key & 63)
+			old := set.bits[w]
+			set.bits[w] = old | m
+			return old&m == 0
+		}
+		pc.spillBits(set)
+	}
+	_, added := pc.internState(set, joint, nodes)
+	return added
+}
+
+// growBits extends the bitset to cover joint's block, reporting false
+// when that would pass bitsetWords. The words it adds are zero: the
+// capacity past len holds no member.
+func (s *tupleSet) growBits(joint int) bool {
+	n, ok := bitsetLen(joint+1, s.shift)
+	if ok && n > len(s.bits) {
+		s.bits = slices.Grow(s.bits, n-len(s.bits))[:n]
+	}
+	return ok
+}
+
+// spillBits moves the run's states from the bitset onto the table its
+// layout allows, decoding each member's key into (joint, nodes…), and
+// leaves the bitset clear. Bitset owners read no ids, so the key order
+// the members arrive in is as good as discovery order.
+func (pc *prodCore) spillBits(set *tupleSet) {
+	set.onBits = false
+	set.reset(pc.statesPacked)
+	nodes := make([]graph.Node, pc.cnt)
+	mask := uint64(1)<<set.nodeBits - 1
+	for w, word := range set.bits {
+		for ; word != 0; word &= word - 1 {
+			key := uint64(w)<<6 | uint64(bits.TrailingZeros64(word))
+			for i := pc.cnt - 1; i >= 0; i-- {
+				nodes[i] = graph.Node(key & mask)
+				key >>= set.nodeBits
+			}
+			pc.internState(set, int(key), nodes)
+		}
+	}
+	clear(set.bits)
+}
+
+// clearStates zeroes the words of the given states (stride cnt in nodes)
+// under the set's recorded layout: the next run starts on a clean bitset
+// for the cost of the last run's states, not of the bitset.
+func (s *tupleSet) clearStates(joints []int32, nodes []graph.Node, cnt int) {
+	for i, j := range joints {
+		key := uint64(j)
+		for _, n := range nodes[i*cnt : i*cnt+cnt] {
+			key = key<<s.nodeBits | uint64(n)
+		}
+		s.bits[key>>6] = 0
+	}
 }
 
 // symID interns the class tuple currently in symInts, registering it

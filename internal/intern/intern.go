@@ -1,8 +1,10 @@
-// Package intern provides dense-integer interning of int tuples. It is
-// the backbone of the product-evaluation hot path: product states, joint
-// automaton states, tuple symbols and relational row keys are all small
+// Package intern provides dense-integer interning of int tuples. Joint
+// automaton states, tuple symbols and relational row keys are small
 // integer tuples that the engine maps to dense ids once and thereafter
 // manipulates as plain ints — no string keys, no per-lookup allocation.
+// The product BFS keeps its states here only where it needs their ids
+// (the explicit answer automaton) or where the product space is too large
+// for its state bitset.
 package intern
 
 // Table interns int tuples to dense ids 0,1,2,… in insertion order.

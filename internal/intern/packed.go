@@ -7,9 +7,10 @@ import (
 
 // Packed interns single-word keys to dense ids 0,1,2,… in insertion
 // order, exactly like Table does for tuples: callers that can pack a
-// small tuple into one uint64 (the product BFS packs (joint, nodes…)
-// states and tuple symbols this way) get a probe that costs one multiply
-// and touches one cache line — key, id and liveness stamp share a
+// small tuple into one uint64 (the product BFS packs tuple symbols this
+// way, and (joint, nodes…) states where it needs their ids or the
+// product space is too large for a bitset) get a probe that costs one
+// multiply and touches one cache line — key, id and liveness stamp share a
 // 16-byte slot, and nothing but the slot array is stored. Reset is O(1):
 // it advances the generation stamp, so a table grown by one large run
 // costs later small runs nothing. The zero value is not usable; call
