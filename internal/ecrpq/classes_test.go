@@ -179,7 +179,9 @@ func TestClassVsPerSymbolRandom(t *testing.T) {
 // oracle agrees with class evaluation on every answer within its path
 // bound, including negated classes and the wildcard (cofinite
 // label sets, which no per-symbol spelling can express).
-func TestClassVsNaive(t *testing.T) {
+func TestClassVsNaive(t *testing.T) { eachTable(t, testClassVsNaive) }
+
+func testClassVsNaive(t *testing.T) {
 	env := Env{Sigma: []rune{'a', 'b', 'c', 'd', 'e', 'f'}}
 	queries := []string{
 		"Ans(x,y) <- (x,p,y), [a-c]+(p)",
@@ -224,7 +226,9 @@ func TestClassVsNaive(t *testing.T) {
 // classic regular relations (el) must compile — the relation's
 // automaton is remapped onto the class alphabet — and agree with the
 // per-symbol spelling and the naive oracle.
-func TestClassWithRegularRelations(t *testing.T) {
+func TestClassWithRegularRelations(t *testing.T) { eachTable(t, testClassWithRegularRelations) }
+
+func testClassWithRegularRelations(t *testing.T) {
 	sigma := []rune{'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'}
 	env := Env{Sigma: sigma}
 	src := "Ans(x,y) <- (x,p1,z), (z,p2,y), [a-d]+(p1), [c-f]+(p2), el(p1,p2)"

@@ -183,7 +183,9 @@ func TestStopRuleDerivation(t *testing.T) {
 // default evaluation with NoPrune, the naive evaluator and the stream at
 // W ∈ {1, 2, 8} with the fan-out forced on, memos equal
 // across W and (checkMemoRows) row for row against NoPrune's.
-func TestDecideDifferential(t *testing.T) {
+func TestDecideDifferential(t *testing.T) { eachTable(t, testDecideDifferential) }
+
+func testDecideDifferential(t *testing.T) {
 	forceParallel(t)
 	r := rand.New(rand.NewSource(2401))
 	armed := map[stopRule]int{}
@@ -228,7 +230,9 @@ func TestDecideDifferential(t *testing.T) {
 // and the chains run at W ∈ {1, 2, 8} hold equal memos throughout — a
 // stopped assignment's segment (one row, empty reached set) does not
 // depend on which engine ran it.
-func TestDecideAdvanceStorm(t *testing.T) {
+func TestDecideAdvanceStorm(t *testing.T) { eachTable(t, testDecideAdvanceStorm) }
+
+func testDecideAdvanceStorm(t *testing.T) {
 	forceParallel(t)
 	ctx := context.Background()
 	for si, sh := range decideShapes {

@@ -102,7 +102,9 @@ func checkAgainstNaive(t *testing.T, q *Query, g *graph.DB, label string) {
 	}
 }
 
-func TestDenseEngineMatchesNaiveOracle(t *testing.T) {
+func TestDenseEngineMatchesNaiveOracle(t *testing.T) { eachTable(t, testDenseEngineMatchesNaiveOracle) }
+
+func testDenseEngineMatchesNaiveOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	queries := oracleQueries(t)
 	for trial := 0; trial < 12; trial++ {
@@ -114,6 +116,10 @@ func TestDenseEngineMatchesNaiveOracle(t *testing.T) {
 }
 
 func TestDenseEngineMatchesNaiveOnRandomQueries(t *testing.T) {
+	eachTable(t, testDenseEngineMatchesNaiveOnRandomQueries)
+}
+
+func testDenseEngineMatchesNaiveOnRandomQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 30; trial++ {
 		g := randomDAG(r, 4+r.Intn(3), 0.45, sigmaAB)
@@ -220,6 +226,10 @@ func checkPrunedUnpruned(t *testing.T, q *Query, g *graph.DB, label string) {
 // (answers and shortest-witness lengths), against the unpruned
 // exhaustive enumeration, and stream against eval.
 func TestLabelDirectedMatchesNaiveOnLabelRich(t *testing.T) {
+	eachTable(t, testLabelDirectedMatchesNaiveOnLabelRich)
+}
+
+func testLabelDirectedMatchesNaiveOnLabelRich(t *testing.T) {
 	r := rand.New(rand.NewSource(83))
 	queries := labelRichQueries(t)
 	for trial := 0; trial < 8; trial++ {

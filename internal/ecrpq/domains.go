@@ -132,6 +132,7 @@ type domainEngine struct {
 func newDomainEngine(c *component) *domainEngine {
 	d := &domainEngine{prodCore: newProdCore(nil, c)}
 	d.emit = d
+	d.bindJoint(true) // the pass runs only when pruning
 	return d
 }
 
@@ -170,7 +171,7 @@ func (d *domainEngine) post(ctx context.Context, s *graph.Snapshot, src []graph.
 	d.nodes, d.joints, d.ends = d.nodes[:0], d.joints[:0], d.ends[:0]
 	for _, v := range src {
 		d.next[0] = v
-		d.push(d.runner.StartID())
+		d.push(d.src.StartID())
 	}
 	for head := 0; head < len(d.joints); head++ {
 		if head&255 == 0 {
@@ -183,7 +184,7 @@ func (d *domainEngine) post(ctx context.Context, s *graph.Snapshot, src []graph.
 		}
 		cur := d.nodes[head : head+1]
 		joint := int(d.joints[head])
-		if d.runner.Accepting(joint) {
+		if d.src.Accepting(joint) {
 			d.ends = append(d.ends, cur[0])
 		}
 		if !d.prepareMoves(joint, cur) {

@@ -226,7 +226,9 @@ func checkDomainCase(t *testing.T, label string, q *Query, s *graph.Snapshot, bi
 	return fired
 }
 
-func TestStartDomainDifferential(t *testing.T) {
+func TestStartDomainDifferential(t *testing.T) { eachTable(t, testStartDomainDifferential) }
+
+func testStartDomainDifferential(t *testing.T) {
 	forceParallel(t)
 	r := rand.New(rand.NewSource(1709))
 	cases, fired := 0, 0
@@ -262,7 +264,9 @@ func TestStartDomainDifferential(t *testing.T) {
 // TestStartDomainLabelRich runs the bound label-rich and oracle suites —
 // multi-letter alphabets, class atoms beside per-label ones — against
 // the NoPrune oracle from every start node.
-func TestStartDomainLabelRich(t *testing.T) {
+func TestStartDomainLabelRich(t *testing.T) { eachTable(t, testStartDomainLabelRich) }
+
+func testStartDomainLabelRich(t *testing.T) {
 	r := rand.New(rand.NewSource(1723))
 	fired := 0
 	for trial := 0; trial < 3; trial++ {

@@ -305,6 +305,16 @@ type component struct {
 	atomsOf [][]PathAtom
 	joint   *relations.Joint
 
+	// dfa is the joint's minimal class table, which every pruning
+	// execution reads without a lock, built once by the first execution
+	// that asks for it (table); nil when the exploration passed
+	// tableCells, and the engines then learn the joint lazily.
+	// witnessTapes, set at compile time, says the evaluation keeps
+	// witnesses over two or more tapes (see table).
+	tableOnce    sync.Once
+	dfa          *relations.ClassDFA
+	witnessTapes bool
+
 	// part is the component's label-space partition: the joint's atoms
 	// transition on class runes and the product BFS translates label runs
 	// to classes (see moveKernel). Without character classes its cells are
@@ -438,6 +448,30 @@ func newComponent(pathAtoms []PathAtom, relAtoms []RelAtom, vars []PathVar) (*co
 	return c, nil
 }
 
+// tableCells bounds the exploration behind a component's minimal table
+// and the table itself, in row cells: past it the component keeps no
+// table. A var, not a const, so tests can force every component lazy (0).
+var tableCells = maxPooledScratch
+
+// table returns the component's minimal class table, building it on the
+// first call; nil past tableCells (see relations.BuildClassDFA). It is
+// built on first use, not at compile time, so that a program only ever
+// evaluated under NoPrune — the reference every differential check
+// compiles — pays nothing for it. The table merges no states when the
+// evaluation keeps witnesses over several tapes: two equivalent joint
+// states can carry witnesses whose per-tape lengths differ (a tape that
+// finished earlier on one of them), and the shortest-witness refinement
+// between duplicates of a row must see both, as it does on the lazy
+// runner. A single tape never finishes before its path does, so on one
+// tape the first member of a Nerode class carries the witness its
+// equivalent states would.
+func (c *component) table() *relations.ClassDFA {
+	c.tableOnce.Do(func() {
+		c.dfa = relations.BuildClassDFA(c.joint, c.part.NumClasses(), tableCells, !c.witnessTapes)
+	})
+	return c.dfa
+}
+
 // layoutNodeVars fixes allVars, xvars and isStart from the component's
 // path atoms, tape by tape.
 func (c *component) layoutNodeVars() {
@@ -514,10 +548,10 @@ func (c *component) stopRuleFor(bindVal []graph.Node) stopRule {
 var errDecided = errors.New("ecrpq: decided")
 
 // componentEngine holds everything the dense product BFS needs for one
-// component: the shared product core (adjacency snapshot, joint runner,
-// flat transition rows) plus row collection and the reusable per-state
-// buffers. Nothing in the BFS hot loop allocates beyond amortized slice
-// growth.
+// component: the shared product core (adjacency snapshot, joint
+// automaton, flat transition rows) plus row collection and the reusable
+// per-state buffers. Nothing in the BFS hot loop allocates beyond
+// amortized slice growth.
 type componentEngine struct {
 	prodCore
 
@@ -639,9 +673,10 @@ func newComponentEngine(ws *workspace, comp int) *componentEngine {
 
 // reset prepares a (possibly pooled) engine for one execution: the
 // pinned graph snapshot, external bindings, pruning mode and result
-// accumulators are per-call; the joint runner (with its live-label
-// memos), the symbol table and the flat rows persist across executions
-// and snapshots alike.
+// accumulators are per-call. A pruning execution reads the component's
+// minimal table when it has one; a NoPrune one reads the engine's lazy
+// runner, whose live-label memos, symbol table and flat rows persist
+// across executions and snapshots alike.
 //
 // doms carries the candidate lists of the start-domain pass (nil when
 // nothing propagated); with the bindings they fix the execution's start
@@ -650,6 +685,7 @@ func newComponentEngine(ws *workspace, comp int) *componentEngine {
 func (e *componentEngine) reset(s *graph.Snapshot, opts Options, doms map[NodeVar][]graph.Node) {
 	e.snap = s
 	e.noPrune = opts.NoPrune
+	e.bindJoint(!opts.NoPrune)
 	e.opts = opts
 	e.doms = doms
 	e.workers = effectiveBFSWorkers(opts.BFSWorkers)
@@ -814,8 +850,8 @@ func (e *componentEngine) beginRun(assign map[NodeVar]graph.Node) bool {
 	for i := range e.symLabs {
 		e.symLabs[i] = regex.Bot
 	}
-	e.visit(&e.states, e.runner.StartID(), start)
-	e.pushState(e.runner.StartID(), start, -1)
+	e.visit(&e.states, e.src.StartID(), start)
+	e.pushState(e.src.StartID(), start, -1)
 	return true
 }
 
@@ -869,15 +905,15 @@ func (e *componentEngine) bfs(ctx context.Context, assign map[NodeVar]graph.Node
 			}
 			cur := e.curs[head*cnt : head*cnt+cnt]
 			joint := int(e.joints[head])
-			if e.stop == stopNone && e.runner.Accepting(joint) {
+			if e.stop == stopNone && e.src.Accepting(joint) {
 				if err := e.accept(head, cur); err != nil {
 					return err
 				}
 			}
 			// Label-directed expansion: per coordinate, only the moves in
-			// the intersection of the runner's live labels with the CSR
+			// the intersection of the joint's live classes with the CSR
 			// label runs at the coordinate's node (⊥-stay included only
-			// when the runner admits it there); a coordinate with no move
+			// when the joint admits it there); a coordinate with no move
 			// at all skips the state entirely.
 			if !e.prepareMoves(joint, cur) {
 				continue
@@ -897,7 +933,7 @@ func (e *componentEngine) bfs(ctx context.Context, assign map[NodeVar]graph.Node
 func (e *componentEngine) acceptLevel(lo, hi int) error {
 	cnt := e.cnt
 	for id := lo; id < hi; id++ {
-		if e.runner.Accepting(int(e.joints[id])) {
+		if e.src.Accepting(int(e.joints[id])) {
 			if err := e.accept(id, e.curs[id*cnt:id*cnt+cnt]); err != nil {
 				return err
 			}

@@ -39,17 +39,18 @@ func (f emitFunc) emitMove(succ int) error { return f(succ) }
 // per joint id, so a case controls every coordinate without steering a
 // real joint automaton into the right state. Its Step is stubNext, a
 // fixed function of the state and the symbol's classes, and it counts its
-// calls per (state, classes).
+// calls per (state, classes). The kernel's lazy runner names the symbol
+// ids Step receives and answers the rest.
 type stubJoint struct {
-	live   [][]relations.LiveSet
-	runner *relations.JointRunner // names the symbol ids Step receives
-	calls  map[string]int
+	*relations.JointRunner
+	live  [][]relations.LiveSet
+	calls map[string]int
 }
 
 func (f *stubJoint) Live(jointID int) []relations.LiveSet { return f.live[jointID] }
 
 func (f *stubJoint) Step(state, sym int) (int, bool) {
-	classes := f.runner.SymRunes(sym)
+	classes := f.SymRunes(sym)
 	f.calls[stepKey(state, classes)]++
 	return stubNext(state, classes)
 }
@@ -156,7 +157,8 @@ func TestKernelEnumeratesContractOrder(t *testing.T) {
 			for _, noPrune := range []bool{false, true} {
 				for _, rows := range []bool{true, false} {
 					pc := newProdCore(s, c)
-					stub := &stubJoint{live: live, runner: pc.runner}
+					pc.bindJoint(false)
+					stub := &stubJoint{JointRunner: pc.runner, live: live}
 					pc.src, pc.noPrune = stub, noPrune
 					if !rows {
 						pc.rowWidth = 0
@@ -238,13 +240,17 @@ func TestKernelEnumeratesContractOrder(t *testing.T) {
 }
 
 // TestFlatRowsMatchRunner evaluates random components, with and without
-// character classes, and checks every flat-row entry the evaluation
+// character classes, and checks every lazy flat-row entry the evaluation
 // filled against a fresh JointRunner: walking the rows from the start
 // state, each entry's class tuple must step the fresh runner to the state
 // the entry names (or to nothing, for a dead entry), one fresh state per
 // row state. Turning the rows off must not change the answers, and a
-// component whose symbol space exceeds maxRowWidth keeps none.
+// component whose symbol space exceeds maxRowWidth keeps none. Lazy rows
+// are what NoPrune executions fill, and every execution of a component
+// kept lazy (tableCells 0); a pruning execution of a component with a
+// minimal table reads the table's rows and builds no runner at all.
 func TestFlatRowsMatchRunner(t *testing.T) {
+	defer func(cells int) { tableCells = cells }(tableCells)
 	r := rand.New(rand.NewSource(31))
 	sigma := []rune("abc")
 	langs := []string{"a+", "(a|b)*", "[a-b]+", "[^a]*", "c?a(b|c)*", "(ab)*", ".b*", "[b-c]*a"}
@@ -257,7 +263,12 @@ func TestFlatRowsMatchRunner(t *testing.T) {
 		}
 		q := MustParse(text, Env{Sigma: sigma})
 		s := bigComponentGraph(r, 8, 3, sigma).Snapshot()
-		for _, noPrune := range []bool{false, true} {
+		for run := 0; run < 3; run++ {
+			noPrune := run == 1
+			tableCells = maxPooledScratch
+			if run == 2 {
+				tableCells = 0
+			}
 			prog, err := CompileProgram(q, false)
 			if err != nil {
 				t.Fatalf("%s: %v", text, err)
@@ -268,6 +279,13 @@ func TestFlatRowsMatchRunner(t *testing.T) {
 				t.Fatalf("%s: %v", text, err)
 			}
 			e := prog.take(0)
+			if run == 0 {
+				if e.tab == nil || e.tab != e.c.dfa || e.runner != nil || e.flat != nil {
+					t.Fatalf("%s: a pruning execution read table %p (component's %p), built runner %p and %d lazy rows", text, e.tab, e.c.dfa, e.runner, len(e.flat))
+				}
+				prog.put(0, e)
+				continue
+			}
 			if e.rowWidth == 0 {
 				t.Fatalf("%s: a %d-class component keeps no rows", text, e.part.NumClasses())
 			}
@@ -302,6 +320,9 @@ func TestFlatRowsMatchRunner(t *testing.T) {
 		t.Fatal("4 tapes over 32 labels: no answers; the graph exercises nothing")
 	}
 	e := prog.take(0)
+	if e.c.dfa != nil {
+		t.Fatal("4 tapes over 32 labels: the table exploration stayed within its bound; the test exercises no lazy rows")
+	}
 	if e.cnt != 4 || e.rowWidth != 0 || e.flat != nil || e.flatCells != 0 {
 		t.Fatalf("4 tapes over 32 labels: cnt %d, row width %d, %d rows of %d cells", e.cnt, e.rowWidth, len(e.flat), e.flatCells)
 	}

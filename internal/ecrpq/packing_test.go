@@ -34,6 +34,26 @@ func setBitset(t *testing.T, words int) {
 	t.Cleanup(func() { bitsetWords = old })
 }
 
+// setTableCells overrides the bound of the components' minimal tables
+// for one test; 0 keeps every component lazy. Programs read it when they
+// compile.
+func setTableCells(t *testing.T, cells int) {
+	t.Helper()
+	old := tableCells
+	tableCells = cells
+	t.Cleanup(func() { tableCells = old })
+}
+
+// eachTable runs body twice, as subtests: with the components' minimal
+// tables (the default) and with every component kept lazy.
+func eachTable(t *testing.T, body func(t *testing.T)) {
+	t.Run("table", body)
+	t.Run("lazy", func(t *testing.T) {
+		setTableCells(t, 0)
+		body(t)
+	})
+}
+
 // evalFresh evaluates q on a program compiled for the call, so the
 // engines (whose symbol sets pick their representation at construction)
 // see the knobs in force now.
@@ -65,8 +85,13 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 // class query suites three ways — states on the bitset (the default on
 // these small graphs), on packed tables with the bitset forced off, and
 // every set forced generic — at W ∈ {1,2,8} with the parallel machinery
-// forced on: identical results, identical memos.
+// forced on: identical results, identical memos. It does so on the
+// components' minimal tables and with every component kept lazy.
 func TestPackedMatchesGenericEverywhere(t *testing.T) {
+	eachTable(t, testPackedMatchesGenericEverywhere)
+}
+
+func testPackedMatchesGenericEverywhere(t *testing.T) {
 	forceParallel(t)
 	r := rand.New(rand.NewSource(211))
 	type input struct {
@@ -141,7 +166,8 @@ func TestPackedMatchesGenericEverywhere(t *testing.T) {
 // state set must move to the generic table mid-run with every id intact.
 // The rerun finds a runner that holds more joint states than the field
 // can name and must start generic. The bitset is off: on 12 nodes it
-// would hold every state and never reach the packed table.
+// would hold every state and never reach the packed table. The component
+// is kept lazy: a minimal table names every joint state before the run.
 func TestJointFieldOverflowSpillsMidRun(t *testing.T) {
 	forceParallel(t)
 	q := MustParse("Ans(y1, y2) <- (x,p1,y1), (x,p2,y2), (ab)+(p1), (ba|bb)+(p2), el(p1,p2)", env())
@@ -159,6 +185,7 @@ func TestJointFieldOverflowSpillsMidRun(t *testing.T) {
 	// 12 nodes need 4 bits a tape; 2 tapes + 1 joint bit = 9.
 	setPacking(t, 9, 1)
 	setBitset(t, 0)
+	setTableCells(t, 0)
 	for _, w := range parWorkerCounts {
 		prog, err := CompileProgram(q, false)
 		if err != nil {
@@ -312,6 +339,7 @@ func TestTupleSetSpillKeepsIds(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc := newProdCore(nil, comps[0])
+	pc.bindJoint(false)
 	if pc.cnt != 2 || pc.syms.packed == nil {
 		t.Fatalf("want a packed 2-tape symbol set, got cnt=%d packed=%v", pc.cnt, pc.syms.packed != nil)
 	}

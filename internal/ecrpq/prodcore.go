@@ -15,8 +15,9 @@ import (
 // (the evaluator's componentEngine, the explicit-automaton productBuilder
 // and the start-domain pass's domainEngine): the component, the move
 // kernel with its pinned graph snapshot (base CSR plus delta overlay),
-// joint runner and flat transition rows, and the product-state key
-// layout — keeping those invariants in one place.
+// joint automaton (the component's minimal table or a lazy runner) and
+// transition rows, and the product-state key layout — keeping those
+// invariants in one place.
 //
 // Everything graph-dependent reads the immutable *graph.Snapshot, never
 // a live *graph.DB, so an execution is isolated from concurrent writers
@@ -36,11 +37,18 @@ type prodCore struct {
 	statesPacked        bool
 }
 
-// jointSource is what the kernel reads of the joint automaton: the live
-// class sets of a joint state and its successor by a registered tuple
-// symbol. It is the engine's JointRunner, or a kernel test's stub.
+// jointSource is what the kernel and its owners read of the joint
+// automaton: the start state, the states known so far, acceptance, the
+// live class sets of a state and its successor by a symbol. It is the
+// component's minimal table (relations.ClassDFA, whose symbols are row
+// indices and which the kernel never has to step), the engine's lazy
+// JointRunner (whose symbols are registered tuple ids), or a kernel
+// test's stub.
 type jointSource interface {
-	Live(jointID int) []relations.LiveSet
+	StartID() int
+	NumStates() int
+	Accepting(state int) bool
+	Live(state int) []relations.LiveSet
 	Step(state, sym int) (int, bool)
 }
 
@@ -52,9 +60,9 @@ type emitter interface {
 	emitMove(succ int) error
 }
 
-// maxRowWidth bounds a flat transition row. A component whose symbol
-// space k^cnt is wider keeps no rows and resolves every run through the
-// symbol table and the runner (moveKernel.miss).
+// maxRowWidth bounds a lazy flat transition row. A lazy kernel whose
+// symbol space k^cnt is wider keeps no rows and resolves every run
+// through the symbol table and the runner (moveKernel.miss).
 const maxRowWidth = 4096
 
 // moveKernel is the one move planner, enumerator and joint stepper of the
@@ -68,11 +76,20 @@ const maxRowWidth = 4096
 //
 // Every component is class-compiled, so each run of one label carries one
 // class and every edge of a run steps the joint automaton alike: the
-// successor depends on the (state, run), not on the edge. A tuple symbol
-// is indexed Σ classᵢ·kⁱ with k = NumClasses()+2 (⊥ is class 0, the dead
-// class k−1), and each expanded joint state keeps one flat row of k^cnt
-// entries: 0 unknown, −1 dead, otherwise next+1. A miss fills its entry
-// through the symbol table and the runner.
+// successor depends on the (state, run), not on the edge. The kernel reads
+// successors from flat rows, one per joint state, indexed Σ classᵢ·pow[i];
+// an entry is −1 dead, otherwise next+1. bindJoint picks the automaton:
+//
+//   - the component's minimal table (component.table, built once per
+//     program and shared, lock-free, by every engine of every workspace): its
+//     rows are over the table's coarse classes, which appendRuns maps each
+//     run's class to, and complete, so the kernel never misses;
+//   - the lazy runner (lazyJoint), under NoPrune, for the explicit
+//     automaton builders, and for a component whose table exploration
+//     passed its bound: rows over the partition's classes (k =
+//     NumClasses()+2 per coordinate, ⊥ class 0, the dead class k−1), each
+//     filled entry by entry, 0 meaning unknown, through the symbol table
+//     and the runner (miss).
 type moveKernel struct {
 	snap *graph.Snapshot
 	cnt  int
@@ -89,22 +106,14 @@ type moveKernel struct {
 	// enumeration, not the whole analysis. Answers are identical.
 	noPrune bool
 
-	// runner is the component's joint runner and src what the kernel
-	// reads it through (the runner itself outside kernel tests). syms
-	// interns class tuples to the runner's dense symbol ids (symID).
-	runner   *relations.JointRunner
-	src      jointSource
-	syms     tupleSet
-	symRunes []rune // symID's scratch for runner.AddSym
+	// src is the joint automaton the kernel reads, tab the component's
+	// minimal table when src is that table (nil in lazy mode), and pow the
+	// place values of the rows src has.
+	src jointSource
+	tab *relations.ClassDFA
+	pow []int
 
-	// Flat transition rows: pow[i] = kⁱ (all zero when rowWidth is 0, the
-	// component's symbol space being wider than maxRowWidth), flat[j] the
-	// row of joint state j (nil until j is first expanded) and flatCells
-	// their total size, which release holds to maxPooledScratch.
-	pow       []int
-	rowWidth  int
-	flat      [][]int32
-	flatCells int
+	lazyJoint
 
 	// Move plan for the product state currently being expanded, filled
 	// by prepareMoves: per coordinate, (start, end, class) triples — a
@@ -133,24 +142,36 @@ type moveKernel struct {
 	moves int
 }
 
+// lazyJoint is the kernel's lazy half: the joint runner, learning the
+// joint DFA state by state, with the symbol set that interns class tuples
+// to the runner's dense symbol ids (symID) and the flat rows filled as
+// the runner steps. An engine builds it on its first lazy execution.
+type lazyJoint struct {
+	runner   *relations.JointRunner
+	syms     tupleSet
+	symRunes []rune // symID's scratch for runner.AddSym
+
+	// Flat transition rows: lazyPow[i] = kⁱ (all zero when rowWidth is 0,
+	// the component's symbol space being wider than maxRowWidth), flat[j]
+	// the row of joint state j (nil until j is first expanded) and
+	// flatCells their total size, which release holds to maxPooledScratch.
+	lazyPow   []int
+	rowWidth  int
+	flat      [][]int32
+	flatCells int
+}
+
 // newProdCore builds the shared product machinery. snap may be nil when
 // the core is compiled ahead of any graph (componentEngine.reset
-// installs the snapshot before each execution).
+// installs the snapshot before each execution). Its owner binds the
+// joint automaton (bindJoint) before the first run.
 func newProdCore(snap *graph.Snapshot, c *component) prodCore {
 	cnt := len(c.vars)
-	runner := relations.NewJointRunner(c.joint)
-	pow, width := rowLayout(c.part.NumClasses()+2, cnt)
 	return prodCore{
 		moveKernel: moveKernel{
 			snap:     snap,
 			cnt:      cnt,
 			part:     c.part,
-			runner:   runner,
-			src:      runner,
-			syms:     newSymSet(cnt),
-			symRunes: make([]rune, cnt),
-			pow:      pow,
-			rowWidth: width,
 			moveRuns: make([][]int32, cnt),
 			botOK:    make([]bool, cnt),
 			symInts:  make([]int, cnt),
@@ -159,6 +180,27 @@ func newProdCore(snap *graph.Snapshot, c *component) prodCore {
 		},
 		c: c,
 	}
+}
+
+// bindJoint points the kernel at the component's minimal table when it
+// has one and table is set — an execution that prunes — and at the lazy
+// runner otherwise, which it builds on first use. Both stay with the
+// engine: a pooled engine switches between them from one execution to
+// the next.
+func (pc *prodCore) bindJoint(table bool) {
+	if table {
+		if d := pc.c.table(); d != nil {
+			pc.tab, pc.src, pc.pow = d, d, d.Pow
+			return
+		}
+	}
+	if pc.runner == nil {
+		pc.runner = relations.NewJointRunner(pc.c.joint)
+		pc.syms = newSymSet(pc.cnt)
+		pc.symRunes = make([]rune, pc.cnt)
+		pc.lazyPow, pc.rowWidth = rowLayout(pc.part.NumClasses()+2, pc.cnt)
+	}
+	pc.tab, pc.src, pc.pow = nil, pc.runner, pc.lazyPow
 }
 
 // rowLayout returns the place values kⁱ of a cnt-coordinate symbol index
@@ -177,9 +219,10 @@ func rowLayout(k, cnt int) (pow []int, width int) {
 	return pow, width
 }
 
-// release unpins the snapshot of a kernel going back to a pool. The flat
+// release unpins the snapshot of a kernel going back to a pool. The lazy
 // rows do not depend on the snapshot and stay for the next execution,
-// unless together they exceed maxPooledScratch entries.
+// unless together they exceed maxPooledScratch entries; the table is the
+// component's.
 func (k *moveKernel) release() {
 	k.snap = nil
 	if k.flatCells > maxPooledScratch {
@@ -320,15 +363,16 @@ func (k *moveKernel) internSym(set *tupleSet, tup []int) (id int, added bool) {
 
 // planStates fixes the product-state key layout for one BFS run from
 // what the input shows: node fields as wide as the snapshot's node count
-// needs, the joint id above them. A table-backed run packs its keys only
-// when that leaves room for the joint states the runner already has (and
-// minJointBits at least); joint states discovered mid-run that outgrow
-// the field spill the affected set, and later runs then start generic.
+// needs, the joint id above them. A run on a hashed table packs its keys
+// only when that leaves room for the joint states src already has (and
+// minJointBits at least); joint states a lazy runner discovers mid-run
+// that outgrow the field spill the affected set, and later runs then
+// start generic.
 // beginVisit puts a membership-only run on the bitset instead when the
 // blocks of those joint states fit bitsetWords.
 func (pc *prodCore) planStates() {
 	pc.nodeBits = uint(bits.Len(uint(max(pc.snap.NumNodes()-1, 1))))
-	need := max(minJointBits, bits.Len(uint(pc.runner.NumStates())))
+	need := max(minJointBits, bits.Len(uint(pc.src.NumStates())))
 	pc.statesPacked = pc.cnt*int(pc.nodeBits)+need <= packedKeyBits
 	if pc.statesPacked {
 		pc.jointBits = uint(packedKeyBits) - uint(pc.cnt)*pc.nodeBits
@@ -372,7 +416,7 @@ func (pc *prodCore) beginVisit(set *tupleSet, joints []int32, nodes []graph.Node
 	}
 	pc.planStates()
 	shift := uint(pc.cnt) * pc.nodeBits
-	if n, ok := bitsetLen(pc.runner.NumStates(), shift); ok {
+	if n, ok := bitsetLen(pc.src.NumStates(), shift); ok {
 		set.packed, set.table = nil, nil
 		set.bits = slices.Grow(set.bits[:0], n)[:n]
 		set.nodeBits, set.shift, set.onBits = pc.nodeBits, shift, true
@@ -515,8 +559,8 @@ func appendIntersection[T cmp.Ordered](out, a, b []T) []T {
 // prepareMoves computes the per-coordinate admissible moves for the
 // product state with joint state jointID and node tuple cur: the
 // snapshot's label runs at each coordinate's node — base segment and
-// delta overlay both consulted — whose class the runner's live set
-// admits, plus the ⊥ stay-move where the runner admits it. It returns
+// delta overlay both consulted — whose class the joint's live set
+// admits, plus the ⊥ stay-move where the joint admits it. It returns
 // false when some coordinate has no move at all — the state is dead and
 // the caller skips its expansion entirely.
 func (k *moveKernel) prepareMoves(jointID int, cur []graph.Node) bool {
@@ -528,9 +572,9 @@ func (k *moveKernel) prepareMoves(jointID int, cur []graph.Node) bool {
 		rr, bot := k.moveRuns[i][:0], true
 		switch {
 		case live == nil || live[i].All:
-			rr = k.appendRuns(v, nil, rr)
+			rr = k.appendRuns(i, v, nil, rr)
 		case len(live[i].Labels) > 0:
-			rr = k.appendRuns(v, live[i].Labels, rr)
+			rr = k.appendRuns(i, v, live[i].Labels, rr)
 		}
 		if live != nil {
 			bot = live[i].Bot
@@ -543,31 +587,41 @@ func (k *moveKernel) prepareMoves(jointID int, cur []graph.Node) bool {
 	return true
 }
 
-// appendRuns appends (start, end, class) triples for v's label runs in
-// the base segment, then in the delta overlay, mapping each run's label
-// to its class. live (sorted class runes) filters the runs; nil keeps
-// every run, dead-class ones included — the runner then rejects those
-// symbols itself, matching the exhaustive semantics.
-func (k *moveKernel) appendRuns(v graph.Node, live []rune, rr []int32) []int32 {
+// appendRuns appends (start, end, class) triples for coordinate i's
+// label runs at v in the base segment, then in the delta overlay, mapping
+// each run's label to the class the rows index: its partition class, and
+// on the table that class's coarse class. live (sorted classes) filters
+// the runs; nil keeps every run, dead-class ones included — the runner
+// then rejects those symbols itself, matching the exhaustive semantics.
+func (k *moveKernel) appendRuns(i int, v graph.Node, live []rune, rr []int32) []int32 {
+	var cmap []rune
+	n := k.part.NumClasses()
+	if k.tab != nil {
+		cmap, n = k.tab.ClassMap[i], k.tab.Classes[i]
+	}
 	// A live set naming every class admits every run but the dead class's.
-	full := len(live) == k.part.NumClasses()
-	rr = appendClassRuns(k.part, k.snap.BaseRuns(v), live, full, rr)
+	full := len(live) == n
+	rr = appendClassRuns(k.part, cmap, rune(n+1), k.snap.BaseRuns(v), live, full, rr)
 	if dr := k.snap.DeltaRuns(v); len(dr) > 0 {
-		rr = appendClassRuns(k.part, dr, live, full, rr)
+		rr = appendClassRuns(k.part, cmap, rune(n+1), dr, live, full, rr)
 	}
 	return rr
 }
 
 // appendClassRuns appends the triples of one segment's runs (see
-// appendRuns); full says live names every class. Adjacent same-class
-// runs coalesce; runs never coalesce across classes, and a call never
-// extends a triple of an earlier one (a triple must not span the
-// base/delta boundary).
-func appendClassRuns(part *regex.Partition, runs []graph.LabelRun, live []rune, full bool, rr []int32) []int32 {
+// appendRuns): cmap, when set, maps each partition class to the class
+// the triples carry, dead is that class space's dead class and full says
+// live names every other class. Adjacent same-class runs coalesce — on
+// the table, runs of partition classes it cannot tell apart — runs never
+// coalesce across classes, and a call never extends a triple of an
+// earlier one (a triple must not span the base/delta boundary).
+func appendClassRuns(part *regex.Partition, cmap []rune, dead rune, runs []graph.LabelRun, live []rune, full bool, rr []int32) []int32 {
 	floor := len(rr)
-	dead := part.DeadClass()
 	for _, run := range runs {
 		c := part.ClassOf(run.Label)
+		if cmap != nil {
+			c = cmap[c]
+		}
 		if live != nil && (c == dead || !full && !runeInSorted(live, c)) {
 			continue
 		}
@@ -595,9 +649,12 @@ func (k *moveKernel) forEachMove(joint int, cur []graph.Node) error {
 	return err
 }
 
-// rowOf returns joint state j's flat row, allocating it on j's first
-// expansion; nil when the component keeps no rows.
+// rowOf returns joint state j's flat row: the table's, or the lazy one,
+// allocated on j's first expansion; nil when a lazy kernel keeps no rows.
 func (k *moveKernel) rowOf(j int) []int32 {
+	if k.tab != nil {
+		return k.tab.Row(j)
+	}
 	if k.rowWidth == 0 {
 		return nil
 	}
@@ -615,7 +672,8 @@ func (k *moveKernel) rowOf(j int) []int32 {
 // tuple symbol whose classes symInts holds and whose row index is idx:
 // -1 when the symbol is dead, otherwise the successor joint state + 1.
 // It reads the state's flat row when it has one, and goes to miss when
-// it has none or the entry is still unknown.
+// it has none or the entry is still unknown — never on the table, whose
+// rows are complete.
 func (k *moveKernel) successor(idx int) int32 {
 	if k.row != nil {
 		if v := k.row[idx]; v != 0 {
@@ -626,8 +684,8 @@ func (k *moveKernel) successor(idx int) int32 {
 }
 
 // miss is successor's slow path and the one joint-step call site of the
-// product BFS: the symbol table names the class tuple, the runner steps
-// by it, and the state's row (if any) keeps the outcome.
+// product BFS: the symbol table names the class tuple, the lazy runner
+// steps by it, and the state's row (if any) keeps the outcome.
 func (k *moveKernel) miss(idx int) int32 {
 	v := int32(-1)
 	if next, ok := k.src.Step(k.joint, k.symID()); ok {

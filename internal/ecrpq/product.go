@@ -84,6 +84,9 @@ func newProductBuilder(s *graph.Snapshot, c *component, opts Options, bind map[N
 		bind:     bind,
 	}
 	pb.noPrune = opts.NoPrune
+	// The explicit automata keep the lazy runner's states: their sizes are
+	// what the product constructions report and budget.
+	pb.bindJoint(false)
 	pb.emit = pb
 	return pb
 }
@@ -126,7 +129,7 @@ func (pb *productBuilder) stateOf(jointID int, nodes []graph.Node) (int, error) 
 	pb.curs = append(pb.curs, nodes...)
 	pb.joints = append(pb.joints, int32(jointID))
 	nfa := pb.out.AddState()
-	pb.out.SetFinal(nfa, acceptingState(pb.c, pb.runner.Accepting(jointID), nodes, pb.assign, pb.bind))
+	pb.out.SetFinal(nfa, acceptingState(pb.c, pb.src.Accepting(jointID), nodes, pb.assign, pb.bind))
 	pb.nfaIDs = append(pb.nfaIDs, int32(nfa))
 	return nfa, nil
 }
@@ -144,7 +147,7 @@ func (pb *productBuilder) addCopy(assign map[NodeVar]graph.Node) error {
 	pb.nfaIDs = pb.nfaIDs[:0]
 	pb.curs = pb.curs[:0]
 	pb.joints = pb.joints[:0]
-	s0, err := pb.stateOf(pb.runner.StartID(), start)
+	s0, err := pb.stateOf(pb.src.StartID(), start)
 	if err != nil {
 		return err
 	}

@@ -18,20 +18,22 @@ import (
 // not depend on a graph or on per-call options:
 //
 //   - the component decomposition of the relation hypergraph,
-//   - the joint relation automaton of each component (relations.Joint),
+//   - the joint relation automaton of each component (relations.Joint)
+//     and its minimal class table (relations.ClassDFA), which every
+//     pruning execution reads without a lock,
 //   - the GYO reduction of the component join hypergraph (acyclicity and
 //     elimination order, backing the Yannakakis strategy of Theorem 6.5),
-//   - a warm workspace (workspace.go): one engine per component, whose
-//     joint-runner transition memos and symbol tables persist across
-//     executions, and the scratch every execution reuses.
+//   - a warm workspace (workspace.go): one engine per component, and the
+//     scratch every execution reuses.
 //
 // A Program is immutable after compilation and safe for concurrent use:
 // each execution borrows one workspace from an internal pool (building a
 // fresh one when the pool is empty), so any number of goroutines may Eval
 // or Stream the same Program against the same or different graphs. The
-// interned joint transitions and flat rows are over the component's
-// label classes and therefore valid across graphs; everything graph- or
-// bind-dependent is refreshed per execution by componentEngine.reset.
+// tables, and the lazy runners' transition memos and flat rows an engine
+// keeps for NoPrune executions, are over the component's label classes
+// and therefore valid across graphs; everything graph- or bind-dependent
+// is refreshed per execution by componentEngine.reset.
 //
 // A caller that asks one question repeatedly compiles it once and holds
 // the Program; ecrpq.Eval compiles a fresh one per call.
@@ -124,10 +126,12 @@ func CompileProgram(q *Query, monolithic bool) (*Program, error) {
 		p.relAtoms[i] = RelAtom{Rel: ra.Rel, Args: append([]PathVar(nil), ra.Args...)}
 	}
 	// Mark each component's needed columns — head node variables and the
-	// variables another component shares (component.needed) — and record
-	// each component's variable set for the compile-time join plan.
+	// variables another component shares (component.needed) — and the
+	// components that keep witnesses over several tapes, and record each
+	// component's variable set for the compile-time join plan.
 	varSets := make([][]NodeVar, len(comps))
 	for i, c := range comps {
+		c.witnessTapes = len(c.vars) > 1 && slices.ContainsFunc(c.vars, func(v PathVar) bool { return slices.Contains(q.HeadPaths, v) })
 		varSets[i] = c.allVars
 		c.needed = make([]bool, len(c.allVars))
 		for k, v := range c.allVars {
@@ -188,6 +192,48 @@ type ComponentInfo struct {
 	// the free needed variables would arm instead.
 	Needed []NodeVar
 	Rows   string
+	// Table sizes the component's minimal class table: the joint states
+	// the exploration reached and the table's live states, and per path
+	// variable the label classes before and after coarsening (the dead
+	// class and the dead sink not counted). Nil when the exploration
+	// passed its bound and the engines learn the joint lazily.
+	Table *TableInfo
+}
+
+// TableInfo is ComponentInfo.Table: each pair is (before, after).
+type TableInfo struct {
+	JointStates [2]int
+	Classes     [][2]int
+}
+
+// String renders the table for Explain: "joint states 33 → 1; classes
+// 32 → 1", one classes pair per path variable; "lazy (exploration passed
+// the bound)" for a nil table.
+func (t *TableInfo) String() string {
+	if t == nil {
+		return "lazy (exploration passed the bound)"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "joint states %d → %d; classes", t.JointStates[0], t.JointStates[1])
+	for i, c := range t.Classes {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, " %d → %d", c[0], c[1])
+	}
+	return b.String()
+}
+
+func (c *component) tableInfo() *TableInfo {
+	d := c.table()
+	if d == nil {
+		return nil
+	}
+	t := &TableInfo{JointStates: [2]int{d.Explored, d.Minimal}}
+	for _, n := range d.Classes {
+		t.Classes = append(t.Classes, [2]int{d.FineClasses, n})
+	}
+	return t
 }
 
 // explainRows renders the component's stop rule for ComponentInfo.Rows.
@@ -234,7 +280,10 @@ func (p *Program) Components() []ComponentInfo {
 			}
 		}
 		e := ws.engines[i]
-		live := e.runner.Live(e.runner.StartID())
+		// The start state's live sets as the lazy runner over-approximates
+		// them, over the partition's classes.
+		r := relations.NewJointRunner(c.joint)
+		live := r.Live(r.StartID())
 		starts := make([]string, len(live))
 		for t, ls := range live {
 			starts[t] = renderLiveSet(ls, c.part)
@@ -245,6 +294,7 @@ func (p *Program) Components() []ComponentInfo {
 			LiveStart:   starts,
 			Propagation: rules,
 			Rows:        c.explainRows(len(e.keptVars) > 0),
+			Table:       c.tableInfo(),
 		}
 		for k, v := range c.allVars {
 			if c.needed[k] {
@@ -303,7 +353,8 @@ const maxPooledScratch = 1 << 16
 // the underlying context error; budget exhaustion is
 // qerr.ErrBudgetExceeded). The execution reads only that one snapshot,
 // so it is fully isolated from concurrent writers, and repeated calls
-// reuse the joint runner's memos and flat rows, on any snapshot.
+// reuse the components' tables (or the lazy runners' memos and flat
+// rows), on any snapshot.
 func (p *Program) Eval(ctx context.Context, g graph.Snapshotter, opts Options) (*Result, error) {
 	return p.evalFull(ctx, g.Snapshot(), opts, false)
 }

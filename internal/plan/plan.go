@@ -196,8 +196,8 @@ func (p *Plan) Acyclic() bool { return p.prog.JoinAcyclic() }
 // (the selectivity the label-directed product BFS exploits), the static
 // start-domain propagation rules that confine its start variables when
 // an evaluation binds a variable upstream, how much of its relation the
-// head and the joins make it enumerate (ComponentInfo.Rows), and the
-// join strategy.
+// head and the joins make it enumerate (ComponentInfo.Rows), the size of
+// its minimal joint table (ComponentInfo.Table), and the join strategy.
 func (p *Plan) Explain() string {
 	var b strings.Builder
 	comps := p.prog.Components()
@@ -233,6 +233,7 @@ func (p *Plan) Explain() string {
 			fmt.Fprintf(&b, "    start domain: %s\n", rule)
 		}
 		fmt.Fprintf(&b, "    rows: %s\n", c.Rows)
+		fmt.Fprintf(&b, "    table: %s\n", c.Table)
 	}
 	if p.prog.JoinAcyclic() {
 		b.WriteString("  join: acyclic hypergraph — Yannakakis semijoins (Theorem 6.5)\n")
