@@ -4,10 +4,9 @@ import "sort"
 
 // Stepper performs repeated subset-construction steps over one NFA with
 // reusable scratch space. NFA.Step allocates a visited map and result
-// slice per call; on hot paths (the joint relation stepper of package
-// relations, determinization loops) that dominates the profile. A
-// Stepper amortizes: one boolean mark array sized to the automaton and
-// one growable buffer serve every call.
+// slice per call; a Stepper amortizes: one boolean mark array sized to
+// the automaton and one growable buffer serve every call. Its one
+// caller is the benchmark's automata.step_ns probe.
 //
 // A Stepper is not safe for concurrent use; create one per goroutine.
 type Stepper[S comparable] struct {

@@ -111,9 +111,7 @@ func (al *atomLiveInfo) ensure(setID int) {
 	}
 }
 
-// anyCoReachable reports whether the (not yet interned) subset set has a
-// co-reachable member; the dead-state check Step applies before
-// admitting a freshly stepped subset.
+// anyCoReachable reports whether subset set has a co-reachable member.
 func (al *atomLiveInfo) anyCoReachable(set []int) bool {
 	for _, q := range set {
 		if al.coReach[q] {

@@ -1,9 +1,6 @@
 package relations
 
-import (
-	"repro/internal/automata"
-	"repro/internal/intern"
-)
+import "repro/internal/intern"
 
 // JointRunner is the dense-integer execution engine for a Joint. The
 // plain Joint.Step API re-serializes subset-states into string keys and
@@ -13,8 +10,9 @@ import (
 //
 //   - joint states to dense ids (per-atom subset sets interned first, so
 //     a state is a tiny int tuple: done-mask plus one set id per atom),
-//   - m-tuple symbols to dense ids, with the per-atom projections and
-//     padding masks precomputed at registration time,
+//   - m-tuple symbols to dense ids, with the padding mask and each
+//     atom's column for the symbol's projection fixed at registration
+//     time, so a subset step runs on integers (step.go),
 //   - (stateID, symID) → stateID transitions in a memo table, so
 //     repeated symbols never re-run subset stepping at all.
 //
@@ -22,11 +20,11 @@ import (
 type JointRunner struct {
 	J *Joint
 
-	steppers []*automata.Stepper[TupleSym]
-	subsets  []*intern.Table // per atom: interned sorted NFA subset sets
-	states   *intern.Table   // joint states: (done, setID per atom)
-	accept   []int8          // memoized acceptance: 0 unknown, 1 yes, 2 no
-	trans    [][]int32       // trans[state][sym]: 0 unknown, -1 dead, else next+1
+	steps   []atomStep      // per atom: the integer subset step
+	subsets []*intern.Table // per atom: interned sorted NFA subset sets
+	states  *intern.Table   // joint states: (done, setID per atom)
+	accept  []int8          // memoized acceptance: 0 unknown, 1 yes, 2 no
+	trans   [][]int32       // trans[state][sym]: 0 unknown, -1 dead, else next+1
 
 	symRunes [][]rune
 	symInfo  []symInfo
@@ -41,31 +39,26 @@ type JointRunner struct {
 }
 
 type symInfo struct {
-	botMask uint64     // bit i set: component i is ⊥
-	projs   []atomProj // per atom: projection onto its tapes
-}
-
-type atomProj struct {
-	sym    TupleSym
-	allBot bool
+	botMask uint64  // bit i set: component i is ⊥
+	cols    []int32 // per atom: the column of the projection onto its tapes
 }
 
 // NewJointRunner returns a runner for j with the start state interned as
 // id 0.
 func NewJointRunner(j *Joint) *JointRunner {
 	r := &JointRunner{
-		J:        j,
-		steppers: make([]*automata.Stepper[TupleSym], len(j.Atoms)),
-		subsets:  make([]*intern.Table, len(j.Atoms)),
-		states:   intern.NewTable(0),
-		live:     make([]atomLiveInfo, len(j.Atoms)),
+		J:       j,
+		steps:   make([]atomStep, len(j.Atoms)),
+		subsets: make([]*intern.Table, len(j.Atoms)),
+		states:  intern.NewTable(0),
+		live:    make([]atomLiveInfo, len(j.Atoms)),
 	}
 	tup := make([]int, 0, 1+len(j.Atoms))
 	tup = append(tup, 0) // done mask
 	for i, at := range j.Atoms {
-		r.steppers[i] = automata.NewStepper(at.Rel.A)
 		r.subsets[i] = intern.NewTable(0)
 		r.live[i] = newAtomLiveInfo(at.Rel.A, len(at.Pos), at.part)
+		r.steps[i] = newAtomStep(at.Rel.A, r.live[i].coReach)
 		id, _ := r.subsets[i].Intern(at.Rel.A.EpsClosure(at.Rel.A.Start()))
 		tup = append(tup, id)
 	}
@@ -89,10 +82,10 @@ func (r *JointRunner) NumSyms() int { return len(r.symRunes) }
 // AddSym registers the m-tuple symbol given by its component runes and
 // returns its dense id. The caller is responsible for registering each
 // distinct symbol once (typically behind its own interning table); the
-// runes are copied. Per-atom projections and the padding mask are
-// precomputed here so Step never touches runes again; an atom that keeps
-// its automaton on raw labels (Atom.part) projects each class onto a
-// representative label of its cell.
+// runes are copied. The padding mask and each atom's column for the
+// symbol's projection are fixed here, so Step never touches runes again;
+// an atom that keeps its automaton on raw labels (Atom.part) projects
+// each class onto a representative label of its cell.
 func (r *JointRunner) AddSym(labels []rune) int {
 	if len(labels) != r.J.M {
 		panic("relations: AddSym arity mismatch")
@@ -100,7 +93,7 @@ func (r *JointRunner) AddSym(labels []rune) int {
 	id := len(r.symRunes)
 	cp := append([]rune(nil), labels...)
 	r.symRunes = append(r.symRunes, cp)
-	info := symInfo{projs: make([]atomProj, len(r.J.Atoms))}
+	info := symInfo{cols: make([]int32, len(r.J.Atoms))}
 	for i, c := range cp {
 		if c == Bot {
 			info.botMask |= 1 << i
@@ -120,7 +113,10 @@ func (r *JointRunner) AddSym(labels []rune) int {
 			}
 			proj = append(proj, c)
 		}
-		info.projs[ai] = atomProj{sym: string(proj), allBot: allBot}
+		info.cols[ai] = colAllBot
+		if !allBot {
+			info.cols[ai] = r.steps[ai].column(proj)
+		}
 	}
 	r.symInfo = append(r.symInfo, info)
 	return id
@@ -188,20 +184,21 @@ func (r *JointRunner) step(state, sym int) (int, bool) {
 	newTup = append(newTup, int(done|info.botMask))
 	for ai := range r.J.Atoms {
 		setID := tup[1+ai]
-		ap := &info.projs[ai]
-		if ap.allBot {
+		col := info.cols[ai]
+		switch col {
+		case colAllBot:
 			// The atom's tapes have all finished; its automaton does not
 			// consume the all-⊥ projection (its convolution has ended).
 			newTup = append(newTup, setID)
 			continue
-		}
-		stepped := r.steppers[ai].Step(r.subsets[ai].At(setID), ap.sym)
-		if len(stepped) == 0 {
+		case colDead:
 			return 0, false
 		}
-		if !r.live[ai].anyCoReachable(stepped) {
-			// Dead-state elimination: no member of the stepped subset can
-			// reach acceptance, so the whole joint state is stillborn.
+		stepped, ok := r.steps[ai].step(r.subsets[ai].At(setID), col)
+		if !ok {
+			// Empty, or dead-state elimination: no member of the stepped
+			// subset can reach acceptance, so the whole joint state is
+			// stillborn.
 			return 0, false
 		}
 		nid, _ := r.subsets[ai].Intern(stepped)

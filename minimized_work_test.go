@@ -3,22 +3,27 @@ package pathquery_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/ecrpq"
 	"repro/internal/graph"
+	"repro/internal/regex"
 	"repro/internal/workload"
 )
 
 // TestMinimizedWork pins the product states an evaluation of each
-// engine_warm case (and adhoc_cold's lr32_permissive, the same query and
-// graph as lr_permissive) explores — the least MaxProductStates it passes
-// with, as in TestFigure1 — by default, where the product BFS runs over
-// each component's minimal class table, and under NoPrune, where it runs
-// over the lazy runner's joint states. The cases are the benchmark's,
-// built from the same internal/workload generators with the same seeds
-// but not permuted, so x binds node 0. The counts are deterministic: a
-// row that moves is a real change in the work an evaluation does.
+// engine_warm and adhoc_cold case explores — the least MaxProductStates
+// it passes with, as in TestFigure1 — by default, where the product BFS
+// runs over each component's minimal class table, and under NoPrune,
+// where it runs over the lazy runner's joint states. It also pins each
+// component's table shape: the joint states the exploration reached →
+// the table's live states, with each tape's label classes before →
+// after coarsening, or "lazy" when the exploration passed its bound. The
+// cases are the benchmark's, built from the same internal/workload
+// generators with the same seeds and texts but not permuted, so x binds
+// node 0. The counts and shapes are deterministic: a row that moves is a
+// real change in the work an evaluation does or in the table it runs on.
 //
 //	go test -run TestMinimizedWork -v .
 //
@@ -32,9 +37,10 @@ func TestMinimizedWork(t *testing.T) {
 		bind map[ecrpq.NodeVar]graph.Node
 		opts ecrpq.Options
 
-		// The committed counts. NoPrune explores the lazy runner's joint
-		// states, which the tables do not change.
+		// The committed counts and shapes. NoPrune explores the lazy
+		// runner's joint states, which the tables do not change.
 		def, noPrune int
+		table        string
 	}
 	x0 := map[ecrpq.NodeVar]graph.Node{"x": 0}
 	rei, err := workload.REIQuery([]string{"(a|b)*a", "a+|b+", "(ab|ba)*(a|b)?"}, ab)
@@ -48,17 +54,32 @@ func TestMinimizedWork(t *testing.T) {
 	big := workload.Random(rand.New(rand.NewSource(8)), 32, 3.0, ab)
 	bigQ := ecrpq.MustParse("Ans(x,y) <- (x,p1,z), (z,p2,y), (a|b)*a(p1), (a|b)*b(p2), el(p1,p2)", ecrpq.Env{Sigma: ab})
 	s32 := workload.LabelRichSigma(32)
-	lr32 := ecrpq.MustParse(fmt.Sprintf("Ans(x,y) <- (x,p,y), [%s]*(p)", string(s32)), ecrpq.Env{Sigma: s32})
-	cases := []workCase{
-		{"fig1a_m3", workload.REIGraph(ab), rei, nil, ecrpq.Options{}, 1, 54},
-		{"lr_selective", lr["selective/sigma=8/n=256"].Graph, lr["selective/sigma=8/n=256"].Query, x0, ecrpq.Options{}, 97, 3787},
-		{"lr_permissive", lr["permissive/sigma=32/n=256"].Graph, lr["permissive/sigma=32/n=256"].Query, x0, ecrpq.Options{}, 255, 1405},
-		{"lr_chain", lr["chain/sigma=8/n=256"].Graph, lr["chain/sigma=8/n=256"].Query, x0, ecrpq.Options{}, 33, 931},
-		{"bigcomp_w1", big, bigQ, x0, ecrpq.Options{BFSWorkers: 1}, 28180, 66270},
-		{"bigcomp_wmax", big, bigQ, x0, ecrpq.Options{}, 28180, 66270},
-		{"lr32_permissive", lr["selective/sigma=32/n=256"].Graph, lr32, x0, ecrpq.Options{}, 255, 1405},
+	env32 := ecrpq.Env{Sigma: s32}
+	lr32 := lr["selective/sigma=32/n=256"].Graph
+	sigma := workload.BigAlphabetSigma(10000)
+	const band = 2500
+	bandPlus := func(lo, hi rune) string {
+		return regex.NewClass(false, regex.Range{Lo: lo, Hi: hi}).String() + "+"
 	}
-	t.Logf("%-16s %12s %12s", "case", "default", "NoPrune")
+	bigAlpha := workload.BigAlphabetGraph()
+	bigText := func(body string) *ecrpq.Query { return ecrpq.MustParse("Ans(x,y) <- "+body, ecrpq.Env{}) }
+	cases := []workCase{
+		{"fig1a_m3", workload.REIGraph(ab), rei, nil, ecrpq.Options{}, 1, 54, "3→2 [2→1 2→1 2→1]"},
+		{"lr_selective", lr["selective/sigma=8/n=256"].Graph, lr["selective/sigma=8/n=256"].Query, x0, ecrpq.Options{}, 97, 3787, "3→2 [8→1 8→1]"},
+		{"lr_permissive", lr["permissive/sigma=32/n=256"].Graph, lr["permissive/sigma=32/n=256"].Query, x0, ecrpq.Options{}, 255, 1405, "33→1 [32→1]"},
+		{"lr_chain", lr["chain/sigma=8/n=256"].Graph, lr["chain/sigma=8/n=256"].Query, x0, ecrpq.Options{}, 33, 931, "3→2 [1→1] + 3→2 [1→1]"},
+		{"bigcomp_w1", big, bigQ, x0, ecrpq.Options{BFSWorkers: 1}, 28180, 66270, "5→2 [2→2 2→2]"},
+		{"bigcomp_wmax", big, bigQ, x0, ecrpq.Options{}, 28180, 66270, "5→2 [2→2 2→2]"},
+		// adhoc_cold's six texts.
+		{"bigalpha_head", bigAlpha, bigText("(x,p,y), " + bandPlus(sigma[0], sigma[band-1]) + "(p)"), x0, ecrpq.Options{}, 1704, 1708, "3→2 [1→1]"},
+		{"bigalpha_tail", bigAlpha, bigText("(x,p,y), " + bandPlus(sigma[len(sigma)/2], sigma[len(sigma)/2+band-1]) + "(p)"), x0, ecrpq.Options{}, 1, 1, "3→2 [1→1]"},
+		{"bigalpha_join", bigAlpha, bigText("(x,p1,y), (x,p2,z), " + bandPlus(sigma[0], sigma[band/2-1]) + "(p1), " +
+			bandPlus(sigma[band/2], sigma[band-1]) + "(p2)"), x0, ecrpq.Options{}, 1463, 1466, "3→2 [1→1] + 3→2 [1→1]"},
+		{"lr32_selective", lr32, ecrpq.MustParse("Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)", env32), x0, ecrpq.Options{}, 36, 396, "3→2 [32→1 32→1]"},
+		{"lr32_permissive", lr32, ecrpq.MustParse(fmt.Sprintf("Ans(x,y) <- (x,p,y), [%s]*(p)", string(s32)), env32), x0, ecrpq.Options{}, 255, 1405, "33→1 [32→1]"},
+		{"lr32_chain", lr32, ecrpq.MustParse("Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)", env32), x0, ecrpq.Options{}, 14, 76, "3→2 [1→1] + 3→2 [1→1]"},
+	}
+	t.Logf("%-16s %12s %12s  %s", "case", "default", "NoPrune", "tables")
 	for _, c := range cases {
 		states := func(noPrune bool) int {
 			return leastBudget(t, ecrpq.ErrBudget, func(b int) error {
@@ -72,12 +93,40 @@ func TestMinimizedWork(t *testing.T) {
 			})
 		}
 		def, ref := states(false), states(true)
-		t.Logf("%-16s %12d %12d", c.name, def, ref)
+		table := tableShapes(t, c.q)
+		t.Logf("%-16s %12d %12d  %s", c.name, def, ref, table)
 		if def > ref {
 			t.Errorf("%s: default explores %d product states, NoPrune %d", c.name, def, ref)
 		}
 		if def != c.def || ref != c.noPrune {
 			t.Errorf("%s: %d product states by default, %d under NoPrune; committed %d and %d", c.name, def, ref, c.def, c.noPrune)
 		}
+		if table != c.table {
+			t.Errorf("%s: tables %q, committed %q", c.name, table, c.table)
+		}
 	}
+}
+
+// tableShapes renders the minimal class table of each of q's components
+// as "explored→minimal [classes before→after per tape]", or "lazy", the
+// components joined by " + ".
+func tableShapes(t *testing.T, q *ecrpq.Query) string {
+	t.Helper()
+	prog, err := ecrpq.CompileProgram(q, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, c := range prog.Components() {
+		if c.Table == nil {
+			out = append(out, "lazy")
+			continue
+		}
+		classes := make([]string, len(c.Table.Classes))
+		for i, n := range c.Table.Classes {
+			classes[i] = fmt.Sprintf("%d→%d", n[0], n[1])
+		}
+		out = append(out, fmt.Sprintf("%d→%d [%s]", c.Table.JointStates[0], c.Table.JointStates[1], strings.Join(classes, " ")))
+	}
+	return strings.Join(out, " + ")
 }
