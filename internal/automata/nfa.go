@@ -1,7 +1,8 @@
 // Package automata provides nondeterministic and deterministic finite
 // automata over arbitrary comparable symbol types, together with the
-// constructions the ECRPQ paper relies on: Thompson construction from
-// regular expressions, products, boolean operations via determinization,
+// constructions the ECRPQ paper relies on: a linear construction from
+// regular expressions that merges fragment states while it builds (see
+// FromRegex), products, boolean operations via determinization,
 // minimization, emptiness and witness extraction, symbol mapping
 // (projection/cylindrification of synchronous multi-tape automata), and
 // analysis of unary automata as ultimately periodic length sets
@@ -15,8 +16,6 @@ package automata
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/regex"
 )
 
 // NFA is a nondeterministic finite automaton with ε-transitions over
@@ -350,49 +349,4 @@ func sortedKeys(m map[int]bool) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// FromRegex builds an NFA for the regular expression via the Thompson
-// construction. The automaton has a single start state and a single final
-// state.
-func FromRegex[S comparable](node *regex.Node[S]) *NFA[S] {
-	n := NewNFA[S]()
-	s, f := thompson(n, node)
-	n.SetStart(s)
-	n.SetFinal(f, true)
-	return n
-}
-
-// thompson adds the fragment for node and returns its (start, final) pair.
-func thompson[S comparable](n *NFA[S], node *regex.Node[S]) (int, int) {
-	s := n.AddState()
-	f := n.AddState()
-	switch node.Op {
-	case regex.OpEmpty:
-		// no transitions: f unreachable
-	case regex.OpEps:
-		n.AddEps(s, f)
-	case regex.OpSym:
-		n.AddTransition(s, node.Sym, f)
-	case regex.OpConcat:
-		ls, lf := thompson(n, node.Left)
-		rs, rf := thompson(n, node.Right)
-		n.AddEps(s, ls)
-		n.AddEps(lf, rs)
-		n.AddEps(rf, f)
-	case regex.OpAlt:
-		ls, lf := thompson(n, node.Left)
-		rs, rf := thompson(n, node.Right)
-		n.AddEps(s, ls)
-		n.AddEps(s, rs)
-		n.AddEps(lf, f)
-		n.AddEps(rf, f)
-	case regex.OpStar:
-		is, ifin := thompson(n, node.Left)
-		n.AddEps(s, f)
-		n.AddEps(s, is)
-		n.AddEps(ifin, is)
-		n.AddEps(ifin, f)
-	}
-	return s, f
 }

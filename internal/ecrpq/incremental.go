@@ -46,7 +46,8 @@ import (
 // at that coordinate (any transition consuming a graph edge on the tape
 // must fall in them); the component set is the union across tapes. It
 // runs over the ORIGINAL atoms — automaton-backed atoms contribute
-// their alphabet's coordinate projections as singleton ranges, and
+// their alphabet's coordinate projections, deduplicated in a RuneSet and
+// joined into ranges where they are consecutive, and
 // class-bearing language atoms (no automaton) contribute the label
 // ranges of their AST, so a [ia-iz]-style constraint over a huge label
 // space stays two ints instead of 26 explicit runes. A tape no atom
@@ -56,6 +57,7 @@ import (
 // the approximation conservative.
 func componentLiveRanges(atoms []relations.Atom, cnt int) (live []regex.Range, universal bool) {
 	var scratch []regex.Range
+	var labels regex.RuneSet // one coordinate's labels, each symbol once
 	for t := 0; t < cnt; t++ {
 		var inter []regex.Range
 		constrained := false
@@ -75,17 +77,24 @@ func componentLiveRanges(atoms []relations.Atom, cnt int) (live []regex.Range, u
 					}
 					scratch = append(scratch, rs...)
 				} else {
+					labels.Reset()
 					at.Rel.A.EachSymbol(func(sym relations.TupleSym) {
 						k := 0
 						for _, r := range sym {
 							if k == i {
-								scratch = append(scratch, regex.Range{Lo: r, Hi: r})
+								labels.Add(r)
 								break
 							}
 							k++
 						}
 					})
-					scratch = regex.NormalizeRanges(scratch)
+					for _, r := range labels.Sorted() {
+						if n := len(scratch); n > 0 && scratch[n-1].Hi+1 == r {
+							scratch[n-1].Hi = r
+						} else {
+							scratch = append(scratch, regex.Range{Lo: r, Hi: r})
+						}
+					}
 				}
 				if !constrained {
 					inter = append(inter[:0], scratch...)

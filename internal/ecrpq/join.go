@@ -92,6 +92,8 @@ type joinArena struct {
 	vars  []NodeVar
 	pvars []PathVar
 	root  [1]*varRelation // reduceJoin's result
+
+	order [2][]int32 // headOrder's permutation and its radix buffer
 }
 
 // nextOf returns the n-th object of one of the arena's lists, building it
@@ -132,6 +134,47 @@ func (a *joinArena) positions(vars, of []NodeVar) []int {
 	return positions(carve(&a.ints, len(vars)), vars, of)
 }
 
+// headOrder returns the row indices of r ordered by the node columns at
+// pos, lexicographically: an LSD byte-radix sort, last column first and
+// each column's bytes least significant first, that skips a byte every
+// row shares. The permutation is arena storage.
+func (a *joinArena) headOrder(r *varRelation, pos []int) []int32 {
+	perm, tmp := zeroed(a.order[0], r.n), zeroed(a.order[1], r.n)
+	a.order = [2][]int32{perm, tmp}
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	w := len(r.vars)
+	for k := len(pos) - 1; k >= 0; k-- {
+		col := r.nodes[pos[k]:]
+		var bits graph.Node
+		for i := range r.n {
+			bits |= col[i*w]
+		}
+		for shift := 0; bits>>shift != 0; shift += 8 {
+			var count [256]int32
+			for _, i := range perm {
+				count[byte(col[int(i)*w]>>shift)]++
+			}
+			if count[byte(col[int(perm[0])*w]>>shift)] == int32(r.n) {
+				continue
+			}
+			var sum int32
+			for b, c := range count {
+				count[b] = sum
+				sum += c
+			}
+			for _, i := range perm {
+				b := byte(col[int(i)*w] >> shift)
+				tmp[count[b]] = i
+				count[b]++
+			}
+			perm, tmp = tmp, perm
+		}
+	}
+	return perm
+}
+
 // release makes everything the arena handed out available to the next
 // evaluation. Storage past the pooled-scratch budget is dropped, and no
 // witness path of the last result stays referenced.
@@ -158,6 +201,9 @@ func (a *joinArena) release() {
 	a.root[0] = nil
 	if cap(a.nodes) > maxPooledScratch || cap(a.ints) > maxPooledScratch {
 		a.nodes, a.ints = nil, nil
+	}
+	if cap(a.order[0]) > maxPooledScratch {
+		a.order = [2][]int32{}
 	}
 	a.nodes, a.paths, a.ints = a.nodes[:0], a.paths[:0], a.ints[:0]
 	a.vars, a.pvars = a.vars[:0], a.pvars[:0]

@@ -398,3 +398,53 @@ func TestJoinNoInflatedIntermediate(t *testing.T) {
 		}
 	}
 }
+
+// TestHeadOrderMatchesSortFunc checks assemble's radix order against a
+// comparison sort of the head tuples: random relations of one to three
+// head columns (in any column order, beside a column the head skips),
+// rows distinct on the head, node ids past 2⁸, 2¹⁶ and 2²⁴, one arena
+// reused throughout as a pooled workspace reuses it.
+func TestHeadOrderMatchesSortFunc(t *testing.T) {
+	r := rand.New(rand.NewSource(39))
+	var a joinArena
+	for trial := 0; trial < 300; trial++ {
+		arity := 1 + trial%3
+		bound := []int{1 << 8, 1 << 16, 1 << 24, 1 << 31}[trial/3%4] + 1000
+		vars := []NodeVar{"x", "y", "z", "skip"}
+		pos := r.Perm(len(vars) - 1)[:arity]
+		rel := &varRelation{vars: vars}
+		seen := map[string]bool{}
+		for range r.Intn(2000) {
+			row := make([]graph.Node, len(vars))
+			for c := range row {
+				row[c] = graph.Node(r.Intn(bound))
+				if r.Intn(3) == 0 { // shared values, so ties reach later columns
+					row[c] = graph.Node(bound - 1 - r.Intn(3))
+				}
+			}
+			head := make([]graph.Node, arity)
+			gather(head, row, pos)
+			if k := fmt.Sprint(head); !seen[k] {
+				seen[k] = true
+				rel.add(row, nil)
+			}
+		}
+		if rel.n == 0 {
+			continue
+		}
+		want := make([][]graph.Node, rel.n)
+		for i := range want {
+			want[i] = make([]graph.Node, arity)
+			gather(want[i], rel.row(i), pos)
+		}
+		slices.SortFunc(want, slices.Compare)
+		for i, row := range a.headOrder(rel, pos) {
+			got := make([]graph.Node, arity)
+			gather(got, rel.row(int(row)), pos)
+			if !slices.Equal(got, want[i]) {
+				t.Fatalf("trial %d (arity %d, ids < %d): answer %d is %v, want %v", trial, arity, bound, i, got, want[i])
+			}
+		}
+		a.release()
+	}
+}

@@ -473,8 +473,8 @@ func labelRichGraph(r *rand.Rand, n int, sigma []rune, deg float64) *graph.DB {
 //
 //   - a cold [σ]* evaluation (σ = 32, n = 256, x bound to the top hub)
 //     builds no fan-out — it emits some 1 500 moves on the component's
-//     minimal table, where the 32 labels are one class (about 9 600 on
-//     the lazy runner's 33 joint states);
+//     minimal table, where the 32 labels are one class (about 2 000 on
+//     the lazy runner's 2 joint states);
 //   - the bigcomp shape (32 nodes, el, x bound; some twenty start
 //     assignments of thousands of moves each) still fans out;
 //   - a warm permissive evaluation allocates no more at W = 2 than at

@@ -206,7 +206,7 @@ type TableInfo struct {
 	Classes     [][2]int
 }
 
-// String renders the table for Explain: "joint states 33 → 1; classes
+// String renders the table for Explain: "joint states 2 → 1; classes
 // 32 → 1", one classes pair per path variable; "lazy (exploration passed
 // the bound)" for a nil table.
 func (t *TableInfo) String() string {
@@ -386,7 +386,7 @@ func (p *Program) evalFull(ctx context.Context, s *graph.Snapshot, opts Options,
 }
 
 // assemble joins the component relations in ws.rels per the
-// compile-time join plan, projects the head and sorts — the shared tail
+// compile-time join plan, sorts on the head and projects it — the shared tail
 // of full and incremental evaluation. Everything before the answers is
 // the workspace's; the Result and its answer slabs are the only storage
 // the evaluation allocates for its caller.
@@ -396,7 +396,9 @@ func (p *Program) evalFull(ctx context.Context, s *graph.Snapshot, opts Options,
 // onto them with a dedup whenever that drops a column, and is a
 // duplicate-free component relation or fold otherwise; backtrackJoin
 // dedups on them), and a head tuple lists every one of those columns at
-// least once, so two rows never map to one answer and no dedup runs here.
+// least once, so two rows never map to one answer and no dedup runs here;
+// for the same reason the order of the head columns alone (headOrder, a
+// radix sort over row indices) is the order of the answers.
 // Every answer's Nodes (and Paths) is carved from one exactly-sized
 // backing array.
 func (p *Program) assemble(ctx context.Context, ws *workspace, s *graph.Snapshot) (*Result, error) {
@@ -424,21 +426,20 @@ func (p *Program) assemble(ctx context.Context, ws *workspace, s *graph.Snapshot
 	if np > 0 {
 		paths = make([]graph.Path, joined.n*np)
 	}
-	for i := range res.Answers {
+	for i, row := range ws.join.headOrder(joined, headPos) {
 		if nh > 0 {
 			an := nodes[i*nh : i*nh+nh : i*nh+nh]
-			gather(an, joined.row(i), headPos)
+			gather(an, joined.row(int(row)), headPos)
 			res.Answers[i].Nodes = an
 		}
 		if np > 0 {
 			ap := paths[i*np : i*np+np : i*np+np]
-			w := joined.witness(i)
+			w := joined.witness(int(row))
 			for k, pos := range pathPos {
 				ap[k] = w[pos]
 			}
 			res.Answers[i].Paths = ap
 		}
 	}
-	slices.SortFunc(res.Answers, func(a, b Answer) int { return slices.Compare(a.Nodes, b.Nodes) })
 	return res, nil
 }

@@ -85,8 +85,9 @@ func TestTableMatchesNoPrune(t *testing.T) {
 }
 
 // TestTableWitnessesMatchNoPrune is the witness-keeping case whose joint
-// states merge: [σ]* over 32 labels keeps 33 joint states on the lazy
-// runner and one on the table, where the 32 labels are one class. Its
+// states merge: [σ]* over 32 labels keeps 2 joint states on the lazy
+// runner (the start and the loop it enters) and one on the table, where
+// the 32 labels are one class. Its
 // witnesses — x bound to the top hub of a 256-node graph, and x free on a
 // 40-node one, where the start assignments fan out — are NoPrune's at
 // W ∈ {1,2,8}.
@@ -98,8 +99,8 @@ func TestTableWitnessesMatchNoPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := prog.comps[0].table(); d == nil || d.Explored != 33 || d.Minimal != 1 || d.Classes[0] != 1 {
-		t.Fatalf("[σ]* table: %+v, want 33 → 1 joint states and 32 → 1 classes", d)
+	if d := prog.comps[0].table(); d == nil || d.Explored != 2 || d.Minimal != 1 || d.Classes[0] != 1 {
+		t.Fatalf("[σ]* table: %+v, want 2 → 1 joint states and 32 → 1 classes", d)
 	}
 	for _, tc := range []struct {
 		s    *graph.Snapshot
@@ -127,7 +128,7 @@ func TestTableWitnessesMatchNoPrune(t *testing.T) {
 }
 
 // TestExplainTable pins ComponentInfo.Table: [σ]* over 32 labels reports
-// 33 → 1 joint states and 32 → 1 classes, and a component kept lazy
+// 2 → 1 joint states and 32 → 1 classes, and a component kept lazy
 // reports no table.
 func TestExplainTable(t *testing.T) {
 	sigma := []rune("abcdefghijklmnopqrstuvwxyzABCDEF")
@@ -136,7 +137,7 @@ func TestExplainTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := prog.Components()[0].Table.String(); got != "joint states 33 → 1; classes 32 → 1" {
+	if got := prog.Components()[0].Table.String(); got != "joint states 2 → 1; classes 32 → 1" {
 		t.Fatalf("table %q", got)
 	}
 	two, err := CompileProgram(MustParse("Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)", env()), false)

@@ -19,7 +19,9 @@ import (
 // where it runs over the lazy runner's joint states. It also pins each
 // component's table shape: the joint states the exploration reached →
 // the table's live states, with each tape's label classes before →
-// after coarsening, or "lazy" when the exploration passed its bound. The
+// after coarsening, or "lazy" when the exploration passed its bound — and
+// the fingerprint of the answers, which neither the tables nor the
+// automata behind them may change. The
 // cases are the benchmark's, built from the same internal/workload
 // generators with the same seeds and texts but not permuted, so x binds
 // node 0. The counts and shapes are deterministic: a row that moves is a
@@ -37,10 +39,12 @@ func TestMinimizedWork(t *testing.T) {
 		bind map[ecrpq.NodeVar]graph.Node
 		opts ecrpq.Options
 
-		// The committed counts and shapes. NoPrune explores the lazy
-		// runner's joint states, which the tables do not change.
+		// The committed counts, shapes and answer fingerprint. NoPrune
+		// explores the lazy runner's joint states, which the tables do
+		// not change; the fingerprint depends on neither.
 		def, noPrune int
 		table        string
+		fp           uint64
 	}
 	x0 := map[ecrpq.NodeVar]graph.Node{"x": 0}
 	rei, err := workload.REIQuery([]string{"(a|b)*a", "a+|b+", "(ab|ba)*(a|b)?"}, ab)
@@ -64,22 +68,22 @@ func TestMinimizedWork(t *testing.T) {
 	bigAlpha := workload.BigAlphabetGraph()
 	bigText := func(body string) *ecrpq.Query { return ecrpq.MustParse("Ans(x,y) <- "+body, ecrpq.Env{}) }
 	cases := []workCase{
-		{"fig1a_m3", workload.REIGraph(ab), rei, nil, ecrpq.Options{}, 1, 54, "3→2 [2→1 2→1 2→1]"},
-		{"lr_selective", lr["selective/sigma=8/n=256"].Graph, lr["selective/sigma=8/n=256"].Query, x0, ecrpq.Options{}, 97, 3787, "3→2 [8→1 8→1]"},
-		{"lr_permissive", lr["permissive/sigma=32/n=256"].Graph, lr["permissive/sigma=32/n=256"].Query, x0, ecrpq.Options{}, 255, 1405, "33→1 [32→1]"},
-		{"lr_chain", lr["chain/sigma=8/n=256"].Graph, lr["chain/sigma=8/n=256"].Query, x0, ecrpq.Options{}, 33, 931, "3→2 [1→1] + 3→2 [1→1]"},
-		{"bigcomp_w1", big, bigQ, x0, ecrpq.Options{BFSWorkers: 1}, 28180, 66270, "5→2 [2→2 2→2]"},
-		{"bigcomp_wmax", big, bigQ, x0, ecrpq.Options{}, 28180, 66270, "5→2 [2→2 2→2]"},
+		{"fig1a_m3", workload.REIGraph(ab), rei, nil, ecrpq.Options{}, 1, 54, "3→2 [2→1 2→1 2→1]", 0x5b2a969b42d238a4},
+		{"lr_selective", lr["selective/sigma=8/n=256"].Graph, lr["selective/sigma=8/n=256"].Query, x0, ecrpq.Options{}, 97, 3787, "2→2 [8→1 8→1]", 0xc83736fe702239f6},
+		{"lr_permissive", lr["permissive/sigma=32/n=256"].Graph, lr["permissive/sigma=32/n=256"].Query, x0, ecrpq.Options{}, 255, 256, "2→1 [32→1]", 0xddcf6039779086ea},
+		{"lr_chain", lr["chain/sigma=8/n=256"].Graph, lr["chain/sigma=8/n=256"].Query, x0, ecrpq.Options{}, 33, 908, "2→2 [1→1] + 2→2 [1→1]", 0x61b11fe896d1bfbc},
+		{"bigcomp_w1", big, bigQ, x0, ecrpq.Options{BFSWorkers: 1}, 28180, 66270, "5→2 [2→2 2→2]", 0x8a8f89d20af59f95},
+		{"bigcomp_wmax", big, bigQ, x0, ecrpq.Options{}, 28180, 66270, "5→2 [2→2 2→2]", 0x8a8f89d20af59f95},
 		// adhoc_cold's six texts.
-		{"bigalpha_head", bigAlpha, bigText("(x,p,y), " + bandPlus(sigma[0], sigma[band-1]) + "(p)"), x0, ecrpq.Options{}, 1704, 1708, "3→2 [1→1]"},
-		{"bigalpha_tail", bigAlpha, bigText("(x,p,y), " + bandPlus(sigma[len(sigma)/2], sigma[len(sigma)/2+band-1]) + "(p)"), x0, ecrpq.Options{}, 1, 1, "3→2 [1→1]"},
+		{"bigalpha_head", bigAlpha, bigText("(x,p,y), " + bandPlus(sigma[0], sigma[band-1]) + "(p)"), x0, ecrpq.Options{}, 1704, 1704, "2→2 [1→1]", 0xc0b45faa69b3741f},
+		{"bigalpha_tail", bigAlpha, bigText("(x,p,y), " + bandPlus(sigma[len(sigma)/2], sigma[len(sigma)/2+band-1]) + "(p)"), x0, ecrpq.Options{}, 1, 1, "2→2 [1→1]", 0xa8c7f832281a39c5},
 		{"bigalpha_join", bigAlpha, bigText("(x,p1,y), (x,p2,z), " + bandPlus(sigma[0], sigma[band/2-1]) + "(p1), " +
-			bandPlus(sigma[band/2], sigma[band-1]) + "(p2)"), x0, ecrpq.Options{}, 1463, 1466, "3→2 [1→1] + 3→2 [1→1]"},
-		{"lr32_selective", lr32, ecrpq.MustParse("Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)", env32), x0, ecrpq.Options{}, 36, 396, "3→2 [32→1 32→1]"},
-		{"lr32_permissive", lr32, ecrpq.MustParse(fmt.Sprintf("Ans(x,y) <- (x,p,y), [%s]*(p)", string(s32)), env32), x0, ecrpq.Options{}, 255, 1405, "33→1 [32→1]"},
-		{"lr32_chain", lr32, ecrpq.MustParse("Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)", env32), x0, ecrpq.Options{}, 14, 76, "3→2 [1→1] + 3→2 [1→1]"},
+			bandPlus(sigma[band/2], sigma[band-1]) + "(p2)"), x0, ecrpq.Options{}, 1463, 1464, "2→2 [1→1] + 2→2 [1→1]", 0x6d8c7ad40f949f0b},
+		{"lr32_selective", lr32, ecrpq.MustParse("Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)", env32), x0, ecrpq.Options{}, 36, 396, "2→2 [32→1 32→1]", 0xba4f7a1510c183ee},
+		{"lr32_permissive", lr32, ecrpq.MustParse(fmt.Sprintf("Ans(x,y) <- (x,p,y), [%s]*(p)", string(s32)), env32), x0, ecrpq.Options{}, 255, 256, "2→1 [32→1]", 0xddcf6039779086ea},
+		{"lr32_chain", lr32, ecrpq.MustParse("Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)", env32), x0, ecrpq.Options{}, 14, 70, "2→2 [1→1] + 2→2 [1→1]", 0x970777a288aef96b},
 	}
-	t.Logf("%-16s %12s %12s  %s", "case", "default", "NoPrune", "tables")
+	t.Logf("%-16s %12s %12s  %-18s  %s", "case", "default", "NoPrune", "fingerprint", "tables")
 	for _, c := range cases {
 		states := func(noPrune bool) int {
 			return leastBudget(t, ecrpq.ErrBudget, func(b int) error {
@@ -94,7 +98,14 @@ func TestMinimizedWork(t *testing.T) {
 		}
 		def, ref := states(false), states(true)
 		table := tableShapes(t, c.q)
-		t.Logf("%-16s %12d %12d  %s", c.name, def, ref, table)
+		opts := c.opts
+		opts.Bind = c.bind
+		res, err := ecrpq.Eval(c.q, c.g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := res.Fingerprint()
+		t.Logf("%-16s %12d %12d  %#016x  %s", c.name, def, ref, fp, table)
 		if def > ref {
 			t.Errorf("%s: default explores %d product states, NoPrune %d", c.name, def, ref)
 		}
@@ -103,6 +114,9 @@ func TestMinimizedWork(t *testing.T) {
 		}
 		if table != c.table {
 			t.Errorf("%s: tables %q, committed %q", c.name, table, c.table)
+		}
+		if fp != c.fp {
+			t.Errorf("%s: fingerprint %#016x, committed %#016x", c.name, fp, c.fp)
 		}
 	}
 }
