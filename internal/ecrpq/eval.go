@@ -213,35 +213,55 @@ func firstAnswer(a []Answer) *Answer {
 // the value hash/fnv yields for the same byte stream, without the
 // hash.Hash interface call per word.
 func fingerprintAnswers(answers []Answer) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	wr := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h = (h ^ x&0xff) * prime64
-			x >>= 8
-		}
-	}
-	wr(uint64(len(answers)))
+	h := fnvHash(fnvOffset)
+	h.word(uint64(len(answers)))
 	for _, a := range answers {
-		wr(uint64(len(a.Nodes)))
+		h.word(uint64(len(a.Nodes)))
 		for _, v := range a.Nodes {
-			wr(uint64(v))
+			h.word(uint64(v))
 		}
-		wr(uint64(len(a.Paths)))
+		h.word(uint64(len(a.Paths)))
 		for _, p := range a.Paths {
-			wr(uint64(len(p.Nodes)))
+			h.word(uint64(len(p.Nodes)))
 			for _, v := range p.Nodes {
-				wr(uint64(v))
+				h.word(uint64(v))
 			}
 			for _, l := range p.Labels {
-				wr(uint64(l))
+				h.word(uint64(l))
 			}
 		}
 	}
-	return h
+	return uint64(h)
+}
+
+// fnvHash is a 64-bit FNV-1a state.
+type fnvHash uint64
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvPrimePow[k] is fnvPrime^k (mod 2⁶⁴).
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
+	}
+	return p
+}()
+
+// word hashes the 8 little-endian bytes of x. A zero byte only
+// multiplies the state by the prime (h ^ 0 = h), so once the bytes left
+// are all zero — the high bytes of a small id, count or label — they
+// fold into one multiply by the prime's power.
+func (h *fnvHash) word(x uint64) {
+	v, k := uint64(*h), 8
+	for ; x != 0; k-- {
+		v = (v ^ x&0xff) * fnvPrime
+		x >>= 8
+	}
+	*h = fnvHash(v * fnvPrimePow[k])
 }
 
 // answerOverhead approximates the fixed per-answer footprint (the
@@ -586,12 +606,12 @@ type componentEngine struct {
 	keptVars   []PathVar
 
 	// Product-state storage, reset per start assignment. State id i has
-	// node tuple curs[i*cnt:(i+1)*cnt] and joint state joints[i];
-	// parentState records the BFS tree for witness extraction, and
-	// parentLabs (stride cnt, recorded only when the query outputs
-	// witnesses) the raw edge labels of the move that discovered the
-	// state — the joint automaton steps by classes, which cannot name the
-	// traversed labels.
+	// node tuple curs[i*cnt:(i+1)*cnt] and joint state joints[i]. Only
+	// when the query outputs witnesses (keptCoords non-empty) does a run
+	// record the BFS tree for witness extraction: parentState, and
+	// parentLabs (stride cnt) the raw edge labels of the move that
+	// discovered the state — the joint automaton steps by classes, which
+	// cannot name the traversed labels.
 	states      tupleSet
 	curs        []graph.Node
 	joints      []int32
@@ -739,7 +759,7 @@ func (e *componentEngine) release() {
 	if cap(e.allNodes) > maxPooledScratch {
 		e.allNodes = nil
 	}
-	if cap(e.parentState) > maxPooledScratch {
+	if cap(e.joints) > maxPooledScratch {
 		e.curs, e.joints, e.parentState, e.parentLabs = nil, nil, nil, nil
 		e.states = tupleSet{} // a bitset is cleared by walking the arrays
 	}
@@ -856,13 +876,13 @@ func (e *componentEngine) beginRun(assign map[NodeVar]graph.Node) bool {
 }
 
 // pushState appends a newly visited product state to the state
-// arrays, with the raw labels of the discovering move (in e.symLabs)
-// when the query outputs witnesses.
+// arrays, with its parent and the raw labels of the discovering move (in
+// e.symLabs) when the query outputs witnesses.
 func (e *componentEngine) pushState(jointID int, nodes []graph.Node, parent int32) {
 	e.curs = append(e.curs, nodes...)
 	e.joints = append(e.joints, int32(jointID))
-	e.parentState = append(e.parentState, parent)
 	if len(e.keptCoords) > 0 {
+		e.parentState = append(e.parentState, parent)
 		e.parentLabs = append(e.parentLabs, e.symLabs[:e.cnt]...)
 	}
 }

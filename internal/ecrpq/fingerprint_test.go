@@ -3,6 +3,7 @@ package ecrpq
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -152,6 +153,21 @@ func fixedResultAnswers() []Answer {
 func TestFingerprintGolden(t *testing.T) {
 	answers := fixedResultAnswers()
 	const golden = 0x9d87373ae32846fa
+	got := (&Result{Answers: answers}).Fingerprint()
+	if want := fnvReference(answers); got != want {
+		t.Fatalf("Fingerprint = %016x, hash/fnv over the same words = %016x", got, want)
+	}
+	if got != golden {
+		t.Fatalf("Fingerprint of the fixed result = %#016x, pinned %#016x", got, uint64(golden))
+	}
+	if got := (&Result{}).Fingerprint(); got != 0xa8c7f832281a39c5 {
+		t.Fatalf("Fingerprint of the empty result = %#016x, pinned 0xa8c7f832281a39c5", got)
+	}
+}
+
+// fnvReference hashes the answer set's words through hash/fnv, eight
+// little-endian bytes each: the byte stream fingerprintAnswers hashes.
+func fnvReference(answers []Answer) uint64 {
 	h := fnv.New64a()
 	wr := func(x uint64) {
 		var b [8]byte
@@ -175,15 +191,51 @@ func TestFingerprintGolden(t *testing.T) {
 			}
 		}
 	}
-	got := (&Result{Answers: answers}).Fingerprint()
-	if want := h.Sum64(); got != want {
-		t.Fatalf("Fingerprint = %016x, hash/fnv over the same words = %016x", got, want)
+	return h.Sum64()
+}
+
+// TestFingerprintMatchesFNV checks the folded FNV-1a against hash/fnv on
+// random answer sets whose node ids and labels sit just below and past
+// 2⁸, 2¹⁶, 2²⁴ and 2³¹ (and at 0 and negative ids), with and without
+// witness paths: every count of trailing zero bytes a word can have.
+func TestFingerprintMatchesFNV(t *testing.T) {
+	r := rand.New(rand.NewSource(40))
+	var edges []int64
+	for _, b := range []uint{8, 16, 24, 31} {
+		edges = append(edges, 1<<b-1, 1<<b, 1<<b+1)
 	}
-	if got != golden {
-		t.Fatalf("Fingerprint of the fixed result = %#016x, pinned %#016x", got, uint64(golden))
+	edges = append(edges, 0, 1, -1, 1<<40, -(1 << 31))
+	val := func() int64 {
+		if r.Intn(3) == 0 {
+			return r.Int63n(1 << 33)
+		}
+		return edges[r.Intn(len(edges))]
 	}
-	if got := (&Result{}).Fingerprint(); got != 0xa8c7f832281a39c5 {
-		t.Fatalf("Fingerprint of the empty result = %#016x, pinned 0xa8c7f832281a39c5", got)
+	label := func() rune {
+		if r.Intn(4) == 0 {
+			return rune(r.Intn(0x110000))
+		}
+		return rune([]int64{0xff, 0x100, 0xffff, 0x10000, 'a', 0x10FFFF}[r.Intn(6)])
+	}
+	for trial := 0; trial < 300; trial++ {
+		answers := make([]Answer, r.Intn(6))
+		for i := range answers {
+			a := &answers[i]
+			for n := r.Intn(4); n > 0; n-- {
+				a.Nodes = append(a.Nodes, graph.Node(val()))
+			}
+			for n := r.Intn(3); trial%2 == 1 && n > 0; n-- {
+				var p graph.Path
+				for m := r.Intn(4); m > 0; m-- {
+					p.Nodes = append(p.Nodes, graph.Node(val()))
+					p.Labels = append(p.Labels, label())
+				}
+				a.Paths = append(a.Paths, p)
+			}
+		}
+		if got, want := fingerprintAnswers(answers), fnvReference(answers); got != want {
+			t.Fatalf("trial %d: fingerprint %016x, hash/fnv %016x over %v", trial, got, want, answers)
+		}
 	}
 }
 

@@ -45,19 +45,17 @@ import (
 // over the covering (atom, coordinate) pairs of the labels they admit
 // at that coordinate (any transition consuming a graph edge on the tape
 // must fall in them); the component set is the union across tapes. It
-// runs over the ORIGINAL atoms — automaton-backed atoms contribute
-// their alphabet's coordinate projections, deduplicated in a RuneSet and
-// joined into ranges where they are consecutive, and
-// class-bearing language atoms (no automaton) contribute the label
-// ranges of their AST, so a [ia-iz]-style constraint over a huge label
-// space stays two ints instead of 26 explicit runes. A tape no atom
-// constrains — or one constrained only by a cofinite (negated/wild)
-// class — makes the component universal. ⊥ is kept in the sets: it
-// never appears as a stored edge label, so it costs nothing and keeps
-// the approximation conservative.
+// runs over the ORIGINAL atoms (relations.Relation.LabelRanges):
+// automaton-backed atoms contribute their alphabet's coordinate
+// projections joined into ranges where they are consecutive, and
+// class-bearing language atoms and relations in class form the ranges
+// of their classes, so a [ia-iz]-style constraint or an el over a huge
+// label space stays a few ints instead of one rune per label. A tape no
+// atom constrains — or one constrained only by a cofinite
+// (negated/wild) class — makes the component universal. ⊥ is kept in
+// the sets: it never appears as a stored edge label, so it costs nothing
+// and keeps the approximation conservative.
 func componentLiveRanges(atoms []relations.Atom, cnt int) (live []regex.Range, universal bool) {
-	var scratch []regex.Range
-	var labels regex.RuneSet // one coordinate's labels, each symbol once
 	for t := 0; t < cnt; t++ {
 		var inter []regex.Range
 		constrained := false
@@ -69,38 +67,15 @@ func componentLiveRanges(atoms []relations.Atom, cnt int) (live []regex.Range, u
 				if p != t {
 					continue
 				}
-				scratch = scratch[:0]
-				if at.Rel.A == nil {
-					rs, uni := regex.LabelRanges(at.Rel.Lang)
-					if uni {
-						continue // cofinite class: does not constrain the tape
-					}
-					scratch = append(scratch, rs...)
-				} else {
-					labels.Reset()
-					at.Rel.A.EachSymbol(func(sym relations.TupleSym) {
-						k := 0
-						for _, r := range sym {
-							if k == i {
-								labels.Add(r)
-								break
-							}
-							k++
-						}
-					})
-					for _, r := range labels.Sorted() {
-						if n := len(scratch); n > 0 && scratch[n-1].Hi+1 == r {
-							scratch[n-1].Hi = r
-						} else {
-							scratch = append(scratch, regex.Range{Lo: r, Hi: r})
-						}
-					}
+				rs, uni := at.Rel.LabelRanges(i)
+				if uni {
+					continue // cofinite class: does not constrain the tape
 				}
 				if !constrained {
-					inter = append(inter[:0], scratch...)
+					inter = append(inter[:0], rs...)
 					constrained = true
 				} else {
-					inter = regex.IntersectRanges(inter, scratch)
+					inter = regex.IntersectRanges(inter, rs)
 				}
 			}
 		}

@@ -99,8 +99,9 @@ func coordMoves(s *graph.Snapshot, part *regex.Partition, v graph.Node, bot bool
 }
 
 // TestKernelEnumeratesContractOrder pins the kernel's contract on two
-// class-compiled components, one without character classes (the
-// singleton cells of its alphabet): the emitted moves are the brute-force
+// class-compiled components, one without character classes (eq, which
+// tells labels apart: the singleton cells of its alphabet): the emitted
+// moves are the brute-force
 // product of each coordinate's admissible moves in contract order, minus
 // those whose symbol is dead, each with its successor; moves counts every
 // combination, dead ones included; and the joint automaton steps once per
@@ -112,7 +113,7 @@ func TestKernelEnumeratesContractOrder(t *testing.T) {
 	env := Env{Sigma: sigma}
 	comps := map[string]*component{}
 	for name, src := range map[string]string{
-		"plain": "Ans(x, y) <- (x,p1,z), (z,p2,y), el(p1,p2)",
+		"plain": "Ans(x, y) <- (x,p1,z), (z,p2,y), eq(p1,p2)",
 		"class": "Ans(x, y) <- (x,p1,z), (z,p2,y), el(p1,p2), [a-b]+(p1), [^c]*(p2)",
 	} {
 		cs, err := decompose(MustParse(src, env), false)
@@ -301,9 +302,11 @@ func TestFlatRowsMatchRunner(t *testing.T) {
 		}
 	}
 
-	// Four tapes over 32 labels: k^cnt = 34⁴ ≈ 1.3 M entries a row.
+	// Four eq-joined tapes over 32 labels, each its own class: k^cnt =
+	// 34⁴ ≈ 1.3 M entries a row. (el would read Σ as one class: 4 cells
+	// here, and a table.)
 	sigma = []rune("abcdefghijklmnopqrstuvwxyzABCDEF")
-	q := MustParse("Ans(y1, y4) <- (x,p1,y1), (x,p2,y2), (x,p3,y3), (x,p4,y4), el(p1,p2), el(p2,p3), el(p3,p4), (a|b)+(p1)", Env{Sigma: sigma})
+	q := MustParse("Ans(y1, y4) <- (x,p1,y1), (x,p2,y2), (x,p3,y3), (x,p4,y4), eq(p1,p2), eq(p2,p3), eq(p3,p4), (a|b)+(p1)", Env{Sigma: sigma})
 	s := bigComponentGraph(r, 6, 3, sigma[:2]).Snapshot()
 	bind := map[NodeVar]graph.Node{"x": 0}
 	want := evalFresh(t, q, s, Options{Bind: bind, NoPrune: true, BFSWorkers: 1})

@@ -9,9 +9,11 @@ import (
 )
 
 // Env supplies the context needed to parse queries: the alphabet (for
-// instantiating built-in relations) and optional named relations. Built-in
-// relation names, resolved against Sigma: eq, el, prefix, lt, le, edit1,
-// edit2, edit3. Anything else in relation-atom position is parsed as a
+// instantiating built-in relations) and optional named relations, which
+// take precedence over the built-ins. Built-in relation names, resolved
+// against Sigma: eq, el, prefix, lt, le, edit1, edit2, edit3; the length
+// relations el, lt and le read Sigma as one class, so they cost the same
+// at any |Sigma|. Anything else in relation-atom position is parsed as a
 // regular expression defining a unary language atom.
 type Env struct {
 	Sigma     []rune

@@ -50,8 +50,9 @@ func maskOf(sym string) string {
 // coordinate Σ*⊥*, no all-⊥ symbols) so that mask reasoning is sound even
 // for user-supplied tuple regexes that accept junk paddings.
 func properize(rel *relations.Relation) *automata.NFA[string] {
+	a := rel.Expand().A
 	letters := map[rune]bool{}
-	for _, sym := range rel.A.Alphabet() {
+	for _, sym := range a.Alphabet() {
 		for _, r := range sym {
 			if r != regex.Bot {
 				letters[r] = true
@@ -64,9 +65,9 @@ func properize(rel *relations.Relation) *automata.NFA[string] {
 	}
 	regex.SortRunes(sigma)
 	if len(sigma) == 0 {
-		return rel.A.Clone()
+		return a.Clone()
 	}
-	return automata.Intersect(rel.A, relations.PadValid(sigma, rel.Arity))
+	return automata.Intersect(a, relations.PadValid(sigma, rel.Arity))
 }
 
 // Rlen constructs the length abstraction of rel over sigma (Lemma 6.6):

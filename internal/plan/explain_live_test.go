@@ -120,14 +120,18 @@ func TestExplainShowsStopRule(t *testing.T) {
 // TestExplainShowsTable pins the table line of Explain, one per
 // component after its rows line: [σ]* over 32 labels is 2 joint states
 // and 32 classes on the lazy runner and one of each on its minimal
-// table, and four el-joined tapes over 32 labels pass the exploration's
-// bound and stay lazy.
+// table; four el-joined tapes over 32 labels read Σ as one class, split
+// into 4 cells by (a|b)+, and coarsen to one class per tape; four
+// eq-joined tapes, which tell all 32 labels apart, pass the
+// exploration's bound and stay lazy.
 func TestExplainShowsTable(t *testing.T) {
 	sigma := []rune("abcdefghijklmnopqrstuvwxyzABCDEF")
 	env := ecrpq.Env{Sigma: sigma}
 	for _, tc := range []struct{ text, line string }{
 		{"Ans(x,y) <- (x,p,y), [" + string(sigma) + "]*(p)", "    table: joint states 2 → 1; classes 32 → 1\n"},
 		{"Ans(y1, y4) <- (x,p1,y1), (x,p2,y2), (x,p3,y3), (x,p4,y4), el(p1,p2), el(p2,p3), el(p3,p4), (a|b)+(p1)",
+			"    table: joint states 2 → 2; classes 4 → 1, 4 → 1, 4 → 1, 4 → 1\n"},
+		{"Ans(y1, y4) <- (x,p1,y1), (x,p2,y2), (x,p3,y3), (x,p4,y4), eq(p1,p2), eq(p2,p3), eq(p3,p4), (a|b)+(p1)",
 			"    table: lazy (exploration passed the bound)\n"},
 	} {
 		p, err := Compile(ecrpq.MustParse(tc.text, env), env)

@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"slices"
 	"strings"
 
 	"repro/internal/ecrpq"
@@ -59,27 +60,55 @@ func Compile(q *ecrpq.Query, env ecrpq.Env) (*Plan, error) {
 }
 
 // checkAlphabet verifies that every letter of every relation automaton
-// belongs to sigma (⊥ aside).
+// belongs to sigma (⊥ aside). Relations without a label automaton are
+// not walked: a language with character classes names ranges, not
+// letters, and a length relation in class form (el, lt, le) reads the Σ
+// it was built over — the environment's, when the parser built it. The
+// letters the automata use are gathered first and sigma is scanned once
+// for them, so a large alphabet costs one pass and no set of its own.
 func checkAlphabet(q *ecrpq.Query, sigma []rune) error {
-	in := map[rune]bool{}
+	var used regex.RuneSet
+	for _, ra := range q.RelAtoms {
+		if ra.Rel != nil && ra.Rel.A != nil {
+			ra.Rel.A.EachSymbol(func(sym string) {
+				for _, r := range sym {
+					if r != regex.Bot {
+						used.Add(r)
+					}
+				}
+			})
+		}
+	}
+	letters := used.Sorted()
+	found := make([]bool, len(letters))
+	left := len(letters)
 	for _, r := range sigma {
-		in[r] = true
+		if left == 0 {
+			return nil
+		}
+		if i, ok := slices.BinarySearch(letters, r); ok && !found[i] {
+			found[i] = true
+			left--
+		}
+	}
+	if left == 0 {
+		return nil
 	}
 	for _, ra := range q.RelAtoms {
 		if ra.Rel == nil || ra.Rel.A == nil {
 			continue
 		}
-		var bad error
+		bad := rune(-1)
 		ra.Rel.A.EachSymbol(func(sym string) {
 			for _, r := range sym {
-				if bad == nil && r != regex.Bot && !in[r] {
-					bad = fmt.Errorf("plan: relation %s uses letter %q outside the environment alphabet %q",
-						ra.Rel.Name, r, string(sigma))
+				if i, ok := slices.BinarySearch(letters, r); ok && !found[i] && (bad < 0 || r < bad) {
+					bad = r
 				}
 			}
 		})
-		if bad != nil {
-			return bad
+		if bad >= 0 {
+			return fmt.Errorf("plan: relation %s uses letter %q outside the environment alphabet %q",
+				ra.Rel.Name, bad, string(sigma))
 		}
 	}
 	return nil

@@ -168,6 +168,11 @@ func TestCompileRejectsAlphabetMismatch(t *testing.T) {
 	if _, err := Compile(q, ecrpq.Env{Sigma: []rune{'c'}}); err == nil {
 		t.Error("compiling an {a,b} query against alphabet {c} should fail")
 	}
+	// A repeated letter counts once: b is still missing.
+	ab := ecrpq.MustParse("Ans(x, y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)", env())
+	if _, err := Compile(ab, ecrpq.Env{Sigma: []rune("aac")}); err == nil || !strings.Contains(err.Error(), "b+ uses letter 'b'") {
+		t.Errorf("compiling an a+/b+ query against alphabet aac: %v", err)
+	}
 	// An empty env skips the check.
 	if _, err := Compile(q, ecrpq.Env{}); err != nil {
 		t.Errorf("empty env should compile: %v", err)

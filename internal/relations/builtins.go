@@ -20,18 +20,14 @@ func Equality(sigma []rune) *Relation {
 }
 
 // EqualLength returns the binary relation el = {(s,s') : |s| = |s'|}
-// (Section 2).
+// over sigma (Section 2), in class form: one state with a (Σ, Σ) loop,
+// where Σ is sigma as one class. Expand spells it over labels, one loop
+// per pair of labels.
 func EqualLength(sigma []rune) *Relation {
-	n := automata.NewNFA[TupleSym]()
-	q := n.AddState()
-	n.SetStart(q)
-	n.SetFinal(q, true)
-	for _, a := range sigma {
-		for _, b := range sigma {
-			n.AddTransition(q, MakeSym(a, b), q)
-		}
-	}
-	return &Relation{Name: "el", Arity: 2, A: n}
+	f := lengthForm(sigma, 1)
+	f.a.SetFinal(0, true)
+	f.a.AddTransition(0, MakeSym(sigmaSym, sigmaSym), 0)
+	return &Relation{Name: "el", Arity: 2, cls: f}
 }
 
 // Prefix returns the binary relation {(s,s') : s ⪯ s'} — s is a prefix of
@@ -52,28 +48,28 @@ func Prefix(sigma []rune) *Relation {
 }
 
 // ShorterLen returns {(s,s') : |s| < |s'|}, the strict length comparison
-// of Section 2 (definable in the universal automatic structure).
+// of Section 2 (definable in the universal automatic structure), in class
+// form: (Σ, Σ)* then (⊥, Σ)⁺.
 func ShorterLen(sigma []rune) *Relation {
-	n := automata.NewNFA[TupleSym]()
-	q0 := n.AddState()
-	q1 := n.AddState()
-	n.SetStart(q0)
-	n.SetFinal(q1, true)
-	for _, a := range sigma {
-		for _, b := range sigma {
-			n.AddTransition(q0, MakeSym(a, b), q0)
-		}
-		n.AddTransition(q0, MakeSym(Bot, a), q1)
-		n.AddTransition(q1, MakeSym(Bot, a), q1)
-	}
-	return &Relation{Name: "lt", Arity: 2, A: n}
+	return &Relation{Name: "lt", Arity: 2, cls: longerTail(sigma, false)}
 }
 
-// ShorterEqLen returns {(s,s') : |s| ≤ |s'|}.
+// ShorterEqLen returns {(s,s') : |s| ≤ |s'|}, in class form: (Σ, Σ)*
+// then (⊥, Σ)*.
 func ShorterEqLen(sigma []rune) *Relation {
-	r := Union(ShorterLen(sigma), EqualLength(sigma))
-	r.Name = "le"
-	return r
+	return &Relation{Name: "le", Arity: 2, cls: longerTail(sigma, true)}
+}
+
+// longerTail is the class form of lt (orEqual false) and le: state 0
+// reads (Σ, Σ) pairs, state 1 the rest of the second string.
+func longerTail(sigma []rune, orEqual bool) *classForm {
+	f := lengthForm(sigma, 2)
+	f.a.SetFinal(0, orEqual)
+	f.a.SetFinal(1, true)
+	f.a.AddTransition(0, MakeSym(sigmaSym, sigmaSym), 0)
+	f.a.AddTransition(0, MakeSym(Bot, sigmaSym), 1)
+	f.a.AddTransition(1, MakeSym(Bot, sigmaSym), 1)
+	return f
 }
 
 // Morphism returns the synchronous transformation relation of Section 1:

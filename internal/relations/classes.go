@@ -25,49 +25,65 @@ import (
 //     transitions keep distinguishing exactly their own label;
 //   - every class range, split at its boundaries (nex's insertLimits),
 //     so each class expression is an exact union of cells; a negated
-//     class or wildcard adds the wild bucket.
+//     class or wildcard adds the wild bucket. A relation in class form
+//     (el, lt, le) adds its classes — Σ as one class, not |Σ| labels.
 //
 // Class-bearing atoms are recompiled from their AST (literal → its
-// cell's class, class expr → alternation over its covered classes).
-// Automaton-backed atoms keep their automaton on raw labels: the runner
-// decodes a class to a representative label of its cell when it
-// registers a symbol (AddSym), and encodes the automaton's live labels
-// as classes, which is exact because all their runes sit in singleton
-// cells.
+// cell's class, class expr → alternation over its covered classes), and
+// atoms in class form from their class automaton (each class rune → each
+// of its covered classes: for el over a partition of k cells, k²
+// transitions). Automaton-backed atoms keep their automaton on raw
+// labels: the runner decodes a class to a representative label of its
+// cell when it registers a symbol (AddSym), and encodes the automaton's
+// live labels as classes, which is exact because all their runes sit in
+// singleton cells.
 func CompileClassAtoms(atoms []Atom) (*regex.Partition, []Atom, error) {
 	var b regex.PartitionBuilder
 	for _, at := range atoms {
-		if at.Rel.Lang != nil && regex.HasClass(at.Rel.Lang) {
-			b.AddNode(at.Rel.Lang)
-			continue
-		}
-		if at.Rel.A == nil {
-			return nil, nil, fmt.Errorf("relations: atom %s has neither automaton nor language AST", at.Rel.Name)
-		}
-		at.Rel.A.EachSymbol(func(sym TupleSym) {
-			for _, r := range sym {
-				b.AddLabel(r)
+		switch {
+		case at.Rel.cls != nil:
+			for _, c := range at.Rel.cls.classes {
+				b.AddClass(c)
 			}
-		})
+		case at.Rel.Lang != nil && regex.HasClass(at.Rel.Lang):
+			b.AddNode(at.Rel.Lang)
+		case at.Rel.A == nil:
+			return nil, nil, fmt.Errorf("relations: atom %s has neither automaton nor language AST", at.Rel.Name)
+		default:
+			at.Rel.A.EachSymbol(func(sym TupleSym) {
+				for _, r := range sym {
+					b.AddLabel(r)
+				}
+			})
+		}
 	}
 	part := b.Build()
 	out := make([]Atom, len(atoms))
 	for i, at := range atoms {
-		if at.Rel.Lang == nil || !regex.HasClass(at.Rel.Lang) {
+		switch {
+		case at.Rel.cls != nil:
+			out[i] = Atom{Rel: &Relation{
+				Name:       at.Rel.Name,
+				Arity:      at.Rel.Arity,
+				A:          at.Rel.cls.compile(part),
+				cls:        at.Rel.cls,
+				classSpace: true,
+			}, Pos: at.Pos}
+		case at.Rel.Lang == nil || !regex.HasClass(at.Rel.Lang):
 			out[i] = Atom{Rel: at.Rel, Pos: at.Pos, part: part}
-			continue
+		default:
+			lifted, err := liftClassRegex(at.Rel.Lang, part)
+			if err != nil {
+				return nil, nil, fmt.Errorf("relations: atom %s: %w", at.Rel.Name, err)
+			}
+			out[i] = Atom{Rel: &Relation{
+				Name:       at.Rel.Name,
+				Arity:      1,
+				A:          automata.FromRegex(lifted),
+				Lang:       at.Rel.Lang,
+				classSpace: true,
+			}, Pos: at.Pos}
 		}
-		lifted, err := liftClassRegex(at.Rel.Lang, part)
-		if err != nil {
-			return nil, nil, fmt.Errorf("relations: atom %s: %w", at.Rel.Name, err)
-		}
-		out[i] = Atom{Rel: &Relation{
-			Name:       at.Rel.Name,
-			Arity:      1,
-			A:          automata.FromRegex(lifted),
-			Lang:       at.Rel.Lang,
-			classSpace: true,
-		}, Pos: at.Pos}
 	}
 	return part, out, nil
 }

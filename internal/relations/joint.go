@@ -2,6 +2,7 @@ package relations
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/automata"
@@ -40,10 +41,20 @@ type Joint struct {
 // NewJoint validates atom arities/positions and returns the joint stepper.
 // m is capped at 64 tapes: the padding state is a 64-bit mask, and a
 // silent wrap of `1 << i` past bit 63 would corrupt the padding
-// discipline, so larger joins are rejected up front.
+// discipline, so larger joins are rejected up front. An atom in class
+// form that CompileClassAtoms has not compiled is spelled over its labels
+// (Relation.Expand) in the joint's own copy of the atoms.
 func NewJoint(m int, atoms []Atom) (*Joint, error) {
 	if m > 64 {
 		return nil, fmt.Errorf("relations: joint over %d tapes exceeds the 64-tape limit (the ⊥-padding mask is 64-bit)", m)
+	}
+	if slices.ContainsFunc(atoms, func(at Atom) bool { return at.Rel.A == nil && at.Rel.cls != nil }) {
+		atoms = slices.Clone(atoms)
+		for i, at := range atoms {
+			if at.Rel.A == nil {
+				atoms[i].Rel = at.Rel.Expand()
+			}
+		}
 	}
 	for _, at := range atoms {
 		if at.Rel.A == nil {

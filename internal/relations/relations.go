@@ -11,6 +11,14 @@
 // boolean combinators, and the Joint stepper that implements the join
 // S₁ ⋈ … ⋈ Sₜ over m tapes used by the convolution construction of
 // Section 5.
+//
+// Relations that compare labels (eq, prefix, edit distance, morphisms)
+// are automata over label tuples. The length relations el, lt and le
+// never tell two labels apart, so they are built in class form — an
+// automaton over tuples of one class, Σ, and ⊥ — whose size does not
+// depend on |Σ|; Expand spells such a relation over labels for the code
+// that needs them, and the evaluator compiles it against a partition of
+// the label space instead (CompileClassAtoms).
 package relations
 
 import (
@@ -119,7 +127,10 @@ func IsProperConvolution(word []TupleSym, arity int) bool {
 // space (regex.OpClass), A is nil: the explicit automaton would need
 // one transition per label, so class-bearing relations are compiled
 // per query component against a label-space partition instead (see
-// CompileClassAtoms) and membership is decided from the AST.
+// CompileClassAtoms) and membership is decided from the AST. The length
+// relations (EqualLength, ShorterLen, ShorterEqLen) have A nil too: they
+// are held in class form, compiled the same way, and spelled over labels
+// by Expand.
 type Relation struct {
 	Name  string
 	Arity int
@@ -131,9 +142,13 @@ type Relation struct {
 	// range analysis of the incremental layer.
 	Lang *regex.Node[rune]
 
+	// cls is the class form of a relation that reads labels only through
+	// classes (length.go); nil for every other relation.
+	cls *classForm
+
 	// classSpace marks a relation recompiled over class runes by
 	// CompileClassAtoms: A transitions on class IDs, not labels, so
-	// Contains must go through Lang.
+	// Contains must go through Lang or cls.
 	classSpace bool
 }
 
@@ -180,6 +195,9 @@ func liftRegex(n *regex.Node[rune]) *regex.Node[TupleSym] {
 func (r *Relation) Contains(ss ...[]rune) bool {
 	if len(ss) != r.Arity {
 		panic(fmt.Sprintf("relations: %s has arity %d, got %d strings", r.Name, r.Arity, len(ss)))
+	}
+	if r.cls != nil {
+		return r.cls.accepts(Convolve(ss...))
 	}
 	if r.A == nil || r.classSpace {
 		if r.Lang == nil || r.Arity != 1 {
@@ -260,7 +278,7 @@ func Intersect(a, b *Relation) *Relation {
 	return &Relation{
 		Name:  fmt.Sprintf("(%s∩%s)", a.Name, b.Name),
 		Arity: a.Arity,
-		A:     automata.Intersect(a.A, b.A),
+		A:     automata.Intersect(a.Expand().A, b.Expand().A),
 	}
 }
 
@@ -270,7 +288,7 @@ func Union(a, b *Relation) *Relation {
 	return &Relation{
 		Name:  fmt.Sprintf("(%s∪%s)", a.Name, b.Name),
 		Arity: a.Arity,
-		A:     automata.Union(a.A, b.A),
+		A:     automata.Union(a.Expand().A, b.Expand().A),
 	}
 }
 
@@ -280,7 +298,7 @@ func Union(a, b *Relation) *Relation {
 // the full tuple alphabet, so its cost is exponential in the worst case.
 func Complement(r *Relation, sigma []rune) *Relation {
 	alpha := TupleAlphabet(sigma, r.Arity)
-	d := automata.Determinize(r.A, alpha)
+	d := automata.Determinize(r.Expand().A, alpha)
 	comp := d.Complement().ToNFA()
 	proper := PadValid(sigma, r.Arity)
 	return &Relation{
@@ -297,9 +315,10 @@ func Complement(r *Relation, sigma []rune) *Relation {
 // original; the construction therefore strips now-all-⊥ symbols by ε
 // transitions.
 func Project(r *Relation, coords []int) *Relation {
+	a := r.Expand().A
 	out := automata.NewNFA[TupleSym]()
-	out.AddStates(r.A.NumStates())
-	r.A.EachTransition(func(from int, sym TupleSym, to int) {
+	out.AddStates(a.NumStates())
+	a.EachTransition(func(from int, sym TupleSym, to int) {
 		rs := []rune(sym)
 		proj := make([]rune, len(coords))
 		for i, c := range coords {
@@ -312,10 +331,10 @@ func Project(r *Relation, coords []int) *Relation {
 			out.AddTransition(from, ps, to)
 		}
 	})
-	for _, s := range r.A.Start() {
+	for _, s := range a.Start() {
 		out.SetStart(s)
 	}
-	for _, f := range r.A.FinalStates() {
+	for _, f := range a.FinalStates() {
 		out.SetFinal(f, true)
 	}
 	return &Relation{

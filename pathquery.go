@@ -279,13 +279,15 @@ func BuildPathAutomaton(q *Query, g Snapshotter, headNodes []Node, opts Options)
 var (
 	// Equality is π₁ = π₂.
 	Equality = relations.Equality
-	// EqualLength is el(π₁, π₂): |π₁| = |π₂|.
+	// EqualLength is el(π₁, π₂): |π₁| = |π₂|. Like ShorterLen and
+	// ShorterEqLen it is built in class form, over Σ as one class, so its
+	// size does not grow with |Σ|; Relation.Expand spells it over labels.
 	EqualLength = relations.EqualLength
 	// Prefix is π₁ ⪯ π₂.
 	Prefix = relations.Prefix
-	// ShorterLen is |π₁| < |π₂|.
+	// ShorterLen is |π₁| < |π₂|, in class form.
 	ShorterLen = relations.ShorterLen
-	// ShorterEqLen is |π₁| ≤ |π₂|.
+	// ShorterEqLen is |π₁| ≤ |π₂|, in class form.
 	ShorterEqLen = relations.ShorterEqLen
 	// Morphism is the synchronous letter transformation.
 	Morphism = relations.Morphism
