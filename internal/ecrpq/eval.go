@@ -576,14 +576,18 @@ type componentEngine struct {
 	prodCore
 
 	// rel is the relation under construction (columns allVars, witness
-	// columns keptVars) and rows its dedup on the node tuple. Two start
-	// assignments differ on an X variable and every X variable is a
-	// column, so a duplicate can only come from the assignment being run:
-	// rows appended wholesale — a fan-out chunk's, a replayed memo
-	// segment's — are never entered in the set. Both keep their storage
-	// from one execution to the next (see workspace).
-	rel  *varRelation
-	rows rowSet
+	// columns keptVars). Two start assignments differ on an X variable and
+	// every X variable is a column, so a duplicate row can only come from
+	// the assignment being run: rows appended wholesale — a fan-out
+	// chunk's, a replayed memo segment's — are never entered in a dedup
+	// set. A pruning run without witnesses dedups on the columns its
+	// assignment leaves open, in runRows, while their key space fits a
+	// bitset; every other run on the node tuple, in rows, whose ids
+	// mergeShorter needs. All three keep their storage from one execution
+	// to the next (see workspace).
+	rel     *varRelation
+	runRows runRows
+	rows    rowSet
 
 	// sink, when set, receives each fresh deduplicated row (witnesses in
 	// keptVars order) and rel keeps node tuples only, as the dedup's store
@@ -719,6 +723,10 @@ func (e *componentEngine) reset(s *graph.Snapshot, opts Options, doms map[NodeVa
 			e.bindVal[i] = -1
 		}
 	}
+	e.runRows.on = false
+	if !opts.NoPrune && len(e.keptVars) == 0 {
+		e.runRows.plan(e.c.isStart, e.bindVal, s.NumNodes())
+	}
 	e.stop = stopNone
 	if !opts.NoPrune && len(e.keptVars) == 0 {
 		e.stop = e.c.stopRuleFor(e.bindVal)
@@ -769,6 +777,7 @@ func (e *componentEngine) release() {
 	if len(e.rows.slots) > maxPooledScratch {
 		e.rows = rowSet{}
 	}
+	e.runRows.release()
 	if e.rel.oversized() {
 		*e.rel = varRelation{}
 	}
@@ -831,7 +840,11 @@ func (e *componentEngine) runAssignRange(ctx context.Context, lo, hi uint64, bud
 // finished assignment; errDecided travels on only under stopSweep, where
 // it ends the enumeration too.
 func (e *componentEngine) runAssign(ctx context.Context, assign map[NodeVar]graph.Node, bud *stateBudget) error {
+	e.runRows.row0 = e.rel.n
 	err := e.bfs(ctx, assign, bud)
+	if e.runRows.on {
+		e.runRows.end(e.rel)
+	}
 	if err != nil && err != errDecided {
 		return err
 	}
@@ -1011,17 +1024,23 @@ func (e *componentEngine) checkAccept(cur []graph.Node) ([]graph.Node, bool) {
 	return buf, true
 }
 
-// applyRow records one checked row: dedup on the node tuple (first
-// discovery wins, later duplicates refine witnesses to the shortest),
-// memo capture of a fresh row, sink or relation append. paths are the
-// row's witnesses in keptVars order.
+// applyRow records one checked row: dedup (first discovery wins; under
+// rowSet later duplicates refine witnesses to the shortest), memo capture
+// of a fresh row, sink or relation append. paths are the row's witnesses
+// in keptVars order.
 //
 // It is also where the stop rules live: with one armed, any row is the
 // last row the run (stopRow) or the sweep (stopSweep) can contribute that
 // a reader could tell from this one, and applyRow reports errDecided —
 // after the sink, whose own stop takes precedence.
 func (e *componentEngine) applyRow(nodes []graph.Node, paths []graph.Path) error {
-	id, added := e.rows.intern(e.rel, nodes)
+	var id int
+	var added bool
+	if e.runRows.on {
+		added = e.runRows.add(e.rel, nodes)
+	} else {
+		id, added = e.rows.intern(e.rel, nodes)
+	}
 	if added && e.memoCap != nil {
 		e.memoCap.rows = append(e.memoCap.rows, nodes...)
 	}

@@ -380,8 +380,9 @@ const (
 	// scratch.
 	AdvanceNone AdvanceKind = iota
 	// AdvanceRevalidated: the delta provably cannot affect the program
-	// (label-disjoint, or empty); the cached answers were re-stamped to
-	// the new snapshot without touching the graph.
+	// (label-disjoint, or empty, or the program has an empty table and
+	// accepts nothing); the cached answers were re-stamped to the new
+	// snapshot without touching the graph.
 	AdvanceRevalidated
 	// AdvanceIncremental: the semi-naive delta pass re-ran the product
 	// BFS for affected start assignments only and replayed the rest.
@@ -427,7 +428,9 @@ func (p *Program) Advance(ctx context.Context, prev *Result, s *graph.Snapshot, 
 	if ps.Source() != s.Source() || ps.Epoch() > s.Epoch() {
 		return nil, AdvanceNone, nil
 	}
-	if ps.Epoch() == s.Epoch() {
+	if ps.Epoch() == s.Epoch() || !opts.NoPrune && len(prev.Answers) == 0 && p.emptyTable() {
+		// A component that accepts nothing keeps the answer empty on any
+		// graph.
 		return restamp(prev, s), AdvanceRevalidated, nil
 	}
 	if ps.NumNodes() != s.NumNodes() {

@@ -16,9 +16,15 @@ type joinPlan struct {
 	elims   []elimination
 }
 
-// planJoin runs the GYO reduction over the component variable sets.
-func planJoin(varSets [][]NodeVar) joinPlan {
-	acyclic, elims := gyoOrder(varSets)
+// planJoin runs the GYO reduction over the component variable sets. head,
+// when given, are the head variables of a join that carries no witness:
+// the reduction then folds first every ear that adds none of them, so the
+// relation that carries the head becomes the root (see gyoOrder). Without
+// it ears fold in index order, which is what a join with witnesses keeps:
+// the order of its folds decides which of two equally short witnesses a
+// row keeps.
+func planJoin(varSets [][]NodeVar, head ...NodeVar) joinPlan {
+	acyclic, elims := gyoOrder(varSets, head)
 	return joinPlan{acyclic: acyclic, elims: elims}
 }
 
@@ -218,10 +224,21 @@ type elimination struct{ child, parent int }
 // elimination order. An ear that shares nothing fits any parent, so
 // unconnected relations are folded too and an acyclic order ends in
 // exactly one root.
-func gyoOrder(varSets [][]NodeVar) (bool, []elimination) {
+//
+// Ears are removed in sweeps in index order. With head set, before every
+// removal, the ears that are silent into a parent — that bring it no head
+// variable, neither of their own nor from an ear folded into them — are
+// folded first: such a fold only filters the parent, which the semijoins
+// have already done, so it reads none of the ear's rows, and the relations
+// that carry the head are left to be the parents. On Ans(x,y) <- (x,p1,y),
+// (x,p2,z) the (x,z) relation folds into (x,y), not the other way round.
+func gyoOrder(varSets [][]NodeVar, head []NodeVar) (bool, []elimination) {
 	n := len(varSets)
 	varsOf := make([]map[NodeVar]bool, n)
-	alive := make([]bool, n)
+	// alive, and loud: an ear folded into the relation brought it a head
+	// variable.
+	flags := make([]bool, 2*n)
+	alive, loud := flags[:n], flags[n:]
 	for i, vs := range varSets {
 		varsOf[i] = map[NodeVar]bool{}
 		for _, v := range vs {
@@ -229,46 +246,71 @@ func gyoOrder(varSets [][]NodeVar) (bool, []elimination) {
 		}
 		alive[i] = true
 	}
-	var elims []elimination
-	remaining := n
-	for remaining > 1 {
-		progress := false
-		for i := 0; i < n && remaining > 1; i++ {
-			if !alive[i] {
+	silent := func(i, j int) bool {
+		if loud[i] {
+			return false
+		}
+		for _, v := range head {
+			if varsOf[i][v] && !varsOf[j][v] {
+				return false
+			}
+		}
+		return true
+	}
+	// ear returns the first live j ≠ i that accept admits (nil admits
+	// every j) and that holds every variable of i some other live relation
+	// shares, or -1.
+	ear := func(i int, accept func(i, j int) bool) int {
+		shared := func(v NodeVar) bool {
+			for k := 0; k < n; k++ {
+				if k != i && alive[k] && varsOf[k][v] {
+					return true
+				}
+			}
+			return false
+		}
+		for j := 0; j < n; j++ {
+			if j == i || !alive[j] || accept != nil && !accept(i, j) {
 				continue
 			}
-			// An "ear": some live j ≠ i covers every variable of i that is
-			// shared with any other live relation.
-			shared := map[NodeVar]bool{}
-			for v := range varsOf[i] {
-				for j := 0; j < n; j++ {
-					if j != i && alive[j] && varsOf[j][v] {
-						shared[v] = true
-						break
-					}
-				}
+			if !slices.ContainsFunc(varSets[i], func(v NodeVar) bool { return !varsOf[j][v] && shared(v) }) {
+				return j
 			}
-			for j := 0; j < n; j++ {
-				if j == i || !alive[j] {
-					continue
-				}
-				covers := true
-				for v := range shared {
-					if !varsOf[j][v] {
-						covers = false
-						break
+		}
+		return -1
+	}
+	var elims []elimination
+	remaining := n
+	fold := func(i, j int) {
+		loud[j] = loud[j] || !silent(i, j)
+		elims = append(elims, elimination{child: i, parent: j})
+		alive[i] = false
+		remaining--
+	}
+	foldSilent := func() {
+		for found := len(head) > 0; found; {
+			found = false
+			for i := 0; i < n && remaining > 1; i++ {
+				if alive[i] {
+					if j := ear(i, silent); j >= 0 {
+						fold(i, j)
+						found = true
 					}
-				}
-				if covers {
-					elims = append(elims, elimination{child: i, parent: j})
-					alive[i] = false
-					remaining--
-					progress = true
-					break
 				}
 			}
 		}
-		if !progress {
+	}
+	for remaining > 1 {
+		before := remaining
+		for i := 0; i < n && remaining > 1; i++ {
+			if foldSilent(); !alive[i] || remaining == 1 {
+				continue
+			}
+			if j := ear(i, nil); j >= 0 {
+				fold(i, j)
+			}
+		}
+		if remaining == before {
 			return false, nil
 		}
 	}
@@ -285,6 +327,11 @@ func gyoOrder(varSets [][]NodeVar) (bool, []elimination) {
 // onto the columns something still reads. Component relations are
 // filtered in place and rels[parent] is replaced by each fold's result;
 // the root is returned projected onto keep.
+//
+// A subtree that brings its parent no kept column and no witness — none
+// of its relations does — adds nothing to the output: its fold only
+// filters the parent, which the bottom-up semijoins have done, and reads
+// none of its rows. The top-down semijoin into it is skipped.
 func (a *joinArena) yannakakisReduce(ctx context.Context, rels []*varRelation, elims []elimination, keep []NodeVar) (*varRelation, error) {
 	for _, e := range elims {
 		if e.parent >= 0 {
@@ -292,7 +339,7 @@ func (a *joinArena) yannakakisReduce(ctx context.Context, rels []*varRelation, e
 		}
 	}
 	for i := len(elims) - 1; i >= 0; i-- {
-		if elims[i].parent >= 0 {
+		if elims[i].parent >= 0 && foldAdds(rels, elims, i, keep) {
 			a.semijoin(rels[elims[i].child], rels[elims[i].parent])
 		}
 	}
@@ -328,6 +375,24 @@ func (a *joinArena) yannakakisReduce(ctx context.Context, rels []*varRelation, e
 		rels[e.parent] = pj
 	}
 	return root, nil
+}
+
+// foldAdds reports whether fold k of elims brings its parent something
+// the output reads: a witness, or a column of keep the parent lacks, of
+// the child's own or through a fold into the child. It reads the
+// relations' columns as they are before the folds.
+func foldAdds(rels []*varRelation, elims []elimination, k int, keep []NodeVar) bool {
+	e := elims[k]
+	c, p := rels[e.child], rels[e.parent]
+	if len(c.pvars) > 0 || slices.ContainsFunc(c.vars, func(v NodeVar) bool { return slices.Contains(keep, v) && varPos(p.vars, v) < 0 }) {
+		return true
+	}
+	for j := range k {
+		if elims[j].parent == e.child && foldAdds(rels, elims, j, keep) {
+			return true
+		}
+	}
+	return false
 }
 
 // positions fills dst with the column index in of of each of vars (-1 if

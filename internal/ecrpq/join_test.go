@@ -296,6 +296,59 @@ func TestJoinDifferential(t *testing.T) {
 	}
 }
 
+// TestJoinHeadRootedDifferential is TestJoinDifferential's check for the
+// plans a program without witnesses makes: the GYO order planned for the
+// head, which folds the ears that add no head variable first. On every
+// acyclic shape and random head the join must still equal the nested-loop
+// join, and the folds must keep only what the head or a later fold reads;
+// the order must differ from the index order somewhere, or the check
+// tests nothing new.
+func TestJoinHeadRootedDifferential(t *testing.T) {
+	ctx := context.Background()
+	reordered := 0
+	for _, shape := range joinShapes {
+		if !shape.acyclic {
+			continue
+		}
+		r := rand.New(rand.NewSource(41))
+		var all []NodeVar
+		for _, vs := range shape.varSets {
+			for _, v := range vs {
+				if !slices.Contains(all, v) {
+					all = append(all, v)
+				}
+			}
+		}
+		slices.Sort(all)
+		for trial := 0; trial < 150; trial++ {
+			var keep []NodeVar
+			for _, v := range all {
+				if r.Intn(3) > 0 {
+					keep = append(keep, v)
+				}
+			}
+			jp := planJoin(shape.varSets, keep...)
+			if !jp.acyclic {
+				t.Fatalf("%s: the head-rooted plan says cyclic", shape.name)
+			}
+			if !slices.Equal(jp.elims, planJoin(shape.varSets).elims) {
+				reordered++
+			}
+			specs := randomRelSpecs(r, shape.varSets, 2+r.Intn(3), make([]bool, len(shape.varSets)))
+			joined, err := joinAll(ctx, buildAll(specs), jp, keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, fmt.Sprintf("%s trial %d keep %v", shape.name, trial, keep),
+				relationRows(t, joined, keep), naiveJoin(specs, keep), false)
+			checkFoldColumns(t, specs, jp, keep)
+		}
+	}
+	if reordered == 0 {
+		t.Error("no head changed the elimination order")
+	}
+}
+
 // checkFoldColumns re-runs the Yannakakis reduction and inspects what
 // each fold left in rels[parent]: a column must be kept by the head or
 // shared with a relation folded later.
@@ -369,7 +422,10 @@ func TestJoinWitnessTieOrder(t *testing.T) {
 // Ans(x,y) <- (x,p1,y), (x,p2,z) with x bound: the fold of (x,y) into
 // (x,z) must not pair every y with every z only to project z away. No
 // relation the reduction materialises may have more rows than the larger
-// of the parent and the answer set.
+// of the parent and the answer set. Planned for the head, as a program
+// without witnesses plans it, the order folds (x,z) into (x,y) instead:
+// (x,y) is the root and comes back as it is, and the join indexes and
+// copies none of its rows — one semijoin of it against a three-row index.
 func TestJoinNoInflatedIntermediate(t *testing.T) {
 	const answers, zs = 1461, 3
 	xy := relSpec{vars: []NodeVar{"x", "y"}}
@@ -380,21 +436,49 @@ func TestJoinNoInflatedIntermediate(t *testing.T) {
 	for i := 0; i < zs; i++ {
 		xz.rows = append(xz.rows, []graph.Node{0, graph.Node(i)})
 	}
-	rels := buildAll([]relSpec{xy, xz})
-	jp := planJoin([][]NodeVar{xy.vars, xz.vars})
-	root, err := yannakakisReduce(context.Background(), rels, jp.elims, map[NodeVar]bool{"x": true, "y": true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root.n != answers {
-		t.Fatalf("the root has %d rows, want %d", root.n, answers)
-	}
-	// Every fold's result replaces rels[parent], so rels holds every
-	// intermediate the reduction built.
-	for i, r := range append(rels, root) {
-		if r.n > max(zs, answers) {
-			t.Errorf("relation %d over %v was materialised with %d rows; the parent has %d and there are %d answers",
-				i, r.vars, r.n, zs, answers)
+	for _, headed := range []bool{false, true} {
+		rels := buildAll([]relSpec{xy, xz})
+		jp := planJoin([][]NodeVar{xy.vars, xz.vars})
+		if headed {
+			jp = planJoin([][]NodeVar{xy.vars, xz.vars}, "x", "y")
+		}
+		var a joinArena
+		root, err := a.yannakakisReduce(context.Background(), rels, jp.elims, []NodeVar{"x", "y"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if root.n != answers {
+			t.Fatalf("headed %t: the root has %d rows, want %d", headed, root.n, answers)
+		}
+		// Every fold's result replaces rels[parent], so rels holds every
+		// intermediate the reduction built.
+		for i, r := range append(rels, root) {
+			if r.n > max(zs, answers) {
+				t.Errorf("headed %t: relation %d over %v was materialised with %d rows; the parent has %d and there are %d answers",
+					headed, i, r.vars, r.n, zs, answers)
+			}
+		}
+		if !headed {
+			continue
+		}
+		if want := []elimination{{child: 1, parent: 0}, {child: 0, parent: -1}}; !slices.Equal(jp.elims, want) {
+			t.Fatalf("head-rooted plan %v, want %v", jp.elims, want)
+		}
+		if root != rels[0] {
+			t.Errorf("the root is a relation over %v with %d rows, not the (x,y) component relation itself", root.vars, root.n)
+		}
+		for _, r := range a.rels[:a.nrels] {
+			if r.n > zs {
+				t.Errorf("the join copied %d rows into a relation over %v", r.n, r.vars)
+			}
+		}
+		for _, x := range a.idx[:a.nidx] {
+			if x.rel.n > zs {
+				t.Errorf("the join indexed a relation over %v with %d rows", x.rel.vars, x.rel.n)
+			}
+		}
+		if a.nidx != 1 {
+			t.Errorf("the join built %d indexes, want the one semijoin's", a.nidx)
 		}
 	}
 }

@@ -146,8 +146,12 @@ func CompileProgram(q *Query, monolithic bool) (*Program, error) {
 	// Warm one workspace, so the first execution pays no engine
 	// construction; its buffers grow on first use.
 	p.pool.put(newWorkspace(p))
-	p.jp = planJoin(varSets)
 	p.incCapable = len(q.HeadPaths) == 0
+	if p.incCapable {
+		p.jp = planJoin(varSets, p.headNodes...)
+	} else {
+		p.jp = planJoin(varSets)
+	}
 	for _, c := range comps {
 		if c.liveUniversal {
 			p.liveUniversal = true
@@ -155,6 +159,16 @@ func CompileProgram(q *Query, monolithic bool) (*Program, error) {
 		p.liveRanges = regex.UnionRanges(p.liveRanges, c.liveRanges)
 	}
 	return p, nil
+}
+
+// emptyTable reports whether some component's minimal table has no live
+// state: that component accepts nothing on any graph, and so neither does
+// the query. It builds the tables, as a pruning execution does first.
+func (p *Program) emptyTable() bool {
+	return slices.ContainsFunc(p.comps, func(c *component) bool {
+		d := c.table()
+		return d != nil && d.Minimal == 0
+	})
 }
 
 // NumComponents returns the number of connected components of the

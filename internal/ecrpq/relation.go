@@ -1,6 +1,7 @@
 package ecrpq
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
@@ -178,6 +179,93 @@ func (s *rowSet) rehash(r *varRelation) {
 		s.slots[i] = int32(id + 1)
 	}
 	s.n = r.n
+}
+
+// runRows deduplicates the rows of one witness-free product-BFS run. Two
+// rows of one run agree on every column its start assignment fixes — the
+// start variables and the bound ones — so the columns it leaves open tell
+// them apart alone, and a set of the run's own, like the run's product
+// states (tupleSet), is enough: a bitset indexed by the open columns'
+// nodes packed in fields of nodeBits (one open column: a node bitset;
+// none: a single bit). end clears the run's bits by walking the rows the
+// run added, as clearStates clears its states, so a run pays for its
+// rows, not for the key space. An execution whose key space passes
+// bitsetWords, and a run that keeps witnesses, use rowSet instead: there
+// a duplicate refines the held row's witnesses, which takes the row's id.
+type runRows struct {
+	on       bool
+	nodeBits uint
+	row0     int // the relation's rows before the run
+
+	// The columns the runs leave open: those neither a start variable
+	// (isStart) nor bound (bindVal, -1 unbound). Both are the engine's.
+	isStart []bool
+	bindVal []graph.Node
+
+	// bits holds bit k iff the run added a row with key k, within the
+	// words the key space takes; every word of it is zero outside a run.
+	bits  []uint64
+	words int
+}
+
+// plan readies the set for an execution over a snapshot of numNodes
+// nodes, and turns it off when the key space passes bitsetWords.
+func (s *runRows) plan(isStart []bool, bindVal []graph.Node, numNodes int) {
+	s.isStart, s.bindVal = isStart, bindVal
+	s.nodeBits = uint(bits.Len(uint(max(numNodes-1, 1))))
+	keyBits := uint(0)
+	for i, start := range isStart {
+		if !start && bindVal[i] < 0 {
+			keyBits += s.nodeBits
+		}
+	}
+	s.words, s.on = bitsetLen(1, keyBits)
+}
+
+func (s *runRows) key(tup []graph.Node) uint64 {
+	var k uint64
+	for c, x := range tup {
+		if !s.isStart[c] && s.bindVal[c] < 0 {
+			k = k<<s.nodeBits | uint64(x)
+		}
+	}
+	return k
+}
+
+// add appends tup to r unless the run has added a row with its open
+// columns already, and reports whether it did.
+func (s *runRows) add(r *varRelation, tup []graph.Node) bool {
+	k := s.key(tup)
+	w := int(k >> 6)
+	if w >= len(s.bits) {
+		// Grow geometrically within the key space; the new words are zero.
+		grown := make([]uint64, min(max(w+1, 2*len(s.bits), 64), s.words))
+		copy(grown, s.bits)
+		s.bits = grown
+	}
+	m := uint64(1) << (k & 63)
+	if s.bits[w]&m != 0 {
+		return false
+	}
+	s.bits[w] |= m
+	r.add(tup, nil)
+	return true
+}
+
+// end clears the bits of the rows the run added to r since row0.
+func (s *runRows) end(r *varRelation) {
+	for i := s.row0; i < r.n; i++ {
+		s.bits[s.key(r.row(i))>>6] = 0
+	}
+}
+
+// release drops a bitset past the pooled-scratch budget and the engine's
+// slices.
+func (s *runRows) release() {
+	if len(s.bits) > maxPooledScratch {
+		s.bits = nil
+	}
+	s.on, s.isStart, s.bindVal = false, nil, nil
 }
 
 // rowIndex is a hash index over the rows of a finished relation, keyed

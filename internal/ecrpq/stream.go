@@ -145,6 +145,9 @@ func (s *answerSink) row(nodes []graph.Node, paths []graph.Path) error {
 // streamSingle streams a single-component program: the engine's sink
 // hook emits answers straight out of the product BFS.
 func (ws *workspace) streamSingle(ctx context.Context, s *graph.Snapshot, opts StreamOptions, sink *answerSink) error {
+	if !opts.NoPrune && ws.prog.emptyTable() {
+		return nil
+	}
 	doms, err := ws.begin(ctx, s, opts.Options)
 	if err != nil {
 		return err

@@ -105,18 +105,28 @@ func (ws *workspace) begin(ctx context.Context, s *graph.Snapshot, opts Options)
 
 // evalComponents evaluates every component of the program over the
 // pinned snapshot s on the workspace's engines, into ws.rels (and, when
-// capture is set, ws.memos; see incMemo). Independent components run
-// concurrently on up to GOMAXPROCS goroutines — the caller's among them —
-// when the cost model says the moves the engines emitted in their previous
-// execution are worth it, and one after the other on the caller's
-// goroutine otherwise (always on a fresh workspace, which has no previous
-// execution to go by); either way they draw from one shared product-state
-// budget and the first error ends the rest. Every component reads the
+// capture is set, ws.memos; see incMemo). A pruning evaluation of a
+// program with an empty table (Program.emptyTable) runs nothing: every
+// relation is empty, and there is no memo to capture. Independent
+// components run concurrently on up to GOMAXPROCS goroutines — the
+// caller's among them — when the cost model says the moves the engines
+// emitted in their previous execution are worth it, and one after the
+// other on the caller's goroutine otherwise (always on a fresh workspace,
+// which has no previous execution to go by); either way they draw from
+// one shared product-state budget and the first error ends the rest. Every component reads the
 // same immutable snapshot, so a multi-component answer is always
 // consistent with one epoch even under concurrent writers. The returned
 // memos are nil when capture was off or any component's capture
 // overflowed.
 func (ws *workspace) evalComponents(ctx context.Context, s *graph.Snapshot, opts Options, capture bool) ([]*varRelation, []*compMemo, error) {
+	if !opts.NoPrune && ws.prog.emptyTable() {
+		for i, e := range ws.engines {
+			e.rel.reset(e.c.allVars, e.keptVars)
+			e.moves = 0
+			ws.rels[i] = e.rel
+		}
+		return ws.rels, nil, nil
+	}
 	doms, err := ws.begin(ctx, s, opts)
 	if err != nil {
 		return nil, nil, err

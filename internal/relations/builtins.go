@@ -1,10 +1,6 @@
 package relations
 
-import (
-	"fmt"
-
-	"repro/internal/automata"
-)
+import "repro/internal/automata"
 
 // Equality returns the binary relation {(s,s) | s ∈ Σ*}: the path
 // equality π₁ = π₂ of Section 3.
@@ -129,40 +125,6 @@ func MismatchOrGap(sigma []rune) *Relation {
 		n.AddTransition(q0, MakeSym(Bot, a), q1)
 	}
 	return &Relation{Name: "mismatch", Arity: 2, A: n}
-}
-
-// AnyTuple returns the full relation (Σ*)ⁿ of the given arity; useful for
-// padding a query with unconstrained relation atoms.
-func AnyTuple(sigma []rune, arity int) *Relation {
-	n := automata.NewNFA[TupleSym]()
-	q := n.AddState()
-	n.SetStart(q)
-	n.SetFinal(q, true)
-	for _, sym := range TupleAlphabet(sigma, arity) {
-		n.AddTransition(q, sym, q)
-	}
-	return &Relation{Name: fmt.Sprintf("any%d", arity), Arity: arity, A: n}
-}
-
-// FixedShift returns {(s, s') : |s'| = |s| + d} for d ≥ 0; a building
-// block for queries relating path lengths by a constant offset.
-func FixedShift(sigma []rune, d int) *Relation {
-	n := automata.NewNFA[TupleSym]()
-	states := make([]int, d+1)
-	for i := range states {
-		states[i] = n.AddState()
-	}
-	n.SetStart(states[0])
-	n.SetFinal(states[d], true)
-	for _, a := range sigma {
-		for _, b := range sigma {
-			n.AddTransition(states[0], MakeSym(a, b), states[0])
-		}
-		for i := 0; i < d; i++ {
-			n.AddTransition(states[i], MakeSym(Bot, a), states[i+1])
-		}
-	}
-	return &Relation{Name: fmt.Sprintf("shift%d", d), Arity: 2, A: n}
 }
 
 // NonEmptyPair returns the binary relation {(s, s') : s ≠ ε and s' ≠ ε};

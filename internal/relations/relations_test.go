@@ -123,16 +123,6 @@ func TestMismatchOrGap(t *testing.T) {
 	}
 }
 
-func TestFixedShift(t *testing.T) {
-	sh := FixedShift(ab, 2)
-	if !sh.ContainsStrings("a", "bab") || !sh.ContainsStrings("", "ab") {
-		t.Error("shift2 should hold when |s'| = |s|+2")
-	}
-	if sh.ContainsStrings("a", "ab") || sh.ContainsStrings("ab", "a") {
-		t.Error("shift2 wrong")
-	}
-}
-
 func TestFromLanguage(t *testing.T) {
 	r := FromLanguage("a+", regex.MustParse("a+"))
 	if !r.ContainsStrings("aaa") || r.ContainsStrings("") || r.ContainsStrings("ab") {
@@ -346,12 +336,5 @@ func TestTupleAlphabet(t *testing.T) {
 		if AllBot(s) {
 			t.Error("all-⊥ symbol should be excluded")
 		}
-	}
-}
-
-func TestAnyTuple(t *testing.T) {
-	any := AnyTuple(ab, 2)
-	if !any.ContainsStrings("ab", "bbbb") || !any.ContainsStrings("", "") {
-		t.Error("AnyTuple should accept everything")
 	}
 }
