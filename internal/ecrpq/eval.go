@@ -635,10 +635,11 @@ type componentEngine struct {
 
 	// memoCap, when non-nil, collects the incremental-evaluation memo
 	// of the execution: per start assignment, the nodes of every reached
-	// product state and the accepted rows (each once: the rows a run adds
-	// to rel are exactly its assignment's). endCapAssign seals one
-	// assignment; past memoMaxEntries the capture is abandoned
-	// (memoFailed) so a huge result never pins a second copy of itself.
+	// product state and, unless the program keeps witnesses, the accepted
+	// rows (each once: the rows a run adds to rel are exactly its
+	// assignment's). endCapAssign seals one assignment; past
+	// memoMaxEntries the capture is abandoned (memoFailed) so a huge
+	// result never pins a second copy of itself.
 	memoCap    *compMemo
 	memoFailed bool
 
@@ -1041,7 +1042,7 @@ func (e *componentEngine) applyRow(nodes []graph.Node, paths []graph.Path) error
 	} else {
 		id, added = e.rows.intern(e.rel, nodes)
 	}
-	if added && e.memoCap != nil {
+	if added && e.memoCap != nil && e.ws.prog.incCapable {
 		e.memoCap.rows = append(e.memoCap.rows, nodes...)
 	}
 	switch {

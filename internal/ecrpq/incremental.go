@@ -35,10 +35,21 @@ import (
 //
 // Witness paths break monotonicity (a new edge can shorten the kept
 // shortest witness without changing the node tuple), so the delta pass
-// is restricted to queries without head path variables; revalidation is
-// sound either way. Node additions can create answers with no new edge
-// at all (ε-accepting relations range over every node), so any change
-// in node count forces the full fallback.
+// is restricted to queries without head path variables. A query with
+// them captures the reached-node sets only, no rows, and Advance
+// re-stamps it when no relevant since-edge leaves a reached node (or a
+// start tuple) and no start list grew: then every run reads the same
+// edges in the same order, so answers and witnesses are byte-identical;
+// otherwise it falls back. Revalidation is sound either way. Node
+// additions can create answers with no new edge at all (ε-accepting
+// relations range over every node), so any change in node count forces
+// the full fallback.
+//
+// Witness ties are broken by discovery order, which is the order a
+// snapshot lists a node's edges in: base segment first, then delta. A
+// compaction between the two epochs merges prev's delta edges into the
+// base and so can reorder them; a witness query falls back whenever one
+// ran while prev had delta edges.
 
 // componentLiveRanges computes the live-label over-approximation of one
 // component as sorted disjoint rune ranges: per tape, the intersection
@@ -252,7 +263,8 @@ func (e *componentEngine) endCapAssign(decided bool) {
 // replayAssign re-emits an unaffected assignment from the old memo: its
 // rows (distinct, and no other assignment's) append to the relation in
 // one copy, and the memo segment copies forward. Only programs without
-// head path variables capture, so the rows carry no witnesses.
+// head path variables capture rows and run the delta pass, so the rows
+// carry no witnesses.
 func (e *componentEngine) replayAssign(old *compMemo, idx int) {
 	seg := old.rows[old.rowOff[idx]:old.rowOff[idx+1]]
 	e.rel.nodes = append(e.rel.nodes, seg...)
@@ -385,7 +397,9 @@ const (
 	// snapshot without touching the graph.
 	AdvanceRevalidated
 	// AdvanceIncremental: the semi-naive delta pass re-ran the product
-	// BFS for affected start assignments only and replayed the rest.
+	// BFS for affected start assignments only and replayed the rest, or
+	// found none affected and re-stamped the cached answers (the only
+	// kind of incremental advance a query with witnesses gets).
 	AdvanceIncremental
 )
 
@@ -411,11 +425,12 @@ const incMaxDeltaDen = 8
 // AdvanceKind). AdvanceNone with a nil error means "no sound shortcut —
 // evaluate from scratch"; it is returned when the stores differ, the
 // delta history has been trimmed past prev's epoch, the node count
-// changed, the query outputs witness paths, prev carries no memo, the
-// delta is too large a fraction of the graph, or an injected DeltaBFS
-// fault aborts the attempt. Errors are the usual evaluation taxonomy
-// (cancellation, deadline, budget) and mean the caller should fail the
-// same way a full evaluation would.
+// changed, prev carries no memo, the delta is too large a fraction of
+// the graph, the query outputs witness paths and either the delta
+// reaches a node some run reached or a compaction ran while prev had
+// delta edges, or an injected DeltaBFS fault aborts the attempt. Errors
+// are the usual evaluation taxonomy (cancellation, deadline, budget)
+// and mean the caller should fail the same way a full evaluation would.
 //
 // The returned Result shares prev's answer and memo storage whenever
 // the content is unchanged; callers must treat both as immutable —
@@ -440,6 +455,11 @@ func (p *Program) Advance(ctx context.Context, prev *Result, s *graph.Snapshot, 
 	if !ok {
 		return nil, AdvanceNone, nil
 	}
+	if !p.incCapable && ps.DeltaEdges() > 0 && s.BaseEdges() != ps.BaseEdges() {
+		// A compaction since prev may have reordered the edges witness
+		// ties depend on (see the file comment), whatever their labels.
+		return nil, AdvanceNone, nil
+	}
 	if !p.liveUniversal {
 		// Range-over-range disjointness: the delta's distinct labels
 		// coalesce into a few ranges (adjacent interned labels usually
@@ -450,7 +470,7 @@ func (p *Program) Advance(ctx context.Context, prev *Result, s *graph.Snapshot, 
 		}
 	}
 	m := prev.inc
-	if !p.incCapable || m == nil || m.optsKey != opts.CacheKey() ||
+	if m == nil || m.optsKey != opts.CacheKey() ||
 		m.nodes != s.NumNodes() || len(m.comps) != len(p.comps) {
 		return nil, AdvanceNone, nil
 	}
@@ -473,6 +493,9 @@ func (p *Program) Advance(ctx context.Context, prev *Result, s *graph.Snapshot, 
 			return nil, AdvanceNone, nil
 		}
 		return nil, AdvanceNone, qerr.Classify(err)
+	}
+	if res == nil {
+		return nil, AdvanceNone, nil
 	}
 	return res, AdvanceIncremental, nil
 }
@@ -510,7 +533,8 @@ func labelRangesIntersectLive(lr []graph.LabelRange, live []regex.Range) bool {
 // list introduces, re-run; the rest replay; then the usual re-join and
 // re-projection. When no list grew and no assignment anywhere is
 // affected the previous result is re-stamped outright — the relevant
-// edges landed at nodes no evaluation reaches.
+// edges landed at nodes no evaluation reaches. A query with witnesses
+// gets that re-stamp or nothing: otherwise the result is nil.
 func (p *Program) advanceIncremental(ctx context.Context, prev *Result, s *graph.Snapshot, opts Options, since []graph.DeltaEdge) (*Result, error) {
 	m := prev.inc
 	n := len(p.comps)
@@ -546,6 +570,9 @@ func (p *Program) advanceIncremental(ctx context.Context, prev *Result, s *graph
 	}
 	if !changed {
 		return restamp(prev, s), nil
+	}
+	if !p.incCapable {
+		return nil, nil
 	}
 	memos := make([]*compMemo, n)
 	memoOK := true

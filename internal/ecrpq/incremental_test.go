@@ -332,8 +332,10 @@ func TestAdvanceGrowingStartDomain(t *testing.T) {
 }
 
 // TestAdvanceWitnessQueries: head path variables disable the delta pass
-// (shortest witnesses are not monotone) but label-disjoint revalidation
-// stays sound, witnesses included.
+// (shortest witnesses are not monotone), but label-disjoint revalidation
+// stays sound, witnesses included, and so does a re-stamp when the delta
+// misses every node the runs reached: the memo of a witness query holds
+// the reached nodes and no rows.
 func TestAdvanceWitnessQueries(t *testing.T) {
 	g := graph.NewDB()
 	n := make([]graph.Node, 10)
@@ -348,32 +350,194 @@ func TestAdvanceWitnessQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	prev, err := p.EvalSnapshotMemo(ctx, g.Snapshot(), Options{})
+	opts := Options{Bind: map[NodeVar]graph.Node{"x": n[5]}} // reaches v5..v9
+	prev, err := p.EvalSnapshotMemo(ctx, g.Snapshot(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prev.inc != nil {
-		t.Fatal("witness query captured a memo")
+	if prev.inc == nil || len(prev.inc.comps[0].touched) == 0 || len(prev.inc.comps[0].rows) != 0 {
+		t.Fatal("witness query did not capture its reached nodes alone")
+	}
+	check := func(res *Result, what string) {
+		t.Helper()
+		scratch, err := p.Eval(ctx, res.Snap, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fingerprint() != scratch.Fingerprint() {
+			t.Fatalf("%s witness fingerprint differs from scratch", what)
+		}
 	}
 	// Dead-label delta: revalidated, witnesses identical to scratch.
 	g.AddEdge(n[3], 'c', n[0])
-	s1 := g.Snapshot()
-	res, kind, err := p.Advance(ctx, prev, s1, Options{})
+	res, kind, err := p.Advance(ctx, prev, g.Snapshot(), opts)
 	if err != nil || kind != AdvanceRevalidated {
 		t.Fatalf("dead-label advance = %v, %v", kind, err)
 	}
-	scratch, err := p.Eval(ctx, s1, Options{})
+	check(res, "revalidated")
+	// A live-label edge at a node no run reached: re-stamped.
+	g.AddEdge(n[1], 'a', n[0])
+	res, kind, err = p.Advance(ctx, res, g.Snapshot(), opts)
+	if err != nil || kind != AdvanceIncremental || &res.Answers[0] != &prev.Answers[0] {
+		t.Fatalf("unreached live-label advance = %v, %v, want a re-stamp", kind, err)
+	}
+	check(res, "re-stamped")
+	// Live-label delta at a reached node (an 'a' shortcut that shortens
+	// witnesses): the only sound answer is a full fallback.
+	g.AddEdge(n[5], 'a', n[9])
+	if _, kind, err := p.Advance(ctx, res, g.Snapshot(), opts); err != nil || kind != AdvanceNone {
+		t.Fatalf("live-label witness advance = %v, %v, want none", kind, err)
+	}
+}
+
+// TestAdvanceWitnessAcrossCompaction: witness ties go to the edge a
+// snapshot lists first, base segment before delta, so a compaction that
+// merges a reached node's delta edges into the base changes the
+// witnesses with no live-label write at all. Here v0 reaches v3 over
+// b·a (b in the base, listed first) and over a·a (a in the delta); after
+// the dead-label writes compact the store, a·a is listed first. Advance
+// must fall back: neither revalidation nor a re-stamp may keep the old
+// witness.
+func TestAdvanceWitnessAcrossCompaction(t *testing.T) {
+	g := graph.NewDB()
+	const nNodes = 20
+	for i := 0; i < nNodes; i++ {
+		g.AddNode("v" + itoa(i))
+	}
+	g.AddEdge(0, 'b', 1)
+	g.AddEdge(1, 'a', 3)
+	g.AddEdge(2, 'a', 3)
+	g.Snapshot() // the first snapshot compacts
+	g.AddEdge(0, 'a', 2)
+	p, err := CompileProgram(MustParse("Ans(x,y,p) <- (x,p,y), (a|b)a(p)", envABCD()), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fingerprint() != scratch.Fingerprint() {
-		t.Fatal("revalidated witness fingerprint differs from scratch")
+	ctx := context.Background()
+	opts := Options{Bind: map[NodeVar]graph.Node{"x": 0}}
+	ps := g.Snapshot()
+	prev, err := p.EvalSnapshotMemo(ctx, ps, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Live-label delta (an 'a' shortcut that shortens witnesses): the
-	// only sound answer is a full fallback.
-	g.AddEdge(n[0], 'a', n[9])
-	if _, kind, err := p.Advance(ctx, res, g.Snapshot(), Options{}); err != nil || kind != AdvanceNone {
-		t.Fatalf("live-label witness advance = %v, %v, want none", kind, err)
+	for i := 4; i < nNodes; i++ {
+		for j := 4; j < 9; j++ {
+			g.AddEdge(graph.Node(i), 'c', graph.Node(j))
+		}
+	}
+	s := g.Snapshot()
+	if s.BaseEdges() == ps.BaseEdges() {
+		t.Fatal("the dead-label writes did not compact the store")
+	}
+	scratch, err := p.Eval(ctx, s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scratch.Fingerprint() == prev.Fingerprint() {
+		t.Fatal("compaction changed no witness: the test lost its tie")
+	}
+	res, kind, err := p.Advance(ctx, prev, s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind != AdvanceNone {
+		t.Fatalf("%v advance across a compaction (fingerprint %x, scratch %x), want none", kind, res.Fingerprint(), scratch.Fingerprint())
+	}
+}
+
+// TestAdvanceWitnessMatchesScratch is the seeded differential of the
+// witness re-stamp: queries with head path variables (one and two
+// components, bound and unbound starts, one and several workers) under a
+// storm of live- and dead-label writes, at nodes the runs reached and at
+// nodes they did not, with compactions between them. At every epoch the
+// advanced result — re-stamped, revalidated or recomputed — must carry a
+// scratch evaluation's fingerprint, witnesses included.
+func TestAdvanceWitnessMatchesScratch(t *testing.T) {
+	x0 := map[NodeVar]graph.Node{"x": 0}
+	cases := []struct {
+		src  string
+		bind map[NodeVar]graph.Node
+	}{
+		{"Ans(x,y,p) <- (x,p,y), (a|b)*a(p)", x0},
+		{"Ans(x,y,p) <- (x,p,y), (a|b)*a(p)", nil},
+		{"Ans(x,y,p1) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)", x0},
+		// Two components: z sweeps post[(a|b)+](x) when x is bound.
+		{"Ans(x,y,p,q) <- (x,p,z), (z,q,y), (a|b)+(p), b(a|b)*(q)", x0},
+		{"Ans(x,y,p) <- (x,p,z), (z,q,y), (a|b)+(p), b+(q)", x0},
+		{"Ans(x,y,p) <- (x,p,z), (z,q,y), (a|b)+(p), b+(q)", nil},
+	}
+	var restamps, compactions int
+	for _, tc := range cases {
+		for _, w := range []int{1, 2, 8} {
+			name := fmt.Sprintf("%s bind %v W=%d", tc.src, tc.bind, w)
+			t.Run(name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(11))
+				g := graph.NewDB()
+				// Two halves, 0..19 and 20..39: a run from node 0 reaches
+				// the second half only after a write crosses over.
+				const half = 20
+				for i := 0; i < 2*half; i++ {
+					g.AddNode("v" + itoa(i))
+				}
+				for i := 0; i < 100; i++ {
+					off := half * rng.Intn(2)
+					g.AddEdge(graph.Node(off+rng.Intn(half)), rune('a'+rng.Intn(2)), graph.Node(off+rng.Intn(half)))
+				}
+				p, err := CompileProgram(MustParse(tc.src, envABCD()), false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := context.Background()
+				opts := Options{Bind: tc.bind, BFSWorkers: w}
+				prev, err := p.EvalSnapshotMemo(ctx, g.Snapshot(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kinds := map[AdvanceKind]int{}
+				for round := 0; round < 60; round++ {
+					ps := prev.Snap
+					for range 1 + rng.Intn(3) {
+						if rng.Intn(40) == 0 {
+							g.AddNode("w" + itoa(round))
+							continue
+						}
+						// Anywhere, crossing halves too; c and d are dead.
+						n := g.NumNodes()
+						g.AddEdge(graph.Node(rng.Intn(n)), rune('a'+rng.Intn(4)), graph.Node(rng.Intn(n)))
+					}
+					s := g.Snapshot()
+					if s.BaseEdges() != ps.BaseEdges() {
+						compactions++
+					}
+					res, kind, err := p.Advance(ctx, prev, s, opts)
+					if err != nil {
+						t.Fatalf("round %d: Advance: %v", round, err)
+					}
+					kinds[kind]++
+					scratch, err := p.Eval(ctx, s, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if kind == AdvanceNone {
+						if res, err = p.EvalSnapshotMemo(ctx, s, opts); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if res.Fingerprint() != scratch.Fingerprint() {
+						t.Fatalf("round %d: %v fingerprint %x != scratch %x", round, kind, res.Fingerprint(), scratch.Fingerprint())
+					}
+					prev = res
+				}
+				if kinds[AdvanceNone] == 0 || kinds[AdvanceRevalidated] == 0 {
+					t.Fatalf("storm did not exercise fallback and revalidation: %v", kinds)
+				}
+				restamps += kinds[AdvanceIncremental]
+				t.Logf("%v", kinds)
+			})
+		}
+	}
+	if restamps == 0 || compactions == 0 {
+		t.Fatalf("%d re-stamps, %d compactions over the suite", restamps, compactions)
 	}
 }
 

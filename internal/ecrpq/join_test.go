@@ -483,6 +483,40 @@ func TestJoinNoInflatedIntermediate(t *testing.T) {
 	}
 }
 
+// TestJoinTopDownBoundsFolds: the top-down semijoins filter each child by
+// its parent before any fold, so a fold below the root joins only rows
+// the answer can use. In the chain A(x,y) – B(y,z) – C(z,w), rooted at A,
+// A keeps only y = 0, B maps each of 100 y values to its z, and C gives
+// every z ten w values. Bottom-up, B and C agree on every row; only the
+// top-down pass carries A's filter down to C, so the fold of C into B
+// materialises B's one surviving row times ten, not all 100 × 10.
+func TestJoinTopDownBoundsFolds(t *testing.T) {
+	const ys, ws = 100, 10
+	a := relSpec{vars: []NodeVar{"x", "y"}, rows: [][]graph.Node{{7, 0}}}
+	b := relSpec{vars: []NodeVar{"y", "z"}}
+	c := relSpec{vars: []NodeVar{"z", "w"}}
+	for y := range ys {
+		b.rows = append(b.rows, []graph.Node{graph.Node(y), graph.Node(y)})
+		for w := range ws {
+			c.rows = append(c.rows, []graph.Node{graph.Node(y), graph.Node(w)})
+		}
+	}
+	rels := buildAll([]relSpec{a, b, c})
+	elims := []elimination{{child: 2, parent: 1}, {child: 1, parent: 0}, {child: 0, parent: -1}}
+	var arena joinArena
+	root, err := arena.yannakakisReduce(context.Background(), rels, elims, []NodeVar{"x", "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root.n != ws {
+		t.Fatalf("the root has %d rows, want %d", root.n, ws)
+	}
+	// rels[1] is the fold of C into B.
+	if rels[1].n != ws {
+		t.Fatalf("the fold of C into B over %v has %d rows, want %d", rels[1].vars, rels[1].n, ws)
+	}
+}
+
 // TestHeadOrderMatchesSortFunc checks assemble's radix order against a
 // comparison sort of the head tuples: random relations of one to three
 // head columns (in any column order, beside a column the head skips),

@@ -56,7 +56,7 @@ type Program struct {
 	// query is eligible for the semi-naive delta pass: node-tuple
 	// answers are monotone in the edge relation, but kept shortest
 	// witnesses are not, so only queries without head path variables
-	// capture memos.
+	// capture rows; the others capture reached-node sets only.
 	liveRanges    []regex.Range
 	liveUniversal bool
 	incCapable    bool
@@ -374,12 +374,14 @@ func (p *Program) Eval(ctx context.Context, g graph.Snapshotter, opts Options) (
 }
 
 // EvalSnapshotMemo is Eval on the snapshot s capturing the
-// incremental-evaluation memo when the query is eligible (no head path
-// variables): the returned Result can seed Program.Advance at later
-// epochs. The memo roughly doubles the result's retained footprint
-// (SizeBytes accounts for it); plain Eval skips the capture entirely.
+// incremental-evaluation memo: the returned Result can seed
+// Program.Advance at later epochs. A query without head path variables
+// records each start assignment's reached nodes and rows, one with them
+// the reached nodes only. The memo can double the result's retained
+// footprint (SizeBytes accounts for it); plain Eval skips the capture
+// entirely.
 func (p *Program) EvalSnapshotMemo(ctx context.Context, s *graph.Snapshot, opts Options) (*Result, error) {
-	return p.evalFull(ctx, s, opts, p.incCapable)
+	return p.evalFull(ctx, s, opts, true)
 }
 
 func (p *Program) evalFull(ctx context.Context, s *graph.Snapshot, opts Options, capture bool) (*Result, error) {

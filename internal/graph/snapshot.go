@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/faultinject"
@@ -15,8 +17,9 @@ import (
 //
 // The two-segment layout is what makes mixed read/write traffic cheap:
 // a write appends to the DB's delta log, and the next Snapshot merges
-// the few new writes into the already-sorted delta and rebuilds only
-// the overlay index (O(Δ + n)) instead of the full CSR (O(m log m)).
+// the few new writes into the already-sorted delta and indexes only
+// the nodes the delta touches — O(Δ) plus one pass over an n/64-word
+// source bitset — instead of rebuilding the full CSR (O(m log m)).
 // Edge offsets are virtual — runs of the delta overlay are shifted
 // past the base edge array — so a LabelRun from BaseRuns or DeltaRuns
 // always resolves through EdgeRange, which picks the right segment.
@@ -33,11 +36,16 @@ type Snapshot struct {
 
 	// Delta overlay: the edges written since the last compaction, in
 	// CSR order (grouped by source, label-then-target within a node).
+	// Only the m nodes with delta edges have index entries: bit v of
+	// dSrc marks them, and v's entry is its rank among them, dRank (the
+	// marked nodes before each word) plus a popcount within the word.
 	// All slices are nil when the snapshot is fully compacted.
 	dEdges   []Edge
-	dNodeOff []int32    // per node: range of its delta edges (len n+1)
+	dSrc     []uint64   // per node: one bit, set when it has delta edges (n/64 words)
+	dRank    []int32    // per dSrc word: the set bits in the words before it
+	dNodeOff []int32    // per source node, in rank order: range of its delta edges (len m+1)
 	dRuns    []LabelRun // Start/End are virtual (shifted by baseLen)
-	dRunOff  []int32    // per node: range of its runs in dRuns (len n+1)
+	dRunOff  []int32    // per source node, in rank order: range of its runs in dRuns (len m+1)
 
 	alphabet []rune
 
@@ -123,49 +131,56 @@ func newSnapshot(source, epoch uint64, names []string, base *CSR, baseN int, sor
 		s.alphabet = base.alphabet
 		return s
 	}
+	// Two passes over the sorted log: the first counts the source nodes
+	// and label runs, so the second fills exactly sized arrays with the
+	// edges, the runs and a node entry (with its source bit) at each
+	// change of source.
+	m, runs := 0, 0
+	for i, e := range sorted {
+		newNode := i == 0 || e.From != sorted[i-1].From
+		if newNode {
+			m++
+		}
+		if newNode || e.Label != sorted[i-1].Label {
+			runs++
+		}
+	}
 	s.dEdges = make([]Edge, len(sorted))
-	s.dNodeOff = make([]int32, s.n+1)
-	s.dRunOff = make([]int32, s.n+1)
-	deltaLabels := map[rune]bool{}
+	s.dSrc = make([]uint64, (s.n+63)/64)
+	s.dNodeOff = make([]int32, 0, m+1)
+	s.dRunOff = make([]int32, 0, m+1)
+	s.dRuns = make([]LabelRun, 0, runs)
+	var extra []rune // delta labels the base alphabet lacks, once per run
 	for i, e := range sorted {
 		s.dEdges[i] = Edge{Label: e.Label, To: e.To}
-		if i == 0 || e.Label != sorted[i-1].Label || e.From != sorted[i-1].From {
-			s.dRuns = append(s.dRuns, LabelRun{Label: e.Label, Start: s.baseLen + int32(i), End: s.baseLen + int32(i)})
+		newNode := i == 0 || e.From != sorted[i-1].From
+		if newNode {
+			s.dSrc[e.From>>6] |= 1 << (uint(e.From) & 63)
+			s.dNodeOff = append(s.dNodeOff, int32(i))
+			s.dRunOff = append(s.dRunOff, int32(len(s.dRuns)))
+		}
+		if newNode || e.Label != sorted[i-1].Label {
+			s.dRuns = append(s.dRuns, LabelRun{Label: e.Label, Start: s.baseLen + int32(i)})
+			if !runeIn(base.alphabet, e.Label) {
+				extra = append(extra, e.Label)
+			}
 		}
 		s.dRuns[len(s.dRuns)-1].End = s.baseLen + int32(i) + 1
-		if !deltaLabels[e.Label] {
-			deltaLabels[e.Label] = true
-		}
 	}
-	// Per-node offsets: one pass over the sorted log fills the counts,
-	// prefix sums turn them into ranges.
-	for _, e := range sorted {
-		s.dNodeOff[e.From+1]++
+	s.dNodeOff = append(s.dNodeOff, int32(len(sorted)))
+	s.dRunOff = append(s.dRunOff, int32(len(s.dRuns)))
+	s.dRank = make([]int32, len(s.dSrc))
+	rank := 0
+	for w, word := range s.dSrc {
+		s.dRank[w] = int32(rank)
+		rank += bits.OnesCount64(word)
 	}
-	for v := 0; v < s.n; v++ {
-		s.dNodeOff[v+1] += s.dNodeOff[v]
-	}
-	ri := 0
-	for v := 0; v < s.n; v++ {
-		s.dRunOff[v] = int32(ri)
-		end := s.baseLen + s.dNodeOff[v+1]
-		for ri < len(s.dRuns) && s.dRuns[ri].Start < end {
-			ri++
-		}
-	}
-	s.dRunOff[s.n] = int32(ri)
 	// Alphabet: sorted union of the base alphabet and the delta labels.
 	s.alphabet = base.alphabet
-	extra := make([]rune, 0, len(deltaLabels))
-	for a := range deltaLabels {
-		if !runeIn(base.alphabet, a) {
-			extra = append(extra, a)
-		}
-	}
 	if len(extra) > 0 {
 		merged := append(append(make([]rune, 0, len(base.alphabet)+len(extra)), base.alphabet...), extra...)
-		sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-		s.alphabet = merged
+		slices.Sort(merged)
+		s.alphabet = slices.Compact(merged)
 	}
 	return s
 }
@@ -299,10 +314,25 @@ func (s *Snapshot) BaseRuns(v Node) []LabelRun {
 // by label (shared slice; do not modify). Offsets are virtual and
 // resolve via EdgeRange.
 func (s *Snapshot) DeltaRuns(v Node) []LabelRun {
-	if s.dRunOff == nil {
+	r := s.deltaEntry(v)
+	if r < 0 {
 		return nil
 	}
-	return s.dRuns[s.dRunOff[v]:s.dRunOff[v+1]]
+	return s.dRuns[s.dRunOff[r]:s.dRunOff[r+1]]
+}
+
+// deltaEntry returns v's entry in the overlay index, or -1 when v has
+// no delta edges: its rank among the marked nodes of dSrc.
+func (s *Snapshot) deltaEntry(v Node) int {
+	if s.dSrc == nil {
+		return -1
+	}
+	w, b := v>>6, uint(v)&63
+	word := s.dSrc[w]
+	if word&(1<<b) == 0 {
+		return -1
+	}
+	return int(s.dRank[w]) + bits.OnesCount64(word&(1<<b-1))
 }
 
 // EdgeRange resolves a LabelRun's virtual (start, end) pair to the
@@ -379,8 +409,8 @@ func (s *Snapshot) EdgesFrom(v Node, f func(label rune, to Node)) {
 			f(e.Label, e.To)
 		}
 	}
-	if s.dNodeOff != nil {
-		for _, e := range s.dEdges[s.dNodeOff[v]:s.dNodeOff[v+1]] {
+	if r := s.deltaEntry(v); r >= 0 {
+		for _, e := range s.dEdges[s.dNodeOff[r]:s.dNodeOff[r+1]] {
 			f(e.Label, e.To)
 		}
 	}
@@ -400,8 +430,8 @@ func (s *Snapshot) OutDegree(v Node) int {
 		st, en := s.base.OutRange(v)
 		deg += int(en - st)
 	}
-	if s.dNodeOff != nil {
-		deg += int(s.dNodeOff[v+1] - s.dNodeOff[v])
+	if r := s.deltaEntry(v); r >= 0 {
+		deg += int(s.dNodeOff[r+1] - s.dNodeOff[r])
 	}
 	return deg
 }
@@ -479,10 +509,12 @@ func (g *DB) compactionDue() bool {
 // database, building it on first use per epoch and caching it until
 // the next mutation. It is safe to call concurrently with writers: the
 // fast path is two atomic loads, and the slow path builds under the
-// write lock. Steady read traffic with occasional writes pays
-// O(Δ log Δ + n) per post-write snapshot — the delta overlay — not the
-// O(m log m) full rebuild, which only runs when the delta crosses the
-// compaction threshold.
+// write lock. Steady read traffic with occasional writes pays, per
+// post-write snapshot, a sort of the writes since the last one, a
+// linear merge and copy of the delta (O(Δ)) and one pass over an
+// n/64-word source bitset — the delta overlay — not the O(m log m)
+// full rebuild, which only runs when the delta crosses the compaction
+// threshold.
 func (g *DB) Snapshot() *Snapshot {
 	if s := g.snap.Load(); s != nil && s.epoch == g.epoch.Load() {
 		return s
