@@ -69,13 +69,6 @@ func (n *NFA[S]) SetStart(q int) { n.start = append(n.start, q) }
 // SetFinal marks or unmarks q as accepting.
 func (n *NFA[S]) SetFinal(q int, accepting bool) { n.final[q] = accepting }
 
-// ClearFinal unmarks all accepting states.
-func (n *NFA[S]) ClearFinal() {
-	for i := range n.final {
-		n.final[i] = false
-	}
-}
-
 // Start returns the start states (shared slice; do not modify).
 func (n *NFA[S]) Start() []int { return n.start }
 

@@ -118,39 +118,19 @@ func TestIntersect(t *testing.T) {
 	}
 }
 
-func TestUnionConcatReverse(t *testing.T) {
+func TestUnion(t *testing.T) {
 	a := nfaFor(t, "ab")
 	b := nfaFor(t, "ba")
 	sigma := []rune{'a', 'b'}
 	u := Union(a, b)
-	c := Concat(a, b)
-	rev := Reverse(c)
 	for _, w := range words(sigma, 5) {
 		if got, want := u.Accepts(w), a.Accepts(w) || b.Accepts(w); got != want {
 			t.Errorf("Union on %q = %v, want %v", string(w), got, want)
 		}
 	}
-	if !c.Accepts(runes("abba")) || c.Accepts(runes("ab")) {
-		t.Error("Concat(ab, ba) wrong")
-	}
-	if !rev.Accepts(runes("abba")) {
-		t.Error("Reverse(abba) should accept abba (palindrome)")
-	}
-	if rev.Accepts(runes("baab")) != true {
-		// reversal of {abba} is {abba}
-		t.Skip("unused")
-	}
 }
 
-func TestReverseNonPalindrome(t *testing.T) {
-	c := nfaFor(t, "abc")
-	rev := Reverse(c)
-	if !rev.Accepts(runes("cba")) || rev.Accepts(runes("abc")) {
-		t.Error("Reverse(abc) should accept exactly cba")
-	}
-}
-
-func TestDeterminizeComplementMinimize(t *testing.T) {
+func TestDeterminizeComplement(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	sigma := []rune{'a', 'b', 'c'}
 	ws := words(sigma, 5)
@@ -159,7 +139,6 @@ func TestDeterminizeComplementMinimize(t *testing.T) {
 		n := FromRegex(node)
 		d := Determinize(n, sigma)
 		comp := d.Complement()
-		min := d.Minimize()
 		for _, w := range ws {
 			want := n.Accepts(w)
 			if d.Accepts(w) != want {
@@ -168,25 +147,7 @@ func TestDeterminizeComplementMinimize(t *testing.T) {
 			if comp.Accepts(w) == want {
 				t.Fatalf("Complement wrong for %s on %q", regex.String(node), string(w))
 			}
-			if min.Accepts(w) != want {
-				t.Fatalf("Minimize wrong for %s on %q", regex.String(node), string(w))
-			}
 		}
-	}
-}
-
-func TestMinimizeIsMinimal(t *testing.T) {
-	// Two different expressions for the same language must minimize to the
-	// same number of states.
-	sigma := []rune{'a', 'b'}
-	m1 := Determinize(nfaFor(t, "(a|b)*abb"), sigma).Minimize()
-	m2 := Determinize(nfaFor(t, "(a|b)*abb"), sigma).Minimize()
-	if m1.NumStates() != m2.NumStates() {
-		t.Errorf("minimal sizes differ: %d vs %d", m1.NumStates(), m2.NumStates())
-	}
-	// Classic: minimal DFA for (a|b)*abb has 4 states (complete).
-	if m1.NumStates() != 4 {
-		t.Errorf("minimal DFA for (a|b)*abb has %d states, want 4", m1.NumStates())
 	}
 }
 
@@ -285,14 +246,6 @@ func TestMapSymbolsProjection(t *testing.T) {
 	}
 }
 
-func TestFilterTransitions(t *testing.T) {
-	n := nfaFor(t, "(a|b)*")
-	f := FilterTransitions(n, func(r rune) bool { return r == 'a' })
-	if !f.Accepts(runes("aaa")) || f.Accepts(runes("ab")) {
-		t.Error("FilterTransitions wrong")
-	}
-}
-
 func TestLengthsBasic(t *testing.T) {
 	cases := []struct {
 		re      string
@@ -381,10 +334,6 @@ func TestIsFinalAndStates(t *testing.T) {
 	if !n.IsFinal(q) || len(n.FinalStates()) != 1 {
 		t.Error("SetFinal not reflected")
 	}
-	n.ClearFinal()
-	if len(n.FinalStates()) != 0 {
-		t.Error("ClearFinal not reflected")
-	}
 }
 
 func TestCloneIndependence(t *testing.T) {
@@ -393,63 +342,6 @@ func TestCloneIndependence(t *testing.T) {
 	b.SetFinal(0, true) // mutate clone
 	if a.IsFinal(0) {
 		t.Error("Clone shares final slice")
-	}
-}
-
-func TestPropertyReverseInvolution(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	sigma := []rune{'a', 'b', 'c'}
-	ws := words(sigma, 4)
-	for i := 0; i < 40; i++ {
-		node := randomExpr(r, 4)
-		n := FromRegex(node)
-		rr := Reverse(Reverse(n))
-		for _, w := range ws {
-			if n.Accepts(w) != rr.Accepts(w) {
-				t.Fatalf("Reverse∘Reverse changed language of %s on %q", regex.String(node), string(w))
-			}
-		}
-	}
-}
-
-func TestPropertyReverseSemantics(t *testing.T) {
-	r := rand.New(rand.NewSource(22))
-	sigma := []rune{'a', 'b'}
-	ws := words(sigma, 4)
-	rev := func(w []rune) []rune {
-		out := make([]rune, len(w))
-		for i, c := range w {
-			out[len(w)-1-i] = c
-		}
-		return out
-	}
-	for i := 0; i < 40; i++ {
-		node := randomExpr(r, 4)
-		n := FromRegex(node)
-		nr := Reverse(n)
-		for _, w := range ws {
-			if nr.Accepts(w) != n.Accepts(rev(w)) {
-				t.Fatalf("Reverse semantics wrong for %s on %q", regex.String(node), string(w))
-			}
-		}
-	}
-}
-
-func TestPropertyMinimizeIsCanonical(t *testing.T) {
-	// Equivalent regexes minimize to DFAs of identical size.
-	pairs := [][2]string{
-		{"(a|b)*", "(b|a)*"},
-		{"a(ba)*", "(ab)*a"},
-		{"aa*", "a+"},
-		{"(a|b)(a|b)", "aa|ab|ba|bb"},
-	}
-	sigma := []rune{'a', 'b'}
-	for _, p := range pairs {
-		m1 := Determinize(nfaFor(t, p[0]), sigma).Minimize()
-		m2 := Determinize(nfaFor(t, p[1]), sigma).Minimize()
-		if m1.NumStates() != m2.NumStates() {
-			t.Errorf("%s vs %s: minimal sizes %d vs %d", p[0], p[1], m1.NumStates(), m2.NumStates())
-		}
 	}
 }
 
@@ -468,23 +360,6 @@ func TestPropertyTrimPreservesLanguage(t *testing.T) {
 		}
 		if tr.NumStates() > n.NumStates() {
 			t.Fatal("Trim grew the automaton")
-		}
-	}
-}
-
-func TestPropertyConcatSemantics(t *testing.T) {
-	r := rand.New(rand.NewSource(24))
-	sigma := []rune{'a', 'b'}
-	ws := words(sigma, 5)
-	for i := 0; i < 30; i++ {
-		n1 := randomExpr(r, 3)
-		n2 := randomExpr(r, 3)
-		cat := Concat(FromRegex(n1), FromRegex(n2))
-		want := FromRegex(regex.Seq(n1, n2))
-		for _, w := range ws {
-			if cat.Accepts(w) != want.Accepts(w) {
-				t.Fatalf("Concat mismatch for %s·%s on %q", regex.String(n1), regex.String(n2), string(w))
-			}
 		}
 	}
 }

@@ -71,32 +71,6 @@ func Union[S comparable](a, b *NFA[S]) *NFA[S] {
 	return out
 }
 
-// Concat returns an NFA for L(a)·L(b).
-func Concat[S comparable](a, b *NFA[S]) *NFA[S] {
-	out := a.Clone()
-	off := out.AddStates(b.NumStates())
-	b.EachTransition(func(from int, sym S, to int) { out.AddTransition(from+off, sym, to+off) })
-	for q, es := range b.eps {
-		for _, r := range es {
-			out.AddEps(q+off, r+off)
-		}
-	}
-	for q, f := range a.final {
-		if f {
-			out.SetFinal(q, false)
-			for _, s := range b.start {
-				out.AddEps(q, s+off)
-			}
-		}
-	}
-	for q, f := range b.final {
-		if f {
-			out.SetFinal(q+off, true)
-		}
-	}
-	return out
-}
-
 // MapSymbols returns the NFA obtained by renaming every transition symbol
 // through f. If f merges symbols the language is the image of L(n) under
 // the induced word map; this implements the projection step of the
@@ -118,53 +92,6 @@ func MapSymbols[S, T comparable](n *NFA[S], f func(S) T) *NFA[T] {
 		if fin {
 			out.SetFinal(q, true)
 		}
-	}
-	return out
-}
-
-// FilterTransitions returns a copy of n retaining only transitions whose
-// symbol satisfies keep. This restricts the automaton to a sub-alphabet.
-func FilterTransitions[S comparable](n *NFA[S], keep func(S) bool) *NFA[S] {
-	out := NewNFA[S]()
-	out.AddStates(n.NumStates())
-	n.EachTransition(func(from int, a S, to int) {
-		if keep(a) {
-			out.AddTransition(from, a, to)
-		}
-	})
-	for q, es := range n.eps {
-		for _, r := range es {
-			out.AddEps(q, r)
-		}
-	}
-	for _, s := range n.start {
-		out.SetStart(s)
-	}
-	for q, fin := range n.final {
-		if fin {
-			out.SetFinal(q, true)
-		}
-	}
-	return out
-}
-
-// Reverse returns an NFA for the reversal of L(n).
-func Reverse[S comparable](n *NFA[S]) *NFA[S] {
-	out := NewNFA[S]()
-	out.AddStates(n.NumStates())
-	n.EachTransition(func(from int, a S, to int) { out.AddTransition(to, a, from) })
-	for q, es := range n.eps {
-		for _, r := range es {
-			out.AddEps(r, q)
-		}
-	}
-	for q, fin := range n.final {
-		if fin {
-			out.SetStart(q)
-		}
-	}
-	for _, s := range n.start {
-		out.SetFinal(s, true)
 	}
 	return out
 }
@@ -346,98 +273,6 @@ func (d *DFA[S]) ToNFA() *NFA[S] {
 		}
 	}
 	return n
-}
-
-// Minimize returns the minimal DFA equivalent to d (Moore partition
-// refinement). The result is complete over the same alphabet.
-func (d *DFA[S]) Minimize() *DFA[S] {
-	n := d.NumStates()
-	// Initial partition: final vs non-final.
-	class := make([]int, n)
-	for q, f := range d.Final {
-		if f {
-			class[q] = 1
-		}
-	}
-	numClasses := 2
-	for {
-		// Signature: own class + class of each successor.
-		sig := make([]string, n)
-		for q := 0; q < n; q++ {
-			var b strings.Builder
-			fmt.Fprintf(&b, "%d", class[q])
-			for _, a := range d.Alphabet {
-				fmt.Fprintf(&b, ",%d", class[d.Delta[q][a]])
-			}
-			sig[q] = b.String()
-		}
-		ids := map[string]int{}
-		newClass := make([]int, n)
-		for q := 0; q < n; q++ {
-			id, ok := ids[sig[q]]
-			if !ok {
-				id = len(ids)
-				ids[sig[q]] = id
-			}
-			newClass[q] = id
-		}
-		if len(ids) == numClasses {
-			break
-		}
-		numClasses = len(ids)
-		class = newClass
-	}
-	out := &DFA[S]{Alphabet: d.Alphabet, Start: class[d.Start]}
-	out.Delta = make([]map[S]int, numClasses)
-	out.Final = make([]bool, numClasses)
-	for q := 0; q < n; q++ {
-		c := class[q]
-		if out.Delta[c] == nil {
-			out.Delta[c] = make(map[S]int, len(d.Alphabet))
-			for _, a := range d.Alphabet {
-				out.Delta[c][a] = class[d.Delta[q][a]]
-			}
-			out.Final[c] = d.Final[q]
-		}
-	}
-	// Drop states unreachable from start (minimal DFA must be reachable).
-	reach := make([]bool, numClasses)
-	stack := []int{out.Start}
-	reach[out.Start] = true
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, a := range out.Alphabet {
-			r := out.Delta[q][a]
-			if !reach[r] {
-				reach[r] = true
-				stack = append(stack, r)
-			}
-		}
-	}
-	remap := make([]int, numClasses)
-	final := &DFA[S]{Alphabet: out.Alphabet}
-	for q := 0; q < numClasses; q++ {
-		if reach[q] {
-			remap[q] = len(final.Delta)
-			final.Delta = append(final.Delta, nil)
-			final.Final = append(final.Final, out.Final[q])
-		} else {
-			remap[q] = -1
-		}
-	}
-	for q := 0; q < numClasses; q++ {
-		if !reach[q] {
-			continue
-		}
-		m := make(map[S]int, len(out.Alphabet))
-		for _, a := range out.Alphabet {
-			m[a] = remap[out.Delta[q][a]]
-		}
-		final.Delta[remap[q]] = m
-	}
-	final.Start = remap[out.Start]
-	return final
 }
 
 // Subset reports whether L(a) ⊆ L(b), both considered over the given

@@ -36,12 +36,19 @@ func NodeSym(vs []graph.Node) string {
 // LetterSym encodes a k-tuple of Σ⊥ runes as a representation symbol.
 func LetterSym(rs []rune) string { return "L:" + string(rs) }
 
-// decodeNodeSym decodes a node-tuple symbol written by NodeSym.
-func decodeNodeSym(s string) []graph.Node {
-	parts := strings.Split(strings.TrimSuffix(strings.TrimPrefix(s, "N:"), ","), ",")
-	out := make([]graph.Node, len(parts))
-	for i, p := range parts {
-		fmt.Sscanf(p, "%d", &out[i])
+// DecodeNodeSym decodes a node-tuple symbol written by NodeSym: one
+// node per comma-terminated decimal field after "N:".
+func DecodeNodeSym(s string) []graph.Node {
+	s = strings.TrimPrefix(s, "N:")
+	out := make([]graph.Node, 0, strings.Count(s, ","))
+	cur := 0
+	for _, c := range s {
+		if c == ',' {
+			out = append(out, graph.Node(cur))
+			cur = 0
+			continue
+		}
+		cur = cur*10 + int(c-'0')
 	}
 	return out
 }
@@ -138,7 +145,7 @@ func projectRep(full *automata.NFA[string], m int, headIdx []int) *automata.NFA[
 	full.EachTransition(func(from int, sym string, to int) {
 		switch {
 		case strings.HasPrefix(sym, "N:"):
-			vs := decodeNodeSym(sym)
+			vs := DecodeNodeSym(sym)
 			proj := make([]graph.Node, len(headIdx))
 			for i, h := range headIdx {
 				proj[i] = vs[h]
@@ -235,7 +242,7 @@ func decodeRepresentation(w []string, k int) ([]graph.Path, bool) {
 		return nil, false
 	}
 	paths := make([]graph.Path, k)
-	first := decodeNodeSym(w[0])
+	first := DecodeNodeSym(w[0])
 	if len(first) != k {
 		return nil, false
 	}
@@ -247,7 +254,7 @@ func decodeRepresentation(w []string, k int) ([]graph.Path, bool) {
 			return nil, false
 		}
 		rs := []rune(strings.TrimPrefix(w[i], "L:"))
-		vs := decodeNodeSym(w[i+1])
+		vs := DecodeNodeSym(w[i+1])
 		if len(rs) != k || len(vs) != k {
 			return nil, false
 		}

@@ -1,7 +1,9 @@
 package ecrpq
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -210,5 +212,22 @@ func TestRepresentationRoundTrip(t *testing.T) {
 	}
 	if !back[0].Equal(p1) || !back[1].Equal(p2) {
 		t.Errorf("round trip mismatch: %v %v", back[0], back[1])
+	}
+}
+
+// TestNodeSymRoundTrip decodes NodeSym's encoding back to the tuple,
+// with multi-digit node ids in every position.
+func TestNodeSymRoundTrip(t *testing.T) {
+	for k := 1; k <= 3; k++ {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			vs := make([]graph.Node, k)
+			for i := range vs {
+				vs[i] = graph.Node(10 + 97*i*i)
+			}
+			sym := NodeSym(vs)
+			if got := DecodeNodeSym(sym); !slices.Equal(got, vs) {
+				t.Errorf("DecodeNodeSym(%q) = %v, want %v", sym, got, vs)
+			}
+		})
 	}
 }

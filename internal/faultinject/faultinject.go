@@ -131,9 +131,6 @@ func Clear() {
 	active.Store(nil)
 }
 
-// Enabled reports whether a hook is installed.
-func Enabled() bool { return active.Load() != nil }
-
 // Inject fires the point: with no hook installed it is a single atomic
 // load returning nil; with a hook it returns whatever the hook decides
 // for this hit.

@@ -108,9 +108,6 @@ func csrFromParts(edges []Edge, nodeOff, runOff []int32, runs []LabelRun, alphab
 	return &CSR{Edges: edges, nodeOff: nodeOff, runOff: runOff, runs: runs, alphabet: alphabet}
 }
 
-// NumNodes returns the number of nodes of the CSR.
-func (c *CSR) NumNodes() int { return len(c.nodeOff) - 1 }
-
 // NumEdges returns the number of edges of the CSR.
 func (c *CSR) NumEdges() int { return len(c.Edges) }
 
@@ -136,7 +133,3 @@ func (c *CSR) WithLabel(v Node, a rune) []Edge {
 	}
 	return nil
 }
-
-// Alphabet returns the distinct edge labels of the CSR, sorted (shared
-// slice; do not modify).
-func (c *CSR) Alphabet() []rune { return c.alphabet }

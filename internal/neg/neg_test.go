@@ -1,10 +1,13 @@
 package neg
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ecrpq"
 	"repro/internal/graph"
+	"repro/internal/regex"
+	"repro/internal/relations"
 )
 
 // tiny builds the two-node graph u --a--> v, v --b--> u.
@@ -186,14 +189,87 @@ func TestOracleAgreement(t *testing.T) {
 			ExistsPath{"p", And{Edge{"x", "p", "y"}, Lang("b", "p")}}}}},
 	}
 	for i, f := range formulas {
-		got, err := e.Holds(f)
-		if err != nil {
-			t.Fatalf("formula %d: %v", i, err)
+		checkOracle(t, e, g, fmt.Sprintf("formula %d", i), f)
+	}
+}
+
+// checkOracle compares the automaton's verdict on sentence f with the
+// bounded oracle's at path length 4.
+func checkOracle(t *testing.T, e *Evaluator, g *graph.DB, name string, f Formula) {
+	t.Helper()
+	got, err := e.Holds(f)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want := naiveHolds(f, g, map[ecrpq.NodeVar]graph.Node{}, map[ecrpq.PathVar]graph.Path{}, 4)
+	if got != want {
+		t.Errorf("%s (%s): automaton %v, oracle %v", name, f, got, want)
+	}
+}
+
+// TestOracleAgreementRelationAtoms runs binary relation atoms through
+// relAutomaton: positive, under ¬ and inside a negated path quantifier.
+// Each negated quantifier's q is bounded by p through its relation, and
+// p by a language or a short witness, so the bounded oracle decides every
+// formula exactly.
+func TestOracleAgreementRelationAtoms(t *testing.T) {
+	g := tiny()
+	e := NewEvaluator(g)
+	sigma := []rune("ab")
+	el, lt := relations.EqualLength(sigma), relations.ShorterLen(sigma)
+	eq, prefix := relations.Equality(sigma), relations.Prefix(sigma)
+	// R(p,q): q = p, q = p·b, or p = w·a·b*·a and q = w·b.
+	tup := relations.FromTupleRegex("tup",
+		regex.MustParseTuple("(<a,a>|<b,b>)*(<a,b><b,_>*<a,_>|<_,b>)?", 2), 2)
+	rel := func(r *relations.Relation, p, q ecrpq.PathVar) Formula {
+		return Rel{R: r, Args: []ecrpq.PathVar{p, q}}
+	}
+	all := func(fs ...Formula) Formula {
+		f := fs[0]
+		for _, g := range fs[1:] {
+			f = And{f, g}
 		}
-		want := naiveHolds(f, g, map[ecrpq.NodeVar]graph.Node{}, map[ecrpq.PathVar]graph.Path{}, 4)
-		if got != want {
-			t.Errorf("formula %d (%s): automaton %v, oracle %v", i, f, got, want)
-		}
+		return f
+	}
+	exPQ := func(f Formula) Formula { return ExistsPath{"p", ExistsPath{"q", f}} }
+	cases := []struct {
+		name string
+		f    Formula
+	}{
+		// el(a, b) between the two edges: true.
+		{"el", ExistsNode{"x", ExistsNode{"y", exPQ(all(Edge{"x", "p", "y"}, Edge{"y", "q", "x"},
+			rel(el, "p", "q"), Lang("a", "p")))}}},
+		// a is a prefix of the cycle ab at u: true.
+		{"prefix", ExistsNode{"x", ExistsNode{"y", exPQ(all(Edge{"x", "p", "y"}, Edge{"x", "q", "x"},
+			rel(prefix, "p", "q"), Lang("a", "p")))}}},
+		// Paths from x and y never share a first letter: false.
+		{"eq", ExistsNode{"x", ExistsNode{"y", And{Not{NodeEq{"x", "y"}},
+			exPQ(all(Edge{"x", "p", "y"}, Edge{"y", "q", "x"}, rel(eq, "p", "q"), Lang("(a|b)+", "p")))}}}},
+		// ε is shorter than ab: true.
+		{"lt", ExistsNode{"x", exPQ(all(Edge{"x", "p", "x"}, Edge{"x", "q", "x"}, rel(lt, "p", "q")))}},
+		// q = abb is not a path: false.
+		{"tuple_regex", ExistsNode{"x", exPQ(all(Edge{"x", "p", "x"}, Edge{"x", "q", "x"}, rel(tup, "p", "q"),
+			Lang("ab", "p"), Lang("abb", "q")))}},
+		// ¬el and ¬tup on cycles: true (ε against ab).
+		{"not_el", ExistsNode{"x", exPQ(all(Edge{"x", "p", "x"}, Edge{"x", "q", "x"}, Not{rel(el, "p", "q")}))}},
+		{"not_tuple_regex", ExistsNode{"x", exPQ(all(Edge{"x", "p", "x"}, Edge{"x", "q", "x"}, Not{rel(tup, "p", "q")},
+			Lang("ab", "p")))}},
+		// No nonempty cycle is shorter than ab: true.
+		{"lt_under_negated_quantifier", ExistsNode{"x", ExistsPath{"p", all(Edge{"x", "p", "x"}, Lang("ab", "p"),
+			Not{ExistsPath{"q", all(Edge{"x", "q", "x"}, rel(lt, "q", "p"), Lang("(a|b)+", "q"))}})}}},
+		// The b back from v has the length of a: false.
+		{"el_under_negated_quantifier", ExistsNode{"x", ExistsNode{"y", ExistsPath{"p", all(Edge{"x", "p", "y"}, Lang("a", "p"),
+			Not{ExistsPath{"q", And{Edge{"y", "q", "x"}, rel(el, "p", "q")}}})}}}},
+		// ab has no proper nonempty prefix that is a cycle: true.
+		{"prefix_and_not_eq_under_negated_quantifier", ExistsNode{"x", ExistsPath{"p", all(Edge{"x", "p", "x"}, Lang("(a|b)+", "p"),
+			Not{ExistsPath{"q", all(Edge{"x", "q", "x"}, rel(prefix, "q", "p"),
+				Not{rel(eq, "q", "p")}, Lang("(a|b)+", "q"))}})}}},
+		// q = ab itself is in tup(ab, q): false.
+		{"tuple_regex_under_negated_quantifier", ExistsNode{"x", ExistsPath{"p", all(Edge{"x", "p", "x"}, Lang("ab", "p"),
+			Not{ExistsPath{"q", And{Edge{"x", "q", "x"}, rel(tup, "p", "q")}}})}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { checkOracle(t, e, g, c.name, c.f) })
 	}
 }
 

@@ -198,34 +198,25 @@ func (e *Evaluator) relAutomaton(f Rel, vars []ecrpq.PathVar) (*automata.NFA[str
 		return nil, err
 	}
 	// Letters automaton: tracks the joint state on letter symbols and
-	// ignores node symbols.
-	letters := automata.NewNFA[string]()
-	ids := map[string]int{}
-	var states []relations.JointState
-	stateOf := func(s relations.JointState) int {
-		kk := s.Key()
-		if id, ok := ids[kk]; ok {
-			return id
-		}
-		id := letters.AddState()
-		ids[kk] = id
-		states = append(states, s)
-		letters.SetFinal(id, joint.Accepting(s))
-		return id
+	// ignores node symbols. Runner ids double as NFA state ids: the
+	// runner interns states in first-reached order, so the loop below
+	// visits each state after the step that discovered it.
+	r := relations.NewJointRunner(joint)
+	for _, ls := range e.letterSyms(k) {
+		r.AddSym([]rune(ls))
 	}
-	startID := stateOf(joint.Start())
-	letters.SetStart(startID)
 	nodeAlpha := e.nodeSyms(k)
-	letterAlpha := e.letterSyms(k)
-	for i := 0; i < len(states); i++ {
-		s := states[i]
-		from := ids[s.Key()]
+	letters := automata.NewNFA[string]()
+	letters.SetStart(r.StartID())
+	for from := 0; from < r.NumStates(); from++ {
+		letters.AddState()
+		letters.SetFinal(from, r.Accepting(from))
 		for _, ns := range nodeAlpha {
 			letters.AddTransition(from, ns, from)
 		}
-		for _, ls := range letterAlpha {
-			if t, ok := joint.Step(s, ls); ok {
-				letters.AddTransition(from, ecrpq.LetterSym([]rune(ls)), stateOf(t))
+		for sid := 0; sid < r.NumSyms(); sid++ {
+			if to, ok := r.Step(from, sid); ok {
+				letters.AddTransition(from, ecrpq.LetterSym(r.SymRunes(sid)), to)
 			}
 		}
 	}
@@ -283,7 +274,7 @@ func (e *Evaluator) project(a *automata.NFA[string], innerVars []ecrpq.PathVar, 
 	a.EachTransition(func(from int, sym string, to int) {
 		switch {
 		case len(sym) > 2 && sym[:2] == "N:":
-			vs := decodeNodes(sym)
+			vs := ecrpq.DecodeNodeSym(sym)
 			out.AddTransition(from, ecrpq.NodeSym(dropNode(vs, idx)), to)
 		case len(sym) > 2 && sym[:2] == "L:":
 			rs := []rune(sym[2:])
@@ -320,26 +311,4 @@ func dropRune(rs []rune, idx int) []rune {
 	out := make([]rune, 0, len(rs)-1)
 	out = append(out, rs[:idx]...)
 	return append(out, rs[idx+1:]...)
-}
-
-func decodeNodes(sym string) []graph.Node {
-	var out []graph.Node
-	cur := 0
-	has := false
-	for _, r := range sym[2:] {
-		if r == ',' {
-			out = append(out, graph.Node(cur))
-			cur = 0
-			has = false
-			continue
-		}
-		if r >= '0' && r <= '9' {
-			cur = cur*10 + int(r-'0')
-			has = true
-		}
-	}
-	if has {
-		out = append(out, graph.Node(cur))
-	}
-	return out
 }

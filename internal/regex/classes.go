@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"unicode/utf8"
 )
 
 // This file is the label-class layer for RDF/Wikidata-scale alphabets:
@@ -15,10 +14,6 @@ import (
 // and a wild bucket (the technique of nex's insertLimits), so that
 // automata and live-set pruning transition on O(classes-in-query)
 // class IDs instead of O(|Σ|) individual labels.
-
-// MaxLabel is the largest rune a label class can cover; the wild bucket
-// of a partition spans up to it.
-const MaxLabel = utf8.MaxRune
 
 // Range is an inclusive rune interval [Lo, Hi].
 type Range struct{ Lo, Hi rune }

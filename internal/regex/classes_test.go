@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unicode/utf8"
 )
 
 // TestRuneSetMatchesSortCompact: whatever mix of repeats, ASCII and
@@ -18,7 +19,7 @@ func TestRuneSetMatchesSortCompact(t *testing.T) {
 		for n := r.Intn(300); n > 0; n-- {
 			x := rune(1 + r.Intn(200))
 			if r.Intn(4) == 0 {
-				x = rune(r.Intn(MaxLabel) + 1)
+				x = rune(r.Intn(utf8.MaxRune) + 1)
 			}
 			s.Add(x)
 			want = append(want, x)

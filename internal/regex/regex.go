@@ -122,15 +122,6 @@ func Pow[S comparable](n *Node[S], k int) *Node[S] {
 	return res
 }
 
-// Word returns the expression matching exactly the given symbol sequence.
-func Word[S comparable](w []S) *Node[S] {
-	parts := make([]*Node[S], len(w))
-	for i, a := range w {
-		parts[i] = Lit(a)
-	}
-	return Seq(parts...)
-}
-
 // AnyOf returns the union of single-symbol expressions for the given
 // symbols (a character class).
 func AnyOf[S comparable](syms ...S) *Node[S] {

@@ -209,14 +209,10 @@ func TestPropertyDerivAgreesWithNaive(t *testing.T) {
 	}
 }
 
-func TestPowAndWord(t *testing.T) {
+func TestPow(t *testing.T) {
 	n := Pow(MustParse("ab"), 3)
 	if !Match(n, []rune("ababab")) || Match(n, []rune("abab")) {
 		t.Error("Pow(ab,3) wrong")
-	}
-	w := Word([]rune("xyz"))
-	if !Match(w, []rune("xyz")) || Match(w, []rune("xy")) {
-		t.Error("Word(xyz) wrong")
 	}
 	if !Match(Pow(MustParse("a"), 0), nil) {
 		t.Error("Pow(a,0) should be ε")

@@ -90,34 +90,6 @@ func Deconvolve(word []TupleSym, arity int) [][]rune {
 	return out
 }
 
-// IsProperConvolution reports whether the word satisfies the padding
-// discipline: in every coordinate, once ⊥ appears it persists, and no
-// symbol is all-⊥.
-func IsProperConvolution(word []TupleSym, arity int) bool {
-	done := make([]bool, arity)
-	for _, sym := range word {
-		rs := []rune(sym)
-		if len(rs) != arity {
-			return false
-		}
-		all := true
-		for j, r := range rs {
-			if r == Bot {
-				done[j] = true
-			} else {
-				if done[j] {
-					return false
-				}
-				all = false
-			}
-		}
-		if all {
-			return false
-		}
-	}
-	return true
-}
-
 // Relation is an n-ary regular relation over Σ, represented by a
 // synchronous (letter-to-letter) automaton over tuple symbols. Name is a
 // human-readable description used in query printing and errors.
@@ -305,42 +277,6 @@ func Complement(r *Relation, sigma []rune) *Relation {
 		Name:  fmt.Sprintf("¬%s", r.Name),
 		Arity: r.Arity,
 		A:     automata.Intersect(comp, proper),
-	}
-}
-
-// Project returns the projection of r onto the given coordinates (in
-// order): the relation {(s_{coords[0]},…) | s̄ ∈ r}. Projection of a
-// regular relation is regular (Section 2). Note that after projection the
-// convolution of the remaining coordinates may be shorter than the
-// original; the construction therefore strips now-all-⊥ symbols by ε
-// transitions.
-func Project(r *Relation, coords []int) *Relation {
-	a := r.Expand().A
-	out := automata.NewNFA[TupleSym]()
-	out.AddStates(a.NumStates())
-	a.EachTransition(func(from int, sym TupleSym, to int) {
-		rs := []rune(sym)
-		proj := make([]rune, len(coords))
-		for i, c := range coords {
-			proj[i] = rs[c]
-		}
-		ps := string(proj)
-		if AllBot(ps) {
-			out.AddEps(from, to)
-		} else {
-			out.AddTransition(from, ps, to)
-		}
-	})
-	for _, s := range a.Start() {
-		out.SetStart(s)
-	}
-	for _, f := range a.FinalStates() {
-		out.SetFinal(f, true)
-	}
-	return &Relation{
-		Name:  fmt.Sprintf("π%v(%s)", coords, r.Name),
-		Arity: len(coords),
-		A:     out,
 	}
 }
 

@@ -29,16 +29,6 @@ func TestConvolveDeconvolve(t *testing.T) {
 	if string(back[0]) != "aba" || string(back[1]) != "babb" {
 		t.Errorf("Deconvolve = %q, %q", string(back[0]), string(back[1]))
 	}
-	if !IsProperConvolution(w, 2) {
-		t.Error("convolution should be proper")
-	}
-	improper := []TupleSym{MakeSym(Bot, 'a'), MakeSym('a', 'a')}
-	if IsProperConvolution(improper, 2) {
-		t.Error("⊥ then letter should be improper")
-	}
-	if IsProperConvolution([]TupleSym{MakeSym(Bot, Bot)}, 2) {
-		t.Error("all-⊥ symbol should be improper")
-	}
 }
 
 func TestEquality(t *testing.T) {
@@ -160,25 +150,6 @@ func TestIntersectUnionComplement(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	// Ternary relation: (s, s, s') with |s| = |s'| is built as eq ⋈ el via
-	// a Joint materialization; here test projection of prefix onto coord 1.
-	pre := Prefix(ab)
-	p := Project(pre, []int{1})
-	// Projection of prefix onto second coordinate = Σ*.
-	for _, s := range []string{"", "a", "ab", "bbb"} {
-		if !p.ContainsStrings(s) {
-			t.Errorf("π₁(prefix) should contain %q", s)
-		}
-	}
-	p0 := Project(pre, []int{0})
-	for _, s := range []string{"", "a", "ab"} {
-		if !p0.ContainsStrings(s) {
-			t.Errorf("π₀(prefix) should contain %q", s)
-		}
-	}
-}
-
 func TestPadValid(t *testing.T) {
 	pv := PadValid(ab, 2)
 	if !pv.Accepts(Convolve([]rune("ab"), []rune("a"))) {
@@ -265,41 +236,42 @@ func TestJointStepMatchesTupleSemantics(t *testing.T) {
 		Atom{Rel: Equality(ab), Pos: []int{0, 1}},
 		Atom{Rel: EqualLength(ab), Pos: []int{1, 2}},
 	)
+	run := NewJointRunner(j)
+	syms := map[TupleSym]int{}
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 500; i++ {
 		ss := [][]rune{randString(r, 4, ab), randString(r, 4, ab), randString(r, 4, ab)}
 		want := j.AcceptsTuple(ss)
 		// run the stepper over the convolution
-		w := Convolve(ss...)
-		s := j.Start()
-		ok := true
-		for _, sym := range w {
-			var alive bool
-			s, alive = j.Step(s, sym)
-			if !alive {
-				ok = false
+		s, ok := run.StartID(), true
+		for _, sym := range Convolve(ss...) {
+			id, seen := syms[sym]
+			if !seen {
+				id = run.AddSym([]rune(sym))
+				syms[sym] = id
+			}
+			if s, ok = run.Step(s, id); !ok {
 				break
 			}
 		}
-		got := ok && j.Accepting(s)
+		got := ok && run.Accepting(s)
 		if got != want {
-			t.Fatalf("joint stepper disagrees on %q/%q/%q: got %v want %v",
+			t.Fatalf("joint runner disagrees on %q/%q/%q: got %v want %v",
 				string(ss[0]), string(ss[1]), string(ss[2]), got, want)
 		}
 	}
 }
 
 func TestJointRejectsImproper(t *testing.T) {
-	j := newJoint(t, 2, Atom{Rel: Prefix(ab), Pos: []int{0, 1}})
-	s := j.Start()
-	s, ok := j.Step(s, MakeSym(Bot, 'a'))
+	r := NewJointRunner(newJoint(t, 2, Atom{Rel: Prefix(ab), Pos: []int{0, 1}}))
+	s, ok := r.Step(r.StartID(), r.AddSym([]rune{Bot, 'a'}))
 	if !ok {
 		t.Fatal("padding on tape 0 should be fine")
 	}
-	if _, ok := j.Step(s, MakeSym('a', 'a')); ok {
+	if _, ok := r.Step(s, r.AddSym([]rune{'a', 'a'})); ok {
 		t.Error("tape 0 resumed after ⊥; must be rejected")
 	}
-	if _, ok := j.Step(j.Start(), MakeSym(Bot, Bot)); ok {
+	if _, ok := r.Step(r.StartID(), r.AddSym([]rune{Bot, Bot})); ok {
 		t.Error("all-⊥ symbol must be rejected")
 	}
 }

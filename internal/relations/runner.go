@@ -2,11 +2,12 @@ package relations
 
 import "repro/internal/intern"
 
-// JointRunner is the dense-integer execution engine for a Joint. The
-// plain Joint.Step API re-serializes subset-states into string keys and
-// re-runs NFA subset stepping on every call; on the product-BFS hot path
-// the same (state, symbol) pairs recur constantly — once per product
-// node that shares the joint coordinate. The runner interns:
+// JointRunner is the one stepper of a Joint: it runs the joint automaton
+// A_Q on dense integers. Evaluation's product BFS, the answer automaton,
+// ClassDFA's exploration and neg's letters automaton all step it. On the
+// product-BFS hot path the same (state, symbol) pairs recur constantly —
+// once per product node that shares the joint coordinate — so the runner
+// interns:
 //
 //   - joint states to dense ids (per-atom subset sets interned first, so
 //     a state is a tiny int tuple: done-mask plus one set id per atom),
@@ -15,6 +16,10 @@ import "repro/internal/intern"
 //     time, so a subset step runs on integers (step.go),
 //   - (stateID, symID) → stateID transitions in a memo table, so
 //     repeated symbols never re-run subset stepping at all.
+//
+// A step fails on an all-⊥ symbol, on a non-⊥ letter after its tape has
+// started padding, and when some atom's stepped subset can no longer
+// reach acceptance.
 //
 // A JointRunner is not safe for concurrent use.
 type JointRunner struct {

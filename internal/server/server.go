@@ -269,9 +269,6 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // one request may hold its connection.
 func (s *Server) MaxTimeout() time.Duration { return s.cfg.MaxTimeout }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Stats returns a point-in-time snapshot of the serving counters.
 func (s *Server) Stats() Stats {
 	return Stats{
