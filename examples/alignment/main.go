@@ -1,6 +1,7 @@
 // Biological sequence alignment with ECRPQs (Section 4 of the paper):
-// decide bounded edit distance with the regular relation D≤k, and extract
-// the actual gaps and mismatches with the alignment-extraction query.
+// decide bounded edit distance with the regular relation D≤k, extract
+// the actual gaps and mismatches with the alignment-extraction query, and
+// decide a multiple alignment of three sequences as one ECRPQ.
 //
 //	go run ./examples/alignment
 package main
@@ -51,5 +52,15 @@ func main() {
 			}
 		}
 		fmt.Println()
+	}
+	// Multiple alignment: one path per sequence and a D≤k atom per pair,
+	// evaluated as a single three-tape component.
+	seqs := []string{"gattaca", "gatttaca", "gactaca"}
+	for _, k := range []int{1, 2} {
+		ok, err := align.MultiWithinK(seqs, k, dna)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%q pairwise within %d: %v\n", seqs, k, ok)
 	}
 }

@@ -1,39 +1,41 @@
 // Semantic-web associations (Section 4 of the paper, after Anyanwu &
-// Sheth): declare a subproperty hierarchy over RDF-style properties, find
-// ρ-isoAssociated entities, and return the actual ρ-isomorphic property
-// sequences with a ρ-query.
+// Sheth): load an RDF graph from N-Triples, declare a subproperty
+// hierarchy over its properties, find ρ-isoAssociated entities, and
+// return the actual ρ-isomorphic property sequences with a ρ-query.
 //
 //	go run ./examples/semanticweb
 package main
 
 import (
+	_ "embed"
 	"fmt"
 	"log"
+	"strings"
 
 	"repro/internal/rdf"
 
 	"repro"
 )
 
-func main() {
-	// Properties: c = "createdBy", s = "supervisedBy", f = "fundedBy",
-	// with c ≺ s (creation is a kind of supervision for this ontology).
-	h := rdf.NewHierarchy().Sub('c', 's').Reflexive()
+//go:embed provenance.nt
+var provenance string
 
-	// A small provenance graph: two artifacts trace back to labs through
-	// comparable property chains.
+const ex = "http://example.org/"
+
+func main() {
 	g := pathquery.NewGraph()
-	paper := g.AddNode("paper")
-	dataset := g.AddNode("dataset")
-	alice := g.AddNode("alice")
-	bob := g.AddNode("bob")
-	lab := g.AddNode("lab")
-	agency := g.AddNode("agency")
-	g.AddEdge(paper, 'c', alice) // paper createdBy alice
-	g.AddEdge(alice, 's', lab)   // alice supervisedBy lab
-	g.AddEdge(dataset, 's', bob) // dataset supervisedBy bob
-	g.AddEdge(bob, 's', lab)     // bob supervisedBy lab
-	g.AddEdge(lab, 'f', agency)  // lab fundedBy agency
+	vocab, stats, err := rdf.LoadNTriples(strings.NewReader(provenance), g, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%d triples, %d predicates\n", stats.Triples, vocab.NumPreds())
+
+	// createdBy ≺ supervisedBy: creation is a kind of supervision for
+	// this ontology.
+	createdBy, _ := vocab.LookupPred(ex + "createdBy")
+	supervisedBy, _ := vocab.LookupPred(ex + "supervisedBy")
+	h := rdf.NewHierarchy().Sub(createdBy, supervisedBy).Reflexive()
+	name := func(v pathquery.Node) string { return strings.TrimPrefix(g.Name(v), ex) }
 
 	pairs, err := h.IsoAssociated(g)
 	if err != nil {
@@ -42,18 +44,28 @@ func main() {
 	fmt.Println("ρ-isoAssociated pairs:")
 	for _, p := range pairs {
 		if p[0] < p[1] { // print each unordered pair once
-			fmt.Printf("  %s ~ %s\n", g.Name(p[0]), g.Name(p[1]))
+			fmt.Printf("  %s ~ %s\n", name(p[0]), name(p[1]))
 		}
 	}
 
 	// The ρ-query: which property sequences witness the association of
 	// paper and dataset?
+	paper, _ := g.NodeByName(ex + "paper")
+	dataset, _ := g.NodeByName(ex + "dataset")
 	seqs, err := h.RhoQuery(g, paper, dataset, 10, 6)
 	if err != nil {
 		log.Fatal(err)
 	}
+	props := func(labels []rune) string {
+		var out []string
+		for _, l := range labels {
+			iri, _ := vocab.PredIRI(l)
+			out = append(out, strings.TrimPrefix(iri, ex))
+		}
+		return "[" + strings.Join(out, " ") + "]"
+	}
 	fmt.Println("\nρ-isomorphic property sequences from (paper, dataset):")
 	for _, pr := range seqs {
-		fmt.Printf("  %q ~ %q\n", pr[0].LabelString(), pr[1].LabelString())
+		fmt.Printf("  %s ~ %s\n", props(pr[0].Labels), props(pr[1].Labels))
 	}
 }

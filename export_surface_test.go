@@ -18,15 +18,16 @@ import (
 	"testing"
 )
 
-// testOnlyList names the exported internal identifiers that only tests
-// use, each with the reason it stays exported.
+// testOnlyList names the exported internal identifiers that only tests or
+// only their own package use, each with the reason it stays exported.
 const testOnlyList = "testdata/export_testonly.txt"
 
 // TestExportSurface type-checks the module and benchmark/ and accounts
 // for every exported package-level identifier declared in non-test
 // internal/ code. It fails on an identifier nothing uses, on one only
-// tests use that testOnlyList does not list, and on a listed entry that
-// is gone or has a non-test user. Methods are left out: an interface
+// tests or only its own package use that testOnlyList does not list, and
+// on a listed entry that is gone or has a non-test user in another
+// package. Methods are left out: an interface
 // the type satisfies can be their only user. With -v it prints the count
 // per category and the non-test and test Go line counts outside
 // benchmark/.
@@ -119,8 +120,11 @@ func TestExportSurface(t *testing.T) {
 			cat = "used by another package"
 		case users["benchmark"]:
 			cat = "used by benchmark/ only"
+		case users[own] && listed[key] != "":
+			cat = "used by its own package only, listed"
 		case users[own]:
-			cat = "used by its own package only"
+			cat = "used by its own package only, not listed"
+			t.Errorf("%s: only its own package uses it; unexport it, or list it in %s with the reason it stays exported", key, testOnlyList)
 		case sc.tested[key] && listed[key] != "":
 			cat = "used by tests only, listed"
 		case sc.tested[key]:
@@ -131,7 +135,7 @@ func TestExportSurface(t *testing.T) {
 			t.Errorf("%s: nothing outside its declaration uses it", key)
 		}
 		count[cat]++
-		if _, ok := listed[key]; ok && cat != "used by tests only, listed" {
+		if _, ok := listed[key]; ok && !strings.HasSuffix(cat, ", listed") {
 			t.Errorf("%s is listed in %s but is %s", key, testOnlyList, cat)
 		}
 	}
@@ -141,9 +145,9 @@ func TestExportSurface(t *testing.T) {
 		}
 	}
 	t.Logf("exported package-level identifiers in non-test internal/ code: %d", len(keys))
-	for _, cat := range []string{"used by another package", "used by benchmark/ only", "used by its own package only",
-		"used by tests only, listed", "used by tests only, not listed", "unused"} {
-		t.Logf("  %-32s %4d", cat, count[cat])
+	for _, cat := range []string{"used by another package", "used by benchmark/ only", "used by its own package only, listed",
+		"used by its own package only, not listed", "used by tests only, listed", "used by tests only, not listed", "unused"} {
+		t.Logf("  %-42s %4d", cat, count[cat])
 	}
 	t.Logf("Go lines outside benchmark/: %d non-test, %d test", code, tests)
 }

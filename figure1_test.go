@@ -4,21 +4,25 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/containment"
 	"repro/internal/ecrpq"
 	"repro/internal/graph"
 	"repro/internal/ilp"
 	"repro/internal/lenabs"
 	"repro/internal/linconstr"
 	"repro/internal/neg"
+	"repro/internal/pattern"
 	"repro/internal/relations"
 	"repro/internal/workload"
 )
 
 // TestFigure1 reproduces the complexity landscape of the paper's Figure 1
-// (Theorems 6.3, 6.5, 6.7, 6.8, 8.1, 8.2 and 8.5) and Propositions 3.2 and 5.2
+// (Theorems 6.3, 6.5, 6.7, 6.8, 8.1, 8.2 and 8.5) and Propositions 3.2 and 5.2,
+// with Section 7's containment search (Claim 7.2.1, Theorems 7.1 and 7.2)
 // as deterministic work counts, one subtest per cell. A count is the
 // least budget a run passes with — product states (Options.
 // MaxProductStates under NoPrune and one worker), automaton states
@@ -42,6 +46,7 @@ func TestFigure1(t *testing.T) {
 	t.Run("E11_linear_constraints_data", figureE11)
 	t.Run("E12_separation", figureE12)
 	t.Run("E14_answer_automaton", figureE14)
+	t.Run("E17_containment_canonical_dbs", figureE17)
 }
 
 var sigmaAB = []rune{'a', 'b'}
@@ -461,5 +466,76 @@ func figureE14(t *testing.T) {
 		if states > 2*e || trans > 2*e {
 			t.Errorf("|E| %d: %d states, %d transitions", e, states, trans)
 		}
+	}
+}
+
+// Section 7: Q1 ⊈ Q2 iff some canonical database of Q1 fails Q2 (Claim
+// 7.2.1). containment.Check enumerates Q1's canonical word tuples up to
+// a length bound and evaluates Q2, compiled once, on each database. For
+// aⁿbⁿ ⊆ a+b+ (Theorem 7.2's ECRPQ-in-CRPQ setting) the tuples up to
+// bound k are exactly n = 1…k; the other rows stop at their first
+// counterexample, which NaiveEval must confirm: Q1 yields the canonical
+// head tuple and Q2 does not. Theorem 7.1's marked pattern queries
+// (pattern.MarkedQuery) give the Σ* ⊈ squares row.
+func figureE17(t *testing.T) {
+	anbn := ecrpq.MustParse("Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)", envAB())
+	t.Logf("Claim 7.2.1 / Thm 7.2, canonical-database search: %s against CRPQs; Q2 compiled once per check", anbn)
+	check := func(name string, q1, q2 *ecrpq.Query, sigma []rune, bound int) *containment.Result {
+		t.Helper()
+		res, err := containment.Check(q1, q2, sigma, bound, 1000, ecrpq.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		verdict := "contained up to the bound"
+		if c := res.Counter; c != nil {
+			verdict = fmt.Sprintf("counterexample %q", c.Words)
+			maxLen := 0
+			for _, w := range c.Words {
+				maxLen = max(maxLen, len([]rune(w)))
+			}
+			for i, q := range []*ecrpq.Query{q1, q2} {
+				answers, err := ecrpq.NaiveEval(q, c.G, maxLen+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				found := slices.ContainsFunc(answers, func(a ecrpq.Answer) bool { return slices.Equal(a.Nodes, c.Head) })
+				if found != (i == 0) {
+					t.Errorf("%s: counterexample %q: NaiveEval says Q%d yields the head tuple: %v", name, c.Words, i+1, found)
+				}
+			}
+		}
+		t.Logf("  %-22s bound %d  canonical tuples %2d  Q2 compilations %d  %s", name, bound, res.Tuples, res.Compiled, verdict)
+		if res.Compiled != 1 {
+			t.Errorf("%s: Q2 compiled %d times", name, res.Compiled)
+		}
+		return res
+	}
+	in := ecrpq.MustParse("Ans(x,y) <- (x,r,y), a+b+(r)", envAB())
+	for _, bound := range []int{2, 4, 8} {
+		if res := check("aⁿbⁿ ⊆ a+b+", anbn, in, sigmaAB, bound); !res.ContainedUpTo || res.Tuples != bound {
+			t.Errorf("aⁿbⁿ ⊆ a+b+ at bound %d: contained %v after %d tuples, want true after %d", bound, res.ContainedUpTo, res.Tuples, bound)
+		}
+	}
+	out := ecrpq.MustParse("Ans(x,y) <- (x,r,y), (ab)+(r)", envAB())
+	if res := check("aⁿbⁿ ⊆ (ab)+", anbn, out, sigmaAB, 8); res.Counter == nil || res.Tuples != 2 {
+		t.Errorf("aⁿbⁿ ⊆ (ab)+: counterexample %v after %d tuples, want a²b² after 2", res.Counter, res.Tuples)
+	}
+	az := []rune("abcdefghijklmnopqrstuvwxyz")
+	cls := ecrpq.MustParse("Ans(x,y) <- (x,p,y), [a-z]+(p)", ecrpq.Env{Sigma: az})
+	aplus := ecrpq.MustParse("Ans(x,y) <- (x,r,y), a+(r)", ecrpq.Env{Sigma: az})
+	if res := check("[a-z]+ ⊆ a+", cls, aplus, az, 4); res.Counter == nil || res.Tuples != 2 {
+		t.Errorf("[a-z]+ ⊆ a+: counterexample %v after %d tuples, want b after 2", res.Counter, res.Tuples)
+	}
+	full := []rune{'a', 'b', 'p', 'q'}
+	qa, err := pattern.Parse("X").MarkedQuery(sigmaAB, 'p', 'q')
+	if err != nil {
+		t.Fatal(err)
+	}
+	qb, err := pattern.Parse("XX").MarkedQuery(sigmaAB, 'p', 'q')
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := check("Thm 7.1: X ⊆ XX", qa, qb, full, 3); res.Counter == nil {
+		t.Error("Thm 7.1: Σ* ⊆ squares has no counterexample")
 	}
 }

@@ -23,6 +23,7 @@ package containment
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/automata"
 	"repro/internal/ecrpq"
@@ -60,6 +61,10 @@ type Result struct {
 	ContainedUpTo bool
 	Bound         int
 	Counter       *Counterexample
+
+	// Tuples counts the canonical word tuples checked against Q2, and
+	// Compiled the times Q2 was compiled for them: once per Check.
+	Tuples, Compiled int
 }
 
 // Check searches for a counterexample to Q1 ⊆ Q2 among the canonical
@@ -82,7 +87,11 @@ func Check(q1, q2 *ecrpq.Query, sigma []rune, bound, limit int, opts ecrpq.Optio
 	if q1.AllowRepeatedPathVars {
 		return nil, fmt.Errorf("containment: repeated path variables are not supported in Q1")
 	}
-	tuples, err := canonicalTuples(q1, sigma, bound, limit)
+	refine := make([]*relations.Relation, len(q2.RelAtoms))
+	for i, ra := range q2.RelAtoms {
+		refine[i] = ra.Rel
+	}
+	tuples, err := canonicalTuples(q1, refine, sigma, bound, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -91,41 +100,49 @@ func Check(q1, q2 *ecrpq.Query, sigma []rune, bound, limit int, opts ecrpq.Optio
 	if err != nil {
 		return nil, err
 	}
+	res := &Result{Bound: bound, Compiled: 1}
 	for _, words := range tuples {
-		g, headVals := canonicalDB(q1, words)
-		// Check the canonical head tuple against Q2.
-		bind := map[ecrpq.NodeVar]graph.Node{}
-		ok := true
+		res.Tuples++
+		g, head := canonicalDB(q1, words)
+		// Q2 must produce the canonical head tuple; a head variable Q2
+		// repeats must meet equal components.
+		o, ok := opts, true
+		o.Bind = map[ecrpq.NodeVar]graph.Node{}
 		for i, z := range q2.HeadNodes {
-			if prev, exists := bind[z]; exists && prev != headVals[i] {
+			if prev, seen := o.Bind[z]; seen && prev != head[i] {
 				ok = false
-				break
 			}
-			bind[z] = headVals[i]
+			o.Bind[z] = head[i]
+		}
+		if ok {
+			ans, err := prog2.Eval(context.Background(), g, o)
+			if err != nil {
+				return nil, err
+			}
+			ok = ans.Bool()
 		}
 		if !ok {
-			// Q2's head requires equal components that differ here: the
-			// canonical tuple cannot be produced by Q2.
-			return &Result{Bound: bound, Counter: &Counterexample{G: g, Head: headVals, Words: words}}, nil
-		}
-		o := opts
-		o.Bind = bind
-		res, err := prog2.Eval(context.Background(), g, o)
-		if err != nil {
-			return nil, err
-		}
-		if !res.Bool() {
-			return &Result{Bound: bound, Counter: &Counterexample{G: g, Head: headVals, Words: words}}, nil
+			res.Counter = &Counterexample{G: g, Head: head, Words: words}
+			return res, nil
 		}
 	}
-	return &Result{ContainedUpTo: true, Bound: bound}, nil
+	res.ContainedUpTo = true
+	return res, nil
 }
 
 // canonicalTuples enumerates word tuples (one word per path atom of q)
 // that jointly satisfy q's relation atoms, with each word of length at
-// most bound, up to limit tuples. Enumeration runs over the materialized
-// joint relation automaton so only satisfying tuples are generated.
-func canonicalTuples(q *ecrpq.Query, sigma []rune, bound, limit int) ([][]string, error) {
+// most bound, up to limit tuples, in nondecreasing length. q's relation
+// atoms are compiled as the evaluator compiles a component
+// (CompileClassAtoms), over a partition that refine's relations refine
+// too, and the search steps the joint runner on class tuples: per tape
+// only the classes Live admits, and ⊥ where it admits ⊥. A class stands
+// for one label of sigma, the first that falls in it: neither q nor the
+// refining query tells a class's members apart, so a tuple with other
+// members of the same classes satisfies q and fails the refining query
+// exactly when this one does. Classes no label of sigma falls in are
+// never read.
+func canonicalTuples(q *ecrpq.Query, refine []*relations.Relation, sigma []rune, bound, limit int) ([][]string, error) {
 	m := len(q.PathAtoms)
 	idx := map[ecrpq.PathVar]int{}
 	for i, a := range q.PathAtoms {
@@ -139,23 +156,96 @@ func canonicalTuples(q *ecrpq.Query, sigma []rune, bound, limit int) ([][]string
 		}
 		atoms = append(atoms, relations.Atom{Rel: ra.Rel, Pos: pos})
 	}
+	part, atoms, err := relations.CompileClassAtoms(atoms, refine...)
+	if err != nil {
+		return nil, err
+	}
 	joint, err := relations.NewJoint(m, atoms)
 	if err != nil {
 		return nil, err
 	}
-	auto := joint.Materialize(relations.TupleAlphabet(sigma, m))
-	words := auto.EnumerateAccepted(limit, bound)
-	out := make([][]string, 0, len(words)+1)
-	// The all-empty tuple is a valid convolution of length 0 (accepted iff
-	// the joint start state accepts); EnumerateAccepted covers it via the
-	// empty word.
-	for _, w := range words {
-		parts := relations.Deconvolve(w, m)
-		tuple := make([]string, m)
-		for i, rs := range parts {
-			tuple[i] = string(rs)
+	r := relations.NewJointRunner(joint)
+	// label[c] is the σ label class c stands for (0: none); classes lists
+	// the classes that have one.
+	label := make([]rune, part.DeadClass()+1)
+	var classes []rune
+	for _, a := range sigma {
+		if c := part.ClassOf(a); a != relations.Bot && label[c] == 0 {
+			label[c] = a
+			classes = append(classes, c)
 		}
-		out = append(out, tuple)
+	}
+	slices.Sort(classes)
+
+	type node struct {
+		state int
+		words []string
+	}
+	var out [][]string
+	if r.Accepting(r.StartID()) {
+		out = append(out, make([]string, m))
+	}
+	symIDs := map[string]int{}
+	choices := make([][]rune, m)
+	sym := make([]rune, m)
+	// step tries every tuple of the tapes' choices from position p on,
+	// all-⊥ excluded, in lexicographic order.
+	var from node
+	var next []node
+	var step func(p int)
+	step = func(p int) {
+		if p < m {
+			for _, c := range choices[p] {
+				sym[p] = c
+				step(p + 1)
+			}
+			return
+		}
+		if len(out) >= limit || !slices.ContainsFunc(sym, func(c rune) bool { return c != relations.Bot }) {
+			return
+		}
+		sid, ok := symIDs[string(sym)]
+		if !ok {
+			sid = r.AddSym(sym)
+			symIDs[string(sym)] = sid
+		}
+		to, ok := r.Step(from.state, sid)
+		if !ok {
+			return
+		}
+		n := node{state: to, words: slices.Clone(from.words)}
+		for p, c := range sym {
+			if c != relations.Bot {
+				n.words[p] += string(label[c])
+			}
+		}
+		next = append(next, n)
+		if r.Accepting(to) {
+			out = append(out, n.words)
+		}
+	}
+	cur := []node{{state: r.StartID(), words: make([]string, m)}}
+	for depth := 0; depth < bound && len(cur) > 0 && len(out) < limit; depth++ {
+		next = nil
+		for _, from = range cur {
+			// Per tape: ⊥ first where Live admits it, then the live classes.
+			for p, ls := range r.Live(from.state) {
+				choices[p] = choices[p][:0]
+				if ls.Bot {
+					choices[p] = append(choices[p], relations.Bot)
+				}
+				for _, c := range ls.Labels {
+					if c < rune(len(label)) && label[c] != 0 {
+						choices[p] = append(choices[p], c)
+					}
+				}
+				if ls.All {
+					choices[p] = append(choices[p], classes...)
+				}
+			}
+			step(0)
+		}
+		cur = next
 	}
 	return out, nil
 }
@@ -165,47 +255,34 @@ func canonicalTuples(q *ecrpq.Query, sigma []rune, bound, limit int) ([][]string
 // nodes named by q's node variables (Claim 7.2.1). It returns the graph
 // and the values of q's head node variables.
 func canonicalDB(q *ecrpq.Query, words []string) (*graph.DB, []graph.Node) {
+	// ε-words collapse their endpoints: union-find on node variables.
+	alias := map[ecrpq.NodeVar]ecrpq.NodeVar{}
+	find := func(v ecrpq.NodeVar) ecrpq.NodeVar {
+		for alias[v] != "" {
+			v = alias[v]
+		}
+		return v
+	}
+	for i, a := range q.PathAtoms {
+		if x, y := find(a.X), find(a.Y); words[i] == "" && x != y {
+			alias[x] = y
+		}
+	}
 	g := graph.NewDB()
 	varNode := map[ecrpq.NodeVar]graph.Node{}
 	nodeOf := func(v ecrpq.NodeVar) graph.Node {
-		if n, ok := varNode[v]; ok {
-			return n
+		v = find(v)
+		if _, ok := varNode[v]; !ok {
+			varNode[v] = g.AddNode("var:" + string(v))
 		}
-		n := g.AddNode("var:" + string(v))
-		varNode[v] = n
-		return n
-	}
-	// ε-words collapse their endpoints: pre-process with union-find on
-	// node variables.
-	alias := map[ecrpq.NodeVar]ecrpq.NodeVar{}
-	var find func(v ecrpq.NodeVar) ecrpq.NodeVar
-	find = func(v ecrpq.NodeVar) ecrpq.NodeVar {
-		if alias[v] == "" || alias[v] == v {
-			alias[v] = v
-			return v
-		}
-		r := find(alias[v])
-		alias[v] = r
-		return r
+		return varNode[v]
 	}
 	for i, a := range q.PathAtoms {
-		if words[i] == "" {
-			alias[find(a.X)] = find(a.Y)
-		}
-	}
-	for i, a := range q.PathAtoms {
-		from := nodeOf(find(a.X))
-		to := nodeOf(find(a.Y))
+		prev, to := nodeOf(a.X), nodeOf(a.Y)
 		rs := []rune(words[i])
-		if len(rs) == 0 {
-			continue
-		}
-		prev := from
 		for j, r := range rs {
-			var next graph.Node
-			if j == len(rs)-1 {
-				next = to
-			} else {
+			next := to
+			if j < len(rs)-1 {
 				next = g.AddNode(fmt.Sprintf("p%d_%d", i, j+1))
 			}
 			g.AddEdge(prev, r, next)
@@ -214,7 +291,7 @@ func canonicalDB(q *ecrpq.Query, words []string) (*graph.DB, []graph.Node) {
 	}
 	head := make([]graph.Node, len(q.HeadNodes))
 	for i, z := range q.HeadNodes {
-		head[i] = nodeOf(find(z))
+		head[i] = nodeOf(z)
 	}
 	return g, head
 }

@@ -128,13 +128,13 @@ func naiveBound(t *testing.T, q *Query, s *graph.Snapshot, bind map[NodeVar]grap
 rows:
 	for _, row := range rows {
 		for v, n := range bind {
-			if row.Nodes[varPos(wide.HeadNodes, v)] != n {
+			if row.Nodes[slices.Index(wide.HeadNodes, v)] != n {
 				continue rows
 			}
 		}
 		a := Answer{Paths: slices.Clone(row.Paths)}
 		for _, z := range q.HeadNodes {
-			a.Nodes = append(a.Nodes, row.Nodes[varPos(wide.HeadNodes, z)])
+			a.Nodes = append(a.Nodes, row.Nodes[slices.Index(wide.HeadNodes, z)])
 		}
 		if old, ok := out[a.Key()]; ok {
 			for i := range a.Paths {

@@ -177,28 +177,42 @@ func (r *Result) Bool() bool { return len(r.Answers) > 0 }
 // literal carries no memo and hashes on every call.
 func (r *Result) Fingerprint() uint64 {
 	m := r.fp
-	if m == nil {
+	if !m.describes(r.Answers) {
 		return fingerprintAnswers(r.Answers)
 	}
-	m.once.Do(func() {
-		m.sum, m.n, m.first = fingerprintAnswers(r.Answers), len(r.Answers), firstAnswer(r.Answers)
-	})
-	if m.n != len(r.Answers) || m.first != firstAnswer(r.Answers) {
-		// A by-value copy whose Answers were re-sliced or replaced shares
-		// the memo cell but not the answers it describes.
-		return fingerprintAnswers(r.Answers)
+	if !m.hashed.Load() {
+		m.sum.Store(fingerprintAnswers(r.Answers))
+		m.hashed.Store(true)
 	}
-	return m.sum
+	return m.sum.Load()
 }
 
-// fpMemo is the fingerprint memo cell of one answer set. It sits behind
-// a pointer so that Results sharing Answers (restamp, by-value copies)
-// share the memo, and so that copying a Result copies no lock.
+// fpMemo is the memo cell of one answer set: the answers' part of
+// SizeBytes, taken when the first Result to ask binds the cell to its
+// Answers, and the fingerprint, hashed on first use (callers racing on
+// the first use may each hash; they store the same value). It sits
+// behind a pointer so that Results sharing Answers (restamp, by-value
+// copies) share the memo, and so that copying a Result copies no lock.
+// The fields pack into 48 bytes, the allocation class the memo had when
+// it held the fingerprint alone.
 type fpMemo struct {
-	once  sync.Once
-	sum   uint64
-	n     int // len and first element of the Answers the sum describes
-	first *Answer
+	once   sync.Once
+	hashed atomic.Bool
+	n      int // len and first element of the Answers the memo describes
+	first  *Answer
+	size   int64
+	sum    atomic.Uint64
+}
+
+// describes reports whether the memo describes answers. A by-value copy
+// whose Answers were re-sliced or replaced shares the memo cell but not
+// the answers it describes. A nil memo describes nothing.
+func (m *fpMemo) describes(answers []Answer) bool {
+	if m == nil {
+		return false
+	}
+	m.once.Do(func() { m.n, m.first, m.size = len(answers), firstAnswer(answers), answersBytes(answers) })
+	return m.n == len(answers) && m.first == firstAnswer(answers)
 }
 
 func firstAnswer(a []Answer) *Answer {
@@ -273,10 +287,21 @@ const answerOverhead = 64
 // answers' node tuples and witness paths (the data each entry uniquely
 // retains); the Query and Snapshot pointers are shared across the many
 // entries of one program and epoch, and dead-epoch dropping bounds how
-// many distinct snapshots cached results keep alive.
+// many distinct snapshots cached results keep alive. An evaluator-built
+// Result walks its answers once: the memo cell it shares with its
+// re-stamps keeps their part.
 func (r *Result) SizeBytes() int64 {
-	size := int64(answerOverhead) // Result struct itself
-	for _, a := range r.Answers {
+	size := int64(answerOverhead) + r.inc.sizeBytes() // the Result struct and its incremental memo
+	if r.fp.describes(r.Answers) {
+		return size + r.fp.size
+	}
+	return size + answersBytes(r.Answers)
+}
+
+// answersBytes is the answers' part of SizeBytes.
+func answersBytes(answers []Answer) int64 {
+	var size int64
+	for _, a := range answers {
 		size += answerOverhead
 		size += int64(len(a.Nodes)) * 8
 		for _, p := range a.Paths {
@@ -284,7 +309,6 @@ func (r *Result) SizeBytes() int64 {
 			size += int64(len(p.Nodes))*8 + int64(len(p.Labels))*4
 		}
 	}
-	size += r.inc.sizeBytes()
 	return size
 }
 
@@ -303,16 +327,6 @@ func Eval(q *Query, g graph.Snapshotter, opts Options) (*Result, error) {
 		return nil, err
 	}
 	return prog.Eval(context.Background(), g, opts)
-}
-
-// varPos returns the index of v in vars, or -1.
-func varPos(vars []NodeVar, v NodeVar) int {
-	for i, w := range vars {
-		if w == v {
-			return i
-		}
-	}
-	return -1
 }
 
 // component groups the path variables connected by relation atoms of
@@ -684,7 +698,7 @@ func newComponentEngine(ws *workspace, comp int) *componentEngine {
 	e.emit = e
 	for i, atoms := range c.atomsOf {
 		for _, a := range atoms {
-			e.plan = append(e.plan, acceptCheck{coord: i, yi: varPos(c.allVars, a.Y)})
+			e.plan = append(e.plan, acceptCheck{coord: i, yi: slices.Index(c.allVars, a.Y)})
 		}
 	}
 	for i, v := range c.vars {
@@ -735,7 +749,7 @@ func (e *componentEngine) reset(s *graph.Snapshot, opts Options, doms map[NodeVa
 	e.space.vars, e.space.lists = e.c.xvars, e.space.lists[:0]
 	for _, v := range e.c.xvars {
 		var list []graph.Node
-		if i := varPos(e.c.allVars, v); e.bindVal[i] >= 0 {
+		if i := slices.Index(e.c.allVars, v); e.bindVal[i] >= 0 {
 			list = e.bindVal[i : i+1 : i+1]
 		} else if dom, ok := doms[v]; ok {
 			list = dom
@@ -878,7 +892,7 @@ func (e *componentEngine) beginRun(assign map[NodeVar]graph.Node) bool {
 		e.tmpl[i] = -1
 	}
 	for v, n := range assign {
-		e.tmpl[varPos(e.c.allVars, v)] = n
+		e.tmpl[slices.Index(e.c.allVars, v)] = n
 	}
 	// No move discovered the start state: its recorded labels are ⊥.
 	for i := range e.symLabs {

@@ -101,7 +101,8 @@ func TestOptionsSurface(t *testing.T) {
 
 // TestResultFingerprintAndSize: the fingerprint is stable across
 // recomputation, sensitive to answers, and SizeBytes grows with the
-// answer set.
+// answer set. A re-stamped result reads its size from the memo cell it
+// shares; a copy with other answers does not.
 func TestResultFingerprintAndSize(t *testing.T) {
 	q := MustParse("Ans(x, y, p1) <- (x,p1,y), a+(p1)", env())
 	g := stringGraph("aaaa")
@@ -127,6 +128,22 @@ func TestResultFingerprintAndSize(t *testing.T) {
 	trimmed := &Result{Query: res1.Query, Snap: res1.Snap, Answers: res1.Answers[:len(res1.Answers)-1]}
 	if trimmed.Fingerprint() == res1.Fingerprint() {
 		t.Error("fingerprint insensitive to a dropped answer")
+	}
+
+	size := res1.SizeBytes()
+	re := restamp(res1, g.Snapshot())
+	if got := re.SizeBytes(); re.fp != res1.fp || got != size {
+		t.Fatalf("re-stamped SizeBytes = %d (memo shared: %v), want %d", got, re.fp == res1.fp, size)
+	}
+	res1.fp.size++ // a size read from the memo moves with it
+	if got := re.SizeBytes(); got != size+1 {
+		t.Errorf("re-stamped SizeBytes = %d after the memo moved to %d: the answers were walked again", got, size+1)
+	}
+	res1.fp.size--
+	copied := *res1 // shares the memo cell, not the answers it describes
+	copied.Answers = copied.Answers[:len(copied.Answers)-1]
+	if got, want := copied.SizeBytes(), size-answersBytes(res1.Answers[len(res1.Answers)-1:]); got != want {
+		t.Errorf("SizeBytes of a copy without the last answer = %d, want %d", got, want)
 	}
 }
 

@@ -362,7 +362,7 @@ func (a *joinArena) yannakakisReduce(ctx context.Context, rels []*varRelation, e
 				return true
 			}
 			for _, later := range elims[k+1:] {
-				if later.child != e.parent && varPos(rels[later.child].vars, v) >= 0 {
+				if later.child != e.parent && slices.Index(rels[later.child].vars, v) >= 0 {
 					return true
 				}
 			}
@@ -384,7 +384,7 @@ func (a *joinArena) yannakakisReduce(ctx context.Context, rels []*varRelation, e
 func foldAdds(rels []*varRelation, elims []elimination, k int, keep []NodeVar) bool {
 	e := elims[k]
 	c, p := rels[e.child], rels[e.parent]
-	if len(c.pvars) > 0 || slices.ContainsFunc(c.vars, func(v NodeVar) bool { return slices.Contains(keep, v) && varPos(p.vars, v) < 0 }) {
+	if len(c.pvars) > 0 || slices.ContainsFunc(c.vars, func(v NodeVar) bool { return slices.Contains(keep, v) && slices.Index(p.vars, v) < 0 }) {
 		return true
 	}
 	for j := range k {
@@ -399,7 +399,7 @@ func foldAdds(rels []*varRelation, elims []elimination, k int, keep []NodeVar) b
 // absent).
 func positions(dst []int, vars, of []NodeVar) []int {
 	for i, v := range vars {
-		dst[i] = varPos(of, v)
+		dst[i] = slices.Index(of, v)
 	}
 	return dst
 }
@@ -449,7 +449,7 @@ func (a *joinArena) projectRelation(r *varRelation, want func(NodeVar) bool) *va
 // are merged exactly as a dedup of the unprojected pairing in (parent
 // row, child row) order would: strictly shorter wins, else first seen.
 func (a *joinArena) projectJoin(ctx context.Context, parent, child *varRelation, keep, wanted func(NodeVar) bool) (*varRelation, error) {
-	inParent := func(v NodeVar) bool { return varPos(parent.vars, v) >= 0 }
+	inParent := func(v NodeVar) bool { return slices.Index(parent.vars, v) >= 0 }
 	gains := len(child.pvars) > 0
 	for _, v := range child.vars {
 		gains = gains || keep(v) && !inParent(v)
@@ -468,7 +468,7 @@ func (a *joinArena) projectJoin(ctx context.Context, parent, child *varRelation,
 			childCols = append(childCols, i)
 		}
 	}
-	parent = a.projectRelation(parent, func(v NodeVar) bool { return wanted(v) || varPos(child.vars, v) >= 0 })
+	parent = a.projectRelation(parent, func(v NodeVar) bool { return wanted(v) || slices.Index(child.vars, v) >= 0 })
 	np := len(parent.pvars)
 	pvars := carve(&a.pvars, np+len(child.pvars))
 	copy(pvars[copy(pvars, parent.pvars):], child.pvars)
@@ -519,7 +519,7 @@ func (a *joinArena) projectJoin(ctx context.Context, parent, child *varRelation,
 func (a *joinArena) semijoin(r, b *varRelation) {
 	shared := carve(&a.vars, len(r.vars))[:0]
 	for _, v := range r.vars {
-		if varPos(b.vars, v) >= 0 {
+		if slices.Index(b.vars, v) >= 0 {
 			shared = append(shared, v)
 		}
 	}

@@ -182,7 +182,7 @@ func relationRows(t *testing.T, r *varRelation, keep []NodeVar) map[string]joine
 	out := map[string]joinedRow{}
 	for i := 0; i < r.n; i++ {
 		row := r.row(i)
-		key := rowKey(keep, func(v NodeVar) graph.Node { return row[varPos(r.vars, v)] })
+		key := rowKey(keep, func(v NodeVar) graph.Node { return row[slices.Index(r.vars, v)] })
 		if _, dup := out[key]; dup {
 			t.Fatalf("joined relation holds row %s twice", key)
 		}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -371,7 +372,7 @@ func testFanOutAfterInlinePrefix(t *testing.T) {
 			rows := m.rows[m.rowOff[idx]:m.rowOff[idx+1]]
 			for r := 0; r < len(rows); r += m.stride {
 				for _, v := range c.xvars {
-					if n := rows[r+varPos(c.allVars, v)]; n != assign[v] {
+					if n := rows[r+slices.Index(c.allVars, v)]; n != assign[v] {
 						t.Fatalf("W=%d: segment %d holds a row with %s=%d, its assignment has %d", w, idx, v, n, assign[v])
 					}
 				}

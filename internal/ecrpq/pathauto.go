@@ -14,7 +14,7 @@ import (
 // over the alphabet V^k ∪ (Σ⊥)^k that accepts exactly the representations
 // v̄₀ā₁v̄₁⋯āₚv̄ₚ of the k-tuples of paths in Q(G, v̄).
 //
-// Representation symbols are encoded as strings: "N:v1,v2,...," for a
+// representation symbols are encoded as strings: "N:v1,v2,...," for a
 // node tuple and "L:" followed by the k runes for a letter tuple.
 // Snap is the immutable graph snapshot the automaton was built over.
 type PathAutomaton struct {
@@ -175,10 +175,10 @@ func projectRep(full *automata.NFA[string], m int, headIdx []int) *automata.NFA[
 	return out
 }
 
-// Representation builds the representation word of a tuple of paths: the
+// representation builds the representation word of a tuple of paths: the
 // alternating node-tuple / letter-tuple string whose letters are the
 // convolution of the path labels (Section 5).
-func Representation(paths []graph.Path) []string {
+func representation(paths []graph.Path) []string {
 	k := len(paths)
 	maxLen := 0
 	for _, p := range paths {
@@ -219,7 +219,7 @@ func (pa *PathAutomaton) AcceptsTuple(paths []graph.Path) bool {
 	if len(paths) != pa.K {
 		return false
 	}
-	return pa.A.Accepts(Representation(paths))
+	return pa.A.Accepts(representation(paths))
 }
 
 // Enumerate returns up to limit path tuples whose longest member has at

@@ -201,7 +201,7 @@ func TestRepresentationRoundTrip(t *testing.T) {
 	v0, _ := g.NodeByName("v0")
 	p1 := graph.EmptyPath(v0).Extend('a', 1).Extend('b', 2)
 	p2 := graph.EmptyPath(v0).Extend('a', 1)
-	rep := Representation([]graph.Path{p1, p2})
+	rep := representation([]graph.Path{p1, p2})
 	// length: nodes (3) + letters (2) interleaved = 5
 	if len(rep) != 5 {
 		t.Fatalf("representation length %d, want 5", len(rep))

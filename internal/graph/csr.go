@@ -3,7 +3,7 @@ package graph
 import "sort"
 
 // LabelRun is one contiguous run of equally-labeled out-edges of a node
-// inside a CSR snapshot: the edges CSR.Edges[Start:End] all leave the
+// inside a CSR snapshot: the edges csr.Edges[Start:End] all leave the
 // same node and carry Label. Inside a Snapshot the offsets are virtual
 // (delta-overlay runs are shifted past the base edge array); resolve
 // them with Snapshot.EdgeRange.
@@ -13,7 +13,7 @@ type LabelRun struct {
 	End   int32
 }
 
-// CSR is an immutable compressed-sparse-row edge index: one flat edge
+// csr is an immutable compressed-sparse-row edge index: one flat edge
 // array holding every out-edge, grouped by source node and, within a
 // node, sorted by label then target, plus a per-node label-run index.
 // It is the hot-path substrate of the graph — the label-directed
@@ -25,7 +25,7 @@ type LabelRun struct {
 // changes after construction. Evaluation consumes CSRs through the
 // epoch-stamped Snapshot, which pairs the last compacted full CSR with
 // a delta overlay of the writes since (see snapshot.go).
-type CSR struct {
+type csr struct {
 	// Edges is the flat edge array; see the type comment for its order.
 	// Callers must not modify it.
 	Edges []Edge
@@ -42,12 +42,12 @@ type CSR struct {
 // target) and already deduplicated against the base. Both inputs are
 // sorted, so the merge is a single linear pass — compaction costs O(m)
 // in the total edge count, with no re-sort of the base segment.
-func mergeCSR(base *CSR, baseN int, delta []rawEdge, n int) *CSR {
+func mergeCSR(base *csr, baseN int, delta []rawEdge, n int) *csr {
 	baseEdges := 0
 	if base != nil {
 		baseEdges = len(base.Edges)
 	}
-	c := &CSR{
+	c := &csr{
 		Edges:   make([]Edge, 0, baseEdges+len(delta)),
 		nodeOff: make([]int32, n+1),
 		runOff:  make([]int32, n+1),
@@ -104,28 +104,28 @@ func mergeCSR(base *CSR, baseN int, delta []rawEdge, n int) *CSR {
 // the page cache. The caller guarantees the arrays are structurally
 // valid (loadSegment validates offsets, monotonicity and sortedness
 // before handing them over).
-func csrFromParts(edges []Edge, nodeOff, runOff []int32, runs []LabelRun, alphabet []rune) *CSR {
-	return &CSR{Edges: edges, nodeOff: nodeOff, runOff: runOff, runs: runs, alphabet: alphabet}
+func csrFromParts(edges []Edge, nodeOff, runOff []int32, runs []LabelRun, alphabet []rune) *csr {
+	return &csr{Edges: edges, nodeOff: nodeOff, runOff: runOff, runs: runs, alphabet: alphabet}
 }
 
 // NumEdges returns the number of edges of the CSR.
-func (c *CSR) NumEdges() int { return len(c.Edges) }
+func (c *csr) NumEdges() int { return len(c.Edges) }
 
 // OutRange returns the range of v's edges in Edges.
-func (c *CSR) OutRange(v Node) (start, end int32) { return c.nodeOff[v], c.nodeOff[v+1] }
+func (c *csr) OutRange(v Node) (start, end int32) { return c.nodeOff[v], c.nodeOff[v+1] }
 
 // out returns v's edges, sorted by label then target: Edges sliced by
 // OutRange (shared; do not modify).
-func (c *CSR) out(v Node) []Edge { return c.Edges[c.nodeOff[v]:c.nodeOff[v+1]] }
+func (c *csr) out(v Node) []Edge { return c.Edges[c.nodeOff[v]:c.nodeOff[v+1]] }
 
 // Runs returns the label runs of v, sorted by label: one entry per
 // distinct out-label, delimiting that label's edges in Edges (shared
 // slice; do not modify). This is "the labels present at v".
-func (c *CSR) Runs(v Node) []LabelRun { return c.runs[c.runOff[v]:c.runOff[v+1]] }
+func (c *csr) Runs(v Node) []LabelRun { return c.runs[c.runOff[v]:c.runOff[v+1]] }
 
 // WithLabel returns the edges of v labeled a, found by binary search over
 // v's label runs (shared slice; do not modify).
-func (c *CSR) WithLabel(v Node, a rune) []Edge {
+func (c *csr) WithLabel(v Node, a rune) []Edge {
 	runs := c.Runs(v)
 	i := sort.Search(len(runs), func(i int) bool { return runs[i].Label >= a })
 	if i < len(runs) && runs[i].Label == a {

@@ -42,14 +42,14 @@ import (
 // store that was not opened with OpenDir.
 var ErrNotDurable = errors.New("graph: store is not durable")
 
-// CheckpointError wraps a failed segment checkpoint: the in-memory
+// checkpointError wraps a failed segment checkpoint: the in-memory
 // compaction already succeeded and the WAL is untouched (still fully
 // replayable), so the store keeps serving — it is durability, not
 // correctness, that is degraded until a checkpoint succeeds.
-type CheckpointError struct{ Err error }
+type checkpointError struct{ Err error }
 
-func (e *CheckpointError) Error() string { return "graph: checkpoint failed: " + e.Err.Error() }
-func (e *CheckpointError) Unwrap() error { return e.Err }
+func (e *checkpointError) Error() string { return "graph: checkpoint failed: " + e.Err.Error() }
+func (e *checkpointError) Unwrap() error { return e.Err }
 
 const (
 	segPrefix = "seg-"
@@ -109,7 +109,7 @@ type DurableStats struct {
 
 // OpenDir opens (creating if necessary) the durable graph store rooted
 // at dir: the newest valid segment file is mapped read-only as the base
-// CSR, the WAL tail is replayed on top (a torn final record is
+// csr, the WAL tail is replayed on top (a torn final record is
 // discarded), and subsequent mutations are write-ahead logged. The
 // returned store serves exactly the acknowledged pre-crash state; call
 // Close when done to release the mapping and the log.
@@ -422,7 +422,7 @@ func (g *DB) setWalErrLocked(err error) {
 // segment file, then truncates the WAL — the durable form of
 // compaction. It is cheap when nothing changed since the last
 // checkpoint and returns ErrNotDurable on a memory-only store; any
-// other failure is a *CheckpointError and leaves the WAL replayable.
+// other failure is a *checkpointError and leaves the WAL replayable.
 func (g *DB) Checkpoint() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -443,7 +443,7 @@ func (g *DB) checkpointWriteLocked() error {
 	}
 	if err := faultinject.Inject(faultinject.CheckpointWrite); err != nil {
 		g.ckErrs++
-		return &CheckpointError{Err: err}
+		return &checkpointError{Err: err}
 	}
 	d := &segment.Data{Epoch: ep, RecEdge: recEdge, RecRun: recRun}
 	c := g.base
@@ -468,12 +468,12 @@ func (g *DB) checkpointWriteLocked() error {
 	path := filepath.Join(g.dir, fmt.Sprintf("%s%016x%s", segPrefix, ep, segSuffix))
 	if err := segment.Write(path, d); err != nil {
 		g.ckErrs++
-		return &CheckpointError{Err: err}
+		return &checkpointError{Err: err}
 	}
 	if g.wal != nil {
 		if err := g.wal.Truncate(ep); err != nil {
 			g.ckErrs++
-			return &CheckpointError{Err: err}
+			return &checkpointError{Err: err}
 		}
 	}
 	g.ckCount++

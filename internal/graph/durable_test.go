@@ -324,9 +324,9 @@ func TestFaultCheckpointWrite(t *testing.T) {
 	})
 	err = g.Checkpoint()
 	faultinject.Clear()
-	var ck *CheckpointError
+	var ck *checkpointError
 	if !errors.As(err, &ck) {
-		t.Fatalf("Checkpoint under injection = %v, want *CheckpointError", err)
+		t.Fatalf("Checkpoint under injection = %v, want *checkpointError", err)
 	}
 	if st := g.DurableStats(); st.CheckpointErrs != 1 || st.Checkpoints != 0 {
 		t.Fatalf("stats = %+v, want the failure counted and no checkpoint", st)

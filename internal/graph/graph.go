@@ -62,7 +62,7 @@ type DB struct {
 	// and a post-write snapshot merges the small unsorted suffix into
 	// the sorted prefix — O(Δ) with a tiny sort, not a full rebuild and
 	// not even an O(Δ log Δ) re-sort of the whole delta (see Snapshot).
-	base        *CSR
+	base        *csr
 	baseN       int
 	deltaSorted []rawEdge
 	deltaNew    []rawEdge
@@ -108,7 +108,7 @@ type DB struct {
 // instead of a copy per write.
 const histKeep = 4096
 
-// Edge is one labeled out-edge of a node: an entry of CSR.Edges, of a
+// Edge is one labeled out-edge of a node: an entry of csr.Edges, of a
 // snapshot's delta overlay, or of the slices WithLabel and EdgeRange
 // return. The source node is the one whose range holds it.
 type Edge struct {

@@ -21,18 +21,18 @@ import (
 	"unsafe"
 )
 
-// Magic and Version identify the segment container format. Version
+// magic and version identify the segment container format. version
 // bumps whenever the header or section set changes incompatibly.
 const (
-	Magic   = "ECRPQSG1"
-	Version = 1
+	magic   = "ECRPQSG1"
+	version = 1
 )
 
-// PageSize is the alignment unit of the layout: the header occupies the
+// pageSize is the alignment unit of the layout: the header occupies the
 // first page and every section starts on a page boundary, so a mapped
 // section is aligned for any record type and reads fault in
 // page-granular units.
-const PageSize = 4096
+const pageSize = 4096
 
 // Section indices of the segment payload. The semantic validation of
 // each section's content (offset monotonicity, sortedness, name
@@ -52,9 +52,8 @@ const (
 // (header, sections, WAL records).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Checksum is the checksum function of the format, exported so tests
-// and tools can recompute section CRCs.
-func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
+// checksum is the checksum function of the format.
+func checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // hostEndian returns the byte-order tag of the running host: 1 for
 // little-endian, 2 for big-endian. Section payloads are written with
@@ -95,14 +94,14 @@ const (
 )
 
 // align rounds n up to the next page boundary.
-func align(n int) int { return (n + PageSize - 1) &^ (PageSize - 1) }
+func align(n int) int { return (n + pageSize - 1) &^ (pageSize - 1) }
 
 // encodeHeader builds the header page for d, given the already-computed
 // section offsets (into the file) and CRCs.
 func encodeHeader(d *Data, offs [NumSections]int) []byte {
-	h := make([]byte, PageSize)
-	copy(h[hdrMagic:], Magic)
-	binary.LittleEndian.PutUint32(h[hdrVersion:], Version)
+	h := make([]byte, pageSize)
+	copy(h[hdrMagic:], magic)
+	binary.LittleEndian.PutUint32(h[hdrVersion:], version)
 	h[hdrEndian] = hostEndian()
 	binary.LittleEndian.PutUint32(h[hdrRecEdge:], d.RecEdge)
 	binary.LittleEndian.PutUint32(h[hdrRecRun:], d.RecRun)
@@ -111,9 +110,9 @@ func encodeHeader(d *Data, offs [NumSections]int) []byte {
 		f := h[hdrSections+i*hdrSecSize:]
 		binary.LittleEndian.PutUint64(f[0:], uint64(offs[i]))
 		binary.LittleEndian.PutUint64(f[8:], uint64(len(d.Sections[i])))
-		binary.LittleEndian.PutUint32(f[16:], Checksum(d.Sections[i]))
+		binary.LittleEndian.PutUint32(f[16:], checksum(d.Sections[i]))
 	}
-	binary.LittleEndian.PutUint32(h[hdrCRC:], Checksum(h))
+	binary.LittleEndian.PutUint32(h[hdrCRC:], checksum(h))
 	return h
 }
 
@@ -124,24 +123,24 @@ func encodeHeader(d *Data, offs [NumSections]int) []byte {
 // layer their own structural validation on top. Parse is the fuzz entry
 // point of the read path.
 func Parse(data []byte) (*Data, error) {
-	if len(data) < PageSize {
+	if len(data) < pageSize {
 		return nil, fmt.Errorf("segment: short file (%d bytes)", len(data))
 	}
-	h := data[:PageSize]
-	if string(h[hdrMagic:hdrMagic+8]) != Magic {
+	h := data[:pageSize]
+	if string(h[hdrMagic:hdrMagic+8]) != magic {
 		return nil, fmt.Errorf("segment: bad magic")
 	}
-	if v := binary.LittleEndian.Uint32(h[hdrVersion:]); v != Version {
+	if v := binary.LittleEndian.Uint32(h[hdrVersion:]); v != version {
 		return nil, fmt.Errorf("segment: unsupported version %d", v)
 	}
 	if e := h[hdrEndian]; e != hostEndian() {
 		return nil, fmt.Errorf("segment: byte-order tag %d does not match host", e)
 	}
 	want := binary.LittleEndian.Uint32(h[hdrCRC:])
-	cp := make([]byte, PageSize)
+	cp := make([]byte, pageSize)
 	copy(cp, h)
 	binary.LittleEndian.PutUint32(cp[hdrCRC:], 0)
-	if got := Checksum(cp); got != want {
+	if got := checksum(cp); got != want {
 		return nil, fmt.Errorf("segment: header checksum mismatch (got %08x want %08x)", got, want)
 	}
 	d := &Data{
@@ -154,14 +153,14 @@ func Parse(data []byte) (*Data, error) {
 		off := binary.LittleEndian.Uint64(f[0:])
 		ln := binary.LittleEndian.Uint64(f[8:])
 		crc := binary.LittleEndian.Uint32(f[16:])
-		if off%PageSize != 0 {
+		if off%pageSize != 0 {
 			return nil, fmt.Errorf("segment: section %d offset %d not page-aligned", i, off)
 		}
 		if off > uint64(len(data)) || ln > uint64(len(data))-off {
 			return nil, fmt.Errorf("segment: section %d [%d,+%d) out of bounds (file %d)", i, off, ln, len(data))
 		}
 		sec := data[off : off+ln : off+ln]
-		if got := Checksum(sec); got != crc {
+		if got := checksum(sec); got != crc {
 			return nil, fmt.Errorf("segment: section %d checksum mismatch (got %08x want %08x)", i, got, crc)
 		}
 		d.Sections[i] = sec

@@ -21,12 +21,12 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add([]byte{})
-	f.Add([]byte(Magic))
-	f.Add(bytes.Repeat([]byte{0}, PageSize))
-	truncated := append([]byte(nil), seed[:PageSize]...)
+	f.Add([]byte(magic))
+	f.Add(bytes.Repeat([]byte{0}, pageSize))
+	truncated := append([]byte(nil), seed[:pageSize]...)
 	f.Add(truncated)
 	flipped := append([]byte(nil), seed...)
-	flipped[PageSize+3] ^= 0x40
+	flipped[pageSize+3] ^= 0x40
 	f.Add(flipped)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := Parse(data)
@@ -38,7 +38,7 @@ func FuzzParse(f *testing.F) {
 			if len(sec) > len(data) {
 				t.Fatalf("accepted section %d longer than file", i)
 			}
-			if Checksum(sec) != Checksum(append([]byte(nil), sec...)) {
+			if checksum(sec) != checksum(append([]byte(nil), sec...)) {
 				t.Fatalf("section %d aliasing broken", i)
 			}
 		}
@@ -50,9 +50,9 @@ func FuzzParse(f *testing.F) {
 // survives a re-encode/re-decode round trip.
 func FuzzScanWAL(f *testing.F) {
 	var seed []byte
-	seed = AppendRecord(seed, Record{Kind: RecNode, Epoch: 1, Name: "alice"})
-	seed = AppendRecord(seed, Record{Kind: RecEdge, Epoch: 2, From: 0, Label: 'x', To: 1})
-	seed = AppendRecord(seed, Record{Kind: RecCheckpoint, Epoch: 2})
+	seed = appendRecord(seed, Record{Kind: RecNode, Epoch: 1, Name: "alice"})
+	seed = appendRecord(seed, Record{Kind: RecEdge, Epoch: 2, From: 0, Label: 'x', To: 1})
+	seed = appendRecord(seed, Record{Kind: RecCheckpoint, Epoch: 2})
 	f.Add(seed)
 	f.Add(seed[:len(seed)-3])
 	f.Add([]byte{})
@@ -68,7 +68,7 @@ func FuzzScanWAL(f *testing.F) {
 		}
 		var re []byte
 		for _, r := range recs {
-			re = AppendRecord(re, r)
+			re = appendRecord(re, r)
 		}
 		back, n := ScanWAL(re)
 		if n != len(re) || len(back) != len(recs) {

@@ -34,7 +34,7 @@ func Open(path string) (*File, error) {
 		return nil, err
 	}
 	size := st.Size()
-	if size < PageSize || size > int64(int(^uint(0)>>1)) {
+	if size < pageSize || size > int64(int(^uint(0)>>1)) {
 		return nil, fmt.Errorf("segment: %s: implausible size %d", path, size)
 	}
 	data, mapped, err := mapFile(f, int(size))

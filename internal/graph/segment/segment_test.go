@@ -59,7 +59,7 @@ func TestParseRejectsCorruption(t *testing.T) {
 		"version":        func(b []byte) { b[hdrVersion] = 9 },
 		"endian":         func(b []byte) { b[hdrEndian] ^= 3 },
 		"header-crc":     func(b []byte) { b[hdrEpoch] ^= 1 },
-		"section-bytes":  func(b []byte) { b[PageSize] ^= 1 },
+		"section-bytes":  func(b []byte) { b[pageSize] ^= 1 },
 		"section-offset": func(b []byte) { b[hdrSections] = 1 },
 	}
 	for name, corrupt := range cases {
@@ -69,7 +69,7 @@ func TestParseRejectsCorruption(t *testing.T) {
 			t.Errorf("%s corruption not detected", name)
 		}
 	}
-	for _, n := range []int{0, 1, PageSize - 1, PageSize} {
+	for _, n := range []int{0, 1, pageSize - 1, pageSize} {
 		if n >= len(good) {
 			continue
 		}
@@ -120,9 +120,9 @@ func TestWALRoundTrip(t *testing.T) {
 
 func TestWALTornTail(t *testing.T) {
 	var buf []byte
-	buf = AppendRecord(buf, Record{Kind: RecNode, Epoch: 1, Name: "a"})
+	buf = appendRecord(buf, Record{Kind: RecNode, Epoch: 1, Name: "a"})
 	whole := len(buf)
-	buf = AppendRecord(buf, Record{Kind: RecEdge, Epoch: 2, From: 0, Label: 'x', To: 0})
+	buf = appendRecord(buf, Record{Kind: RecEdge, Epoch: 2, From: 0, Label: 'x', To: 0})
 	// Every strict prefix of the second record must scan to exactly the
 	// first — a torn tail never destroys the clean prefix and never
 	// yields a phantom record.
@@ -176,7 +176,7 @@ func TestWALTruncateWritesMarker(t *testing.T) {
 func TestOpenWALDropsTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	var buf []byte
-	buf = AppendRecord(buf, Record{Kind: RecNode, Epoch: 1, Name: "a"})
+	buf = appendRecord(buf, Record{Kind: RecNode, Epoch: 1, Name: "a"})
 	valid := len(buf)
 	buf = append(buf, 0xde, 0xad, 0xbe) // torn garbage
 	if err := os.WriteFile(path, buf, 0o644); err != nil {

@@ -30,13 +30,13 @@ type Record struct {
 	Label int32
 }
 
-// AppendRecord encodes r onto buf and returns the extended slice. The
+// appendRecord encodes r onto buf and returns the extended slice. The
 // wire format is portable (little-endian, varints):
 //
 //	length:u32 | crc32c(payload):u32 | payload
 //	payload = kind:u8 epoch:uvarint body
 //	body(node) = name bytes; body(edge) = from:uvarint label:uvarint to:uvarint
-func AppendRecord(buf []byte, r Record) []byte {
+func appendRecord(buf []byte, r Record) []byte {
 	payload := make([]byte, 0, 1+binary.MaxVarintLen64+len(r.Name)+2*binary.MaxVarintLen64)
 	payload = append(payload, r.Kind)
 	payload = binary.AppendUvarint(payload, r.Epoch)
@@ -49,7 +49,7 @@ func AppendRecord(buf []byte, r Record) []byte {
 		payload = binary.AppendUvarint(payload, r.To)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, Checksum(payload))
+	buf = binary.LittleEndian.AppendUint32(buf, checksum(payload))
 	return append(buf, payload...)
 }
 
@@ -108,7 +108,7 @@ func ScanWAL(data []byte) (recs []Record, valid int) {
 			break
 		}
 		payload := data[off+8 : off+8+ln]
-		if Checksum(payload) != crc {
+		if checksum(payload) != crc {
 			break
 		}
 		r, ok := decodeRecord(payload)
@@ -156,7 +156,7 @@ func OpenWAL(path string, validLen int64) (*WAL, error) {
 // is acknowledged, so only an OS crash — not a process crash — can lose
 // it.
 func (w *WAL) Append(r Record, sync bool) error {
-	w.buf = AppendRecord(w.buf[:0], r)
+	w.buf = appendRecord(w.buf[:0], r)
 	if _, err := w.f.Write(w.buf); err != nil {
 		return err
 	}

@@ -13,7 +13,7 @@ import (
 // file or a complete, checksummed new one — never a torn write.
 func Write(path string, d *Data) error {
 	var offs [NumSections]int
-	off := PageSize
+	off := pageSize
 	for i := 0; i < NumSections; i++ {
 		offs[i] = off
 		off += align(len(d.Sections[i]))
@@ -27,8 +27,8 @@ func Write(path string, d *Data) error {
 		if _, err := tmp.Write(encodeHeader(d, offs)); err != nil {
 			return err
 		}
-		pos := PageSize
-		pad := make([]byte, PageSize)
+		pos := pageSize
+		pad := make([]byte, pageSize)
 		for i := 0; i < NumSections; i++ {
 			if _, err := tmp.Write(d.Sections[i]); err != nil {
 				return err

@@ -30,12 +30,12 @@ type Snapshot struct {
 	names  []string
 	nEdges int
 
-	base    *CSR  // full CSR at the last compaction
+	base    *csr  // full CSR at the last compaction
 	baseN   int   // nodes covered by base
 	baseLen int32 // len(base.Edges); delta offsets are shifted past it
 
 	// Delta overlay: the edges written since the last compaction, in
-	// CSR order (grouped by source, label-then-target within a node).
+	// csr order (grouped by source, label-then-target within a node).
 	// Only the m nodes with delta edges have index entries: bit v of
 	// dSrc marks them, and v's entry is its rank among them, dRank (the
 	// marked nodes before each word) plus a popcount within the word.
@@ -114,7 +114,7 @@ func mergeDelta(sorted, add []rawEdge) []rawEdge {
 // newSnapshot assembles the snapshot of a DB state: base CSR covering
 // baseN nodes plus the delta overlay (already in CSR order), under n
 // total nodes. sorted is owned by the snapshot store and immutable.
-func newSnapshot(source, epoch uint64, names []string, base *CSR, baseN int, sorted []rawEdge, nEdges int, hist []DeltaEdge, histFloor uint64) *Snapshot {
+func newSnapshot(source, epoch uint64, names []string, base *csr, baseN int, sorted []rawEdge, nEdges int, hist []DeltaEdge, histFloor uint64) *Snapshot {
 	s := &Snapshot{
 		source:    source,
 		epoch:     epoch,

@@ -3,7 +3,7 @@
 //
 //	Rlen = {(s₁,…,sₙ) | ∃(s'₁,…,s'ₙ) ∈ R : |sᵢ| = |s'ᵢ| for all i},
 //
-// which is again regular (Lemma 6.6; Rlen is built here constructively
+// which is again regular (Lemma 6.6; rlen builds it here constructively
 // from R's automaton via its ⊥-mask image). The paper's point (Theorem
 // 6.7) is that evaluation of Q_len drops from PSPACE to NP: only the
 // lengths of paths matter, so the query reduces to integer feasibility
@@ -21,6 +21,7 @@ package lenabs
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/automata"
 	"repro/internal/ecrpq"
@@ -63,18 +64,18 @@ func properize(rel *relations.Relation) *automata.NFA[string] {
 	for r := range letters {
 		sigma = append(sigma, r)
 	}
-	regex.SortRunes(sigma)
+	slices.Sort(sigma)
 	if len(sigma) == 0 {
 		return a.Clone()
 	}
 	return automata.Intersect(a, relations.PadValid(sigma, rel.Arity))
 }
 
-// Rlen constructs the length abstraction of rel over sigma (Lemma 6.6):
+// rlen constructs the length abstraction of rel over sigma (Lemma 6.6):
 // the automaton of rel is mapped onto mask symbols and each mask is
 // re-expanded to every tuple symbol carrying letters of sigma in the
 // same positions.
-func Rlen(rel *relations.Relation, sigma []rune) *relations.Relation {
+func rlen(rel *relations.Relation, sigma []rune) *relations.Relation {
 	masked := automata.MapSymbols(properize(rel), maskOf)
 	out := automata.NewNFA[string]()
 	out.AddStates(masked.NumStates())
@@ -113,13 +114,13 @@ func Rlen(rel *relations.Relation, sigma []rune) *relations.Relation {
 	return &relations.Relation{Name: rel.Name + "_len", Arity: rel.Arity, A: out}
 }
 
-// AbstractQuery returns Q_len: q with every relation replaced by its
+// abstractQuery returns Q_len: q with every relation replaced by its
 // length abstraction.
-func AbstractQuery(q *ecrpq.Query, sigma []rune) *ecrpq.Query {
+func abstractQuery(q *ecrpq.Query, sigma []rune) *ecrpq.Query {
 	out := *q
 	out.RelAtoms = make([]ecrpq.RelAtom, len(q.RelAtoms))
 	for i, ra := range q.RelAtoms {
-		out.RelAtoms[i] = ecrpq.RelAtom{Rel: Rlen(ra.Rel, sigma), Args: ra.Args}
+		out.RelAtoms[i] = ecrpq.RelAtom{Rel: rlen(ra.Rel, sigma), Args: ra.Args}
 	}
 	return &out
 }
@@ -134,15 +135,13 @@ type Options struct {
 }
 
 // EvalAbstract evaluates Q_len over the snapshot g yields with the
-// generic PSPACE engine: the abstracted query (AbstractQuery) is
+// generic PSPACE engine: the abstracted query (abstractQuery) is
 // compiled through the plan/execute layer and run with ctx
 // cancellation. It is the reference implementation EvalLen is tested
 // against, exposed so callers can pick either procedure behind the same
-// planner. The abstraction is built and compiled on every call; callers
-// that evaluate one abstraction repeatedly should AbstractQuery once
-// and Prepare it themselves.
+// planner. The abstraction is built and compiled on every call.
 func EvalAbstract(ctx context.Context, q *ecrpq.Query, g graph.Snapshotter, sigma []rune, opts ecrpq.Options) ([]ecrpq.Answer, error) {
-	p, err := plan.Compile(AbstractQuery(q, sigma), ecrpq.Env{Sigma: sigma})
+	p, err := plan.Compile(abstractQuery(q, sigma), ecrpq.Env{Sigma: sigma})
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ func stringGraph(s string) *graph.DB {
 
 func TestRlenOfEquality(t *testing.T) {
 	// eq_len = equal length.
-	r := Rlen(relations.Equality(sigmaAB), sigmaAB)
+	r := rlen(relations.Equality(sigmaAB), sigmaAB)
 	if !r.ContainsStrings("ab", "ba") || !r.ContainsStrings("", "") {
 		t.Error("eq_len should relate equal-length strings")
 	}
@@ -38,7 +38,7 @@ func TestRlenOfEquality(t *testing.T) {
 
 func TestRlenOfPrefix(t *testing.T) {
 	// prefix_len = |s| ≤ |s'|.
-	r := Rlen(relations.Prefix(sigmaAB), sigmaAB)
+	r := rlen(relations.Prefix(sigmaAB), sigmaAB)
 	if !r.ContainsStrings("ba", "ab") || !r.ContainsStrings("a", "bb") {
 		t.Error("prefix_len should only compare lengths")
 	}
@@ -50,7 +50,7 @@ func TestRlenOfPrefix(t *testing.T) {
 func TestRlenOfLanguage(t *testing.T) {
 	// (ab)*_len = even lengths.
 	q := ecrpq.MustParse("Ans() <- (x,p,y), (ab)*(p)", env())
-	r := Rlen(q.RelAtoms[0].Rel, sigmaAB)
+	r := rlen(q.RelAtoms[0].Rel, sigmaAB)
 	if !r.ContainsStrings("") || !r.ContainsStrings("bb") || !r.ContainsStrings("aaaa") {
 		t.Error("(ab)*_len should accept even lengths of any letters")
 	}

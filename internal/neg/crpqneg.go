@@ -2,6 +2,8 @@ package neg
 
 import (
 	"fmt"
+	"maps"
+
 	"repro/internal/automata"
 	"repro/internal/ecrpq"
 	"repro/internal/graph"
@@ -52,10 +54,10 @@ type pathClass struct {
 // HoldsCRPQ evaluates a CRPQ¬ sentence. It errors if the formula uses a
 // relation of arity ≥ 2 (use the generic Evaluator then).
 func (e *CRPQNegEvaluator) HoldsCRPQ(f Formula) (bool, error) {
-	if vs := FreeNodeVars(f); len(vs) != 0 {
+	if vs := freeNodeVarsOf(f); len(vs) != 0 {
 		return false, fmt.Errorf("neg: formula has free node variables %v", vs)
 	}
-	if vs := FreePathVars(f); len(vs) != 0 {
+	if vs := freePathVarsOf(f); len(vs) != 0 {
 		return false, fmt.Errorf("neg: formula has free path variables %v", vs)
 	}
 	langs, idx, err := collectLanguages(f)
@@ -78,7 +80,7 @@ func (e *CRPQNegEvaluator) HoldsCRPQ(f Formula) (bool, error) {
 
 // collectLanguages gathers the unary language atoms, erroring on arity
 // ≥ 2 relations, and assigns each distinct Rel value its profile bit
-// index (stable across collection and evaluation). PathEq counts as a
+// index (stable across collection and evaluation). pathEq counts as a
 // binary relation and is rejected: the paper's CRPQ¬ fragment has no
 // path comparisons.
 func collectLanguages(f Formula) ([]*automata.DFA[rune], map[string]int, error) {
@@ -100,7 +102,7 @@ func collectLanguages(f Formula) ([]*automata.DFA[rune], map[string]int, error) 
 			letters := automata.MapSymbols(f.R.A, func(s string) rune { return []rune(s)[0] })
 			dfas = append(dfas, automata.Determinize(letters, letters.Alphabet()))
 			return nil
-		case PathEq:
+		case pathEq:
 			return fmt.Errorf("neg: path equality is a binary relation; not allowed in CRPQ¬")
 		case Not:
 			return walk(f.F)
@@ -109,7 +111,7 @@ func collectLanguages(f Formula) ([]*automata.DFA[rune], map[string]int, error) 
 				return err
 			}
 			return walk(f.G)
-		case Or:
+		case or:
 			if err := walk(f.F); err != nil {
 				return err
 			}
@@ -135,7 +137,7 @@ func quantRank(f Formula) int {
 		return quantRank(f.F)
 	case And:
 		return max(quantRank(f.F), quantRank(f.G))
-	case Or:
+	case or:
 		return max(quantRank(f.F), quantRank(f.G))
 	case ExistsNode:
 		return 1 + quantRank(f.F)
@@ -162,7 +164,7 @@ type crpqNegCtx struct {
 // eval recursively evaluates the formula over the finite substructure.
 func (c *crpqNegCtx) eval(f Formula, sigma map[ecrpq.NodeVar]graph.Node, mu map[ecrpq.PathVar]pathClass) (bool, error) {
 	switch f := f.(type) {
-	case NodeEq:
+	case nodeEq:
 		return sigma[f.X] == sigma[f.Y], nil
 	case Edge:
 		pc, ok := mu[f.P]
@@ -189,7 +191,7 @@ func (c *crpqNegCtx) eval(f Formula, sigma map[ecrpq.NodeVar]graph.Node, mu map[
 			return false, err
 		}
 		return c.eval(f.G, sigma, mu)
-	case Or:
+	case or:
 		l, err := c.eval(f.F, sigma, mu)
 		if err != nil || l {
 			return l, err
@@ -218,7 +220,7 @@ func (c *crpqNegCtx) eval(f Formula, sigma map[ecrpq.NodeVar]graph.Node, mu map[
 						cnt = c.thresh
 					}
 					for index := 0; index < cnt; index++ {
-						mu2 := clonePaths(mu)
+						mu2 := maps.Clone(mu)
 						mu2[f.P] = pathClass{graph.Node(from), graph.Node(to), profile, index}
 						ok, err := c.eval(f.F, sigma, mu2)
 						if err != nil {
@@ -232,18 +234,10 @@ func (c *crpqNegCtx) eval(f Formula, sigma map[ecrpq.NodeVar]graph.Node, mu map[
 			}
 		}
 		return false, nil
-	case PathEq:
+	case pathEq:
 		return false, fmt.Errorf("neg: path equality not allowed in CRPQ¬")
 	}
 	return false, fmt.Errorf("neg: unknown formula %T", f)
-}
-
-func clonePaths(m map[ecrpq.PathVar]pathClass) map[ecrpq.PathVar]pathClass {
-	out := make(map[ecrpq.PathVar]pathClass, len(m)+1)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // classCount returns the number of concrete paths from k.from to k.to

@@ -75,7 +75,7 @@ func TestCRPQNegAgainstGenericEvaluator(t *testing.T) {
 func TestCRPQNegRejectsBinaryRelations(t *testing.T) {
 	g := tiny()
 	e := NewCRPQNegEvaluator(g)
-	f := ExistsPath{"p", ExistsPath{"q", PathEq{"p", "q"}}}
+	f := ExistsPath{"p", ExistsPath{"q", pathEq{"p", "q"}}}
 	if _, err := e.HoldsCRPQ(f); err == nil {
 		t.Error("path equality must be rejected by the CRPQ¬ evaluator")
 	}

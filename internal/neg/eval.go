@@ -3,6 +3,7 @@ package neg
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/automata"
 	"repro/internal/ecrpq"
@@ -45,10 +46,10 @@ func (e *Evaluator) Holds(f Formula) (bool, error) {
 // checked between construction steps and aborts with ctx.Err() — the
 // same deadline discipline as the planner-backed ECRPQ executor.
 func (e *Evaluator) HoldsContext(ctx context.Context, f Formula) (bool, error) {
-	if vs := FreeNodeVars(f); len(vs) != 0 {
+	if vs := freeNodeVarsOf(f); len(vs) != 0 {
 		return false, fmt.Errorf("neg: formula has free node variables %v", vs)
 	}
-	if vs := FreePathVars(f); len(vs) != 0 {
+	if vs := freePathVarsOf(f); len(vs) != 0 {
 		return false, fmt.Errorf("neg: formula has free path variables %v", vs)
 	}
 	a, err := e.build(ctx, f, map[ecrpq.NodeVar]graph.Node{}, nil)
@@ -64,12 +65,12 @@ func (e *Evaluator) EvalNodes(f Formula) ([][]graph.Node, error) {
 }
 
 // EvalNodesContext returns the assignments to the free node variables
-// (in FreeNodeVars order) under which the formula is satisfiable; free
+// (in freeNodeVarsOf order) under which the formula is satisfiable; free
 // path variables are existentially interpreted. Cancellation of ctx is
 // checked per assignment.
 func (e *Evaluator) EvalNodesContext(ctx context.Context, f Formula) ([][]graph.Node, error) {
-	nv := FreeNodeVars(f)
-	pv := FreePathVars(f)
+	nv := freeNodeVarsOf(f)
+	pv := freePathVarsOf(f)
 	var out [][]graph.Node
 	assign := map[ecrpq.NodeVar]graph.Node{}
 	var rec func(i int) error
@@ -110,7 +111,7 @@ func (e *Evaluator) EvalNodesContext(ctx context.Context, f Formula) ([][]graph.
 // given assignment of the free node variables: it accepts exactly the
 // representations of the free-path-variable tuples satisfying ϕ.
 func (e *Evaluator) PathAutomaton(f Formula, assign map[ecrpq.NodeVar]graph.Node) (*automata.NFA[string], []ecrpq.PathVar, error) {
-	pv := FreePathVars(f)
+	pv := freePathVarsOf(f)
 	a, err := e.build(context.Background(), f, assign, pv)
 	if err != nil {
 		return nil, nil, err
@@ -126,7 +127,7 @@ func (e *Evaluator) build(ctx context.Context, f Formula, assign map[ecrpq.NodeV
 		return nil, err
 	}
 	switch f := f.(type) {
-	case NodeEq:
+	case nodeEq:
 		vx, ok1 := assign[f.X]
 		vy, ok2 := assign[f.Y]
 		if !ok1 || !ok2 {
@@ -141,7 +142,7 @@ func (e *Evaluator) build(ctx context.Context, f Formula, assign map[ecrpq.NodeV
 		}
 		a := e.edgeAutomaton(vx, vy, f.P, vars)
 		return e.guard(a)
-	case PathEq:
+	case pathEq:
 		return e.build(ctx, Rel{R: relations.Equality(e.Sigma), Args: []ecrpq.PathVar{f.P1, f.P2}}, assign, vars)
 	case Rel:
 		a, err := e.relAutomaton(f, vars)
@@ -159,7 +160,7 @@ func (e *Evaluator) build(ctx context.Context, f Formula, assign map[ecrpq.NodeV
 			return nil, err
 		}
 		return e.guard(automata.Trim(automata.Intersect(l, r)))
-	case Or:
+	case or:
 		l, err := e.build(ctx, f.F, assign, vars)
 		if err != nil {
 			return nil, err
@@ -216,22 +217,9 @@ func cloneAssign(a map[ecrpq.NodeVar]graph.Node) map[ecrpq.NodeVar]graph.Node {
 // addVar inserts p into the sorted variable list (no-op if present;
 // variable shadowing is not supported and callers must use fresh names).
 func addVar(vars []ecrpq.PathVar, p ecrpq.PathVar) []ecrpq.PathVar {
-	for _, v := range vars {
-		if v == p {
-			return append([]ecrpq.PathVar(nil), vars...)
-		}
-	}
-	out := make([]ecrpq.PathVar, 0, len(vars)+1)
-	inserted := false
-	for _, v := range vars {
-		if !inserted && p < v {
-			out = append(out, p)
-			inserted = true
-		}
-		out = append(out, v)
-	}
-	if !inserted {
-		out = append(out, p)
+	out := slices.Clone(vars)
+	if i, found := slices.BinarySearch(out, p); !found {
+		out = slices.Insert(out, i, p)
 	}
 	return out
 }

@@ -22,7 +22,8 @@ package neg
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/ecrpq"
@@ -37,11 +38,11 @@ type Formula interface {
 	String() string
 }
 
-// NodeEq is the atom x = y.
-type NodeEq struct{ X, Y ecrpq.NodeVar }
+// nodeEq is the atom x = y.
+type nodeEq struct{ X, Y ecrpq.NodeVar }
 
-// PathEq is the atom π₁ = π₂ (label equality, as in the paper's grammar).
-type PathEq struct{ P1, P2 ecrpq.PathVar }
+// pathEq is the atom π₁ = π₂ (label equality, as in the paper's grammar).
+type pathEq struct{ P1, P2 ecrpq.PathVar }
 
 // Edge is the atom (x, π, y).
 type Edge struct {
@@ -67,9 +68,9 @@ type Not struct{ F Formula }
 // And is F ∧ G.
 type And struct{ F, G Formula }
 
-// Or is F ∨ G (definable from ¬,∧; primitive here to avoid needless
+// or is F ∨ G (definable from ¬,∧; primitive here to avoid needless
 // complementations).
-type Or struct{ F, G Formula }
+type or struct{ F, G Formula }
 
 // ExistsNode is ∃x F.
 type ExistsNode struct {
@@ -83,13 +84,13 @@ type ExistsPath struct {
 	F Formula
 }
 
-func (a NodeEq) freeNodeVars(s map[ecrpq.NodeVar]bool) { s[a.X] = true; s[a.Y] = true }
-func (a PathEq) freeNodeVars(map[ecrpq.NodeVar]bool)   {}
+func (a nodeEq) freeNodeVars(s map[ecrpq.NodeVar]bool) { s[a.X] = true; s[a.Y] = true }
+func (a pathEq) freeNodeVars(map[ecrpq.NodeVar]bool)   {}
 func (a Edge) freeNodeVars(s map[ecrpq.NodeVar]bool)   { s[a.X] = true; s[a.Y] = true }
 func (a Rel) freeNodeVars(map[ecrpq.NodeVar]bool)      {}
 func (a Not) freeNodeVars(s map[ecrpq.NodeVar]bool)    { a.F.freeNodeVars(s) }
 func (a And) freeNodeVars(s map[ecrpq.NodeVar]bool)    { a.F.freeNodeVars(s); a.G.freeNodeVars(s) }
-func (a Or) freeNodeVars(s map[ecrpq.NodeVar]bool)     { a.F.freeNodeVars(s); a.G.freeNodeVars(s) }
+func (a or) freeNodeVars(s map[ecrpq.NodeVar]bool)     { a.F.freeNodeVars(s); a.G.freeNodeVars(s) }
 func (a ExistsNode) freeNodeVars(s map[ecrpq.NodeVar]bool) {
 	inner := map[ecrpq.NodeVar]bool{}
 	a.F.freeNodeVars(inner)
@@ -100,8 +101,8 @@ func (a ExistsNode) freeNodeVars(s map[ecrpq.NodeVar]bool) {
 }
 func (a ExistsPath) freeNodeVars(s map[ecrpq.NodeVar]bool) { a.F.freeNodeVars(s) }
 
-func (a NodeEq) freePathVars(map[ecrpq.PathVar]bool)   {}
-func (a PathEq) freePathVars(s map[ecrpq.PathVar]bool) { s[a.P1] = true; s[a.P2] = true }
+func (a nodeEq) freePathVars(map[ecrpq.PathVar]bool)   {}
+func (a pathEq) freePathVars(s map[ecrpq.PathVar]bool) { s[a.P1] = true; s[a.P2] = true }
 func (a Edge) freePathVars(s map[ecrpq.PathVar]bool)   { s[a.P] = true }
 func (a Rel) freePathVars(s map[ecrpq.PathVar]bool) {
 	for _, p := range a.Args {
@@ -110,7 +111,7 @@ func (a Rel) freePathVars(s map[ecrpq.PathVar]bool) {
 }
 func (a Not) freePathVars(s map[ecrpq.PathVar]bool)        { a.F.freePathVars(s) }
 func (a And) freePathVars(s map[ecrpq.PathVar]bool)        { a.F.freePathVars(s); a.G.freePathVars(s) }
-func (a Or) freePathVars(s map[ecrpq.PathVar]bool)         { a.F.freePathVars(s); a.G.freePathVars(s) }
+func (a or) freePathVars(s map[ecrpq.PathVar]bool)         { a.F.freePathVars(s); a.G.freePathVars(s) }
 func (a ExistsNode) freePathVars(s map[ecrpq.PathVar]bool) { a.F.freePathVars(s) }
 func (a ExistsPath) freePathVars(s map[ecrpq.PathVar]bool) {
 	inner := map[ecrpq.PathVar]bool{}
@@ -121,8 +122,8 @@ func (a ExistsPath) freePathVars(s map[ecrpq.PathVar]bool) {
 	}
 }
 
-func (a NodeEq) String() string { return fmt.Sprintf("%s = %s", a.X, a.Y) }
-func (a PathEq) String() string { return fmt.Sprintf("%s = %s", a.P1, a.P2) }
+func (a nodeEq) String() string { return fmt.Sprintf("%s = %s", a.X, a.Y) }
+func (a pathEq) String() string { return fmt.Sprintf("%s = %s", a.P1, a.P2) }
 func (a Edge) String() string   { return fmt.Sprintf("(%s,%s,%s)", a.X, a.P, a.Y) }
 func (a Rel) String() string {
 	args := make([]string, len(a.Args))
@@ -133,30 +134,20 @@ func (a Rel) String() string {
 }
 func (a Not) String() string        { return "¬(" + a.F.String() + ")" }
 func (a And) String() string        { return "(" + a.F.String() + " ∧ " + a.G.String() + ")" }
-func (a Or) String() string         { return "(" + a.F.String() + " ∨ " + a.G.String() + ")" }
+func (a or) String() string         { return "(" + a.F.String() + " ∨ " + a.G.String() + ")" }
 func (a ExistsNode) String() string { return fmt.Sprintf("∃%s %s", a.X, a.F.String()) }
 func (a ExistsPath) String() string { return fmt.Sprintf("∃%s %s", a.P, a.F.String()) }
 
-// FreeNodeVars returns the free node variables sorted by name.
-func FreeNodeVars(f Formula) []ecrpq.NodeVar {
+// freeNodeVarsOf returns the free node variables sorted by name.
+func freeNodeVarsOf(f Formula) []ecrpq.NodeVar {
 	s := map[ecrpq.NodeVar]bool{}
 	f.freeNodeVars(s)
-	out := make([]ecrpq.NodeVar, 0, len(s))
-	for v := range s {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(s))
 }
 
-// FreePathVars returns the free path variables sorted by name.
-func FreePathVars(f Formula) []ecrpq.PathVar {
+// freePathVarsOf returns the free path variables sorted by name.
+func freePathVarsOf(f Formula) []ecrpq.PathVar {
 	s := map[ecrpq.PathVar]bool{}
 	f.freePathVars(s)
-	out := make([]ecrpq.PathVar, 0, len(s))
-	for v := range s {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(s))
 }

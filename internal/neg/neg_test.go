@@ -26,9 +26,9 @@ func tiny() *graph.DB {
 // path quantifiers are checked against the same bounded universe).
 func naiveHolds(f Formula, g *graph.DB, sigma map[ecrpq.NodeVar]graph.Node, mu map[ecrpq.PathVar]graph.Path, maxLen int) bool {
 	switch f := f.(type) {
-	case NodeEq:
+	case nodeEq:
 		return sigma[f.X] == sigma[f.Y]
-	case PathEq:
+	case pathEq:
 		return mu[f.P1].LabelString() == mu[f.P2].LabelString()
 	case Edge:
 		p := mu[f.P]
@@ -43,7 +43,7 @@ func naiveHolds(f Formula, g *graph.DB, sigma map[ecrpq.NodeVar]graph.Node, mu m
 		return !naiveHolds(f.F, g, sigma, mu, maxLen)
 	case And:
 		return naiveHolds(f.F, g, sigma, mu, maxLen) && naiveHolds(f.G, g, sigma, mu, maxLen)
-	case Or:
+	case or:
 		return naiveHolds(f.F, g, sigma, mu, maxLen) || naiveHolds(f.G, g, sigma, mu, maxLen)
 	case ExistsNode:
 		for v := 0; v < g.NumNodes(); v++ {
@@ -117,7 +117,7 @@ func TestNegatedReachability(t *testing.T) {
 	for _, r := range rows {
 		got[[2]graph.Node{r[0], r[1]}] = true
 	}
-	// FreeNodeVars sorts x before y.
+	// freeNodeVarsOf sorts x before y.
 	if got[[2]graph.Node{v, u}] {
 		t.Error("(v,u) has a b-edge; ¬ should exclude it")
 	}
@@ -181,11 +181,11 @@ func TestOracleAgreement(t *testing.T) {
 		ExistsNode{"x", Not{ExistsPath{"p", And{Edge{"x", "p", "x"}, Lang("a", "p")}}}},
 		ExistsNode{"x", ExistsNode{"y", And{
 			ExistsPath{"p", And{Edge{"x", "p", "y"}, Lang("a", "p")}},
-			Not{NodeEq{"x", "y"}},
+			Not{nodeEq{"x", "y"}},
 		}}},
 		ExistsNode{"x", ExistsPath{"p", ExistsPath{"q",
-			And{And{Edge{"x", "p", "x"}, Edge{"x", "q", "x"}}, PathEq{"p", "q"}}}}},
-		ExistsNode{"x", ExistsNode{"y", Or{NodeEq{"x", "y"},
+			And{And{Edge{"x", "p", "x"}, Edge{"x", "q", "x"}}, pathEq{"p", "q"}}}}},
+		ExistsNode{"x", ExistsNode{"y", or{nodeEq{"x", "y"},
 			ExistsPath{"p", And{Edge{"x", "p", "y"}, Lang("b", "p")}}}}},
 	}
 	for i, f := range formulas {
@@ -243,7 +243,7 @@ func TestOracleAgreementRelationAtoms(t *testing.T) {
 		{"prefix", ExistsNode{"x", ExistsNode{"y", exPQ(all(Edge{"x", "p", "y"}, Edge{"x", "q", "x"},
 			rel(prefix, "p", "q"), Lang("a", "p")))}}},
 		// Paths from x and y never share a first letter: false.
-		{"eq", ExistsNode{"x", ExistsNode{"y", And{Not{NodeEq{"x", "y"}},
+		{"eq", ExistsNode{"x", ExistsNode{"y", And{Not{nodeEq{"x", "y"}},
 			exPQ(all(Edge{"x", "p", "y"}, Edge{"y", "q", "x"}, rel(eq, "p", "q"), Lang("(a|b)+", "p")))}}}},
 		// ε is shorter than ab: true.
 		{"lt", ExistsNode{"x", exPQ(all(Edge{"x", "p", "x"}, Edge{"x", "q", "x"}, rel(lt, "p", "q")))}},
@@ -273,6 +273,36 @@ func TestOracleAgreementRelationAtoms(t *testing.T) {
 	}
 }
 
+// TestOracleAgreementClassAtoms runs languages with character classes
+// through relAutomaton, which compiles them against a partition of the
+// labels: alone, negated, under a negated quantifier and beside el.
+func TestOracleAgreementClassAtoms(t *testing.T) {
+	g := tiny()
+	e := NewEvaluator(g)
+	el := relations.EqualLength([]rune("ab"))
+	exPQ := func(f Formula) Formula { return ExistsPath{"p", ExistsPath{"q", f}} }
+	cases := []struct {
+		name string
+		f    Formula
+	}{
+		// u a v b u: true.
+		{"range_pair", ExistsNode{"x", ExistsNode{"y", ExistsPath{"p", And{Edge{"x", "p", "y"}, Lang("[a-b][a-b]", "p")}}}}},
+		// Every nonempty cycle reads a b: true.
+		{"negated_class", ExistsNode{"x", Not{ExistsPath{"p", And{Edge{"x", "p", "x"}, Lang("[^b]+", "p")}}}}},
+		// v b u: true.
+		{"class_between_nodes", ExistsNode{"x", ExistsNode{"y", And{Not{nodeEq{"x", "y"}},
+			ExistsPath{"p", And{Edge{"x", "p", "y"}, Lang("[b-z]", "p")}}}}}},
+		// No cycle reads only a: false.
+		{"class_cycle", ExistsNode{"x", ExistsPath{"p", And{Edge{"x", "p", "x"}, Lang("[a]+", "p")}}}},
+		// a there, b back, equal lengths: true.
+		{"class_with_el", ExistsNode{"x", ExistsNode{"y", exPQ(And{And{And{Edge{"x", "p", "y"}, Edge{"y", "q", "x"}},
+			Rel{R: el, Args: []ecrpq.PathVar{"p", "q"}}}, Lang("[^b]", "p")})}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { checkOracle(t, e, g, c.name, c.f) })
+	}
+}
+
 func TestSentenceValidation(t *testing.T) {
 	g := tiny()
 	e := NewEvaluator(g)
@@ -282,14 +312,14 @@ func TestSentenceValidation(t *testing.T) {
 }
 
 func TestFreeVarsComputation(t *testing.T) {
-	f := ExistsNode{"x", And{Edge{"x", "p", "y"}, Not{ExistsPath{"q", PathEq{"p", "q"}}}}}
-	nv := FreeNodeVars(f)
+	f := ExistsNode{"x", And{Edge{"x", "p", "y"}, Not{ExistsPath{"q", pathEq{"p", "q"}}}}}
+	nv := freeNodeVarsOf(f)
 	if len(nv) != 1 || nv[0] != "y" {
-		t.Errorf("FreeNodeVars = %v", nv)
+		t.Errorf("freeNodeVarsOf = %v", nv)
 	}
-	pv := FreePathVars(f)
+	pv := freePathVarsOf(f)
 	if len(pv) != 1 || pv[0] != "p" {
-		t.Errorf("FreePathVars = %v", pv)
+		t.Errorf("freePathVarsOf = %v", pv)
 	}
 	if f.String() == "" {
 		t.Error("String should render")

@@ -2,6 +2,7 @@ package neg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/automata"
 	"repro/internal/ecrpq"
@@ -10,45 +11,31 @@ import (
 	"repro/internal/relations"
 )
 
-// letterSyms enumerates the letter alphabet (Σ⊥)^k ∖ {⊥^k}.
-func (e *Evaluator) letterSyms(k int) []string {
-	ext := append([]rune{regex.Bot}, e.Sigma...)
-	var out []string
-	buf := make([]rune, k)
+// eachNodeTuple calls fn on every tuple of V^k whose coordinates agree
+// with constr, in lexicographic order; fn must not keep the slice.
+func (e *Evaluator) eachNodeTuple(k int, constr map[int]graph.Node, fn func([]graph.Node)) {
+	buf := make([]graph.Node, k)
 	var rec func(i int)
 	rec = func(i int) {
 		if i == k {
-			s := string(buf)
-			if !relations.AllBot(s) {
-				out = append(out, s)
-			}
-			return
-		}
-		for _, r := range ext {
-			buf[i] = r
+			fn(buf)
+		} else if v, ok := constr[i]; ok {
+			buf[i] = v
 			rec(i + 1)
+		} else {
+			for v := 0; v < e.Snap.NumNodes(); v++ {
+				buf[i] = graph.Node(v)
+				rec(i + 1)
+			}
 		}
 	}
 	rec(0)
-	return out
 }
 
 // nodeSyms enumerates the node alphabet V^k as representation symbols.
 func (e *Evaluator) nodeSyms(k int) []string {
 	var out []string
-	buf := make([]graph.Node, k)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == k {
-			out = append(out, ecrpq.NodeSym(buf))
-			return
-		}
-		for v := 0; v < e.Snap.NumNodes(); v++ {
-			buf[i] = graph.Node(v)
-			rec(i + 1)
-		}
-	}
-	rec(0)
+	e.eachNodeTuple(k, nil, func(vs []graph.Node) { out = append(out, ecrpq.NodeSym(vs)) })
 	return out
 }
 
@@ -56,7 +43,7 @@ func (e *Evaluator) nodeSyms(k int) []string {
 // encoded form used on transitions ("N:..." and "L:...").
 func (e *Evaluator) repAlphabet(k int) []string {
 	out := e.nodeSyms(k)
-	for _, ls := range e.letterSyms(k) {
+	for _, ls := range relations.TupleAlphabet(e.Sigma, k) {
 		out = append(out, ecrpq.LetterSym([]rune(ls)))
 	}
 	return out
@@ -103,23 +90,9 @@ func (e *Evaluator) validRepConstrained(k int, startConstr, finalConstr map[int]
 		return id
 	}
 	// Start transitions: every node tuple consistent with startConstr.
-	var first func(i int, buf []graph.Node)
-	first = func(i int, buf []graph.Node) {
-		if i == k {
-			n.AddTransition(start, ecrpq.NodeSym(buf), stateOf(buf, 0))
-			return
-		}
-		if v, ok := startConstr[i]; ok {
-			buf[i] = v
-			first(i+1, buf)
-			return
-		}
-		for v := 0; v < e.Snap.NumNodes(); v++ {
-			buf[i] = graph.Node(v)
-			first(i+1, buf)
-		}
-	}
-	first(0, make([]graph.Node, k))
+	e.eachNodeTuple(k, startConstr, func(vs []graph.Node) {
+		n.AddTransition(start, ecrpq.NodeSym(vs), stateOf(vs, 0))
+	})
 	// Steps.
 	for head := 0; head < len(queue); head++ {
 		kk := queue[head]
@@ -176,7 +149,7 @@ func (e *Evaluator) validRepConstrained(k int, startConstr, finalConstr map[int]
 // at vx and ends at vy (other coordinates are free — built-in
 // cylindrification).
 func (e *Evaluator) edgeAutomaton(vx, vy graph.Node, p ecrpq.PathVar, vars []ecrpq.PathVar) *automata.NFA[string] {
-	idx := indexOf(vars, p)
+	idx := slices.Index(vars, p)
 	return automata.Trim(e.validRepConstrained(len(vars),
 		map[int]graph.Node{idx: vx}, map[int]graph.Node{idx: vy}))
 }
@@ -188,22 +161,38 @@ func (e *Evaluator) relAutomaton(f Rel, vars []ecrpq.PathVar) (*automata.NFA[str
 	k := len(vars)
 	pos := make([]int, len(f.Args))
 	for i, a := range f.Args {
-		pos[i] = indexOf(vars, a)
+		pos[i] = slices.Index(vars, a)
 		if pos[i] < 0 {
 			return nil, fmt.Errorf("neg: %s uses unknown path variable %s", f, a)
 		}
 	}
-	joint, err := relations.NewJoint(k, []relations.Atom{{Rel: f.R, Pos: pos}})
+	part, atoms, err := relations.CompileClassAtoms([]relations.Atom{{Rel: f.R, Pos: pos}})
+	if err != nil {
+		return nil, err
+	}
+	joint, err := relations.NewJoint(k, atoms)
 	if err != nil {
 		return nil, err
 	}
 	// Letters automaton: tracks the joint state on letter symbols and
-	// ignores node symbols. Runner ids double as NFA state ids: the
-	// runner interns states in first-reached order, so the loop below
+	// ignores node symbols. The runner steps class tuples: each letter of
+	// (Σ⊥)^k maps to the tuple of its labels' classes, registered once
+	// however many letters share it. Runner ids double as NFA state ids:
+	// the runner interns states in first-reached order, so the loop below
 	// visits each state after the step that discovered it.
 	r := relations.NewJointRunner(joint)
-	for _, ls := range e.letterSyms(k) {
-		r.AddSym([]rune(ls))
+	alpha := relations.TupleAlphabet(e.Sigma, k)
+	symOf := make([]int, len(alpha))
+	ids := map[string]int{}
+	for i, ls := range alpha {
+		cls := []rune(ls)
+		for p, a := range cls {
+			cls[p] = part.ClassOf(a)
+		}
+		if _, ok := ids[string(cls)]; !ok {
+			ids[string(cls)] = r.AddSym(cls)
+		}
+		symOf[i] = ids[string(cls)]
 	}
 	nodeAlpha := e.nodeSyms(k)
 	letters := automata.NewNFA[string]()
@@ -214,9 +203,9 @@ func (e *Evaluator) relAutomaton(f Rel, vars []ecrpq.PathVar) (*automata.NFA[str
 		for _, ns := range nodeAlpha {
 			letters.AddTransition(from, ns, from)
 		}
-		for sid := 0; sid < r.NumSyms(); sid++ {
-			if to, ok := r.Step(from, sid); ok {
-				letters.AddTransition(from, ecrpq.LetterSym(r.SymRunes(sid)), to)
+		for i, ls := range alpha {
+			if to, ok := r.Step(from, symOf[i]); ok {
+				letters.AddTransition(from, ecrpq.LetterSym([]rune(ls)), to)
 			}
 		}
 	}
@@ -257,7 +246,7 @@ func (e *Evaluator) project(a *automata.NFA[string], innerVars []ecrpq.PathVar, 
 	if len(outerVars) == 0 {
 		return e.boolAutomaton(!a.IsEmpty(), nil)
 	}
-	idx := indexOf(innerVars, p)
+	idx := slices.Index(innerVars, p)
 	out := automata.NewNFA[string]()
 	out.AddStates(a.NumStates())
 	for _, s := range a.Start() {
@@ -275,10 +264,10 @@ func (e *Evaluator) project(a *automata.NFA[string], innerVars []ecrpq.PathVar, 
 		switch {
 		case len(sym) > 2 && sym[:2] == "N:":
 			vs := ecrpq.DecodeNodeSym(sym)
-			out.AddTransition(from, ecrpq.NodeSym(dropNode(vs, idx)), to)
+			out.AddTransition(from, ecrpq.NodeSym(slices.Delete(vs, idx, idx+1)), to)
 		case len(sym) > 2 && sym[:2] == "L:":
 			rs := []rune(sym[2:])
-			rest := dropRune(rs, idx)
+			rest := slices.Delete(rs, idx, idx+1)
 			if relations.AllBot(string(rest)) {
 				// Contract: skip this letter and the following node symbol.
 				a.TransitionsFrom(to, func(_ string, to2 int) {
@@ -290,25 +279,4 @@ func (e *Evaluator) project(a *automata.NFA[string], innerVars []ecrpq.PathVar, 
 		}
 	})
 	return e.guard(automata.Trim(out))
-}
-
-func indexOf(vars []ecrpq.PathVar, p ecrpq.PathVar) int {
-	for i, v := range vars {
-		if v == p {
-			return i
-		}
-	}
-	return -1
-}
-
-func dropNode(vs []graph.Node, idx int) []graph.Node {
-	out := make([]graph.Node, 0, len(vs)-1)
-	out = append(out, vs[:idx]...)
-	return append(out, vs[idx+1:]...)
-}
-
-func dropRune(rs []rune, idx int) []rune {
-	out := make([]rune, 0, len(rs)-1)
-	out = append(out, rs[:idx]...)
-	return append(out, rs[idx+1:]...)
 }

@@ -4,7 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"unicode/utf16"
 
@@ -29,9 +30,9 @@ type Vocab struct {
 	next     rune
 }
 
-// NewVocab returns an empty vocabulary. Labels are assigned from
+// newVocab returns an empty vocabulary. Labels are assigned from
 // rune(1) in first-seen order.
-func NewVocab() *Vocab {
+func newVocab() *Vocab {
 	return &Vocab{preds: map[string]rune{}, predIRIs: map[rune]string{}, next: 1}
 }
 
@@ -70,11 +71,7 @@ func (v *Vocab) NumPreds() int { return len(v.preds) }
 // Predicates returns the interned predicate IRIs sorted by label — the
 // order they were first seen in the stream.
 func (v *Vocab) Predicates() []string {
-	labels := make([]rune, 0, len(v.predIRIs))
-	for r := range v.predIRIs {
-		labels = append(labels, r)
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
+	labels := slices.Sorted(maps.Keys(v.predIRIs))
 	out := make([]string, len(labels))
 	for i, r := range labels {
 		out[i] = v.predIRIs[r]
@@ -103,7 +100,7 @@ type LoadStats struct {
 // aborts with an error naming the line number.
 func LoadNTriples(r io.Reader, g *graph.DB, vocab *Vocab) (*Vocab, LoadStats, error) {
 	if vocab == nil {
-		vocab = NewVocab()
+		vocab = newVocab()
 	}
 	var stats LoadStats
 	sc := bufio.NewScanner(r)

@@ -10,7 +10,8 @@
 package rdf
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/ecrpq"
 	"repro/internal/graph"
@@ -87,12 +88,7 @@ func (h *Hierarchy) Prec(a, b rune) bool {
 
 // Properties returns the declared properties, sorted.
 func (h *Hierarchy) Properties() []rune {
-	var out []rune
-	for r := range h.runes {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(h.runes))
 }
 
 // RhoIso returns the ρ-isomorphism regular relation of Section 4 over

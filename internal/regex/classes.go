@@ -36,8 +36,8 @@ func NewClass(negate bool, ranges ...Range) *ClassExpr {
 	return &ClassExpr{Ranges: NormalizeRanges(append([]Range(nil), ranges...)), Negate: negate}
 }
 
-// Wild returns the wildcard class ".": every label, no label excluded.
-func Wild() *ClassExpr { return &ClassExpr{Negate: true} }
+// wildcard returns the wildcard class ".": every label, no label excluded.
+func wildcard() *ClassExpr { return &ClassExpr{Negate: true} }
 
 // Contains reports whether the class matches label r. ⊥ never matches.
 func (c *ClassExpr) Contains(r rune) bool {

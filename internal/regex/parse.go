@@ -151,7 +151,7 @@ func (p *parser) parseAtom() (*Node[rune], error) {
 		return p.parseClass()
 	case '.':
 		p.next()
-		return ClassNode(Wild()), nil
+		return ClassNode(wildcard()), nil
 	case ')', ']', '|', '*', '+', '?', ',', '<', '>':
 		return nil, p.errorf("unexpected %q", r)
 	default:

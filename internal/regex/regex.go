@@ -16,7 +16,6 @@
 package regex
 
 import (
-	"sort"
 	"strings"
 )
 
@@ -265,11 +264,4 @@ func writeSym(b *strings.Builder, r rune) {
 		b.WriteByte('\\')
 	}
 	b.WriteRune(r)
-}
-
-// SortRunes sorts a rune slice in place and returns it; a convenience for
-// deterministic alphabets in tests and printing.
-func SortRunes(rs []rune) []rune {
-	sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-	return rs
 }

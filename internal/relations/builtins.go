@@ -10,7 +10,7 @@ func Equality(sigma []rune) *Relation {
 	n.SetStart(q)
 	n.SetFinal(q, true)
 	for _, a := range sigma {
-		n.AddTransition(q, MakeSym(a, a), q)
+		n.AddTransition(q, makeSym(a, a), q)
 	}
 	return &Relation{Name: "eq", Arity: 2, A: n}
 }
@@ -22,7 +22,7 @@ func Equality(sigma []rune) *Relation {
 func EqualLength(sigma []rune) *Relation {
 	f := lengthForm(sigma, 1)
 	f.a.SetFinal(0, true)
-	f.a.AddTransition(0, MakeSym(sigmaSym, sigmaSym), 0)
+	f.a.AddTransition(0, makeSym(sigmaSym, sigmaSym), 0)
 	return &Relation{Name: "el", Arity: 2, cls: f}
 }
 
@@ -36,9 +36,9 @@ func Prefix(sigma []rune) *Relation {
 	n.SetFinal(q0, true)
 	n.SetFinal(q1, true)
 	for _, a := range sigma {
-		n.AddTransition(q0, MakeSym(a, a), q0)
-		n.AddTransition(q0, MakeSym(Bot, a), q1)
-		n.AddTransition(q1, MakeSym(Bot, a), q1)
+		n.AddTransition(q0, makeSym(a, a), q0)
+		n.AddTransition(q0, makeSym(Bot, a), q1)
+		n.AddTransition(q1, makeSym(Bot, a), q1)
 	}
 	return &Relation{Name: "prefix", Arity: 2, A: n}
 }
@@ -62,9 +62,9 @@ func longerTail(sigma []rune, orEqual bool) *classForm {
 	f := lengthForm(sigma, 2)
 	f.a.SetFinal(0, orEqual)
 	f.a.SetFinal(1, true)
-	f.a.AddTransition(0, MakeSym(sigmaSym, sigmaSym), 0)
-	f.a.AddTransition(0, MakeSym(Bot, sigmaSym), 1)
-	f.a.AddTransition(1, MakeSym(Bot, sigmaSym), 1)
+	f.a.AddTransition(0, makeSym(sigmaSym, sigmaSym), 0)
+	f.a.AddTransition(0, makeSym(Bot, sigmaSym), 1)
+	f.a.AddTransition(1, makeSym(Bot, sigmaSym), 1)
 	return f
 }
 
@@ -81,7 +81,7 @@ func Morphism(sigma []rune, h map[rune]rune) *Relation {
 		if !ok {
 			b = a
 		}
-		n.AddTransition(q, MakeSym(a, b), q)
+		n.AddTransition(q, makeSym(a, b), q)
 	}
 	return &Relation{Name: "morph", Arity: 2, A: n}
 }
@@ -98,7 +98,7 @@ func RhoIso(sigma []rune, prec func(a, b rune) bool) *Relation {
 	for _, a := range sigma {
 		for _, b := range sigma {
 			if prec(a, b) || prec(b, a) {
-				n.AddTransition(q, MakeSym(a, b), q)
+				n.AddTransition(q, makeSym(a, b), q)
 			}
 		}
 	}
@@ -118,31 +118,25 @@ func MismatchOrGap(sigma []rune) *Relation {
 	for _, a := range sigma {
 		for _, b := range sigma {
 			if a != b {
-				n.AddTransition(q0, MakeSym(a, b), q1)
+				n.AddTransition(q0, makeSym(a, b), q1)
 			}
 		}
-		n.AddTransition(q0, MakeSym(a, Bot), q1)
-		n.AddTransition(q0, MakeSym(Bot, a), q1)
+		n.AddTransition(q0, makeSym(a, Bot), q1)
+		n.AddTransition(q0, makeSym(Bot, a), q1)
 	}
 	return &Relation{Name: "mismatch", Arity: 2, A: n}
 }
 
 // NonEmptyPair returns the binary relation {(s, s') : s ≠ ε and s' ≠ ε};
 // a guard used to exclude trivial empty-sequence answers from
-// association queries (Section 4).
+// association queries (Section 4). It compares lengths only, so it is
+// in class form: a (Σ, Σ) step, then any of (Σ, Σ), (Σ, ⊥) and (⊥, Σ).
 func NonEmptyPair(sigma []rune) *Relation {
-	n := automata.NewNFA[TupleSym]()
-	q0 := n.AddState()
-	q1 := n.AddState()
-	n.SetStart(q0)
-	n.SetFinal(q1, true)
-	for _, a := range sigma {
-		for _, b := range sigma {
-			n.AddTransition(q0, MakeSym(a, b), q1)
-		}
-	}
-	for _, sym := range TupleAlphabet(sigma, 2) {
-		n.AddTransition(q1, sym, q1)
-	}
-	return &Relation{Name: "nonempty2", Arity: 2, A: n}
+	f := lengthForm(sigma, 2)
+	f.a.SetFinal(1, true)
+	f.a.AddTransition(0, makeSym(sigmaSym, sigmaSym), 1)
+	f.a.AddTransition(1, makeSym(sigmaSym, sigmaSym), 1)
+	f.a.AddTransition(1, makeSym(sigmaSym, Bot), 1)
+	f.a.AddTransition(1, makeSym(Bot, sigmaSym), 1)
+	return &Relation{Name: "nonempty2", Arity: 2, cls: f}
 }

@@ -26,7 +26,8 @@ import (
 //   - every class range, split at its boundaries (nex's insertLimits),
 //     so each class expression is an exact union of cells; a negated
 //     class or wildcard adds the wild bucket. A relation in class form
-//     (el, lt, le) adds its classes — Σ as one class, not |Σ| labels.
+//     (el, lt, le, nonempty2) adds its classes — Σ as one class, not |Σ|
+//     labels.
 //
 // Class-bearing atoms are recompiled from their AST (literal → its
 // cell's class, class expr → alternation over its covered classes), and
@@ -37,20 +38,31 @@ import (
 // cell when it registers a symbol (AddSym), and encodes the automaton's
 // live labels as classes, which is exact because all their runes sit in
 // singleton cells.
-func CompileClassAtoms(atoms []Atom) (*regex.Partition, []Atom, error) {
+//
+// The relations in refine add their distinctions to the partition and
+// nothing else: a caller that runs the joint against another query's
+// relations (containment's canonical databases) refines by them, so
+// that a class's members behave alike in both queries.
+func CompileClassAtoms(atoms []Atom, refine ...*Relation) (*regex.Partition, []Atom, error) {
 	var b regex.PartitionBuilder
-	for _, at := range atoms {
+	for i := range len(atoms) + len(refine) {
+		var rel *Relation
+		if i < len(atoms) {
+			rel = atoms[i].Rel
+		} else {
+			rel = refine[i-len(atoms)]
+		}
 		switch {
-		case at.Rel.cls != nil:
-			for _, c := range at.Rel.cls.classes {
+		case rel.cls != nil:
+			for _, c := range rel.cls.classes {
 				b.AddClass(c)
 			}
-		case at.Rel.Lang != nil && regex.HasClass(at.Rel.Lang):
-			b.AddNode(at.Rel.Lang)
-		case at.Rel.A == nil:
-			return nil, nil, fmt.Errorf("relations: atom %s has neither automaton nor language AST", at.Rel.Name)
+		case rel.Lang != nil && regex.HasClass(rel.Lang):
+			b.AddNode(rel.Lang)
+		case rel.A == nil:
+			return nil, nil, fmt.Errorf("relations: atom %s has neither automaton nor language AST", rel.Name)
 		default:
-			at.Rel.A.EachSymbol(func(sym TupleSym) {
+			rel.A.EachSymbol(func(sym TupleSym) {
 				for _, r := range sym {
 					b.AddLabel(r)
 				}

@@ -122,7 +122,7 @@ func EditDistance(sigma []rune, k int) *Relation {
 				out := map[state]bool{}
 				closure(r, out, map[raw]bool{})
 				for t := range out {
-					n.AddTransition(from, MakeSym(a, b), stateOf(t))
+					n.AddTransition(from, makeSym(a, b), stateOf(t))
 				}
 			}
 		}
@@ -147,19 +147,9 @@ func EditDistanceDP(x, y []rune) int {
 			if x[i-1] == y[j-1] {
 				cost = 0
 			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 		}
 		prev, cur = cur, prev
 	}
 	return prev[n]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }

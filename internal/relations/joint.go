@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/automata"
 	"repro/internal/regex"
 )
 
@@ -44,9 +43,15 @@ type Joint struct {
 // NewJoint validates atom arities/positions and returns the joint.
 // m is capped at 64 tapes: the padding state is a 64-bit mask, and a
 // silent wrap of `1 << i` past bit 63 would corrupt the padding
-// discipline, so larger joins are rejected up front. An atom in class
-// form that CompileClassAtoms has not compiled is spelled over its labels
-// (Relation.Expand) in the joint's own copy of the atoms.
+// discipline, so larger joins are rejected up front.
+//
+// Every evaluating caller (the engine's components, containment's
+// canonical search, neg's letters automaton) compiles its atoms with
+// CompileClassAtoms first and steps class tuples. An atom in class form
+// that was not compiled is spelled over its labels (Relation.Expand) in
+// the joint's own copy of the atoms, for a caller that registers raw
+// labels with AddSym: the relations probe of benchmark/probes.go builds
+// its el joint that way.
 func NewJoint(m int, atoms []Atom) (*Joint, error) {
 	if m > 64 {
 		return nil, fmt.Errorf("relations: joint over %d tapes exceeds the 64-tape limit (the ⊥-padding mask is 64-bit)", m)
@@ -92,34 +97,4 @@ func (j *Joint) AcceptsTuple(ss [][]rune) bool {
 		}
 	}
 	return true
-}
-
-// Materialize builds the explicit automaton A_Q over the m-tuple alphabet
-// restricted to the given symbols (plus any needed padding successors).
-// Used by containment's canonical-tuple enumeration and by tests;
-// evaluation runs a JointRunner instead.
-func (j *Joint) Materialize(symbols []TupleSym) *automata.NFA[TupleSym] {
-	r := NewJointRunner(j)
-	symIDs := make([]int, len(symbols))
-	for i, sym := range symbols {
-		symIDs[i] = r.AddSym([]rune(sym))
-	}
-	n := automata.NewNFA[TupleSym]()
-	// Dense joint-state ids double as NFA state ids: the runner interns
-	// states in first-reached order, matching the BFS below.
-	n.AddState()
-	n.SetFinal(0, r.Accepting(r.StartID()))
-	n.SetStart(0)
-	for from := 0; from < r.NumStates(); from++ {
-		for i, sid := range symIDs {
-			if to, ok := r.Step(from, sid); ok {
-				for to >= n.NumStates() {
-					q := n.AddState()
-					n.SetFinal(q, r.Accepting(q))
-				}
-				n.AddTransition(from, symbols[i], to)
-			}
-		}
-	}
-	return n
 }

@@ -6,14 +6,14 @@ import (
 )
 
 // This file is the class-level form of the relations that read their
-// labels only through a class: el, lt and le compare path lengths and
-// never tell two labels of Σ apart. Spelled over labels, el is one
-// transition per label pair, |Σ|² of them, and every label of Σ becomes
-// a singleton cell of the component's partition. In class form it is one
-// transition per class tuple — (Σ, Σ) for el — and the class compile
-// (CompileClassAtoms) hands Σ to the partition as one class, whose cells
-// the class tuples lift to. Code that reads labels off the automaton
-// expands the form (Expand); the evaluator never does.
+// labels only through a class: el, lt, le and nonempty2 compare path
+// lengths and never tell two labels of Σ apart. Spelled over labels, el
+// is one transition per label pair, |Σ|² of them, and every label of Σ
+// becomes a singleton cell of the component's partition. In class form
+// it is one transition per class tuple — (Σ, Σ) for el — and the class
+// compile (CompileClassAtoms) hands Σ to the partition as one class,
+// whose cells the class tuples lift to. Code that reads labels off the
+// automaton expands the form (Expand); the evaluator never does.
 
 // classForm is a synchronous automaton whose tuple-symbol components are
 // class runes or ⊥: rune i stands for every label of classes[i-1]. The
@@ -185,7 +185,7 @@ func (f *classForm) labelRanges(i int) []regex.Range {
 }
 
 // Expand returns r with its label-level automaton in A: r itself, unless
-// r is in class form (EqualLength, ShorterLen, ShorterEqLen), whose
+// r is in class form (EqualLength, ShorterLen, ShorterEqLen, NonEmptyPair), whose
 // expansion has one transition per tuple of labels its class tuples read
 // — for el, one per pair of labels of Σ. The expansions of el and lt are
 // the automata they were built as before they had a class form; le's is

@@ -18,6 +18,7 @@ var lengthRelations = []struct {
 	{"el", EqualLength, func(n, m int) bool { return n == m }},
 	{"lt", ShorterLen, func(n, m int) bool { return n < m }},
 	{"le", ShorterEqLen, func(n, m int) bool { return n <= m }},
+	{"nonempty2", NonEmptyPair, func(n, m int) bool { return n > 0 && m > 0 }},
 }
 
 // allWords returns every word of length at most maxLen over letters.
@@ -35,13 +36,13 @@ func allWords(letters []rune, maxLen int) [][]rune {
 	return words
 }
 
-// TestLengthClassFormMatchesExpansion checks el, lt and le three ways on
-// every pair of words of length ≤ 4 over Σ = {a, b}, a foreign label z
-// and ⊥: the class form (Contains), its label-level expansion (Expand),
-// and the class form compiled against a partition (CompileClassAtoms,
-// with a+ beside it so that Σ splits into two cells), run on the words'
-// classes. On pairs of Σ-words each must also be the length comparison
-// itself.
+// TestLengthClassFormMatchesExpansion checks el, lt, le and nonempty2
+// three ways on every pair of words of length ≤ 4 over Σ = {a, b}, a
+// foreign label z and ⊥: the class form (Contains), its label-level
+// expansion (Expand), and the class form compiled against a partition
+// (CompileClassAtoms, with a+ beside it so that Σ splits into two
+// cells), run on the words' classes. On pairs of Σ-words each must also
+// be the length comparison itself.
 func TestLengthClassFormMatchesExpansion(t *testing.T) {
 	words := allWords([]rune{'a', 'b', 'z', Bot}, 4)
 	for _, lr := range lengthRelations {
@@ -99,11 +100,12 @@ func overSigma(w []rune) bool {
 
 // TestLengthClassFormSize pins the size of the class forms — one state
 // and one transition for el, two states and three transitions for lt and
-// le, at every |Σ| — and of their expansions: |Σ|² transitions for el,
-// |Σ|² + 2|Σ| for lt and le, on the class form's states, starts and
+// le, two and four for nonempty2, at every |Σ| — and of their
+// expansions: |Σ|² transitions for el, |Σ|² + 2|Σ| for lt and le,
+// 2|Σ|² + 2|Σ| for nonempty2, on the class form's states, starts and
 // accepting states.
 func TestLengthClassFormSize(t *testing.T) {
-	forms := map[string][2]int{"el": {1, 1}, "lt": {2, 3}, "le": {2, 3}}
+	forms := map[string][2]int{"el": {1, 1}, "lt": {2, 3}, "le": {2, 3}, "nonempty2": {2, 4}}
 	for _, k := range []int{1, 3, 32, 1000} {
 		sigma := make([]rune, k)
 		for i := range sigma {
@@ -120,8 +122,11 @@ func TestLengthClassFormSize(t *testing.T) {
 			}
 			a := rel.Expand().A
 			want := k * k
-			if lr.name != "el" {
+			switch lr.name {
+			case "lt", "le":
 				want += 2 * k
+			case "nonempty2":
+				want += k*k + 2*k
 			}
 			if a.NumStates() != f.a.NumStates() || a.NumTransitions() != want ||
 				fmt.Sprint(a.Start(), a.FinalStates()) != fmt.Sprint(f.a.Start(), f.a.FinalStates()) {

@@ -13,8 +13,8 @@
 // Section 5.
 //
 // Relations that compare labels (eq, prefix, edit distance, morphisms)
-// are automata over label tuples. The length relations el, lt and le
-// never tell two labels apart, so they are built in class form — an
+// are automata over label tuples. The length relations el, lt, le and
+// nonempty2 never tell two labels apart, so they are built in class form — an
 // automaton over tuples of one class, Σ, and ⊥ — whose size does not
 // depend on |Σ|; Expand spells such a relation over labels for the code
 // that needs them, and the evaluator compiles it against a partition of
@@ -35,8 +35,8 @@ const Bot = regex.Bot
 // is the symbol type of all synchronous automata in this package.
 type TupleSym = string
 
-// MakeSym builds a tuple symbol from component runes.
-func MakeSym(rs ...rune) TupleSym { return string(rs) }
+// makeSym builds a tuple symbol from component runes.
+func makeSym(rs ...rune) TupleSym { return string(rs) }
 
 // AllBot reports whether every component of the symbol is ⊥.
 func AllBot(sym TupleSym) bool {
@@ -74,22 +74,6 @@ func Convolve(ss ...[]rune) []TupleSym {
 	return word
 }
 
-// Deconvolve splits a convolution word into its component strings,
-// stripping ⊥ padding. It is the inverse of Convolve on proper
-// convolutions.
-func Deconvolve(word []TupleSym, arity int) [][]rune {
-	out := make([][]rune, arity)
-	for _, sym := range word {
-		rs := []rune(sym)
-		for j := 0; j < arity; j++ {
-			if rs[j] != Bot {
-				out[j] = append(out[j], rs[j])
-			}
-		}
-	}
-	return out
-}
-
 // Relation is an n-ary regular relation over Σ, represented by a
 // synchronous (letter-to-letter) automaton over tuple symbols. Name is a
 // human-readable description used in query printing and errors.
@@ -100,9 +84,9 @@ func Deconvolve(word []TupleSym, arity int) [][]rune {
 // one transition per label, so class-bearing relations are compiled
 // per query component against a label-space partition instead (see
 // CompileClassAtoms) and membership is decided from the AST. The length
-// relations (EqualLength, ShorterLen, ShorterEqLen) have A nil too: they
-// are held in class form, compiled the same way, and spelled over labels
-// by Expand.
+// relations (EqualLength, ShorterLen, ShorterEqLen, NonEmptyPair) have A
+// nil too: they are held in class form, compiled the same way, and
+// spelled over labels by Expand.
 type Relation struct {
 	Name  string
 	Arity int

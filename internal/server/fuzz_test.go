@@ -24,7 +24,7 @@ func FuzzQueryParams(f *testing.F) {
 	typed := map[int]bool{
 		http.StatusUnprocessableEntity: true, // budget
 		http.StatusGatewayTimeout:      true, // deadline
-		StatusClientClosedRequest:      true, // canceled
+		statusClientClosedRequest:      true, // canceled
 		http.StatusTooManyRequests:     true, // overloaded
 		http.StatusServiceUnavailable:  true, // draining, stale
 	}

@@ -46,11 +46,11 @@ import (
 	"repro/internal/qerr"
 )
 
-// StatusClientClosedRequest is the non-standard 499 status (popularized
+// statusClientClosedRequest is the non-standard 499 status (popularized
 // by nginx) reported when the client canceled the request before the
 // evaluation finished. It keeps client-gone distinct from both server
 // timeouts (504) and overload (429/503) in logs and stats.
-const StatusClientClosedRequest = 499
+const statusClientClosedRequest = 499
 
 // Config tunes a Server. The zero value of every field selects a sane
 // default; the zero Config as a whole still needs a DB.
@@ -689,7 +689,7 @@ func (s *Server) writeTypedError(w http.ResponseWriter, err error) {
 		writeErrJSON(w, http.StatusGatewayTimeout, err.Error())
 	case errors.Is(err, qerr.ErrCanceled):
 		s.canceled.Add(1)
-		writeErrJSON(w, StatusClientClosedRequest, err.Error())
+		writeErrJSON(w, statusClientClosedRequest, err.Error())
 	case errors.Is(err, qerr.ErrStale):
 		s.unavail.Add(1)
 		writeErrJSON(w, http.StatusServiceUnavailable, err.Error())

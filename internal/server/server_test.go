@@ -447,8 +447,8 @@ func TestFaultMidBFSCancellation(t *testing.T) {
 	})
 	t.Cleanup(faultinject.Clear)
 	code := getJSON(t, ts.URL+"/query/aplus?fresh=1", nil)
-	if code != StatusClientClosedRequest {
-		t.Fatalf("mid-BFS cancel status = %d, want %d", code, StatusClientClosedRequest)
+	if code != statusClientClosedRequest {
+		t.Fatalf("mid-BFS cancel status = %d, want %d", code, statusClientClosedRequest)
 	}
 	faultinject.Clear()
 

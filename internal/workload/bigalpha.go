@@ -32,14 +32,14 @@ func BigAlphabetSigma(k int) []rune {
 	return out
 }
 
-// BigAlphabet builds a Wikidata-like labeled graph: n nodes, roughly
+// bigAlphabet builds a Wikidata-like labeled graph: n nodes, roughly
 // avgDeg·n edges with uniformly random endpoints, and edge labels drawn
 // from a mixture matching the predicate frequency profile of real RDF
 // datasets — half Zipf-skewed (a few head predicates dominate) and half
 // uniform over the whole vocabulary (the long tail where most
 // predicates occur at least once, so a graph of E edges carries
 // Θ(min(E, |Σ|)) distinct labels).
-func BigAlphabet(r *rand.Rand, n int, sigma []rune, avgDeg float64) *graph.DB {
+func bigAlphabet(r *rand.Rand, n int, sigma []rune, avgDeg float64) *graph.DB {
 	g := graph.NewDB()
 	for i := 0; i < n; i++ {
 		g.AddNode("")
@@ -70,5 +70,5 @@ const (
 // (deterministic: 2048 nodes, |Σ| = 10⁴, avg degree 4).
 func BigAlphabetGraph() *graph.DB {
 	sigma := BigAlphabetSigma(bigAlphaLabels)
-	return BigAlphabet(rand.New(rand.NewSource(97)), bigAlphaNodes, sigma, 4.0)
+	return bigAlphabet(rand.New(rand.NewSource(97)), bigAlphaNodes, sigma, 4.0)
 }

@@ -24,8 +24,8 @@ func TestBigAlphabetSigma(t *testing.T) {
 
 func TestBigAlphabetDeterministic(t *testing.T) {
 	sigma := BigAlphabetSigma(500)
-	g1 := BigAlphabet(rand.New(rand.NewSource(7)), 64, sigma, 3.0)
-	g2 := BigAlphabet(rand.New(rand.NewSource(7)), 64, sigma, 3.0)
+	g1 := bigAlphabet(rand.New(rand.NewSource(7)), 64, sigma, 3.0)
+	g2 := bigAlphabet(rand.New(rand.NewSource(7)), 64, sigma, 3.0)
 	if g1.NumEdges() != g2.NumEdges() || g1.NumNodes() != g2.NumNodes() {
 		t.Fatal("generator not deterministic")
 	}
