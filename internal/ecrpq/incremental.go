@@ -46,10 +46,9 @@ import (
 // the full fallback.
 //
 // Witness ties are broken by discovery order, which is the order a
-// snapshot lists a node's edges in: base segment first, then delta. A
-// compaction between the two epochs merges prev's delta edges into the
-// base and so can reorder them; a witness query falls back whenever one
-// ran while prev had delta edges.
+// snapshot lists a node's edges in: label, then target, in every layout.
+// A compaction between the two epochs moves edges between segments but
+// reorders none, so it changes no witness and needs no check of its own.
 
 // componentLiveRanges computes the live-label over-approximation of one
 // component as sorted disjoint rune ranges: per tape, the intersection
@@ -426,11 +425,11 @@ const incMaxDeltaDen = 8
 // evaluate from scratch"; it is returned when the stores differ, the
 // delta history has been trimmed past prev's epoch, the node count
 // changed, prev carries no memo, the delta is too large a fraction of
-// the graph, the query outputs witness paths and either the delta
-// reaches a node some run reached or a compaction ran while prev had
-// delta edges, or an injected DeltaBFS fault aborts the attempt. Errors
-// are the usual evaluation taxonomy (cancellation, deadline, budget)
-// and mean the caller should fail the same way a full evaluation would.
+// the graph, the query outputs witness paths and the delta reaches a
+// node some run reached, or an injected DeltaBFS fault aborts the
+// attempt. Errors are the usual evaluation taxonomy (cancellation,
+// deadline, budget) and mean the caller should fail the same way a full
+// evaluation would.
 //
 // The returned Result shares prev's answer and memo storage whenever
 // the content is unchanged; callers must treat both as immutable —
@@ -453,11 +452,6 @@ func (p *Program) Advance(ctx context.Context, prev *Result, s *graph.Snapshot, 
 	}
 	since, ok := s.EdgesSince(ps.Epoch())
 	if !ok {
-		return nil, AdvanceNone, nil
-	}
-	if !p.incCapable && ps.DeltaEdges() > 0 && s.BaseEdges() != ps.BaseEdges() {
-		// A compaction since prev may have reordered the edges witness
-		// ties depend on (see the file comment), whatever their labels.
 		return nil, AdvanceNone, nil
 	}
 	if !p.liveUniversal {

@@ -18,8 +18,8 @@ import (
 // end-to-end fingerprints: prepareMoves + forEachMove must hand the emit
 // function exactly the product of each coordinate's admissible moves, in
 // the order every driver's determinism rests on — per coordinate ⊥
-// first, then the node's label runs in order with the base segment
-// before the delta overlay, coordinates nested first-outermost.
+// first, then the node's label runs in order (label, then target, in
+// every snapshot layout), coordinates nested first-outermost.
 
 // kernelMove is one emitted move, copied out of the kernel's scratch,
 // with the successor joint state it was emitted with.
@@ -69,30 +69,28 @@ func stubNext(state int, classes []rune) (int, bool) {
 
 // coordMoves lists one coordinate's admissible moves by brute force: ⊥
 // when bot, then every out-edge of v whose label's class passes keep,
-// base runs before delta runs. runs numbers each move's run: ⊥ is a run
-// of its own, and a run is a maximal sequence of kept label runs of one
-// segment, adjacent in it, that map to one class.
+// in Runs order. runs numbers each move's run: ⊥ is a run of its own,
+// and a run is a maximal sequence of kept label runs that map to one
+// class and whose edges are contiguous (each one starts where the one
+// before it ends).
 func coordMoves(s *graph.Snapshot, part *regex.Partition, v graph.Node, bot bool, keep func(class rune) bool) (classes []rune, labs []rune, tos []graph.Node, runs []int) {
 	run := -1
 	if bot {
 		run++
 		classes, labs, tos, runs = append(classes, regex.Bot), append(labs, regex.Bot), append(tos, v), append(runs, run)
 	}
-	for _, seg := range [][]graph.LabelRun{s.BaseRuns(v), s.DeltaRuns(v)} {
-		prev, adjacent := rune(-1), false
-		for _, lr := range seg {
-			c := part.ClassOf(lr.Label)
-			if !keep(c) {
-				adjacent = false
-				continue
-			}
-			if !adjacent || c != prev {
-				run++
-			}
-			prev, adjacent = c, true
-			for _, ed := range s.EdgeRange(lr.Start, lr.End) {
-				classes, labs, tos, runs = append(classes, c), append(labs, ed.Label), append(tos, ed.To), append(runs, run)
-			}
+	prev, end := rune(-1), int32(-1)
+	for _, lr := range s.Runs(v) {
+		c := part.ClassOf(lr.Label)
+		if !keep(c) {
+			continue
+		}
+		if lr.Start != end || c != prev {
+			run++
+		}
+		prev, end = c, lr.End
+		for _, ed := range s.EdgeRange(lr.Start, lr.End) {
+			classes, labs, tos, runs = append(classes, c), append(labs, ed.Label), append(tos, ed.To), append(runs, run)
 		}
 	}
 	return classes, labs, tos, runs
@@ -479,5 +477,44 @@ func TestPooledEngineReleasesLargeSnapshot(t *testing.T) {
 			}
 		}
 		prog.put(0, e)
+	}
+}
+
+// TestKernelRunsStayInOneSegment builds the layout where a base run
+// ends at the end of the base edge array and the same node's overlay
+// run follows it: the last node has a base a-edge and gets a delta
+// b-edge, and [a-b] puts a and b in one class. The kernel coalesces
+// contiguous same-class runs, so the two must not be contiguous; every
+// planner over the overlay answers as over a compacted twin.
+func TestKernelRunsStayInOneSegment(t *testing.T) {
+	const n = 4
+	g, twin := graph.NewDB(), graph.NewDB()
+	for _, h := range []*graph.DB{g, twin} {
+		h.AddNodes(n)
+		h.AddEdge(0, 'a', 1)
+		h.AddEdge(n-1, 'a', 0)
+	}
+	g.Snapshot() // compact: n-1's a-run ends the base
+	for _, h := range []*graph.DB{g, twin} {
+		h.AddEdge(n-1, 'b', 2)
+	}
+	s := g.Snapshot()
+	runs := s.Runs(n - 1)
+	if s.DeltaEdges() != 1 || len(runs) != 2 || runs[0].End != int32(s.NumEdges()-s.DeltaEdges()) {
+		t.Fatalf("want n-1's base a-run at the end of the base and a b-run in the overlay, got %v (%d delta edges)", runs, s.DeltaEdges())
+	}
+	q := MustParse("Ans(x,y,p) <- (x,p,y), [a-b]+(p)", Env{Sigma: []rune("ab")})
+	for _, opts := range []Options{{}, {NoPrune: true}, {Bind: map[NodeVar]graph.Node{"x": n - 1}}} {
+		got, err := Eval(q, s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Eval(q, twin, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if twin.Snapshot().DeltaEdges() != 0 || got.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("%+v: overlay answers %s, compacted twin %s", opts, renderResult(got), renderResult(want))
+		}
 	}
 }

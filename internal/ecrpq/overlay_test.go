@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faultinject"
 	"repro/internal/graph"
 )
 
@@ -155,4 +156,138 @@ func TestOverlaySnapshotProductNFA(t *testing.T) {
 			t.Fatalf("Member(%v) = false over the overlay graph", a.Nodes)
 		}
 	}
+}
+
+// TestWitnessFingerprintFollowsContent: a snapshot's fingerprint,
+// witnesses included, is a function of its edges, not of where they
+// sit. Seeded scripts write random edges in seeded orders into
+// memory-only and durable stores, with snapshots, forced compactions
+// and checkpoints at seeded points, clones compacted at other points
+// than their source and durable stores reopened from disk. At each
+// check every witness query, at 1, 2 and 8 workers, fingerprints the
+// snapshot exactly as it does a fully compacted store of the same edges
+// written in another order.
+func TestWitnessFingerprintFollowsContent(t *testing.T) {
+	progs := make([]*Program, len(witnessCases))
+	for i, tc := range witnessCases {
+		var err error
+		if progs[i], err = CompileProgram(MustParse(tc.src, envABCD()), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type edge struct {
+		from  graph.Node
+		label rune
+		to    graph.Node
+	}
+	forceCompaction := func(g *graph.DB) {
+		faultinject.Set(func(p faultinject.Point, _ uint64) error {
+			if p == faultinject.CompactionPolicy {
+				return faultinject.ErrForced
+			}
+			return nil
+		})
+		defer faultinject.Clear()
+		g.Snapshot()
+	}
+	ctx := context.Background()
+	var checks, deltas int
+	for seed := range 4 {
+		r := rand.New(rand.NewSource(int64(seed)))
+		const n = 16
+		var g *graph.DB
+		dir := ""
+		if seed%2 == 1 {
+			dir = t.TempDir()
+			var err error
+			if g, err = graph.OpenDir(dir); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			g = graph.NewDB()
+		}
+		t.Cleanup(func() { g.Close() })
+		g.AddNodes(n)
+		var written []edge
+		check := func(what string, s *graph.Snapshot) {
+			t.Helper()
+			twin := graph.NewDB()
+			twin.AddNodes(n)
+			for _, i := range r.Perm(len(written)) {
+				twin.AddEdge(written[i].from, written[i].label, written[i].to)
+			}
+			ts := twin.Snapshot()
+			if ts.DeltaEdges() != 0 || ts.NumEdges() != s.NumEdges() {
+				t.Fatalf("seed %d %s: twin holds %d edges (%d in its delta), snapshot %d", seed, what, ts.NumEdges(), ts.DeltaEdges(), s.NumEdges())
+			}
+			checks++
+			if s.DeltaEdges() > 0 {
+				deltas++
+			}
+			for i, tc := range witnessCases {
+				for _, w := range []int{1, 2, 8} {
+					opts := Options{Bind: tc.bind, BFSWorkers: w}
+					got, err := progs[i].Eval(ctx, s, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := progs[i].Eval(ctx, ts, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Fingerprint() != want.Fingerprint() {
+						t.Fatalf("seed %d %s (%d delta edges): %s bind %v W=%d: fingerprint %x, compacted twin %x",
+							seed, what, s.DeltaEdges(), tc.src, tc.bind, w, got.Fingerprint(), want.Fingerprint())
+					}
+				}
+			}
+		}
+		for step := range 100 {
+			e := edge{graph.Node(r.Intn(n)), rune('a' + r.Intn(3)), graph.Node(r.Intn(n))}
+			g.AddEdge(e.from, e.label, e.to)
+			written = append(written, e)
+			switch r.Intn(16) {
+			case 0, 1:
+				g.Snapshot() // publishes the writes, compacting past the threshold
+			case 2:
+				check("snapshot", g.Snapshot())
+			case 3:
+				forceCompaction(g)
+				check("forced compaction", g.Snapshot())
+			case 4:
+				// A clone and its source compacted at different points;
+				// a memory-only script goes on with the clone.
+				h := g.Clone()
+				forceCompaction([]*graph.DB{g, h}[step%2])
+				check("clone source", g.Snapshot())
+				check("clone", h.Snapshot())
+				if dir == "" {
+					g = h
+				}
+			case 5:
+				if dir != "" {
+					if err := g.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					check("checkpoint", g.Snapshot())
+				}
+			case 6:
+				if dir != "" {
+					if err := g.Close(); err != nil {
+						t.Fatal(err)
+					}
+					var err error
+					if g, err = graph.OpenDir(dir); err != nil {
+						t.Fatal(err)
+					}
+					check("reopen", g.Snapshot())
+				}
+			}
+		}
+		check("end", g.Snapshot())
+	}
+	if deltas == 0 || deltas == checks {
+		t.Fatalf("%d of %d checks read a delta overlay: want some of each layout", deltas, checks)
+	}
+	t.Logf("%d checks, %d over a delta overlay", checks, deltas)
 }

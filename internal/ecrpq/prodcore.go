@@ -558,11 +558,10 @@ func appendIntersection[T cmp.Ordered](out, a, b []T) []T {
 
 // prepareMoves computes the per-coordinate admissible moves for the
 // product state with joint state jointID and node tuple cur: the
-// snapshot's label runs at each coordinate's node — base segment and
-// delta overlay both consulted — whose class the joint's live set
-// admits, plus the ⊥ stay-move where the joint admits it. It returns
-// false when some coordinate has no move at all — the state is dead and
-// the caller skips its expansion entirely.
+// snapshot's label runs at each coordinate's node whose class the
+// joint's live set admits, plus the ⊥ stay-move where the joint admits
+// it. It returns false when some coordinate has no move at all — the
+// state is dead and the caller skips its expansion entirely.
 func (k *moveKernel) prepareMoves(jointID int, cur []graph.Node) bool {
 	var live []relations.LiveSet
 	if !k.noPrune {
@@ -588,11 +587,11 @@ func (k *moveKernel) prepareMoves(jointID int, cur []graph.Node) bool {
 }
 
 // appendRuns appends (start, end, class) triples for coordinate i's
-// label runs at v in the base segment, then in the delta overlay, mapping
-// each run's label to the class the rows index: its partition class, and
-// on the table that class's coarse class. live (sorted classes) filters
-// the runs; nil keeps every run, dead-class ones included — the runner
-// then rejects those symbols itself, matching the exhaustive semantics.
+// label runs at v, in label order, mapping each run's label to the class
+// the rows index: its partition class, and on the table that class's
+// coarse class. live (sorted classes) filters the runs; nil keeps every
+// run, dead-class ones included — the runner then rejects those symbols
+// itself, matching the exhaustive semantics.
 func (k *moveKernel) appendRuns(i int, v graph.Node, live []rune, rr []int32) []int32 {
 	var cmap []rune
 	n := k.part.NumClasses()
@@ -601,22 +600,18 @@ func (k *moveKernel) appendRuns(i int, v graph.Node, live []rune, rr []int32) []
 	}
 	// A live set naming every class admits every run but the dead class's.
 	full := len(live) == n
-	rr = appendClassRuns(k.part, cmap, rune(n+1), k.snap.BaseRuns(v), live, full, rr)
-	if dr := k.snap.DeltaRuns(v); len(dr) > 0 {
-		rr = appendClassRuns(k.part, cmap, rune(n+1), dr, live, full, rr)
-	}
-	return rr
+	return appendClassRuns(k.part, cmap, rune(n+1), k.snap.Runs(v), live, full, rr)
 }
 
-// appendClassRuns appends the triples of one segment's runs (see
+// appendClassRuns appends the triples of a node's runs (see
 // appendRuns): cmap, when set, maps each partition class to the class
 // the triples carry, dead is that class space's dead class and full says
 // live names every other class. Adjacent same-class runs coalesce — on
-// the table, runs of partition classes it cannot tell apart — runs never
-// coalesce across classes, and a call never extends a triple of an
-// earlier one (a triple must not span the base/delta boundary).
+// the table, runs of partition classes it cannot tell apart — when their
+// edges are contiguous (one's End is the next one's Start); runs never
+// coalesce across classes. Snapshot offsets keep base and overlay runs
+// apart, so a coalesced triple always resolves within one segment.
 func appendClassRuns(part *regex.Partition, cmap []rune, dead rune, runs []graph.LabelRun, live []rune, full bool, rr []int32) []int32 {
-	floor := len(rr)
 	for _, run := range runs {
 		c := part.ClassOf(run.Label)
 		if cmap != nil {
@@ -625,7 +620,7 @@ func appendClassRuns(part *regex.Partition, cmap []rune, dead rune, runs []graph
 		if live != nil && (c == dead || !full && !runeInSorted(live, c)) {
 			continue
 		}
-		if n := len(rr); n > floor && rr[n-1] == int32(c) && rr[n-2] == run.Start {
+		if n := len(rr); n > 0 && rr[n-1] == int32(c) && rr[n-2] == run.Start {
 			rr[n-2] = run.End
 		} else {
 			rr = append(rr, run.Start, run.End, int32(c))
@@ -640,8 +635,9 @@ func appendClassRuns(part *regex.Partition, cmap []rune, dead rune, runs []graph
 // state; a non-nil error from emit stops the enumeration. cur must be the
 // node tuple passed to prepareMoves (the ⊥ stay-move keeps the
 // coordinate's node). The order is the determinism contract of every
-// driver: per coordinate ⊥ first, then the planned runs in order (base
-// segment before delta), coordinates nested first-outermost.
+// driver: per coordinate ⊥ first, then the planned runs in order (label,
+// then target, in every snapshot layout), coordinates nested
+// first-outermost.
 func (k *moveKernel) forEachMove(joint int, cur []graph.Node) error {
 	k.joint, k.moveCur, k.row = joint, cur, k.rowOf(joint)
 	err := k.enumMoves(0, 0)

@@ -111,11 +111,8 @@ func csrFromParts(edges []Edge, nodeOff, runOff []int32, runs []LabelRun, alphab
 // NumEdges returns the number of edges of the CSR.
 func (c *csr) NumEdges() int { return len(c.Edges) }
 
-// OutRange returns the range of v's edges in Edges.
-func (c *csr) OutRange(v Node) (start, end int32) { return c.nodeOff[v], c.nodeOff[v+1] }
-
-// out returns v's edges, sorted by label then target: Edges sliced by
-// OutRange (shared; do not modify).
+// out returns v's edges, sorted by label then target (shared; do not
+// modify).
 func (c *csr) out(v Node) []Edge { return c.Edges[c.nodeOff[v]:c.nodeOff[v+1]] }
 
 // Runs returns the label runs of v, sorted by label: one entry per

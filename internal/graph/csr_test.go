@@ -19,7 +19,7 @@ func randomTestDB(r *rand.Rand, n, edges int, sigma []rune) *DB {
 
 // TestCSRMatchesDB checks a snapshot against the edge list the test
 // inserted, with part of it compacted into the base and the rest in the
-// delta overlay: every edge exactly once across BaseRuns and DeltaRuns,
+// delta overlay: every edge exactly once in Runs,
 // label-sorted runs with target-sorted edges, OutDegree, per-label
 // lookup, EdgesFrom and the cached alphabet.
 func TestCSRMatchesDB(t *testing.T) {
@@ -47,23 +47,22 @@ func TestCSRMatchesDB(t *testing.T) {
 		seen := map[edgeKey]bool{}
 		for v := 0; v < n; v++ {
 			deg := 0
-			for _, runs := range [2][]LabelRun{c.BaseRuns(Node(v)), c.DeltaRuns(Node(v))} {
-				for ri, run := range runs {
-					if ri > 0 && runs[ri-1].Label >= run.Label {
-						t.Fatalf("node %d: runs not label-sorted: %v", v, runs)
+			runs := c.Runs(Node(v))
+			for ri, run := range runs {
+				if ri > 0 && runs[ri-1].Label >= run.Label {
+					t.Fatalf("node %d: runs not label-sorted: %v", v, runs)
+				}
+				es := c.EdgeRange(run.Start, run.End)
+				for i, ed := range es {
+					k := edgeKey{Node(v), ed.Label, ed.To}
+					if ed.Label != run.Label || (i > 0 && es[i-1].To >= ed.To) {
+						t.Fatalf("node %d run %q: edges %v off-label or unsorted", v, run.Label, es)
 					}
-					es := c.EdgeRange(run.Start, run.End)
-					for i, ed := range es {
-						k := edgeKey{Node(v), ed.Label, ed.To}
-						if ed.Label != run.Label || (i > 0 && es[i-1].To >= ed.To) {
-							t.Fatalf("node %d run %q: edges %v off-label or unsorted", v, run.Label, es)
-						}
-						if !inserted[k] || seen[k] {
-							t.Fatalf("snapshot edge %v: inserted %v, already seen %v", k, inserted[k], seen[k])
-						}
-						seen[k] = true
-						deg++
+					if !inserted[k] || seen[k] {
+						t.Fatalf("snapshot edge %v: inserted %v, already seen %v", k, inserted[k], seen[k])
 					}
+					seen[k] = true
+					deg++
 				}
 			}
 			if got := c.OutDegree(Node(v)); got != deg {
@@ -182,12 +181,12 @@ func TestAddEdgeDedupLargeFanOut(t *testing.T) {
 		to    Node
 	}
 	edges := []edge{{0, 'a', 1}} // in the base
-	if s := g.Snapshot(); s.BaseEdges() != 149 || s.DeltaEdges() != 0 {
-		t.Fatalf("after the fan-out: base %d delta %d, want 149/0", s.BaseEdges(), s.DeltaEdges())
+	if s := g.Snapshot(); int(s.baseLen) != 149 || s.DeltaEdges() != 0 {
+		t.Fatalf("after the fan-out: base %d delta %d, want 149/0", int(s.baseLen), s.DeltaEdges())
 	}
 	g.AddEdge(1, 'b', 2)
-	if s := g.Snapshot(); s.BaseEdges() != 149 || s.DeltaEdges() != 1 {
-		t.Fatalf("published delta: base %d delta %d, want 149/1", s.BaseEdges(), s.DeltaEdges())
+	if s := g.Snapshot(); int(s.baseLen) != 149 || s.DeltaEdges() != 1 {
+		t.Fatalf("published delta: base %d delta %d, want 149/1", int(s.baseLen), s.DeltaEdges())
 	}
 	edges = append(edges, edge{1, 'b', 2})
 	g.AddEdge(2, 'c', 3) // unpublished: no snapshot taken since
@@ -210,8 +209,8 @@ func TestAddEdgeDedupLargeFanOut(t *testing.T) {
 	if err := g.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if s := g.Snapshot(); s.BaseEdges() != 151 || s.DeltaEdges() != 0 {
-		t.Fatalf("after compaction: base %d delta %d, want 151/0", s.BaseEdges(), s.DeltaEdges())
+	if s := g.Snapshot(); int(s.baseLen) != 151 || s.DeltaEdges() != 0 {
+		t.Fatalf("after compaction: base %d delta %d, want 151/0", int(s.baseLen), s.DeltaEdges())
 	}
 	dupes("compacted", g)
 	g.AddEdge(3, 'd', 4) // in the WAL only
@@ -249,8 +248,8 @@ func TestEachEdgeOnceInOrder(t *testing.T) {
 		}
 		g.Snapshot() // base
 		burst(10)
-		if s := g.Snapshot(); s.BaseEdges() == 0 || s.DeltaEdges() == 0 {
-			t.Fatalf("want a base and a published delta, got %d/%d", s.BaseEdges(), s.DeltaEdges())
+		if s := g.Snapshot(); int(s.baseLen) == 0 || s.DeltaEdges() == 0 {
+			t.Fatalf("want a base and a published delta, got %d/%d", int(s.baseLen), s.DeltaEdges())
 		}
 		g.AddEdge(Node(n-1), 'z', 0) // at least one unpublished write
 		burst(10)

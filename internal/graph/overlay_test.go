@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"repro/internal/faultinject"
 )
 
 // overlayModel is the content a write script has produced, kept apart
@@ -58,55 +60,70 @@ func runEdges(t testing.TB, s *Snapshot, v Node, runs []LabelRun) []Edge {
 	return out
 }
 
-func edgeLess(a, b Edge) int {
-	if a.Label != b.Label {
-		return int(a.Label - b.Label)
-	}
-	return int(a.To - b.To)
-}
-
-// checkOverlay holds s to a compacted rebuild of the model: per node the
-// base and delta runs together list exactly its edges, OutDegree counts
-// them, EdgesFrom yields the base runs' edges and then the delta runs',
-// and EachEdge is EdgesFrom over the nodes in order.
+// checkOverlay holds s to a compacted twin of the model, in order: per
+// node the same runs with the same edges, from Runs, EdgesFrom and
+// WithLabel alike, OutDegree counting them, and EachEdge listing the
+// twin's edges in the twin's order.
 func checkOverlay(t testing.TB, s *Snapshot, m *overlayModel) {
 	t.Helper()
 	want := m.compacted()
-	if s.NumNodes() != m.n || s.NumEdges() != len(m.edges) || s.BaseEdges()+s.DeltaEdges() != s.NumEdges() {
-		t.Fatalf("snapshot holds %d nodes, %d = %d + %d edges; the script wrote %d nodes, %d edges",
-			s.NumNodes(), s.NumEdges(), s.BaseEdges(), s.DeltaEdges(), m.n, len(m.edges))
+	if s.NumNodes() != m.n || s.NumEdges() != len(m.edges) || want.DeltaEdges() != 0 {
+		t.Fatalf("snapshot holds %d nodes, %d edges (twin %d delta edges); the script wrote %d nodes, %d edges",
+			s.NumNodes(), s.NumEdges(), want.DeltaEdges(), m.n, len(m.edges))
 	}
 	if !slices.Equal(s.Alphabet(), want.Alphabet()) {
 		t.Fatalf("alphabet %q, want %q", string(s.Alphabet()), string(want.Alphabet()))
 	}
-	var each, from []Edge
-	s.EachEdge(func(_ Node, a rune, to Node) { each = append(each, Edge{a, to}) })
 	for v := Node(0); int(v) < m.n; v++ {
-		listed := runEdges(t, s, v, s.BaseRuns(v))
-		listed = append(listed, runEdges(t, s, v, s.DeltaRuns(v))...)
+		listed := runEdges(t, s, v, s.Runs(v))
+		ref := runEdges(t, want, v, want.Runs(v))
+		if !slices.Equal(listed, ref) {
+			t.Fatalf("node %d: runs list %v, compacted %v", v, listed, ref)
+		}
 		var got []Edge
 		s.EdgesFrom(v, func(a rune, to Node) { got = append(got, Edge{a, to}) })
-		if !slices.Equal(got, listed) {
-			t.Fatalf("node %d: EdgesFrom %v, runs list %v", v, got, listed)
+		if !slices.Equal(got, ref) {
+			t.Fatalf("node %d: EdgesFrom %v, compacted %v", v, got, ref)
 		}
-		from = append(from, got...)
-		if s.OutDegree(v) != len(got) {
-			t.Fatalf("node %d: OutDegree %d, %d edges", v, s.OutDegree(v), len(got))
+		if s.OutDegree(v) != len(ref) {
+			t.Fatalf("node %d: OutDegree %d, %d edges", v, s.OutDegree(v), len(ref))
 		}
-		ref := runEdges(t, want, v, want.BaseRuns(v))
-		if slices.SortFunc(listed, edgeLess); !slices.Equal(listed, ref) {
-			t.Fatalf("node %d: edges %v, compacted %v", v, listed, ref)
+		for _, run := range want.Runs(v) {
+			if w, g := want.EdgeRange(run.Start, run.End), s.WithLabel(v, run.Label); !slices.Equal(g, w) {
+				t.Fatalf("node %d: WithLabel(%q) %v, compacted %v", v, run.Label, g, w)
+			}
 		}
 	}
-	if !slices.Equal(each, from) {
-		t.Fatal("EachEdge differs from EdgesFrom over the nodes in order")
+	type triple struct {
+		from Node
+		e    Edge
 	}
+	var each, ref []triple
+	s.EachEdge(func(v Node, a rune, to Node) { each = append(each, triple{v, Edge{a, to}}) })
+	want.EachEdge(func(v Node, a rune, to Node) { ref = append(ref, triple{v, Edge{a, to}}) })
+	if !slices.Equal(each, ref) {
+		t.Fatal("EachEdge differs from the compacted twin's")
+	}
+}
+
+// forceCompaction takes g's snapshot with the compaction policy forced,
+// so a store with unpublished writes compacts them all into its base.
+func forceCompaction(g *DB) *Snapshot {
+	faultinject.Set(func(p faultinject.Point, _ uint64) error {
+		if p == faultinject.CompactionPolicy {
+			return faultinject.ErrForced
+		}
+		return nil
+	})
+	defer faultinject.Clear()
+	return g.Snapshot()
 }
 
 // runOverlayScript applies a write script to g: each op byte picks an
 // edge write (most of them), a node added past the base, a snapshot
-// checked against the model, a clone that the script continues on, or
-// a checkpoint when the store is durable.
+// checked against the model, a clone compacted at another point than
+// its source, a checkpoint when the store is durable, a forced
+// compaction, or a durable store closed and reopened from its directory.
 func runOverlayScript(t testing.TB, g *DB, m *overlayModel, ops []byte) {
 	t.Helper()
 	for i := 0; i+2 < len(ops); i += 3 {
@@ -117,7 +134,23 @@ func runOverlayScript(t testing.TB, g *DB, m *overlayModel, ops []byte) {
 		case 1:
 			checkOverlay(t, g.Snapshot(), m)
 		case 2:
-			g = g.Clone()
+			// The same write lands in both stores; one of them compacts
+			// it, and both must list the twin's order. The script goes on
+			// with either; a durable source may later be reopened.
+			h := g.Clone()
+			from, a, to := Node(x*m.n/256), rune('a'+op%5), Node(y%m.n)
+			m.addEdge(g, from, a, to)
+			h.AddEdge(from, a, to)
+			if x%2 == 0 {
+				forceCompaction(h)
+			} else {
+				forceCompaction(g)
+			}
+			checkOverlay(t, g.Snapshot(), m)
+			checkOverlay(t, h.Snapshot(), m)
+			if y%2 == 0 {
+				g = h
+			}
 		case 3:
 			if g.Durable() {
 				if err := g.Checkpoint(); err != nil {
@@ -128,6 +161,21 @@ func runOverlayScript(t testing.TB, g *DB, m *overlayModel, ops []byte) {
 			// The last node, on either end.
 			m.addEdge(g, Node(m.n-1), rune('a'+op%5), Node(x%m.n))
 			m.addEdge(g, Node(y%m.n), rune('a'+op%5), Node(m.n-1))
+		case 6:
+			checkOverlay(t, forceCompaction(g), m)
+		case 7:
+			if g.Durable() {
+				dir := g.dir
+				if err := g.Close(); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if g, err = OpenDir(dir); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { g.Close() })
+				checkOverlay(t, g.Snapshot(), m)
+			}
 		default:
 			m.addEdge(g, Node(x*m.n/256), rune('a'+op%5), Node(y%m.n))
 		}

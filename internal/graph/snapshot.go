@@ -20,9 +20,10 @@ import (
 // the few new writes into the already-sorted delta and indexes only
 // the nodes the delta touches — O(Δ) plus one pass over an n/64-word
 // source bitset — instead of rebuilding the full CSR (O(m log m)).
-// Edge offsets are virtual — runs of the delta overlay are shifted
-// past the base edge array — so a LabelRun from BaseRuns or DeltaRuns
-// always resolves through EdgeRange, which picks the right segment.
+// Every node has one run list (Runs) in label-then-target order, the
+// order a fully compacted snapshot of the same edges lists. Edge
+// offsets are virtual — overlay runs sit past the base edge array — so
+// a LabelRun always resolves through EdgeRange, which picks the segment.
 type Snapshot struct {
 	source uint64
 	epoch  uint64
@@ -32,20 +33,22 @@ type Snapshot struct {
 
 	base    *csr  // full CSR at the last compaction
 	baseN   int   // nodes covered by base
-	baseLen int32 // len(base.Edges); delta offsets are shifted past it
+	baseLen int32 // len(base.Edges); overlay offsets start at baseLen+1
 
-	// Delta overlay: the edges written since the last compaction, in
-	// csr order (grouped by source, label-then-target within a node).
-	// Only the m nodes with delta edges have index entries: bit v of
-	// dSrc marks them, and v's entry is its rank among them, dRank (the
-	// marked nodes before each word) plus a popcount within the word.
+	// Delta overlay: the run lists of the m nodes with delta edges.
+	// Bit v of dSrc marks them, and v's entry is its rank among them,
+	// dRank (the marked nodes before each word) plus a popcount within
+	// the word. A node's list keeps the base run of a label only the
+	// base holds; a label the delta writes gets one run in dEdges,
+	// holding its delta edges merged by target with any base edges of
+	// that label. Overlay offsets are shifted by baseLen+1, one past
+	// the base, so no base run ever ends where an overlay run starts.
 	// All slices are nil when the snapshot is fully compacted.
-	dEdges   []Edge
-	dSrc     []uint64   // per node: one bit, set when it has delta edges (n/64 words)
-	dRank    []int32    // per dSrc word: the set bits in the words before it
-	dNodeOff []int32    // per source node, in rank order: range of its delta edges (len m+1)
-	dRuns    []LabelRun // Start/End are virtual (shifted by baseLen)
-	dRunOff  []int32    // per source node, in rank order: range of its runs in dRuns (len m+1)
+	dEdges  []Edge
+	dSrc    []uint64   // per node: one bit, set when it has delta edges (n/64 words)
+	dRank   []int32    // per dSrc word: the set bits in the words before it
+	dRuns   []LabelRun // per source node, in rank order: its whole run list
+	dRunOff []int32    // per source node, in rank order: range of its runs in dRuns (len m+1)
 
 	alphabet []rune
 
@@ -131,43 +134,46 @@ func newSnapshot(source, epoch uint64, names []string, base *csr, baseN int, sor
 		s.alphabet = base.alphabet
 		return s
 	}
-	// Two passes over the sorted log: the first counts the source nodes
-	// and label runs, so the second fills exactly sized arrays with the
-	// edges, the runs and a node entry (with its source bit) at each
-	// change of source.
-	m, runs := 0, 0
-	for i, e := range sorted {
-		newNode := i == 0 || e.From != sorted[i-1].From
-		if newNode {
-			m++
+	// Two walks over the delta's nodes: the first counts the nodes, the
+	// runs and the base edges of labels the delta also writes, so the
+	// second fills exactly sized arrays. The cost is O(Δ) plus the base
+	// runs of the delta's nodes plus those base edges.
+	m, runs, shared := 0, 0, 0
+	s.walkOverlay(sorted, func(Node) { m++ }, func(b *LabelRun, d []rawEdge) {
+		runs++
+		if len(d) > 0 && b != nil {
+			shared += int(b.End - b.Start)
 		}
-		if newNode || e.Label != sorted[i-1].Label {
-			runs++
-		}
-	}
-	s.dEdges = make([]Edge, len(sorted))
+	})
+	s.dEdges = make([]Edge, 0, len(sorted)+shared)
 	s.dSrc = make([]uint64, (s.n+63)/64)
-	s.dNodeOff = make([]int32, 0, m+1)
 	s.dRunOff = make([]int32, 0, m+1)
 	s.dRuns = make([]LabelRun, 0, runs)
 	var extra []rune // delta labels the base alphabet lacks, once per run
-	for i, e := range sorted {
-		s.dEdges[i] = Edge{Label: e.Label, To: e.To}
-		newNode := i == 0 || e.From != sorted[i-1].From
-		if newNode {
-			s.dSrc[e.From>>6] |= 1 << (uint(e.From) & 63)
-			s.dNodeOff = append(s.dNodeOff, int32(i))
-			s.dRunOff = append(s.dRunOff, int32(len(s.dRuns)))
+	s.walkOverlay(sorted, func(v Node) {
+		s.dSrc[v>>6] |= 1 << (uint(v) & 63)
+		s.dRunOff = append(s.dRunOff, int32(len(s.dRuns)))
+	}, func(b *LabelRun, d []rawEdge) {
+		if len(d) == 0 {
+			s.dRuns = append(s.dRuns, *b)
+			return
 		}
-		if newNode || e.Label != sorted[i-1].Label {
-			s.dRuns = append(s.dRuns, LabelRun{Label: e.Label, Start: s.baseLen + int32(i)})
-			if !runeIn(base.alphabet, e.Label) {
-				extra = append(extra, e.Label)
+		var be []Edge
+		if b != nil {
+			be = base.Edges[b.Start:b.End]
+		} else if !runeIn(base.alphabet, d[0].Label) {
+			extra = append(extra, d[0].Label)
+		}
+		start := len(s.dEdges)
+		for _, e := range d {
+			for len(be) > 0 && be[0].To < e.To {
+				s.dEdges, be = append(s.dEdges, be[0]), be[1:]
 			}
+			s.dEdges = append(s.dEdges, Edge{Label: e.Label, To: e.To})
 		}
-		s.dRuns[len(s.dRuns)-1].End = s.baseLen + int32(i) + 1
-	}
-	s.dNodeOff = append(s.dNodeOff, int32(len(sorted)))
+		s.dEdges = append(s.dEdges, be...)
+		s.dRuns = append(s.dRuns, LabelRun{Label: d[0].Label, Start: s.baseLen + 1 + int32(start), End: s.baseLen + 1 + int32(len(s.dEdges))})
+	})
 	s.dRunOff = append(s.dRunOff, int32(len(s.dRuns)))
 	s.dRank = make([]int32, len(s.dSrc))
 	rank := 0
@@ -183,6 +189,39 @@ func newSnapshot(source, epoch uint64, names []string, base *csr, baseN int, sor
 		s.alphabet = slices.Compact(merged)
 	}
 	return s
+}
+
+// walkOverlay walks the source nodes of the sorted delta log in order:
+// node(v) once per node, then label(b, d) once per label of v in label
+// order, where b is the label's base run (nil when only the delta holds
+// it) and d its delta edges (empty when only the base holds it).
+func (s *Snapshot) walkOverlay(sorted []rawEdge, node func(Node), label func(b *LabelRun, d []rawEdge)) {
+	for len(sorted) > 0 {
+		v := sorted[0].From
+		j := 1
+		for j < len(sorted) && sorted[j].From == v {
+			j++
+		}
+		d := sorted[:j]
+		sorted = sorted[j:]
+		node(v)
+		var br []LabelRun
+		if int(v) < s.baseN {
+			br = s.base.Runs(v)
+		}
+		for len(br) > 0 || len(d) > 0 {
+			var b *LabelRun
+			if len(br) > 0 && (len(d) == 0 || br[0].Label <= d[0].Label) {
+				b, br = &br[0], br[1:]
+			}
+			k := 0
+			for k < len(d) && (b == nil && d[k].Label == d[0].Label || b != nil && d[k].Label == b.Label) {
+				k++
+			}
+			label(b, d[:k])
+			d = d[k:]
+		}
+	}
 }
 
 // runeIn reports whether a is in the sorted rune slice rs.
@@ -212,13 +251,9 @@ func (s *Snapshot) NumNodes() int { return s.n }
 // NumEdges returns |E| at the snapshot's epoch.
 func (s *Snapshot) NumEdges() int { return s.nEdges }
 
-// BaseEdges returns the number of edges in the compacted base segment
-// (introspection for compaction tests and tooling).
-func (s *Snapshot) BaseEdges() int { return int(s.baseLen) }
-
-// DeltaEdges returns the number of edges in the delta overlay; zero
-// means the snapshot is fully compacted.
-func (s *Snapshot) DeltaEdges() int { return len(s.dEdges) }
+// DeltaEdges returns the number of edges written since the last
+// compaction; zero means the snapshot is fully compacted.
+func (s *Snapshot) DeltaEdges() int { return s.nEdges - int(s.baseLen) }
 
 // EdgesSince returns the edges written to the store strictly after
 // epoch (and at or before the snapshot's own epoch), in write order
@@ -301,82 +336,38 @@ func (s *Snapshot) Name(v Node) string { return s.names[v] }
 // (shared slice; do not modify).
 func (s *Snapshot) Alphabet() []rune { return s.alphabet }
 
-// BaseRuns returns the label runs of v in the base segment, sorted by
-// label (shared slice; do not modify). Offsets resolve via EdgeRange.
-func (s *Snapshot) BaseRuns(v Node) []LabelRun {
-	if int(v) >= s.baseN {
-		return nil
+// Runs returns the label runs of v, sorted by label with each label's
+// targets sorted — the order of a fully compacted snapshot, whatever
+// the layout (shared slice; do not modify). Offsets resolve via
+// EdgeRange. A node with delta edges has an overlay entry: its rank
+// among the marked nodes of dSrc.
+func (s *Snapshot) Runs(v Node) []LabelRun {
+	if s.dSrc != nil {
+		w, b := v>>6, uint(v)&63
+		if word := s.dSrc[w]; word&(1<<b) != 0 {
+			r := int(s.dRank[w]) + bits.OnesCount64(word&(1<<b-1))
+			return s.dRuns[s.dRunOff[r]:s.dRunOff[r+1]]
+		}
 	}
-	return s.base.Runs(v)
-}
-
-// DeltaRuns returns the label runs of v in the delta overlay, sorted
-// by label (shared slice; do not modify). Offsets are virtual and
-// resolve via EdgeRange.
-func (s *Snapshot) DeltaRuns(v Node) []LabelRun {
-	r := s.deltaEntry(v)
-	if r < 0 {
-		return nil
+	if int(v) < s.baseN {
+		return s.base.Runs(v)
 	}
-	return s.dRuns[s.dRunOff[r]:s.dRunOff[r+1]]
-}
-
-// deltaEntry returns v's entry in the overlay index, or -1 when v has
-// no delta edges: its rank among the marked nodes of dSrc.
-func (s *Snapshot) deltaEntry(v Node) int {
-	if s.dSrc == nil {
-		return -1
-	}
-	w, b := v>>6, uint(v)&63
-	word := s.dSrc[w]
-	if word&(1<<b) == 0 {
-		return -1
-	}
-	return int(s.dRank[w]) + bits.OnesCount64(word&(1<<b-1))
+	return nil
 }
 
 // EdgeRange resolves a LabelRun's virtual (start, end) pair to the
 // backing edge slice (shared; do not modify).
 func (s *Snapshot) EdgeRange(start, end int32) []Edge {
-	if start >= s.baseLen {
-		return s.dEdges[start-s.baseLen : end-s.baseLen]
+	if start > s.baseLen {
+		return s.dEdges[start-s.baseLen-1 : end-s.baseLen-1]
 	}
 	return s.base.Edges[start:end]
 }
 
-// WithLabel returns the edges of v labeled a, sorted by target. When
-// the label lives in a single segment the shared slice is returned;
-// when both segments contribute, a fresh merged slice is built.
+// WithLabel returns the edges of v labeled a, sorted by target (shared
+// slice; do not modify).
 func (s *Snapshot) WithLabel(v Node, a rune) []Edge {
-	var b []Edge
-	if int(v) < s.baseN {
-		b = s.base.WithLabel(v, a)
-	}
-	d := s.deltaWithLabel(v, a)
-	switch {
-	case len(d) == 0:
-		return b
-	case len(b) == 0:
-		return d
-	}
-	out := make([]Edge, 0, len(b)+len(d))
-	i, j := 0, 0
-	for i < len(b) && j < len(d) {
-		if b[i].To <= d[j].To {
-			out = append(out, b[i])
-			i++
-		} else {
-			out = append(out, d[j])
-			j++
-		}
-	}
-	out = append(out, b[i:]...)
-	return append(out, d[j:]...)
-}
-
-// deltaWithLabel returns the delta-overlay edges of v labeled a.
-func (s *Snapshot) deltaWithLabel(v Node, a rune) []Edge {
-	runs := s.DeltaRuns(v)
+	runs := s.Runs(v)
 	i := sort.Search(len(runs), func(i int) bool { return runs[i].Label >= a })
 	if i < len(runs) && runs[i].Label == a {
 		return s.EdgeRange(runs[i].Start, runs[i].End)
@@ -386,31 +377,16 @@ func (s *Snapshot) deltaWithLabel(v Node, a rune) []Edge {
 
 // HasEdge reports whether (v, a, w) is an edge of the snapshot.
 func (s *Snapshot) HasEdge(v Node, a rune, w Node) bool {
-	for _, seg := range [2][]Edge{s.baseWithLabel(v, a), s.deltaWithLabel(v, a)} {
-		i := sort.Search(len(seg), func(i int) bool { return seg[i].To >= w })
-		if i < len(seg) && seg[i].To == w {
-			return true
-		}
-	}
-	return false
+	es := s.WithLabel(v, a)
+	i := sort.Search(len(es), func(i int) bool { return es[i].To >= w })
+	return i < len(es) && es[i].To == w
 }
 
-func (s *Snapshot) baseWithLabel(v Node, a rune) []Edge {
-	if int(v) >= s.baseN {
-		return nil
-	}
-	return s.base.WithLabel(v, a)
-}
-
-// EdgesFrom calls f for every edge leaving v, base segment first.
+// EdgesFrom calls f for every edge leaving v, in Runs order: by label,
+// then by target.
 func (s *Snapshot) EdgesFrom(v Node, f func(label rune, to Node)) {
-	if int(v) < s.baseN {
-		for _, e := range s.base.out(v) {
-			f(e.Label, e.To)
-		}
-	}
-	if r := s.deltaEntry(v); r >= 0 {
-		for _, e := range s.dEdges[s.dNodeOff[r]:s.dNodeOff[r+1]] {
+	for _, run := range s.Runs(v) {
+		for _, e := range s.EdgeRange(run.Start, run.End) {
 			f(e.Label, e.To)
 		}
 	}
@@ -426,12 +402,8 @@ func (s *Snapshot) EachEdge(f func(from Node, label rune, to Node)) {
 // OutDegree returns the number of edges leaving v.
 func (s *Snapshot) OutDegree(v Node) int {
 	deg := 0
-	if int(v) < s.baseN {
-		st, en := s.base.OutRange(v)
-		deg += int(en - st)
-	}
-	if r := s.deltaEntry(v); r >= 0 {
-		deg += int(s.dNodeOff[r+1] - s.dNodeOff[r])
+	for _, run := range s.Runs(v) {
+		deg += int(run.End - run.Start)
 	}
 	return deg
 }

@@ -74,7 +74,7 @@ func edgesOf(s *Snapshot, n int) [][]Edge {
 // TestDeltaOverlayIterationOrder drives random graphs through a
 // compaction point followed by a write burst, and checks the overlay
 // snapshot against a fully compacted equivalent: identical edge sets,
-// strictly label-sorted BaseRuns and DeltaRuns, sorted targets inside
+// strictly label-sorted Runs, sorted targets inside
 // every run, and merged WithLabel and EdgesFrom views.
 func TestDeltaOverlayIterationOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
@@ -100,27 +100,25 @@ func TestDeltaOverlayIterationOrder(t *testing.T) {
 		if want.DeltaEdges() != 0 {
 			t.Fatalf("reference snapshot carries %d delta edges", want.DeltaEdges())
 		}
-		if s.NumEdges() != g.NumEdges() || s.BaseEdges()+s.DeltaEdges() != s.NumEdges() {
-			t.Fatalf("edge accounting: base %d + delta %d != total %d (graph %d)",
-				s.BaseEdges(), s.DeltaEdges(), s.NumEdges(), g.NumEdges())
+		if s.NumEdges() != g.NumEdges() {
+			t.Fatalf("snapshot holds %d edges, graph %d", s.NumEdges(), g.NumEdges())
 		}
 		if string(s.Alphabet()) != string(want.Alphabet()) {
 			t.Fatalf("alphabet %q, want %q", string(s.Alphabet()), string(want.Alphabet()))
 		}
 		for v := 0; v < s.NumNodes(); v++ {
-			for _, runs := range [2][]LabelRun{s.BaseRuns(Node(v)), s.DeltaRuns(Node(v))} {
-				for i, run := range runs {
-					if i > 0 && runs[i-1].Label >= run.Label {
-						t.Fatalf("node %d: runs not strictly label-sorted: %v", v, runs)
+			runs := s.Runs(Node(v))
+			for i, run := range runs {
+				if i > 0 && runs[i-1].Label >= run.Label {
+					t.Fatalf("node %d: runs not strictly label-sorted: %v", v, runs)
+				}
+				seg := s.EdgeRange(run.Start, run.End)
+				for j, ed := range seg {
+					if ed.Label != run.Label {
+						t.Fatalf("node %d: run %q contains %v", v, run.Label, ed)
 					}
-					seg := s.EdgeRange(run.Start, run.End)
-					for j, ed := range seg {
-						if ed.Label != run.Label {
-							t.Fatalf("node %d: run %q contains %v", v, run.Label, ed)
-						}
-						if j > 0 && seg[j-1].To >= ed.To {
-							t.Fatalf("node %d run %q: targets not strictly sorted: %v", v, run.Label, seg)
-						}
+					if j > 0 && seg[j-1].To >= ed.To {
+						t.Fatalf("node %d run %q: targets not strictly sorted: %v", v, run.Label, seg)
 					}
 				}
 			}
@@ -161,22 +159,22 @@ func TestCompactionCrossover(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		g.AddEdge(Node(i), 'a', Node(i+1))
 	}
-	if s := g.Snapshot(); s.DeltaEdges() != 0 || s.BaseEdges() != 1000 {
-		t.Fatalf("initial snapshot: base %d delta %d, want 1000/0", s.BaseEdges(), s.DeltaEdges())
+	if s := g.Snapshot(); s.DeltaEdges() != 0 || int(s.baseLen) != 1000 {
+		t.Fatalf("initial snapshot: base %d delta %d, want 1000/0", int(s.baseLen), s.DeltaEdges())
 	}
 	// Below threshold (needs > max(64, 1000/4) delta edges to compact).
 	for i := 0; i < 200; i++ {
 		g.AddEdge(Node(i), 'b', Node(i+1))
 	}
-	if s := g.Snapshot(); s.DeltaEdges() != 200 || s.BaseEdges() != 1000 {
-		t.Fatalf("sub-threshold snapshot: base %d delta %d, want 1000/200", s.BaseEdges(), s.DeltaEdges())
+	if s := g.Snapshot(); s.DeltaEdges() != 200 || int(s.baseLen) != 1000 {
+		t.Fatalf("sub-threshold snapshot: base %d delta %d, want 1000/200", int(s.baseLen), s.DeltaEdges())
 	}
 	// Cross the threshold: 251*4 > 1000.
 	for i := 0; i < 60; i++ {
 		g.AddEdge(Node(i), 'c', Node(i+1))
 	}
-	if s := g.Snapshot(); s.DeltaEdges() != 0 || s.BaseEdges() != 1260 {
-		t.Fatalf("post-threshold snapshot: base %d delta %d, want 1260/0 (compacted)", s.BaseEdges(), s.DeltaEdges())
+	if s := g.Snapshot(); s.DeltaEdges() != 0 || int(s.baseLen) != 1260 {
+		t.Fatalf("post-threshold snapshot: base %d delta %d, want 1260/0 (compacted)", int(s.baseLen), s.DeltaEdges())
 	}
 }
 
@@ -244,9 +242,9 @@ func TestCloneReusesSnapshotState(t *testing.T) {
 		t.Fatalf("clone has %d edges, want %d", h2.NumEdges(), g2.NumEdges()+20)
 	}
 	bs := h2.Snapshot()
-	if bs.BaseEdges() != base.NumEdges() || bs.DeltaEdges() != 20 {
+	if int(bs.baseLen) != base.NumEdges() || bs.DeltaEdges() != 20 {
 		t.Fatalf("clone snapshot: base %d delta %d, want %d/20 (burst as overlay)",
-			bs.BaseEdges(), bs.DeltaEdges(), base.NumEdges())
+			int(bs.baseLen), bs.DeltaEdges(), base.NumEdges())
 	}
 	for v := 0; v < 20; v++ {
 		if !bs.HasEdge(Node(v), 'c', Node(v)) || g2.HasEdge(Node(v), 'c', Node(v)) {

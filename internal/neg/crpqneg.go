@@ -7,6 +7,7 @@ import (
 	"repro/internal/automata"
 	"repro/internal/ecrpq"
 	"repro/internal/graph"
+	"repro/internal/relations"
 )
 
 // This file implements the dedicated CRPQ¬ evaluation of Theorem 8.1
@@ -60,7 +61,7 @@ func (e *CRPQNegEvaluator) HoldsCRPQ(f Formula) (bool, error) {
 	if vs := freePathVarsOf(f); len(vs) != 0 {
 		return false, fmt.Errorf("neg: formula has free path variables %v", vs)
 	}
-	langs, idx, err := collectLanguages(f)
+	langs, idx, err := collectLanguages(f, e.Sigma)
 	if err != nil {
 		return false, err
 	}
@@ -78,12 +79,12 @@ func (e *CRPQNegEvaluator) HoldsCRPQ(f Formula) (bool, error) {
 	return ctx.eval(f, map[ecrpq.NodeVar]graph.Node{}, map[ecrpq.PathVar]pathClass{})
 }
 
-// collectLanguages gathers the unary language atoms, erroring on arity
-// ≥ 2 relations, and assigns each distinct Rel value its profile bit
-// index (stable across collection and evaluation). pathEq counts as a
-// binary relation and is rejected: the paper's CRPQ¬ fragment has no
-// path comparisons.
-func collectLanguages(f Formula) ([]*automata.DFA[rune], map[string]int, error) {
+// collectLanguages gathers the unary language atoms as DFAs over sigma,
+// erroring on arity ≥ 2 relations, and assigns each distinct Rel value
+// its profile bit index (stable across collection and evaluation).
+// pathEq counts as a binary relation and is rejected: the paper's CRPQ¬
+// fragment has no path comparisons.
+func collectLanguages(f Formula, sigma []rune) ([]*automata.DFA[rune], map[string]int, error) {
 	var dfas []*automata.DFA[rune]
 	idx := map[string]int{}
 	var walk func(f Formula) error
@@ -97,10 +98,12 @@ func collectLanguages(f Formula) ([]*automata.DFA[rune], map[string]int, error) 
 			if _, ok := idx[key]; ok {
 				return nil
 			}
+			d, err := languageDFA(f.R, sigma)
+			if err != nil {
+				return err
+			}
 			idx[key] = len(dfas)
-			// The relation automaton reads 1-tuples (plain letters).
-			letters := automata.MapSymbols(f.R.A, func(s string) rune { return []rune(s)[0] })
-			dfas = append(dfas, automata.Determinize(letters, letters.Alphabet()))
+			dfas = append(dfas, d)
 			return nil
 		case pathEq:
 			return fmt.Errorf("neg: path equality is a binary relation; not allowed in CRPQ¬")
@@ -127,6 +130,31 @@ func collectLanguages(f Formula) ([]*automata.DFA[rune], map[string]int, error) 
 		return nil, nil, err
 	}
 	return dfas, idx, nil
+}
+
+// languageDFA compiles a unary language as relAutomaton compiles an
+// atom (classRunner) and expands it over sigma: the DFA's states are the
+// runner's, and each label steps by its class. A label the language
+// cannot read has no transition, so its paths are rejected.
+func languageDFA(rel *relations.Relation, sigma []rune) (*automata.DFA[rune], error) {
+	r, alpha, symOf, err := classRunner(rel, []int{0}, sigma, 1)
+	if err != nil {
+		return nil, err
+	}
+	d := &automata.DFA[rune]{Alphabet: sigma, Start: r.StartID()}
+	// The runner interns states in first-reached order, so the loop
+	// visits each state after the step that discovered it.
+	for q := 0; q < r.NumStates(); q++ {
+		row := map[rune]int{}
+		for i, ls := range alpha {
+			if to, ok := r.Step(q, symOf[i]); ok {
+				row[[]rune(ls)[0]] = to
+			}
+		}
+		d.Delta = append(d.Delta, row)
+		d.Final = append(d.Final, r.Accepting(q))
+	}
+	return d, nil
 }
 
 // quantRank returns the quantifier rank of f: the deepest nesting of

@@ -72,6 +72,53 @@ func TestCRPQNegAgainstGenericEvaluator(t *testing.T) {
 	}
 }
 
+// TestCRPQNegClassLanguages: languages with character classes compile
+// through CompileClassAtoms as the generic Evaluator's do, so CRPQ¬
+// sentences over them hold exactly when the generic evaluation says so.
+func TestCRPQNegClassLanguages(t *testing.T) {
+	f := ExistsNode{"x", ExistsNode{"y", ExistsPath{"p", And{Edge{"x", "p", "y"}, Lang("[a-b]+", "p")}}}}
+	if got, err := NewCRPQNegEvaluator(tiny()).HoldsCRPQ(f); err != nil || !got {
+		t.Fatalf("∃x∃y∃p (x,p,y) ∧ [a-b]+(p) on tiny = %v, %v; want true", got, err)
+	}
+	ab := Lang("[a-b]+", "p").(Rel)
+	notB := Lang("[^b]+", "p").(Rel)
+	aThenB := Lang("[a]b*", "p").(Rel)
+	pv := []ecrpq.PathVar{"p"}
+	formulas := []Formula{
+		f,
+		// ∃x ¬∃p ((x,p,x) ∧ [^b]+(p)) — some node with no b-free cycle
+		ExistsNode{"x", Not{ExistsPath{"p", And{Edge{"x", "p", "x"}, Rel{R: notB.R, Args: pv}}}}},
+		// ∃x∃y∃p ((x,p,y) ∧ [a-b]+(p) ∧ ¬[^b]+(p) ∧ ¬[a]b*(p))
+		ExistsNode{"x", ExistsNode{"y", ExistsPath{"p", And{
+			And{Edge{"x", "p", "y"}, Rel{R: ab.R, Args: pv}},
+			And{Not{Rel{R: notB.R, Args: pv}}, Not{Rel{R: aThenB.R, Args: pv}}},
+		}}}},
+		// ∃x∃y (∃p((x,p,y) ∧ [a]b*(p)) ∧ ¬∃q((y,q,x) ∧ [^b]+(q)))
+		ExistsNode{"x", ExistsNode{"y", And{
+			ExistsPath{"p", And{Edge{"x", "p", "y"}, Rel{R: aThenB.R, Args: pv}}},
+			Not{ExistsPath{"q", And{Edge{"y", "q", "x"}, Rel{R: notB.R, Args: []ecrpq.PathVar{"q"}}}}},
+		}}},
+	}
+	r := rand.New(rand.NewSource(62))
+	for trial := 0; trial < 12; trial++ {
+		g := randomCyclicGraph(r, 3, 4)
+		fast, slow := NewCRPQNegEvaluator(g), NewEvaluator(g)
+		for i, f := range formulas {
+			got, err := fast.HoldsCRPQ(f)
+			if err != nil {
+				t.Fatalf("trial %d formula %d: %v", trial, i, err)
+			}
+			want, err := slow.Holds(f)
+			if err != nil {
+				t.Fatalf("trial %d formula %d (generic): %v", trial, i, err)
+			}
+			if got != want {
+				t.Errorf("trial %d formula %d (%s): fast=%v generic=%v", trial, i, f, got, want)
+			}
+		}
+	}
+}
+
 func TestCRPQNegRejectsBinaryRelations(t *testing.T) {
 	g := tiny()
 	e := NewCRPQNegEvaluator(g)

@@ -166,33 +166,13 @@ func (e *Evaluator) relAutomaton(f Rel, vars []ecrpq.PathVar) (*automata.NFA[str
 			return nil, fmt.Errorf("neg: %s uses unknown path variable %s", f, a)
 		}
 	}
-	part, atoms, err := relations.CompileClassAtoms([]relations.Atom{{Rel: f.R, Pos: pos}})
-	if err != nil {
-		return nil, err
-	}
-	joint, err := relations.NewJoint(k, atoms)
-	if err != nil {
-		return nil, err
-	}
 	// Letters automaton: tracks the joint state on letter symbols and
-	// ignores node symbols. The runner steps class tuples: each letter of
-	// (Σ⊥)^k maps to the tuple of its labels' classes, registered once
-	// however many letters share it. Runner ids double as NFA state ids:
-	// the runner interns states in first-reached order, so the loop below
+	// ignores node symbols. Runner ids double as NFA state ids: the
+	// runner interns states in first-reached order, so the loop below
 	// visits each state after the step that discovered it.
-	r := relations.NewJointRunner(joint)
-	alpha := relations.TupleAlphabet(e.Sigma, k)
-	symOf := make([]int, len(alpha))
-	ids := map[string]int{}
-	for i, ls := range alpha {
-		cls := []rune(ls)
-		for p, a := range cls {
-			cls[p] = part.ClassOf(a)
-		}
-		if _, ok := ids[string(cls)]; !ok {
-			ids[string(cls)] = r.AddSym(cls)
-		}
-		symOf[i] = ids[string(cls)]
+	r, alpha, symOf, err := classRunner(f.R, pos, e.Sigma, k)
+	if err != nil {
+		return nil, err
 	}
 	nodeAlpha := e.nodeSyms(k)
 	letters := automata.NewNFA[string]()
@@ -210,6 +190,37 @@ func (e *Evaluator) relAutomaton(f Rel, vars []ecrpq.PathVar) (*automata.NFA[str
 		}
 	}
 	return automata.Trim(automata.Intersect(e.validRep(k), letters)), nil
+}
+
+// classRunner compiles the atom R(pos) over k tapes the way every
+// evaluating caller builds a joint — CompileClassAtoms, then a
+// JointRunner stepping class tuples — and registers each letter of
+// (Σ⊥)^k by the tuple of its labels' classes, once however many letters
+// share it. It returns the runner, the letters and each one's symbol id.
+func classRunner(rel *relations.Relation, pos []int, sigma []rune, k int) (*relations.JointRunner, []string, []int, error) {
+	part, atoms, err := relations.CompileClassAtoms([]relations.Atom{{Rel: rel, Pos: pos}})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	joint, err := relations.NewJoint(k, atoms)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	r := relations.NewJointRunner(joint)
+	alpha := relations.TupleAlphabet(sigma, k)
+	symOf := make([]int, len(alpha))
+	ids := map[string]int{}
+	for i, ls := range alpha {
+		cls := []rune(ls)
+		for p, a := range cls {
+			cls[p] = part.ClassOf(a)
+		}
+		if _, ok := ids[string(cls)]; !ok {
+			ids[string(cls)] = r.AddSym(cls)
+		}
+		symOf[i] = ids[string(cls)]
+	}
+	return r, alpha, symOf, nil
 }
 
 // complement returns the complement of a relative to the valid

@@ -51,7 +51,7 @@ func TestWritePathWork(t *testing.T) {
 		// wantSnapBytes is the sum over the writes of the bytes the
 		// post-write snapshot allocates, compared within 1 %: the
 		// runtime's own allocations may land in a measured window.
-		wantSnapBytes = 2305432
+		wantSnapBytes = 2388448
 	)
 	m := workload.NewMixedServing(20)
 	g := m.Graph
