@@ -97,7 +97,8 @@ func (pa *propAtom) take(p *Program) *domainEngine {
 }
 
 // put returns an engine to the atom's pool under the rule putWorkspace
-// applies to a workspace's engines (componentEngine.release): the kernel
+// applies to a workspace's engines and their scratch sets
+// (componentEngine.release, scratch.release): the kernel
 // unpins its snapshot, and the state queue and state set are dropped once
 // they hold more than maxPooledScratch elements (the set with the queue),
 // kept for the next run to grow into otherwise.
@@ -206,6 +207,8 @@ func (d *domainEngine) post(ctx context.Context, s *graph.Snapshot, src []graph.
 // it hands out, the candidate lists in it and the pass's bookkeeping.
 // Each pass reuses all of it, so the map and its lists are valid until the
 // workspace's next evaluation; the memo capture copies the lists it keeps.
+// buf, which belongs to no program, is the workspace's scratch set's
+// while the workspace holds it (see takeWorkspace).
 type domainLists struct {
 	lists map[NodeVar][]graph.Node
 	buf   []graph.Node
@@ -217,10 +220,7 @@ type domainLists struct {
 // pooled-scratch budget.
 func (dl *domainLists) release() {
 	clear(dl.lists)
-	if cap(dl.buf) > maxPooledScratch {
-		dl.buf = nil
-	}
-	dl.buf = dl.buf[:0]
+	dl.buf = capped(dl.buf)
 }
 
 // confine records ends (sorted, distinct) as v's candidate list, or

@@ -589,19 +589,20 @@ var errDecided = errors.New("ecrpq: decided")
 type componentEngine struct {
 	prodCore
 
+	// The engine's scratch set (see workspace), held from draw to release:
+	// its product-state storage, relation store and dedup sets.
+	*scratch
+
 	// rel is the relation under construction (columns allVars, witness
-	// columns keptVars). Two start assignments differ on an X variable and
-	// every X variable is a column, so a duplicate row can only come from
-	// the assignment being run: rows appended wholesale — a fan-out
-	// chunk's, a replayed memo segment's — are never entered in a dedup
-	// set. A pruning run without witnesses dedups on the columns its
-	// assignment leaves open, in runRows, while their key space fits a
-	// bitset; every other run on the node tuple, in rows, whose ids
-	// mergeShorter needs. All three keep their storage from one execution
-	// to the next (see workspace).
-	rel     *varRelation
-	runRows runRows
-	rows    rowSet
+	// columns keptVars), the scratch set's store. Two start assignments
+	// differ on an X variable and every X variable is a column, so a
+	// duplicate row can only come from the assignment being run: rows
+	// appended wholesale — a fan-out chunk's, a replayed memo segment's —
+	// are never entered in a dedup set. A pruning run without witnesses
+	// dedups on the columns its assignment leaves open, in runRows, while
+	// their key space fits a bitset; every other run on the node tuple, in
+	// rows, whose ids mergeShorter needs.
+	rel *varRelation
 
 	// sink, when set, receives each fresh deduplicated row (witnesses in
 	// keptVars order) and rel keeps node tuples only, as the dedup's store
@@ -622,19 +623,6 @@ type componentEngine struct {
 	// reconstructed for these.
 	keptCoords []int
 	keptVars   []PathVar
-
-	// Product-state storage, reset per start assignment. State id i has
-	// node tuple curs[i*cnt:(i+1)*cnt] and joint state joints[i]. Only
-	// when the query outputs witnesses (keptCoords non-empty) does a run
-	// record the BFS tree for witness extraction: parentState, and
-	// parentLabs (stride cnt) the raw edge labels of the move that
-	// discovered the state — the joint automaton steps by classes, which
-	// cannot name the traversed labels.
-	states      tupleSet
-	curs        []graph.Node
-	joints      []int32
-	parentState []int32
-	parentLabs  []rune
 
 	// The run in progress, read by the visit-now emitter: the state
 	// being expanded and the budget the run charges.
@@ -689,7 +677,6 @@ func newComponentEngine(ws *workspace, comp int) *componentEngine {
 		prodCore: newProdCore(nil, c),
 		ws:       ws,
 		comp:     comp,
-		rel:      new(varRelation),
 
 		nodesBuf: make([]graph.Node, len(c.allVars)),
 		tmpl:     make([]graph.Node, len(c.allVars)),
@@ -768,12 +755,20 @@ func (e *componentEngine) allNodesSlice() []graph.Node {
 	return e.allNodes
 }
 
-// release readies the engine, and its fan-out siblings, for an idle
-// workspace. It must not pin a possibly huge graph snapshot — the
-// snapshot half of the rule is moveKernel.release's — nor anything of the
-// last execution past the pooled-scratch budget: BFS arrays, state and
-// dedup sets, and the relation's store are dropped when oversized and
-// otherwise kept for the next execution to grow into.
+// draw gives the engine a scratch set from the process-wide pool unless
+// it holds one.
+func (e *componentEngine) draw() {
+	if e.scratch == nil {
+		e.scratch = takeScratch()
+		e.rel = &e.store
+	}
+}
+
+// release readies the engine for an idle workspace and gives its scratch
+// set back; its fan-out siblings are released apart (putWorkspace). It
+// must not pin a possibly huge graph snapshot — the snapshot half of the
+// rule is moveKernel.release's — nor anything of the last execution past
+// the pooled-scratch budget.
 func (e *componentEngine) release() {
 	e.prodCore.release()
 	e.bud, e.sink, e.memoCap, e.memoFailed = nil, nil, nil, false
@@ -782,23 +777,9 @@ func (e *componentEngine) release() {
 	if cap(e.allNodes) > maxPooledScratch {
 		e.allNodes = nil
 	}
-	if cap(e.joints) > maxPooledScratch {
-		e.curs, e.joints, e.parentState, e.parentLabs = nil, nil, nil, nil
-		e.states = tupleSet{} // a bitset is cleared by walking the arrays
-	}
-	if e.states.oversized() {
-		e.states = tupleSet{}
-	}
-	if len(e.rows.slots) > maxPooledScratch {
-		e.rows = rowSet{}
-	}
-	e.runRows.release()
-	if e.rel.oversized() {
-		*e.rel = varRelation{}
-	}
-	e.rel.reset(nil, nil)
-	if e.fan != nil {
-		e.fan.release()
+	if e.scratch != nil {
+		e.scratch.release()
+		e.scratch, e.rel = nil, nil
 	}
 }
 

@@ -92,14 +92,21 @@ type joinArena struct {
 	idx   []*rowIndex
 	nidx  int
 
-	nodes []graph.Node
+	joinBufs
 	paths []graph.Path
-	ints  []int
 	vars  []NodeVar
 	pvars []PathVar
 	root  [1]*varRelation // reduceJoin's result
+}
 
-	order [2][]int32 // headOrder's permutation and its radix buffer
+// joinBufs are the arena's buffers that belong to no program — key and
+// tuple nodes, column positions, headOrder's permutation and its radix
+// buffer — which a workspace's arena holds while the workspace holds its
+// scratch set (see takeWorkspace).
+type joinBufs struct {
+	nodes []graph.Node
+	ints  []int
+	order [2][]int32
 }
 
 // nextOf returns the n-th object of one of the arena's lists, building it
@@ -205,13 +212,9 @@ func (a *joinArena) release() {
 	a.nrels, a.nsets, a.nidx = 0, 0, 0
 	clear(a.paths[:cap(a.paths)])
 	a.root[0] = nil
-	if cap(a.nodes) > maxPooledScratch || cap(a.ints) > maxPooledScratch {
-		a.nodes, a.ints = nil, nil
-	}
-	if cap(a.order[0]) > maxPooledScratch {
-		a.order = [2][]int32{}
-	}
-	a.nodes, a.paths, a.ints = a.nodes[:0], a.paths[:0], a.ints[:0]
+	a.nodes, a.ints = capped(a.nodes), capped(a.ints)
+	a.order = [2][]int32{capped(a.order[0]), capped(a.order[1])}
+	a.paths = a.paths[:0]
 	a.vars, a.pvars = a.vars[:0], a.pvars[:0]
 }
 

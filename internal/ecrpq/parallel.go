@@ -149,7 +149,7 @@ type fanChunk struct {
 // release readies the fan-out for an idle engine: siblings released, no
 // chunk referenced, nothing past the pooled-scratch budget kept.
 func (f *fanOut) release() {
-	for _, sib := range f.sibs {
+	for _, sib := range slices.Backward(f.sibs) {
 		sib.release()
 	}
 	for k := range f.memos {
@@ -192,7 +192,7 @@ func (e *componentEngine) fanWorkers(done, total uint64) int {
 // A worker appends the chunks it runs to its own relation and chunk memo
 // one after the other, so the next chunk it claims cannot overwrite the
 // last one's rows; the merge copies the prefix and the chunks, in that
-// order, into the fan-out's out relation, which then trades places with
+// order, into the fan-out's out relation, which then trades contents with
 // e.rel, and appends the chunks' segments to the prefix's memo. The
 // siblings' moves add to the engine's count.
 func (e *componentEngine) evalAssignFanout(ctx context.Context, bud *stateBudget, from, total uint64, workers int) error {
@@ -217,6 +217,7 @@ func (e *componentEngine) evalAssignFanout(ctx context.Context, bud *stateBudget
 	}
 	sibs := f.sibs[:workers-1]
 	for k, sib := range sibs {
+		sib.draw()
 		sib.reset(e.snap, e.opts, e.doms)
 		sib.stop = e.stop // the caller's rule, demoted by its capture
 		if capture {
@@ -272,7 +273,7 @@ func (e *componentEngine) evalAssignFanout(ctx context.Context, bud *stateBudget
 		e.checkCapture()
 		capture = e.memoCap != nil
 	}
-	e.rel, f.out = out, e.rel
+	*e.rel, *out = *out, *e.rel
 	return nil
 }
 

@@ -283,15 +283,28 @@ func (s *tupleSet) reset(packed bool) {
 // oversized reports whether the set's retained storage exceeds
 // maxPooledScratch elements, a packed slot counting two. A set is kept
 // from one execution to the next and reset for reuse; the owner going
-// idle drops it once it is oversized — componentEngine.release (run by
+// idle drops it once it is oversized — scratch.release (run by
 // putWorkspace) for a run's state set, propAtom.put for a
-// domain engine's — so an idle workspace never pins a peak-sized table.
+// domain engine's — so an idle set never pins a peak-sized table.
 // A bitset is never planned or grown past bitsetWords.
 func (s *tupleSet) oversized() bool {
 	if s.packed != nil {
 		return 2*s.packed.Cap() > maxPooledScratch
 	}
 	return s.table != nil && s.table.Cap() > maxPooledScratch
+}
+
+// bytes is the set's retained storage: the bitset's words, a packed
+// table's 16-byte slots, a generic table's arrays, and the scratch tuple.
+func (s *tupleSet) bytes() int {
+	n := 8 * (cap(s.bits) + cap(s.buf))
+	if s.packed != nil {
+		n += 16 * s.packed.Cap()
+	}
+	if s.table != nil {
+		n += s.table.Bytes()
+	}
+	return n
 }
 
 // spill moves a packed set onto the generic table, decoding each key
@@ -404,15 +417,16 @@ func (pc *prodCore) internState(set *tupleSet, joint int, nodes []graph.Node) (i
 
 // beginVisit readies set for one run of an owner that reads no state ids
 // (the evaluator, the start-domain pass). It first clears the bits of
-// the owner's previous run — whose states are joints[i] at
-// nodes[i*cnt:(i+1)*cnt] — under the layout the set recorded for it, not
-// the snapshot's current one; then it plans this run and puts it on the
-// bitset when the blocks of the joint states known so far fit
-// bitsetWords, on a table otherwise. The owner must not drop or truncate
-// its state arrays while the set is on bits without dropping the set too.
+// the set's previous run — whose states are joints[i] at
+// nodes[i*cnt:(i+1)*cnt], cnt that run's tape count — under the layout
+// the set recorded for it, not the snapshot's or the owner's current
+// one; then it plans this run and puts it on the bitset when the blocks
+// of the joint states known so far fit bitsetWords, on a table otherwise.
+// The owner must not drop or truncate its state arrays while the set is
+// on bits without dropping the set too.
 func (pc *prodCore) beginVisit(set *tupleSet, joints []int32, nodes []graph.Node) {
 	if set.onBits {
-		set.clearStates(joints, nodes, pc.cnt)
+		set.clearStates(joints, nodes)
 	}
 	pc.planStates()
 	shift := uint(pc.cnt) * pc.nodeBits
@@ -492,10 +506,12 @@ func (pc *prodCore) spillBits(set *tupleSet) {
 	clear(set.bits)
 }
 
-// clearStates zeroes the words of the given states (stride cnt in nodes)
-// under the set's recorded layout: the next run starts on a clean bitset
-// for the cost of the last run's states, not of the bitset.
-func (s *tupleSet) clearStates(joints []int32, nodes []graph.Node, cnt int) {
+// clearStates zeroes the words of the given states under the set's
+// recorded layout, whose shift is the run's cnt node fields (the stride
+// in nodes): the next run starts on a clean bitset for the cost of the
+// last run's states, not of the bitset, whichever engine ran them.
+func (s *tupleSet) clearStates(joints []int32, nodes []graph.Node) {
+	cnt := int(s.shift / s.nodeBits)
 	for i, j := range joints {
 		key := uint64(j)
 		for _, n := range nodes[i*cnt : i*cnt+cnt] {

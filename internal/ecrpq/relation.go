@@ -46,10 +46,12 @@ func (r *varRelation) witness(i int) []graph.Path {
 }
 
 // reset empties r for rows over vars and pvars, keeping its storage. The
-// witness slots are cleared as far as they ever reached: a stale path
-// there would pin the walks of a result handed out long ago.
+// witness slots are cleared: a stale path there would pin the walks of a
+// result handed out long ago. Those past the rows are empty already
+// (truncate clears what it drops), so the clearing costs the rows r
+// holds, not the capacity a pooled store brings from a larger evaluation.
 func (r *varRelation) reset(vars []NodeVar, pvars []PathVar) {
-	clear(r.paths[:cap(r.paths)])
+	clear(r.paths)
 	r.vars, r.pvars, r.n = vars, pvars, 0
 	r.nodes, r.paths = r.nodes[:0], r.paths[:0]
 }
@@ -75,8 +77,9 @@ func (r *varRelation) addRows(o *varRelation, lo, hi int) {
 	r.n += hi - lo
 }
 
-// truncate drops every row from the n-th on.
+// truncate drops every row from the n-th on, clearing their witnesses.
 func (r *varRelation) truncate(n int) {
+	clear(r.paths[n*len(r.pvars):])
 	r.n = n
 	r.nodes = r.nodes[:n*len(r.vars)]
 	r.paths = r.paths[:n*len(r.pvars)]

@@ -3,8 +3,10 @@ package ecrpq
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -18,10 +20,19 @@ import (
 // exactly-sized answer slabs assemble carves, and captured memos, which
 // copy what they keep.
 //
-// A Program pools its idle workspaces like it used to pool engines, so a
-// warm evaluation grows nothing: every buffer is sized by the executions
-// before it and reused. Buffers grow on first use, never eagerly, and an
-// idle workspace keeps nothing past maxPooledScratch elements and pins no
+// Its storage comes in two kinds. What is bound to the program — the
+// engines with their compiled kernels and lazy runners, the arena's
+// relation lists, the start-domain engines — stays with the workspace, and
+// a Program pools its idle workspaces. The buffers that belong to no
+// program — an engine's BFS arrays, state set, relation store and dedup
+// sets, the arena's key, tuple and column buffers and its head order, the
+// candidate lists' buffer — are scratch sets (scratch) the workspace
+// borrows from one process-wide pool for the evaluation and gives back
+// after it. So a cold evaluation on a fresh Program reuses the buffers a
+// warm one grew, and a warm evaluation grows nothing: every buffer is
+// sized by the executions before it. Buffers grow on first use, never
+// eagerly, and an idle set keeps no buffer past maxPooledScratch elements
+// (its state arrays: product states), references no program and pins no
 // snapshot (see putWorkspace).
 //
 // An evaluation holds its workspace until nothing it handed out can be
@@ -38,8 +49,123 @@ type workspace struct {
 	bud     stateBudget
 	doms    domainLists
 	join    joinArena
+	sc      *scratch // the set the arena's and doms' buffers are lent from
 
 	run *componentRun // built by the first concurrent evalComponents
+}
+
+// scratch is one set of the evaluation buffers that belong to no
+// program. An engine uses the first group (componentEngine embeds the
+// set it holds), a workspace the second (its joinArena and domainLists
+// hold the buffers while it does); a set serves either, and keeps the
+// buffers of both groups from one use to the next.
+type scratch struct {
+	held int // the set's bytes while it is in scratchPool
+
+	// An engine's. Its product-state storage, reset per start assignment:
+	// the run's state set states, and state id i has node tuple
+	// curs[i*cnt:(i+1)*cnt] and joint state joints[i]. Only when the
+	// query outputs witnesses does a run record the BFS tree for witness
+	// extraction: parentState, and parentLabs (stride cnt) the raw edge
+	// labels of the move that discovered the state — the joint automaton
+	// steps by classes, which cannot name the traversed labels. Then the
+	// store its relation rel points at, and the relation's two dedup sets
+	// (see componentEngine.rel).
+	states      tupleSet
+	curs        []graph.Node
+	joints      []int32
+	parentState []int32
+	parentLabs  []rune
+	store       varRelation
+	rows        rowSet
+	runRows     runRows
+
+	// A workspace's: the join arena's buffers and the start-domain lists'.
+	join   joinBufs
+	domBuf []graph.Node
+}
+
+// scratchPool is the process-wide free list of idle scratch sets. It is a
+// stack, so that an evaluation that returns its sets in the reverse order
+// of their drawing finds each in the role it had the time before, and it
+// keeps at most maxIdleScratchBytes of them: a set that would pass the
+// bound is dropped, so a burst of concurrency, or one set that grew to
+// the per-buffer cap in every buffer, leaves no more behind.
+var scratchPool struct {
+	mu    sync.Mutex
+	free  []*scratch
+	bytes int // the retained bytes of the sets in free
+}
+
+// maxIdleScratchBytes bounds what scratchPool retains, as scratch.bytes
+// counts it.
+const maxIdleScratchBytes = 16 << 20
+
+// takeScratch borrows the last idle scratch set put back, or a new empty
+// one.
+func takeScratch() *scratch {
+	p := &scratchPool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return new(scratch)
+	}
+	sc := p.free[n-1]
+	p.free[n-1], p.free = nil, p.free[:n-1]
+	p.bytes -= sc.held
+	return sc
+}
+
+// release trims sc and puts it back in the pool: every buffer past
+// maxPooledScratch elements dropped — the state arrays past that many
+// product states, together with the state set, since a set on the bitset
+// still holds the last run's states, which the next run's beginVisit
+// clears by walking the arrays, whichever engine runs it — and the
+// relation store emptied. The caller has already dropped every reference
+// to its program and snapshot.
+func (sc *scratch) release() {
+	if cap(sc.joints) > maxPooledScratch {
+		sc.curs, sc.joints, sc.parentState, sc.parentLabs = nil, nil, nil, nil
+		sc.states = tupleSet{}
+	}
+	if sc.states.oversized() {
+		sc.states = tupleSet{}
+	}
+	if sc.store.oversized() {
+		sc.store = varRelation{}
+	}
+	sc.store.reset(nil, nil)
+	if len(sc.rows.slots) > maxPooledScratch {
+		sc.rows = rowSet{}
+	}
+	sc.runRows.release()
+	sc.held = sc.bytes()
+	p := &scratchPool
+	p.mu.Lock()
+	if p.bytes+sc.held <= maxIdleScratchBytes {
+		p.free = append(p.free, sc)
+		p.bytes += sc.held
+	}
+	p.mu.Unlock()
+}
+
+// bytes is what the set retains: the struct and the arrays of its
+// buffers, at their capacity.
+func (sc *scratch) bytes() int {
+	n := int(unsafe.Sizeof(*sc)) + sc.states.bytes() +
+		8*(cap(sc.curs)+cap(sc.store.nodes)+cap(sc.runRows.bits)+cap(sc.join.nodes)+cap(sc.join.ints)+cap(sc.domBuf)) +
+		4*(cap(sc.joints)+cap(sc.parentState)+cap(sc.parentLabs)+cap(sc.rows.slots)+cap(sc.join.order[0])+cap(sc.join.order[1]))
+	return n + int(unsafe.Sizeof(graph.Path{}))*cap(sc.store.paths)
+}
+
+// capped returns s emptied, or nil when its array is past the
+// pooled-scratch budget.
+func capped[T any](s []T) []T {
+	if cap(s) > maxPooledScratch {
+		return nil
+	}
+	return s[:0]
 }
 
 // componentRun is the multi-component run in progress (componentWorker):
@@ -53,6 +179,7 @@ type componentRun struct {
 }
 
 // newWorkspace builds a workspace of p with one engine per component.
+// Its scratch sets are drawn by takeWorkspace.
 func newWorkspace(p *Program) *workspace {
 	n := len(p.comps)
 	ws := &workspace{
@@ -68,31 +195,47 @@ func newWorkspace(p *Program) *workspace {
 }
 
 // takeWorkspace borrows an idle workspace, building one when the pool is
-// empty.
+// empty, and draws its scratch sets: one for the workspace, then one for
+// each engine in order (a fan-out draws its siblings' when it starts
+// them).
 func (p *Program) takeWorkspace() *workspace {
-	if ws := p.pool.take(); ws != nil {
-		return ws
+	ws := p.pool.take()
+	if ws == nil {
+		ws = newWorkspace(p)
 	}
-	return newWorkspace(p)
+	ws.sc = takeScratch()
+	ws.join.joinBufs, ws.doms.buf, ws.sc.join, ws.sc.domBuf = ws.sc.join, ws.sc.domBuf, joinBufs{}, nil
+	for _, e := range ws.engines {
+		e.draw()
+	}
+	return ws
 }
 
-// putWorkspace returns a workspace to the pool after an evaluation. The
-// workspace keeps the storage the evaluation grew — relation stores,
-// dedup sets, join arena, candidate lists, BFS arrays — so the next one
-// grows nothing; nothing of it is a result any caller holds, since
-// assemble and the memo capture copy what escapes. It must not pin a
-// possibly huge graph snapshot, the last result's witness paths, or
-// peak-sized scratch: everything past maxPooledScratch elements is
-// dropped first (componentEngine.release, joinArena.release,
-// domainLists.release).
+// putWorkspace returns a workspace to its program's pool after an
+// evaluation, and its scratch sets to the process-wide one in the reverse
+// order of their drawing: the fan-out siblings', the engines', the
+// workspace's. Nothing it gives back is a result any caller
+// holds, since assemble and the memo capture copy what escapes. Neither
+// may pin a possibly huge graph snapshot, the last result's witness
+// paths, or peak-sized scratch: everything past maxPooledScratch elements
+// is dropped first (componentEngine.release, joinArena.release,
+// domainLists.release, scratch.release).
 func (p *Program) putWorkspace(ws *workspace) {
-	for _, e := range ws.engines {
+	for _, e := range slices.Backward(ws.engines) {
+		if e.fan != nil {
+			e.fan.release()
+		}
+	}
+	for _, e := range slices.Backward(ws.engines) {
 		e.release()
 	}
 	clear(ws.rels)
 	clear(ws.memos)
 	ws.doms.release()
 	ws.join.release()
+	ws.sc.join, ws.sc.domBuf, ws.join.joinBufs, ws.doms.buf = ws.join.joinBufs, ws.doms.buf, joinBufs{}, nil
+	ws.sc.release()
+	ws.sc = nil
 	p.pool.put(ws)
 }
 

@@ -2,6 +2,7 @@ package ecrpq
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -306,4 +307,265 @@ func TestWorkspaceNeverAliasesResults(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestScratchPoolIsolatesPrograms: the evaluation buffers that belong to
+// no program come from one process-wide pool, so a set one program's
+// evaluation gave back is the next set any other program's evaluation
+// draws. A result of program A is held while eight goroutines compile
+// fresh programs of other shapes — witness and witness-free, one and two
+// components — and evaluate them: inline and fanned out at W = 2 and 8,
+// through a stream cut off after its first row, and through
+// EvalSnapshotMemo, a write and Advance. A's answers must not move, and
+// every fingerprint must equal the NoPrune reference's. Meaningful under
+// -race.
+func TestScratchPoolIsolatesPrograms(t *testing.T) {
+	const n = 40
+	s := aliasGraph(n).Snapshot()
+	ctx := context.Background()
+	forceParallel(t)
+	compile := func(src string) (*Program, error) { return CompileProgram(MustParse(src, env()), false) }
+	reference := func(src string, s *graph.Snapshot, bind map[NodeVar]graph.Node) (uint64, error) {
+		p, err := compile(src)
+		if err != nil {
+			return 0, err
+		}
+		res, err := p.Eval(ctx, s, Options{Bind: bind, NoPrune: true, BFSWorkers: 1})
+		if err != nil {
+			return 0, err
+		}
+		return res.Fingerprint(), nil
+	}
+
+	a, err := compile("Ans(x, y, p) <- (x,p1,z), (z,p,y), a+(p1), b+(p), el(p1,p)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resA, err := a.Eval(ctx, s, Options{Bind: map[NodeVar]graph.Node{"x": 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := hold("program A", resA)
+	if len(h.answers) == 0 {
+		t.Fatal("program A's result is empty; the test exercises nothing")
+	}
+
+	// Each shape binds v; the other start variables sweep, so W > 1 fans
+	// the sweep out.
+	shapes := []struct {
+		src string
+		v   NodeVar
+	}{
+		{"Ans(x, y, p) <- (x,p,y), a+(p)", "y"},
+		{"Ans(x, y) <- (x,p,y), (a|b)*b(p)", "y"},
+		{"Ans(x, y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)", "x"},
+		{"Ans(x, y, p2) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)", "x"},
+	}
+	refs := make([][]uint64, len(shapes))
+	for i, sh := range shapes {
+		refs[i] = make([]uint64, n)
+		for node := range n {
+			if refs[i][node], err = reference(sh.src, s, map[NodeVar]graph.Node{sh.v: graph.Node(node)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	before := BFSParallelStats()
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for w := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := isolationRound(ctx, w, n, s, shapes, refs, compile, reference); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if BFSParallelStats() == before {
+		t.Fatal("no fan-out engaged")
+	}
+	h.check(t)
+}
+
+// isolationRound is goroutine w's share of TestScratchPoolIsolatesPrograms:
+// for each shape and each binding w, w+8, …, a fresh program evaluated at
+// the worker count the binding picks, then streamed and stopped after
+// the first row, then evaluated again; and for one binding a memo, a
+// write to a copy of the graph and an Advance over it.
+func isolationRound(ctx context.Context, w, n int, s *graph.Snapshot, shapes []struct {
+	src string
+	v   NodeVar
+}, refs [][]uint64, compile func(string) (*Program, error), reference func(string, *graph.Snapshot, map[NodeVar]graph.Node) (uint64, error)) error {
+	for i, sh := range shapes {
+		for node := w; node < n; node += 8 {
+			opts := Options{Bind: map[NodeVar]graph.Node{sh.v: graph.Node(node)}, BFSWorkers: parWorkerCounts[(node+i)%len(parWorkerCounts)]}
+			p, err := compile(sh.src)
+			if err != nil {
+				return err
+			}
+			res, err := p.Eval(ctx, s, opts)
+			if err != nil {
+				return err
+			}
+			if fp := res.Fingerprint(); fp != refs[i][node] {
+				return fmt.Errorf("%s %s=%d W=%d: fingerprint %016x, NoPrune %016x", sh.src, sh.v, node, opts.BFSWorkers, fp, refs[i][node])
+			}
+			p, err = compile(sh.src)
+			if err != nil {
+				return err
+			}
+			for _, err := range p.Stream(ctx, s, StreamOptions{Options: opts}) {
+				if err != nil {
+					return err
+				}
+				break
+			}
+			if res, err = p.Eval(ctx, s, opts); err != nil {
+				return err
+			}
+			if fp := res.Fingerprint(); fp != refs[i][node] {
+				return fmt.Errorf("%s %s=%d after a stopped stream: fingerprint %016x, NoPrune %016x", sh.src, sh.v, node, fp, refs[i][node])
+			}
+		}
+	}
+	src := shapes[2].src
+	bind := map[NodeVar]graph.Node{"x": graph.Node(w)}
+	db := aliasGraph(n)
+	p, err := compile(src)
+	if err != nil {
+		return err
+	}
+	prev, err := p.EvalSnapshotMemo(ctx, db.Snapshot(), Options{Bind: bind})
+	if err != nil {
+		return err
+	}
+	db.AddEdge(graph.Node(w+1), 'b', graph.Node(w+3))
+	adv, _, err := p.Advance(ctx, prev, db.Snapshot(), Options{Bind: bind})
+	if err != nil {
+		return err
+	}
+	want, err := reference(src, db.Snapshot(), bind)
+	if err != nil {
+		return err
+	}
+	if fp := adv.Fingerprint(); fp != want {
+		return fmt.Errorf("%s x=%d after Advance: fingerprint %016x, NoPrune %016x", src, w, fp, want)
+	}
+	return nil
+}
+
+// TestScratchPoolHoldsOnlyBuffers pins what the process-wide scratch pool
+// may retain. No field of a scratch set may be, or contain, a *Program, a
+// *component or a *graph.Snapshot, nor anything that could hold one (an
+// interface, a func, a chan): the pool is not a cache of programs or
+// snapshots. And after a query whose product BFS passes maxPooledScratch
+// states, and a query that keeps witnesses, no pooled set holds a buffer
+// past maxPooledScratch elements or a witness path, and the pool's byte
+// count is what its sets retain, within maxIdleScratchBytes.
+func TestScratchPoolHoldsOnlyBuffers(t *testing.T) {
+	forbidden := map[reflect.Type]bool{
+		reflect.TypeFor[*Program]():        true,
+		reflect.TypeFor[*component]():      true,
+		reflect.TypeFor[*graph.Snapshot](): true,
+	}
+	seen := map[reflect.Type]bool{}
+	var walk func(ty reflect.Type, path string)
+	walk = func(ty reflect.Type, path string) {
+		if forbidden[ty] {
+			t.Errorf("scratch%s is a %v", path, ty)
+		}
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			t.Errorf("scratch%s is a %v, which could hold anything", path, ty)
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(ty.Elem(), path+"[]")
+		case reflect.Map:
+			walk(ty.Key(), path+"[key]")
+			walk(ty.Elem(), path+"[]")
+		}
+	}
+	walk(reflect.TypeFor[scratch](), "")
+
+	// Start from an empty pool, so every set in it afterwards came back
+	// from the two queries below.
+	for len(scratchPool.free) > 0 {
+		takeScratch()
+	}
+	ctx := context.Background()
+	ring := ringGraph(300)
+	big, err := CompileProgram(MustParse("Ans(y1) <- (x,p1,y1), (x,p2,y2), el(p1,p2)", env()), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := big.Eval(ctx, ring, Options{Bind: map[NodeVar]graph.Node{"x": 0}, BFSWorkers: 1, MaxProductStates: maxPooledScratch}); !errors.Is(err, ErrBudget) {
+		t.Fatalf("the large query fits %d product states (err %v); it exercises nothing", maxPooledScratch, err)
+	}
+	if _, err := big.Eval(ctx, ring, Options{Bind: map[NodeVar]graph.Node{"x": 0}, BFSWorkers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	wit, err := CompileProgram(MustParse("Ans(x, y, p) <- (x,p,y), a+(p)", env()), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := wit.Eval(ctx, aliasGraph(40).Snapshot(), Options{Bind: map[NodeVar]graph.Node{"x": 0}})
+	if err != nil || len(res.Answers) == 0 || res.Answers[0].Paths[0].Len() == 0 {
+		t.Fatalf("the witness query returned %v, %v; it exercises nothing", res, err)
+	}
+
+	scratchPool.mu.Lock()
+	defer scratchPool.mu.Unlock()
+	if len(scratchPool.free) == 0 {
+		t.Fatal("no scratch set came back to the pool")
+	}
+	bytes := 0
+	for k, sc := range scratchPool.free {
+		var check func(v reflect.Value, path string)
+		check = func(v reflect.Value, path string) {
+			switch v.Kind() {
+			case reflect.Struct:
+				for i := range v.NumField() {
+					check(v.Field(i), path+"."+v.Type().Field(i).Name)
+				}
+			case reflect.Array:
+				for i := range v.Len() {
+					check(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+				}
+			case reflect.Slice:
+				if v.Cap() > maxPooledScratch {
+					t.Errorf("pooled set %d: scratch%s keeps %d elements, past %d", k, path, v.Cap(), maxPooledScratch)
+				}
+			}
+		}
+		check(reflect.ValueOf(sc).Elem(), "")
+		if sc.states.oversized() {
+			t.Errorf("pooled set %d keeps an oversized state table", k)
+		}
+		for i, p := range sc.store.paths[:cap(sc.store.paths)] {
+			if p.Nodes != nil || p.Labels != nil {
+				t.Errorf("pooled set %d: witness slot %d holds a path", k, i)
+			}
+		}
+		if sc.held != sc.bytes() {
+			t.Errorf("pooled set %d: counted at %d bytes, retains %d", k, sc.held, sc.bytes())
+		}
+		bytes += sc.held
+	}
+	if bytes != scratchPool.bytes || bytes > maxIdleScratchBytes {
+		t.Errorf("the pool counts %d bytes; its sets retain %d, bound %d", scratchPool.bytes, bytes, maxIdleScratchBytes)
+	}
 }

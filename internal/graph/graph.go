@@ -11,6 +11,7 @@ package graph
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,9 +34,10 @@ type Node int
 // AddEdge) serialize on an internal write mutex and advance a monotonic
 // epoch; Snapshot returns an immutable epoch-stamped view that is safe
 // to read from any number of goroutines concurrently with writers.
-// NodeByName, HasEdge and Successors are safe alongside writers;
-// EachEdge sees the latest writes but must not run concurrently with
-// them — the serving path for mixed read/write traffic is Snapshot.
+// NodeByName, HasEdge, Successors and EachEdge are safe alongside
+// writers too; EachEdge visits the edges as of one moment between
+// writes, without building a snapshot. The serving path for mixed
+// read/write traffic is Snapshot.
 type DB struct {
 	// id is the process-unique store identity (see ID); snapshots are
 	// stamped with it so downstream caches can key on (store, epoch)
@@ -267,16 +269,23 @@ func (g *DB) Successors(from Node, label rune) []Node {
 // EachEdge calls f once for every edge, in a deterministic order: the
 // base CSR in CSR order (source, label, target), then the delta log —
 // its sorted prefix, then the writes since the last snapshot in write
-// order.
+// order. It reads the edges as of its call: the base and the sorted
+// prefix are immutable once built, and the writes since, which Snapshot
+// sorts in place, are copied under the write lock. f runs after the
+// lock is released, so it may call back into g, writes included.
 func (g *DB) EachEdge(f func(from Node, label rune, to Node)) {
-	if g.base != nil {
-		for v := 0; v < g.baseN; v++ {
-			for _, e := range g.base.out(Node(v)) {
+	g.mu.Lock()
+	base, baseN, sorted := g.base, g.baseN, g.deltaSorted
+	fresh := slices.Clone(g.deltaNew)
+	g.mu.Unlock()
+	if base != nil {
+		for v := 0; v < baseN; v++ {
+			for _, e := range base.out(Node(v)) {
 				f(Node(v), e.Label, e.To)
 			}
 		}
 	}
-	for _, d := range [2][]rawEdge{g.deltaSorted, g.deltaNew} {
+	for _, d := range [2][]rawEdge{sorted, fresh} {
 		for _, e := range d {
 			f(e.From, e.Label, e.To)
 		}

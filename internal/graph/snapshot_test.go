@@ -315,3 +315,71 @@ func TestSnapshotConcurrentWithWriters(t *testing.T) {
 	close(stop)
 	writerWG.Wait()
 }
+
+// TestEachEdgeConcurrentWithWriters runs DB.EachEdge on four goroutines
+// while a writer storms AddEdge and takes a snapshot every few writes —
+// which sorts the unsorted write suffix in place and compacts — and is
+// meaningful under -race. Every pass must visit each edge once, within
+// the nodes, the initial chain among them, and its callback calls back
+// into the store, which it could not if EachEdge held the write lock.
+func TestEachEdgeConcurrentWithWriters(t *testing.T) {
+	const n = 50
+	g := NewDB()
+	g.AddNodes(n)
+	for i := 0; i < n-1; i++ {
+		g.AddEdge(Node(i), 'a', Node(i+1))
+	}
+	var wg, writerWG sync.WaitGroup
+	stop := make(chan struct{})
+	writerWG.Add(1)
+	go func() {
+		defer writerWG.Done()
+		r := rand.New(rand.NewSource(2))
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			g.AddEdge(Node(r.Intn(n)), rune('a'+r.Intn(3)), Node(r.Intn(n)))
+			if i%7 == 0 {
+				g.Snapshot()
+			}
+		}
+	}()
+	type edge struct {
+		from  Node
+		label rune
+		to    Node
+	}
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				seen := map[edge]bool{}
+				g.EachEdge(func(from Node, a rune, to Node) {
+					e := edge{from, a, to}
+					if seen[e] {
+						t.Errorf("EachEdge visited (%d,%q,%d) twice in one pass", from, a, to)
+					}
+					seen[e] = true
+					if from < 0 || from >= n || to < 0 || to >= n {
+						t.Errorf("EachEdge visited (%d,%q,%d) outside the %d nodes", from, a, to, n)
+					}
+					if !g.HasEdge(from, a, to) {
+						t.Errorf("EachEdge visited (%d,%q,%d), which the store does not hold", from, a, to)
+					}
+				})
+				for v := 0; v < n-1; v++ {
+					if !seen[edge{Node(v), 'a', Node(v + 1)}] {
+						t.Errorf("EachEdge missed the chain edge (%d,a,%d)", v, v+1)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	writerWG.Wait()
+}

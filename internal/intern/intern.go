@@ -148,6 +148,11 @@ func (t *Table) Lookup(tup []int) (id int, ok bool) {
 // for the table's memory footprint.
 func (t *Table) Cap() int { return cap(t.data) }
 
+// Bytes returns the bytes the table's arrays take at their capacity.
+func (t *Table) Bytes() int {
+	return 8*cap(t.data) + 4*cap(t.offs) + 8*cap(t.hashes) + 4*cap(t.slots)
+}
+
 // Reset empties the table, retaining allocated capacity, in time
 // proportional to the entries in use rather than to the capacity one
 // earlier large run left behind: a sparsely filled index is emptied by

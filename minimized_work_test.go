@@ -25,7 +25,10 @@ import (
 // pins the allocations of what one cold query costs its caller: parse,
 // compile and the first evaluation on a fresh program, counted by
 // testing.AllocsPerRun, which runs at GOMAXPROCS 1 (printed but not
-// compared under the race detector). The
+// compared under the race detector). The fresh program's evaluation
+// buffers come from the process-wide scratch pool, which AllocsPerRun's
+// warm-up run has grown to the query's needs as a rotation's earlier
+// queries would, so the count is the same whatever ran before. The
 // cases are the benchmark's, built from the same internal/workload
 // generators with the same seeds and texts but not permuted, so x binds
 // node 0. The counts and shapes are deterministic: a row that moves is a
@@ -88,13 +91,13 @@ func TestMinimizedWork(t *testing.T) {
 		{"bigcomp_w1", big, bigQ, x0, ecrpq.Options{BFSWorkers: 1}, 28180, 66270, "5→2 [2→2 2→2]", 0x8a8f89d20af59f95, nil},
 		{"bigcomp_wmax", big, bigQ, x0, ecrpq.Options{}, 28180, 66270, "5→2 [2→2 2→2]", 0x8a8f89d20af59f95, nil},
 		// adhoc_cold's six texts.
-		cold("bigalpha_head", bigAlpha, bigText("(x,p,y), "+bandPlus(sigma[0], sigma[band-1])+"(p)"), ecrpq.Env{}, 1704, 1704, "2→2 [1→1]", 0xc0b45faa69b3741f, 328),
-		cold("bigalpha_tail", bigAlpha, bigText("(x,p,y), "+bandPlus(sigma[len(sigma)/2], sigma[len(sigma)/2+band-1])+"(p)"), ecrpq.Env{}, 1, 1, "2→2 [1→1]", 0xa8c7f832281a39c5, 284),
+		cold("bigalpha_head", bigAlpha, bigText("(x,p,y), "+bandPlus(sigma[0], sigma[band-1])+"(p)"), ecrpq.Env{}, 1704, 1704, "2→2 [1→1]", 0xc0b45faa69b3741f, 283),
+		cold("bigalpha_tail", bigAlpha, bigText("(x,p,y), "+bandPlus(sigma[len(sigma)/2], sigma[len(sigma)/2+band-1])+"(p)"), ecrpq.Env{}, 1, 1, "2→2 [1→1]", 0xa8c7f832281a39c5, 280),
 		cold("bigalpha_join", bigAlpha, bigText("(x,p1,y), (x,p2,z), "+bandPlus(sigma[0], sigma[band/2-1])+"(p1), "+
-			bandPlus(sigma[band/2], sigma[band-1])+"(p2)"), ecrpq.Env{}, 1463, 1464, "2→2 [1→1] + 2→2 [1→1]", 0x6d8c7ad40f949f0b, 607),
-		cold("lr32_selective", lr32, "Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)", env32, 36, 396, "2→2 [4→1 4→1]", 0xba4f7a1510c183ee, 775),
-		cold("lr32_permissive", lr32, fmt.Sprintf("Ans(x,y) <- (x,p,y), [%s]*(p)", string(s32)), env32, 255, 256, "2→1 [32→1]", 0xddcf6039779086ea, 733),
-		cold("lr32_chain", lr32, "Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)", env32, 14, 70, "2→2 [1→1] + 2→2 [1→1]", 0x970777a288aef96b, 769),
+			bandPlus(sigma[band/2], sigma[band-1])+"(p2)"), ecrpq.Env{}, 1463, 1464, "2→2 [1→1] + 2→2 [1→1]", 0x6d8c7ad40f949f0b, 549),
+		cold("lr32_selective", lr32, "Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)", env32, 36, 396, "2→2 [4→1 4→1]", 0xba4f7a1510c183ee, 754),
+		cold("lr32_permissive", lr32, fmt.Sprintf("Ans(x,y) <- (x,p,y), [%s]*(p)", string(s32)), env32, 255, 256, "2→1 [32→1]", 0xddcf6039779086ea, 701),
+		cold("lr32_chain", lr32, "Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)", env32, 14, 70, "2→2 [1→1] + 2→2 [1→1]", 0x970777a288aef96b, 732),
 		// Not a benchmark case: the selective text over the |Σ| = 10⁴
 		// alphabet, where el reads Σ as one class (5 cells beside a and
 		// b). x binds node 54, one of the graph's five sources of an a-edge.
