@@ -6,8 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -58,18 +57,27 @@ type Options struct {
 // Bind maps built in different orders hash the same). BFSWorkers is not
 // part of it: the result is byte-identical at every worker count.
 func (o Options) CacheKey() string {
-	vars := make([]string, 0, len(o.Bind))
+	var vbuf [8]NodeVar
+	vars := vbuf[:0]
 	for v := range o.Bind {
-		vars = append(vars, string(v))
+		vars = append(vars, v)
 	}
-	sort.Strings(vars)
-	var b strings.Builder
-	b.WriteString("bind:")
+	if len(vars) > 1 {
+		slices.Sort(vars)
+	}
+	var buf [64]byte
+	b := append(buf[:0], "bind:"...)
 	for _, v := range vars {
-		fmt.Fprintf(&b, "%s=%d,", v, o.Bind[NodeVar(v)])
+		b = append(b, v...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(o.Bind[v]), 10)
+		b = append(b, ',')
 	}
-	fmt.Fprintf(&b, ";max=%d;noprune=%t", o.MaxProductStates, o.NoPrune)
-	return b.String()
+	b = append(b, ";max="...)
+	b = strconv.AppendInt(b, int64(o.MaxProductStates), 10)
+	b = append(b, ";noprune="...)
+	b = strconv.AppendBool(b, o.NoPrune)
+	return string(b)
 }
 
 // ErrBudget is returned when evaluation exceeds MaxProductStates. It

@@ -313,7 +313,8 @@ func (g *DB) loadSegment(f *segment.File) error {
 	g.byName = byName
 	g.base = csrFromParts(edges, nodeOff, runOff, runs, alphabet)
 	g.baseN = n
-	g.nEdges = len(edges)
+	g.nNodes.Store(int64(n))
+	g.nEdges.Store(int64(len(edges)))
 	g.epoch.Store(d.Epoch)
 	return nil
 }

@@ -47,7 +47,11 @@ type DB struct {
 	mu     sync.Mutex
 	names  []string
 	byName map[string]Node
-	nEdges int
+	// nNodes and nEdges count the nodes and edges. They change under mu
+	// with names and the edge log, and NumNodes and NumEdges read them
+	// without it, so a count never waits behind a checkpoint.
+	nNodes atomic.Int64
+	nEdges atomic.Int64
 
 	// epoch counts successful mutations; it stamps snapshots and keys
 	// downstream memos (an unchanged epoch means an unchanged graph).
@@ -160,6 +164,7 @@ func (g *DB) addNodeLocked(name string) Node {
 	v := Node(len(g.names))
 	g.names = append(g.names, name)
 	g.byName[name] = v
+	g.nNodes.Store(int64(len(g.names)))
 	ep := g.epoch.Add(1)
 	g.walAppendNode(ep, name)
 	return v
@@ -191,14 +196,19 @@ func (g *DB) NodeByName(name string) (Node, bool) {
 	return v, ok
 }
 
-// Name returns the name of v.
-func (g *DB) Name(v Node) string { return g.names[v] }
+// Name returns the name of v. It reads the names under the store's
+// lock, which AddNode appends to.
+func (g *DB) Name(v Node) string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.names[v]
+}
 
-// NumNodes returns |V|.
-func (g *DB) NumNodes() int { return len(g.names) }
+// NumNodes returns |V|. It takes no lock.
+func (g *DB) NumNodes() int { return int(g.nNodes.Load()) }
 
-// NumEdges returns |E|.
-func (g *DB) NumEdges() int { return g.nEdges }
+// NumEdges returns |E|. It takes no lock.
+func (g *DB) NumEdges() int { return int(g.nEdges.Load()) }
 
 // AddEdge adds the labeled edge (from, label, to). Duplicate edges are
 // ignored (and do not advance the epoch); the duplicate check is a
@@ -216,7 +226,7 @@ func (g *DB) AddEdge(from Node, label rune, to Node) {
 		g.deltaSet = make(map[edgeKey]struct{})
 	}
 	g.deltaSet[edgeKey{from, label, to}] = struct{}{}
-	g.nEdges++
+	g.nEdges.Add(1)
 	e := rawEdge{From: from, Label: label, To: to, Epoch: g.epoch.Add(1)}
 	g.walAppendEdge(e)
 	g.deltaNew = append(g.deltaNew, e)
@@ -312,7 +322,6 @@ func (g *DB) Clone() *DB {
 		id:          dbIDs.Add(1),
 		names:       append([]string(nil), g.names...),
 		byName:      maps.Clone(g.byName),
-		nEdges:      g.nEdges,
 		base:        g.base,        // immutable once built; safe to share
 		deltaSorted: g.deltaSorted, // immutable once published; safe to share
 		baseN:       g.baseN,
@@ -323,6 +332,8 @@ func (g *DB) Clone() *DB {
 		hist:      append([]DeltaEdge(nil), g.hist...),
 		histFloor: g.histFloor,
 	}
+	h.nNodes.Store(g.nNodes.Load())
+	h.nEdges.Store(g.nEdges.Load())
 	h.epoch.Store(g.epoch.Load())
 	if s := g.snap.Load(); s != nil && s.epoch == h.epoch.Load() {
 		// Snapshots are immutable; the clone reuses it. It keeps the

@@ -523,7 +523,7 @@ func (g *DB) Snapshot() *Snapshot {
 		g.deltaSorted = mergeDelta(g.deltaSorted, g.deltaNew)
 		g.deltaNew = g.deltaNew[:0]
 	}
-	s := newSnapshot(g.id, ep, g.names[:n:n], g.base, g.baseN, g.deltaSorted, g.nEdges,
+	s := newSnapshot(g.id, ep, g.names[:n:n], g.base, g.baseN, g.deltaSorted, int(g.nEdges.Load()),
 		g.hist[:len(g.hist):len(g.hist)], g.histFloor)
 	g.snap.Store(s)
 	return s

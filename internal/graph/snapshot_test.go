@@ -383,3 +383,56 @@ func TestEachEdgeConcurrentWithWriters(t *testing.T) {
 	close(stop)
 	writerWG.Wait()
 }
+
+// TestCountsAndNamesConcurrentWithWriters reads NumNodes, NumEdges and
+// Name while a writer adds nodes and edges and takes snapshots; it is
+// meaningful under -race. The counts never fall, the newest node a
+// count admits has its name, and the final counts are exact.
+func TestCountsAndNamesConcurrentWithWriters(t *testing.T) {
+	const writes = 2000
+	g := NewDB()
+	g.AddNodes(2)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		r := rand.New(rand.NewSource(3))
+		for i := 0; i < writes; i++ {
+			v := g.AddNode("")
+			g.AddEdge(Node(r.Intn(int(v)+1)), rune('a'+r.Intn(3)), v)
+			if i%16 == 0 {
+				g.Snapshot()
+			}
+		}
+	}()
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lastN, lastE := 0, 0
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				n, e := g.NumNodes(), g.NumEdges()
+				if n < lastN || e < lastE {
+					t.Errorf("counts fell: %d nodes, %d edges after %d, %d", n, e, lastN, lastE)
+					return
+				}
+				lastN, lastE = n, e
+				if v := Node(n - 1); g.Name(v) == "" {
+					t.Errorf("node %d of %d has no name", v, n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n, e := g.NumNodes(), g.NumEdges(); n != writes+2 || e != writes {
+		t.Fatalf("store counts %d nodes and %d edges, want %d and %d", n, e, writes+2, writes)
+	}
+}

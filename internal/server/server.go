@@ -459,7 +459,9 @@ func (s *Server) handleGetQuery(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// answerJSON is the wire form of one answer tuple.
+// answerJSON is the wire form of one answer tuple. It and queryResponse
+// are the schema clients decode into; appendResult (render.go) writes
+// exactly what json.Encoder would write for them.
 type answerJSON struct {
 	Nodes []string   `json:"nodes"`
 	Paths []pathJSON `json:"paths,omitempty"`
@@ -619,53 +621,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeResult(w, name, snap, res, 0, false, cached, elapsed.Nanoseconds(), limit)
-}
-
-// writeResult renders a successful (possibly degraded) evaluation.
-func (s *Server) writeResult(w http.ResponseWriter, name string, snap *graph.Snapshot, res *ecrpq.Result, lag uint64, degraded, cached bool, elapsedNs int64, limit int) {
-	s.ok.Add(1)
-	n := len(res.Answers)
-	shown := res.Answers
-	truncated := false
-	if n > limit {
-		shown, truncated = shown[:limit], true
-	}
-	// Names come from the result's own snapshot: a degraded result may
-	// be older than snap, and node ids are only meaningful at its epoch.
-	names := res.Snap
-	answers := make([]answerJSON, len(shown))
-	for i, a := range shown {
-		aj := answerJSON{Nodes: make([]string, len(a.Nodes))}
-		for j, v := range a.Nodes {
-			aj.Nodes[j] = names.Name(v)
-		}
-		for _, path := range a.Paths {
-			pj := pathJSON{Nodes: make([]string, len(path.Nodes)), Labels: make([]string, len(path.Labels))}
-			for j, v := range path.Nodes {
-				pj.Nodes[j] = names.Name(v)
-			}
-			for j, l := range path.Labels {
-				pj.Labels[j] = string(l)
-			}
-			aj.Paths = append(aj.Paths, pj)
-		}
-		answers[i] = aj
-	}
-	if degraded {
-		w.Header().Set("X-Degraded", "true")
-	}
-	writeJSON(w, http.StatusOK, queryResponse{
-		Query:       name,
-		Epoch:       snap.Epoch(),
-		Lag:         lag,
-		Degraded:    degraded,
-		Cached:      cached,
-		Count:       n,
-		Fingerprint: fmt.Sprintf("%016x", res.Fingerprint()),
-		Answers:     answers,
-		Truncated:   truncated,
-		ElapsedNs:   elapsedNs,
-	})
 }
 
 // writeTypedError maps a taxonomy failure to its status code and
