@@ -185,7 +185,6 @@ func canonicalTuples(q *ecrpq.Query, refine []*relations.Relation, sigma []rune,
 	if r.Accepting(r.StartID()) {
 		out = append(out, make([]string, m))
 	}
-	symIDs := map[string]int{}
 	choices := make([][]rune, m)
 	sym := make([]rune, m)
 	// step tries every tuple of the tapes' choices from position p on,
@@ -204,12 +203,7 @@ func canonicalTuples(q *ecrpq.Query, refine []*relations.Relation, sigma []rune,
 		if len(out) >= limit || !slices.ContainsFunc(sym, func(c rune) bool { return c != relations.Bot }) {
 			return
 		}
-		sid, ok := symIDs[string(sym)]
-		if !ok {
-			sid = r.AddSym(sym)
-			symIDs[string(sym)] = sid
-		}
-		to, ok := r.Step(from.state, sid)
+		to, ok := r.Step(from.state, r.AddSym(sym))
 		if !ok {
 			return
 		}

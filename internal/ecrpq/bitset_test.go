@@ -165,8 +165,9 @@ func TestBitsetLifecycle(t *testing.T) {
 // TestDomainPassBitsetMatchesPacked runs one post[L] pass on a
 // bitset-eligible graph on the bitset, then forced onto the packed table,
 // then on the bitset again, and once more after a pass past
-// maxPooledScratch states that pooling drops, all on one engine: the same
-// ends and the same charge each time.
+// maxPooledScratch states whose queue and bitset scratch.release drops,
+// all on one engine and one scratch set: the same ends and the same
+// charge each time.
 func TestDomainPassBitsetMatchesPacked(t *testing.T) {
 	q := MustParse("Ans(y) <- (x,p,y), (a|b)*a(bb)*(p)", env())
 	atom := q.PathAtoms[0]
@@ -175,18 +176,20 @@ func TestDomainPassBitsetMatchesPacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := bigComponentGraph(rand.New(rand.NewSource(239)), 200, 2, sigmaAB).Snapshot()
-	d := newDomainEngine(comp)
+	d, sc := newDomainEngine(comp), new(scratch)
 	src := []graph.Node{0, 7, 31}
 	post := func(label string, onBits bool) ([]graph.Node, int) {
 		t.Helper()
-		ends, charged, err := d.post(context.Background(), s, src, newStateBudget(0))
+		ends, charged, err := d.post(context.Background(), sc, s, src, newStateBudget(0))
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		if d.states.onBits != onBits || (d.states.packed != nil) == onBits {
-			t.Fatalf("%s: onBits %v, packed %v", label, d.states.onBits, d.states.packed != nil)
+		if sc.states.onBits != onBits || (sc.states.packed != nil) == onBits {
+			t.Fatalf("%s: onBits %v, packed %v", label, sc.states.onBits, sc.states.packed != nil)
 		}
-		return slices.Clone(ends), charged
+		ends = slices.Clone(ends)
+		d.release()
+		return ends, charged
 	}
 	want, wantCharged := post("bitset", true)
 	if len(want) < 2 {
@@ -202,13 +205,18 @@ func TestDomainPassBitsetMatchesPacked(t *testing.T) {
 		t.Fatalf("second bitset pass: %d ends, %d charged; first: %d ends, %d charged", len(got), charged, len(want), wantCharged)
 	}
 
-	if _, charged, err := d.post(context.Background(), ringGraph(maxPooledScratch+10), src[:1], newStateBudget(0)); err != nil || charged <= maxPooledScratch {
+	if _, charged, err := d.post(context.Background(), sc, ringGraph(maxPooledScratch+10), src[:1], newStateBudget(0)); err != nil || charged <= maxPooledScratch {
 		t.Fatalf("large pass: %d states charged, err %v", charged, err)
 	}
-	pa := &propAtom{atom: atom}
-	pa.put(d)
-	if d = pa.pool.take(); d == nil || d.joints != nil || d.states.bits != nil {
-		t.Fatal("pooling kept the large pass's state queue or its bitset")
+	d.release()
+	// Release the set into an empty pool and take it straight back: what
+	// it holds now is what the pool would have handed the next taker.
+	for len(scratchPool.free) > 0 {
+		takeScratch()
+	}
+	sc.release()
+	if takeScratch() != sc || sc.joints != nil || sc.curs != nil || sc.states.bits != nil {
+		t.Fatal("scratch.release pooled the large pass's state queue or its bitset")
 	}
 	if got, charged = post("bitset after a dropped pass", true); !slices.Equal(got, want) || charged != wantCharged {
 		t.Fatalf("pass after a dropped one: %d ends, %d charged; first: %d ends, %d charged", len(got), charged, len(want), wantCharged)

@@ -26,7 +26,9 @@ import (
 // with other tapes only enlarges the set, so it is a sound superset of
 // the values y takes in any answer; a start assignment outside it can
 // produce only rows that join with nothing. One multi-source one-tape
-// product BFS per atom computes it; the pass starts from Options.Bind,
+// product BFS per atom computes it, on an engine of the workspace's own
+// (one per atom, built on the atom's first firing) and in the engine half
+// of the workspace's scratch set; the pass starts from Options.Bind,
 // fires each atom at most once (a cycle of atoms just stops), and an
 // evaluation in which no bound variable sits upstream of an unbound
 // start variable runs no BFS at all. Propagation is forward only: the
@@ -37,14 +39,13 @@ import (
 
 // propAtom is one path atom (x,π,y) the pass can fire: y ≠ x and y
 // starts some path atom, so confining it shrinks a start-assignment
-// enumeration. The one-tape relaxation and its engines are built on the
-// atom's first firing, not at compile time.
+// enumeration. The one-tape relaxation is compiled on the atom's first
+// firing in any workspace, not at compile time.
 type propAtom struct {
 	atom PathAtom
 
 	once sync.Once
 	comp *component // nil when the relaxation could not be compiled: the atom never fires
-	pool idlePool[domainEngine]
 }
 
 // propagationAtoms selects, in atom order, the path atoms whose end
@@ -79,50 +80,38 @@ func (pa *propAtom) explain(relAtoms []RelAtom) string {
 	return fmt.Sprintf("%s ⊆ post[%s](%s) when %s is bound or confined", pa.atom.Y, lang, pa.atom.X, pa.atom.X)
 }
 
-// take borrows an engine for the atom, compiling the relaxation on first
-// use; nil means the atom cannot fire.
-func (pa *propAtom) take(p *Program) *domainEngine {
+// domainEngine returns the workspace's engine for prop atom i, building
+// it on the atom's first firing in the workspace and compiling the
+// relaxation on its first in the program; nil means the atom cannot fire.
+func (ws *workspace) domainEngine(i int) *domainEngine {
+	if ws.domEngines == nil {
+		ws.domEngines = make([]*domainEngine, len(ws.prog.prop))
+	}
+	if d := ws.domEngines[i]; d != nil {
+		return d
+	}
+	pa := ws.prog.prop[i]
 	pa.once.Do(func() {
 		// A relaxation that fails to compile (it cannot, once the program
 		// itself compiled) costs the pruning, never the evaluation.
-		pa.comp, _ = newComponent([]PathAtom{pa.atom}, p.relAtoms, []PathVar{pa.atom.Pi})
+		pa.comp, _ = newComponent([]PathAtom{pa.atom}, ws.prog.relAtoms, []PathVar{pa.atom.Pi})
 	})
 	if pa.comp == nil {
 		return nil
 	}
-	if d := pa.pool.take(); d != nil {
-		return d
-	}
-	return newDomainEngine(pa.comp)
-}
-
-// put returns an engine to the atom's pool under the rule putWorkspace
-// applies to a workspace's engines and their scratch sets
-// (componentEngine.release, scratch.release): the kernel
-// unpins its snapshot, and the state queue and state set are dropped once
-// they hold more than maxPooledScratch elements (the set with the queue),
-// kept for the next run to grow into otherwise.
-func (pa *propAtom) put(d *domainEngine) {
-	d.release()
-	d.bud = nil
-	if cap(d.joints) > maxPooledScratch {
-		d.nodes, d.joints, d.ends = nil, nil, nil
-		d.states = tupleSet{} // a bitset is cleared by walking the queue
-	}
-	if d.states.oversized() {
-		d.states = tupleSet{}
-	}
-	pa.pool.put(d)
+	ws.domEngines[i] = newDomainEngine(pa.comp)
+	return ws.domEngines[i]
 }
 
 // domainEngine is the one-tape product BFS of the pass: the shared
-// product core over a single-tape component plus a flat state queue.
+// product core over a single-tape component. A run keeps its state queue
+// and state set in a scratch set it is lent (post), as a componentEngine
+// does: state i sits at curs[i] in joint state joints[i].
 type domainEngine struct {
 	prodCore
-	states tupleSet
-	nodes  []graph.Node // state i sits at nodes[i] in joint state joints[i]
-	joints []int32
-	ends   []graph.Node // accepting nodes of the current run, unsorted
+	*scratch // the workspace's set, from post to release
+
+	ends []graph.Node // accepting nodes of the current run, unsorted
 
 	// The run in progress, read by emitMove: the budget it charges and how
 	// many states it has charged so far.
@@ -137,12 +126,21 @@ func newDomainEngine(c *component) *domainEngine {
 	return d
 }
 
+// release ends a run: the kernel unpins its snapshot (prodCore's release,
+// which the embedded set's would shadow), the engine lets go of the set
+// and the budget, and drops its ends past the pooled-scratch budget.
+func (d *domainEngine) release() {
+	d.prodCore.release()
+	d.scratch, d.bud = nil, nil
+	d.ends = capped(d.ends)
+}
+
 // push appends the state (joint, d.next[0]) unless the run has seen it.
 func (d *domainEngine) push(joint int) bool {
 	if !d.visit(&d.states, joint, d.next) {
 		return false
 	}
-	d.nodes = append(d.nodes, d.next[0])
+	d.curs = append(d.curs, d.next[0])
 	d.joints = append(d.joints, int32(joint))
 	return true
 }
@@ -160,16 +158,17 @@ func (d *domainEngine) emitMove(js int) error {
 	return nil
 }
 
-// post computes post[L](src) over s: the sorted distinct nodes at which
-// the product of the snapshot with the tape's automaton accepts, started
-// from every source at once. The list is the engine's own scratch, valid
-// until its next run — the caller copies it before the engine goes back to
-// its pool. Every discovered state is charged to bud; charged reports how
-// many, whatever the outcome, so the caller can return them.
-func (d *domainEngine) post(ctx context.Context, s *graph.Snapshot, src []graph.Node, bud *stateBudget) (ends []graph.Node, charged int, err error) {
-	d.snap, d.bud, d.charged = s, bud, 0
-	d.beginVisit(&d.states, d.joints, d.nodes)
-	d.nodes, d.joints, d.ends = d.nodes[:0], d.joints[:0], d.ends[:0]
+// post computes post[L](src) over s on sc's state queue and set: the
+// sorted distinct nodes at which the product of the snapshot with the
+// tape's automaton accepts, started from every source at once. The list
+// is the engine's own scratch, valid until its next run or release — the
+// caller copies it first. Every discovered state is charged to bud;
+// charged reports how many, whatever the outcome, so the caller can
+// return them. The engine holds sc and s until release.
+func (d *domainEngine) post(ctx context.Context, sc *scratch, s *graph.Snapshot, src []graph.Node, bud *stateBudget) (ends []graph.Node, charged int, err error) {
+	d.scratch, d.snap, d.bud, d.charged = sc, s, bud, 0
+	d.beginVisit(&d.states, d.joints, d.curs)
+	d.curs, d.joints, d.ends = d.curs[:0], d.joints[:0], d.ends[:0]
 	for _, v := range src {
 		d.next[0] = v
 		d.push(d.src.StartID())
@@ -183,7 +182,7 @@ func (d *domainEngine) post(ctx context.Context, s *graph.Snapshot, src []graph.
 				return nil, d.charged, err
 			}
 		}
-		cur := d.nodes[head : head+1]
+		cur := d.curs[head : head+1]
 		joint := int(d.joints[head])
 		if d.src.Accepting(joint) {
 			d.ends = append(d.ends, cur[0])
@@ -239,8 +238,9 @@ func (dl *domainLists) confine(v NodeVar, ends []graph.Node) {
 	dl.lists[v] = list
 }
 
-// startDomains runs the propagation pass for one evaluation and returns
-// the confined variables' sorted candidate lists, kept in dl; nil when
+// startDomains runs the propagation pass for one evaluation on the
+// workspace's engines and scratch set, and returns the confined
+// variables' sorted candidate lists, kept in ws.doms; nil when
 // nothing propagates. The pass borrows from the evaluation's state
 // budget: every state it discovers is charged while it runs, which bounds
 // it like any other BFS, and returned before the components start — so a
@@ -249,7 +249,8 @@ func (dl *domainLists) confine(v NodeVar, ends []graph.Node) {
 // and the evaluation continues unpruned; pruning never turns an answer
 // into a refusal. Cancellation and injected BFSStep faults fail the
 // evaluation as they would inside any component.
-func (dl *domainLists) startDomains(ctx context.Context, p *Program, s *graph.Snapshot, opts Options, bud *stateBudget) (map[NodeVar][]graph.Node, error) {
+func (ws *workspace) startDomains(ctx context.Context, s *graph.Snapshot, opts Options, bud *stateBudget) (map[NodeVar][]graph.Node, error) {
+	p, dl := ws.prog, &ws.doms
 	if opts.NoPrune || len(opts.Bind) == 0 || len(p.prop) == 0 {
 		return nil, nil
 	}
@@ -273,16 +274,16 @@ func (dl *domainLists) startDomains(ctx context.Context, p *Program, s *graph.Sn
 				continue
 			}
 			dl.fired[i] = true
-			d := pa.take(p)
+			d := ws.domainEngine(i)
 			if d == nil {
 				continue
 			}
-			ends, charged, err := d.post(ctx, s, src, bud)
+			ends, charged, err := d.post(ctx, ws.sc, s, src, bud)
 			borrowed += charged
 			if err == nil {
 				dl.confine(pa.atom.Y, ends)
 			}
-			pa.put(d)
+			d.release()
 			if errors.Is(err, ErrBudget) {
 				return nil, nil
 			}

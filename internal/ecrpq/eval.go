@@ -709,7 +709,7 @@ func newComponentEngine(ws *workspace, comp int) *componentEngine {
 // pinned graph snapshot, external bindings, pruning mode and result
 // accumulators are per-call. A pruning execution reads the component's
 // minimal table when it has one; a NoPrune one reads the engine's lazy
-// runner, whose live-label memos, symbol table and flat rows persist
+// runner, whose live-label memos, symbols and flat rows persist
 // across executions and snapshots alike.
 //
 // doms carries the candidate lists of the start-domain pass (nil when

@@ -24,7 +24,7 @@ import (
 // kernelMove is one emitted move, copied out of the kernel's scratch,
 // with the successor joint state it was emitted with.
 type kernelMove struct {
-	symInts []int
+	symInts []rune
 	symLabs []rune
 	next    []graph.Node
 	succ    int
@@ -197,7 +197,7 @@ func TestKernelEnumeratesContractOrder(t *testing.T) {
 								}
 								if succ, ok := stubNext(joint, sym); ok {
 									want = append(want, kernelMove{
-										[]int{int(sym[0]), int(sym[1])},
+										sym,
 										[]rune{labs[0][a], labs[1][b]},
 										[]graph.Node{tos[0][a], tos[1][b]},
 										succ,
@@ -341,7 +341,6 @@ func checkRows(t *testing.T, label string, k *moveKernel, c *component) {
 	base := c.part.NumClasses() + 2
 	toFresh := map[int]int{k.runner.StartID(): fresh.StartID()}
 	fromFresh := map[int]int{fresh.StartID(): k.runner.StartID()}
-	syms := map[string]int{}
 	queue := []int{k.runner.StartID()}
 	visited, entries := 0, 0
 	for ; len(queue) > 0; queue = queue[1:] {
@@ -359,12 +358,7 @@ func checkRows(t *testing.T, label string, k *moveKernel, c *component) {
 			for i, x := 0, idx; i < k.cnt; i, x = i+1, x/base {
 				classes[i] = rune(x % base)
 			}
-			sym, ok := syms[string(classes)]
-			if !ok {
-				sym = fresh.AddSym(classes)
-				syms[string(classes)] = sym
-			}
-			next, live := fresh.Step(toFresh[j], sym)
+			next, live := fresh.Step(toFresh[j], fresh.AddSym(classes))
 			if live != (v > 0) {
 				t.Fatalf("%s: state %d by %v: row says live=%v, runner %v", label, j, classes, v > 0, live)
 			}

@@ -11,8 +11,8 @@ import (
 )
 
 // This file pins the membership sets of the product BFS — the state
-// bitset (prodCore.visit), the word-packed tables (internState /
-// internSym) and the generic intern.Table they fall back to — against
+// bitset (prodCore.visit), the word-packed table (internState) and the
+// generic intern.Table it falls back to — against
 // each other: whichever representation a run starts on, and wherever it
 // spills, answers, witnesses, fingerprints and memo rows are the ones the
 // other representations produce.
@@ -220,10 +220,9 @@ func TestJointFieldOverflowSpillsMidRun(t *testing.T) {
 	}
 }
 
-// TestFourTapeComponentFallsBack: four tapes of 21-bit symbol fields do
-// not fit a word, and on a graph past 2¹⁴ nodes neither do four node
-// fields plus a joint id — both sets of the component run generic, with
-// no knob turned.
+// TestFourTapeComponentFallsBack: on a graph past 2¹⁴ nodes four node
+// fields plus a joint id do not fit a word — the component's state set
+// runs generic, with no knob turned.
 func TestFourTapeComponentFallsBack(t *testing.T) {
 	const n = 1<<14 + 9
 	g := graph.NewDB()
@@ -258,9 +257,8 @@ func TestFourTapeComponentFallsBack(t *testing.T) {
 		if e.cnt != 4 {
 			t.Fatalf("component has %d tapes, want 4", e.cnt)
 		}
-		if e.syms.packed != nil || e.statesPacked || e.states.packed != nil {
-			t.Fatalf("W=%d: 4-tape component on %d nodes packed (syms %v, states %v)",
-				w, n, e.syms.packed != nil, e.statesPacked)
+		if e.statesPacked || e.states.packed != nil {
+			t.Fatalf("W=%d: 4-tape component on %d nodes packed its states", w, n)
 		}
 		prog.put(0, e)
 	}
@@ -329,9 +327,9 @@ func TestLargeNodeIds(t *testing.T) {
 	}
 }
 
-// TestTupleSetSpillKeepsIds drives the two intern helpers directly
-// across their spill points: ids handed out before the spill must be the
-// ids found after it, and numbering must continue without a gap.
+// TestTupleSetSpillKeepsIds drives internState directly across its
+// spill point: ids handed out before the spill must be the ids found
+// after it, and numbering must continue without a gap.
 func TestTupleSetSpillKeepsIds(t *testing.T) {
 	q := MustParse("Ans(x, y) <- (x,p1,z), (z,p2,y), el(p1,p2)", env())
 	comps, err := decompose(q, false)
@@ -339,27 +337,8 @@ func TestTupleSetSpillKeepsIds(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc := newProdCore(nil, comps[0])
-	pc.bindJoint(false)
-	if pc.cnt != 2 || pc.syms.packed == nil {
-		t.Fatalf("want a packed 2-tape symbol set, got cnt=%d packed=%v", pc.cnt, pc.syms.packed != nil)
-	}
-
-	syms := [][]int{{'a', 'b'}, {0x22A5, 'a'}, {0x10FFFF, 0}, {'a', 'b'}, {1 << symBits, 'a'}, {'b', -1}, {0x22A5, 'a'}}
-	wantIDs := []int{0, 1, 2, 0, 3, 4, 1}
-	var set tupleSet
-	set.reset(true)
-	for i, tup := range syms {
-		fresh := setLen(&set) == wantIDs[i]
-		if id, added := pc.internSym(&set, tup); id != wantIDs[i] || added != fresh {
-			t.Fatalf("internSym(%v) = (%d, %v), want (%d, %v)", tup, id, added, wantIDs[i], fresh)
-		}
-		if wantPacked := i < 4; (set.packed != nil) != wantPacked {
-			t.Fatalf("after symbol %d: packed = %v, want %v", i, set.packed != nil, wantPacked)
-		}
-	}
-
 	pc.nodeBits, pc.jointBits, pc.statesPacked = 5, 3, true
-	set = tupleSet{}
+	var set tupleSet
 	set.reset(true)
 	type st struct {
 		joint int
@@ -367,7 +346,7 @@ func TestTupleSetSpillKeepsIds(t *testing.T) {
 	}
 	states := []st{{0, []graph.Node{1, 2}}, {7, []graph.Node{31, 0}}, {0, []graph.Node{2, 1}}, {7, []graph.Node{31, 0}},
 		{8, []graph.Node{1, 2}}, {0, []graph.Node{32, 0}}, {0, []graph.Node{-1, 0}}, {0, []graph.Node{1, 2}}}
-	wantIDs = []int{0, 1, 2, 1, 3, 4, 5, 0}
+	wantIDs := []int{0, 1, 2, 1, 3, 4, 5, 0}
 	for i, s := range states {
 		id, _ := pc.internState(&set, s.joint, s.nodes)
 		if id != wantIDs[i] {
@@ -377,11 +356,4 @@ func TestTupleSetSpillKeepsIds(t *testing.T) {
 			t.Fatalf("after state %d: packed = %v, want %v", i, set.packed != nil, wantPacked)
 		}
 	}
-}
-
-func setLen(s *tupleSet) int {
-	if s.packed != nil {
-		return s.packed.Len()
-	}
-	return s.table.Len()
 }

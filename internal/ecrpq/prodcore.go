@@ -62,7 +62,7 @@ type emitter interface {
 
 // maxRowWidth bounds a lazy flat transition row. A lazy kernel whose
 // symbol space k^cnt is wider keeps no rows and resolves every run
-// through the symbol table and the runner (moveKernel.miss).
+// through the runner (moveKernel.miss).
 const maxRowWidth = 4096
 
 // moveKernel is the one move planner, enumerator and joint stepper of the
@@ -88,8 +88,8 @@ const maxRowWidth = 4096
 //     automaton builders, and for a component whose table exploration
 //     passed its bound: rows over the partition's classes (k =
 //     NumClasses()+2 per coordinate, ⊥ class 0, the dead class k−1), each
-//     filled entry by entry, 0 meaning unknown, through the symbol table
-//     and the runner (miss).
+//     filled entry by entry, 0 meaning unknown, through the runner
+//     (miss).
 type moveKernel struct {
 	snap *graph.Snapshot
 	cnt  int
@@ -128,7 +128,7 @@ type moveKernel struct {
 	// row and moveCur hold the enumeration's input so the recursion is a
 	// method, not a per-state closure; emit takes each complete live move
 	// with its successor joint state.
-	symInts []int
+	symInts []rune
 	symLabs []rune
 	next    []graph.Node
 	joint   int
@@ -143,13 +143,11 @@ type moveKernel struct {
 }
 
 // lazyJoint is the kernel's lazy half: the joint runner, learning the
-// joint DFA state by state, with the symbol set that interns class tuples
-// to the runner's dense symbol ids (symID) and the flat rows filled as
-// the runner steps. An engine builds it on its first lazy execution.
+// joint DFA state by state and naming each class tuple it is stepped by
+// (JointRunner.AddSym), and the flat rows filled as it steps. An engine
+// builds it on its first lazy execution.
 type lazyJoint struct {
-	runner   *relations.JointRunner
-	syms     tupleSet
-	symRunes []rune // symID's scratch for runner.AddSym
+	runner *relations.JointRunner
 
 	// Flat transition rows: lazyPow[i] = kⁱ (all zero when rowWidth is 0,
 	// the component's symbol space being wider than maxRowWidth), flat[j]
@@ -174,7 +172,7 @@ func newProdCore(snap *graph.Snapshot, c *component) prodCore {
 			part:     c.part,
 			moveRuns: make([][]int32, cnt),
 			botOK:    make([]bool, cnt),
-			symInts:  make([]int, cnt),
+			symInts:  make([]rune, cnt),
 			symLabs:  make([]rune, cnt),
 			next:     make([]graph.Node, cnt),
 		},
@@ -196,8 +194,6 @@ func (pc *prodCore) bindJoint(table bool) {
 	}
 	if pc.runner == nil {
 		pc.runner = relations.NewJointRunner(pc.c.joint)
-		pc.syms = newSymSet(pc.cnt)
-		pc.symRunes = make([]rune, pc.cnt)
 		pc.lazyPow, pc.rowWidth = rowLayout(pc.part.NumClasses()+2, pc.cnt)
 	}
 	pc.tab, pc.src, pc.pow = nil, pc.runner, pc.lazyPow
@@ -230,23 +226,22 @@ func (k *moveKernel) release() {
 	}
 }
 
-// tupleSet is one membership structure of the product BFS — the product
-// states of a run, or the tuple symbols of a driver — in one of three
+// tupleSet is the product states of one BFS run, in one of three
 // representations, picked per run from the input:
 //
 //   - bits, a direct-indexed bitset over the packed product-state key, for
 //     the owners that only test membership (componentEngine and
 //     domainEngine, through beginVisit and visit) while the blocks of the
 //     run's joint states fit bitsetWords;
-//   - the single-word intern.Packed while every tuple fits the key layout;
-//   - the generic intern.Table from the first tuple that does not.
+//   - the single-word intern.Packed while every state fits the key layout;
+//   - the generic intern.Table from the first state that does not.
 //
 // The two tables assign dense ids; a set holds at most one of them, and a
 // spill moves the members over in id order, so ids survive the switch.
 // The bitset assigns none: a run that outgrows it spills its members to a
 // table in key order, which its owners cannot tell. All access goes
-// through prodCore.visit, prodCore.internState and moveKernel.internSym,
-// which own the two key layouts.
+// through prodCore.visit and prodCore.internState, which own the key
+// layout.
 type tupleSet struct {
 	packed *intern.Packed
 	table  *intern.Table
@@ -282,11 +277,10 @@ func (s *tupleSet) reset(packed bool) {
 
 // oversized reports whether the set's retained storage exceeds
 // maxPooledScratch elements, a packed slot counting two. A set is kept
-// from one execution to the next and reset for reuse; the owner going
-// idle drops it once it is oversized — scratch.release (run by
-// putWorkspace) for a run's state set, propAtom.put for a
-// domain engine's — so an idle set never pins a peak-sized table.
-// A bitset is never planned or grown past bitsetWords.
+// from one execution to the next and reset for reuse; scratch.release
+// (run by putWorkspace) drops it once it is oversized, so an idle set
+// never pins a peak-sized table. A bitset is never planned or grown past
+// bitsetWords.
 func (s *tupleSet) oversized() bool {
 	if s.packed != nil {
 		return 2*s.packed.Cap() > maxPooledScratch
@@ -308,33 +302,21 @@ func (s *tupleSet) bytes() int {
 }
 
 // spill moves a packed set onto the generic table, decoding each key
-// back into its tuple — an optional head field above n fields of width
-// bits — and re-interning in id order, which reproduces the ids.
-func (s *tupleSet) spill(n int, width uint, head bool) {
+// back into its state — the joint id above n node fields of width bits —
+// and re-interning in id order, which reproduces the ids.
+func (s *tupleSet) spill(n int, width uint) {
 	keys := s.packed.AppendKeys(nil)
 	s.packed, s.table = nil, intern.NewTable(len(keys))
-	size := n
-	if head {
-		size++
-	}
-	tup := make([]int, size)
-	fields := tup[size-n:]
+	tup := make([]int, 1+n)
 	for _, k := range keys {
-		for i := n - 1; i >= 0; i-- {
-			fields[i] = int(k & (1<<width - 1))
+		for i := n; i > 0; i-- {
+			tup[i] = int(k & (1<<width - 1))
 			k >>= width
 		}
-		if head {
-			tup[0] = int(k)
-		}
+		tup[0] = int(k)
 		s.table.Intern(tup)
 	}
 }
-
-// symBits is the width of one component of a packed tuple symbol: a
-// Unicode label, a class rune or ⊥ fits 21 bits, so components of up to
-// three tapes pack into one word.
-const symBits = 21
 
 // packedKeyBits is the width of a packed key, and minJointBits the least
 // room a product-state key keeps for the joint id: graphs too large to
@@ -347,32 +329,6 @@ var (
 	minJointBits  = 8
 	bitsetWords   = maxPooledScratch
 )
-
-// newSymSet returns an empty symbol set for cnt-tape symbols. Symbol
-// sets live as long as their engine (ids stay aligned with the runner),
-// so the representation is picked once, from the tape count.
-func newSymSet(cnt int) tupleSet {
-	var s tupleSet
-	s.reset(cnt*symBits <= packedKeyBits)
-	return s
-}
-
-// internSym interns a cnt-tuple symbol into set, packing it into one word
-// while every component fits symBits.
-func (k *moveKernel) internSym(set *tupleSet, tup []int) (id int, added bool) {
-	if set.packed != nil {
-		var key, over uint64
-		for _, x := range tup {
-			key = key<<symBits | uint64(x)
-			over |= uint64(x) >> symBits
-		}
-		if over == 0 {
-			return set.packed.Intern(key)
-		}
-		set.spill(k.cnt, symBits, false)
-	}
-	return set.table.Intern(tup)
-}
 
 // planStates fixes the product-state key layout for one BFS run from
 // what the input shows: node fields as wide as the snapshot's node count
@@ -405,7 +361,7 @@ func (pc *prodCore) internState(set *tupleSet, joint int, nodes []graph.Node) (i
 		if over == 0 {
 			return set.packed.Intern(key)
 		}
-		set.spill(pc.cnt, pc.nodeBits, true)
+		set.spill(pc.cnt, pc.nodeBits)
 	}
 	tup := append(set.buf[:0], joint)
 	for _, n := range nodes {
@@ -519,22 +475,6 @@ func (s *tupleSet) clearStates(joints []int32, nodes []graph.Node) {
 		}
 		s.bits[key>>6] = 0
 	}
-}
-
-// symID interns the class tuple currently in symInts, registering it
-// with the joint runner on first sight. The symbol set and the runner
-// assign dense ids in the same insertion order, so the returned id is
-// valid for runner.Step/SymRunes. Only successor's miss path
-// reaches it.
-func (k *moveKernel) symID() int {
-	id, fresh := k.internSym(&k.syms, k.symInts)
-	if fresh {
-		for i, x := range k.symInts {
-			k.symRunes[i] = rune(x)
-		}
-		k.runner.AddSym(k.symRunes)
-	}
-	return id
 }
 
 // startTuple computes the start node tuple for assign into pc.next
@@ -696,11 +636,11 @@ func (k *moveKernel) successor(idx int) int32 {
 }
 
 // miss is successor's slow path and the one joint-step call site of the
-// product BFS: the symbol table names the class tuple, the lazy runner
-// steps by it, and the state's row (if any) keeps the outcome.
+// product BFS: the lazy runner names the class tuple and steps by it, and
+// the state's row (if any) keeps the outcome.
 func (k *moveKernel) miss(idx int) int32 {
 	v := int32(-1)
-	if next, ok := k.src.Step(k.joint, k.symID()); ok {
+	if next, ok := k.src.Step(k.joint, k.runner.AddSym(k.symInts)); ok {
 		v = int32(next + 1)
 	}
 	if k.row != nil {
@@ -716,7 +656,7 @@ func (k *moveKernel) miss(idx int) int32 {
 func (k *moveKernel) enumMoves(i, idx int) error {
 	last := i == k.cnt-1
 	if k.botOK[i] {
-		k.symInts[i] = int(regex.Bot) // class 0: idx is unchanged
+		k.symInts[i] = regex.Bot // class 0: idx is unchanged
 		k.symLabs[i] = regex.Bot
 		k.next[i] = k.moveCur[i]
 		var err error
@@ -737,7 +677,7 @@ func (k *moveKernel) enumMoves(i, idx int) error {
 	rr := k.moveRuns[i]
 	for j := 0; j+2 < len(rr); j += 3 {
 		c := int(rr[j+2])
-		k.symInts[i] = c
+		k.symInts[i] = rune(c)
 		at := idx + c*k.pow[i]
 		succ := 0
 		if last {

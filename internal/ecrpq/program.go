@@ -61,42 +61,42 @@ type Program struct {
 	liveUniversal bool
 	incCapable    bool
 
-	pool idlePool[workspace]
+	pool idlePool
 
 	// prop lists the path atoms the start-domain pass can fire, in atom
-	// order (see domains.go); their one-tape engines are built lazily.
+	// order (see domains.go); their one-tape relaxations are compiled
+	// lazily, and each workspace builds its own engines over them.
 	prop []*propAtom
 }
 
-// idlePool holds the idle workspaces of a Program (or the idle engines of
-// one atom of the start-domain pass).
-type idlePool[E any] struct {
+// idlePool holds the idle workspaces of a Program.
+type idlePool struct {
 	mu   sync.Mutex
-	free []*E
+	free []*workspace
 }
 
-// maxPooledIdle bounds the idle objects kept per pool; beyond it those
-// returned from bursts of concurrency are dropped.
+// maxPooledIdle bounds the idle workspaces kept per program; beyond it
+// those returned from bursts of concurrency are dropped.
 const maxPooledIdle = 8
 
-// take pops an idle object, or returns nil when there is none.
-func (pool *idlePool[E]) take() *E {
+// take pops an idle workspace, or returns nil when there is none.
+func (pool *idlePool) take() *workspace {
 	pool.mu.Lock()
 	defer pool.mu.Unlock()
 	n := len(pool.free)
 	if n == 0 {
 		return nil
 	}
-	e := pool.free[n-1]
+	ws := pool.free[n-1]
 	pool.free[n-1] = nil
 	pool.free = pool.free[:n-1]
-	return e
+	return ws
 }
 
-func (pool *idlePool[E]) put(e *E) {
+func (pool *idlePool) put(ws *workspace) {
 	pool.mu.Lock()
 	if len(pool.free) < maxPooledIdle {
-		pool.free = append(pool.free, e)
+		pool.free = append(pool.free, ws)
 	}
 	pool.mu.Unlock()
 }

@@ -22,11 +22,12 @@ import (
 //
 // Its storage comes in two kinds. What is bound to the program — the
 // engines with their compiled kernels and lazy runners, the arena's
-// relation lists, the start-domain engines — stays with the workspace, and
-// a Program pools its idle workspaces. The buffers that belong to no
-// program — an engine's BFS arrays, state set, relation store and dedup
-// sets, the arena's key, tuple and column buffers and its head order, the
-// candidate lists' buffer — are scratch sets (scratch) the workspace
+// relation lists, the start-domain pass's engines — stays with the
+// workspace, and a Program pools its idle workspaces. The buffers that
+// belong to no program — an engine's BFS arrays, state set, relation
+// store and dedup sets, the start-domain pass's state queue and set, the
+// arena's key, tuple and column buffers and its head order, the candidate
+// lists' buffer — are scratch sets (scratch) the workspace
 // borrows from one process-wide pool for the evaluation and gives back
 // after it. So a cold evaluation on a fresh Program reuses the buffers a
 // warm one grew, and a warm evaluation grows nothing: every buffer is
@@ -51,18 +52,24 @@ type workspace struct {
 	join    joinArena
 	sc      *scratch // the set the arena's and doms' buffers are lent from
 
+	// domEngines[i] is the start-domain pass's engine for the program's
+	// prop atom i, built on the atom's first firing; a run holds sc.
+	domEngines []*domainEngine
+
 	run *componentRun // built by the first concurrent evalComponents
 }
 
 // scratch is one set of the evaluation buffers that belong to no
 // program. An engine uses the first group (componentEngine embeds the
-// set it holds), a workspace the second (its joinArena and domainLists
-// hold the buffers while it does); a set serves either, and keeps the
-// buffers of both groups from one use to the next.
+// set it holds), a workspace both: the second while it holds the set
+// (its joinArena and domainLists hold the buffers), and the first's state
+// storage for the start-domain pass (a domainEngine embeds the set for
+// one run), which is done before any join. A set serves either role, and
+// keeps the buffers of both groups from one use to the next.
 type scratch struct {
 	held int // the set's bytes while it is in scratchPool
 
-	// An engine's. Its product-state storage, reset per start assignment:
+	// An engine's. Its product-state storage, reset per BFS run:
 	// the run's state set states, and state id i has node tuple
 	// curs[i*cnt:(i+1)*cnt] and joint state joints[i]. Only when the
 	// query outputs witnesses does a run record the BFS tree for witness
@@ -243,7 +250,7 @@ func (p *Program) putWorkspace(ws *workspace) {
 // to opts' bound, then the start-domain pass run against it.
 func (ws *workspace) begin(ctx context.Context, s *graph.Snapshot, opts Options) (map[NodeVar][]graph.Node, error) {
 	ws.bud.reset(opts.MaxProductStates)
-	return ws.doms.startDomains(ctx, ws.prog, s, opts, &ws.bud)
+	return ws.startDomains(ctx, s, opts, &ws.bud)
 }
 
 // evalComponents evaluates every component of the program over the

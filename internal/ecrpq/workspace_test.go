@@ -20,9 +20,12 @@ func (p *Program) take(i int) *componentEngine { return p.takeWorkspace().engine
 
 func (p *Program) put(_ int, e *componentEngine) { p.putWorkspace(e.ws) }
 
-// startDomains runs the start-domain pass on storage of its own.
+// startDomains runs the start-domain pass on a workspace and scratch set
+// of its own.
 func (p *Program) startDomains(ctx context.Context, s *graph.Snapshot, opts Options, bud *stateBudget) (map[NodeVar][]graph.Node, error) {
-	return new(domainLists).startDomains(ctx, p, s, opts, bud)
+	ws := newWorkspace(p)
+	ws.sc = new(scratch)
+	return ws.startDomains(ctx, s, opts, bud)
 }
 
 // joinAll, backtrackJoin and yannakakisReduce run the join layer on an

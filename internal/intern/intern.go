@@ -12,7 +12,7 @@ package intern
 // tuples receive the same id iff they are element-wise equal. The index
 // is an open-addressed hash table with linear probing; insertion is
 // amortized O(len(tuple)) with no per-operation allocation. The zero
-// value is not usable; call NewTable.
+// value is an empty table.
 type Table struct {
 	data   []int    // all interned tuples, concatenated
 	offs   []int32  // offs[id] .. offs[id+1] delimit tuple id in data

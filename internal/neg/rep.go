@@ -209,16 +209,12 @@ func classRunner(rel *relations.Relation, pos []int, sigma []rune, k int) (*rela
 	r := relations.NewJointRunner(joint)
 	alpha := relations.TupleAlphabet(sigma, k)
 	symOf := make([]int, len(alpha))
-	ids := map[string]int{}
 	for i, ls := range alpha {
 		cls := []rune(ls)
 		for p, a := range cls {
 			cls[p] = part.ClassOf(a)
 		}
-		if _, ok := ids[string(cls)]; !ok {
-			ids[string(cls)] = r.AddSym(cls)
-		}
-		symOf[i] = ids[string(cls)]
+		symOf[i] = r.AddSym(cls)
 	}
 	return r, alpha, symOf, nil
 }

@@ -18,9 +18,6 @@ import (
 // Range is an inclusive rune interval [Lo, Hi].
 type Range struct{ Lo, Hi rune }
 
-// Contains reports whether r falls in the range.
-func (r Range) Contains(x rune) bool { return r.Lo <= x && x <= r.Hi }
-
 // ClassExpr is a character class: a union of disjoint sorted rune
 // ranges, optionally negated. The padding symbol ⊥ is never matched,
 // negated or not — classes are over edge labels only. A negated class

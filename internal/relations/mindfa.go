@@ -185,13 +185,11 @@ func BuildClassDFA(j *Joint, k, maxCells int, merge bool) *ClassDFA {
 
 // explore steps r from each state it reaches by every class tuple in the
 // product of the state's live sets (⊥ where admitted, every class 1…k+1
-// on a tape no atom reads), registering each tuple with r once. It
+// on a tape no atom reads), registering each tuple with r. It
 // returns the steps r did not reject, tail → head by symbol sym, in the
 // order it took them, or ok=false once it passes BuildClassDFA's bounds.
 func explore(r *JointRunner, k, maxCells int) (tail, sym, head []int32, ok bool) {
 	m := r.J.M
-	syms := intern.NewTable(0)
-	key := make([]int, m)
 	cand := make([][]rune, m)
 	all := make([]rune, k+1)
 	for c := range all {
@@ -227,14 +225,10 @@ func explore(r *JointRunner, k, maxCells int) (tail, sym, head []int32, ok bool)
 			allBot := true
 			for i, p := range pick {
 				tup[i] = cand[i][p]
-				key[i] = int(tup[i])
 				allBot = allBot && tup[i] == Bot
 			}
 			if !allBot {
-				id, added := syms.Intern(key)
-				if added {
-					r.AddSym(tup)
-				}
+				id := r.AddSym(tup)
 				if next, ok := r.Step(q, id); ok {
 					tail, sym, head = append(tail, int32(q)), append(sym, int32(id)), append(head, int32(next))
 				}

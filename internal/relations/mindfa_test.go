@@ -103,15 +103,10 @@ func tableAccepts(d *ClassDFA, word [][]rune) bool {
 	return d.Accepting(q)
 }
 
-func runnerAccepts(r *JointRunner, ids map[string]int, word [][]rune) bool {
+func runnerAccepts(r *JointRunner, word [][]rune) bool {
 	q := r.StartID()
 	for _, sym := range word {
-		id, ok := ids[string(sym)]
-		if !ok {
-			id = r.AddSym(sym)
-			ids[string(sym)] = id
-		}
-		next, live := r.Step(q, id)
+		next, live := r.Step(q, r.AddSym(sym))
 		if !live {
 			return false
 		}
@@ -200,11 +195,11 @@ func TestClassDFAMatchesRunner(t *testing.T) {
 				}
 			}
 		}
-		runner, ids := NewJointRunner(j), map[string]int{}
+		runner := NewJointRunner(j)
 		for w := 0; w < 600; w++ {
 			improper := w%5 == 0
 			word := randomClassWord(r, j.M, k, 6, improper)
-			lazy := runnerAccepts(runner, ids, word)
+			lazy := runnerAccepts(runner, word)
 			if got := tableAccepts(merged, word); got != lazy {
 				t.Fatalf("%s: word %v: table %v, runner %v", desc, word, got, lazy)
 			}

@@ -2,6 +2,7 @@ package relations
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -233,7 +234,6 @@ func TestJointStepMatchesTupleSemantics(t *testing.T) {
 		Atom{Rel: EqualLength(ab), Pos: []int{1, 2}},
 	)
 	run := NewJointRunner(j)
-	syms := map[TupleSym]int{}
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 500; i++ {
 		ss := [][]rune{randString(r, 4, ab), randString(r, 4, ab), randString(r, 4, ab)}
@@ -241,12 +241,7 @@ func TestJointStepMatchesTupleSemantics(t *testing.T) {
 		// run the stepper over the convolution
 		s, ok := run.StartID(), true
 		for _, sym := range Convolve(ss...) {
-			id, seen := syms[sym]
-			if !seen {
-				id = run.AddSym([]rune(sym))
-				syms[sym] = id
-			}
-			if s, ok = run.Step(s, id); !ok {
+			if s, ok = run.Step(s, run.AddSym([]rune(sym))); !ok {
 				break
 			}
 		}
@@ -269,6 +264,36 @@ func TestJointRejectsImproper(t *testing.T) {
 	}
 	if _, ok := r.Step(r.StartID(), r.AddSym([]rune{Bot, Bot})); ok {
 		t.Error("all-⊥ symbol must be rejected")
+	}
+}
+
+// TestAddSymInternsOnce: registering a tuple the runner already holds
+// returns its id and registers nothing, and ids are dense in
+// first-registration order, whatever repeats come between.
+func TestAddSymInternsOnce(t *testing.T) {
+	r := NewJointRunner(newJoint(t, 2, Atom{Rel: Prefix(ab), Pos: []int{0, 1}}))
+	syms := [][]rune{{'a', 'b'}, {Bot, 'a'}, {'a', 'b'}, {'b', 'b'}, {Bot, 'a'}, {'b', Bot}, {'b', 'b'}}
+	wantIDs := []int{0, 1, 0, 2, 1, 3, 2}
+	for i, sym := range syms {
+		buf := slices.Clone(sym)
+		before := r.NumSyms()
+		id := r.AddSym(buf)
+		if id != wantIDs[i] {
+			t.Fatalf("AddSym(%q) = %d, want %d", string(sym), id, wantIDs[i])
+		}
+		if r.NumSyms() != max(before, id+1) {
+			t.Fatalf("AddSym(%q) = %d: NumSyms %d → %d", string(sym), id, before, r.NumSyms())
+		}
+		buf[0] = 'x' // the runner keeps a copy
+		if got := r.SymRunes(id); !slices.Equal(got, sym) {
+			t.Fatalf("SymRunes(%d) = %q, want %q", id, string(got), string(sym))
+		}
+	}
+	// A repeat steps exactly like its first registration.
+	s1, ok1 := r.Step(r.StartID(), r.AddSym([]rune{Bot, 'a'}))
+	s2, ok2 := r.Step(r.StartID(), 1)
+	if s1 != s2 || ok1 != ok2 || r.NumSyms() != 4 {
+		t.Fatalf("repeat of symbol 1 stepped to (%d, %v), the id to (%d, %v); %d symbols", s1, ok1, s2, ok2, r.NumSyms())
 	}
 }
 

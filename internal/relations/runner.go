@@ -11,9 +11,10 @@ import "repro/internal/intern"
 //
 //   - joint states to dense ids (per-atom subset sets interned first, so
 //     a state is a tiny int tuple: done-mask plus one set id per atom),
-//   - m-tuple symbols to dense ids, with the padding mask and each
-//     atom's column for the symbol's projection fixed at registration
-//     time, so a subset step runs on integers (step.go),
+//   - m-tuple symbols to dense ids (AddSym registers a tuple once, however
+//     often it is added), with the padding mask and each atom's column
+//     for the symbol's projection fixed at registration time, so a subset
+//     step runs on integers (step.go),
 //   - (stateID, symID) → stateID transitions in a memo table, so
 //     repeated symbols never re-run subset stepping at all.
 //
@@ -31,8 +32,10 @@ type JointRunner struct {
 	accept  []int8          // memoized acceptance: 0 unknown, 1 yes, 2 no
 	trans   [][]int32       // trans[state][sym]: 0 unknown, -1 dead, else next+1
 
-	symRunes [][]rune
-	symInfo  []symInfo
+	syms    intern.Table // registered symbols, their runes as ints
+	symKey  []int        // AddSym's key scratch, M ints
+	runes   []rune       // symbol id's runes at [id·M, (id+1)·M)
+	symInfo []symInfo
 
 	// live holds the per-atom co-reachability and live-label analysis;
 	// liveTab memoizes Live per joint state (see live.go).
@@ -71,7 +74,8 @@ func NewJointRunner(j *Joint) *JointRunner {
 	r.trans = append(r.trans, nil)
 	r.accept = append(r.accept, 0)
 	r.liveTab = append(r.liveTab, nil)
-	r.tupBuf = make([]int, 0, 1+len(j.Atoms))
+	buf := make([]int, 1+len(j.Atoms)+j.M)
+	r.tupBuf, r.symKey = buf[:0:1+len(j.Atoms)], buf[1+len(j.Atoms):]
 	return r
 }
 
@@ -82,22 +86,28 @@ func (r *JointRunner) StartID() int { return r.startID }
 func (r *JointRunner) NumStates() int { return r.states.Len() }
 
 // NumSyms returns the number of registered symbols.
-func (r *JointRunner) NumSyms() int { return len(r.symRunes) }
+func (r *JointRunner) NumSyms() int { return len(r.symInfo) }
 
-// AddSym registers the m-tuple symbol given by its component runes and
-// returns its dense id. The caller is responsible for registering each
-// distinct symbol once (typically behind its own interning table); the
-// runes are copied. The padding mask and each atom's column for the
-// symbol's projection are fixed here, so Step never touches runes again;
-// an atom that keeps its automaton on raw labels (Atom.part) projects
-// each class onto a representative label of its cell.
+// AddSym returns the dense id of the m-tuple symbol given by its component
+// runes, registering it first if the runner does not hold it yet: ids are
+// dense, in first-registration order, and the runes are copied. On
+// registration the padding mask and each atom's column for the symbol's
+// projection are fixed, so Step never touches runes again; an atom that
+// keeps its automaton on raw labels (Atom.part) projects each class onto
+// a representative label of its cell.
 func (r *JointRunner) AddSym(labels []rune) int {
 	if len(labels) != r.J.M {
 		panic("relations: AddSym arity mismatch")
 	}
-	id := len(r.symRunes)
-	cp := append([]rune(nil), labels...)
-	r.symRunes = append(r.symRunes, cp)
+	for i, c := range labels {
+		r.symKey[i] = int(c)
+	}
+	id, added := r.syms.Intern(r.symKey)
+	if !added {
+		return id
+	}
+	r.runes = append(r.runes, labels...)
+	cp := r.SymRunes(id)
 	info := symInfo{cols: make([]int32, len(r.J.Atoms))}
 	for i, c := range cp {
 		if c == Bot {
@@ -129,7 +139,10 @@ func (r *JointRunner) AddSym(labels []rune) int {
 
 // SymRunes returns the component runes of symbol id (shared; do not
 // modify).
-func (r *JointRunner) SymRunes(id int) []rune { return r.symRunes[id] }
+func (r *JointRunner) SymRunes(id int) []rune {
+	m := r.J.M
+	return r.runes[id*m : (id+1)*m : (id+1)*m]
+}
 
 // Step advances joint state by symbol, both as dense ids. ok = false
 // means the symbol leads to a dead state. Results are memoized: the
@@ -149,7 +162,7 @@ func (r *JointRunner) Step(state, sym int) (int, bool) {
 			return int(v - 1), true
 		}
 	} else {
-		n := len(r.symRunes)
+		n := len(r.symInfo)
 		if n <= cap(row) {
 			row = row[:n]
 		} else {

@@ -52,10 +52,10 @@ func (g *RunnerGroup) View() *RunnerView {
 	return &RunnerView{g: g}
 }
 
-// Do runs f on the master runner under the group lock — the escape
-// hatch for callers that must compose a master mutation with bookkeeping
-// of their own (e.g. keeping an external symbol table aligned with
-// AddSym ids).
+// Do runs f on the master runner under the group lock — the way to
+// reach a master method a view does not mirror, such as AddSym, which
+// interns the symbol, so its id is the master's whichever worker
+// registers it first.
 func (g *RunnerGroup) Do(f func(r *JointRunner)) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -102,20 +102,16 @@ func TestRunnerViewsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestRunnerGroupDoSerializesSymRegistration interns fresh symbols
-// concurrently through Do — the pattern that keeps the master the
-// single symbol-id authority across workers, with the interning
-// table itself guarded by the group lock — and checks every recorded id
-// resolves to the runes its registrar saw, with no duplicate
-// registrations despite the contention.
+// TestRunnerGroupDoSerializesSymRegistration registers symbols
+// concurrently through Do — the master is the single symbol-id
+// authority across workers, its AddSym interning under the group lock —
+// and checks every recorded id resolves to the runes its registrar saw,
+// with no duplicate registrations despite the contention.
 func TestRunnerGroupDoSerializesSymRegistration(t *testing.T) {
 	j := newJoint(t, 1, Atom{Rel: lang(t, "(a|b|c|d)*"), Pos: []int{0}})
 	master := NewJointRunner(j)
 	group := NewRunnerGroup(master)
 	sigma := []rune{'a', 'b', 'c', 'd'}
-	// The shared interning table; touched only inside Do, so the group
-	// lock is its mutex (exactly the engine's arrangement).
-	interned := map[rune]int{}
 
 	const workers = 8
 	type reg struct {
@@ -133,13 +129,7 @@ func TestRunnerGroupDoSerializesSymRegistration(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				c := sigma[r.Intn(len(sigma))]
 				var id int
-				view.Do(func(m *JointRunner) {
-					var ok bool
-					if id, ok = interned[c]; !ok {
-						id = m.AddSym([]rune{c})
-						interned[c] = id
-					}
-				})
+				view.Do(func(m *JointRunner) { id = m.AddSym([]rune{c}) })
 				got[w] = append(got[w], reg{id, c})
 				if rs := view.SymRunes(id); len(rs) != 1 || rs[0] != c {
 					got[w] = append(got[w], reg{-1, c})
