@@ -40,7 +40,7 @@ func armedRules(prog *Program, s *graph.Snapshot, opts Options) []stopRule {
 // armed for holds the oracle's rows exactly. One with a rule armed (under
 // capture the sweep rule stands down to the row rule) holds, per start
 // assignment, one of the oracle's rows when the oracle has any and none
-// otherwise, with an empty reached set.
+// otherwise, and no state.
 func checkMemoRows(t *testing.T, label string, prog *Program, s *graph.Snapshot, opts Options, got, oracle *incMemo) {
 	t.Helper()
 	for i, rule := range armedRules(prog, s, opts) {
@@ -49,14 +49,16 @@ func checkMemoRows(t *testing.T, label string, prog *Program, s *graph.Snapshot,
 			t.Fatalf("%s: component %d memo enumerates a different start space than NoPrune", label, i)
 		}
 		if rule == stopNone {
-			if !reflect.DeepEqual(cm.rows, om.rows) || !reflect.DeepEqual(cm.rowOff, om.rowOff) {
-				t.Fatalf("%s: component %d memo rows differ from NoPrune with no rule armed", label, i)
+			for a := range cm.segs {
+				if !slices.Equal(cm.segs[a].rows, om.segs[a].rows) {
+					t.Fatalf("%s: component %d memo rows differ from NoPrune with no rule armed", label, i)
+				}
 			}
 			continue
 		}
 		for a := 0; a < cm.nAssign(); a++ {
-			row := cm.rows[cm.rowOff[a]:cm.rowOff[a+1]]
-			all := om.rows[om.rowOff[a]:om.rowOff[a+1]]
+			row := cm.segs[a].rows
+			all := om.segs[a].rows
 			if len(all) == 0 || len(row) == 0 {
 				if len(all) != len(row) {
 					t.Fatalf("%s: component %d assignment %d: %d row values, NoPrune %d", label, i, a, len(row), len(all))
@@ -70,8 +72,8 @@ func checkMemoRows(t *testing.T, label string, prog *Program, s *graph.Snapshot,
 			if len(row) != cm.stride || !found {
 				t.Fatalf("%s: component %d assignment %d: stopped segment %v is not one row of NoPrune's %v", label, i, a, row, all)
 			}
-			if cm.touchOff[a] != cm.touchOff[a+1] {
-				t.Fatalf("%s: component %d assignment %d: a stopped assignment sealed a reached set", label, i, a)
+			if len(cm.segs[a].states) != 0 {
+				t.Fatalf("%s: component %d assignment %d: a stopped assignment sealed its states", label, i, a)
 			}
 		}
 	}

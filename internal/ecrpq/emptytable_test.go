@@ -4,9 +4,9 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/ecrpq"
+	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/workload"
 )
@@ -25,36 +25,35 @@ var emptyTableTexts = []string{
 // start space pays for 2 048² assignments. A pruning evaluation reads the
 // empty table and answers before the start-domain pass and the start
 // enumeration: it charges no product state (a budget of one passes), and
-// the first evaluation of a compiled program, which builds the table,
-// takes under 10 ms (the best of three programs, so a busy host does not
-// fail it; not under the race detector).
+// it starts no product-BFS run at all. Every run, the start-domain
+// pass's included, passes the BFSStep fault site at its first state, so
+// a hook that fails nothing counts the runs: the first evaluation of a
+// compiled program, which builds the table, and a stream must count
+// none. The count is exact on any host, busy or not.
 func TestEmptyTableAnswersAtOnce(t *testing.T) {
 	env := ecrpq.Env{Sigma: workload.BigAlphabetSigma(10000)}
 	s := workload.BigAlphabetGraph().Snapshot()
 	ctx := context.Background()
+	faultinject.Set(func(faultinject.Point, uint64) error { return nil })
+	defer faultinject.Clear()
 	for _, text := range emptyTableTexts {
-		best := time.Duration(1 << 62)
-		for run := 0; run < 3; run++ {
-			prog, err := ecrpq.CompileProgram(ecrpq.MustParse(text, env), false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t0 := time.Now()
-			res, err := prog.Eval(ctx, s, ecrpq.Options{MaxProductStates: 1})
-			best = min(best, time.Since(t0))
-			if err != nil {
-				t.Fatalf("%s: %v", text, err)
-			}
-			if len(res.Answers) != 0 {
-				t.Fatalf("%s: %d answers, want none", text, len(res.Answers))
-			}
-			for _, err := range prog.Stream(ctx, s, ecrpq.StreamOptions{Options: ecrpq.Options{MaxProductStates: 1}}) {
-				t.Fatalf("%s: the stream yielded (err %v)", text, err)
-			}
+		prog, err := ecrpq.CompileProgram(ecrpq.MustParse(text, env), false)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Logf("%s: first evaluation %v", text, best)
-		if best > 10*time.Millisecond && !raceEnabled {
-			t.Errorf("%s: first evaluation took %v, bound 10ms", text, best)
+		runs := faultinject.Hits(faultinject.BFSStep)
+		res, err := prog.Eval(ctx, s, ecrpq.Options{MaxProductStates: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		if len(res.Answers) != 0 {
+			t.Fatalf("%s: %d answers, want none", text, len(res.Answers))
+		}
+		for _, err := range prog.Stream(ctx, s, ecrpq.StreamOptions{Options: ecrpq.Options{MaxProductStates: 1}}) {
+			t.Fatalf("%s: the stream yielded (err %v)", text, err)
+		}
+		if n := faultinject.Hits(faultinject.BFSStep) - runs; n != 0 {
+			t.Errorf("%s: the first evaluation and a stream started %d product-BFS runs, want none", text, n)
 		}
 	}
 }

@@ -94,7 +94,10 @@ var errStopStream = errors.New("ecrpq: stream stopped")
 // stateBudget is the shared product-state budget of one execution,
 // decremented atomically so concurrently evaluated components draw from
 // the same pool, exactly like the sequential accounting did.
-type stateBudget struct{ left atomic.Int64 }
+type stateBudget struct {
+	left atomic.Int64
+	max  int64
+}
 
 func newStateBudget(max int) *stateBudget {
 	b := &stateBudget{}
@@ -108,8 +111,12 @@ func (b *stateBudget) reset(max int) {
 	if max == 0 {
 		max = defaultMaxProductStates
 	}
+	b.max = int64(max)
 	b.left.Store(int64(max))
 }
+
+// charged is the states spent since the last reset, refunds deducted.
+func (b *stateBudget) charged() int64 { return b.max - b.left.Load() }
 
 // spend consumes one product state; false means the budget is exhausted.
 func (b *stateBudget) spend() bool { return b.left.Add(-1) >= 0 }
@@ -159,10 +166,10 @@ type Result struct {
 	Answers []Answer
 
 	// inc is the incremental-evaluation memo captured by
-	// EvalSnapshotMemo (per-component reached-node sets and accepted
-	// rows, per start assignment); Program.Advance consumes it to
-	// re-evaluate only the assignments a delta can affect. Nil when the
-	// evaluation did not capture (head paths, streaming, overflow).
+	// EvalSnapshotMemo (per component and start assignment, the product
+	// states its run reached and its accepted rows); Program.Advance
+	// consumes it to resume only the assignments a delta can affect. Nil
+	// when the evaluation did not capture (streaming, overflow).
 	inc *incMemo
 
 	// fp memoizes Fingerprint for evaluator-built results (nil otherwise).
@@ -641,15 +648,16 @@ type componentEngine struct {
 	nodesBuf []graph.Node
 	pathBuf  []graph.Path
 	chainBuf []int32
+	frontBuf []int32      // a resumed run's frontier (beginResume)
 	tmpl     []graph.Node // accept template for the current start assignment
 
 	// memoCap, when non-nil, collects the incremental-evaluation memo
-	// of the execution: per start assignment, the nodes of every reached
-	// product state and, unless the program keeps witnesses, the accepted
-	// rows (each once: the rows a run adds to rel are exactly its
-	// assignment's). endCapAssign seals one assignment; past
-	// memoMaxEntries the capture is abandoned (memoFailed) so a huge
-	// result never pins a second copy of itself.
+	// of the execution: per start assignment, the product states its run
+	// reached and, unless the program keeps witnesses, the accepted rows
+	// (each once: the rows a run adds to rel are exactly its
+	// assignment's). endCapAssign seals one assignment from the state
+	// arrays and rel; past memoMaxEntries the capture is abandoned
+	// (memoFailed) so a huge result never pins a second copy of itself.
 	memoCap    *compMemo
 	memoFailed bool
 
@@ -808,7 +816,7 @@ func evalComponent(ctx context.Context, e *componentEngine, bud *stateBudget) (*
 	var done uint64
 	fan := 1
 	err := e.space.forRange(0, math.MaxUint64, func(idx uint64, assign map[NodeVar]graph.Node) error {
-		if err := e.runAssign(ctx, assign, bud); err != nil {
+		if err := e.runAssign(ctx, assign, resumePoint{}, bud); err != nil {
 			return err
 		}
 		done = idx + 1
@@ -835,24 +843,29 @@ var errFanOut = errors.New("ecrpq: fan out")
 // the engine captures.
 func (e *componentEngine) runAssignRange(ctx context.Context, lo, hi uint64, bud *stateBudget) error {
 	return e.space.forRange(lo, hi, func(_ uint64, assign map[NodeVar]graph.Node) error {
-		return e.runAssign(ctx, assign, bud)
+		return e.runAssign(ctx, assign, resumePoint{}, bud)
 	})
 }
 
-// runAssign is one start assignment: its product BFS and, when the
-// engine captures, its memo segment. A BFS the stop rule ended is a
+// runAssign is one start assignment: its product BFS — resumed from a
+// memo segment when from names one, whose rows it holds from the start —
+// and, when the engine captures, its memo segment. The run's rows are
+// the relation's from runRows.row0 on. A BFS the stop rule ended is a
 // finished assignment; errDecided travels on only under stopSweep, where
 // it ends the enumeration too.
-func (e *componentEngine) runAssign(ctx context.Context, assign map[NodeVar]graph.Node, bud *stateBudget) error {
+func (e *componentEngine) runAssign(ctx context.Context, assign map[NodeVar]graph.Node, from resumePoint, bud *stateBudget) error {
 	e.runRows.row0 = e.rel.n
-	err := e.bfs(ctx, assign, bud)
+	if from.seg != nil {
+		e.seedRows(from.seg.rows)
+	}
+	err := e.bfs(ctx, assign, from, bud)
 	if e.runRows.on {
 		e.runRows.end(e.rel)
 	}
 	if err != nil && err != errDecided {
 		return err
 	}
-	e.endCapAssign(err == errDecided)
+	e.endCapAssign(err == errDecided, from)
 	if e.stop == stopSweep {
 		return err
 	}
@@ -876,13 +889,7 @@ func (e *componentEngine) beginRun(assign map[NodeVar]graph.Node) bool {
 	if !ok {
 		return false
 	}
-	// Accept template: X variables fixed by assign, the rest open (-1).
-	for i := range e.tmpl {
-		e.tmpl[i] = -1
-	}
-	for v, n := range assign {
-		e.tmpl[slices.Index(e.c.allVars, v)] = n
-	}
+	e.setTemplate(assign)
 	// No move discovered the start state: its recorded labels are ⊥.
 	for i := range e.symLabs {
 		e.symLabs[i] = regex.Bot
@@ -890,6 +897,17 @@ func (e *componentEngine) beginRun(assign map[NodeVar]graph.Node) bool {
 	e.visit(&e.states, e.src.StartID(), start)
 	e.pushState(e.src.StartID(), start, -1)
 	return true
+}
+
+// setTemplate fills the accept template for assign: X variables fixed
+// by it, the rest open (-1).
+func (e *componentEngine) setTemplate(assign map[NodeVar]graph.Node) {
+	for i := range e.tmpl {
+		e.tmpl[i] = -1
+	}
+	for v, n := range assign {
+		e.tmpl[slices.Index(e.c.allVars, v)] = n
+	}
 }
 
 // pushState appends a newly visited product state to the state
@@ -913,17 +931,34 @@ func (e *componentEngine) pushState(jointID int, nodes []graph.Node, parent int3
 // checked every 256 states of the run, not of the level, so a run of
 // narrow levels pays one check per 256 states like a single scan would.
 //
+// A run resumed from a memo segment (from, see beginResume) starts with
+// the recorded states in its state set and their frontier as its first
+// level, so it charges only the states it adds; its cancellation check
+// and fault point come first, since its heads may not pass a multiple of
+// 256.
+//
 // With a stop rule armed the driver applies a level's accepts first
 // (acceptLevel), before any state of the level is expanded, and the
 // expansion skips them: the run ends — errDecided — having charged
 // exactly the states of the levels up to the deciding one.
-func (e *componentEngine) bfs(ctx context.Context, assign map[NodeVar]graph.Node, bud *stateBudget) error {
-	if !e.beginRun(assign) {
-		return nil // inconsistent start for repeated path var
+func (e *componentEngine) bfs(ctx context.Context, assign map[NodeVar]graph.Node, from resumePoint, bud *stateBudget) error {
+	lo, hi := 0, 1
+	if from.seg == nil {
+		if !e.beginRun(assign) {
+			return nil // inconsistent start for repeated path var
+		}
+	} else {
+		lo, hi = e.beginResume(assign, from)
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := faultinject.Inject(faultinject.BFSStep); err != nil {
+			return err
+		}
 	}
 	e.bud = bud
 	cnt := e.cnt
-	for lo, hi := 0, 1; lo < hi; lo, hi = hi, len(e.joints) {
+	for ; lo < hi; lo, hi = hi, len(e.joints) {
 		if e.stop != stopNone {
 			if err := e.acceptLevel(lo, hi); err != nil {
 				return err
@@ -1029,9 +1064,8 @@ func (e *componentEngine) checkAccept(cur []graph.Node) ([]graph.Node, bool) {
 }
 
 // applyRow records one checked row: dedup (first discovery wins; under
-// rowSet later duplicates refine witnesses to the shortest), memo capture
-// of a fresh row, sink or relation append. paths are the row's witnesses
-// in keptVars order.
+// rowSet later duplicates refine witnesses to the shortest), sink or
+// relation append. paths are the row's witnesses in keptVars order.
 //
 // It is also where the stop rules live: with one armed, any row is the
 // last row the run (stopRow) or the sweep (stopSweep) can contribute that
@@ -1044,9 +1078,6 @@ func (e *componentEngine) applyRow(nodes []graph.Node, paths []graph.Path) error
 		added = e.runRows.add(e.rel, nodes)
 	} else {
 		id, added = e.rows.intern(e.rel, nodes)
-	}
-	if added && e.memoCap != nil && e.ws.prog.incCapable {
-		e.memoCap.rows = append(e.memoCap.rows, nodes...)
 	}
 	switch {
 	case e.sink != nil:

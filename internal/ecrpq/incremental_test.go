@@ -223,7 +223,7 @@ func memoCandidates(m *incMemo) int {
 // TestMemoSizeCountsCandidateLists: the cache's byte budget must see the
 // candidate lists a memo retains.
 func TestMemoSizeCountsCandidateLists(t *testing.T) {
-	cm := &compMemo{stride: 2, touchOff: []int32{0}, rowOff: []int32{0}}
+	cm := &compMemo{stride: 2}
 	bare := (&incMemo{comps: []*compMemo{cm}}).sizeBytes()
 	cm.lists = [][]graph.Node{{7}, {1, 2, 3, 4, 5}, nil}
 	if got, want := (&incMemo{comps: []*compMemo{cm}}).sizeBytes(), bare+3*24+6*8; got != want {
@@ -335,7 +335,7 @@ func TestAdvanceGrowingStartDomain(t *testing.T) {
 // (shortest witnesses are not monotone), but label-disjoint revalidation
 // stays sound, witnesses included, and so does a re-stamp when the delta
 // misses every node the runs reached: the memo of a witness query holds
-// the reached nodes and no rows.
+// the states its runs reached and no rows.
 func TestAdvanceWitnessQueries(t *testing.T) {
 	g := graph.NewDB()
 	n := make([]graph.Node, 10)
@@ -355,8 +355,8 @@ func TestAdvanceWitnessQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prev.inc == nil || len(prev.inc.comps[0].touched) == 0 || len(prev.inc.comps[0].rows) != 0 {
-		t.Fatal("witness query did not capture its reached nodes alone")
+	if cm := prev.inc.comps[0]; len(cm.segs[0].states) == 0 || cm.nRows != 0 {
+		t.Fatal("witness query did not capture its reached states alone")
 	}
 	check := func(res *Result, what string) {
 		t.Helper()

@@ -14,8 +14,46 @@ import (
 // bitset (prodCore.visit), the word-packed table (internState) and the
 // generic intern.Table it falls back to — against
 // each other: whichever representation a run starts on, and wherever it
-// spills, answers, witnesses, fingerprints and memo rows are the ones the
-// other representations produce.
+// spills, answers, witnesses, fingerprints and memo states and rows are
+// the ones the other representations produce.
+
+// memoComp is what a component memo records, with its states decoded
+// from whichever key layout the capture used: memos captured under
+// different layouts compare equal through it when they hold the same
+// states and rows.
+type memoComp struct {
+	stride  int
+	lists   [][]graph.Node
+	onTable bool
+	states  [][][]int // per segment, per state: joint id, then nodes; per node on a lazy memo
+	rows    [][]graph.Node
+}
+
+func memoView(ms []*compMemo) []memoComp {
+	var out []memoComp
+	for _, m := range ms {
+		c := memoComp{stride: m.stride, lists: m.lists, onTable: m.tab != nil}
+		nodes := make([]graph.Node, m.cnt)
+		for _, seg := range m.segs {
+			var states [][]int
+			for i := range len(seg.states) / m.width {
+				if m.tab == nil {
+					states = append(states, []int{int(seg.states[i])})
+					continue
+				}
+				st := []int{m.state(seg.states, i, nodes)}
+				for _, n := range nodes {
+					st = append(st, int(n))
+				}
+				states = append(states, st)
+			}
+			c.states = append(c.states, states)
+			c.rows = append(c.rows, seg.rows)
+		}
+		out = append(out, c)
+	}
+	return out
+}
 
 // setPacking overrides the key-layout knobs for one test.
 func setPacking(t *testing.T, keyBits, jointBits int) {
@@ -151,8 +189,8 @@ func testPackedMatchesGenericEverywhere(t *testing.T) {
 			o    outcome
 		}{{"packed", packed}, {"generic", generic}} {
 			sameResult(t, label+" vs "+other.name, bitset.res[i], other.o.res[i])
-			if !reflect.DeepEqual(bitset.memo[i], other.o.memo[i]) {
-				t.Fatalf("%s: memo rows differ between the bitset and %s sets", label, other.name)
+			if !reflect.DeepEqual(memoView(bitset.memo[i]), memoView(other.o.memo[i])) {
+				t.Fatalf("%s: memo states or rows differ between the bitset and %s sets", label, other.name)
 			}
 		}
 		sameResult(t, label+" vs W=1", bitset.res[i], bitset.res[i-i%len(parWorkerCounts)])

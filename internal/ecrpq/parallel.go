@@ -153,9 +153,13 @@ func (f *fanOut) release() {
 		sib.release()
 	}
 	for k := range f.memos {
-		if f.memos[k].entries() > maxPooledScratch {
+		// The segments belong to the merged memo, so the chunk memo keeps
+		// its array of them cleared, and drops the table it named.
+		if cap(f.memos[k].segs) > maxPooledScratch {
 			f.memos[k] = compMemo{}
 		}
+		clear(f.memos[k].segs)
+		f.memos[k].tab = nil
 	}
 	if f.out.oversized() {
 		*f.out = varRelation{}
@@ -221,7 +225,7 @@ func (e *componentEngine) evalAssignFanout(ctx context.Context, bud *stateBudget
 		sib.reset(e.snap, e.opts, e.doms)
 		sib.stop = e.stop // the caller's rule, demoted by its capture
 		if capture {
-			sib.captureChunks(&f.memos[k+1])
+			sib.captureChunks(&f.memos[k+1], e.memoCap)
 		}
 	}
 	// The engine runs its own chunks into its own relation, after the
@@ -229,7 +233,7 @@ func (e *componentEngine) evalAssignFanout(ctx context.Context, bud *stateBudget
 	prefix := e.rel.n
 	memo, failed := e.memoCap, e.memoFailed
 	if capture {
-		e.captureChunks(&f.memos[0])
+		e.captureChunks(&f.memos[0], memo)
 	}
 	f.wg.Add(workers - 1)
 	for _, sib := range sibs {
@@ -269,7 +273,9 @@ func (e *componentEngine) evalAssignFanout(ctx context.Context, bud *stateBudget
 			capture = false
 			continue
 		}
-		e.memoCap.appendSegments(ch.memo, ch.segLo, ch.segHi)
+		for _, seg := range ch.memo.segs[ch.segLo:ch.segHi] {
+			e.memoCap.add(seg) // shared: a sealed segment is immutable
+		}
 		e.checkCapture()
 		capture = e.memoCap != nil
 	}

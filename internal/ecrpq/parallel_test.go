@@ -369,7 +369,7 @@ func testFanOutAfterInlinePrefix(t *testing.T) {
 			t.Fatalf("W=%d: %d memo segments for %d start assignments", w, got, want)
 		}
 		_ = sp.forRange(0, sp.size(), func(idx uint64, assign map[NodeVar]graph.Node) error {
-			rows := m.rows[m.rowOff[idx]:m.rowOff[idx+1]]
+			rows := m.segs[idx].rows
 			for r := 0; r < len(rows); r += m.stride {
 				for _, v := range c.xvars {
 					if n := rows[r+slices.Index(c.allVars, v)]; n != assign[v] {

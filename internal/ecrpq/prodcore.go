@@ -549,31 +549,74 @@ func (k *moveKernel) prepareMoves(jointID int, cur []graph.Node) bool {
 // run, dead-class ones included — the runner then rejects those symbols
 // itself, matching the exhaustive semantics.
 func (k *moveKernel) appendRuns(i int, v graph.Node, live []rune, rr []int32) []int32 {
-	var cmap []rune
-	n := k.part.NumClasses()
-	if k.tab != nil {
-		cmap, n = k.tab.ClassMap[i], k.tab.Classes[i]
-	}
+	cmap, n := k.classSpace(i)
 	// A live set naming every class admits every run but the dead class's.
 	full := len(live) == n
 	return appendClassRuns(k.part, cmap, rune(n+1), k.snap.Runs(v), live, full, rr)
 }
 
+// classSpace returns what coordinate i's row indices are over: on the
+// table its class map from partition classes and its class count,
+// otherwise no map and the partition's class count.
+func (k *moveKernel) classSpace(i int) (cmap []rune, n int) {
+	if k.tab != nil {
+		return k.tab.ClassMap[i], k.tab.Classes[i]
+	}
+	return nil, k.part.NumClasses()
+}
+
+// admitsLabel reports whether prepareMoves, at a product state whose
+// joint state is joint, plans coordinate i's runs of label: the class
+// admission appendRuns applies, behind prepareMoves' choice of the live
+// set. The delta pass asks it of every since-edge that leaves a recorded
+// state: an edge it does not admit is a dead move there, which no run
+// from that state can take.
+func (k *moveKernel) admitsLabel(joint, i int, label rune) bool {
+	if k.noPrune {
+		return true
+	}
+	ls := k.src.Live(joint)[i]
+	if ls.All {
+		return true
+	}
+	if len(ls.Labels) == 0 {
+		return false
+	}
+	cmap, n := k.classSpace(i)
+	c := k.part.ClassOf(label)
+	if cmap != nil {
+		c = cmap[c]
+	}
+	return admitClass(ls.Labels, rune(n+1), len(ls.Labels) == n, c)
+}
+
+// admitClass is the class admission of the move plan under a live set
+// (nil, which admits every class, is the caller's to test first): the
+// dead class never, any other class when full says live names them all,
+// or when live (sorted) names it.
+func admitClass(live []rune, dead rune, full bool, c rune) bool {
+	if c == dead {
+		return false
+	}
+	return full || runeInSorted(live, c)
+}
+
 // appendClassRuns appends the triples of a node's runs (see
 // appendRuns): cmap, when set, maps each partition class to the class
 // the triples carry, dead is that class space's dead class and full says
-// live names every other class. Adjacent same-class runs coalesce — on
-// the table, runs of partition classes it cannot tell apart — when their
-// edges are contiguous (one's End is the next one's Start); runs never
-// coalesce across classes. Snapshot offsets keep base and overlay runs
-// apart, so a coalesced triple always resolves within one segment.
+// live names every other class (admitClass). Adjacent same-class runs
+// coalesce — on the table, runs of partition classes it cannot tell
+// apart — when their edges are contiguous (one's End is the next one's
+// Start); runs never coalesce across classes. Snapshot offsets keep base
+// and overlay runs apart, so a coalesced triple always resolves within
+// one segment.
 func appendClassRuns(part *regex.Partition, cmap []rune, dead rune, runs []graph.LabelRun, live []rune, full bool, rr []int32) []int32 {
 	for _, run := range runs {
 		c := part.ClassOf(run.Label)
 		if cmap != nil {
 			c = cmap[c]
 		}
-		if live != nil && (c == dead || !full && !runeInSorted(live, c)) {
+		if live != nil && !admitClass(live, dead, full, c) {
 			continue
 		}
 		if n := len(rr); n > 0 && rr[n-1] == int32(c) && rr[n-2] == run.Start {

@@ -53,10 +53,10 @@ type Program struct {
 
 	// Live-label over-approximation of the whole program (union of the
 	// component range sets; see componentLiveRanges) and whether the
-	// query is eligible for the semi-naive delta pass: node-tuple
+	// query is eligible for the delta pass's replay and resume: node-tuple
 	// answers are monotone in the edge relation, but kept shortest
 	// witnesses are not, so only queries without head path variables
-	// capture rows; the others capture reached-node sets only.
+	// capture rows; the others capture their runs' product states only.
 	liveRanges    []regex.Range
 	liveUniversal bool
 	incCapable    bool
@@ -376,10 +376,10 @@ func (p *Program) Eval(ctx context.Context, g graph.Snapshotter, opts Options) (
 // EvalSnapshotMemo is Eval on the snapshot s capturing the
 // incremental-evaluation memo: the returned Result can seed
 // Program.Advance at later epochs. A query without head path variables
-// records each start assignment's reached nodes and rows, one with them
-// the reached nodes only. The memo can double the result's retained
-// footprint (SizeBytes accounts for it); plain Eval skips the capture
-// entirely.
+// records the product states each start assignment's run reached, in
+// discovery order, and its rows; one with them the states only. The memo
+// can double the result's retained footprint (SizeBytes accounts for
+// it); plain Eval skips the capture entirely.
 func (p *Program) EvalSnapshotMemo(ctx context.Context, s *graph.Snapshot, opts Options) (*Result, error) {
 	return p.evalFull(ctx, s, opts, true)
 }

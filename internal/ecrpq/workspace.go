@@ -15,10 +15,10 @@ import (
 // return: one engine per component (with their BFS arrays, state sets,
 // relation stores and dedup sets, and the fan-out siblings each builds),
 // the start-domain map and lists, the join layer's arena, the state
-// budget, and the per-component slices of relations and memos. What
-// escapes to the caller is only what the Result holds: the Result, the
-// exactly-sized answer slabs assemble carves, and captured memos, which
-// copy what they keep.
+// budget, and the per-component slices of relations, memos and the
+// delta pass's since-edges. What escapes to the caller is only what the
+// Result holds: the Result, the exactly-sized answer slabs assemble
+// carves, and captured memos, which copy what they keep.
 //
 // Its storage comes in two kinds. What is bound to the program — the
 // engines with their compiled kernels and lazy runners, the arena's
@@ -47,6 +47,7 @@ type workspace struct {
 	engines []*componentEngine
 	rels    []*varRelation
 	memos   []*compMemo
+	delta   []deltaIndex // per component, built by the first delta pass
 	bud     stateBudget
 	doms    domainLists
 	join    joinArena
@@ -238,6 +239,9 @@ func (p *Program) putWorkspace(ws *workspace) {
 	}
 	clear(ws.rels)
 	clear(ws.memos)
+	for i := range ws.delta {
+		ws.delta[i].release()
+	}
 	ws.doms.release()
 	ws.join.release()
 	ws.sc.join, ws.sc.domBuf, ws.join.joinBufs, ws.doms.buf = ws.join.joinBufs, ws.doms.buf, joinBufs{}, nil

@@ -70,12 +70,15 @@ func hold(label string, res *Result) heldResult {
 	if m := res.inc; m != nil {
 		h.inc = &incMemo{optsKey: m.optsKey, nodes: m.nodes}
 		for _, cm := range m.comps {
-			c := &compMemo{stride: cm.stride, touchOff: slices.Clone(cm.touchOff), touched: slices.Clone(cm.touched),
-				rowOff: slices.Clone(cm.rowOff), rows: slices.Clone(cm.rows)}
+			c := *cm
+			c.lists, c.segs = nil, nil
+			for _, seg := range cm.segs {
+				c.segs = append(c.segs, memoSeg{states: slices.Clone(seg.states), rows: slices.Clone(seg.rows)})
+			}
 			for _, l := range cm.lists {
 				c.lists = append(c.lists, slices.Clone(l))
 			}
-			h.inc.comps = append(h.inc.comps, c)
+			h.inc.comps = append(h.inc.comps, &c)
 		}
 	}
 	return h

@@ -47,8 +47,8 @@ const (
 	// hook returning an error turns a successful leader into a failed
 	// one — the cache-leader failure class.
 	CacheLeader
-	// DeltaBFS fires when Program.Advance commits to the semi-naive
-	// delta pass, after the free-revalidation checks. A hook returning
+	// DeltaBFS fires when Program.Advance commits to the delta pass,
+	// after the free-revalidation checks. A hook returning
 	// an error aborts the incremental attempt — the caller falls back to
 	// full evaluation with an identical answer set — and a hook that
 	// panics models a crash inside the delta machinery.

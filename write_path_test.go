@@ -21,7 +21,9 @@ import (
 // it reads each pair once. Per text it counts how the cache served the
 // reads — exact-epoch hits, label-disjoint revalidations, delta passes,
 // re-stamps (an advance that kept the previous answers) and full
-// recomputes — and it sums the bytes the post-write snapshots allocate
+// recomputes — and the product states its advances charged
+// (ecrpq.AdvanceStates: a resumed run charges only the states it adds to
+// its recorded ones), and it sums the bytes the post-write snapshots allocate
 // (not compared under the race detector, which allocates on its own
 // account). At every epoch every served fingerprint must equal an
 // uncached evaluation's. The counts are deterministic: a row that moves
@@ -33,17 +35,17 @@ import (
 // return 1–5000 answers within 400 000 product states (out-degree at
 // most 256 for the two-atom texts), the benchmark's rule.
 func TestWritePathWork(t *testing.T) {
-	type served struct{ hit, revalidated, incremental, restamped, computed int }
+	type served struct{ hit, revalidated, incremental, restamped, computed, states int }
 	texts := []struct {
 		name, text string
 		binds      [2]graph.Node
 		want       served
 	}{
-		{"rpq", "Ans(x,y) <- (x,p,y), a+b(p)", [2]graph.Node{0, 1}, served{0, 308, 18, 74, 0}},
-		{"three", "Ans(x,y) <- (x,p,y), (a|b)(a|b)(a|b)(p)", [2]graph.Node{0, 1}, served{0, 308, 23, 69, 0}},
-		{"wit", "Ans(x,y,p) <- (x,p,y), ab*c(p)", [2]graph.Node{0, 1}, served{0, 272, 0, 100, 28}},
-		{"chain", "Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)", [2]graph.Node{49, 50}, served{0, 308, 0, 92, 0}},
-		{"anbn", "Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)", [2]graph.Node{49, 50}, served{0, 308, 0, 92, 0}},
+		{"rpq", "Ans(x,y) <- (x,p,y), a+b(p)", [2]graph.Node{0, 1}, served{0, 308, 4, 88, 0, 13}},
+		{"three", "Ans(x,y) <- (x,p,y), (a|b)(a|b)(a|b)(p)", [2]graph.Node{0, 1}, served{0, 308, 11, 81, 0, 24}},
+		{"wit", "Ans(x,y,p) <- (x,p,y), ab*c(p)", [2]graph.Node{0, 1}, served{0, 272, 0, 115, 13, 0}},
+		{"chain", "Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2)", [2]graph.Node{49, 50}, served{0, 308, 0, 92, 0, 0}},
+		{"anbn", "Ans(x,y) <- (x,p1,z), (z,p2,y), a+(p1), b+(p2), el(p1,p2)", [2]graph.Node{49, 50}, served{0, 308, 0, 92, 0, 0}},
 	}
 	const (
 		writes    = 200
@@ -80,13 +82,14 @@ func TestWritePathWork(t *testing.T) {
 	read := func() {
 		s := g.Snapshot()
 		for _, pr := range pairs {
-			before := cache.Stats()
+			before, states := cache.Stats(), ecrpq.AdvanceStates()
 			res, _, err := pr.pl.EvalSnapshotCached(ctx, s, pr.opts, cache)
 			if err != nil {
 				t.Fatal(err)
 			}
 			after := cache.Stats()
 			c := &got[pr.text]
+			c.states += int(ecrpq.AdvanceStates() - states)
 			switch {
 			case after.Hits > before.Hits:
 				c.hit++
@@ -132,10 +135,10 @@ func TestWritePathWork(t *testing.T) {
 		snapBytes += ms.TotalAlloc - before
 		read()
 	}
-	t.Logf("%-6s %5s %12s %12s %10s %9s", "text", "hit", "revalidated", "incremental", "restamped", "computed")
+	t.Logf("%-6s %5s %12s %12s %10s %9s %8s", "text", "hit", "revalidated", "incremental", "restamped", "computed", "states")
 	for i, tx := range texts {
 		c := got[i]
-		t.Logf("%-6s %5d %12d %12d %10d %9d", tx.name, c.hit, c.revalidated, c.incremental, c.restamped, c.computed)
+		t.Logf("%-6s %5d %12d %12d %10d %9d %8d", tx.name, c.hit, c.revalidated, c.incremental, c.restamped, c.computed, c.states)
 		if c != tx.want {
 			t.Errorf("%s: served %+v, committed %+v", tx.name, c, tx.want)
 		}
